@@ -76,11 +76,13 @@ inline std::pair<int, int> grid_for(int ranks) {
 }
 
 inline void print_machine_banner(const char* figure, int ranks) {
+  const minimpi::Simulator::Config defaults;
   std::printf("==============================================================\n");
   std::printf("%s\n", figure);
   std::printf("--------------------------------------------------------------\n");
   std::printf("substrate : MiniMPI discrete-event simulator (this repo)\n");
-  std::printf("            base latency 1 us + Exp(2 us) jitter per message\n");
+  std::printf("            base latency %g us + Exp(%g us) jitter per message\n",
+              defaults.base_latency * 1e6, defaults.jitter_mean * 1e6);
   std::printf("            (stands in for Catalyst: 2.4 GHz Xeon E5-2695v2,\n");
   std::printf("             InfiniBand QDR, node-local SSD — paper Table 1)\n");
   std::printf("processes : %d\n", ranks);

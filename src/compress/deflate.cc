@@ -129,13 +129,24 @@ std::vector<ClToken> rle_code_lengths(std::span<const std::uint8_t> lens) {
 }
 
 struct BlockPlan {
-  std::vector<std::uint8_t> litlen_lengths;
-  std::vector<std::uint8_t> dist_lengths;
+  // Code lengths over the full alphabets; only the first nlit / ndist
+  // (trailing zeros trimmed) are transmitted.
+  std::array<std::uint8_t, kNumLitLen> litlen_lengths{};
+  std::array<std::uint8_t, kNumDist> dist_lengths{};
+  std::size_t nlit = 0;
+  std::size_t ndist = 0;
   std::vector<ClToken> cl_tokens;
-  std::vector<std::uint8_t> cl_lengths;   // code-length code (limit 7)
+  std::array<std::uint8_t, kNumCodeLen> cl_lengths{};  // limit 7
   std::size_t header_bits = 0;
   std::size_t body_bits_dynamic = 0;
   std::size_t body_bits_fixed = 0;
+
+  [[nodiscard]] std::span<const std::uint8_t> litlen() const noexcept {
+    return std::span<const std::uint8_t>(litlen_lengths).first(nlit);
+  }
+  [[nodiscard]] std::span<const std::uint8_t> dist() const noexcept {
+    return std::span<const std::uint8_t>(dist_lengths).first(ndist);
+  }
 };
 
 /// Computes the dynamic-block plan and the dynamic/fixed bit costs for one
@@ -163,25 +174,28 @@ BlockPlan plan_block(std::span<const Lz77Token> tokens) {
     dist_freq[0] = 1;
 
   BlockPlan plan;
-  plan.litlen_lengths = package_merge_lengths(lit_freq, 15);
-  plan.dist_lengths = package_merge_lengths(dist_freq, 15);
+  package_merge_lengths_into(lit_freq, 15, plan.litlen_lengths);
+  package_merge_lengths_into(dist_freq, 15, plan.dist_lengths);
 
   // Trim trailing zero lengths but keep the §3.2.7 minima.
-  std::size_t nlit = kNumLitLen;
-  while (nlit > 257 && plan.litlen_lengths[nlit - 1] == 0) --nlit;
-  std::size_t ndist = kNumDist;
-  while (ndist > 1 && plan.dist_lengths[ndist - 1] == 0) --ndist;
-  plan.litlen_lengths.resize(nlit);
-  plan.dist_lengths.resize(ndist);
+  plan.nlit = kNumLitLen;
+  while (plan.nlit > 257 && plan.litlen_lengths[plan.nlit - 1] == 0)
+    --plan.nlit;
+  plan.ndist = kNumDist;
+  while (plan.ndist > 1 && plan.dist_lengths[plan.ndist - 1] == 0)
+    --plan.ndist;
 
-  std::vector<std::uint8_t> all_lengths = plan.litlen_lengths;
-  all_lengths.insert(all_lengths.end(), plan.dist_lengths.begin(),
-                     plan.dist_lengths.end());
-  plan.cl_tokens = rle_code_lengths(all_lengths);
+  std::array<std::uint8_t, kNumLitLen + kNumDist> all_lengths{};
+  std::copy_n(plan.litlen_lengths.begin(), plan.nlit, all_lengths.begin());
+  std::copy_n(plan.dist_lengths.begin(), plan.ndist,
+              all_lengths.begin() + static_cast<std::ptrdiff_t>(plan.nlit));
+  plan.cl_tokens = rle_code_lengths(
+      std::span<const std::uint8_t>(all_lengths).first(plan.nlit +
+                                                       plan.ndist));
 
   std::array<std::uint64_t, kNumCodeLen> cl_freq{};
   for (const ClToken& t : plan.cl_tokens) ++cl_freq[t.symbol];
-  plan.cl_lengths = package_merge_lengths(cl_freq, 7);
+  package_merge_lengths_into(cl_freq, 7, plan.cl_lengths);
 
   std::size_t ncl = kNumCodeLen;
   while (ncl > 4 && plan.cl_lengths[kCodeLenOrder[ncl - 1]] == 0) --ncl;
@@ -194,17 +208,13 @@ BlockPlan plan_block(std::span<const Lz77Token> tokens) {
     if (t.symbol == 18) plan.header_bits += 7;
   }
 
+  // Lengths past nlit / ndist are zero, so the full arrays cost the same.
   for (std::size_t s = 0; s < lit_freq.size(); ++s) {
-    plan.body_bits_dynamic +=
-        lit_freq[s] * (s < plan.litlen_lengths.size()
-                           ? plan.litlen_lengths[s]
-                           : 0);
+    plan.body_bits_dynamic += lit_freq[s] * plan.litlen_lengths[s];
     plan.body_bits_fixed += lit_freq[s] * kFixedLitLenLengths[s];
   }
   for (std::size_t s = 0; s < dist_freq.size(); ++s) {
-    plan.body_bits_dynamic +=
-        dist_freq[s] *
-        (s < plan.dist_lengths.size() ? plan.dist_lengths[s] : 0);
+    plan.body_bits_dynamic += dist_freq[s] * plan.dist_lengths[s];
     plan.body_bits_fixed += dist_freq[s] * kFixedDistLengths[s];
   }
   plan.body_bits_dynamic += extra_bits;
@@ -237,6 +247,22 @@ void build_emit_codes(std::span<const std::uint8_t> lengths,
         reverse_code(codes[s], lengths[s]));
     out[s].len = lengths[s];
   }
+}
+
+/// Emit codes of the fixed block (§3.2.6), built once per process.
+struct FixedEmitCodes {
+  std::array<EmitCode, kNumLitLen> lit;
+  std::array<EmitCode, 32> dist;
+};
+
+const FixedEmitCodes& fixed_emit_codes() {
+  static const FixedEmitCodes codes = [] {
+    FixedEmitCodes fixed;
+    build_emit_codes(kFixedLitLenLengths, fixed.lit);
+    build_emit_codes(kFixedDistLengths, fixed.dist);
+    return fixed;
+  }();
+  return codes;
 }
 
 void emit_tokens(BitWriter& bw, std::span<const Lz77Token> tokens,
@@ -294,8 +320,8 @@ void emit_dynamic_header(BitWriter& bw, const BlockPlan& plan) {
   std::size_t ncl = kNumCodeLen;
   while (ncl > 4 && plan.cl_lengths[kCodeLenOrder[ncl - 1]] == 0) --ncl;
 
-  bw.write(static_cast<std::uint32_t>(plan.litlen_lengths.size() - 257), 5);
-  bw.write(static_cast<std::uint32_t>(plan.dist_lengths.size() - 1), 5);
+  bw.write(static_cast<std::uint32_t>(plan.nlit - 257), 5);
+  bw.write(static_cast<std::uint32_t>(plan.ndist - 1), 5);
   bw.write(static_cast<std::uint32_t>(ncl - 4), 4);
   for (std::size_t i = 0; i < ncl; ++i)
     bw.write(plan.cl_lengths[kCodeLenOrder[i]], 3);
@@ -369,15 +395,14 @@ void deflate_into(BitWriter& bw, std::span<const std::uint8_t> input,
     } else if (fixed_bits <= dynamic_bits) {
       bw.write(final_block ? 1u : 0u, 1);
       bw.write(1u, 2);  // BTYPE = 01 fixed
-      build_emit_codes(kFixedLitLenLengths, lit_emit);
-      build_emit_codes(kFixedDistLengths, dist_emit);
-      emit_tokens(bw, block, lit_emit, dist_emit);
+      const FixedEmitCodes& fixed = fixed_emit_codes();
+      emit_tokens(bw, block, fixed.lit, fixed.dist);
     } else {
       bw.write(final_block ? 1u : 0u, 1);
       bw.write(2u, 2);  // BTYPE = 10 dynamic
       emit_dynamic_header(bw, plan);
-      build_emit_codes(plan.litlen_lengths, lit_emit);
-      build_emit_codes(plan.dist_lengths, dist_emit);
+      build_emit_codes(plan.litlen(), lit_emit);
+      build_emit_codes(plan.dist(), dist_emit);
       emit_tokens(bw, block, lit_emit, dist_emit);
     }
 

@@ -9,75 +9,152 @@ namespace cdc::compress {
 
 namespace {
 
-// A package in package-merge: accumulated weight plus the multiset of leaf
-// symbols it contains (symbol indices into the active-symbol array).
-struct Package {
+// A leaf of package-merge: one active symbol and its weight.
+struct Leaf {
   std::uint64_t weight = 0;
-  std::vector<std::uint16_t> symbols;
+  std::uint16_t symbol = 0;
 };
 
-bool weight_less(const Package& a, const Package& b) noexcept {
+bool weight_less(const Leaf& a, const Leaf& b) noexcept {
   return a.weight < b.weight;
+}
+
+/// Per-thread package-merge scratch, recycled across calls so steady-state
+/// length construction does not allocate. Holds capacity only.
+struct MergeScratch {
+  std::vector<Leaf> leaves;
+  std::vector<std::uint64_t> leaf_weights;  ///< sorted, as in `leaves`
+  std::vector<std::uint64_t> weights;       ///< one level's item weights
+  std::vector<std::uint64_t> next_weights;
+  std::vector<std::uint8_t> is_leaf;        ///< `limit` rows of 2n-1 flags
+};
+
+MergeScratch& merge_scratch() {
+  thread_local MergeScratch scratch;
+  return scratch;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> package_merge_lengths(
-    std::span<const std::uint64_t> freqs, int limit) {
+void package_merge_lengths_into(std::span<const std::uint64_t> freqs,
+                                int limit, std::span<std::uint8_t> lengths) {
   CDC_CHECK(limit >= 1 && limit <= 32);
-  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  CDC_CHECK(lengths.size() == freqs.size());
+  std::fill(lengths.begin(), lengths.end(), std::uint8_t{0});
 
-  std::vector<std::uint16_t> active;
+  MergeScratch& scratch = merge_scratch();
+  std::vector<Leaf>& leaves = scratch.leaves;
+  leaves.clear();
   for (std::size_t s = 0; s < freqs.size(); ++s)
-    if (freqs[s] > 0) active.push_back(static_cast<std::uint16_t>(s));
+    if (freqs[s] > 0)
+      leaves.push_back(Leaf{freqs[s], static_cast<std::uint16_t>(s)});
 
-  if (active.empty()) return lengths;
-  if (active.size() == 1) {
-    lengths[active[0]] = 1;
-    return lengths;
+  const std::size_t n = leaves.size();
+  if (n == 0) return;
+  if (n == 1) {
+    lengths[leaves[0].symbol] = 1;
+    return;
   }
-  CDC_CHECK_MSG(active.size() <= (std::size_t{1} << limit),
+  CDC_CHECK_MSG(n <= (std::size_t{1} << limit),
                 "alphabet too large for length limit");
-
-  std::vector<Package> leaves;
-  leaves.reserve(active.size());
-  for (const std::uint16_t s : active)
-    leaves.push_back(Package{freqs[s], {s}});
+  // std::sort is not stable, and which of several equal-weight symbols gets
+  // the longer code depends on its tie order. That order depends only on
+  // the outcomes of these weight comparisons, so it does not change with
+  // what a leaf carries besides its weight: the lengths equal those of the
+  // package-list formulation, which the tests hold this one to.
   std::sort(leaves.begin(), leaves.end(), weight_less);
 
-  // Level `limit` starts with the bare leaves; moving toward level 1 we
-  // package pairs and merge fresh leaves back in.
-  std::vector<Package> prev = leaves;
-  for (int level = limit - 1; level >= 1; --level) {
-    std::vector<Package> packaged;
-    packaged.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      Package merged;
-      merged.weight = prev[i].weight + prev[i + 1].weight;
-      merged.symbols = prev[i].symbols;
-      merged.symbols.insert(merged.symbols.end(), prev[i + 1].symbols.begin(),
-                            prev[i + 1].symbols.end());
-      packaged.push_back(std::move(merged));
+  // Every level lists at most n leaves plus (2n-1)/2 packages. Row
+  // `level - 1` of is_leaf flags which of that level's items are leaves.
+  const std::size_t width = 2 * n - 1;
+  std::vector<std::uint64_t>& leaf_weights = scratch.leaf_weights;
+  std::vector<std::uint64_t>& cur = scratch.weights;
+  std::vector<std::uint64_t>& next = scratch.next_weights;
+  std::vector<std::uint8_t>& is_leaf = scratch.is_leaf;
+  leaf_weights.resize(n);
+  cur.resize(width);
+  next.resize(width);
+  is_leaf.resize(static_cast<std::size_t>(limit) * width);
+  const auto row = [&](int level) {
+    return is_leaf.data() + static_cast<std::size_t>(level - 1) * width;
+  };
+  std::size_t level_size[33] = {};
+
+  // Level `limit` holds the bare leaves; moving toward level 1 we package
+  // adjacent pairs and merge the leaves back in. On equal weights the leaf
+  // comes first, as std::merge takes from its first range. Each level is
+  // the same function of the one before it, so once two adjacent levels
+  // agree, every level after them is identical too: `stable` is the last
+  // level built, and it stands in for all levels from 1 to it.
+  for (std::size_t i = 0; i < n; ++i) {
+    leaf_weights[i] = leaves[i].weight;
+    cur[i] = leaves[i].weight;
+    row(limit)[i] = 1;
+  }
+  level_size[limit] = n;
+  int stable = limit;
+  while (stable > 1) {
+    const int level = stable - 1;
+    std::uint8_t* const flags = row(level);
+    const std::size_t packages = level_size[stable] / 2;
+    std::size_t leaf = 0;
+    std::size_t package = 0;
+    std::size_t out = 0;
+    while (leaf < n && package < packages) {
+      const std::uint64_t package_weight =
+          cur[2 * package] + cur[2 * package + 1];
+      const bool take_package = package_weight < leaf_weights[leaf];
+      next[out] = take_package ? package_weight : leaf_weights[leaf];
+      flags[out++] = take_package ? 0 : 1;
+      package += take_package ? 1 : 0;
+      leaf += take_package ? 0 : 1;
     }
-    std::vector<Package> next;
-    next.reserve(leaves.size() + packaged.size());
-    std::merge(leaves.begin(), leaves.end(),
-               std::make_move_iterator(packaged.begin()),
-               std::make_move_iterator(packaged.end()),
-               std::back_inserter(next), weight_less);
-    prev = std::move(next);
+    for (; leaf < n; ++leaf, ++out) {
+      next[out] = leaf_weights[leaf];
+      flags[out] = 1;
+    }
+    for (; package < packages; ++package, ++out) {
+      next[out] = cur[2 * package] + cur[2 * package + 1];
+      flags[out] = 0;
+    }
+    level_size[level] = out;
+    const bool converged =
+        out == level_size[stable] &&
+        std::equal(next.begin(),
+                   next.begin() + static_cast<std::ptrdiff_t>(out),
+                   cur.begin());
+    std::swap(cur, next);
+    stable = level;
+    if (converged) break;
   }
 
-  // The first 2(n-1) packages of the level-1 list; every occurrence of a
-  // symbol adds one to its code length.
-  const std::size_t take = 2 * (active.size() - 1);
-  CDC_CHECK(prev.size() >= take);
-  for (std::size_t i = 0; i < take; ++i)
-    for (const std::uint16_t s : prev[i].symbols) ++lengths[s];
+  // Boundary counting. The first 2(n-1) items of level 1 are chosen. A
+  // chosen package stands for two items of the level below it, and each
+  // level's packages pair up its predecessor's items in order, so the
+  // chosen items of level L+1 are its first 2 x (packages chosen at L).
+  // Leaves keep their sorted order in every level, so a level's chosen
+  // leaves are a prefix of `leaves`; each adds one to its code length.
+  std::size_t take = 2 * (n - 1);
+  for (int level = 1; level <= limit && take > 0; ++level) {
+    const int built = std::max(level, stable);
+    CDC_CHECK(take <= level_size[built]);
+    const std::uint8_t* flags = row(built);
+    std::size_t chosen_leaves = 0;
+    for (std::size_t i = 0; i < take; ++i) chosen_leaves += flags[i];
+    for (std::size_t i = 0; i < chosen_leaves; ++i)
+      ++lengths[leaves[i].symbol];
+    take = 2 * (take - chosen_leaves);
+  }
 
-  for (const std::uint16_t s : active)
-    CDC_CHECK(lengths[s] >= 1 &&
-              lengths[s] <= static_cast<std::uint8_t>(limit));
+  for (const Leaf& leaf : leaves)
+    CDC_CHECK(lengths[leaf.symbol] >= 1 &&
+              lengths[leaf.symbol] <= static_cast<std::uint8_t>(limit));
+}
+
+std::vector<std::uint8_t> package_merge_lengths(
+    std::span<const std::uint64_t> freqs, int limit) {
+  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  package_merge_lengths_into(freqs, limit, lengths);
   return lengths;
 }
 

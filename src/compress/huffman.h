@@ -21,6 +21,12 @@ namespace cdc::compress {
 std::vector<std::uint8_t> package_merge_lengths(
     std::span<const std::uint64_t> freqs, int limit);
 
+/// package_merge_lengths writing into `lengths` (one per symbol). Its
+/// scratch is per thread and only grows, so steady-state calls do not
+/// allocate.
+void package_merge_lengths_into(std::span<const std::uint64_t> freqs,
+                                int limit, std::span<std::uint8_t> lengths);
+
 /// Canonical code values for given code lengths (RFC 1951 §3.2.2).
 /// codes[s] is meaningful only where lengths[s] > 0.
 std::vector<std::uint32_t> canonical_codes(

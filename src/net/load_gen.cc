@@ -234,7 +234,14 @@ void verify_outcomes(const LoadConfig& config,
     const std::string server_path =
         (tenant_dir / (record_name(i) + ".cdcc")).string();
     if (!outcome.sealed) {
-      // Never sealed: the name must refer to nothing.
+      // Never sealed: the name must refer to nothing. The server discards
+      // the partial when it tears the session down, which can finish after
+      // the client has seen its error or closed, so allow it a grace period.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (fs::exists(server_path) &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
       if (fs::exists(server_path)) {
         ++report.verify_failures;
         report.errors.push_back(record_name(i) +

@@ -680,6 +680,10 @@ struct Server::Impl {
     session->level = level;
     if (resumable) {
       session->resumable = true;
+      // An empty journal vouches for the container header, so the header
+      // must reach the file first: killed between the two, the session
+      // would otherwise resume onto a container shorter than its header.
+      session->container->sync();
       session->journal = store::SessionJournal::create(
           store::session_journal_path(path), tenant.config.name, record,
           static_cast<std::uint8_t>(level));

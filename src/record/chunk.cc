@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "record/fast_permutation.h"
 #include "record/lp.h"
@@ -23,27 +24,28 @@ CdcChunk encode_chunk(const ChunkTables& tables) {
   chunk.with_next = tables.with_next;
   chunk.unmatched = tables.unmatched;
 
-  // Reference order and the observed permutation B over reference indices.
-  const std::vector<clock::MessageId> reference =
-      reference_order(tables.matched);
-  std::map<std::pair<std::uint64_t, std::int32_t>, std::uint32_t> ref_index;
-  for (std::uint32_t j = 0; j < reference.size(); ++j) {
-    const bool inserted =
-        ref_index
-            .emplace(std::make_pair(reference[j].clock, reference[j].sender),
-                     j)
-            .second;
-    CDC_CHECK_MSG(inserted, "duplicate (clock, sender) message id in chunk");
+  // Reference order and the observed permutation B over reference indices:
+  // sort the observed indices by (clock, sender); the j-th of them has
+  // reference index j. Ids are unique, so the order is total and the sort
+  // needs no tie-break.
+  const std::span<const clock::MessageId> matched = tables.matched;
+  std::vector<std::uint32_t> by_reference(matched.size());
+  std::iota(by_reference.begin(), by_reference.end(), 0u);
+  std::sort(by_reference.begin(), by_reference.end(),
+            [&](std::uint32_t x, std::uint32_t y) {
+              return clock::ReferenceOrderLess{}(matched[x], matched[y]);
+            });
+  std::vector<std::uint32_t> b(matched.size());
+  chunk.ref_senders.reserve(matched.size());
+  for (std::uint32_t j = 0; j < by_reference.size(); ++j) {
+    const clock::MessageId& id = matched[by_reference[j]];
+    CDC_CHECK_MSG(j == 0 || !(matched[by_reference[j - 1]] == id),
+                  "duplicate (clock, sender) message id in chunk");
+    b[by_reference[j]] = j;
+    chunk.ref_senders.push_back(id.sender);
   }
-  std::vector<std::uint32_t> b;
-  b.reserve(tables.matched.size());
-  for (const clock::MessageId& id : tables.matched)
-    b.push_back(ref_index.at(std::make_pair(id.clock, id.sender)));
 
   chunk.moves = fast_encode_permutation(b);
-  chunk.ref_senders.reserve(reference.size());
-  for (const clock::MessageId& id : reference)
-    chunk.ref_senders.push_back(id.sender);
 
   // Epoch line: per-sender maximum clock among the chunk's receives.
   std::map<std::int32_t, std::uint64_t> epoch;

@@ -15,11 +15,16 @@ std::vector<bool> lis_membership(std::span<const std::uint32_t> b) {
   // increasing subsequence of length k+1; parent links recover one LIS.
   std::vector<std::size_t> tails;
   std::vector<std::size_t> parent(n, SIZE_MAX);
-  std::vector<std::size_t> tail_index(n, SIZE_MAX);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto it = std::lower_bound(
-        tails.begin(), tails.end(), b[i],
-        [&](std::size_t idx, std::uint32_t value) { return b[idx] < value; });
+    // Near-sorted streams mostly extend the longest subsequence; skip the
+    // binary search then (lower_bound would return end() anyway).
+    const auto it =
+        !tails.empty() && b[tails.back()] < b[i]
+            ? tails.end()
+            : std::lower_bound(tails.begin(), tails.end(), b[i],
+                               [&](std::size_t idx, std::uint32_t value) {
+                                 return b[idx] < value;
+                               });
     const std::size_t k = static_cast<std::size_t>(it - tails.begin());
     if (k > 0) parent[i] = tails[k - 1];
     if (it == tails.end()) {
@@ -27,14 +32,12 @@ std::vector<bool> lis_membership(std::span<const std::uint32_t> b) {
     } else {
       *it = i;
     }
-    tail_index[i] = k;
   }
   std::size_t cur = tails.back();
   while (cur != SIZE_MAX) {
     keep[cur] = true;
     cur = parent[cur];
   }
-  (void)tail_index;
   return keep;
 }
 
@@ -107,10 +110,12 @@ std::vector<std::uint32_t> apply_moves(std::size_t n,
     const std::int64_t j = it - work.begin();
     const std::uint32_t value = *it;
     work.erase(it);
-    const std::int64_t t = j + op.delay;
-    CDC_CHECK_MSG(t >= 0 && t <= static_cast<std::int64_t>(work.size()),
+    // Range-check the delay before adding it: a crafted delay near
+    // INT64_MAX would overflow j + delay.
+    CDC_CHECK_MSG(op.delay >= -j &&
+                      op.delay <= static_cast<std::int64_t>(work.size()) - j,
                   "move op target out of range");
-    work.insert(work.begin() + t, value);
+    work.insert(work.begin() + j + op.delay, value);
   }
   return work;
 }

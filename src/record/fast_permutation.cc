@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 
 #include "support/check.h"
 
@@ -9,162 +11,119 @@ namespace cdc::record {
 
 namespace detail {
 
-namespace {
-
-std::uint64_t mix_priority(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+WorkingList::WorkingList(std::size_t n) : sizes_(std::size_t{0}), count_(n) {
+  CDC_CHECK(n <= static_cast<std::size_t>(std::numeric_limits<int>::max()));
+  constexpr std::size_t kFill = kBlockCapacity / 2;
+  const std::size_t blocks = std::max<std::size_t>(1, (n + kFill - 1) / kFill);
+  slots_.resize(blocks * kBlockCapacity);
+  block_size_.resize(blocks);
+  order_.resize(blocks);
+  rank_.resize(blocks);
+  block_of_.resize(n);
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * kFill;
+    const std::size_t size = std::min(kFill, n - std::min(n, first));
+    std::iota(block(b), block(b) + size, static_cast<std::uint32_t>(first));
+    std::fill_n(block_of_.begin() + static_cast<std::ptrdiff_t>(first), size,
+                b);
+    block_size_[b] = static_cast<std::uint32_t>(size);
+    order_[b] = b;
+    rank_[b] = b;
+  }
+  rebuild_sizes();
 }
 
-}  // namespace
-
-WorkingList::WorkingList(std::size_t n) : nodes_(n), count_(n) {
-  for (std::size_t v = 0; v < n; ++v)
-    nodes_[v].priority = mix_priority(v);
-  // Build a balanced-by-priority treap of the identity sequence in O(N)
-  // with a rightmost-spine insertion.
-  std::vector<std::uint32_t> spine;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint32_t last = kNil;
-    while (!spine.empty() &&
-           nodes_[spine.back()].priority < nodes_[v].priority) {
-      last = spine.back();
-      pull(last);
-      spine.pop_back();
-    }
-    if (last != kNil) {
-      nodes_[v].left = last;
-      nodes_[last].parent = v;
-    }
-    if (!spine.empty()) {
-      nodes_[spine.back()].right = v;
-      nodes_[v].parent = spine.back();
-    }
-    spine.push_back(v);
-  }
-  while (!spine.empty()) {
-    pull(spine.back());
-    root_ = spine.back();
-    spine.pop_back();
-  }
-  if (n == 0) root_ = kNil;
+void WorkingList::rebuild_sizes() {
+  std::vector<int> sizes(order_.size());
+  for (std::size_t r = 0; r < order_.size(); ++r)
+    sizes[r] = static_cast<int>(block_size_[order_[r]]);
+  sizes_ = Fenwick(sizes);
 }
 
-void WorkingList::pull(std::uint32_t node) noexcept {
-  auto& n = nodes_[node];
-  n.size = 1 + (n.left != kNil ? nodes_[n.left].size : 0) +
-           (n.right != kNil ? nodes_[n.right].size : 0);
-}
-
-std::uint32_t WorkingList::merge(std::uint32_t a, std::uint32_t b) {
-  if (a == kNil) return b;
-  if (b == kNil) return a;
-  if (nodes_[a].priority > nodes_[b].priority) {
-    const std::uint32_t right = merge(nodes_[a].right, b);
-    nodes_[a].right = right;
-    nodes_[right].parent = a;
-    pull(a);
-    nodes_[a].parent = kNil;
-    return a;
-  }
-  const std::uint32_t left = merge(a, nodes_[b].left);
-  nodes_[b].left = left;
-  nodes_[left].parent = b;
-  pull(b);
-  nodes_[b].parent = kNil;
-  return b;
-}
-
-void WorkingList::split(std::uint32_t node, std::uint32_t count,
-                        std::uint32_t& left, std::uint32_t& right) {
-  if (node == kNil) {
-    left = kNil;
-    right = kNil;
-    return;
-  }
-  nodes_[node].parent = kNil;
-  const std::uint32_t left_size =
-      nodes_[node].left != kNil ? nodes_[nodes_[node].left].size : 0;
-  if (count <= left_size) {
-    std::uint32_t inner = kNil;
-    split(nodes_[node].left, count, left, inner);
-    nodes_[node].left = inner;
-    if (inner != kNil) nodes_[inner].parent = node;
-    pull(node);
-    right = node;
-    if (left != kNil) nodes_[left].parent = kNil;
-  } else {
-    std::uint32_t inner = kNil;
-    split(nodes_[node].right, count - left_size - 1, inner, right);
-    nodes_[node].right = inner;
-    if (inner != kNil) nodes_[inner].parent = node;
-    pull(node);
-    left = node;
-    if (right != kNil) nodes_[right].parent = kNil;
-  }
+std::size_t WorkingList::offset_in_block(std::uint32_t value) const {
+  const std::uint32_t id = block_of_[value];
+  const std::uint32_t* first = block(id);
+  const std::uint32_t* const last = first + block_size_[id];
+  const std::uint32_t* const it = std::find(first, last, value);
+  CDC_DCHECK(it != last);
+  return static_cast<std::size_t>(it - first);
 }
 
 std::size_t WorkingList::position_of(std::uint32_t value) const {
-  const Node& n = nodes_[value];
-  std::size_t position = n.left != kNil ? nodes_[n.left].size : 0;
-  std::uint32_t child = value;
-  std::uint32_t parent = n.parent;
-  while (parent != kNil) {
-    if (nodes_[parent].right == child) {
-      position += 1 +
-                  (nodes_[parent].left != kNil
-                       ? nodes_[nodes_[parent].left].size
-                       : 0);
-    }
-    child = parent;
-    parent = nodes_[parent].parent;
-  }
-  return position;
+  return static_cast<std::size_t>(sizes_.prefix(rank_[block_of_[value]])) +
+         offset_in_block(value);
 }
 
-void WorkingList::erase(std::uint32_t value) {
-  const std::size_t position = position_of(value);
-  std::uint32_t left = kNil;
-  std::uint32_t middle = kNil;
-  std::uint32_t right = kNil;
-  split(root_, static_cast<std::uint32_t>(position), left, middle);
-  std::uint32_t single = kNil;
-  split(middle, 1, single, right);
-  CDC_DCHECK(single == value);
-  nodes_[value] = Node{kNil, kNil, kNil, 1, nodes_[value].priority};
-  root_ = merge(left, right);
-  if (root_ != kNil) nodes_[root_].parent = kNil;
+std::size_t WorkingList::erase(std::uint32_t value) {
+  const std::uint32_t id = block_of_[value];
+  const std::size_t offset = offset_in_block(value);
+  std::uint32_t* const data = block(id);
+  std::copy(data + offset + 1, data + block_size_[id], data + offset);
+  --block_size_[id];
+  sizes_.add(rank_[id], -1);
   --count_;
+  return static_cast<std::size_t>(sizes_.prefix(rank_[id])) + offset;
 }
 
 void WorkingList::insert_at(std::size_t position, std::uint32_t value) {
-  nodes_[value].left = kNil;
-  nodes_[value].right = kNil;
-  nodes_[value].parent = kNil;
-  nodes_[value].size = 1;
-  std::uint32_t left = kNil;
-  std::uint32_t right = kNil;
-  split(root_, static_cast<std::uint32_t>(position), left, right);
-  root_ = merge(merge(left, value), right);
-  if (root_ != kNil) nodes_[root_].parent = kNil;
+  CDC_DCHECK(position <= count_);
+  // The block holding the position-th element (the first block for
+  // position 0), so an insert at a block boundary appends to the earlier
+  // block.
+  std::size_t rank = 0;
+  std::size_t offset = 0;
+  if (position > 0) {
+    rank = sizes_.select(static_cast<int>(position));
+    offset = position - static_cast<std::size_t>(sizes_.prefix(rank));
+  }
+  if (block_size_[order_[rank]] == kBlockCapacity) {
+    split(rank);
+    if (offset > kBlockCapacity / 2) {
+      ++rank;
+      offset -= kBlockCapacity / 2;
+    }
+  }
+  const std::uint32_t id = order_[rank];
+  std::uint32_t* const data = block(id);
+  std::copy_backward(data + offset, data + block_size_[id],
+                     data + block_size_[id] + 1);
+  data[offset] = value;
+  ++block_size_[id];
+  block_of_[value] = id;
+  sizes_.add(rank, 1);
   ++count_;
 }
 
-void WorkingList::collect(std::uint32_t node,
-                          std::vector<std::uint32_t>& out) const {
-  if (node == kNil) return;
-  collect(nodes_[node].left, out);
-  out.push_back(node);
-  collect(nodes_[node].right, out);
+void WorkingList::split(std::size_t rank) {
+  constexpr std::size_t kHalf = kBlockCapacity / 2;
+  const std::uint32_t id = order_[rank];
+  const auto fresh = static_cast<std::uint32_t>(block_size_.size());
+  slots_.resize(slots_.size() + kBlockCapacity);
+  std::copy(block(id) + kHalf, block(id) + kBlockCapacity, block(fresh));
+  for (std::size_t i = 0; i < kHalf; ++i) block_of_[block(fresh)[i]] = fresh;
+  block_size_[id] = kHalf;
+  block_size_.push_back(kHalf);
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(rank) + 1, fresh);
+  rank_.push_back(0);
+  for (std::size_t r = rank + 1; r < order_.size(); ++r)
+    rank_[order_[r]] = static_cast<std::uint32_t>(r);
+  rebuild_sizes();
 }
 
 std::vector<std::uint32_t> WorkingList::to_vector() const {
   std::vector<std::uint32_t> out;
   out.reserve(count_);
-  collect(root_, out);
+  for (const std::uint32_t id : order_)
+    out.insert(out.end(), block(id), block(id) + block_size_[id]);
   return out;
+}
+
+Fenwick::Fenwick(std::span<const int> counts) : tree_(counts.size() + 1, 0) {
+  for (std::size_t i = 1; i < tree_.size(); ++i) {
+    tree_[i] += counts[i - 1];
+    const std::size_t parent = i + (i & (~i + 1));
+    if (parent < tree_.size()) tree_[parent] += tree_[i];
+  }
 }
 
 void Fenwick::add(std::size_t index, int delta) {
@@ -211,13 +170,11 @@ std::vector<MoveOp> fast_encode_permutation(
   std::vector<std::size_t> pos_in_b(n);
   for (std::size_t i = 0; i < n; ++i) pos_in_b[b[i]] = i;
 
-  // settled_by_obs marks the observed positions of settled elements;
-  // obs_to_value recovers the element at an observed position.
-  detail::Fenwick settled_by_obs(n);
-  std::vector<std::uint32_t> obs_to_value(n);
-  for (std::size_t i = 0; i < n; ++i) obs_to_value[i] = b[i];
-  for (std::size_t i = 0; i < n; ++i)
-    if (keep[i]) settled_by_obs.add(i, 1);
+  // settled_by_obs marks the observed positions of settled elements; b
+  // recovers the element at an observed position.
+  std::vector<int> settled(n);
+  for (std::size_t i = 0; i < n; ++i) settled[i] = keep[i] ? 1 : 0;
+  detail::Fenwick settled_by_obs(settled);
 
   // list_rank_of_settled: working-list positions, restricted to settled
   // elements, keyed by observed position. The c-th settled element of the
@@ -228,8 +185,7 @@ std::vector<MoveOp> fast_encode_permutation(
   std::vector<MoveOp> ops;
   ops.reserve(moved.size());
   for (const std::uint32_t x : moved) {
-    const std::size_t j = work.position_of(x);
-    work.erase(x);
+    const std::size_t j = work.erase(x);
     // c = number of settled elements before x in the observed order.
     const int c = settled_by_obs.prefix(pos_in_b[x]);
     std::size_t t = 0;
@@ -237,7 +193,7 @@ std::vector<MoveOp> fast_encode_permutation(
       // Observed position of the c-th settled element, then its current
       // working-list position; insert right after it.
       const std::size_t obs = settled_by_obs.select(c);
-      t = work.position_of(obs_to_value[obs]) + 1;
+      t = work.position_of(b[obs]) + 1;
     }
     work.insert_at(t, x);
     settled_by_obs.add(pos_in_b[x], 1);
@@ -255,12 +211,13 @@ std::vector<std::uint32_t> fast_apply_moves(std::size_t n,
     CDC_CHECK_MSG(op.index >= 0 && op.index < static_cast<std::int64_t>(n),
                   "move op names an unknown element");
     const auto value = static_cast<std::uint32_t>(op.index);
-    const std::size_t j = work.position_of(value);
-    work.erase(value);
-    const std::int64_t t = static_cast<std::int64_t>(j) + op.delay;
-    CDC_CHECK_MSG(t >= 0 && t <= static_cast<std::int64_t>(work.size()),
+    const auto j = static_cast<std::int64_t>(work.erase(value));
+    // Range-check the delay before adding it: a crafted delay near
+    // INT64_MAX would overflow j + delay.
+    CDC_CHECK_MSG(op.delay >= -j &&
+                      op.delay <= static_cast<std::int64_t>(work.size()) - j,
                   "move op target out of range");
-    work.insert_at(static_cast<std::size_t>(t), value);
+    work.insert_at(static_cast<std::size_t>(j + op.delay), value);
   }
   return work.to_vector();
 }

@@ -3,10 +3,10 @@
 // The reference implementations in edit_distance.h simulate the move-op
 // decoder on a flat vector: O(N + N·D) per chunk, which is fine at the
 // default 4K-event chunks but quadratic-ish for large ones. This module
-// provides the same transformations in O((N + D) log N) using an
-// order-statistic treap for the working list plus a Fenwick tree over
-// observed positions for the settled-element rank queries. Both engines
-// are cross-checked against each other in the tests; encode_chunk and
+// provides the same transformations in O((N + D) log N) using a blocked
+// list for the working list plus a Fenwick tree over observed positions
+// for the settled-element rank queries. Both engines are cross-checked
+// against each other in the tests; encode_chunk and
 // observed_reference_indices use the fast engine.
 #pragma once
 
@@ -29,54 +29,12 @@ std::vector<std::uint32_t> fast_apply_moves(std::size_t n,
 
 namespace detail {
 
-/// Order-statistic treap over the working list of reference indices.
-/// Nodes are preallocated (one per element); priorities come from a
-/// deterministic hash so behaviour is reproducible.
-class WorkingList {
- public:
-  explicit WorkingList(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-
-  /// Current position of element `value`. O(log N).
-  [[nodiscard]] std::size_t position_of(std::uint32_t value) const;
-
-  /// Removes element `value`. O(log N).
-  void erase(std::uint32_t value);
-
-  /// Inserts element `value` so that exactly `position` elements precede
-  /// it. O(log N).
-  void insert_at(std::size_t position, std::uint32_t value);
-
-  /// In-order traversal into a vector. O(N).
-  [[nodiscard]] std::vector<std::uint32_t> to_vector() const;
-
- private:
-  struct Node {
-    std::uint32_t left = kNil;
-    std::uint32_t right = kNil;
-    std::uint32_t parent = kNil;
-    std::uint32_t size = 1;
-    std::uint64_t priority = 0;
-  };
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  void pull(std::uint32_t node) noexcept;
-  [[nodiscard]] std::uint32_t merge(std::uint32_t a, std::uint32_t b);
-  /// Splits `node` into [first `count` elements, rest].
-  void split(std::uint32_t node, std::uint32_t count, std::uint32_t& left,
-             std::uint32_t& right);
-  void collect(std::uint32_t node, std::vector<std::uint32_t>& out) const;
-
-  std::vector<Node> nodes_;  // index == element value
-  std::uint32_t root_ = kNil;
-  std::size_t count_ = 0;
-};
-
 /// Fenwick tree over 0..n-1 with point update / prefix sum / select.
 class Fenwick {
  public:
   explicit Fenwick(std::size_t n) : tree_(n + 1, 0) {}
+  /// A tree over `counts`, built in O(n).
+  explicit Fenwick(std::span<const int> counts);
 
   void add(std::size_t index, int delta);
   /// Sum over [0, index).
@@ -86,6 +44,59 @@ class Fenwick {
 
  private:
   std::vector<int> tree_;
+};
+
+/// The working list of reference indices, initially the identity, as a
+/// blocked list: values sit in fixed-capacity blocks of one flat array, a
+/// value->block map finds an element's block, and a Fenwick tree over the
+/// block sizes in list order turns a block into the position of its first
+/// element and a position into its block. Every operation costs
+/// O(log(N / kBlockCapacity)) plus one scan or shift within a block.
+class WorkingList {
+ public:
+  /// Elements per block. Blocks start half full and a full block splits
+  /// into two half-full ones, so splits (each O(N / kBlockCapacity)) take
+  /// at least kBlockCapacity / 2 inserts apiece.
+  static constexpr std::size_t kBlockCapacity = 256;
+
+  explicit WorkingList(std::size_t n);
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+  /// Current position of element `value`.
+  [[nodiscard]] std::size_t position_of(std::uint32_t value) const;
+
+  /// Removes element `value`; returns the position it had.
+  std::size_t erase(std::uint32_t value);
+
+  /// Inserts element `value` so that exactly `position` elements precede
+  /// it.
+  void insert_at(std::size_t position, std::uint32_t value);
+
+  /// The elements in list order. O(N).
+  [[nodiscard]] std::vector<std::uint32_t> to_vector() const;
+
+ private:
+  [[nodiscard]] std::uint32_t* block(std::uint32_t id) noexcept {
+    return slots_.data() + std::size_t{id} * kBlockCapacity;
+  }
+  [[nodiscard]] const std::uint32_t* block(std::uint32_t id) const noexcept {
+    return slots_.data() + std::size_t{id} * kBlockCapacity;
+  }
+  /// Index of `value` within its block.
+  [[nodiscard]] std::size_t offset_in_block(std::uint32_t value) const;
+  /// Moves the upper half of the full block at list index `rank` into a new
+  /// block placed right after it.
+  void split(std::size_t rank);
+  void rebuild_sizes();
+
+  std::vector<std::uint32_t> slots_;       ///< kBlockCapacity per block id
+  std::vector<std::uint32_t> block_size_;  ///< by block id
+  std::vector<std::uint32_t> order_;       ///< list index -> block id
+  std::vector<std::uint32_t> rank_;        ///< block id -> list index
+  std::vector<std::uint32_t> block_of_;    ///< value -> block id
+  Fenwick sizes_;                          ///< block sizes by list index
+  std::size_t count_ = 0;
 };
 
 }  // namespace detail

@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
+#include <optional>
 #include <vector>
 
+#include "apps/mcb.h"
+#include "compress/deflate.h"
+#include "compress/lz77.h"
+#include "minimpi/simulator.h"
+#include "runtime/storage.h"
+#include "support/binary.h"
 #include "support/rng.h"
+#include "tool/frame.h"
+#include "tool/recorder.h"
 
 namespace cdc::compress {
 namespace {
@@ -84,6 +95,180 @@ TEST(PackageMerge, IsOptimalAtGenerousLimit) {
   }
   EXPECT_GE(avg_len, entropy - 1e-9);
   EXPECT_LE(avg_len, entropy + 1.0);
+}
+
+// --- Differential oracle ----------------------------------------------------
+
+// The textbook package-merge, which carries the multiset of leaf symbols in
+// every package and reads each code length off the chosen packages. The
+// production implementation keeps only weights and leaf flags and counts
+// leaves per level instead; both must give identical lengths, ties
+// included, or compressed bytes would change.
+struct OraclePackage {
+  std::uint64_t weight = 0;
+  std::vector<std::uint16_t> symbols;
+};
+
+bool oracle_weight_less(const OraclePackage& a,
+                        const OraclePackage& b) noexcept {
+  return a.weight < b.weight;
+}
+
+std::vector<std::uint8_t> oracle_package_merge_lengths(
+    std::span<const std::uint64_t> freqs, int limit) {
+  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  std::vector<std::uint16_t> active;
+  for (std::size_t s = 0; s < freqs.size(); ++s)
+    if (freqs[s] > 0) active.push_back(static_cast<std::uint16_t>(s));
+  if (active.empty()) return lengths;
+  if (active.size() == 1) {
+    lengths[active[0]] = 1;
+    return lengths;
+  }
+
+  std::vector<OraclePackage> leaves;
+  for (const std::uint16_t s : active)
+    leaves.push_back(OraclePackage{freqs[s], {s}});
+  std::sort(leaves.begin(), leaves.end(), oracle_weight_less);
+
+  std::vector<OraclePackage> prev = leaves;
+  for (int level = limit - 1; level >= 1; --level) {
+    std::vector<OraclePackage> packaged;
+    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
+      OraclePackage merged;
+      merged.weight = prev[i].weight + prev[i + 1].weight;
+      merged.symbols = prev[i].symbols;
+      merged.symbols.insert(merged.symbols.end(), prev[i + 1].symbols.begin(),
+                            prev[i + 1].symbols.end());
+      packaged.push_back(std::move(merged));
+    }
+    std::vector<OraclePackage> next;
+    std::merge(leaves.begin(), leaves.end(),
+               std::make_move_iterator(packaged.begin()),
+               std::make_move_iterator(packaged.end()),
+               std::back_inserter(next), oracle_weight_less);
+    prev = std::move(next);
+  }
+  const std::size_t take = 2 * (active.size() - 1);
+  for (std::size_t i = 0; i < take; ++i)
+    for (const std::uint16_t s : prev[i].symbols) ++lengths[s];
+  return lengths;
+}
+
+enum class Shape { kTieHeavy, kSkewed, kPowersOfTwo, kUniform };
+
+/// A random frequency table of `alphabet` symbols. `zero_share` of the
+/// symbols (in percent) get frequency 0, and at most 2^limit stay coded.
+std::vector<std::uint64_t> random_table(support::Xoshiro256& rng,
+                                        std::size_t alphabet, Shape shape,
+                                        int zero_share, int limit) {
+  std::vector<std::uint64_t> freqs(alphabet);
+  for (auto& f : freqs) {
+    switch (shape) {
+      case Shape::kTieHeavy:
+        f = 1 + rng.bounded(4);
+        break;
+      case Shape::kSkewed:  // log-uniform magnitudes over 24 octaves
+        f = 1 + rng.bounded(std::uint64_t{1} << rng.bounded(24));
+        break;
+      case Shape::kPowersOfTwo:
+        f = std::uint64_t{1} << rng.bounded(30);
+        break;
+      case Shape::kUniform:
+        f = 1 + rng.bounded(10000);
+        break;
+    }
+    if (rng.bounded(100) < static_cast<std::uint64_t>(zero_share)) f = 0;
+  }
+  const std::size_t max_coded = std::size_t{1} << limit;
+  std::size_t coded = 0;
+  for (auto& f : freqs)
+    if (f > 0 && ++coded > max_coded) f = 0;
+  return freqs;
+}
+
+TEST(PackageMergeDifferential, RandomTablesMatchOracle) {
+  support::Xoshiro256 rng(2024);
+  constexpr std::size_t kAlphabets[] = {19, 30, 286};
+  constexpr int kLimits[] = {7, 15};
+  constexpr Shape kShapes[] = {Shape::kTieHeavy, Shape::kSkewed,
+                               Shape::kPowersOfTwo, Shape::kUniform};
+  constexpr int kZeroShares[] = {0, 30, 80};
+  constexpr int kTablesPerCase = 150;  // 3 x 2 x 4 x 3 x 150 = 10,800
+  int tables = 0;
+  for (const std::size_t alphabet : kAlphabets)
+    for (const int limit : kLimits)
+      for (const Shape shape : kShapes)
+        for (const int zero_share : kZeroShares)
+          for (int t = 0; t < kTablesPerCase; ++t, ++tables) {
+            const auto freqs =
+                random_table(rng, alphabet, shape, zero_share, limit);
+            ASSERT_EQ(package_merge_lengths(freqs, limit),
+                      oracle_package_merge_lengths(freqs, limit))
+                << "alphabet " << alphabet << " limit " << limit << " shape "
+                << static_cast<int>(shape) << " zeros " << zero_share
+                << "% table " << t;
+          }
+  EXPECT_GE(tables, 10000);
+}
+
+TEST(PackageMergeDifferential, RecordedMcbTokenTablesMatchOracle) {
+  // Every DEFLATE block of a recorded MCB run builds a literal/length and a
+  // distance table from its LZ77 tokens, then a code-length table from the
+  // lengths of those two.
+  runtime::MemoryStore store;
+  {
+    tool::Recorder recorder(16, &store);
+    minimpi::Simulator::Config config;
+    config.num_ranks = 16;
+    config.noise_seed = 5;
+    minimpi::Simulator sim(config, &recorder);
+    apps::McbConfig mcb;
+    mcb.grid_x = 4;
+    mcb.grid_y = 4;
+    mcb.particles_per_rank = 60;
+    apps::run_mcb(sim, mcb);
+    recorder.finalize();
+  }
+  int frames = 0;
+  for (const runtime::StreamKey& key : store.keys()) {
+    const std::vector<std::uint8_t> bytes = store.read(key);
+    support::ByteReader reader(bytes);
+    while (!reader.exhausted()) {
+      const std::optional<tool::Frame> frame = tool::read_frame(reader);
+      ASSERT_TRUE(frame.has_value());
+      ++frames;
+      std::vector<std::uint64_t> lit(288, 0);
+      std::vector<std::uint64_t> dist(30, 0);
+      for (const Lz77Token& token : lz77_tokenize(
+               frame->payload, lz77_params_for(DeflateLevel::kDefault))) {
+        if (token.is_literal()) {
+          ++lit[token.literal];
+        } else {
+          ++lit[257 + static_cast<std::size_t>(
+                          detail::length_to_code(token.length))];
+          ++dist[static_cast<std::size_t>(
+              detail::dist_to_code(token.distance))];
+        }
+      }
+      ++lit[256];
+      if (std::all_of(dist.begin(), dist.end(),
+                      [](std::uint64_t f) { return f == 0; }))
+        dist[0] = 1;
+
+      std::vector<std::uint64_t> code_lengths(19, 0);
+      for (const auto* table : {&lit, &dist}) {
+        const auto lengths = package_merge_lengths(*table, 15);
+        ASSERT_EQ(lengths, oracle_package_merge_lengths(*table, 15))
+            << "frame " << frames;
+        for (const std::uint8_t len : lengths) ++code_lengths[len];
+      }
+      ASSERT_EQ(package_merge_lengths(code_lengths, 7),
+                oracle_package_merge_lengths(code_lengths, 7))
+          << "frame " << frames;
+    }
+  }
+  EXPECT_GT(frames, 16);
 }
 
 TEST(CanonicalCodes, Rfc1951Example) {

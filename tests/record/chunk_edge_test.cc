@@ -1,6 +1,8 @@
 // Edge cases of the CDC chunk format: sender-column bit widths, clock
-// ties, degenerate chunks.
+// ties, degenerate chunks, crafted move delays.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "record/chunk.h"
 #include "support/rng.h"
@@ -132,6 +134,26 @@ TEST(ChunkEdge, RandomFuzzedBytesNeverCrash) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.bounded(256));
     support::ByteReader reader(junk);
     (void)read_chunk(reader);  // must return nullopt or a chunk, not crash
+  }
+}
+
+// read_chunk accepts any svarint delay, so a decoder must range-check a
+// delay without computing position + delay, which overflows int64 for a
+// crafted delay near INT64_MAX.
+TEST(ChunkEdgeDeathTest, CraftedDelayIsRejectedWithoutOverflow) {
+  for (const std::int64_t delay :
+       {std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    CdcChunk crafted;
+    crafted.num_matched = 3;
+    crafted.moves = {MoveOp{1, delay}};
+    crafted.epoch = {EpochEntry{0, 9}};
+    crafted.ref_senders = {0, 0, 0};
+    const CdcChunk parsed = roundtrip(crafted);
+    ASSERT_EQ(parsed.moves, crafted.moves);
+    EXPECT_DEATH(observed_reference_indices(parsed),
+                 "move op target out of range");
+    EXPECT_DEATH(apply_moves(3, parsed.moves), "move op target out of range");
   }
 }
 

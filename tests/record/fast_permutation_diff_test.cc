@@ -1,5 +1,5 @@
-// Differential test pinning the fast permutation engine (treap + Fenwick,
-// fast_permutation.h) against the reference implementations
+// Differential test pinning the fast permutation engine (blocked list +
+// Fenwick, fast_permutation.h) against the reference implementations
 // (edit_distance.h): 1000 random permutations per shape class, plus the
 // structured adversaries (identity, reversal, rotations, block swaps)
 // where the two engines' tie-breaking is most likely to drift apart.
@@ -110,8 +110,8 @@ TEST(fuzz_permutation_diff, StructuredAdversaries) {
 }
 
 TEST(fuzz_permutation_diff, LargePermutationStaysExact) {
-  // One big instance: the treap/Fenwick path with deep structure, sized so
-  // the O(N^2) dp reference is still tolerable.
+  // One big instance, spanning many blocks and block splits, sized so the
+  // O(N^2) dp reference is still tolerable.
   support::Xoshiro256 rng(base_seed() * 47);
   check_one(shuffled(rng, 2000));
   check_one(nearly_sorted(rng, 2000, 0.02));

@@ -74,6 +74,100 @@ TEST(WorkingList, RandomOpsAgreeWithVector) {
   EXPECT_EQ(list.to_vector(), mirror);
 }
 
+// --- Block boundaries -------------------------------------------------------
+
+constexpr std::size_t kCapacity = detail::WorkingList::kBlockCapacity;
+
+/// Checks every position, the size and the order against a vector.
+void expect_agrees(const detail::WorkingList& list,
+                   const std::vector<std::uint32_t>& mirror) {
+  ASSERT_EQ(list.size(), mirror.size());
+  ASSERT_EQ(list.to_vector(), mirror);
+  for (std::size_t i = 0; i < mirror.size(); ++i)
+    ASSERT_EQ(list.position_of(mirror[i]), i) << "value " << mirror[i];
+}
+
+/// Moves `value` to `target` in both the list and its mirror.
+void move_to(detail::WorkingList& list, std::vector<std::uint32_t>& mirror,
+             std::uint32_t value, std::size_t target) {
+  const auto it = std::find(mirror.begin(), mirror.end(), value);
+  const auto expected = static_cast<std::size_t>(it - mirror.begin());
+  ASSERT_EQ(list.erase(value), expected);
+  mirror.erase(it);
+  list.insert_at(target, value);
+  mirror.insert(mirror.begin() + static_cast<long>(target), value);
+}
+
+TEST(WorkingListBlocks, EmptyAndSingleton) {
+  detail::WorkingList empty(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.to_vector().empty());
+
+  detail::WorkingList one(1);
+  std::vector<std::uint32_t> mirror = identity(1);
+  expect_agrees(one, mirror);
+  EXPECT_EQ(one.erase(0), 0u);
+  EXPECT_EQ(one.size(), 0u);
+  EXPECT_TRUE(one.to_vector().empty());
+  one.insert_at(0, 0);
+  expect_agrees(one, mirror);
+}
+
+TEST(WorkingListBlocks, SizesAroundBlockCapacity) {
+  for (const std::size_t n :
+       {kCapacity / 2 - 1, kCapacity / 2, kCapacity / 2 + 1, kCapacity - 1,
+        kCapacity, kCapacity + 1, 2 * kCapacity + 1}) {
+    SCOPED_TRACE(n);
+    detail::WorkingList list(n);
+    std::vector<std::uint32_t> mirror = identity(n);
+    expect_agrees(list, mirror);
+    // Across every block: last to the front, first to the back, and the
+    // front element to each boundary between initial blocks.
+    move_to(list, mirror, static_cast<std::uint32_t>(n - 1), 0);
+    move_to(list, mirror, mirror.front(), n - 1);
+    for (std::size_t target = kCapacity / 2; target < n;
+         target += kCapacity / 2)
+      move_to(list, mirror, mirror.front(), target);
+    expect_agrees(list, mirror);
+  }
+}
+
+TEST(WorkingListBlocks, RepeatedInsertAtOnePositionSplitsBlocks) {
+  // Every insert lands in the same block, which therefore splits every
+  // kCapacity / 2 inserts; the elements come from all over the list.
+  constexpr std::size_t kN = 3 * kCapacity;
+  detail::WorkingList list(kN);
+  std::vector<std::uint32_t> mirror = identity(kN);
+  support::Xoshiro256 rng(31);
+  for (std::size_t step = 0; step < 4 * kCapacity; ++step) {
+    const std::uint32_t value = mirror[rng.bounded(kN)];
+    move_to(list, mirror, value, 7);
+    ASSERT_EQ(list.position_of(value), 7u);
+  }
+  expect_agrees(list, mirror);
+}
+
+TEST(WorkingListBlocks, EraseEverythingThenReinsert) {
+  constexpr std::size_t kN = 2 * kCapacity + 3;
+  detail::WorkingList list(kN);
+  std::vector<std::uint32_t> mirror = identity(kN);
+  support::Xoshiro256 rng(32);
+  std::vector<std::uint32_t> erased;
+  while (!mirror.empty()) {
+    const std::size_t at = rng.bounded(mirror.size());
+    ASSERT_EQ(list.erase(mirror[at]), at);
+    erased.push_back(mirror[at]);
+    mirror.erase(mirror.begin() + static_cast<long>(at));
+  }
+  expect_agrees(list, mirror);
+  for (const std::uint32_t value : erased) {
+    const std::size_t target = rng.bounded(mirror.size() + 1);
+    list.insert_at(target, value);
+    mirror.insert(mirror.begin() + static_cast<long>(target), value);
+  }
+  expect_agrees(list, mirror);
+}
+
 TEST(Fenwick, PrefixAndSelect) {
   detail::Fenwick fenwick(10);
   for (const std::size_t i : {1u, 4u, 7u, 9u}) fenwick.add(i, 1);
