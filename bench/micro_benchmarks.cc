@@ -3,9 +3,11 @@
 // Covers the §6.2 queue-rate story (the CDC thread drains events far
 // faster than the application produces them: 331K vs 258 events/s in the
 // paper), the §4.1 fast edit-distance algorithm, LP encoding, the DEFLATE
-// entropy stage, and the end-to-end chunk encode path.
+// entropy stage, the end-to-end chunk encode path, and the per-event
+// record/replay hook path of one stream.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 #include <queue>
 #include <string_view>
@@ -28,6 +30,7 @@
 #include "support/rng.h"
 #include "tool/async_recorder.h"
 #include "tool/stream_recorder.h"
+#include "tool/stream_replayer.h"
 
 namespace {
 
@@ -523,6 +526,130 @@ void BM_ChunkSerializeParse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChunkSerializeParse)->Arg(4096);
+
+// --- per-event tool path -------------------------------------------------
+
+/// One callsite's receive stream: 4,096 deliveries from `senders` senders
+/// with an unmatched test before about one delivery in four. Clocks follow
+/// a global tick (strictly increasing per sender), so the observed order
+/// stays close to the reference order, as in MCB.
+std::vector<record::ReceiveEvent> tool_stream_events(int senders) {
+  support::Xoshiro256 rng(17);
+  std::vector<record::ReceiveEvent> events;
+  std::vector<std::uint64_t> last(static_cast<std::size_t>(senders), 0);
+  std::uint64_t tick = 0;
+  for (int i = 0; i < 4096; ++i) {
+    if (rng.bounded(4) == 0) events.push_back({false, false, -1, 0});
+    const std::size_t s = rng.bounded(static_cast<std::uint64_t>(senders));
+    tick += 1 + rng.bounded(3);
+    last[s] = std::max(last[s] + 1, tick);
+    events.push_back({true, false, static_cast<std::int32_t>(s), last[s]});
+  }
+  return events;
+}
+
+/// Messages are sighted this many deliveries ahead of their delivery.
+constexpr std::size_t kSightAhead = 8;
+
+std::vector<clock::MessageId> matched_ids(
+    const std::vector<record::ReceiveEvent>& events) {
+  std::vector<clock::MessageId> ids;
+  for (const auto& e : events)
+    if (e.flag) ids.push_back(e.id());
+  return ids;
+}
+
+/// Replay gate: sight -> decide -> confirm over a recorded stream (chunks
+/// of 1,024 deliveries, so sightings run ahead across epoch lines).
+void BM_StreamReplayerGate(benchmark::State& state) {
+  const auto events = tool_stream_events(static_cast<int>(state.range(0)));
+  const auto ids = matched_ids(events);
+  runtime::MemoryStore store;
+  {
+    tool::ToolOptions options;
+    options.chunk_target = 1024;
+    tool::StreamRecorder recorder({0, 1}, options);
+    for (const auto& e : events) {
+      if (e.flag) {
+        recorder.on_delivered(e);
+      } else {
+        recorder.on_unmatched_test();
+      }
+      recorder.flush_if_due(store);
+    }
+    recorder.finalize(store);
+  }
+  const std::vector<std::uint8_t> bytes = store.read({0, 1});
+  std::vector<minimpi::Candidate> window;
+  minimpi::Completion done[1];
+  for (auto _ : state) {
+    state.PauseTiming();
+    tool::StreamReplayer replayer({0, 1}, bytes);
+    state.ResumeTiming();
+    window.clear();
+    std::size_t sighted = 0;
+    std::size_t delivered = 0;
+    for (const auto& e : events) {
+      if (!e.flag) {
+        if (replayer.decide(minimpi::MFKind::kTest, window).kind !=
+            tool::StreamReplayer::Decision::Kind::kNoMatch) {
+          state.SkipWithError("recorded unmatched test not replayed");
+          return;
+        }
+        replayer.confirm_unmatched();
+        continue;
+      }
+      for (; sighted < ids.size() && sighted <= delivered + kSightAhead;
+           ++sighted) {
+        replayer.sight(ids[sighted]);
+        minimpi::Candidate c;
+        c.source = ids[sighted].sender;
+        c.piggyback = ids[sighted].clock;
+        window.push_back(c);
+      }
+      const auto& decision = replayer.decide(minimpi::MFKind::kTest, window);
+      if (decision.kind != tool::StreamReplayer::Decision::Kind::kDeliver) {
+        state.SkipWithError("recorded delivery not released");
+        return;
+      }
+      done[0].source = decision.messages[0].sender;
+      done[0].piggyback = decision.messages[0].clock;
+      replayer.confirm_delivered(done);
+      window.erase(window.begin());  // sighted in delivery order
+      ++delivered;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_StreamReplayerGate)->Arg(4)->Arg(768);
+
+/// Record hooks: on_candidate (sightings run ahead), on_delivered and
+/// on_unmatched_test of one stream, without flushing.
+void BM_StreamRecorderHooks(benchmark::State& state) {
+  const auto events = tool_stream_events(static_cast<int>(state.range(0)));
+  const auto ids = matched_ids(events);
+  for (auto _ : state) {
+    tool::StreamRecorder recorder({0, 1}, tool::ToolOptions{});
+    std::size_t sighted = 0;
+    std::size_t delivered = 0;
+    for (const auto& e : events) {
+      if (!e.flag) {
+        recorder.on_unmatched_test();
+        continue;
+      }
+      for (; sighted < ids.size() && sighted <= delivered + kSightAhead;
+           ++sighted)
+        recorder.on_candidate(ids[sighted]);
+      recorder.on_delivered(e);
+      ++delivered;
+    }
+    benchmark::DoNotOptimize(recorder.stats().matched_events);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_StreamRecorderHooks)->Arg(4)->Arg(768);
 
 }  // namespace
 

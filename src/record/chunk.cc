@@ -1,6 +1,7 @@
 #include "record/chunk.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -208,12 +209,26 @@ std::optional<CdcChunk> read_chunk(support::ByteReader& reader) {
     return std::nullopt;
   }
 
+  // build_tables emits with_next indices strictly increasing and below N.
+  for (std::size_t i = 0; i < chunk.with_next.size(); ++i) {
+    if (chunk.with_next[i] >= chunk.num_matched) return std::nullopt;
+    if (i > 0 && chunk.with_next[i] <= chunk.with_next[i - 1])
+      return std::nullopt;
+  }
+
+  // ...and unmatched runs of at least one test at strictly increasing
+  // indices <= N (N: trailing tests). A zero-count run would make replay
+  // answer "no match" forever.
   std::vector<std::int64_t> um;
   if (!read_lp_indices(reader, um)) return std::nullopt;
   chunk.unmatched.resize(um.size());
   for (std::size_t i = 0; i < um.size(); ++i) {
-    chunk.unmatched[i].index = static_cast<std::uint64_t>(um[i]);
-    if (!reader.try_varint(chunk.unmatched[i].count)) return std::nullopt;
+    UnmatchedRun& run = chunk.unmatched[i];
+    run.index = static_cast<std::uint64_t>(um[i]);
+    if (um[i] < 0 || run.index > chunk.num_matched) return std::nullopt;
+    if (i > 0 && run.index <= chunk.unmatched[i - 1].index)
+      return std::nullopt;
+    if (!reader.try_varint(run.count) || run.count == 0) return std::nullopt;
   }
 
   if (chunk.num_matched > (std::uint64_t{1} << 28)) return std::nullopt;
@@ -222,10 +237,18 @@ std::optional<CdcChunk> read_chunk(support::ByteReader& reader) {
   if (!reader.try_varint(num_epoch) || num_epoch > reader.remaining() + 1)
     return std::nullopt;
   chunk.epoch.resize(static_cast<std::size_t>(num_epoch));
+  // Senders are int32 ranks in strictly increasing order: replay finds a
+  // sender's slot on the line by binary search.
+  constexpr std::int64_t kMinSender = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMaxSender = std::numeric_limits<std::int32_t>::max();
   std::int64_t prev_sender = 0;
-  for (auto& entry : chunk.epoch) {
+  for (std::size_t i = 0; i < chunk.epoch.size(); ++i) {
+    EpochEntry& entry = chunk.epoch[i];
     std::int64_t delta = 0;
     if (!reader.try_svarint(delta)) return std::nullopt;
+    if ((i > 0 && delta <= 0) || delta > kMaxSender - prev_sender ||
+        delta < kMinSender - prev_sender)
+      return std::nullopt;
     prev_sender += delta;
     entry.sender = static_cast<std::int32_t>(prev_sender);
     if (!reader.try_varint(entry.clock)) return std::nullopt;

@@ -1,6 +1,7 @@
 #include "tool/recorder.h"
 
 #include <cstdio>
+#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,6 +16,7 @@ Recorder::Recorder(int num_ranks, runtime::RecordStore* store,
       inline_sink_(store),
       sink_(sink != nullptr ? sink : &inline_sink_),
       clocks_(static_cast<std::size_t>(num_ranks)),
+      streams_(num_ranks),
       digests_(static_cast<std::size_t>(num_ranks),
                0xcbf29ce484222325ull) {
   CDC_CHECK(store != nullptr && num_ranks >= 1);
@@ -38,20 +40,10 @@ std::uint64_t Recorder::order_digest() const {
 
 StreamRecorder& Recorder::stream(minimpi::Rank rank,
                                  minimpi::CallsiteId callsite) {
-  const runtime::StreamKey key{
-      rank, options_.identify_callsites ? callsite : 0};
-  // Workers of the parallel executor race only on the map shape (each
-  // stream is touched by its owning rank's worker alone); node-based map
-  // iterators and the unique_ptr targets stay valid across rehash-free
-  // inserts, so the lock covers exactly the lookup/insert.
-  std::lock_guard<std::mutex> lock(streams_mu_);
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    it = streams_
-             .emplace(key, std::make_unique<StreamRecorder>(key, options_))
-             .first;
-  }
-  return *it->second;
+  if (!options_.identify_callsites) callsite = 0;
+  return streams_.get(rank, callsite, [&] {
+    return StreamRecorder(runtime::StreamKey{rank, callsite}, options_);
+  });
 }
 
 std::uint64_t Recorder::on_send(minimpi::Rank sender) {
@@ -115,11 +107,11 @@ void Recorder::on_window(double /*horizon*/) {
   // count-invariant, so the chunk sequence — and the sealed container —
   // is too.
   std::uint64_t new_chunks = 0;
-  for (auto& [key, rec] : streams_) {
-    const std::uint64_t chunks_before = rec->stats().chunks;
-    rec->flush_if_due(*sink_);
-    new_chunks += rec->stats().chunks - chunks_before;
-  }
+  streams_.for_each([&](const runtime::StreamKey&, StreamRecorder& rec) {
+    const std::uint64_t chunks_before = rec.stats().chunks;
+    rec.flush_if_due(*sink_);
+    new_chunks += rec.stats().chunks - chunks_before;
+  });
   if (options_.checkpoint_interval > 0) checkpoint(new_chunks);
 }
 
@@ -144,30 +136,33 @@ void Recorder::checkpoint(std::uint64_t new_chunks) {
 
 void Recorder::finalize() {
   obs::TraceSpan span("record.finalize", -1, "streams", streams_.size());
-  for (auto& [key, rec] : streams_) rec->finalize(*sink_);
+  streams_.for_each([&](const runtime::StreamKey&, StreamRecorder& rec) {
+    rec.finalize(*sink_);
+  });
 }
 
 Recorder::Totals Recorder::totals() const {
   Totals totals;
-  for (const auto& [key, rec] : streams_) {
-    const auto& s = rec->stats();
+  streams_.for_each([&](const runtime::StreamKey&, const StreamRecorder& rec) {
+    const auto& s = rec.stats();
     totals.matched_events += s.matched_events;
     totals.unmatched_events += s.unmatched_events;
     totals.moves += s.moves;
     totals.chunks += s.chunks;
     totals.stored_values += s.stored_values;
     totals.rows += s.rows;
-  }
+  });
   return totals;
 }
 
 std::vector<double> Recorder::permutation_percentages() const {
   std::map<minimpi::Rank, std::pair<std::uint64_t, std::uint64_t>> by_rank;
-  for (const auto& [key, rec] : streams_) {
+  streams_.for_each([&](const runtime::StreamKey& key,
+                        const StreamRecorder& rec) {
     auto& [moves, matched] = by_rank[key.rank];
-    moves += rec->stats().moves;
-    matched += rec->stats().matched_events;
-  }
+    moves += rec.stats().moves;
+    matched += rec.stats().matched_events;
+  });
   std::vector<double> out;
   out.reserve(by_rank.size());
   for (const auto& [rank, counts] : by_rank) {

@@ -7,9 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "clock/lamport.h"
@@ -18,6 +15,7 @@
 #include "tool/frame_sink.h"
 #include "tool/options.h"
 #include "tool/stream_recorder.h"
+#include "tool/stream_table.h"
 
 namespace cdc::tool {
 
@@ -44,14 +42,14 @@ class Recorder : public minimpi::ToolHooks {
                   minimpi::MFKind kind,
                   std::span<const minimpi::Completion> events) override;
   /// Parallel executor attached: switch to staged flushing. Per-rank state
-  /// (clocks, digests, stream recorders) is owner-serialized by the
-  /// executor's one-task-per-rank-per-window rule; the stream map itself
-  /// takes a mutex on first-touch; and chunk flush/checkpoint I/O moves
-  /// from on_deliver to on_window so it happens single-threaded, in
-  /// canonical key order — which also makes the sealed container
-  /// byte-identical for every worker count. Record byte-identity relies on
-  /// the inline sink: do not pair a parallel record run with AsyncFrameSink
-  /// when comparing container bytes.
+  /// (clocks, digests, the rank's row of stream recorders) is
+  /// owner-serialized by the executor's one-task-per-rank-per-window rule,
+  /// so even stream creation takes no lock (see tool/stream_table.h); and
+  /// chunk flush/checkpoint I/O moves from on_deliver to on_window so it
+  /// happens single-threaded, in canonical key order — which also makes
+  /// the sealed container byte-identical for every worker count. Record
+  /// byte-identity relies on the inline sink: do not pair a parallel
+  /// record run with AsyncFrameSink when comparing container bytes.
   void on_parallel_start(int workers) override;
   /// Window quiesce point: flush every stream's due chunks in key order.
   void on_window(double horizon) override;
@@ -106,8 +104,7 @@ class Recorder : public minimpi::ToolHooks {
   /// on_window.
   bool staged_ = false;
   std::vector<clock::LamportClock> clocks_;
-  std::mutex streams_mu_;  ///< guards the map shape only, not the streams
-  std::map<runtime::StreamKey, std::unique_ptr<StreamRecorder>> streams_;
+  StreamTable<StreamRecorder> streams_;
   std::vector<std::uint64_t> clock_trace_;
   std::vector<std::uint64_t> digests_;
   std::uint64_t chunks_since_checkpoint_ = 0;

@@ -13,6 +13,7 @@ Replayer::Replayer(int num_ranks, const runtime::RecordStore* store,
     : options_(options),
       store_(store),
       clocks_(static_cast<std::size_t>(num_ranks)),
+      streams_(num_ranks),
       digests_(static_cast<std::size_t>(num_ranks),
                0xcbf29ce484222325ull) {
   CDC_CHECK(store != nullptr && num_ranks >= 1);
@@ -43,20 +44,15 @@ std::uint64_t Replayer::order_digest() const {
 
 StreamReplayer& Replayer::stream(minimpi::Rank rank,
                                  minimpi::CallsiteId callsite) {
-  const runtime::StreamKey key{
-      rank, options_.identify_callsites ? callsite : 0};
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
+  if (!options_.identify_callsites) callsite = 0;
+  return streams_.get(rank, callsite, [&] {
+    const runtime::StreamKey key{rank, callsite};
     // Windowed replay reads only epochs [0, hi): an epoch-indexed store
     // seeks and never touches the bytes past the window.
     auto bytes = windowed_ ? store_->read_prefix(key, window_hi_)
                            : store_->read(key);
-    it = streams_
-             .emplace(key, std::make_unique<StreamReplayer>(
-                               key, std::move(bytes), window_hi_))
-             .first;
-  }
-  return *it->second;
+    return StreamReplayer(key, std::move(bytes), window_hi_);
+  });
 }
 
 void Replayer::replay_window(std::uint64_t epoch_lo,
@@ -77,12 +73,13 @@ std::map<runtime::StreamKey, Replayer::WindowSlice> Replayer::window_slices()
     const {
   CDC_CHECK_MSG(windowed_, "window_slices without replay_window");
   std::map<runtime::StreamKey, WindowSlice> slices;
-  for (const auto& [key, rep] : streams_) {
+  streams_.for_each([&](const runtime::StreamKey& key,
+                        const StreamReplayer& rep) {
     WindowSlice slice;
-    slice.end = rep->confirmed_events();
-    slice.begin = std::min(rep->events_loaded_before(window_lo_), slice.end);
-    slices.emplace(key, slice);
-  }
+    slice.end = rep.confirmed_events();
+    slice.begin = std::min(rep.events_loaded_before(window_lo_), slice.end);
+    slices.emplace_hint(slices.end(), key, slice);
+  });
   return slices;
 }
 
@@ -103,7 +100,7 @@ minimpi::SelectResult Replayer::select(
   for (const minimpi::Candidate& c : candidates)
     if (c.fresh) rep.sight(clock::MessageId{c.source, c.piggyback});
 
-  const StreamReplayer::Decision decision = rep.decide(kind, candidates);
+  const StreamReplayer::Decision& decision = rep.decide(kind, candidates);
   minimpi::SelectResult result;
   switch (decision.kind) {
     case StreamReplayer::Decision::Kind::kPassthrough:
@@ -182,8 +179,9 @@ void Replayer::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
 
 void Replayer::on_deadlock() {
   std::fprintf(stderr, "cdc replayer state at deadlock:\n");
-  for (const auto& [key, rep] : streams_)
-    if (!rep->exhausted()) rep->dump_state();
+  streams_.for_each([](const runtime::StreamKey&, const StreamReplayer& rep) {
+    if (!rep.exhausted()) rep.dump_state();
+  });
 }
 
 bool Replayer::on_stall() {
@@ -199,25 +197,30 @@ bool Replayer::on_stall() {
 
 Replayer::Totals Replayer::totals() const {
   Totals totals;
-  for (const auto& [key, rep] : streams_) {
-    totals.replayed_events += rep->stats().replayed_events;
-    totals.replayed_unmatched += rep->stats().replayed_unmatched;
-    totals.chunks += rep->stats().chunks;
-  }
+  streams_.for_each([&](const runtime::StreamKey&, const StreamReplayer& rep) {
+    totals.replayed_events += rep.stats().replayed_events;
+    totals.replayed_unmatched += rep.stats().replayed_unmatched;
+    totals.chunks += rep.stats().chunks;
+  });
   return totals;
 }
 
 std::map<runtime::StreamKey, StreamReplayer::Stats> Replayer::stream_totals()
     const {
   std::map<runtime::StreamKey, StreamReplayer::Stats> totals;
-  for (const auto& [key, rep] : streams_) totals.emplace(key, rep->stats());
+  streams_.for_each([&](const runtime::StreamKey& key,
+                        const StreamReplayer& rep) {
+    totals.emplace_hint(totals.end(), key, rep.stats());
+  });
   return totals;
 }
 
 bool Replayer::fully_replayed() const {
-  for (const auto& [key, rep] : streams_)
-    if (!rep->exhausted()) return false;
-  return true;
+  bool all = true;
+  streams_.for_each([&](const runtime::StreamKey&, const StreamReplayer& rep) {
+    all = all && rep.exhausted();
+  });
+  return all;
 }
 
 }  // namespace cdc::tool

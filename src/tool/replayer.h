@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "clock/lamport.h"
@@ -18,6 +17,7 @@
 #include "runtime/storage.h"
 #include "tool/options.h"
 #include "tool/stream_replayer.h"
+#include "tool/stream_table.h"
 
 namespace cdc::tool {
 
@@ -100,7 +100,7 @@ class Replayer : public minimpi::ToolHooks {
   ToolOptions options_;
   const runtime::RecordStore* store_;
   std::vector<clock::LamportClock> clocks_;
-  std::map<runtime::StreamKey, std::unique_ptr<StreamReplayer>> streams_;
+  StreamTable<StreamReplayer> streams_;
   std::vector<std::uint64_t> digests_;
   bool released_ = false;  ///< partial-record global release fired
   std::uint64_t window_lo_ = 0;

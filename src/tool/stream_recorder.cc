@@ -76,8 +76,11 @@ void StreamRecorder::flush(FrameSink& sink, std::size_t max_matched,
   // machinery (a traditional tool flushes blindly), but cutting them at
   // the same points keeps the Figure 13 size comparison apples-to-apples.
   record::PendingMins pending_min;
-  for (const auto& [sender, clocks] : pending_)
-    if (!clocks.empty()) pending_min.emplace(sender, *clocks.begin());
+  for (const auto& [sender, index] : by_sender_) {
+    const SenderPending& p = pending_[index];
+    if (p.head < p.clocks.size())
+      pending_min.emplace_hint(pending_min.end(), sender, p.clocks[p.head]);
+  }
 
   while (true) {
     std::size_t cut =

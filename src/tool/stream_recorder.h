@@ -2,9 +2,10 @@
 // tracking for epoch enforcement, chunk flushing, and codec selection.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "clock/lamport.h"
@@ -40,25 +41,30 @@ class StreamRecorder {
     buffer_.push_back(event);
     ++buffered_matched_;
     ++stats_.matched_events;
-    // The message is no longer pending.
-    const auto it = pending_.find(event.rank);
-    if (it != pending_.end()) {
-      it->second.erase(event.clock);
-      if (it->second.empty()) pending_.erase(it);
-    }
+    // The message is no longer pending (a never-sighted one never was).
+    const auto it = find_sender(event.rank);
+    if (it != by_sender_.end() && it->first == event.rank)
+      pending_[it->second].erase(event.clock);
   }
 
   /// A matched-but-undelivered message was observed at an MF poll.
   /// Per-sender sightings arrive in clock order within one callsite
   /// stream, so anything at or below the last sighted clock is a
-  /// re-sighting and is skipped without touching the pending set.
+  /// re-sighting and is skipped; a new sighting is the sender's largest
+  /// pending clock and appends.
   void on_candidate(const clock::MessageId& id) {
-    auto [it, inserted] = last_sighted_.emplace(id.sender, id.clock);
-    if (!inserted) {
-      if (id.clock <= it->second) return;
-      it->second = id.clock;
+    const auto it = find_sender(id.sender);
+    if (it == by_sender_.end() || it->first != id.sender) {
+      by_sender_.emplace(it, id.sender,
+                         static_cast<std::uint32_t>(pending_.size()));
+      pending_.push_back(SenderPending{id.clock, {id.clock}});
+      return;
     }
-    pending_[id.sender].insert(id.clock);
+    SenderPending& p = pending_[it->second];
+    if (id.clock > p.last_sighted) {
+      p.last_sighted = id.clock;
+      p.clocks.push_back(id.clock);
+    }
   }
 
   /// Flushes a chunk if enough matched events are buffered and a clean
@@ -77,7 +83,7 @@ class StreamRecorder {
   /// Flushes everything remaining (end of run: pending messages will never
   /// be delivered and no longer constrain the cut).
   void finalize(FrameSink& sink) {
-    pending_.clear();
+    for (SenderPending& p : pending_) p.clear();
     flush(sink, buffer_.size(), /*force_all=*/true);
   }
 
@@ -90,14 +96,53 @@ class StreamRecorder {
   [[nodiscard]] const runtime::StreamKey& key() const noexcept { return key_; }
 
  private:
+  /// One sender's sighting state: the last sighted clock and the sighted
+  /// but undelivered clocks, ascending, in clocks[head..].
+  struct SenderPending {
+    std::uint64_t last_sighted = 0;
+    std::vector<std::uint64_t> clocks;
+    std::size_t head = 0;
+
+    void clear() noexcept {
+      clocks.clear();
+      head = 0;
+    }
+    /// Deliveries usually take the oldest pending clock; an out-of-order
+    /// one is erased from the middle of the run.
+    void erase(std::uint64_t clock) {
+      if (head < clocks.size() && clocks[head] == clock) {
+        ++head;
+      } else {
+        const auto it = std::lower_bound(
+            clocks.begin() + static_cast<std::ptrdiff_t>(head), clocks.end(),
+            clock);
+        if (it == clocks.end() || *it != clock) return;
+        clocks.erase(it);
+      }
+      if (head == clocks.size()) clear();
+    }
+  };
+
+  /// (sender, index into pending_), sorted by sender.
+  using SenderIndex = std::vector<std::pair<std::int32_t, std::uint32_t>>;
+
+  /// The first by_sender_ entry whose sender is not below `sender`.
+  [[nodiscard]] SenderIndex::iterator find_sender(std::int32_t sender) {
+    return std::lower_bound(
+        by_sender_.begin(), by_sender_.end(), sender,
+        [](const auto& entry, std::int32_t s) { return entry.first < s; });
+  }
   void flush(FrameSink& sink, std::size_t max_matched, bool force_all);
 
   runtime::StreamKey key_;
   ToolOptions options_;
   std::vector<record::ReceiveEvent> buffer_;
   std::size_t buffered_matched_ = 0;
-  std::map<std::int32_t, std::set<std::uint64_t>> pending_;
-  std::map<std::int32_t, std::uint64_t> last_sighted_;
+  /// Per sender, in first-sighting order. A new sender appends here and
+  /// inserts a small pair into by_sender_, so a wide stream (MCB's done
+  /// callsite hears from every rank) never shifts the clock vectors.
+  std::vector<SenderPending> pending_;
+  SenderIndex by_sender_;
   Stats stats_;
 };
 

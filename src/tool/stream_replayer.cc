@@ -42,59 +42,77 @@ void StreamReplayer::load_next_chunk_if_needed() {
     CDC_CHECK_MSG(parsed.has_value(), "corrupt CDC chunk during replay");
     chunk_ = std::move(*parsed);
     observed_ = record::observed_reference_indices(chunk_);
-    with_next_.clear();
-    with_next_.insert(chunk_.with_next.begin(), chunk_.with_next.end());
-    runs_.assign(chunk_.unmatched.begin(), chunk_.unmatched.end());
+    with_next_.assign(observed_.size(), 0);
+    for (const std::uint64_t pos : chunk_.with_next) with_next_[pos] = 1;
+    next_run_ = 0;
     run_consumed_ = 0;
     next_pos_ = 0;
-    chunk_done_ = observed_.empty() && runs_.empty();
-    epoch_.clear();
-    for (const auto& entry : chunk_.epoch)
-      epoch_.emplace(entry.sender, entry.clock);
+    chunk_done_ = observed_.empty() && chunk_.unmatched.empty();
     ++stats_.chunks;
     std::uint64_t chunk_events = chunk_.num_matched;
     for (const record::UnmatchedRun& run : chunk_.unmatched)
       chunk_events += run.count;
     chunk_events_.push_back(chunk_events);
 
-    // Reference index -> (sender, per-sender occurrence).
+    // Reference index -> (sender slot, per-sender occurrence).
     CDC_CHECK_MSG(chunk_.ref_senders.size() == chunk_.num_matched,
                   "chunk sender column length mismatch");
+    const std::size_t slots = chunk_.epoch.size();
+    if (arrivals_.size() < slots) arrivals_.resize(slots);
+    for (std::size_t slot = 0; slot < slots; ++slot) arrivals_[slot].clear();
+    std::vector<std::uint32_t> occurrences(slots, 0);
     ref_occurrence_.clear();
     ref_occurrence_.reserve(chunk_.ref_senders.size());
-    std::map<std::int32_t, std::uint32_t> occurrence;
-    for (const std::int32_t sender : chunk_.ref_senders)
-      ref_occurrence_.emplace_back(sender, occurrence[sender]++);
+    for (const std::int32_t sender : chunk_.ref_senders) {
+      const std::int64_t slot = slot_of(sender);
+      CDC_CHECK_MSG(slot >= 0, "chunk sender is not on its epoch line");
+      const auto u = static_cast<std::uint32_t>(slot);
+      ref_occurrence_.emplace_back(u, occurrences[u]++);
+    }
 
-    // Re-classify messages that ran off earlier epoch lines.
-    chunk_arrivals_.clear();
-    auto pool = std::move(holdover_);
+    // Re-classify messages that ran off earlier epoch lines, in reference
+    // order: classify needs each sender's clocks in ascending order.
+    std::vector<clock::MessageId> pool = std::move(holdover_);
     holdover_.clear();
+    std::sort(pool.begin(), pool.end(), clock::ReferenceOrderLess{});
     for (const clock::MessageId& id : pool) classify(id);
   }
   if (chunk_done_ && frames_done_) {
-    CDC_CHECK_MSG(runs_.empty() && next_pos_ >= observed_.size(),
+    CDC_CHECK_MSG(next_run_ == chunk_.unmatched.size() &&
+                      next_pos_ >= observed_.size(),
                   "record stream ended mid-chunk");
   }
 }
 
+std::int64_t StreamReplayer::slot_of(std::int32_t sender) const {
+  const auto it = std::lower_bound(
+      chunk_.epoch.begin(), chunk_.epoch.end(), sender,
+      [](const record::EpochEntry& e, std::int32_t s) { return e.sender < s; });
+  if (it == chunk_.epoch.end() || it->sender != sender) return -1;
+  return it - chunk_.epoch.begin();
+}
+
 void StreamReplayer::classify(const clock::MessageId& id) {
-  const auto epoch_it = epoch_.find(id.sender);
-  if (!chunk_done_ && epoch_it != epoch_.end() &&
-      id.clock <= epoch_it->second) {
-    auto& clocks = chunk_arrivals_[id.sender];
+  const std::int64_t slot = chunk_done_ ? -1 : slot_of(id.sender);
+  if (slot >= 0 &&
+      id.clock <= chunk_.epoch[static_cast<std::size_t>(slot)].clock) {
+    auto& clocks = arrivals_[static_cast<std::size_t>(slot)];
     // Per-sender sightings arrive in clock order (channel monotonicity).
     CDC_CHECK_MSG(clocks.empty() || clocks.back() < id.clock,
                   "out-of-order sighting within a sender channel");
     clocks.push_back(id.clock);
   } else {
-    holdover_.insert(id);
+    holdover_.push_back(id);
   }
 }
 
 void StreamReplayer::sight(const clock::MessageId& id) {
-  auto [it, inserted] = last_sighted_.emplace(id.sender, id.clock);
-  if (!inserted) {
+  const auto it = std::lower_bound(
+      last_sighted_.begin(), last_sighted_.end(), id.sender,
+      [](const auto& entry, std::int32_t s) { return entry.first < s; });
+  if (it == last_sighted_.end() || it->first != id.sender) {
+    last_sighted_.emplace(it, id.sender, id.clock);
+  } else {
     if (id.clock <= it->second) return;  // already sighted
     it->second = id.clock;
   }
@@ -103,15 +121,14 @@ void StreamReplayer::sight(const clock::MessageId& id) {
 
 bool StreamReplayer::identify(std::uint32_t ref_index,
                               clock::MessageId& out) const {
-  const auto& [sender, occurrence] = ref_occurrence_[ref_index];
-  const auto it = chunk_arrivals_.find(sender);
-  if (it == chunk_arrivals_.end() || it->second.size() <= occurrence)
-    return false;
-  out = clock::MessageId{sender, it->second[occurrence]};
+  const auto& [slot, occurrence] = ref_occurrence_[ref_index];
+  const std::vector<std::uint64_t>& clocks = arrivals_[slot];
+  if (clocks.size() <= occurrence) return false;
+  out = clock::MessageId{chunk_.epoch[slot].sender, clocks[occurrence]};
   return true;
 }
 
-StreamReplayer::Decision StreamReplayer::decide(
+const StreamReplayer::Decision& StreamReplayer::decide(
     minimpi::MFKind kind, std::span<const minimpi::Candidate> candidates) {
   const auto available = [&](const clock::MessageId& id) {
     for (const minimpi::Candidate& c : candidates)
@@ -119,56 +136,58 @@ StreamReplayer::Decision StreamReplayer::decide(
     return false;
   };
   load_next_chunk_if_needed();
-  Decision decision;
+  decision_.messages.clear();
   if (exhausted()) {
-    decision.kind = Decision::Kind::kPassthrough;
-    return decision;
+    decision_.kind = Decision::Kind::kPassthrough;
+    return decision_;
   }
 
   // A recorded run of unmatched tests at this position?
-  if (!runs_.empty() && runs_.front().index == next_pos_) {
+  if (next_run_ < chunk_.unmatched.size() &&
+      chunk_.unmatched[next_run_].index == next_pos_) {
     CDC_CHECK_MSG(!minimpi::is_blocking(kind),
                   "replay divergence: record expects an unmatched test but "
                   "the application issued a Wait-family call");
-    decision.kind = Decision::Kind::kNoMatch;
-    return decision;
+    decision_.kind = Decision::Kind::kNoMatch;
+    return decision_;
   }
 
   CDC_CHECK_MSG(next_pos_ < observed_.size(),
                 "replay position ran past the chunk");
 
-  // The with_next group starting at the current position.
-  std::vector<std::uint64_t> group = {next_pos_};
-  while (with_next_.contains(group.back())) group.push_back(group.back() + 1);
-  CDC_CHECK_MSG(group.size() == 1 || minimpi::is_multi_delivery(kind),
+  // The with_next group starting at the current position: [next_pos_, end).
+  std::uint64_t end = next_pos_;
+  while (end < with_next_.size() && with_next_[end] != 0) ++end;
+  ++end;
+  CDC_CHECK_MSG(end - next_pos_ == 1 || minimpi::is_multi_delivery(kind),
                 "replay divergence: recorded message group cannot be "
                 "delivered by a single-delivery MF call");
 
-  decision.messages.reserve(group.size());
-  for (const std::uint64_t pos : group) {
+  for (std::uint64_t pos = next_pos_; pos < end; ++pos) {
     CDC_CHECK_MSG(pos < observed_.size(),
                   "with_next group exceeds chunk bounds");
     clock::MessageId id;
     if (!identify(observed_[pos], id) || !available(id)) {
-      decision.kind = Decision::Kind::kBlock;
-      decision.messages.clear();
-      return decision;
+      decision_.kind = Decision::Kind::kBlock;
+      decision_.messages.clear();
+      return decision_;
     }
-    decision.messages.push_back(id);
+    decision_.messages.push_back(id);
   }
-  decision.kind = Decision::Kind::kDeliver;
-  return decision;
+  decision_.kind = Decision::Kind::kDeliver;
+  return decision_;
 }
 
 void StreamReplayer::confirm_unmatched() {
-  CDC_CHECK(!runs_.empty() && runs_.front().index == next_pos_);
+  CDC_CHECK(next_run_ < chunk_.unmatched.size() &&
+            chunk_.unmatched[next_run_].index == next_pos_);
   ++run_consumed_;
   ++stats_.replayed_unmatched;
-  if (run_consumed_ == runs_.front().count) {
-    runs_.pop_front();
+  if (run_consumed_ == chunk_.unmatched[next_run_].count) {
+    ++next_run_;
     run_consumed_ = 0;
   }
-  if (next_pos_ >= observed_.size() && runs_.empty()) {
+  if (next_pos_ >= observed_.size() && next_run_ == chunk_.unmatched.size()) {
     chunk_done_ = true;
     load_next_chunk_if_needed();
   }
@@ -188,7 +207,7 @@ void StreamReplayer::confirm_delivered(
     ++next_pos_;
     ++stats_.replayed_events;
   }
-  if (next_pos_ >= observed_.size() && runs_.empty()) {
+  if (next_pos_ >= observed_.size() && next_run_ == chunk_.unmatched.size()) {
     chunk_done_ = true;
     load_next_chunk_if_needed();
   }
@@ -201,19 +220,18 @@ void StreamReplayer::dump_state() const {
                key_.rank, key_.callsite,
                static_cast<unsigned long long>(stats_.chunks),
                static_cast<unsigned long long>(next_pos_), observed_.size(),
-               runs_.size(), static_cast<unsigned long long>(run_consumed_),
+               chunk_.unmatched.size() - next_run_,
+               static_cast<unsigned long long>(run_consumed_),
                holdover_.size(), chunk_done_ ? " chunk_done" : "",
                frames_done_ ? " frames_done" : "");
   if (next_pos_ < observed_.size()) {
     const std::uint32_t ref = observed_[next_pos_];
-    const auto& [sender, occurrence] = ref_occurrence_[ref];
-    const auto it = chunk_arrivals_.find(sender);
-    const std::size_t have =
-        it != chunk_arrivals_.end() ? it->second.size() : 0;
+    const auto& [slot, occurrence] = ref_occurrence_[ref];
     std::fprintf(stderr,
                  "    next ref %u = occurrence %u of sender %d "
                  "(%zu sighted)\n",
-                 ref, occurrence, sender, have);
+                 ref, occurrence, chunk_.epoch[slot].sender,
+                 arrivals_[slot].size());
   }
 }
 

@@ -12,13 +12,16 @@
 // epoch line classifies each sighted message into the current chunk
 // (clock <= epoch[sender]) or a later one ("runs off the epoch line",
 // §3.5).
+//
+// Per-event state is flat. A sender's slot is its index on the current
+// chunk's epoch line (sorted by sender, found by binary search); sighted
+// arrivals live in per-slot clock vectors reused across chunks, and
+// decide() fills a reused Decision without allocating.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "clock/lamport.h"
@@ -59,8 +62,9 @@ class StreamReplayer {
 
   /// Decides the current MF call's outcome given the candidates of this
   /// specific call (linear membership scans: recorded groups are small).
-  Decision decide(minimpi::MFKind kind,
-                  std::span<const minimpi::Candidate> candidates);
+  /// The result is valid until the next call on this replayer.
+  const Decision& decide(minimpi::MFKind kind,
+                         std::span<const minimpi::Candidate> candidates);
 
   /// Confirms that a flag=false result was surfaced to the application.
   void confirm_unmatched();
@@ -104,6 +108,9 @@ class StreamReplayer {
   /// The message at reference index j, if its arrival has been sighted.
   [[nodiscard]] bool identify(std::uint32_t ref_index,
                               clock::MessageId& out) const;
+  /// The sender's slot on the current epoch line, or -1 when the sender
+  /// has no message in the current chunk.
+  [[nodiscard]] std::int64_t slot_of(std::int32_t sender) const;
 
   runtime::StreamKey key_;
   std::vector<std::uint8_t> bytes_;
@@ -116,23 +123,27 @@ class StreamReplayer {
   // Current chunk.
   record::CdcChunk chunk_;
   std::vector<std::uint32_t> observed_;  ///< B: observed -> reference index
-  /// Per reference index: (sender, per-sender occurrence).
-  std::vector<std::pair<std::int32_t, std::uint32_t>> ref_occurrence_;
-  std::set<std::uint64_t> with_next_;
-  std::deque<record::UnmatchedRun> runs_;
+  /// Per reference index: (sender slot, per-sender occurrence).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ref_occurrence_;
+  /// Per observed position: delivered together with the next position.
+  std::vector<std::uint8_t> with_next_;
+  std::size_t next_run_ = 0;  ///< cursor into chunk_.unmatched
   std::uint64_t run_consumed_ = 0;
   std::uint64_t next_pos_ = 0;
   bool chunk_done_ = true;
-  std::map<std::int32_t, std::uint64_t> epoch_;
 
   // Arrival tracking.
-  std::map<std::int32_t, std::uint64_t> last_sighted_;  ///< stream-global
-  /// Sighted current-chunk clocks per sender, ascending (always a prefix
-  /// of the sender's chunk messages).
-  std::map<std::int32_t, std::vector<std::uint64_t>> chunk_arrivals_;
-  /// Sighted messages that ran off the current epoch line.
-  std::set<clock::MessageId, clock::ReferenceOrderLess> holdover_;
+  /// (sender, last sighted clock), sorted by sender; stream-global.
+  std::vector<std::pair<std::int32_t, std::uint64_t>> last_sighted_;
+  /// Sighted current-chunk clocks per epoch slot, ascending (always a
+  /// prefix of the sender's chunk messages). Only the first
+  /// chunk_.epoch.size() entries belong to the current chunk.
+  std::vector<std::vector<std::uint64_t>> arrivals_;
+  /// Sighted messages that ran off the current epoch line; put in
+  /// reference order when the next chunk loads.
+  std::vector<clock::MessageId> holdover_;
 
+  Decision decision_;  ///< decide()'s result, reused across calls
   Stats stats_;
 };
 

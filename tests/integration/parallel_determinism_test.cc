@@ -8,7 +8,8 @@
 // order-sensitive results, and agree on every simulator counter
 // (scheduler_events stays exact under parallel: per-shard counters merged
 // at run end). Fault plans (delay spikes, reorder bursts, duplicates,
-// stalls) and a mid-run rank kill ride the same invariance check, and the
+// stalls) and a mid-run rank kill ride the same invariance check, a
+// 64-rank MCB run has workers create streams concurrently, and the
 // 1-worker baseline container is replayed through the sequential engine
 // under the replay-equivalence oracle, closing the loop:
 // record(parallel) → store → replay(sequential) → oracle.
@@ -25,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +76,20 @@ Workload mcb_workload() {
   config.segments_per_particle = 6;
   config.tracks_per_poll = 8;
   return {"mcb", 4, [config](minimpi::Simulator& sim) {
+            return apps::run_mcb(sim, config).global_tally;
+          }};
+}
+
+/// Many ranks: 1/4/8 workers create the ranks' streams concurrently, so
+/// the recorder's lock-free stream table is exercised under TSan.
+Workload mcb_many_ranks_workload() {
+  apps::McbConfig config;
+  config.grid_x = 8;
+  config.grid_y = 8;
+  config.particles_per_rank = 24;
+  config.segments_per_particle = 6;
+  config.tracks_per_poll = 8;
+  return {"mcb64", 64, [config](minimpi::Simulator& sim) {
             return apps::run_mcb(sim, config).global_tally;
           }};
 }
@@ -198,15 +214,16 @@ void expect_stats_equal(const RunArtifacts& base, const RunArtifacts& other,
 }
 
 /// Records the workload at every worker count and checks the N-worker runs
-/// against the 1-worker baseline; returns the baseline with its sealed
-/// container still on disk (for the replay leg).
-RunArtifacts check_worker_invariance(const Workload& workload,
-                                     std::uint64_t seed,
-                                     const minimpi::FaultPlan& plan) {
-  RunArtifacts baseline = record_run(workload, seed, plan, kWorkerCounts[0]);
+/// against the first count's baseline; returns the baseline with its
+/// sealed container still on disk (for the replay leg).
+RunArtifacts check_worker_invariance(
+    const Workload& workload, std::uint64_t seed,
+    const minimpi::FaultPlan& plan,
+    std::span<const int> worker_counts = kWorkerCounts) {
+  RunArtifacts baseline = record_run(workload, seed, plan, worker_counts[0]);
   EXPECT_FALSE(baseline.container_bytes.empty());
-  for (std::size_t i = 1; i < kWorkerCounts.size(); ++i) {
-    const int workers = kWorkerCounts[i];
+  for (std::size_t i = 1; i < worker_counts.size(); ++i) {
+    const int workers = worker_counts[i];
     const std::string what = workload.name + " seed=" + std::to_string(seed) +
                              " workers=" + std::to_string(workers) +
                              " vs baseline";
@@ -260,6 +277,13 @@ TEST(ParallelDeterminism, TaskfarmByteIdenticalAcrossWorkerCounts) {
 TEST(ParallelDeterminism, McbByteIdenticalAcrossWorkerCounts) {
   run_suite(mcb_workload(), 1, {});
   run_suite(mcb_workload(), 42, all_faults(mix(42)));
+}
+
+TEST(ParallelDeterminism, McbManyRanksByteIdentical) {
+  const Workload workload = mcb_many_ranks_workload();
+  constexpr std::array<int, 3> kWorkers = {1, 4, 8};
+  RunArtifacts baseline = check_worker_invariance(workload, 7, {}, kWorkers);
+  check_replays_sequentially(workload, 7, baseline);
 }
 
 TEST(ParallelDeterminism, JacobiByteIdenticalAcrossWorkerCounts) {

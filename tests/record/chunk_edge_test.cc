@@ -1,5 +1,5 @@
 // Edge cases of the CDC chunk format: sender-column bit widths, clock
-// ties, degenerate chunks, crafted move delays.
+// ties, degenerate chunks, crafted tables and move delays.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -135,6 +135,77 @@ TEST(ChunkEdge, RandomFuzzedBytesNeverCrash) {
     support::ByteReader reader(junk);
     (void)read_chunk(reader);  // must return nullopt or a chunk, not crash
   }
+}
+
+// read_chunk rejects CRC-valid chunks whose tables build_tables and
+// encode_chunk never produce: replay indexes flat per-position and
+// per-slot state with them, and a zero-count unmatched run would stall
+// the gate forever.
+class CraftedChunk : public ::testing::Test {
+ protected:
+  // 64 matched events from senders 0..3, a with_next mark and one
+  // unmatched run: enough positions that with_next stays in sparse mode.
+  static CdcChunk valid_chunk() {
+    std::vector<ReceiveEvent> events;
+    for (std::uint64_t c = 1; c <= 64; ++c) {
+      if (c == 9) events.push_back({false, false, -1, 0});
+      events.push_back({true, c == 20, static_cast<std::int32_t>(c % 4), c});
+    }
+    return encode_chunk(build_tables(events));
+  }
+
+  static bool parses(const CdcChunk& chunk) {
+    support::ByteWriter writer;
+    write_chunk(writer, chunk);
+    support::ByteReader reader(writer.view());
+    return read_chunk(reader).has_value();
+  }
+
+  void SetUp() override { ASSERT_TRUE(parses(valid_chunk())); }
+};
+
+TEST_F(CraftedChunk, ZeroCountUnmatchedRunIsRejected) {
+  CdcChunk chunk = valid_chunk();
+  chunk.unmatched = {UnmatchedRun{3, 0}};
+  EXPECT_FALSE(parses(chunk));
+}
+
+TEST_F(CraftedChunk, UnmatchedRunIndicesMustIncreaseWithinTheChunk) {
+  CdcChunk chunk = valid_chunk();
+  chunk.unmatched = {UnmatchedRun{5, 1}, UnmatchedRun{5, 2}};
+  EXPECT_FALSE(parses(chunk));
+  chunk.unmatched = {UnmatchedRun{6, 1}, UnmatchedRun{5, 1}};
+  EXPECT_FALSE(parses(chunk));
+  chunk.unmatched = {UnmatchedRun{chunk.num_matched + 1, 1}};
+  EXPECT_FALSE(parses(chunk));
+  // Trailing tests (index N) are legal.
+  chunk.unmatched = {UnmatchedRun{5, 1}, UnmatchedRun{chunk.num_matched, 2}};
+  EXPECT_TRUE(parses(chunk));
+}
+
+TEST_F(CraftedChunk, WithNextIndicesMustIncreaseBelowN) {
+  CdcChunk chunk = valid_chunk();
+  chunk.with_next = {7, 7};
+  EXPECT_FALSE(parses(chunk));
+  chunk.with_next = {9, 4};
+  EXPECT_FALSE(parses(chunk));
+  chunk.with_next = {chunk.num_matched};
+  EXPECT_FALSE(parses(chunk));
+}
+
+TEST_F(CraftedChunk, EpochSendersMustStrictlyIncrease) {
+  CdcChunk chunk = valid_chunk();
+  ASSERT_EQ(chunk.epoch.size(), 4u);
+  std::swap(chunk.epoch[1], chunk.epoch[2]);
+  EXPECT_FALSE(parses(chunk));
+  // A repeated sender (its messages relabelled so the writer can pack
+  // the column).
+  chunk = valid_chunk();
+  const std::int32_t dropped = chunk.epoch[2].sender;
+  chunk.epoch[2].sender = chunk.epoch[1].sender;
+  for (std::int32_t& s : chunk.ref_senders)
+    if (s == dropped) s = chunk.epoch[1].sender;
+  EXPECT_FALSE(parses(chunk));
 }
 
 // read_chunk accepts any svarint delay, so a decoder must range-check a

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "record/epoch.h"
 #include "record/event.h"
+#include "support/rng.h"
 #include "tool/frame.h"
 
 namespace cdc::tool {
@@ -67,6 +72,110 @@ TEST(StreamRecorder, OtherSendersPendingDoesNotDefer) {
   rec.on_delivered(matched(0, 6));
   rec.flush_if_due(store);
   EXPECT_GT(store.total_bytes(), 0u);
+}
+
+TEST(StreamRecorder, OutOfOrderDeliveriesErasePendingFromTheMiddle) {
+  runtime::MemoryStore store;
+  StreamRecorder rec({0, 1}, options_with(RecordCodec::kCdcFull, 3));
+  for (std::uint64_t c = 1; c <= 4; ++c) rec.on_candidate({0, c});
+  // (0,3) and (0,2) leave the middle of sender 0's pending run; (0,1) is
+  // still pending, so no cut through sender 0's events is clean.
+  rec.on_delivered(matched(0, 3));
+  rec.on_delivered(matched(0, 2));
+  rec.on_delivered(matched(7, 1));
+  rec.flush_if_due(store);
+  EXPECT_EQ(rec.stats().chunks, 0u);
+  EXPECT_EQ(store.total_bytes(), 0u);
+
+  rec.on_delivered(matched(0, 1));
+  rec.on_delivered(matched(0, 4));
+  rec.finalize(store);
+  EXPECT_EQ(rec.stats().chunks, 1u);
+  EXPECT_EQ(rec.stats().matched_events, 5u);
+}
+
+TEST(StreamRecorder, NeverSightedDeliveryLeavesPendingUntouched) {
+  runtime::MemoryStore store;
+  StreamRecorder rec({0, 1}, options_with(RecordCodec::kCdcFull, 1));
+  rec.on_candidate({0, 5});
+  // (0,7) and (3,1) were never sighted: (0,5) stays pending and defers
+  // every cut that takes (0,7).
+  rec.on_delivered(matched(3, 1));
+  rec.flush_if_due(store);
+  EXPECT_EQ(rec.stats().chunks, 1u);  // sender 3 has nothing pending
+  rec.on_delivered(matched(0, 7));
+  rec.flush_if_due(store);
+  EXPECT_EQ(rec.stats().chunks, 1u);
+  rec.on_delivered(matched(0, 5));
+  rec.finalize(store);
+  EXPECT_EQ(rec.stats().chunks, 2u);
+}
+
+// The flush decisions of random sight/deliver sequences against a model
+// that keeps each sender's pending clocks in an ordered set.
+TEST(StreamRecorder, FlushDecisionsMatchOrderedSetModel) {
+  support::Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::uint64_t senders = trial % 2 == 0 ? 4 : 64;
+    const std::size_t target = 1 + rng.bounded(6);
+    runtime::MemoryStore store;
+    StreamRecorder rec({0, 1}, options_with(RecordCodec::kCdcFull, target));
+
+    std::map<std::int32_t, std::set<std::uint64_t>> pending;
+    std::vector<record::ReceiveEvent> buffer;
+    std::size_t buffered_matched = 0;
+    std::uint64_t chunks = 0;
+    std::vector<std::uint64_t> next_clock(senders, 0);
+    std::vector<clock::MessageId> undelivered;
+
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t op = rng.bounded(10);
+      const auto sender = static_cast<std::int32_t>(rng.bounded(senders));
+      if (op < 4) {  // a new sighting, sometimes followed by a re-sighting
+        const clock::MessageId id{
+            sender, next_clock[static_cast<std::size_t>(sender)] +=
+                    1 + rng.bounded(3)};
+        rec.on_candidate(id);
+        if (rng.bounded(2) == 0) rec.on_candidate(id);
+        pending[sender].insert(id.clock);
+        undelivered.push_back(id);
+      } else if (op < 8 && !undelivered.empty()) {  // any sighted message
+        const std::size_t i = rng.bounded(undelivered.size());
+        const clock::MessageId id = undelivered[i];
+        undelivered.erase(undelivered.begin() + static_cast<long>(i));
+        rec.on_delivered(matched(id.sender, id.clock));
+        pending[id.sender].erase(id.clock);
+        buffer.push_back(matched(id.sender, id.clock));
+        ++buffered_matched;
+      } else if (op < 9) {  // a message that was never sighted
+        const std::uint64_t clk =
+            next_clock[static_cast<std::size_t>(sender)] += 1 + rng.bounded(3);
+        rec.on_delivered(matched(sender, clk));
+        buffer.push_back(matched(sender, clk));
+        ++buffered_matched;
+      } else {
+        rec.on_unmatched_test();
+        buffer.push_back({false, false, -1, 0});
+      }
+      rec.flush_if_due(store);
+
+      if (buffered_matched >= target) {
+        record::PendingMins mins;
+        for (const auto& [s, clocks] : pending)
+          if (!clocks.empty()) mins.emplace(s, *clocks.begin());
+        while (true) {
+          const std::size_t cut = record::find_clean_cut(buffer, mins, target);
+          if (cut == 0) break;
+          record::take_cut(buffer, cut);
+          buffered_matched -= cut;
+          ++chunks;
+          if (buffered_matched < target) break;
+        }
+      }
+      ASSERT_EQ(rec.stats().chunks, chunks)
+          << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 TEST(StreamRecorder, StatsCountEventsAndValues) {
