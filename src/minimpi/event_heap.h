@@ -9,9 +9,8 @@
 // returns the element by move instead of top()/pop() copy-then-drop. With
 // a comparator that is a strict total order (every simulator event key is
 // unique), the pop sequence is fully determined by the key order — the
-// heap's internal layout never shows through, which is what lets the
-// sequential and parallel executors share it without perturbing either's
-// schedule. Matches the PR 5 pool discipline: allocation-free steady
+// heap's internal layout never shows through, which is what keeps each
+// rank's schedule independent of the worker count. Allocation-free steady
 // state after warm-up.
 #pragma once
 

@@ -96,20 +96,23 @@ class ToolHooks {
   /// Purely observational — fault injection never consults the tool.
   virtual void on_fault(FaultKind /*kind*/, Rank /*rank*/) {}
 
-  /// The parallel executor is about to start its window loop with this
-  /// many worker threads. From here until the matching run() return, hook
-  /// callbacks arrive concurrently from those workers — a tool that keeps
-  /// cross-rank state must lock it, and a tool with deferred I/O should
-  /// switch to flushing from on_window() (the only callback guaranteed to
-  /// run single-threaded). Never called by the sequential executor.
+  /// Simulator::run() is about to start its window loop with this many
+  /// worker threads (1 when the run stays on the caller's thread). From
+  /// here until run() returns, hook callbacks for different ranks may
+  /// arrive concurrently from those workers, while callbacks for one rank
+  /// are serialized: a tool that keeps cross-rank state must lock it or
+  /// defer it to on_window(), the only callback guaranteed to run with
+  /// every worker stopped. Called once per run.
   virtual void on_parallel_start(int /*workers*/) {}
 
   /// A conservative time-window completed and the horizon advanced to
   /// `horizon` (also fired once at the terminal drain, with the final
   /// virtual time). Called from the coordinator while every worker is
-  /// quiesced at the epoch barrier, so it is safe to touch any tool state
-  /// and to perform deferred I/O in a deterministic order. Called by both
-  /// executors' drivers only in parallel mode.
+  /// quiesced at the window barrier, so it is safe to touch any tool state
+  /// and to perform deferred I/O in a deterministic order. Window
+  /// boundaries do not depend on the worker count, so neither does
+  /// anything a tool does here: the recorder flushes chunks and the
+  /// replayer applies its partial-record release.
   virtual void on_window(double /*horizon*/) {}
 };
 

@@ -1,4 +1,5 @@
-// The conservative time-window parallel executor (DESIGN.md §15).
+// The simulator's event loop: conservative time windows over per-rank
+// shards (DESIGN.md §15).
 //
 // Window protocol: the coordinator (worker 0, the caller's thread) merges
 // staged cross-rank deliveries into the per-rank heaps, resolves
@@ -17,13 +18,14 @@
 // deterministic execution, keys are unique, and each heap pops in strict
 // key order — so per-rank application order is a pure function of the
 // seed, independent of worker count, steal pattern, and thread timing.
+// One worker is the same loop with a one-participant barrier, run on the
+// caller's thread.
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <thread>
 #include <utility>
 
-#include "minimpi/executor.h"
 #include "minimpi/parallel_state.h"
 #include "minimpi/simulator.h"
 #include "obs/metrics.h"
@@ -47,96 +49,31 @@ std::uint64_t mix64(std::uint64_t seed, std::uint64_t index) noexcept {
 thread_local Simulator::ParallelState::Worker*
     Simulator::ParallelState::tls_worker = nullptr;
 
-// --- Executor factory -----------------------------------------------------
-
-std::unique_ptr<Executor> Executor::make(int workers) {
-  if (workers <= 0) return std::make_unique<SequentialExecutor>();
-  return std::make_unique<ParallelExecutor>(workers);
-}
-
-Simulator::Stats SequentialExecutor::run(Simulator& sim) {
-  return sim.run_sequential();
-}
-
-ParallelExecutor::ParallelExecutor(int workers)
-    : requested_workers_(workers) {
-  CDC_CHECK(workers >= 1);
-}
-
-Simulator::Stats ParallelExecutor::run(Simulator& sim) {
-  CDC_CHECK_MSG(!sim.running_, "run() is not reentrant");
-  CDC_CHECK_MSG(sim.config_.base_latency > 0.0,
-                "parallel executor needs base_latency > 0 — it is the "
-                "conservative lookahead");
-  Simulator::ParallelState ps;
-  // More workers than ranks would only contend on the ready list.
-  ps.workers = std::clamp(requested_workers_, 1, sim.size());
-  ps.lookahead = sim.config_.base_latency;
-  return ps.drive(sim);
-}
-
-// --- Parallel-mode send ---------------------------------------------------
-
-Request Simulator::par_post_isend(Rank src, Rank dst, int tag,
-                                  std::span<const std::uint8_t> data) {
-  CDC_CHECK(dst >= 0 && dst < size());
-  CDC_CHECK(tag >= 0);
-  auto& ctx = ranks_[static_cast<std::size_t>(src)];
-  auto& shard = par_->shards[static_cast<std::size_t>(src)];
-  ParallelState::Worker* worker = ParallelState::tls_worker;
-  CDC_CHECK_MSG(worker != nullptr, "send from outside the worker pool");
-
-  // Mirrors the sequential post_isend step for step, with every global
-  // draw and counter replaced by the sender shard's — so the schedule is a
-  // function of this rank's own execution order only.
-  Message msg;
-  msg.source = src;
-  msg.dest = dst;
-  msg.tag = tag;
-  msg.piggyback = hooks_->on_send(src);
-  msg.payload.assign(data.begin(), data.end());
-  if (hooks_ != &default_hooks_) ctx.time += config_.piggyback_send_cost;
-
-  double latency =
-      config_.base_latency + shard.noise.exponential(config_.jitter_mean);
-  if (config_.faults.enabled())
-    latency = apply_message_faults(latency, src, dst);
-  msg.transport_seq = ++shard.channel_send_seq[dst];
-  double arrival = ctx.time + latency;
-  auto [it, inserted] = shard.channel_last_arrival.try_emplace(dst, 0.0);
-  if (!inserted && arrival <= it->second) arrival = it->second + 1e-12;
-  it->second = arrival;
-
-  if (config_.faults.duplicate_probability > 0.0 &&
-      shard.fault_rng.uniform() < config_.faults.duplicate_probability) {
-    // The copy carries the original's transport sequence number — the
-    // dedup key — and trails it on the (non-overtaking) channel.
-    Message dup = msg;
-    double dup_arrival =
-        arrival + shard.fault_rng.exponential(config_.jitter_mean);
-    if (dup_arrival <= it->second) dup_arrival = it->second + 1e-12;
-    it->second = dup_arrival;
-    const Rank dest = dup.dest;
-    par_->push_delivery(*worker, dup_arrival, shard, src, dest,
-                        std::move(dup));
-    ++shard.fault_stats.duplicates_injected;
-    obs::trace_instant("fault.duplicate", dest);
-    hooks_->on_fault(FaultKind::kDuplicate, dest);
-  }
-  par_->push_delivery(*worker, arrival, shard, src, dst, std::move(msg));
-  ++shard.stats.messages_sent;
-
-  // Buffered-send model: locally complete on creation.
-  RequestState req;
-  req.kind = RequestState::Kind::kSend;
-  req.matched = true;
-  ctx.requests.push_back(std::move(req));
-  return Request{ctx.requests.size() - 1};
-}
-
 // --- Engine ---------------------------------------------------------------
 
+Simulator::Stats Simulator::run() {
+  CDC_CHECK_MSG(!running_, "run() is not reentrant");
+  CDC_CHECK_MSG(config_.base_latency > 0.0,
+                "the simulator needs base_latency > 0 — it is the "
+                "conservative lookahead");
+  ParallelState ps;
+  // More workers than ranks would only contend on the ready list.
+  ps.workers = std::clamp(config_.workers, 1, size());
+  ps.lookahead = config_.base_latency;
+  return ps.drive(*this);
+}
+
 Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
+  // However the run ends — normally or by an exception from a rank
+  // program or a tool hook — the simulator must not keep pointing at this
+  // state once it is gone.
+  struct Detach {
+    Simulator& sim;
+    ~Detach() {
+      sim.par_ = nullptr;
+      sim.running_ = false;
+    }
+  } detach{sim};
   sim.running_ = true;
   const int nranks = sim.size();
   shards.resize(static_cast<std::size_t>(nranks));
@@ -181,11 +118,9 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     sync = nullptr;
   }
 
-  if (worker_failed.load(std::memory_order_acquire)) {
-    sim.par_ = nullptr;
-    sim.running_ = false;
+  // The pool is joined, so nothing touches the shards any more.
+  if (worker_failed.load(std::memory_order_acquire))
     std::rethrow_exception(error);
-  }
 
   // Merge the per-shard tallies, in rank order. This is the only place
   // shard stats are summed — the hot path never touches an atomic.
@@ -226,8 +161,6 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     CDC_CHECK_MSG(false, "simulation deadlocked");
   }
   sim.now_ = sim.stats_.end_time;
-  sim.running_ = false;
-  sim.par_ = nullptr;
 
   sim.emit_obs_stats();
   if (obs::enabled()) {
@@ -248,10 +181,28 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
   return sim.stats_;
 }
 
+void Simulator::ParallelState::fail(std::exception_ptr e) {
+  {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (!error) error = std::move(e);
+  }
+  worker_failed.store(true, std::memory_order_release);
+}
+
 void Simulator::ParallelState::worker_loop(Simulator& sim, int wid) {
   tls_worker = worker_state[static_cast<std::size_t>(wid)].get();
   for (;;) {
-    if (wid == 0) coordinate(sim);
+    if (wid == 0) {
+      // The coordinator runs tool hooks and resumes rank coroutines (the
+      // terminal drain's failed waits); an exception from either stops
+      // the engine like a worker's does, so the pool still joins.
+      try {
+        coordinate(sim);
+      } catch (...) {
+        fail(std::current_exception());
+        stop.store(true, std::memory_order_release);
+      }
+    }
     sync->arrive_and_wait();  // window layout published / stop decided
     if (stop.load(std::memory_order_acquire)) break;
     try {
@@ -259,11 +210,7 @@ void Simulator::ParallelState::worker_loop(Simulator& sim, int wid) {
     } catch (...) {
       // Keep participating in the barriers so nobody hangs; the
       // coordinator turns the flag into a stop at the next window.
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-      worker_failed.store(true, std::memory_order_release);
+      fail(std::current_exception());
     }
     sync->arrive_and_wait();  // window quiesced
   }
@@ -276,19 +223,14 @@ void Simulator::ParallelState::merge_and_resolve(Simulator& sim) {
   // this loop need not be deterministic, but it is anyway.
   for (auto& wptr : worker_state) {
     Worker& w = *wptr;
-    for (PEvent& ev : w.outbox) {
-      Shard& dst = shards[static_cast<std::size_t>(ev.rank)];
-      dst.heap.push(std::move(ev));
-      dst.max_heap_depth =
-          std::max<std::uint64_t>(dst.max_heap_depth, dst.heap.size());
-    }
+    for (PEvent& ev : w.outbox) shard(ev.rank).push(std::move(ev));
     w.outbox.clear();
   }
   // Publish kill effects so live_count() is exact before collective
   // completion re-runs.
   sim.failed_count_ = failed_count.load(std::memory_order_relaxed);
   std::uint64_t total_events = 0;
-  for (const Shard& s : shards) total_events += s.stats.scheduler_events;
+  for (const auto& w : worker_state) total_events += w->total_events;
   CDC_CHECK_MSG(total_events <= sim.config_.max_events,
                 "event budget exceeded (runaway program?)");
   if (collective_dirty.exchange(false, std::memory_order_acq_rel)) {
@@ -327,9 +269,12 @@ void Simulator::ParallelState::coordinate(Simulator& sim) {
       break;
     }
 
-    // Terminal drain ladder — mirrors the sequential outer loop: re-poll
-    // pending MF calls, then let the tool change state (on_stall), then
-    // shrink failed waits; give up when nothing moves.
+    // Terminal drain ladder: re-poll pending MF calls, then let the tool
+    // change its own state (on_stall — the replayer releases
+    // partial-record gating here, bridging gaps left by killed ranks or
+    // truncated records), then shrink failed waits (ULFM); give up when
+    // nothing moves. on_stall returns true only after a state change and
+    // each shrink fails at least one call, so the ladder terminates.
     bool any_pending_mf = false;
     for (const auto& ctx : sim.ranks_)
       any_pending_mf =
@@ -410,7 +355,7 @@ void Simulator::ParallelState::process_window(Simulator& sim, int wid) {
 
 void Simulator::ParallelState::run_rank(Simulator& sim, Worker& me,
                                         Rank rank) {
-  Shard& s = shards[static_cast<std::size_t>(rank)];
+  Shard& s = shard(rank);
   auto& ctx = sim.ranks_[static_cast<std::size_t>(rank)];
   while (!s.heap.empty() && s.heap.top().time < horizon) {
     PEvent ev = s.heap.pop();

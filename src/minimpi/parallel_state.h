@@ -1,15 +1,17 @@
-// Per-rank shard state of the parallel executor (DESIGN.md §15).
+// Per-rank shard state and the window engine of the simulator
+// (DESIGN.md §15).
 //
-// Everything the sequential loop keeps globally that would make a
-// schedule depend on global event order — RNG streams, sequence counters,
-// channel bookkeeping, the event queue itself — lives here per rank.
-// A shard is touched only by the worker currently running its rank (one
-// ready-task per rank per window keeps that owner-serialized) or by the
-// coordinator while every worker is quiesced at the window barrier, so no
-// shard field needs a lock. Internal header: included by simulator.cc and
-// parallel_executor.cc only.
+// Everything that would make a schedule depend on global event order if
+// it were shared — RNG streams, sequence counters, channel bookkeeping,
+// the event queue itself — lives here per rank. A shard is touched only
+// by the worker currently running its rank (one ready-task per rank per
+// window keeps that owner-serialized) or by the coordinator while every
+// worker is quiesced at the window barrier, so no shard field needs a
+// lock. Internal header: included by simulator.cc and parallel_executor.cc
+// only.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <coroutine>
@@ -39,7 +41,7 @@ struct Simulator::ParallelState {
     Rank rank = -1;                  ///< destination rank
     std::coroutine_handle<> handle;  ///< kResume only
     std::uint64_t payload = 0;       ///< kTimeout: the armed mf_epoch
-    std::unique_ptr<Message> msg;    ///< kDeliver only (no global in-flight map)
+    std::unique_ptr<Message> msg;    ///< kDeliver only
   };
 
   /// Strict total order over unique keys: the tie-break total order of the
@@ -73,6 +75,11 @@ struct Simulator::ParallelState {
     Stats stats;
     FaultStats fault_stats;
     std::uint64_t max_heap_depth = 0;
+
+    void push(PEvent&& ev) {
+      heap.push(std::move(ev));
+      max_heap_depth = std::max<std::uint64_t>(max_heap_depth, heap.size());
+    }
   };
 
   /// Per-worker scratch, cache-line padded against false sharing.
@@ -112,6 +119,10 @@ struct Simulator::ParallelState {
   std::atomic<int> failed_count{0};
   std::atomic<bool> collective_dirty{false};
 
+  [[nodiscard]] Shard& shard(Rank rank) noexcept {
+    return shards[static_cast<std::size_t>(rank)];
+  }
+
   void push_delivery(Worker& producer, double arrival, Shard& origin,
                      Rank origin_rank, Rank dst, Message&& msg) {
     PEvent ev;
@@ -126,16 +137,16 @@ struct Simulator::ParallelState {
 
   // --- Engine driver (parallel_executor.cc) -------------------------------
 
-  /// The worker currently executing on this thread; par_post_isend routes
+  /// The worker currently executing on this thread; post_isend routes
   /// outgoing deliveries to its outbox. The main thread doubles as worker
   /// 0 (and as the coordinator).
   static thread_local Worker* tls_worker;
 
   std::barrier<>* sync = nullptr;
   std::atomic<bool> stop{false};
-  /// A worker stashed `error` (application exception surfaced through a
-  /// rank coroutine); the coordinator turns it into a stop, and drive()
-  /// rethrows after joining.
+  /// A worker or the coordinator stashed `error` (an exception from a rank
+  /// program or a tool hook); the engine stops at the next window barrier,
+  /// and drive() rethrows it after joining the pool.
   std::atomic<bool> worker_failed{false};
   std::mutex error_mu;
   std::exception_ptr error;  ///< guarded by error_mu
@@ -146,6 +157,8 @@ struct Simulator::ParallelState {
 
   Simulator::Stats drive(Simulator& sim);
   void worker_loop(Simulator& sim, int wid);
+  /// Stashes the in-flight exception for drive() to rethrow.
+  void fail(std::exception_ptr e);
   /// Coordinator serial section: merge outboxes, resolve cross-rank
   /// effects, then either lay out the next window or stop the engine.
   void coordinate(Simulator& sim);

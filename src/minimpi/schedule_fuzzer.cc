@@ -40,7 +40,7 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 minimpi::Simulator::Config sim_config(int num_ranks,
                                       std::uint64_t noise_seed,
                                       const minimpi::FaultPlan& faults,
-                                      int workers = 0) {
+                                      int workers) {
   minimpi::Simulator::Config config;
   config.num_ranks = num_ranks;
   config.noise_seed = noise_seed;
@@ -49,17 +49,15 @@ minimpi::Simulator::Config sim_config(int num_ranks,
   return config;
 }
 
-/// Seed-cycled executor axis for record runs: rotate through the
-/// sequential engine and 1/2/4-worker parallel engines so every fuzz
-/// class continuously proves that a parallel-recorded container replays
-/// (on the sequential engine) exactly like a sequentially recorded one.
-/// Replay runs stay sequential — replay fidelity is the property under
-/// test, not a second parallelism axis. The recorder-crash class also
-/// stays sequential: its CrashingStore throws from whichever thread
-/// flushes, and the crash point is defined in terms of the sequential
-/// flush sequence.
+/// Seed-cycled worker axis: every record and replay run of a case uses
+/// 1, 2 or 4 workers, so every fuzz class continuously exercises the
+/// multi-worker window engine on both sides. The run itself does not
+/// depend on the worker count; what the axis adds is the concurrent
+/// execution of the tool hooks. Recorder flushes always run on the
+/// coordinator in window order, so a recorder-crash point means the same
+/// frame at every worker count.
 int workers_for(std::uint64_t seed) noexcept {
-  static constexpr std::array<int, 4> kWorkerAxis = {0, 1, 2, 4};
+  static constexpr std::array<int, 3> kWorkerAxis = {1, 2, 4};
   return kWorkerAxis[seed % kWorkerAxis.size()];
 }
 
@@ -216,7 +214,7 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_transport_case(
   support::OrderProbe replay_probe(&replayer);
   minimpi::Simulator replay_sim(
       sim_config(workload_.num_ranks, mix(seed * 4 + 3),
-                 plan_for(cls, mix(seed * 4 + 4))),
+                 plan_for(cls, mix(seed * 4 + 4)), workers_for(seed)),
       &replay_probe);
   const double replayed_value = workload_.run(replay_sim);
 
@@ -269,7 +267,9 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
                           tool_options(options_.chunk_target));
   support::OrderProbe record_probe(&recorder);
   minimpi::Simulator record_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 1), {}), &record_probe);
+      sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
+                 workers_for(seed)),
+      &record_probe);
   workload_.run(record_sim);
   recorder.finalize();
   container.abandon();
@@ -297,7 +297,8 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
                                          /*partial_record=*/true));
     support::OrderProbe replay_probe(&replayer);
     minimpi::Simulator replay_sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {}),
+        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
+                   workers_for(seed)),
         &replay_probe);
     workload_.run(replay_sim);
 
@@ -336,7 +337,6 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_kill_case(std::uint64_t seed,
   // or after the last.
   double probe_end = 0.0;
   {
-    // Same engine as the record run below, so the span estimate matches.
     minimpi::Simulator probe(
         sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
                    workers_for(seed)));
@@ -414,7 +414,8 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_kill_case(std::uint64_t seed,
                                          /*partial_record=*/true));
     support::OrderProbe replay_probe(&replayer);
     minimpi::Simulator replay_sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {}),
+        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
+                   workers_for(seed)),
         &replay_probe);
     workload_.run(replay_sim);
 
@@ -529,7 +530,9 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_io_fault_case(
                           tool_options(options_.chunk_target));
   support::OrderProbe replay_probe(&replayer);
   minimpi::Simulator replay_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 3), {}), &replay_probe);
+      sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
+                 workers_for(seed)),
+      &replay_probe);
   const double replayed_value = workload_.run(replay_sim);
 
   const support::OracleReport oracle =
@@ -595,7 +598,7 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
   support::OrderProbe full_probe(&full);
   minimpi::Simulator full_sim(
       sim_config(workload_.num_ranks, mix(seed * 8 + 3),
-                 plan_for(transport, mix(seed * 8 + 4))),
+                 plan_for(transport, mix(seed * 8 + 4)), workers_for(seed)),
       &full_probe);
   workload_.run(full_sim);
   if (report != nullptr)
@@ -628,7 +631,7 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
   support::OrderProbe window_probe(&window);
   minimpi::Simulator window_sim(
       sim_config(workload_.num_ranks, mix(seed * 8 + 7),
-                 plan_for(transport, mix(seed * 8 + 9))),
+                 plan_for(transport, mix(seed * 8 + 9)), workers_for(seed)),
       &window_probe);
   workload_.run(window_sim);
   if (report != nullptr)
@@ -724,7 +727,9 @@ CrashSweepReport crash_boundary_sweep(const FuzzWorkload& workload,
                             tool_options(chunk_target));
     support::OrderProbe probe(&recorder);
     minimpi::Simulator sim(
-        sim_config(workload.num_ranks, mix(seed * 4 + 1), {}), &probe);
+        sim_config(workload.num_ranks, mix(seed * 4 + 1), {},
+                   workers_for(seed)),
+        &probe);
     workload.run(sim);
     recorder.finalize();
     container.seal();
@@ -793,7 +798,9 @@ CrashSweepReport crash_boundary_sweep(const FuzzWorkload& workload,
                                          /*partial_record=*/true));
     support::OrderProbe probe(&replayer);
     minimpi::Simulator sim(
-        sim_config(workload.num_ranks, mix(seed * 4 + 3), {}), &probe);
+        sim_config(workload.num_ranks, mix(seed * 4 + 3), {},
+                   workers_for(seed)),
+        &probe);
     workload.run(sim);
 
     const support::OracleReport oracle = support::check_prefix(

@@ -12,14 +12,14 @@
 // truncates a sealed container at every frame boundary and proves each
 // salvaged prefix CRC-verifies and replays faithfully.
 //
-// The simulator's executor is a seed-cycled fuzz axis: record runs rotate
-// through the sequential engine and 1/2/4-worker parallel engines
-// (workers = {0,1,2,4}[seed % 4]), so every class also exercises the
-// conservative-window parallel executor; replay runs stay sequential.
+// The simulator's worker count is a seed-cycled fuzz axis: record and
+// replay runs use workers = {1,2,4}[seed % 3], so every class also runs
+// the tool hooks concurrently on the multi-worker window engine.
 //
 // Every failure carries (workload, fault class, seed) — the complete
 // reproduction key: two runs with the same triple are bit-identical
-// (the worker count is derived from the seed).
+// (the worker count is derived from the seed, and the run does not
+// depend on it).
 #pragma once
 
 #include <array>

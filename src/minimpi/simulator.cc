@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "minimpi/executor.h"
 #include "minimpi/parallel_state.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,7 +20,7 @@ void ComputeAwaiter::await_suspend(std::coroutine_handle<> handle) {
 void MFAwaiter::await_suspend(std::coroutine_handle<> handle) {
   auto& ctx = sim->ranks_[static_cast<std::size_t>(rank)];
   CDC_CHECK_MSG(!ctx.mf_active, "rank issued a second MF call while pending");
-  ++sim->rank_stats(rank).mf_calls;
+  ++sim->par_->shard(rank).stats.mf_calls;
 
   // Send-only MF calls complete immediately (buffered-send model) and do
   // not pass through the tool: the paper records receives only.
@@ -77,15 +76,10 @@ void BarrierAwaiter::await_suspend(std::coroutine_handle<> handle) {
   CDC_CHECK(!ctx.in_barrier && ctx.allreduce == nullptr);
   ctx.in_barrier = true;
   ctx.collective_continuation = handle;
-  if (sim->par_ != nullptr) {
-    // Entry is rank-local; completion is a cross-rank effect and is
-    // resolved only by the coordinator at the window barrier.
-    sim->par_->barrier_waiting.fetch_add(1, std::memory_order_relaxed);
-    sim->par_->collective_dirty.store(true, std::memory_order_release);
-    return;
-  }
-  ++sim->barrier_waiting_;
-  sim->complete_barrier_if_ready();
+  // Entry is rank-local; completion is a cross-rank effect and is resolved
+  // only by the coordinator at the window barrier.
+  sim->par_->barrier_waiting.fetch_add(1, std::memory_order_relaxed);
+  sim->par_->collective_dirty.store(true, std::memory_order_release);
 }
 
 void AllreduceAwaiter::await_suspend(std::coroutine_handle<> handle) {
@@ -95,13 +89,8 @@ void AllreduceAwaiter::await_suspend(std::coroutine_handle<> handle) {
   ctx.collective_continuation = handle;
   sim->allreduce_inputs_[static_cast<std::size_t>(rank)] =
       std::move(contribution);
-  if (sim->par_ != nullptr) {
-    sim->par_->allreduce_waiting.fetch_add(1, std::memory_order_relaxed);
-    sim->par_->collective_dirty.store(true, std::memory_order_release);
-    return;
-  }
-  ++sim->allreduce_waiting_;
-  sim->complete_allreduce_if_ready();
+  sim->par_->allreduce_waiting.fetch_add(1, std::memory_order_relaxed);
+  sim->par_->collective_dirty.store(true, std::memory_order_release);
 }
 
 // --- Comm -----------------------------------------------------------------
@@ -166,9 +155,7 @@ MFAwaiter Comm::testsome(std::span<const Request> requests,
 
 Simulator::Simulator(const Config& config, ToolHooks* hooks)
     : config_(config),
-      hooks_(hooks != nullptr ? hooks : &default_hooks_),
-      noise_(config.noise_seed),
-      fault_rng_(config.faults.seed ^ 0xfa17fa17fa17fa17ull) {
+      hooks_(hooks != nullptr ? hooks : &default_hooks_) {
   CDC_CHECK(config.num_ranks >= 1);
   ranks_.resize(static_cast<std::size_t>(config.num_ranks));
   allreduce_inputs_.resize(ranks_.size());
@@ -195,82 +182,38 @@ void Simulator::set_program(Rank rank, const Program& program) {
   CDC_CHECK(ctx.task.valid());
 }
 
-// --- Mode-aware indirections (DESIGN.md §15) ------------------------------
-
-double Simulator::cur_now(Rank rank) const noexcept {
-  return par_ != nullptr ? par_->shards[static_cast<std::size_t>(rank)].now
-                         : now_;
-}
-
-std::uint64_t Simulator::alloc_seq(Rank rank) {
-  return par_ != nullptr
-             ? par_->shards[static_cast<std::size_t>(rank)].next_seq++
-             : next_seq_++;
-}
-
-std::uint64_t Simulator::alloc_match_seq(Rank rank) {
-  return par_ != nullptr
-             ? par_->shards[static_cast<std::size_t>(rank)].next_match_seq++
-             : next_match_seq_++;
-}
-
-Simulator::Stats& Simulator::rank_stats(Rank rank) {
-  return par_ != nullptr ? par_->shards[static_cast<std::size_t>(rank)].stats
-                         : stats_;
-}
-
-FaultStats& Simulator::rank_fault_stats(Rank rank) {
-  return par_ != nullptr
-             ? par_->shards[static_cast<std::size_t>(rank)].fault_stats
-             : fault_stats_;
-}
-
-support::Xoshiro256& Simulator::fault_rng_for(Rank rank) {
-  return par_ != nullptr
-             ? par_->shards[static_cast<std::size_t>(rank)].fault_rng
-             : fault_rng_;
-}
-
 void Simulator::schedule(double time, EventType type, Rank rank,
                          std::coroutine_handle<> handle,
-                         std::uint64_t message_index) {
+                         std::uint64_t payload) {
   // Rank stalls pause a rank's resume/poll — never a network delivery,
   // and never the fault-plan timers (kills, MF timeouts).
   if (type == EventType::kResume || type == EventType::kPoll)
     time = maybe_stall(time, rank);
-  if (par_ != nullptr) {
-    // Parallel deliveries travel through worker outboxes (par_post_isend),
-    // never through here, so every event schedule() sees targets the rank
-    // whose context is executing — its own shard, owner-serialized (or
-    // coordinator-serialized at the window barrier). The key is drawn from
-    // that shard's counter, so it never depends on worker interleaving.
-    CDC_CHECK(type != EventType::kDeliver);
-    auto& shard = par_->shards[static_cast<std::size_t>(rank)];
-    ParallelState::PEvent ev;
-    ev.time = time;
-    ev.oseq = shard.next_seq++;
-    ev.orank = rank;
-    ev.type = type;
-    ev.rank = rank;
-    ev.handle = handle;
-    ev.payload = message_index;
-    shard.heap.push(std::move(ev));
-    shard.max_heap_depth =
-        std::max<std::uint64_t>(shard.max_heap_depth, shard.heap.size());
-    return;
-  }
-  events_.push(Event{time, next_seq_++, type, rank, handle, message_index});
-  stats_.max_queue_depth =
-      std::max<std::uint64_t>(stats_.max_queue_depth, events_.size());
+  // Every event scheduled here targets the rank whose context is
+  // executing — its own shard, owner-serialized (or coordinator-serialized
+  // at the window barrier). The key is drawn from that shard's counter, so
+  // it never depends on worker interleaving.
+  CDC_CHECK(type != EventType::kDeliver);
+  ParallelState::Shard& shard = par_->shard(rank);
+  ParallelState::PEvent ev;
+  ev.time = time;
+  ev.oseq = shard.next_seq++;
+  ev.orank = rank;
+  ev.type = type;
+  ev.rank = rank;
+  ev.handle = handle;
+  ev.payload = payload;
+  shard.push(std::move(ev));
 }
 
 double Simulator::maybe_stall(double time, Rank rank) {
   const FaultPlan& plan = config_.faults;
   if (plan.stall_probability <= 0.0 || rank < 0) return time;
-  support::Xoshiro256& rng = fault_rng_for(rank);
+  ParallelState::Shard& shard = par_->shard(rank);
+  support::Xoshiro256& rng = shard.fault_rng;
   if (rng.uniform() >= plan.stall_probability) return time;
   const double stall = plan.stall_mean * (0.5 + rng.uniform());
-  FaultStats& tallies = rank_fault_stats(rank);
+  FaultStats& tallies = shard.fault_stats;
   ++tallies.stalls;
   tallies.stall_seconds += stall;
   obs::trace_instant("fault.stall", rank);
@@ -281,12 +224,10 @@ double Simulator::maybe_stall(double time, Rank rank) {
 double Simulator::apply_message_faults(double latency, Rank src, Rank dst) {
   const FaultPlan& plan = config_.faults;
   const double scale = config_.base_latency + config_.jitter_mean;
-  support::Xoshiro256& rng = fault_rng_for(src);
-  FaultStats& tallies = rank_fault_stats(src);
-  std::uint32_t& burst_remaining =
-      par_ != nullptr
-          ? par_->shards[static_cast<std::size_t>(src)].burst_remaining
-          : burst_remaining_;
+  ParallelState::Shard& shard = par_->shard(src);
+  support::Xoshiro256& rng = shard.fault_rng;
+  FaultStats& tallies = shard.fault_stats;
+  std::uint32_t& burst_remaining = shard.burst_remaining;
   if (plan.delay_spike_probability > 0.0 &&
       rng.uniform() < plan.delay_spike_probability) {
     latency += plan.delay_spike_factor * scale * (0.5 + rng.uniform());
@@ -311,36 +252,14 @@ double Simulator::apply_message_faults(double latency, Rank src, Rank dst) {
   return latency;
 }
 
-void Simulator::maybe_duplicate(const Message& msg, double arrival,
-                                std::uint64_t channel) {
-  const FaultPlan& plan = config_.faults;
-  if (plan.duplicate_probability <= 0.0 ||
-      fault_rng_.uniform() >= plan.duplicate_probability)
-    return;
-  // The copy carries the original's transport sequence number — the dedup
-  // key — and trails it on the (non-overtaking) channel.
-  Message dup = msg;
-  double dup_arrival =
-      arrival + fault_rng_.exponential(config_.jitter_mean);
-  auto it = channel_last_arrival_.find(channel);
-  if (it != channel_last_arrival_.end() && dup_arrival <= it->second)
-    dup_arrival = it->second + 1e-12;
-  channel_last_arrival_[channel] = dup_arrival;
-  const std::uint64_t index = next_message_index_++;
-  const Rank dest = dup.dest;
-  in_flight_.emplace(index, std::move(dup));
-  schedule(dup_arrival, EventType::kDeliver, dest, nullptr, index);
-  ++fault_stats_.duplicates_injected;
-  obs::trace_instant("fault.duplicate", dest);
-  hooks_->on_fault(FaultKind::kDuplicate, dest);
-}
-
 Request Simulator::post_isend(Rank src, Rank dst, int tag,
                               std::span<const std::uint8_t> data) {
-  if (par_ != nullptr) return par_post_isend(src, dst, tag, data);
   CDC_CHECK(dst >= 0 && dst < size());
   CDC_CHECK(tag >= 0);
   auto& ctx = ranks_[static_cast<std::size_t>(src)];
+  ParallelState::Shard& shard = par_->shard(src);
+  ParallelState::Worker* worker = ParallelState::tls_worker;
+  CDC_CHECK_MSG(worker != nullptr, "send from outside the worker pool");
 
   Message msg;
   msg.source = src;
@@ -351,27 +270,36 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
   if (hooks_ != &default_hooks_) ctx.time += config_.piggyback_send_cost;
 
   // Latency noise permutes cross-sender arrival interleavings; per-channel
-  // arrival order is forced non-overtaking (MPI ordering guarantee).
+  // arrival order is forced non-overtaking (MPI ordering guarantee). Every
+  // draw and counter is the sender shard's, so the schedule is a function
+  // of this rank's own execution order only.
   double latency =
-      config_.base_latency + noise_.exponential(config_.jitter_mean);
+      config_.base_latency + shard.noise.exponential(config_.jitter_mean);
   if (config_.faults.enabled())
     latency = apply_message_faults(latency, src, dst);
-  const std::uint64_t channel =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(dst);
-  msg.transport_seq = ++channel_send_seq_[channel];
+  msg.transport_seq = ++shard.channel_send_seq[dst];
   double arrival = ctx.time + latency;
-  auto [it, inserted] = channel_last_arrival_.try_emplace(channel, 0.0);
-  if (!inserted && arrival <= it->second)
-    arrival = it->second + 1e-12;
+  auto [it, inserted] = shard.channel_last_arrival.try_emplace(dst, 0.0);
+  if (!inserted && arrival <= it->second) arrival = it->second + 1e-12;
   it->second = arrival;
 
-  if (config_.faults.duplicate_probability > 0.0)
-    maybe_duplicate(msg, arrival, channel);
-  const std::uint64_t index = next_message_index_++;
-  in_flight_.emplace(index, std::move(msg));
-  schedule(arrival, EventType::kDeliver, dst, nullptr, index);
-  ++stats_.messages_sent;
+  if (config_.faults.duplicate_probability > 0.0 &&
+      shard.fault_rng.uniform() < config_.faults.duplicate_probability) {
+    // The copy carries the original's transport sequence number — the
+    // dedup key — and trails it on the (non-overtaking) channel.
+    Message dup = msg;
+    double dup_arrival =
+        arrival + shard.fault_rng.exponential(config_.jitter_mean);
+    if (dup_arrival <= it->second) dup_arrival = it->second + 1e-12;
+    it->second = dup_arrival;
+    par_->push_delivery(*worker, dup_arrival, shard, src, dst,
+                        std::move(dup));
+    ++shard.fault_stats.duplicates_injected;
+    obs::trace_instant("fault.duplicate", dst);
+    hooks_->on_fault(FaultKind::kDuplicate, dst);
+  }
+  par_->push_delivery(*worker, arrival, shard, src, dst, std::move(msg));
+  ++shard.stats.messages_sent;
 
   // Buffered-send model: locally complete on creation.
   RequestState req;
@@ -401,7 +329,7 @@ Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
         posted.tag_spec == kAnyTag || posted.tag_spec == it->tag;
     if (src_ok && tag_ok) {
       posted.matched = true;
-      posted.match_seq = alloc_match_seq(rank);
+      posted.match_seq = par_->shard(rank).next_match_seq++;
       posted.message = std::move(*it);
       ctx.unexpected.erase(it);
       return Request{id};
@@ -443,7 +371,7 @@ void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
       auto& req = ctx.requests[*req_it];
       if (envelope_matches(req.source_spec, req.tag_spec, msg_it->source, msg_it->tag)) {
         req.matched = true;
-        req.match_seq = alloc_match_seq(rank);
+        req.match_seq = par_->shard(rank).next_match_seq++;
         req.message = std::move(*msg_it);
         ctx.posted_recvs.erase(req_it);
         msg_it = ctx.unexpected.erase(msg_it);
@@ -457,13 +385,13 @@ void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
 
 void Simulator::try_match_arrival(Rank rank, Message&& message) {
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
-  message.arrival_seq = alloc_seq(rank);
+  message.arrival_seq = par_->shard(rank).next_seq++;
   for (auto it = ctx.posted_recvs.begin(); it != ctx.posted_recvs.end();
        ++it) {
     auto& req = ctx.requests[*it];
     if (envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
       req.matched = true;
-      req.match_seq = alloc_match_seq(rank);
+      req.match_seq = par_->shard(rank).next_match_seq++;
       const std::uint64_t id = *it;
       req.message = std::move(message);
       ctx.posted_recvs.erase(it);
@@ -472,7 +400,7 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
         const auto& ids = ctx.mf->request_ids;
         if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
           ctx.mf_poll_scheduled = true;
-          schedule(cur_now(rank), EventType::kPoll, rank);
+          schedule(par_->shard(rank).now, EventType::kPoll, rank);
         }
       }
       return;
@@ -487,7 +415,7 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
       if (!req.delivered &&
           envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
         ctx.mf_poll_scheduled = true;
-        schedule(cur_now(rank), EventType::kPoll, rank);
+        schedule(par_->shard(rank).now, EventType::kPoll, rank);
         break;
       }
     }
@@ -499,17 +427,23 @@ void Simulator::poll_mf(Rank rank) {
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
   ctx.mf_poll_scheduled = false;
   if (!ctx.mf_active) return;
-  ctx.time = std::max(ctx.time, cur_now(rank));
+  ctx.time = std::max(ctx.time, par_->shard(rank).now);
   MFAwaiter& mf = *ctx.mf;
 
+  // Sized for the usual case, at most one candidate per request, so a poll
+  // allocates each list once: a replay run surfaces more candidates per
+  // poll than a plain run and would otherwise pay for regrowth.
   std::vector<Candidate> candidates;
+  candidates.reserve(mf.request_ids.size());
   // For bound candidates: the owning request id; for unbound: the
   // message's arrival_seq (to locate it in the unexpected queue).
   std::vector<std::uint64_t> candidate_handle;
+  candidate_handle.reserve(mf.request_ids.size());
   {
-    // Matched-but-undelivered receives, in global match order — the order
-    // an untooled run would surface them ("first come, first served").
+    // Matched-but-undelivered receives, in match order — the order an
+    // untooled run would surface them ("first come, first served").
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    order.reserve(mf.request_ids.size());
     for (std::size_t i = 0; i < mf.request_ids.size(); ++i) {
       const auto& req = ctx.requests[mf.request_ids[i]];
       if (req.matched && !req.delivered) order.emplace_back(req.match_seq, i);
@@ -559,7 +493,7 @@ void Simulator::poll_mf(Rank rank) {
       CDC_CHECK_MSG(!blocking, "Wait-family call cannot report no-match");
       mf.result.flag = false;
       hooks_->on_unmatched_test(rank, mf.callsite);
-      ++rank_stats(rank).unmatched_tests;
+      ++par_->shard(rank).stats.unmatched_tests;
       break;
     }
     case SelectResult::Action::kDeliver: {
@@ -642,7 +576,7 @@ void Simulator::poll_mf(Rank rank) {
         completion.piggyback = msg.piggyback;
         completion.payload = std::move(msg.payload);
         mf.result.completions.push_back(std::move(completion));
-        ++rank_stats(rank).receive_events_delivered;
+        ++par_->shard(rank).stats.receive_events_delivered;
         obs::trace_instant("recv.deliver", rank, "source",
                            static_cast<std::uint64_t>(
                                static_cast<std::uint32_t>(msg.source)));
@@ -697,19 +631,13 @@ void Simulator::check_rank_done(Rank rank) {
 
 void Simulator::complete_barrier_if_ready() {
   // Collectives complete over the survivors (ULFM shrink semantics):
-  // failed ranks neither participate nor are waited for. Under the
-  // parallel executor this runs only on the coordinator with every worker
-  // quiesced at the window barrier, so the atomic entry counters are
-  // stable and the rank-order iteration below is deterministic.
-  const int waiting =
-      par_ != nullptr
-          ? par_->barrier_waiting.load(std::memory_order_acquire)
-          : barrier_waiting_;
+  // failed ranks neither participate nor are waited for. This runs only on
+  // the coordinator with every worker quiesced at the window barrier, so
+  // the atomic entry counters are stable and the rank-order iteration
+  // below is deterministic.
+  const int waiting = par_->barrier_waiting.load(std::memory_order_acquire);
   if (live_count() == 0 || waiting != live_count()) return;
-  if (par_ != nullptr)
-    par_->barrier_waiting.store(0, std::memory_order_relaxed);
-  else
-    barrier_waiting_ = 0;
+  par_->barrier_waiting.store(0, std::memory_order_relaxed);
   const double hops = std::ceil(std::log2(std::max(2, live_count())));
   double release = 0.0;
   for (const auto& ctx : ranks_)
@@ -728,15 +656,9 @@ void Simulator::complete_barrier_if_ready() {
 }
 
 void Simulator::complete_allreduce_if_ready() {
-  const int waiting =
-      par_ != nullptr
-          ? par_->allreduce_waiting.load(std::memory_order_acquire)
-          : allreduce_waiting_;
+  const int waiting = par_->allreduce_waiting.load(std::memory_order_acquire);
   if (live_count() == 0 || waiting != live_count()) return;
-  if (par_ != nullptr)
-    par_->allreduce_waiting.store(0, std::memory_order_relaxed);
-  else
-    allreduce_waiting_ = 0;
+  par_->allreduce_waiting.store(0, std::memory_order_relaxed);
 
   // Elementwise sum in strict rank order: bit-reproducible regardless of
   // arrival timing. Failed ranks' contributions are excluded — the
@@ -779,12 +701,10 @@ void Simulator::kill_rank(Rank rank) {
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
   if (ctx.failed || ctx.finished) return;  // nothing left to kill
   ctx.failed = true;
-  if (par_ != nullptr)
-    par_->failed_count.fetch_add(1, std::memory_order_relaxed);
-  else
-    ++failed_count_;
-  ++rank_fault_stats(rank).rank_kills;
-  ++rank_stats(rank).ranks_failed;
+  par_->failed_count.fetch_add(1, std::memory_order_relaxed);
+  ParallelState::Shard& shard = par_->shard(rank);
+  ++shard.fault_stats.rank_kills;
+  ++shard.stats.ranks_failed;
   obs::trace_instant("fault.rank_kill", rank);
   hooks_->on_fault(FaultKind::kRankKill, rank);
 
@@ -798,30 +718,18 @@ void Simulator::kill_rank(Rank rank) {
   if (ctx.in_barrier) {
     ctx.in_barrier = false;
     ctx.collective_continuation = nullptr;
-    if (par_ != nullptr)
-      par_->barrier_waiting.fetch_sub(1, std::memory_order_relaxed);
-    else
-      --barrier_waiting_;
+    par_->barrier_waiting.fetch_sub(1, std::memory_order_relaxed);
   }
   if (ctx.allreduce != nullptr) {
     ctx.allreduce = nullptr;
     ctx.collective_continuation = nullptr;
     allreduce_inputs_[static_cast<std::size_t>(rank)].clear();
-    if (par_ != nullptr)
-      par_->allreduce_waiting.fetch_sub(1, std::memory_order_relaxed);
-    else
-      --allreduce_waiting_;
+    par_->allreduce_waiting.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (par_ != nullptr) {
-    // Dropping a participant may complete a collective over survivors, but
-    // that's a cross-rank effect: the coordinator resolves it at the next
-    // window barrier.
-    par_->collective_dirty.store(true, std::memory_order_release);
-    return;
-  }
-  // Dropping a participant may make a collective complete over survivors.
-  complete_barrier_if_ready();
-  complete_allreduce_if_ready();
+  // Dropping a participant may complete a collective over survivors, but
+  // that's a cross-rank effect: the coordinator resolves it at the next
+  // window barrier.
+  par_->collective_dirty.store(true, std::memory_order_release);
 }
 
 void Simulator::fail_mf(Rank rank, bool timed_out,
@@ -836,7 +744,7 @@ void Simulator::fail_mf(Rank rank, bool timed_out,
   mf.result.failed = true;
   mf.result.timed_out = timed_out;
   mf.result.failed_ranks = std::move(failed_ranks);
-  ++rank_stats(rank).mf_failures;
+  ++par_->shard(rank).stats.mf_failures;
   obs::trace_instant(timed_out ? "mf.timeout" : "mf.proc_failed", rank);
 
   ctx.mf_active = false;
@@ -848,7 +756,7 @@ void Simulator::fail_mf(Rank rank, bool timed_out,
 }
 
 bool Simulator::shrink_failed_waits() {
-  // Called at the terminal drain: the event queue is empty and re-polling
+  // Called at the terminal drain: no event is pending and re-polling
   // made no progress, so no in-flight message can satisfy anything. A
   // pending receive whose sender died (or — opt-in — finished) will never
   // match; fail the covering MF call so the application can shrink its
@@ -932,150 +840,6 @@ void Simulator::describe_stuck_ranks() const {
                    ctx.in_barrier ? "barrier" : "allreduce/unknown");
     }
   }
-}
-
-Simulator::Stats Simulator::run() {
-  return Executor::make(config_.workers)->run(*this);
-}
-
-Simulator::Stats Simulator::run_sequential() {
-  CDC_CHECK_MSG(!running_, "run() is not reentrant");
-  running_ = true;
-  for (int r = 0; r < size(); ++r) {
-    auto& ctx = ranks_[static_cast<std::size_t>(r)];
-    CDC_CHECK_MSG(ctx.task.valid(), "rank has no program installed");
-    schedule(0.0, EventType::kResume, r, ctx.task.handle());
-  }
-  for (const RankKill& kill : config_.faults.kills) {
-    CDC_CHECK_MSG(kill.rank >= 0 && kill.rank < size(),
-                  "fault plan kills a rank outside the communicator");
-    CDC_CHECK_MSG(kill.time >= 0.0, "rank kill scheduled before t=0");
-    schedule(kill.time, EventType::kKill, kill.rank);
-  }
-
-  // Outer loop: drain the event queue; when it empties with matching-
-  // function calls still pending, re-poll each of them once. A replay tool
-  // that released its gating late (e.g. partial-record replay switching to
-  // passthrough after the last arrival) can make blocked calls deliverable
-  // without any further message traffic; re-polling gives it the chance.
-  // Each productive round delivers at least one event, so this terminates.
-  static obs::Counter& obs_events = obs::counter("sim.scheduler_events");
-  std::uint64_t last_progress = std::numeric_limits<std::uint64_t>::max();
-  for (;;) {
-    while (!events_.empty()) {
-      const Event ev = events_.pop();
-      CDC_CHECK(ev.time + 1e-15 >= now_);
-      now_ = std::max(now_, ev.time);
-      obs::publish_virtual_now(now_);
-      obs_events.add(1);
-      ++stats_.scheduler_events;
-      CDC_CHECK_MSG(stats_.scheduler_events <= config_.max_events,
-                    "event budget exceeded (runaway program?)");
-
-      switch (ev.type) {
-        case EventType::kResume:
-          if (ranks_[static_cast<std::size_t>(ev.rank)].failed) break;
-          resume_rank(ev.rank, ev.handle, ev.time);
-          break;
-        case EventType::kDeliver: {
-          auto it = in_flight_.find(ev.message_index);
-          CDC_CHECK(it != in_flight_.end());
-          Message msg = std::move(it->second);
-          in_flight_.erase(it);
-          // Transport dedup: per-channel delivery is non-overtaking, so a
-          // non-increasing sequence number is a duplicate copy; drop it
-          // before the matching layer ever sees it.
-          const std::uint64_t channel =
-              (static_cast<std::uint64_t>(
-                   static_cast<std::uint32_t>(msg.source))
-               << 32) |
-              static_cast<std::uint32_t>(msg.dest);
-          auto& delivered = channel_delivered_seq_[channel];
-          if (msg.transport_seq <= delivered) {
-            ++fault_stats_.duplicates_dropped;
-            break;
-          }
-          delivered = msg.transport_seq;
-          // A dead destination consumes the arrival (keeping channel
-          // bookkeeping — and the duplicate accounting — exact) but the
-          // process is no longer there to match it.
-          if (ranks_[static_cast<std::size_t>(ev.rank)].failed) break;
-          try_match_arrival(ev.rank, std::move(msg));
-          break;
-        }
-        case EventType::kPoll:
-          if (ranks_[static_cast<std::size_t>(ev.rank)].failed) break;
-          ranks_[static_cast<std::size_t>(ev.rank)].time =
-              std::max(ranks_[static_cast<std::size_t>(ev.rank)].time,
-                       ev.time);
-          poll_mf(ev.rank);
-          break;
-        case EventType::kKill:
-          kill_rank(ev.rank);
-          break;
-        case EventType::kTimeout: {
-          auto& ctx = ranks_[static_cast<std::size_t>(ev.rank)];
-          if (ctx.failed || ctx.finished || !ctx.mf_active) break;
-          if (ctx.mf_epoch != ev.message_index) break;  // stale timer
-          ++stats_.mf_timeouts;
-          fail_mf(ev.rank, /*timed_out=*/true, {});
-          break;
-        }
-      }
-    }
-
-    bool any_pending_mf = false;
-    for (const auto& ctx : ranks_)
-      any_pending_mf =
-          any_pending_mf || (!ctx.finished && !ctx.failed && ctx.mf_active);
-    if (!any_pending_mf) break;
-    const std::uint64_t progress =
-        stats_.receive_events_delivered + stats_.unmatched_tests;
-    if (progress == last_progress) {
-      // Re-polling changed nothing: the pending calls are truly stuck.
-      // Escalate in two stages before declaring deadlock. (1) Let the
-      // tool change its own state (the replayer releases partial-record
-      // gating here, bridging gaps left by killed ranks or truncated
-      // records); its contract is to return true only after an actual
-      // state change, so this cannot livelock. (2) Shrink: fail every
-      // wait whose senders died (ULFM) — each shrink round fails at
-      // least one MF call, so this is bounded too.
-      if (!hooks_->on_stall() && !shrink_failed_waits())
-        break;  // genuinely stuck: fall through to the deadlock report
-      // State changed; treat the next drain round as fresh progress (the
-      // failed calls' continuations may have scheduled new events).
-      last_progress = std::numeric_limits<std::uint64_t>::max();
-    } else {
-      last_progress = progress;
-    }
-    for (int r = 0; r < size(); ++r) {
-      auto& ctx = ranks_[static_cast<std::size_t>(r)];
-      if (!ctx.finished && !ctx.failed && ctx.mf_active &&
-          !ctx.mf_poll_scheduled) {
-        ctx.mf_poll_scheduled = true;
-        schedule(now_, EventType::kPoll, r);
-      }
-    }
-  }
-
-  CDC_CHECK_MSG(
-      fault_stats_.duplicates_dropped == fault_stats_.duplicates_injected,
-      "a transport duplicate leaked past channel dedup");
-  bool deadlocked = false;
-  for (int r = 0; r < size(); ++r) {
-    const auto& ctx = ranks_[static_cast<std::size_t>(r)];
-    if (!ctx.finished && !ctx.failed) deadlocked = true;
-    stats_.end_time = std::max(stats_.end_time, ctx.time);
-  }
-  if (deadlocked) {
-    describe_stuck_ranks();
-    hooks_->on_deadlock();
-    CDC_CHECK_MSG(false, "simulation deadlocked");
-  }
-  running_ = false;
-
-  emit_obs_stats();
-  return stats_;
 }
 
 void Simulator::emit_obs_stats() {

@@ -1,15 +1,24 @@
 // The MiniMPI discrete-event simulator.
 //
-// Architecture: one global virtual clock, a (time, sequence)-ordered event
-// queue, and one coroutine per rank. Three event kinds exist — rank resume
-// (compute finished), message delivery (a send's latency elapsed at the
-// receiver), and MF poll (a matching-function call re-examines its request
-// set). Message latency = base + Exp(jitter_mean) drawn from a seeded RNG;
-// the same seed reproduces a run bit-for-bit, different seeds permute
+// Architecture: one coroutine per rank, and one event heap and virtual
+// clock per rank (a shard). Five event kinds exist — rank resume (compute
+// finished), message delivery (a send's latency elapsed at the receiver),
+// MF poll (a matching-function call re-examines its request set), and the
+// fault plan's rank kills and MF timeouts. Message latency = base +
+// Exp(jitter_mean) drawn from the sender's seeded RNG stream; the same
+// seed reproduces a run bit-for-bit, different seeds permute
 // application-level receive orders — the non-determinism the paper's tool
 // records and replays. Per-(source,destination) delivery is forced
 // non-overtaking, matching MPI's ordering guarantee (§3.1 / Figure 3: the
 // MPI level is ordered per channel; the application level is not).
+//
+// run() drives the shards in conservative time windows (DESIGN.md §15):
+// every rank applies its events below the horizon, then all meet at a
+// window barrier where cross-rank deliveries and collectives are resolved
+// and the horizon advances by the lookahead, Config::base_latency. Every
+// event carries a key drawn during its origin rank's own deterministic
+// execution, so each rank applies its events in an order that depends on
+// the seed only — a run is identical at every worker count.
 #pragma once
 
 #include <coroutine>
@@ -23,16 +32,13 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
-#include "minimpi/event_heap.h"
 #include "minimpi/fault.h"
 #include "minimpi/hooks.h"
 #include "minimpi/task.h"
 #include "minimpi/types.h"
 #include "support/check.h"
-#include "support/rng.h"
 
 namespace cdc::minimpi {
 
@@ -150,13 +156,9 @@ class Simulator {
  public:
   struct Config {
     int num_ranks = 1;
-    /// Executor selection. 0 (the default) runs the original sequential
-    /// event loop, byte-for-byte identical to every earlier release. Any
-    /// value >= 1 runs the conservative time-window parallel executor with
-    /// that many worker threads (capped at num_ranks); its schedules are
-    /// deterministic in the seed and *identical for every worker count*,
-    /// but differ from the sequential executor's (per-rank RNG streams —
-    /// see DESIGN.md §15).
+    /// Worker threads that apply each window's events (capped at
+    /// num_ranks). 0 and 1 both mean one worker on the caller's thread.
+    /// The run is identical for every value: only wall time changes.
     int workers = 0;
     std::uint64_t noise_seed = 1;      ///< permutes message arrival orders
     double base_latency = 1.0e-6;      ///< seconds, per message
@@ -200,9 +202,7 @@ class Simulator {
     std::uint64_t mf_failures = 0;  ///< MF calls failed (ULFM-style)
     std::uint64_t mf_timeouts = 0;  ///< subset of mf_failures: timer expiry
     std::uint64_t ranks_failed = 0;  ///< ranks killed by the fault plan
-    /// High-water mark of the event queue (sequential) or the deepest
-    /// per-rank heap (parallel) — the backlog gauge the single-threaded
-    /// path never reported.
+    /// High-water mark of the deepest per-rank event heap.
     std::uint64_t max_queue_depth = 0;
     double end_time = 0.0;  ///< virtual seconds when the last rank finished
   };
@@ -219,8 +219,10 @@ class Simulator {
   void set_program(Rank rank, const Program& program);
 
   /// Runs to completion. Aborts with a diagnostic on deadlock (all ranks
-  /// blocked with an empty event queue) — a deadlock here is always a bug
-  /// in an application or in a replay tool holding back a message forever.
+  /// blocked with no pending event) — a deadlock here is always a bug in
+  /// an application or in a replay tool holding back a message forever.
+  /// An exception thrown by a rank program or a tool hook ends the run and
+  /// propagates out of run().
   Stats run();
 
   [[nodiscard]] int size() const noexcept {
@@ -247,13 +249,9 @@ class Simulator {
   friend struct MFAwaiter;
   friend struct BarrierAwaiter;
   friend struct AllreduceAwaiter;
-  friend class SequentialExecutor;
-  friend class ParallelExecutor;
 
-  /// Per-rank execution shards of the parallel executor (defined in
-  /// parallel_state.h; owned by ParallelExecutor for the duration of one
-  /// run). Non-null exactly while the parallel executor is driving this
-  /// simulator — every mode-aware helper below keys off it.
+  /// Per-rank shards and the window engine (parallel_state.h). run() owns
+  /// one for the duration of the run; par_ points at it meanwhile.
   struct ParallelState;
 
   struct Message {
@@ -277,7 +275,7 @@ class Simulator {
     int tag_spec = kAnyTag;
     bool matched = false;
     bool delivered = false;
-    std::uint64_t match_seq = 0;  ///< global order in which matches happened
+    std::uint64_t match_seq = 0;  ///< order of this rank's matches
     Message message;
   };
 
@@ -287,26 +285,6 @@ class Simulator {
     kPoll,
     kKill,     ///< fault-plan rank kill fires
     kTimeout,  ///< a pending MF call's timeout expired
-  };
-
-  struct Event {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    EventType type = EventType::kResume;
-    Rank rank = -1;
-    std::coroutine_handle<> handle;  // kResume only
-    /// kDeliver: index into in_flight_. kTimeout: the rank's mf_epoch the
-    /// timer was armed for (a stale timer is ignored).
-    std::uint64_t message_index = 0;
-  };
-
-  /// Strict total order (seq is unique), so the heap's pop sequence — and
-  /// therefore the schedule — is independent of its internal layout.
-  struct EventBefore {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time < b.time;
-      return a.seq < b.seq;
-    }
   };
 
   struct RankCtx {
@@ -340,15 +318,14 @@ class Simulator {
     AllreduceAwaiter* allreduce = nullptr;
   };
 
+  /// Pushes a rank-local event onto `rank`'s shard heap. Deliveries go
+  /// through post_isend and the worker outboxes instead.
   void schedule(double time, EventType type, Rank rank,
                 std::coroutine_handle<> handle = nullptr,
-                std::uint64_t message_index = 0);
+                std::uint64_t payload = 0);
   /// Adds fault-plan extra latency (delay spikes, reorder bursts) for one
   /// outgoing message from `src`; returns the adjusted latency.
   double apply_message_faults(double latency, Rank src, Rank dst);
-  /// Schedules a transport duplicate of `msg` if the plan rolls one.
-  void maybe_duplicate(const Message& msg, double arrival,
-                       std::uint64_t channel);
   /// Applies a rank-stall fault to a pending resume/poll time.
   double maybe_stall(double time, Rank rank);
   void try_match_arrival(Rank rank, Message&& message);
@@ -381,55 +358,15 @@ class Simulator {
                      std::span<const std::uint8_t> data);
   Request post_irecv(Rank rank, Rank source, int tag);
 
-  // --- Mode-aware indirections (DESIGN.md §15). The sequential executor
-  // uses the global counters and RNG streams below; under the parallel
-  // executor (par_ != nullptr) each routes to the owning rank's shard so
-  // every allocation order — and every key derived from one — depends only
-  // on that rank's own deterministic execution, never on cross-worker
-  // interleaving.
-  /// The virtual time of the event currently being applied for `rank`.
-  [[nodiscard]] double cur_now(Rank rank) const noexcept;
-  /// Next event/arrival sequence number (one counter serves both, as in
-  /// the sequential path).
-  std::uint64_t alloc_seq(Rank rank);
-  /// Next match sequence number (candidate surfacing order).
-  std::uint64_t alloc_match_seq(Rank rank);
-  /// Stats/fault tallies: the global structs, or the rank's shard.
-  [[nodiscard]] Stats& rank_stats(Rank rank);
-  [[nodiscard]] FaultStats& rank_fault_stats(Rank rank);
-  /// The fault RNG that serves `rank` (sender-side draws).
-  [[nodiscard]] support::Xoshiro256& fault_rng_for(Rank rank);
-
-  /// The original single-threaded event loop (workers == 0).
-  Stats run_sequential();
-  /// Parallel-mode send: per-shard RNG/channel state, delivery via the
-  /// current worker's outbox (defined in parallel_executor.cc).
-  Request par_post_isend(Rank src, Rank dst, int tag,
-                         std::span<const std::uint8_t> data);
-  /// Mirrors the per-run tallies into the obs registry (both executors).
+  /// Mirrors the per-run tallies into the obs registry.
   void emit_obs_stats();
 
   Config config_;
   ToolHooks* hooks_;
   ToolHooks default_hooks_;
-  support::Xoshiro256 noise_;
-  /// Dedicated fault stream: never consulted when the plan is disabled, so
-  /// FaultPlan{} leaves the noise stream — and the run — untouched.
-  support::Xoshiro256 fault_rng_;
-  std::uint32_t burst_remaining_ = 0;
   FaultStats fault_stats_;
   std::vector<RankCtx> ranks_;
-  EventHeap<Event, EventBefore> events_;
-  std::unordered_map<std::uint64_t, Message> in_flight_;
-  std::unordered_map<std::uint64_t, double> channel_last_arrival_;
-  std::unordered_map<std::uint64_t, std::uint64_t> channel_send_seq_;
-  std::unordered_map<std::uint64_t, std::uint64_t> channel_delivered_seq_;
   double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_match_seq_ = 1;
-  std::uint64_t next_message_index_ = 0;
-  int barrier_waiting_ = 0;
-  int allreduce_waiting_ = 0;
   int failed_count_ = 0;
   std::vector<std::vector<double>> allreduce_inputs_;
   Stats stats_;

@@ -88,10 +88,10 @@ struct PipelineReport {
   std::uint64_t sim_faults = 0;
   double sim_virtual_seconds = 0.0;
   /// Event-queue high-water mark (sim.max_queue_depth — the deepest
-  /// per-rank shard heap under the parallel executor).
+  /// per-rank shard heap).
   std::uint64_t sim_max_queue_depth = 0;
 
-  // --- executor section (zero on sequential runs — DESIGN.md §15) ---------
+  // --- executor section (zero when no simulator ran — DESIGN.md §15) ------
   std::uint64_t exec_workers = 0;           ///< worker threads of the run
   std::uint64_t exec_windows = 0;           ///< horizon advances (windows)
   std::uint64_t exec_steals = 0;            ///< cross-worker rank claims

@@ -163,7 +163,6 @@ void OrderProbe::on_fault(minimpi::FaultKind kind, minimpi::Rank rank) {
 }
 
 void OrderProbe::on_parallel_start(int workers) {
-  // Forwarded so a probed Recorder still enters staged-flush mode.
   if (inner_ != nullptr) inner_->on_parallel_start(workers);
 }
 

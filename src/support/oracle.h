@@ -70,7 +70,7 @@ class OrderProbe : public minimpi::ToolHooks {
   void on_parallel_start(int workers) override;
   void on_window(double horizon) override;
 
-  /// Do not read while a parallel run is in flight (valid after run()).
+  /// Do not read while a run is in flight (valid after run()).
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] std::uint64_t total_events() const noexcept;
   [[nodiscard]] std::uint64_t fault_count(minimpi::FaultKind kind) const {
@@ -80,9 +80,9 @@ class OrderProbe : public minimpi::ToolHooks {
 
  private:
   minimpi::ToolHooks* inner_;
-  /// Guards the trace map under the parallel executor. Test-machinery
+  /// Guards the trace map against concurrent workers. Test-machinery
   /// only — the probed product path never takes this lock — so the
-  /// contention is an accepted cost of observing a parallel run.
+  /// contention is an accepted cost of observing a multi-worker run.
   std::mutex trace_mu_;
   Trace trace_;
   std::array<std::atomic<std::uint64_t>, minimpi::kFaultKindCount>

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
+#include "tool/order_digest.h"
 
 namespace cdc::tool {
 
@@ -17,20 +18,10 @@ Recorder::Recorder(int num_ranks, runtime::RecordStore* store,
       sink_(sink != nullptr ? sink : &inline_sink_),
       clocks_(static_cast<std::size_t>(num_ranks)),
       streams_(num_ranks),
-      digests_(static_cast<std::size_t>(num_ranks),
-               0xcbf29ce484222325ull) {
+      due_ranks_(static_cast<std::size_t>(num_ranks), 0),
+      digests_(static_cast<std::size_t>(num_ranks), kOrderDigestBasis) {
   CDC_CHECK(store != nullptr && num_ranks >= 1);
 }
-
-namespace {
-std::uint64_t fnv_mix(std::uint64_t digest, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (value >> (8 * i)) & 0xff;
-    digest *= 0x100000001b3ull;
-  }
-  return digest;
-}
-}  // namespace
 
 std::uint64_t Recorder::order_digest() const {
   std::uint64_t combined = 0;
@@ -85,33 +76,33 @@ void Recorder::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
     event.clock = e.piggyback;
     rec.on_delivered(event);
     auto& digest = digests_[static_cast<std::size_t>(rank)];
-    digest = fnv_mix(digest, callsite);
-    digest = fnv_mix(digest, static_cast<std::uint64_t>(e.source));
-    digest = fnv_mix(digest, e.piggyback);
+    digest = fold_delivery(digest, callsite, e.source, e.piggyback);
     if (rank == options_.clock_trace_rank)
       clock_trace_.push_back(e.piggyback);
   }
-  if (staged_) return;  // deferred to on_window (coordinator, quiesced)
-  const std::uint64_t chunks_before = rec.stats().chunks;
-  rec.flush_if_due(*sink_);
-  if (options_.checkpoint_interval > 0)
-    checkpoint(rec.stats().chunks - chunks_before);
+  if (rec.due()) due_ranks_[static_cast<std::size_t>(rank)] = 1;
 }
 
-void Recorder::on_parallel_start(int /*workers*/) { staged_ = true; }
-
 void Recorder::on_window(double /*horizon*/) {
-  if (!staged_) return;
   // Every worker is quiesced at the window barrier: flush due chunks for
   // all streams in canonical key order. Window boundaries are worker-
   // count-invariant, so the chunk sequence — and the sealed container —
-  // is too.
+  // is too. A stream stays due while no clean cut exists, so its rank
+  // stays marked and is retried at the next barrier.
   std::uint64_t new_chunks = 0;
-  streams_.for_each([&](const runtime::StreamKey&, StreamRecorder& rec) {
-    const std::uint64_t chunks_before = rec.stats().chunks;
-    rec.flush_if_due(*sink_);
-    new_chunks += rec.stats().chunks - chunks_before;
-  });
+  for (std::size_t r = 0; r < due_ranks_.size(); ++r) {
+    if (due_ranks_[r] == 0) continue;
+    bool still_due = false;
+    streams_.for_each_in_row(
+        static_cast<minimpi::Rank>(r),
+        [&](const runtime::StreamKey&, StreamRecorder& rec) {
+          const std::uint64_t chunks_before = rec.stats().chunks;
+          rec.flush_if_due(*sink_);
+          new_chunks += rec.stats().chunks - chunks_before;
+          still_due = still_due || rec.due();
+        });
+    due_ranks_[r] = still_due ? 1 : 0;
+  }
   if (options_.checkpoint_interval > 0) checkpoint(new_chunks);
 }
 

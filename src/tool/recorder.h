@@ -41,17 +41,16 @@ class Recorder : public minimpi::ToolHooks {
   void on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
                   minimpi::MFKind kind,
                   std::span<const minimpi::Completion> events) override;
-  /// Parallel executor attached: switch to staged flushing. Per-rank state
-  /// (clocks, digests, the rank's row of stream recorders) is
-  /// owner-serialized by the executor's one-task-per-rank-per-window rule,
-  /// so even stream creation takes no lock (see tool/stream_table.h); and
-  /// chunk flush/checkpoint I/O moves from on_deliver to on_window so it
-  /// happens single-threaded, in canonical key order — which also makes
-  /// the sealed container byte-identical for every worker count. Record
-  /// byte-identity relies on the inline sink: do not pair a parallel
+  /// Window barrier: flush every stream's due chunks in key order, then
+  /// checkpoint. This is the only place chunks flush during a run. The
+  /// hooks above touch per-rank state only (clocks, digests, the rank's
+  /// row of stream recorders), which the simulator's
+  /// one-task-per-rank-per-window rule keeps owner-serialized, so even
+  /// stream creation takes no lock (see tool/stream_table.h). Flushing
+  /// here runs single-threaded at worker-count-invariant points, so the
+  /// sealed container is byte-identical for every worker count. Record
+  /// byte-identity relies on the inline sink: do not pair a multi-worker
   /// record run with AsyncFrameSink when comparing container bytes.
-  void on_parallel_start(int workers) override;
-  /// Window quiesce point: flush every stream's due chunks in key order.
   void on_window(double horizon) override;
 
   /// Flushes every stream; call once after Simulator::run() returns.
@@ -100,11 +99,13 @@ class Recorder : public minimpi::ToolHooks {
   runtime::RecordStore* store_;
   InlineFrameSink inline_sink_;
   FrameSink* sink_;  ///< &inline_sink_ unless the caller provided one
-  /// True between on_parallel_start and finalize: flushes are deferred to
-  /// on_window.
-  bool staged_ = false;
   std::vector<clock::LamportClock> clocks_;
   StreamTable<StreamRecorder> streams_;
+  /// Per rank: 1 while one of the rank's streams is due (StreamRecorder::
+  /// due). on_window visits only these ranks' rows; every other stream's
+  /// flush_if_due would return at once. A rank's hooks write only its own
+  /// byte.
+  std::vector<std::uint8_t> due_ranks_;
   std::vector<std::uint64_t> clock_trace_;
   std::vector<std::uint64_t> digests_;
   std::uint64_t chunks_since_checkpoint_ = 0;

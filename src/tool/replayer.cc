@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
+#include "tool/order_digest.h"
 
 namespace cdc::tool {
 
@@ -14,8 +15,7 @@ Replayer::Replayer(int num_ranks, const runtime::RecordStore* store,
       store_(store),
       clocks_(static_cast<std::size_t>(num_ranks)),
       streams_(num_ranks),
-      digests_(static_cast<std::size_t>(num_ranks),
-               0xcbf29ce484222325ull) {
+      digests_(static_cast<std::size_t>(num_ranks), kOrderDigestBasis) {
   CDC_CHECK(store != nullptr && num_ranks >= 1);
   CDC_CHECK_MSG(options.codec == RecordCodec::kCdcFull,
                 "replay is implemented for the CDC codec");
@@ -25,16 +25,6 @@ Replayer::Replayer(int num_ranks, const runtime::RecordStore* store,
   CDC_CHECK_MSG(options.identify_callsites,
                 "replay requires MF identification (identify_callsites)");
 }
-
-namespace {
-std::uint64_t fnv_mix(std::uint64_t digest, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (value >> (8 * i)) & 0xff;
-    digest *= 0x100000001b3ull;
-  }
-  return digest;
-}
-}  // namespace
 
 std::uint64_t Replayer::order_digest() const {
   std::uint64_t combined = 0;
@@ -106,12 +96,17 @@ minimpi::SelectResult Replayer::select(
     case StreamReplayer::Decision::Kind::kPassthrough:
       // A partial record is a prefix, not a causally consistent cut: the
       // first stream to run dry releases EVERY stream to passthrough.
-      // Gating the others further would compare free-running Lamport
-      // clocks against recorded ones and mis-identify messages.
-      if (options_.partial_record && !released_) {
-        released_ = true;
+      // Gating the others past the release would compare free-running
+      // Lamport clocks against recorded ones and mis-identify messages.
+      // The release applies at the window barrier (on_window). Until then
+      // the other streams keep gating, which is sound: a message sent
+      // after this point arrives no earlier than base latency later, at or
+      // past the current window's horizon, so no rank sees a post-release
+      // clock before the release applies. The barrier also makes the
+      // verified prefix independent of which worker ran which rank.
+      if (options_.partial_record &&
+          !release_requested_.exchange(true, std::memory_order_relaxed))
         obs::trace_instant("replay.release_passthrough", rank);
-      }
       return ToolHooks::select(rank, callsite, kind, candidates,
                                total_requests, blocking);
     case StreamReplayer::Decision::Kind::kNoMatch:
@@ -168,9 +163,7 @@ void Replayer::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
   auto& digest = digests_[static_cast<std::size_t>(rank)];
   for (const minimpi::Completion& e : events) {
     clock.on_receive(e.piggyback);
-    digest = fnv_mix(digest, callsite);
-    digest = fnv_mix(digest, static_cast<std::uint64_t>(e.source));
-    digest = fnv_mix(digest, e.piggyback);
+    digest = fold_delivery(digest, callsite, e.source, e.piggyback);
   }
   if (released_) return;
   StreamReplayer& rep = stream(rank, callsite);
@@ -193,6 +186,10 @@ bool Replayer::on_stall() {
   obs::counter("replay.stall_releases").add(1);
   obs::trace_instant("replay.stall_release", -1);
   return true;
+}
+
+void Replayer::on_window(double /*horizon*/) {
+  if (release_requested_.load(std::memory_order_relaxed)) released_ = true;
 }
 
 Replayer::Totals Replayer::totals() const {

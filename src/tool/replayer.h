@@ -8,6 +8,7 @@
 // orders — identical between the two runs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -45,6 +46,9 @@ class Replayer : public minimpi::ToolHooks {
   /// all gating so the surviving ranks run to completion in passthrough.
   /// Returns true exactly once; full replay keeps the deadlock abort.
   bool on_stall() override;
+  /// Window barrier: applies a release that select() requested during the
+  /// window (see select()).
+  void on_window(double horizon) override;
 
   /// Configures windowed replay of epochs [epoch_lo, epoch_hi). Must be
   /// called before the run starts (before any hook fires). Every stream's
@@ -82,6 +86,8 @@ class Replayer : public minimpi::ToolHooks {
 
   /// True once a partial-record replay has released every stream to
   /// passthrough (see ToolOptions::partial_record). Always false otherwise.
+  /// The release takes effect at a window barrier, so the verified prefix
+  /// is the same at every worker count.
   [[nodiscard]] bool released() const noexcept { return released_; }
 
   /// Per-stream replay progress — in partial-record mode, the verified
@@ -102,7 +108,11 @@ class Replayer : public minimpi::ToolHooks {
   std::vector<clock::LamportClock> clocks_;
   StreamTable<StreamReplayer> streams_;
   std::vector<std::uint64_t> digests_;
-  bool released_ = false;  ///< partial-record global release fired
+  /// Partial-record global release: requested by whichever stream runs dry
+  /// first (from any worker), applied at the next window barrier. Only the
+  /// coordinator writes released_, while every worker is quiesced.
+  std::atomic<bool> release_requested_{false};
+  bool released_ = false;
   std::uint64_t window_lo_ = 0;
   std::uint64_t window_hi_ = StreamReplayer::kNoChunkLimit;
   bool windowed_ = false;

@@ -67,10 +67,16 @@ class StreamRecorder {
     }
   }
 
+  /// True while a full chunk of matched events is buffered. Only
+  /// on_delivered sets it; a flush that finds a clean cut clears it.
+  [[nodiscard]] bool due() const noexcept {
+    return buffered_matched_ >= options_.chunk_target;
+  }
+
   /// Flushes a chunk if enough matched events are buffered and a clean
   /// epoch cut exists (§3.5).
   void flush_if_due(FrameSink& sink) {
-    if (buffered_matched_ < options_.chunk_target) return;
+    if (!due()) return;
     flush(sink, options_.chunk_target, /*force_all=*/false);
   }
 

@@ -8,7 +8,7 @@
 // and with it the sealed container bytes.
 //
 // The table takes no lock. Only the owning rank's hooks touch a row, and
-// the parallel executor runs one task per rank per window, so a row has a
+// the simulator runs one task per rank per window, so a row has a
 // single writer at a time; the outer vector is never resized. Whole-table
 // walks run while the workers are stopped (window barriers, finalize).
 #pragma once
@@ -36,6 +36,13 @@ class StreamTable {
     if (it == row.end() || it->callsite != callsite)
       it = row.insert(it, Entry{callsite, make()});
     return it->stream;
+  }
+
+  /// Calls f(key, stream) for every stream of `rank`, in callsite order.
+  template <typename F>
+  void for_each_in_row(minimpi::Rank rank, F&& f) {
+    const auto r = static_cast<std::size_t>(rank);
+    for (Entry& e : rows_[r]) f(key(r, e), e.stream);
   }
 
   /// Calls f(key, stream) for every stream in (rank, callsite) order.

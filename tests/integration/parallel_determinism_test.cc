@@ -1,22 +1,22 @@
-// Worker-count invariance of the parallel executor (DESIGN.md §15).
+// Worker-count invariance of the simulator (DESIGN.md §15).
 //
-// The conservative time-window executor's product is determinism: for a
+// The conservative time-window engine's product is determinism: for a
 // fixed (workload, seed, fault plan), every worker count must produce the
 // same run. This suite proves it end to end — 1/2/4/8-worker record runs
 // of taskfarm, MCB and Jacobi must seal byte-identical containers, surface
 // identical application-visible receive traces and bitwise-identical
 // order-sensitive results, and agree on every simulator counter
-// (scheduler_events stays exact under parallel: per-shard counters merged
-// at run end). Fault plans (delay spikes, reorder bursts, duplicates,
-// stalls) and a mid-run rank kill ride the same invariance check, a
-// 64-rank MCB run has workers create streams concurrently, and the
-// 1-worker baseline container is replayed through the sequential engine
-// under the replay-equivalence oracle, closing the loop:
-// record(parallel) → store → replay(sequential) → oracle.
-//
-// (The sequential engine, workers = 0, is a different schedule by design —
-// it is compared against itself elsewhere; this suite pins the parallel
-// engine across worker counts.)
+// (scheduler_events stays exact: per-shard counters merged at run end).
+// Fault plans (delay spikes, reorder bursts, duplicates, stalls) and a
+// mid-run rank kill ride the same invariance check, and a 64-rank MCB run
+// has workers create streams concurrently. Replay closes the loop at
+// every worker count: full replays of each baseline container must be
+// oracle-clean and identical, and a degraded replay of the killed run and
+// a windowed replay of the 64-rank MCB record must verify the same prefix
+// and the same window slices whatever the worker count. Exceptions from
+// the coordinator (tool hooks at window barriers, rank programs resumed
+// by the terminal drain) must propagate out of run() at every worker
+// count.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -242,31 +243,44 @@ RunArtifacts check_worker_invariance(
   return baseline;
 }
 
-/// The oracle leg: the (parallel-recorded) baseline container replayed on
-/// the sequential engine must reproduce the recorded receive order and the
-/// order-sensitive result bitwise.
-void check_replays_sequentially(const Workload& workload, std::uint64_t seed,
-                                RunArtifacts& baseline) {
+/// The oracle leg: the baseline container replayed under another noise
+/// seed at every worker count. Each replay must reproduce the recorded
+/// receive order and the order-sensitive result bitwise and consume the
+/// whole record, and every worker count must surface the same trace.
+void check_replays(const Workload& workload, std::uint64_t seed,
+                   RunArtifacts& baseline,
+                   std::span<const int> worker_counts = kWorkerCounts) {
   const auto store = store::ContainerStore::open(baseline.container_path);
   ASSERT_NE(store, nullptr);
-  tool::Replayer replayer(workload.ranks, store.get(), tool_options());
-  support::OrderProbe probe(&replayer);
-  minimpi::Simulator sim(
-      sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, /*workers=*/0),
-      &probe);
-  const double replayed = workload.run(sim);
-  const support::OracleReport oracle =
-      support::check_equivalence(baseline.trace, probe.trace());
-  EXPECT_TRUE(oracle.ok) << workload.name << ": " << oracle.summary();
-  EXPECT_EQ(replayed, baseline.value) << workload.name;
-  EXPECT_TRUE(replayer.fully_replayed()) << workload.name;
+  support::Trace first_trace;
+  for (const int workers : worker_counts) {
+    const std::string what =
+        workload.name + " replay workers=" + std::to_string(workers);
+    tool::Replayer replayer(workload.ranks, store.get(), tool_options());
+    support::OrderProbe probe(&replayer);
+    minimpi::Simulator sim(
+        sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, workers),
+        &probe);
+    const double replayed = workload.run(sim);
+    const support::OracleReport oracle =
+        support::check_equivalence(baseline.trace, probe.trace());
+    EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
+    EXPECT_EQ(replayed, baseline.value) << what;
+    EXPECT_TRUE(replayer.fully_replayed()) << what;
+    if (workers == worker_counts[0])
+      first_trace = probe.trace();
+    else
+      EXPECT_TRUE(probe.trace() == first_trace)
+          << what << ": trace differs from " << worker_counts[0]
+          << " worker(s)";
+  }
   remove_container(baseline);
 }
 
 void run_suite(const Workload& workload, std::uint64_t seed,
                const minimpi::FaultPlan& plan) {
   RunArtifacts baseline = check_worker_invariance(workload, seed, plan);
-  check_replays_sequentially(workload, seed, baseline);
+  check_replays(workload, seed, baseline);
 }
 
 TEST(ParallelDeterminism, TaskfarmByteIdenticalAcrossWorkerCounts) {
@@ -283,7 +297,56 @@ TEST(ParallelDeterminism, McbManyRanksByteIdentical) {
   const Workload workload = mcb_many_ranks_workload();
   constexpr std::array<int, 3> kWorkers = {1, 4, 8};
   RunArtifacts baseline = check_worker_invariance(workload, 7, {}, kWorkers);
-  check_replays_sequentially(workload, 7, baseline);
+  check_replays(workload, 7, baseline);
+}
+
+TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
+  // Windowed replay releases the whole run to passthrough once the first
+  // stream exhausts its window; the release applies at a window barrier,
+  // so the verified slices must not depend on the worker count.
+  const Workload workload = mcb_many_ranks_workload();
+  RunArtifacts baseline = record_run(workload, 7, {}, /*workers=*/1);
+  const auto store = store::ContainerStore::open(baseline.container_path);
+  ASSERT_NE(store, nullptr);
+  using Slices = std::map<runtime::StreamKey,
+                          std::pair<std::uint64_t, std::uint64_t>>;
+  Slices first_slices;
+  for (const int workers : kWorkerCounts) {
+    const std::string what =
+        "windowed replay workers=" + std::to_string(workers);
+    tool::Replayer replayer(workload.ranks, store.get(), tool_options());
+    replayer.replay_window(1, 3);
+    support::OrderProbe probe(&replayer);
+    minimpi::Simulator sim(
+        sim_config(workload, mix(7 ^ 0x5ca1ab1eull), {}, workers), &probe);
+    workload.run(sim);
+
+    // Each verified slice must be the same interval of the recording.
+    Slices slices;
+    support::Trace recorded_slice;
+    support::Trace replayed_slice;
+    for (const auto& [key, slice] : replayer.window_slices()) {
+      slices[key] = {slice.begin, slice.end};
+      if (slice.end == slice.begin) continue;
+      const auto& recorded = baseline.trace.at(key);
+      const auto& replayed = probe.trace().at(key);
+      ASSERT_LE(slice.end, recorded.size()) << what;
+      ASSERT_LE(slice.end, replayed.size()) << what;
+      const auto b = static_cast<std::ptrdiff_t>(slice.begin);
+      const auto e = static_cast<std::ptrdiff_t>(slice.end);
+      recorded_slice[key].assign(recorded.begin() + b, recorded.begin() + e);
+      replayed_slice[key].assign(replayed.begin() + b, replayed.begin() + e);
+    }
+    const support::OracleReport oracle =
+        support::check_equivalence(recorded_slice, replayed_slice);
+    EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
+    EXPECT_GT(oracle.events_compared, 0u) << what;
+    if (workers == kWorkerCounts[0])
+      first_slices = slices;
+    else
+      EXPECT_EQ(slices, first_slices) << what;
+  }
+  remove_container(baseline);
 }
 
 TEST(ParallelDeterminism, JacobiByteIdenticalAcrossWorkerCounts) {
@@ -294,8 +357,7 @@ TEST(ParallelDeterminism, JacobiByteIdenticalAcrossWorkerCounts) {
 TEST(ParallelDeterminism, TaskfarmRankKillMidRun) {
   const Workload workload = taskfarm_workload();
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
-    // Aim the kill mid-run: probe the span on the same (1-worker parallel)
-    // engine every worker count shares.
+    // Aim the kill mid-run: probe the span of the fault-free run.
     double probe_end = 0.0;
     {
       minimpi::Simulator probe(
@@ -314,26 +376,94 @@ TEST(ParallelDeterminism, TaskfarmRankKillMidRun) {
     RunArtifacts baseline = check_worker_invariance(workload, seed, plan);
     EXPECT_EQ(baseline.fault_stats.rank_kills, 1u) << "seed=" << seed;
 
-    // Degraded replay of the killed run: a fault-free sequential run gated
-    // by the truncated record; the oracle checks the gated prefix.
+    // Degraded replay of the killed run: a fault-free run gated by the
+    // truncated record; the oracle checks the gated prefix, which must be
+    // the same at every worker count.
     const auto store = store::ContainerStore::open(baseline.container_path);
     ASSERT_NE(store, nullptr);
-    tool::Replayer replayer(workload.ranks, store.get(),
-                            tool_options(/*partial_record=*/true));
-    support::OrderProbe probe(&replayer);
-    minimpi::Simulator sim(
-        sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, /*workers=*/0),
-        &probe);
-    workload.run(sim);
-    std::map<runtime::StreamKey, std::uint64_t> prefixes;
-    for (const auto& [key, stats] : replayer.stream_totals())
-      prefixes[key] = stats.replayed_events + stats.replayed_unmatched;
-    const support::OracleReport oracle =
-        support::check_prefix(baseline.trace, probe.trace(), prefixes);
-    EXPECT_TRUE(oracle.ok) << "seed=" << seed << ": " << oracle.summary();
-    EXPECT_TRUE(oracle.events_compared > 0 || replayer.released())
-        << "seed=" << seed << ": killed record gated nothing";
+    std::map<runtime::StreamKey, std::uint64_t> first_prefixes;
+    for (const int workers : {1, 4}) {
+      const std::string what = "seed=" + std::to_string(seed) +
+                               " workers=" + std::to_string(workers);
+      tool::Replayer replayer(workload.ranks, store.get(),
+                              tool_options(/*partial_record=*/true));
+      support::OrderProbe probe(&replayer);
+      minimpi::Simulator sim(
+          sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, workers),
+          &probe);
+      workload.run(sim);
+      std::map<runtime::StreamKey, std::uint64_t> prefixes;
+      for (const auto& [key, stats] : replayer.stream_totals())
+        prefixes[key] = stats.replayed_events + stats.replayed_unmatched;
+      const support::OracleReport oracle =
+          support::check_prefix(baseline.trace, probe.trace(), prefixes);
+      EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
+      EXPECT_TRUE(oracle.events_compared > 0 || replayer.released())
+          << what << ": killed record gated nothing";
+      if (workers == 1)
+        first_prefixes = prefixes;
+      else
+        EXPECT_EQ(prefixes, first_prefixes) << what;
+    }
     remove_container(baseline);
+  }
+}
+
+/// A tool whose window-barrier hook fails: the exception surfaces on the
+/// coordinator, between windows.
+class ThrowingWindowTool final : public minimpi::ToolHooks {
+ public:
+  void on_window(double /*horizon*/) override {
+    if (++windows_ == 3) throw std::runtime_error("on_window failed");
+  }
+
+ private:
+  int windows_ = 0;
+};
+
+TEST(ParallelDeterminism, CoordinatorExceptionsPropagateOutOfRun) {
+  for (const int workers : {1, 2, 4}) {
+    const std::string what = "workers=" + std::to_string(workers);
+    {
+      // A tool hook at a window barrier throws.
+      const Workload workload = taskfarm_workload();
+      ThrowingWindowTool tool;
+      minimpi::Simulator sim(sim_config(workload, 1, {}, workers), &tool);
+      try {
+        workload.run(sim);
+        ADD_FAILURE() << what << ": run() returned normally";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "on_window failed") << what;
+      }
+      // run() let go of the simulator: reinstalling a program is legal.
+      sim.set_program(0, [](minimpi::Comm&) -> minimpi::Task { co_return; });
+    }
+    {
+      // A rank program throws when its wait fails after a rank kill; the
+      // terminal drain resumes it on the coordinator.
+      minimpi::Simulator::Config config;
+      config.num_ranks = 4;
+      config.workers = workers;
+      config.faults.kills.push_back(minimpi::RankKill{1, 1e-6});
+      minimpi::Simulator sim(config);
+      sim.set_program([](minimpi::Comm& comm) -> minimpi::Task {
+        if (comm.rank() == 0) {
+          minimpi::Request r = comm.irecv(1, 7);
+          const minimpi::MFResult res = co_await comm.wait(r);
+          if (res.failed) throw std::runtime_error("peer failed");
+        } else {
+          co_await comm.compute(1e-3);  // rank 1 dies in here
+          if (comm.rank() == 1) comm.isend(0, 7, std::vector<std::uint8_t>{1});
+        }
+      });
+      try {
+        sim.run();
+        ADD_FAILURE() << what << ": run() returned normally";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "peer failed") << what;
+      }
+      sim.set_program(0, [](minimpi::Comm&) -> minimpi::Task { co_return; });
+    }
   }
 }
 
