@@ -23,10 +23,10 @@
 #include "common.h"
 #include "compress/crc32.h"
 #include "compress/deflate.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
 #include "store/compression_service.h"
 #include "support/rng.h"
-#include "support/stats.h"
 #include "tool/frame.h"
 #include "tool/frame_sink.h"
 #include "tool/recorder.h"
@@ -120,7 +120,7 @@ int main() {
   for (const Row& row : rows) {
     const double bytes = static_cast<double>(row.bytes);
     std::printf("%-18s %12s %14.3f %9.1fx %9.2fx\n", row.label,
-                support::format_bytes(bytes).c_str(),
+                obs::format_bytes(bytes).c_str(),
                 bytes / static_cast<double>(row.events), raw / bytes,
                 gz / bytes);
   }
@@ -158,7 +158,7 @@ int main() {
   std::printf("\nstore/ compression service on %zu sealed chunks "
               "(%s raw):\n",
               jobs.size(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(job_raw_bytes)).c_str());
   std::printf("%-10s %10s %12s %10s\n", "path", "seconds", "MB/s",
               "speedup");
@@ -299,7 +299,7 @@ int main() {
 
   std::printf("\ndeflate levels on a deterministic %s record-like corpus "
               "(seed-era default: %.2f MB/s, ratio %.3f):\n",
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(kCorpusBytes)).c_str(),
               levels[1].seed_mb_per_s, levels[1].seed_ratio);
   std::printf("%-10s %10s %10s %12s %10s\n", "level", "MB/s", "ratio",

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "common.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 
 int main() {
@@ -26,7 +26,7 @@ int main() {
   apps::run_mcb(sim, bench::mcb_config(ranks));
   recorder.finalize();
 
-  support::Histogram histogram(0.0, 100.0, 20);
+  obs::FixedHistogram histogram(0.0, 100.0, 20);
   for (const double p : recorder.permutation_percentages())
     histogram.add(100.0 * p);
 

@@ -9,8 +9,8 @@
 
 #include "apps/jacobi.h"
 #include "common.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 
 namespace {
@@ -59,10 +59,10 @@ int main() {
               static_cast<unsigned long long>(events), iterations);
   std::printf("%-8s %12s %14s\n", "method", "record size", "bytes/event");
   std::printf("%-8s %12s %14.4f\n", "gzip",
-              support::format_bytes(static_cast<double>(gzip_bytes)).c_str(),
+              obs::format_bytes(static_cast<double>(gzip_bytes)).c_str(),
               static_cast<double>(gzip_bytes) / static_cast<double>(events));
   std::printf("%-8s %12s %14.4f\n", "CDC",
-              support::format_bytes(static_cast<double>(cdc_bytes)).c_str(),
+              obs::format_bytes(static_cast<double>(cdc_bytes)).c_str(),
               static_cast<double>(cdc_bytes) / static_cast<double>(events));
   std::printf("\nCDC / gzip = %.1f%%\n",
               100.0 * static_cast<double>(cdc_bytes) /

@@ -34,8 +34,8 @@
 
 #include "common.h"
 #include "corpus/corpus.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 
 namespace {
@@ -215,9 +215,9 @@ int main() {
               "Σ gzip records", "vs gzip");
   for (const CurveRow& row : curve) {
     std::printf("%8d %16s %16s %8.2fx\n", row.members,
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(row.corpus_bytes)).c_str(),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(row.gzip_bytes)).c_str(),
                 static_cast<double>(row.gzip_bytes) /
                     static_cast<double>(row.corpus_bytes));
@@ -225,8 +225,8 @@ int main() {
   std::printf(
       "\nrows corpus (corpus as the only compressor): %s for %s raw "
       "(%.2fx dedup, %.2fx vs the gzip records)\n",
-      support::format_bytes(static_cast<double>(rows_corpus_bytes)).c_str(),
-      support::format_bytes(static_cast<double>(sum_raw)).c_str(),
+      obs::format_bytes(static_cast<double>(rows_corpus_bytes)).c_str(),
+      obs::format_bytes(static_cast<double>(sum_raw)).c_str(),
       rows_dedup, rows_vs_gzip);
   const corpus::CorpusStats& rs = rows_reader->stats();
   std::printf(

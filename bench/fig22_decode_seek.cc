@@ -23,11 +23,11 @@
 
 #include "common.h"
 #include "compress/deflate.h"
+#include "obs/stats.h"
 #include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
 #include "support/rng.h"
-#include "support/stats.h"
 #include "tool/frame_sink.h"
 #include "tool/options.h"
 #include "tool/recorder.h"
@@ -80,7 +80,7 @@ int main() {
                                   {compress::DeflateLevel::kBest}};
   std::printf("codec on a deterministic %s record-like corpus "
               "(min of %d encode / %d decode passes):\n",
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(kCorpusBytes)).c_str(),
               kEncodeReps, kDecodeReps);
   std::printf("%-10s %14s %14s %14s\n", "level", "deflate MB/s",
@@ -205,12 +205,12 @@ int main() {
   std::printf("\nepoch-index seeks over %zu streams, %llu epochs deep "
               "(%s framed; min of %d passes):\n",
               keys.size(), static_cast<unsigned long long>(epochs),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(frame_bytes)).c_str(),
               kSeekReps);
   std::printf("%-22s %12s %12s\n", "window", "seconds", "bytes read");
   std::printf("%-22s %12.6f %12s\n", "full record", full_seconds,
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(frame_bytes)).c_str());
   double seek_min = 1e30;
   double seek_max = 0;
@@ -220,7 +220,7 @@ int main() {
                   static_cast<unsigned long long>(row.lo),
                   static_cast<unsigned long long>(row.lo + 1));
     std::printf("%-22s %12.6f %12s\n", label, row.seconds,
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(row.bytes)).c_str());
     seek_min = std::min(seek_min, row.seconds);
     seek_max = std::max(seek_max, row.seconds);

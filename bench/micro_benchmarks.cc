@@ -1,8 +1,9 @@
 // Microbenchmarks of the CDC building blocks (google-benchmark).
 //
-// Covers the §6.2 queue-rate story (the CDC thread drains events far
-// faster than the application produces them: 331K vs 258 events/s in the
-// paper), the §4.1 fast edit-distance algorithm, LP encoding, the DEFLATE
+// Covers the §6.2 recording rate (BM_RecordPipeline<kCdcFull> runs the
+// StreamRecorder that Recorder uses, buffering plus chunk encode, against
+// the paper's 331K events/s recording rate and 258 events/s application
+// rate), the §4.1 fast edit-distance algorithm, LP encoding, the DEFLATE
 // entropy stage, the end-to-end chunk encode path, and the per-event
 // record/replay hook path of one stream.
 #include <benchmark/benchmark.h>
@@ -20,15 +21,12 @@
 #include "record/baseline.h"
 #include "store/compression_service.h"
 #include "store/mpmc_queue.h"
-#include "store/sharded_store.h"
 #include "record/chunk.h"
 #include "record/edit_distance.h"
 #include "record/fast_permutation.h"
 #include "record/lp.h"
-#include "runtime/spsc_queue.h"
 #include "runtime/storage.h"
 #include "support/rng.h"
-#include "tool/async_recorder.h"
 #include "tool/stream_recorder.h"
 #include "tool/stream_replayer.h"
 
@@ -338,20 +336,6 @@ void BM_BaselineSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineSerialize)->Arg(100000);
 
-// --- §4.2 queue rates ---------------------------------------------------------
-
-void BM_SpscQueueThroughput(benchmark::State& state) {
-  runtime::SpscQueue<record::ReceiveEvent> queue(1 << 12);
-  const record::ReceiveEvent event{true, false, 1, 42};
-  record::ReceiveEvent out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(queue.try_push(event));
-    benchmark::DoNotOptimize(queue.try_pop(out));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscQueueThroughput);
-
 // --- src/minimpi/ event queue -------------------------------------------------
 
 /// The key shape of the simulator's events: (time, seq) with a strict
@@ -431,28 +415,6 @@ void BM_EventQueueFillDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFillDrain)->Arg(4096)->Arg(65536);
 
-// --- §4.2 record queue rates --------------------------------------------------
-
-void BM_AsyncRecorderDrain(benchmark::State& state) {
-  // End-to-end: application thread enqueues, the dedicated CDC thread
-  // encodes and "writes". items/sec here is the sustainable recording
-  // rate — the paper measured 331K events/s/process against an
-  // application producing only 258 events/s/process.
-  const auto events = mcb_like_events(100000);
-  for (auto _ : state) {
-    runtime::CountingStore store;
-    tool::AsyncRecorder::Config config;
-    config.key = {0, 1};
-    tool::AsyncRecorder recorder(config, &store);
-    for (const auto& e : events) recorder.enqueue(e);
-    recorder.finalize();
-    benchmark::DoNotOptimize(store.total_bytes());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_AsyncRecorderDrain)->Unit(benchmark::kMillisecond);
-
 // --- src/store/ pipeline ------------------------------------------------------
 
 void BM_MpmcQueueThroughput(benchmark::State& state) {
@@ -465,18 +427,6 @@ void BM_MpmcQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MpmcQueueThroughput);
-
-void BM_ShardedStoreAppend(benchmark::State& state) {
-  const std::vector<std::uint8_t> chunk(256, 7);
-  store::ShardedStore sharded;
-  std::uint32_t callsite = 0;
-  for (auto _ : state) {
-    sharded.append({0, callsite++ % 64}, chunk);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(chunk.size()));
-}
-BENCHMARK(BM_ShardedStoreAppend);
 
 void BM_CompressionService(benchmark::State& state) {
   // DEFLATE of sealed gzip-baseline chunks through the worker pool,

@@ -1,14 +1,15 @@
 // cdc_run — command-line record/replay driver (the "release binary").
 //
 // Runs one of the bundled applications on the simulator, optionally under
-// the CDC recorder or replayer, with a file-backed record directory — the
-// workflow a user of the real tool would follow:
+// the CDC recorder or replayer, with the record kept in one sealed record
+// container file (the format record_inspector reads) — the workflow a user
+// of the real tool would follow:
 //
 //   # 1. the bug manifests under some network condition: record it
-//   $ ./cdc_run --app mcb --ranks 16 --seed 3 --mode record --dir /tmp/rec
+//   $ ./cdc_run --app mcb --ranks 16 --seed 3 --mode record --file rec.cdcc
 //
 //   # 2. debug: replay as many times as needed, any network condition
-//   $ ./cdc_run --app mcb --ranks 16 --seed 77 --mode replay --dir /tmp/rec
+//   $ ./cdc_run --app mcb --ranks 16 --seed 77 --mode replay --file rec.cdcc
 //
 // Modes: plain (default) | record | replay.  Apps: mcb | jacobi | taskfarm.
 #include <cstdio>
@@ -21,8 +22,8 @@
 #include "apps/mcb.h"
 #include "apps/taskfarm.h"
 #include "minimpi/simulator.h"
-#include "runtime/storage.h"
-#include "support/stats.h"
+#include "obs/stats.h"
+#include "store/container_store.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -33,7 +34,7 @@ using namespace cdc;
 struct Options {
   std::string app = "mcb";
   std::string mode = "plain";
-  std::string dir = "/tmp/cdc_run_record";
+  std::string file = "/tmp/cdc_run_record.cdcc";
   int ranks = 16;
   std::uint64_t seed = 1;
   std::size_t chunk_target = 4096;
@@ -44,7 +45,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--app mcb|jacobi|taskfarm] [--mode "
                "plain|record|replay]\n"
-               "          [--ranks N] [--seed S] [--dir PATH] [--scale N] "
+               "          [--ranks N] [--seed S] [--file PATH] [--scale N] "
                "[--chunk N]\n",
                argv0);
 }
@@ -63,10 +64,10 @@ bool parse(int argc, char** argv, Options& options) {
       const char* v = next();
       if (v == nullptr) return false;
       options.mode = v;
-    } else if (arg == "--dir") {
+    } else if (arg == "--file") {
       const char* v = next();
       if (v == nullptr) return false;
-      options.dir = v;
+      options.file = v;
     } else if (arg == "--ranks") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
   sim_config.num_ranks = options.ranks;
   sim_config.noise_seed = options.seed;
 
-  std::unique_ptr<runtime::FileStore> store;
+  std::unique_ptr<store::ContainerStore> container;
   std::unique_ptr<tool::Recorder> recorder;
   std::unique_ptr<tool::Replayer> replayer;
   tool::ToolOptions tool_options;
@@ -145,14 +146,14 @@ int main(int argc, char** argv) {
 
   minimpi::ToolHooks* hooks = nullptr;
   if (options.mode == "record") {
-    store = std::make_unique<runtime::FileStore>(options.dir);
-    recorder = std::make_unique<tool::Recorder>(options.ranks, store.get(),
-                                                tool_options);
+    container = std::make_unique<store::ContainerStore>(options.file);
+    recorder = std::make_unique<tool::Recorder>(
+        options.ranks, container.get(), tool_options);
     hooks = recorder.get();
   } else if (options.mode == "replay") {
-    store = std::make_unique<runtime::FileStore>(options.dir);
-    replayer = std::make_unique<tool::Replayer>(options.ranks, store.get(),
-                                                tool_options);
+    container = store::ContainerStore::open(options.file);
+    replayer = std::make_unique<tool::Replayer>(
+        options.ranks, container.get(), tool_options);
     hooks = replayer.get();
   }
 
@@ -165,13 +166,14 @@ int main(int argc, char** argv) {
   std::printf("result   : %.17g\n", result);
   if (recorder) {
     recorder->finalize();
+    container->seal();
     const auto totals = recorder->totals();
     std::printf("recorded : %llu events, %llu chunks, %s -> %s\n",
                 static_cast<unsigned long long>(totals.matched_events),
                 static_cast<unsigned long long>(totals.chunks),
-                support::format_bytes(
-                    static_cast<double>(store->total_bytes())).c_str(),
-                options.dir.c_str());
+                obs::format_bytes(
+                    static_cast<double>(container->total_bytes())).c_str(),
+                options.file.c_str());
     std::printf("digest   : %016llx\n",
                 static_cast<unsigned long long>(recorder->order_digest()));
   }

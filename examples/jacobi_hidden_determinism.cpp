@@ -13,8 +13,8 @@
 
 #include "apps/jacobi.h"
 #include "minimpi/simulator.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
 
   std::printf("final residual       : %.6e\n", residual);
   std::printf("gzip record size     : %s\n",
-              cdc::support::format_bytes(
+              cdc::obs::format_bytes(
                   static_cast<double>(gzip_bytes)).c_str());
   std::printf("CDC  record size     : %s (%.1f%% of gzip)\n",
-              cdc::support::format_bytes(
+              cdc::obs::format_bytes(
                   static_cast<double>(cdc_bytes)).c_str(),
               100.0 * static_cast<double>(cdc_bytes) /
                   static_cast<double>(gzip_bytes));

@@ -13,8 +13,8 @@
 
 #include "apps/mcb.h"
 #include "minimpi/simulator.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(totals.matched_events),
               static_cast<unsigned long long>(totals.unmatched_events));
   std::printf("  record size: %s (%.3f bytes/event)\n",
-              cdc::support::format_bytes(
+              cdc::obs::format_bytes(
                   static_cast<double>(store.total_bytes()))
                   .c_str(),
               static_cast<double>(store.total_bytes()) /

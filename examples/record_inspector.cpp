@@ -7,7 +7,6 @@
 // sizes. Handy when debugging the tool itself or sizing records.
 //
 //   $ ./record_inspector                     # self-contained demo
-//   $ ./record_inspector --dir <path>        # inspect a FileStore record
 //   $ ./record_inspector --container <file>  # inspect a record container
 //   $ ./record_inspector --verify <file>     # CRC-verify a container
 //   $ ./record_inspector --repack <in> <out> # salvage/compact a container
@@ -40,15 +39,14 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
 #include "record/chunk.h"
 #include "runtime/storage.h"
 #include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
-#include "store/decompression_service.h"
 #include "support/oracle.h"
-#include "support/stats.h"
 #include "tool/degraded.h"
 #include "tool/frame.h"
 #include "tool/frame_sink.h"
@@ -119,7 +117,7 @@ void inspect(const runtime::RecordStore& store) {
                         static_cast<double>(total_events)
                   : 0.0,
               static_cast<unsigned long long>(total_values),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(store.total_bytes())).c_str(),
               total_events > 0
                   ? static_cast<double>(store.total_bytes()) /
@@ -173,9 +171,9 @@ int repack(const std::string& in_path, const std::string& out_path) {
               in_path.c_str(), out_path.c_str(),
               static_cast<unsigned long long>(result.frames_kept),
               static_cast<unsigned long long>(result.frames_dropped),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(result.bytes_in)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(result.bytes_out)).c_str());
   return verify_container(out_path);
 }
@@ -386,50 +384,32 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
   }
   if (hi > epochs) hi = epochs;
 
-  // How much of the record the seek actually touches — and a parallel
-  // decode of the window through the DecompressionService (the replay
-  // side's twin of the recording CompressionService).
+  // How much of the record the seek actually touches, and what it inflates
+  // to — frame by frame, the way replay decodes.
   std::uint64_t window_stored = 0;
   std::uint64_t window_raw = 0;
-  store::DecompressionService::Config decode_config;
-  decode_config.workers = 2;
-  store::DecompressionService decode(decode_config);
   for (const runtime::StreamKey& key : store->keys()) {
-    std::vector<std::uint8_t> bytes = store->read_prefix(key, hi);
+    const std::vector<std::uint8_t> bytes = store->read_prefix(key, hi);
     window_stored += bytes.size();
-    decode.submit(
-        key,
-        [bytes = std::move(bytes)](std::vector<std::uint8_t> reuse) {
-          reuse.clear();
-          support::ByteReader reader(bytes);
-          while (auto frame = tool::read_frame(reader))
-            reuse.insert(reuse.end(), frame->payload.begin(),
-                         frame->payload.end());
-          return reuse;
-        },
-        [&window_raw](const runtime::StreamKey&,
-                      std::span<const std::uint8_t> raw) {
-          window_raw += raw.size();
-        });
+    support::ByteReader reader(bytes);
+    while (auto frame = tool::read_frame(reader))
+      window_raw += frame->payload.size();
   }
-  decode.drain();
   const std::uint64_t total_stored = store->total_bytes();
   std::printf("record  : %zu streams, %llu epochs deep, %s framed\n",
               store->keys().size(),
               static_cast<unsigned long long>(epochs),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(total_stored)).c_str());
-  std::printf("seek    : epochs [0, %llu) cover %s (%.1f%% of the record); "
-              "%llu decode jobs on %zu workers -> %s raw\n",
+  std::printf("seek    : epochs [0, %llu) cover %s (%.1f%% of the record) "
+              "-> %s raw\n",
               static_cast<unsigned long long>(hi),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(window_stored)).c_str(),
               total_stored > 0 ? 100.0 * static_cast<double>(window_stored) /
                                      static_cast<double>(total_stored)
                                : 0.0,
-              static_cast<unsigned long long>(decode.stats().jobs),
-              decode.stats().workers,
-              support::format_bytes(static_cast<double>(window_raw)).c_str());
+              obs::format_bytes(static_cast<double>(window_raw)).c_str());
 
   // Windowed replay under yet another schedule; the stream bytes must come
   // from the epoch-index seek, so the fallback counter must not move.
@@ -510,11 +490,11 @@ int corpus_stats(const std::string& path) {
               static_cast<unsigned long long>(stats.families),
               static_cast<unsigned long long>(stats.streams));
   std::printf("  %s raw -> %s stored in %s on disk (dedup %.2fx)\n",
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(stats.raw_bytes)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(stats.stored_bytes)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(reader->file_bytes())).c_str(),
               stats.dedup_ratio());
   std::printf("  streams by encoding:");
@@ -537,7 +517,7 @@ int corpus_stats(const std::string& path) {
   if (!sizes.empty()) {
     std::printf("  chunk table: %llu chunks, %s unique content\n",
                 static_cast<unsigned long long>(stats.chunk_count),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.chunk_bytes)).c_str());
     // Log2 size histogram, the usual CDC sanity view: the mass should sit
     // between min_size and max_size with a mode near avg_size.
@@ -605,9 +585,9 @@ int demo(compress::DeflateLevel level) {
     std::printf("\ncompression service: %llu chunks on %zu workers, "
                 "%s raw -> %s stored\n",
                 static_cast<unsigned long long>(stats.jobs), stats.workers,
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.raw_bytes)).c_str(),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.encoded_bytes)).c_str());
   }
   std::printf("\nrecord container left at %s; verifying it:\n", file.c_str());
@@ -619,7 +599,6 @@ int usage(const char* prog, int code) {
       "usage: %s [mode] [--level <stored|fast|default|best>]\n"
       "modes:\n"
       "  (none)                 record and dissect a demo MCB run\n"
-      "  --dir <path>           inspect a FileStore record directory\n"
       "  --container <file>     inspect a record container\n"
       "  --verify <file>        CRC-verify a container\n"
       "  --repack <in> <out>    salvage/compact a container\n"
@@ -667,8 +646,8 @@ int main(int argc, char** argv) {
   // Every flag must be one the dispatch below understands: an unknown
   // flag is an error, not something to silently ignore.
   static const char* const known_flags[] = {
-      "--dir",  "--container", "--verify", "--repack",
-      "--gaps", "--stats",     "--corpus", "--window", "--help"};
+      "--container", "--verify", "--repack", "--gaps",
+      "--stats",     "--corpus", "--window", "--help"};
   for (int i = 1; i < argc; ++i) {
     if (argv[i][0] != '-') continue;
     bool known = false;
@@ -711,14 +690,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return window_demo(level, lo, hi);
-  }
-  if (is(1, "--dir") && argc == 3) {
-    runtime::FileStore store(argv[2]);
-    // FileStore discovers nothing on its own; rebuild keys from names is
-    // out of scope — inspect freshly recorded directories instead.
-    std::printf("inspecting existing record directory: %s\n\n", argv[2]);
-    inspect(store);
-    return 0;
   }
   if (argc > 1) return usage(argv[0], 2);
   return demo(level);

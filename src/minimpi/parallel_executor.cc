@@ -176,7 +176,8 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     // nothing processed — the idle-imbalance signal, not mere arrivals.
     obs::counter("sim.exec.barrier_waits").add(idle);
     obs::counter("sim.exec.horizon_advances").add(windows);
-    obs::gauge("sim.exec.workers").add(workers);
+    obs::histogram("sim.exec.workers")
+        .record(static_cast<std::uint64_t>(workers));
   }
   return sim.stats_;
 }

@@ -499,7 +499,9 @@ void Simulator::poll_mf(Rank rank) {
     case SelectResult::Action::kDeliver: {
       CDC_CHECK_MSG(!selection.indices.empty(),
                     "kDeliver with an empty index list");
-      if (!is_multi_delivery(mf.kind)) selection.indices.resize(1);
+      if (!is_multi_delivery(mf.kind))
+        selection.indices.erase(selection.indices.begin() + 1,
+                                selection.indices.end());
 
       // Phase A: extract the selected messages, releasing their current
       // bindings.
@@ -857,10 +859,11 @@ void Simulator::emit_obs_stats() {
   obs::counter("sim.ranks_failed").add(stats_.ranks_failed);
   obs::counter("sim.mf_failures").add(stats_.mf_failures);
   obs::counter("sim.mf_timeouts").add(stats_.mf_timeouts);
-  obs::gauge("sim.max_queue_depth")
-      .add(static_cast<std::int64_t>(stats_.max_queue_depth));
-  obs::gauge("sim.virtual_time_us")
-      .add(static_cast<std::int64_t>(stats_.end_time * 1e6));
+  // Per-run values: one sample per run, so the snapshot's exact max is the
+  // largest run's and the count is the number of runs.
+  obs::histogram("sim.max_queue_depth").record(stats_.max_queue_depth);
+  obs::histogram("sim.virtual_time_us")
+      .record(static_cast<std::uint64_t>(stats_.end_time * 1e6));
   obs::publish_virtual_now(stats_.end_time);
 }
 

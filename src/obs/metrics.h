@@ -3,10 +3,10 @@
 //
 // Hot-path contract: one record is a relaxed atomic add into a per-thread
 // shard (thread_index() masked down to kMetricShards cache-line-padded
-// slots), so the CompressionService workers, the AsyncRecorder consumer,
-// and the simulator event loop can all hammer the same metric without a
-// shared cache line. Values are merged only at snapshot time. When the
-// layer is runtime-disabled every record call is a relaxed load + branch;
+// slots), so the CompressionService workers and the simulator's worker
+// threads can all hammer the same metric without a shared cache line.
+// Values are merged only at snapshot time. When the layer is
+// runtime-disabled every record call is a relaxed load + branch;
 // built with -DCDC_OBS_DISABLED the calls compile away entirely.
 //
 // Handles returned by the registry are valid for the process lifetime —

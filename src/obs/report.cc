@@ -120,20 +120,19 @@ PipelineReport PipelineReport::from_snapshot(
   r.pool_misses = s.counter_or("store.pool.misses");
   r.pool_recycled_bytes = s.counter_or("store.pool.recycled_bytes");
 
-  r.async_enqueued = s.counter_or("tool.async.enqueued");
-  r.async_dequeued = s.counter_or("tool.async.dequeued");
-  r.async_producer_stalls = s.counter_or("tool.async.producer_stalls");
-
   r.sim_messages = s.counter_or("sim.messages_sent");
   r.sim_events = s.counter_or("sim.scheduler_events");
   r.sim_mf_calls = s.counter_or("sim.mf_calls");
   r.sim_faults = s.counter_or("sim.faults");
-  if (const GaugeValue* vt = s.find_gauge("sim.virtual_time_us"))
-    r.sim_virtual_seconds = static_cast<double>(vt->value) * 1e-6;
-  if (const GaugeValue* qd = s.find_gauge("sim.max_queue_depth"))
-    r.sim_max_queue_depth = static_cast<std::uint64_t>(qd->value);
-  if (const GaugeValue* workers = s.find_gauge("sim.exec.workers"))
-    r.exec_workers = static_cast<std::uint64_t>(workers->value);
+  // One sample per run: the exact max is the largest run's value.
+  if (const HistogramValue* vt = s.find_histogram("sim.virtual_time_us"))
+    r.sim_virtual_seconds = static_cast<double>(vt->max) * 1e-6;
+  if (const HistogramValue* qd = s.find_histogram("sim.max_queue_depth"))
+    r.sim_max_queue_depth = qd->max;
+  if (const HistogramValue* workers = s.find_histogram("sim.exec.workers")) {
+    r.exec_runs = workers->count;
+    r.exec_workers = workers->max;
+  }
   r.exec_windows = s.counter_or("sim.exec.horizon_advances");
   r.exec_steals = s.counter_or("sim.exec.steals");
   r.exec_barrier_waits = s.counter_or("sim.exec.barrier_waits");
@@ -143,13 +142,6 @@ PipelineReport PipelineReport::from_snapshot(
   r.writer_payload_bytes = s.counter_or("store.container.payload_bytes");
 
   fill_stage(s, r.stage_inflate, "record.stage.inflate");
-  r.decode_jobs = s.counter_or("store.decode.jobs");
-  r.decode_bytes = s.counter_or("store.decode.decoded_bytes");
-  r.decode_submit_stalls = s.counter_or("store.decode.submit_stalls");
-  r.decode_queue_depth = dist_or_empty(s, "store.decode.queue_depth");
-  r.decode_ns = dist_or_empty(s, "store.decode.decode_ns");
-  r.decode_commit_wait_ns =
-      dist_or_empty(s, "store.decode.commit_wait_ns");
   r.epoch_streams = s.counter_or("store.container.epoch_streams");
   r.epoch_fallbacks = s.counter_or("store.container.epoch_fallbacks");
 
@@ -302,21 +294,9 @@ std::string PipelineReport::to_json() const {
   w.end_object();
 
   w.key("decode").begin_object();
-  w.field("jobs", decode_jobs);
-  w.field("decoded_bytes", decode_bytes);
-  w.field("submit_stalls", decode_submit_stalls);
   w.field("inflate_mb_per_s", inflate_mb_per_s());
   w.field("epoch_streams", epoch_streams);
   w.field("epoch_fallbacks", epoch_fallbacks);
-  write_dist(w, "queue_depth", decode_queue_depth);
-  write_dist(w, "decode_ns", decode_ns);
-  write_dist(w, "commit_wait_ns", decode_commit_wait_ns);
-  w.end_object();
-
-  w.key("async_recorder").begin_object();
-  w.field("enqueued", async_enqueued);
-  w.field("dequeued", async_dequeued);
-  w.field("producer_stalls", async_producer_stalls);
   w.end_object();
 
   w.key("simulator").begin_object();
@@ -327,6 +307,7 @@ std::string PipelineReport::to_json() const {
   w.field("virtual_seconds", sim_virtual_seconds);
   w.field("max_queue_depth", sim_max_queue_depth);
   w.key("executor").begin_object();
+  w.field("runs", exec_runs);
   w.field("workers", exec_workers);
   w.field("windows", exec_windows);
   w.field("steals", exec_steals);
@@ -428,17 +409,19 @@ void PipelineReport::print(std::FILE* out) const {
     std::fprintf(out,
                  "simulator : %" PRIu64 " events, %" PRIu64
                  " messages, %" PRIu64 " MF calls, %" PRIu64
-                 " faults, %.6f virtual s\n",
+                 " faults, %.6f virtual s (longest run)\n",
                  sim_events, sim_messages, sim_mf_calls, sim_faults,
                  sim_virtual_seconds);
-  if (exec_workers > 0)
+  if (exec_runs > 0)
     std::fprintf(out,
-                 "executor  : %" PRIu64 " workers, %" PRIu64
-                 " windows, %" PRIu64 " steals, %" PRIu64
+                 "executor  : %" PRIu64 " run(s), max %" PRIu64
+                 " worker(s), %" PRIu64 " windows, %" PRIu64
+                 " steals, %" PRIu64
                  " idle worker-windows; events/worker p50 %.0f max %" PRIu64
                  "\n",
-                 exec_workers, exec_windows, exec_steals, exec_barrier_waits,
-                 exec_worker_events.p50, exec_worker_events.max);
+                 exec_runs, exec_workers, exec_windows, exec_steals,
+                 exec_barrier_waits, exec_worker_events.p50,
+                 exec_worker_events.max);
   if (events_matched > 0) {
     std::fprintf(out,
                  "record    : %" PRIu64 " matched + %" PRIu64
@@ -493,23 +476,11 @@ void PipelineReport::print(std::FILE* out) const {
                  bytes(stage_inflate.bytes_in).c_str(),
                  bytes(stage_inflate.bytes_out).c_str(),
                  inflate_mb_per_s());
-  if (decode_jobs > 0)
-    std::fprintf(out,
-                 "decode    : %" PRIu64 " jobs, %s decoded, %" PRIu64
-                 " submit stalls, queue depth p50 %.0f max %" PRIu64 "\n",
-                 decode_jobs, bytes(decode_bytes).c_str(),
-                 decode_submit_stalls, decode_queue_depth.p50,
-                 decode_queue_depth.max);
   if (epoch_streams > 0 || epoch_fallbacks > 0)
     std::fprintf(out,
                  "epoch idx : %" PRIu64 " streams indexed, %" PRIu64
                  " windowed-read fallbacks\n",
                  epoch_streams, epoch_fallbacks);
-  if (async_enqueued > 0)
-    std::fprintf(out,
-                 "async     : %" PRIu64 " enqueued, %" PRIu64
-                 " dequeued, %" PRIu64 " producer stalls\n",
-                 async_enqueued, async_dequeued, async_producer_stalls);
   if (corpus_members > 0) {
     std::fprintf(out,
                  "corpus    : %" PRIu64 " members, %" PRIu64

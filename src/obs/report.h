@@ -78,21 +78,21 @@ struct PipelineReport {
   std::uint64_t pool_misses = 0;
   std::uint64_t pool_recycled_bytes = 0;
 
-  std::uint64_t async_enqueued = 0;
-  std::uint64_t async_dequeued = 0;
-  std::uint64_t async_producer_stalls = 0;
-
   std::uint64_t sim_messages = 0;
   std::uint64_t sim_events = 0;
   std::uint64_t sim_mf_calls = 0;
   std::uint64_t sim_faults = 0;
-  double sim_virtual_seconds = 0.0;
+  /// The per-run values below are maxima over the simulator runs in the
+  /// snapshot (a record plus a replay is two runs); the counts above are
+  /// sums.
+  double sim_virtual_seconds = 0.0;  ///< longest run's virtual end time
   /// Event-queue high-water mark (sim.max_queue_depth — the deepest
-  /// per-rank shard heap).
+  /// per-rank shard heap of any run).
   std::uint64_t sim_max_queue_depth = 0;
 
   // --- executor section (zero when no simulator ran — DESIGN.md §15) ------
-  std::uint64_t exec_workers = 0;           ///< worker threads of the run
+  std::uint64_t exec_runs = 0;              ///< simulator runs covered
+  std::uint64_t exec_workers = 0;           ///< most worker threads of a run
   std::uint64_t exec_windows = 0;           ///< horizon advances (windows)
   std::uint64_t exec_steals = 0;            ///< cross-worker rank claims
   std::uint64_t exec_barrier_waits = 0;     ///< worker-windows spent idle
@@ -104,12 +104,6 @@ struct PipelineReport {
   // --- decode section (zero for record-only runs) -------------------------
   /// DEFLATE decode (tool::read_frame) — the mirror of stage_deflate.
   StageReport stage_inflate{"inflate"};
-  std::uint64_t decode_jobs = 0;  ///< DecompressionService jobs committed
-  std::uint64_t decode_bytes = 0;
-  std::uint64_t decode_submit_stalls = 0;
-  DistReport decode_queue_depth;
-  DistReport decode_ns;
-  DistReport decode_commit_wait_ns;
   /// Epoch-index bookkeeping: streams indexed at seal time, and windowed
   /// reads that had to fall back to a sequential scan (damaged or absent
   /// index) — a nonzero fallback count on a fresh container is a bug.

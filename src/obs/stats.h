@@ -1,7 +1,6 @@
 // Descriptive statistics shared by the metrics layer, the pipeline
-// report, and the figure benches. Home of the accumulators that used to
-// live in support/stats.h (which now re-exports from here): one place owns
-// the min/max/mean/variance logic.
+// report, the figure benches and the examples: one place owns the
+// min/max/mean/variance logic.
 #pragma once
 
 #include <algorithm>

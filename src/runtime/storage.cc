@@ -1,9 +1,5 @@
 #include "runtime/storage.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
 #include "support/check.h"
 
 namespace cdc::runtime {
@@ -43,92 +39,6 @@ std::uint64_t MemoryStore::rank_bytes(minimpi::Rank rank) const {
   std::uint64_t total = 0;
   for (const auto& [key, stream] : streams_)
     if (key.rank == rank) total += stream.size();
-  return total;
-}
-
-// --- FileStore --------------------------------------------------------------
-
-FileStore::FileStore(std::string directory)
-    : directory_(std::move(directory)) {
-  std::error_code ec;
-  std::filesystem::create_directories(directory_, ec);
-  const bool usable =
-      !ec && std::filesystem::is_directory(directory_, ec) && !ec;
-  if (!usable)
-    std::fprintf(stderr, "FileStore: cannot use '%s' as record directory\n",
-                 directory_.c_str());
-  CDC_CHECK_MSG(usable, "cannot create record directory");
-}
-
-std::string FileStore::path_for(const StreamKey& key) const {
-  return directory_ + "/" + std::to_string(key.rank) + "_" +
-         std::to_string(key.callsite) + ".cdcrec";
-}
-
-void FileStore::append(const StreamKey& key,
-                       std::span<const std::uint8_t> bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string path = path_for(key);
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out.good())
-    std::fprintf(stderr, "FileStore: cannot open '%s' for append\n",
-                 path.c_str());
-  CDC_CHECK_MSG(out.good(),
-                "cannot open record file for append (directory missing or "
-                "unwritable?)");
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  CDC_CHECK_MSG(out.good(), "record file write failed");
-  sizes_[key] += bytes.size();
-}
-
-std::vector<std::uint8_t> FileStore::read(const StreamKey& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string path = path_for(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    // Distinguish "stream never recorded" (legitimately empty) from a
-    // vanished directory or file — silent empty reads turn storage
-    // failures into baffling replay divergence.
-    std::error_code ec;
-    if (!std::filesystem::is_directory(directory_, ec) || ec) {
-      std::fprintf(stderr, "FileStore: record directory '%s' is gone\n",
-                   directory_.c_str());
-      CDC_CHECK_MSG(false, "record directory missing on read");
-    }
-    if (sizes_.contains(key)) {
-      std::fprintf(stderr, "FileStore: record file '%s' is gone\n",
-                   path.c_str());
-      CDC_CHECK_MSG(false, "record file missing on read");
-    }
-    return {};
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  CDC_CHECK_MSG(!in.bad(), "record file read failed");
-  return bytes;
-}
-
-std::vector<StreamKey> FileStore::keys() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<StreamKey> out;
-  out.reserve(sizes_.size());
-  for (const auto& [key, size] : sizes_) out.push_back(key);
-  return out;
-}
-
-std::uint64_t FileStore::total_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [key, size] : sizes_) total += size;
-  return total;
-}
-
-std::uint64_t FileStore::rank_bytes(minimpi::Rank rank) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [key, size] : sizes_)
-    if (key.rank == rank) total += size;
   return total;
 }
 

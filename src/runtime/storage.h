@@ -2,8 +2,9 @@
 //
 // The paper writes per-process record data to node-local storage (SSD or
 // ramdisk). Here a RecordStore maps a stream key — (MPI rank, MF callsite)
-// — to an append-only byte stream. MemoryStore models ramdisk recording;
-// FileStore persists streams as files in a directory; size accounting is
+// — to an append-only byte stream. MemoryStore models ramdisk recording
+// and is the in-memory copy the record container (store/container_store.h)
+// serves reads from; CountingStore only counts. Size accounting is
 // identical across backends, which is what the evaluation measures.
 #pragma once
 
@@ -89,8 +90,9 @@ class RecordStore {
   virtual void sync() {}
 };
 
-/// Ramdisk-style in-memory store. Thread-safe (the asynchronous recording
-/// worker and the application may touch different streams concurrently).
+/// Ramdisk-style in-memory store. Thread-safe: one mutex guards every
+/// stream (the compression service's commit thread and readers may touch
+/// it concurrently). keys() is sorted.
 class MemoryStore final : public RecordStore {
  public:
   void append(const StreamKey& key,
@@ -104,28 +106,6 @@ class MemoryStore final : public RecordStore {
  private:
   mutable std::mutex mutex_;
   std::map<StreamKey, std::vector<std::uint8_t>> streams_;
-};
-
-/// Directory-backed store: one file per stream, named
-/// `<rank>_<callsite>.cdcrec`.
-class FileStore final : public RecordStore {
- public:
-  explicit FileStore(std::string directory);
-
-  void append(const StreamKey& key,
-              std::span<const std::uint8_t> bytes) override;
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const StreamKey& key) const override;
-  [[nodiscard]] std::vector<StreamKey> keys() const override;
-  [[nodiscard]] std::uint64_t total_bytes() const override;
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override;
-
- private:
-  [[nodiscard]] std::string path_for(const StreamKey& key) const;
-
-  std::string directory_;
-  mutable std::mutex mutex_;
-  std::map<StreamKey, std::uint64_t> sizes_;
 };
 
 /// Size-accounting-only store for compression benchmarks at scale: bytes

@@ -1,8 +1,7 @@
 // Parallel chunk-compression service.
 //
-// The seed serialized all DEFLATE work on whichever thread flushed a
-// chunk (the application thread under the synchronous Recorder, the one
-// AsyncRecorder worker otherwise). This service fans sealed-chunk
+// Inline, all DEFLATE work runs on whichever thread flushes a chunk (the
+// simulator's coordinator under Recorder). This service fans sealed-chunk
 // encoding jobs out over a bounded MPMC queue to a worker pool and then
 // commits the encoded frames to the RecordStore *in submission order*
 // (ticketed two-phase commit), so the byte stream each store key receives
@@ -11,8 +10,7 @@
 //
 // Jobs are opaque encode closures rather than raw payloads so the service
 // stays codec-agnostic: the tool layer hands it `encode_frame` thunks,
-// the benches hand it synthetic ones, and a future replay-side service
-// can hand it decode work unchanged.
+// and the benches hand it synthetic ones.
 #pragma once
 
 #include <cstdint>

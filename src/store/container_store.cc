@@ -7,17 +7,14 @@
 
 namespace cdc::store {
 
-ContainerStore::ContainerStore(std::string path, std::size_t shard_count)
+ContainerStore::ContainerStore(std::string path)
     : path_(std::move(path)),
-      memory_(shard_count),
       writer_(std::make_unique<ContainerWriter>(path_)) {}
 
-ContainerStore::ContainerStore(std::string path, std::size_t shard_count,
-                               bool /*read_only*/)
-    : path_(std::move(path)), memory_(shard_count) {}
+ContainerStore::ContainerStore(std::string path, bool /*read_only*/)
+    : path_(std::move(path)) {}
 
-std::unique_ptr<ContainerStore> ContainerStore::open(
-    const std::string& path, std::size_t shard_count) {
+std::unique_ptr<ContainerStore> ContainerStore::open(const std::string& path) {
   std::string error;
   auto reader = ContainerReader::open(path, &error);
   if (reader == nullptr)
@@ -26,7 +23,7 @@ std::unique_ptr<ContainerStore> ContainerStore::open(
   CDC_CHECK_MSG(reader->index_ok(),
                 "container index corrupt — run verify/repack first");
   auto store = std::unique_ptr<ContainerStore>(
-      new ContainerStore(path, shard_count, /*read_only=*/true));
+      new ContainerStore(path, /*read_only=*/true));
   for (const runtime::StreamKey& key : reader->keys())
     store->memory_.append(key, reader->read_stream(key));
   // Keep the reader: windowed replay seeks through its epoch index.
@@ -36,12 +33,11 @@ std::unique_ptr<ContainerStore> ContainerStore::open(
 
 std::unique_ptr<ContainerStore> ContainerStore::resume(
     const std::string& path, std::uint64_t durable_bytes,
-    std::span<const ResumeFrameMeta> metas, std::string* error,
-    std::size_t shard_count) {
+    std::span<const ResumeFrameMeta> metas, std::string* error) {
   auto writer = ContainerWriter::resume(path, durable_bytes, metas, error);
   if (writer == nullptr) return nullptr;
   auto store = std::unique_ptr<ContainerStore>(
-      new ContainerStore(path, shard_count, /*read_only=*/true));
+      new ContainerStore(path, /*read_only=*/true));
   store->writer_ = std::move(writer);
   // The file now holds exactly the durable prefix; a fresh scan yields the
   // surviving frames in file order, which is per-stream sequence order.
@@ -111,12 +107,11 @@ void ContainerStore::abandon() {
 }
 
 SalvageResult salvage_container(const std::string& in_path,
-                                const std::string& repacked_path,
-                                std::size_t shard_count) {
+                                const std::string& repacked_path) {
   SalvageResult result;
   result.repack = repack_container(in_path, repacked_path);
   if (!result.repack.ok) return result;
-  result.store = ContainerStore::open(repacked_path, shard_count);
+  result.store = ContainerStore::open(repacked_path);
   return result;
 }
 

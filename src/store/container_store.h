@@ -1,13 +1,12 @@
-// RecordStore backed by a sharded in-memory cache plus a record container
-// on disk — the "sharded container store" the recording runtime targets.
+// RecordStore backed by an in-memory copy plus a record container on disk.
 //
-// Recording mode (constructor): every append lands in the lock-striped
-// memory shards (serving read()/replay immediately, like MemoryStore) and
-// is simultaneously persisted as one CRC-protected container frame.
+// Recording mode (constructor): every append lands in the in-memory
+// runtime::MemoryStore (serving read()/replay immediately) and is
+// simultaneously persisted as one CRC-protected container frame.
 // seal() finishes the container; after that the file is a self-contained,
 // verifiable record of the run.
 //
-// Replay mode (open()): loads a sealed container back into the shards —
+// Replay mode (open()): loads a sealed container back into memory —
 // CRC-checking every frame on the way in — and serves reads from memory.
 // A store opened this way is read-only; appends are a caller bug.
 #pragma once
@@ -20,33 +19,29 @@
 
 #include "store/container_reader.h"
 #include "store/container_writer.h"
-#include "store/sharded_store.h"
+#include "runtime/storage.h"
 
 namespace cdc::store {
 
 class ContainerStore final : public runtime::RecordStore {
  public:
   /// Recording mode: creates (truncating) the container at `path`.
-  explicit ContainerStore(std::string path,
-                          std::size_t shard_count = ShardedStore::kDefaultShards);
+  explicit ContainerStore(std::string path);
 
   /// Replay mode: loads a sealed container, verifying frame CRCs. Aborts
   /// with a CDC_CHECK error on unreadable or corrupt input (use the
   /// verify/repack tooling for forensics on damaged containers).
-  static std::unique_ptr<ContainerStore> open(
-      const std::string& path,
-      std::size_t shard_count = ShardedStore::kDefaultShards);
+  static std::unique_ptr<ContainerStore> open(const std::string& path);
 
   /// Recording mode over an unsealed container left behind by a crash:
   /// validates + reopens the durable prefix via ContainerWriter::resume
   /// (truncating any torn tail) and reloads the surviving payloads into
-  /// the memory shards, so reads, appends, and a later seal() behave as if
+  /// memory, so reads, appends, and a later seal() behave as if
   /// the store had lived through a single life. Returns nullptr (and sets
   /// *error) when the prefix does not validate against `metas`.
   [[nodiscard]] static std::unique_ptr<ContainerStore> resume(
       const std::string& path, std::uint64_t durable_bytes,
-      std::span<const ResumeFrameMeta> metas, std::string* error,
-      std::size_t shard_count = ShardedStore::kDefaultShards);
+      std::span<const ResumeFrameMeta> metas, std::string* error);
 
   void append(const runtime::StreamKey& key,
               std::span<const std::uint8_t> bytes) override;
@@ -98,10 +93,10 @@ class ContainerStore final : public runtime::RecordStore {
   }
 
  private:
-  ContainerStore(std::string path, std::size_t shard_count, bool read_only);
+  ContainerStore(std::string path, bool read_only);
 
   std::string path_;
-  ShardedStore memory_;
+  runtime::MemoryStore memory_;
   std::unique_ptr<ContainerWriter> writer_;  ///< null in replay mode
   std::unique_ptr<ContainerReader> reader_;  ///< null in recording mode
 };
@@ -116,7 +111,6 @@ struct SalvageResult {
   std::unique_ptr<ContainerStore> store;
 };
 [[nodiscard]] SalvageResult salvage_container(
-    const std::string& in_path, const std::string& repacked_path,
-    std::size_t shard_count = ShardedStore::kDefaultShards);
+    const std::string& in_path, const std::string& repacked_path);
 
 }  // namespace cdc::store

@@ -1,12 +1,10 @@
 // Bounded multi-producer/multi-consumer job queue.
 //
-// The runtime's SpscQueue carries fine-grained receive events between
-// exactly two threads and must be lock-free; this queue carries coarse
-// compression jobs (whole sealed chunks, thousands of events each) between
-// many submitters and a worker pool, so a mutex + condvar design is the
-// right trade: microseconds of lock cost against milliseconds of DEFLATE
-// per job, with real blocking (no spin) on both full and empty, and
-// close() semantics for orderly worker shutdown.
+// This queue carries coarse compression jobs (whole sealed chunks,
+// thousands of events each) between many submitters and a worker pool, so
+// a mutex + condvar design is the right trade: microseconds of lock cost
+// against milliseconds of DEFLATE per job, with real blocking (no spin) on
+// both full and empty, and close() semantics for orderly worker shutdown.
 #pragma once
 
 #include <condition_variable>

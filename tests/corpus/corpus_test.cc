@@ -150,7 +150,9 @@ TEST_F(CorpusTest, EncodingSelectionPicksTheCheapestForm) {
     streams[key] = std::move(bytes);
     runtime::MemoryStore record;
     fill_store(record, streams);
-    corpus.add_member(family, "t" + std::to_string(originals.size()), record);
+    corpus.add_member(family,
+                      std::string("t").append(std::to_string(originals.size())),
+                      record);
     originals.push_back(std::move(streams));
   };
 
@@ -234,7 +236,7 @@ TEST_F(CorpusTest, PinningReElectsTheReferenceForLaterMembers) {
     runtime::MemoryStore record;
     fill_store(record, streams);
     // Member 2 is pinned: members 0-1 delta against 0, member 3 against 2.
-    corpus.add_member("fam", "m" + std::to_string(m), record,
+    corpus.add_member("fam", std::string("m").append(std::to_string(m)), record,
                       /*pin_reference=*/m == 2);
     originals.push_back(std::move(streams));
   }

@@ -1,7 +1,7 @@
-// End-to-end tests of the new storage pipeline (src/store/): recording an
-// MCB run through the sharded container store with the parallel
-// compression service must store byte-for-byte what the seed's inline path
-// stores, and a sealed container must replay the run bitwise.
+// End-to-end tests of the storage pipeline (src/store/): recording an MCB
+// run through the container store with the parallel compression service
+// must store byte-for-byte what the inline path stores, and a sealed
+// container must replay the run bitwise.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,8 +13,6 @@
 #include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
-#include "store/sharded_store.h"
-#include "tool/async_recorder.h"
 #include "tool/frame_sink.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
@@ -74,14 +72,14 @@ TEST_F(ContainerPipelineTest,
        ParallelContainerPipelineStoresBitIdenticalStreams) {
   const tool::ToolOptions options = chunked_options();
 
-  // Seed path: inline encoding straight into a MemoryStore.
+  // Inline path: encoding straight into a MemoryStore.
   runtime::MemoryStore inline_store;
   tool::Recorder inline_rec(9, &inline_store, options);
   const auto inline_run = record_mcb(11, inline_rec);
   inline_rec.finalize();
   ASSERT_GT(inline_store.total_bytes(), 0u);
 
-  // New path: 4-worker compression service committing into the sharded,
+  // Service path: 4-worker compression service committing into the
   // checksummed container store.
   store::ContainerStore container(path("run.cdcc"));
   store::CompressionService::Config service_config;
@@ -137,52 +135,6 @@ TEST_F(ContainerPipelineTest, SealedContainerReplaysTheRunBitwise) {
 
   EXPECT_EQ(recorded.global_tally, replayed.global_tally);
   EXPECT_TRUE(replayer.fully_replayed());
-}
-
-TEST_F(ContainerPipelineTest, ShardedStoreIsADropInRecordStore) {
-  const tool::ToolOptions options = chunked_options();
-
-  runtime::MemoryStore memory_store;
-  tool::Recorder memory_rec(9, &memory_store, options);
-  record_mcb(11, memory_rec);
-  memory_rec.finalize();
-
-  store::ShardedStore sharded_store;
-  tool::Recorder sharded_rec(9, &sharded_store, options);
-  record_mcb(11, sharded_rec);
-  sharded_rec.finalize();
-
-  ASSERT_EQ(memory_store.keys(), sharded_store.keys());
-  for (const runtime::StreamKey& key : memory_store.keys())
-    EXPECT_EQ(memory_store.read(key), sharded_store.read(key));
-  EXPECT_EQ(memory_store.total_bytes(), sharded_store.total_bytes());
-}
-
-TEST_F(ContainerPipelineTest, AsyncRecorderServicePathMatchesInlinePath) {
-  // The §4.2 single-stream runtime: with compression workers the stored
-  // bytes must not change, only who does the DEFLATE.
-  auto record_events = [](std::size_t workers, runtime::RecordStore* store) {
-    tool::AsyncRecorder::Config config;
-    config.key = {0, 1};
-    config.options.chunk_target = 64;
-    config.compression_workers = workers;
-    tool::AsyncRecorder recorder(config, store);
-    for (std::uint64_t c = 1; c <= 20000; ++c) {
-      if (c % 7 == 0)
-        recorder.enqueue(record::ReceiveEvent{false, false, -1, 0});
-      recorder.enqueue(record::ReceiveEvent{
-          true, false, static_cast<std::int32_t>(c % 5), c});
-    }
-    recorder.finalize();
-  };
-
-  runtime::MemoryStore inline_store;
-  record_events(/*workers=*/0, &inline_store);
-  runtime::MemoryStore service_store;
-  record_events(/*workers=*/2, &service_store);
-
-  ASSERT_GT(inline_store.total_bytes(), 0u);
-  EXPECT_EQ(inline_store.read({0, 1}), service_store.read({0, 1}));
 }
 
 }  // namespace

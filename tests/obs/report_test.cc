@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -48,18 +49,13 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   registry.counter("store.pool.hits").add(30);
   registry.counter("store.pool.misses").add(10);
   registry.counter("store.pool.recycled_bytes").add(7777);
-  registry.counter("tool.async.enqueued").add(3);
   registry.counter("sim.messages_sent").add(55);
-  registry.gauge("sim.virtual_time_us").add(2500000);
+  registry.histogram("sim.virtual_time_us").record(2500000);
   registry.counter("store.container.frames").add(3);
   registry.counter("record.stage.inflate.calls").add(3);
   registry.counter("record.stage.inflate.bytes_in").add(600);
   registry.counter("record.stage.inflate.bytes_out").add(4096);
   registry.counter("record.stage.inflate.ns").add(1024);
-  registry.counter("store.decode.jobs").add(3);
-  registry.counter("store.decode.decoded_bytes").add(4096);
-  registry.counter("store.decode.submit_stalls").add(2);
-  registry.histogram("store.decode.queue_depth").record(5);
   registry.counter("store.container.epoch_streams").add(4);
   registry.counter("store.container.epoch_fallbacks").add(1);
 
@@ -86,7 +82,6 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   EXPECT_DOUBLE_EQ(report.pool_hit_rate(), 0.75);
   // 4096 bytes in 2048 ns = 2 bytes/ns = 2000 MB/s.
   EXPECT_DOUBLE_EQ(report.deflate_mb_per_s(), 2000.0);
-  EXPECT_EQ(report.async_enqueued, 3u);
   EXPECT_EQ(report.sim_messages, 55u);
   EXPECT_DOUBLE_EQ(report.sim_virtual_seconds, 2.5);
   EXPECT_EQ(report.writer_frames, 3u);
@@ -95,10 +90,6 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   EXPECT_EQ(report.stage_inflate.bytes_out, 4096u);
   // Measured on the raw side: 4096 bytes out in 1024 ns = 4000 MB/s.
   EXPECT_DOUBLE_EQ(report.inflate_mb_per_s(), 4000.0);
-  EXPECT_EQ(report.decode_jobs, 3u);
-  EXPECT_EQ(report.decode_bytes, 4096u);
-  EXPECT_EQ(report.decode_submit_stalls, 2u);
-  EXPECT_EQ(report.decode_queue_depth.count, 1u);
   EXPECT_EQ(report.epoch_streams, 4u);
   EXPECT_EQ(report.epoch_fallbacks, 1u);
   registry.reset_values();
@@ -221,10 +212,8 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   EXPECT_EQ(report.frame_bytes_out, report.container_stored_bytes);
   EXPECT_EQ(report.writer_payload_bytes, report.container_stored_bytes);
   EXPECT_TRUE(report.container_sealed);
-  // The service saw every chunk the encoder sealed, and the async sink
-  // drained everything it accepted.
+  // The service saw every chunk the encoder sealed.
   EXPECT_EQ(report.service_jobs, report.chunks);
-  EXPECT_EQ(report.async_enqueued, report.async_dequeued);
   // Stage flow only shrinks: RE output feeds PE, PE feeds LP.
   EXPECT_LE(report.stage_pe.bytes_in, report.stage_re.bytes_out);
   EXPECT_LE(report.stage_lp.bytes_in, report.stage_pe.bytes_out);
@@ -232,6 +221,41 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   const std::string json = report.to_json();
   EXPECT_TRUE(json_well_formed(json));
   std::remove(file.c_str());
+  Registry::global().reset_values();
+}
+
+/// Per-run simulator values are maxima over the runs in the snapshot, not
+/// sums: two 1-worker runs (a record plus its replay, as in
+/// `record_inspector --stats`) still report one worker.
+TEST(PipelineReport, PerRunSimulatorValuesAreMaximaOverRuns) {
+  SKIP_IF_OBS_COMPILED_OUT();
+  Registry::global().reset_values();
+  set_enabled(true);
+  apps::McbConfig mcb;
+  mcb.grid_x = 2;
+  mcb.grid_y = 2;
+  mcb.particles_per_rank = 60;
+  std::uint64_t max_depth = 0;
+  std::uint64_t max_end_us = 0;
+  for (const std::uint64_t seed : {21u, 22u}) {
+    minimpi::Simulator::Config config;
+    config.num_ranks = 4;
+    config.noise_seed = seed;
+    config.workers = 1;
+    minimpi::Simulator sim(config);
+    apps::run_mcb(sim, mcb);
+    max_depth = std::max(max_depth, sim.stats().max_queue_depth);
+    max_end_us = std::max(
+        max_end_us, static_cast<std::uint64_t>(sim.stats().end_time * 1e6));
+  }
+
+  const PipelineReport report =
+      PipelineReport::from_snapshot(Registry::global().snapshot());
+  EXPECT_EQ(report.exec_runs, 2u);
+  EXPECT_EQ(report.exec_workers, 1u);
+  EXPECT_EQ(report.sim_max_queue_depth, max_depth);
+  EXPECT_DOUBLE_EQ(report.sim_virtual_seconds,
+                   static_cast<double>(max_end_us) * 1e-6);
   Registry::global().reset_values();
 }
 

@@ -176,5 +176,27 @@ TEST_F(ContainerTest, OpenMissingFileFails) {
   EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
+// A store that cannot reach its record aborts loudly; it never hands
+// replay an empty record.
+TEST_F(ContainerTest, ContainerStoreOpenOfMissingFileDies) {
+  EXPECT_DEATH((void)ContainerStore::open(path("nope.cdcc")),
+               "cannot open record container");
+}
+
+TEST_F(ContainerTest, ContainerStoreOpenOfTruncatedFileDies) {
+  const std::string file = path("whole.cdcc");
+  {
+    ContainerStore store(file);
+    for (int i = 0; i < 40; ++i)
+      store.append({i % 4, 0}, payload_for(i, 64));
+    store.seal();
+  }
+  ASSERT_GT(std::filesystem::file_size(file), 1000u);
+  const std::string cut = path("cut.cdcc");
+  std::filesystem::copy_file(file, cut);
+  std::filesystem::resize_file(cut, 1000);  // keep the first 1,000 bytes
+  EXPECT_DEATH((void)ContainerStore::open(cut), "container index corrupt");
+}
+
 }  // namespace
 }  // namespace cdc::store
