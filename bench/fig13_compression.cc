@@ -9,15 +9,10 @@
 // machine, different MCB implementation); the ordering and rough factors
 // are the reproduction target.
 //
-// On top of the codec table, the bench measures the src/store/ compression
-// service on the very chunks this workload sealed: the frame jobs captured
-// during the gzip and CDC runs are re-encoded inline and through a
-// CompressionService with 1/2/4 workers. Results land in BENCH_store.json
-// (machine-readable; the 4-worker row is the ISSUE acceptance number).
-#include <chrono>
+// After the codec table, the bench times DEFLATE per level on a seeded
+// record-like corpus; both land in BENCH_compress.json (see below).
 #include <cstdio>
-#include <thread>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common.h"
@@ -25,10 +20,7 @@
 #include "compress/deflate.h"
 #include "obs/stats.h"
 #include "runtime/storage.h"
-#include "store/compression_service.h"
 #include "support/rng.h"
-#include "tool/frame.h"
-#include "tool/frame_sink.h"
 #include "tool/recorder.h"
 
 namespace {
@@ -43,33 +35,8 @@ struct Row {
   std::uint64_t events = 0;
 };
 
-/// Delegates to the inline path (so the codec table stays honest) while
-/// keeping a copy of every sealed chunk for the throughput section.
-class CapturingSink final : public tool::FrameSink {
- public:
-  CapturingSink(runtime::RecordStore* store,
-                std::vector<std::pair<runtime::StreamKey, tool::FrameJob>>*
-                    jobs)
-      : inner_(store), jobs_(jobs) {}
-
-  void submit(const runtime::StreamKey& key, tool::FrameJob job) override {
-    jobs_->emplace_back(key, job);
-    inner_.submit(key, std::move(job));
-  }
-
- private:
-  tool::InlineFrameSink inner_;
-  std::vector<std::pair<runtime::StreamKey, tool::FrameJob>>* jobs_;
-};
-
 using bench::Clock;
 using bench::seconds_since;
-
-struct ThroughputRow {
-  std::size_t workers = 0;  ///< 0 = inline on the calling thread
-  double seconds = 0;
-  double mb_per_s = 0;
-};
 
 }  // namespace
 
@@ -88,21 +55,12 @@ int main() {
       {"CDC", tool::RecordCodec::kCdcFull, true},
   };
 
-  // Chunks sealed by the gzip and CDC rows: the workload for the
-  // compression-service throughput section below.
-  std::vector<std::pair<runtime::StreamKey, tool::FrameJob>> jobs;
-
   for (Row& row : rows) {
     runtime::CountingStore store;
     tool::ToolOptions options;
     options.codec = row.codec;
     options.identify_callsites = row.identify_callsites;
-    const bool capture = row.codec == tool::RecordCodec::kBaselineGzip ||
-                         (row.codec == tool::RecordCodec::kCdcFull &&
-                          row.identify_callsites);
-    CapturingSink sink(&store, &jobs);
-    tool::Recorder recorder(ranks, &store, options,
-                            capture ? &sink : nullptr);
+    tool::Recorder recorder(ranks, &store, options);
     minimpi::Simulator sim(bench::sim_config(ranks), &recorder);
     apps::run_mcb(sim, bench::mcb_config(ranks));
     recorder.finalize();
@@ -132,125 +90,6 @@ int main() {
       "%.3f bytes/event.\n",
       raw / cdc, gz / cdc,
       cdc / static_cast<double>(rows.back().events));
-
-  // --- store/ compression-service throughput on the captured chunks ------
-  const std::size_t cap = static_cast<std::size_t>(
-      bench::env_int("CDC_STORE_JOBS", 2048));
-  if (jobs.size() > cap) {
-    // Keep an evenly spaced sample so the large/small chunk mix survives.
-    std::vector<std::pair<runtime::StreamKey, tool::FrameJob>> sampled;
-    sampled.reserve(cap);
-    const std::size_t stride = jobs.size() / cap;
-    for (std::size_t i = 0; i < jobs.size() && sampled.size() < cap;
-         i += stride)
-      sampled.push_back(jobs[i]);
-    std::fprintf(stderr,
-                 "  [store bench: sampled %zu of %zu captured chunks; "
-                 "raise CDC_STORE_JOBS to use more]\n",
-                 sampled.size(), jobs.size());
-    jobs = std::move(sampled);
-  }
-  std::uint64_t job_raw_bytes = 0;
-  for (const auto& [key, job] : jobs) job_raw_bytes += job.payload.size();
-  const double job_mb =
-      static_cast<double>(job_raw_bytes) / (1024.0 * 1024.0);
-
-  std::printf("\nstore/ compression service on %zu sealed chunks "
-              "(%s raw):\n",
-              jobs.size(),
-              obs::format_bytes(
-                  static_cast<double>(job_raw_bytes)).c_str());
-  std::printf("%-10s %10s %12s %10s\n", "path", "seconds", "MB/s",
-              "speedup");
-
-  std::vector<ThroughputRow> throughput;
-  {  // inline reference: encode every chunk on this thread.
-    runtime::CountingStore store;
-    const auto start = Clock::now();
-    for (const auto& [key, job] : jobs)
-      store.append(key, tool::encode_frame(job));
-    ThroughputRow row;
-    row.workers = 0;
-    row.seconds = seconds_since(start, "bench.fig13.inline_encode_ns");
-    row.mb_per_s = job_mb / row.seconds;
-    throughput.push_back(row);
-  }
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    runtime::CountingStore store;
-    store::CompressionService::Config config;
-    config.workers = workers;
-    const auto start = Clock::now();
-    {
-      store::CompressionService service(&store, config);
-      for (const auto& [key, job] : jobs)
-        service.submit(key, job.payload.size(),
-                       [&job = job] { return tool::encode_frame(job); });
-      service.drain();
-    }
-    ThroughputRow row;
-    row.workers = workers;
-    row.seconds = seconds_since(start, "bench.fig13.service_encode_ns");
-    row.mb_per_s = job_mb / row.seconds;
-    throughput.push_back(row);
-  }
-  const double inline_seconds = throughput.front().seconds;
-  for (const ThroughputRow& row : throughput) {
-    char label[32];
-    if (row.workers == 0)
-      std::snprintf(label, sizeof label, "inline");
-    else
-      std::snprintf(label, sizeof label, "%zu worker%s", row.workers,
-                    row.workers == 1 ? "" : "s");
-    std::printf("%-10s %10.4f %12.2f %9.2fx\n", label, row.seconds,
-                row.mb_per_s, inline_seconds / row.seconds);
-  }
-  const double speedup_4x = inline_seconds / throughput.back().seconds;
-  const unsigned cpus = std::thread::hardware_concurrency();
-  if (cpus < 4)
-    std::printf("(only %u hardware thread%s available — parallel speedup "
-                "is core-limited on this machine)\n",
-                cpus, cpus == 1 ? "" : "s");
-
-  // --- machine-readable output (same keys as the fprintf original) ------
-  const char* json_path = "BENCH_store.json";
-  obs::JsonWriter w;
-  w.begin_object();
-  w.field("bench", "fig13_compression");
-  w.field("ranks", ranks);
-  w.field("receive_events", rows[0].events);
-  w.key("codecs").begin_array();
-  for (const auto& row : rows) {
-    const double bytes = static_cast<double>(row.bytes);
-    w.begin_object();
-    w.field("label", row.label);
-    w.field("bytes", row.bytes);
-    w.field("bytes_per_event", bytes / static_cast<double>(row.events));
-    w.field("vs_raw", raw / bytes);
-    w.field("vs_gzip", gz / bytes);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("store_throughput").begin_object();
-  w.field("hardware_threads", cpus);
-  w.field("chunks", jobs.size());
-  w.field("raw_bytes", job_raw_bytes);
-  w.key("paths").begin_array();
-  for (const ThroughputRow& row : throughput) {
-    w.begin_object();
-    w.field("workers", row.workers);
-    w.field("inline", row.workers == 0);
-    w.field("seconds", row.seconds);
-    w.field("mb_per_s", row.mb_per_s);
-    w.field("speedup_vs_inline", inline_seconds / row.seconds);
-    w.end_object();
-  }
-  w.end_array();
-  w.field("speedup_4_workers_vs_inline", speedup_4x);
-  w.end_object();
-  w.end_object();
-  if (bench::write_bench_json(json_path, std::move(w).take()))
-    std::printf("\nwrote %s (4-worker speedup vs inline: %.2fx)\n",
-                json_path, speedup_4x);
 
   // --- leveled codec fast path (BENCH_compress.json) ---------------------
   // Per-level DEFLATE wall time + ratio on a deterministic seeded corpus.
@@ -347,6 +186,21 @@ int main() {
     lw.field("seed_mb_per_s", row.seed_mb_per_s);
     lw.field("seed_ratio", row.seed_ratio);
     lw.field("speedup_vs_seed", mb_per_s / row.seed_mb_per_s);
+    lw.end_object();
+  }
+  lw.end_array();
+  // The Figure 13 table above, machine-readable.
+  lw.field("ranks", ranks);
+  lw.field("receive_events", rows[0].events);
+  lw.key("codecs").begin_array();
+  for (const Row& row : rows) {
+    const double bytes = static_cast<double>(row.bytes);
+    lw.begin_object();
+    lw.field("label", row.label);
+    lw.field("bytes", row.bytes);
+    lw.field("bytes_per_event", bytes / static_cast<double>(row.events));
+    lw.field("vs_raw", raw / bytes);
+    lw.field("vs_gzip", gz / bytes);
     lw.end_object();
   }
   lw.end_array();

@@ -33,7 +33,6 @@
 #include "store/resilient.h"
 #include "support/oracle.h"
 #include "tool/degraded.h"
-#include "tool/frame_sink.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -285,9 +284,9 @@ int main() {
     store::IoFaultStore faulty(&faulted, fault_plan);
     store::RetryPolicy policy;
     policy.jitter_seed = mix(seed * 4 + 5);
-    tool::RetryingFrameSink sink(&faulty, policy);
+    store::RetryingStore retrying(&faulty, policy);
     {
-      tool::Recorder recorder(ranks, &sink.store(), tool_options(), &sink);
+      tool::Recorder recorder(ranks, &retrying, tool_options());
       support::OrderProbe probe(&recorder);
       minimpi::Simulator sim(bench::sim_config(ranks, mix(seed * 4 + 1)),
                              &probe);
@@ -296,10 +295,10 @@ int main() {
     }
     row.faults = faulty.stats().transient_throws +
                  faulty.stats().fsync_failures;
-    row.retries = sink.stats().retries;
-    row.recoveries = sink.stats().recoveries;
-    row.quarantined = sink.stats().quarantined;
-    row.backoff_ms = sink.stats().backoff_ms_total;
+    row.retries = retrying.stats().retries;
+    row.recoveries = retrying.stats().recoveries;
+    row.quarantined = retrying.stats().quarantined;
+    row.backoff_ms = retrying.stats().backoff_ms_total;
     row.backoff_bound_ms = policy.max_total_backoff_ms() *
                            static_cast<double>(faulty.stats().appends);
 
@@ -362,8 +361,8 @@ int main() {
       store::RetryPolicy policy;
       policy.max_retries = 2;  // hard faults never clear; fail fast
       policy.jitter_seed = mix(seed * 4 + 5);
-      tool::RetryingFrameSink sink(&faulty, policy, quarantine_path);
-      tool::Recorder recorder(ranks, &sink.store(), tool_options(), &sink);
+      store::RetryingStore retrying(&faulty, policy, quarantine_path);
+      tool::Recorder recorder(ranks, &retrying, tool_options());
       support::OrderProbe probe(&recorder);
       minimpi::Simulator sim(bench::sim_config(ranks, mix(seed * 4 + 1)),
                              &probe);

@@ -24,11 +24,9 @@
 #include "common.h"
 #include "compress/deflate.h"
 #include "obs/stats.h"
-#include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
 #include "support/rng.h"
-#include "tool/frame_sink.h"
 #include "tool/options.h"
 #include "tool/recorder.h"
 
@@ -132,17 +130,12 @@ int main() {
   const std::string container_path = "fig22_seek.cdcc";
   {
     store::ContainerStore container(container_path);
-    store::CompressionService::Config service_config;
-    service_config.workers = 2;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
     tool::ToolOptions options;
     options.chunk_target = 128;
-    tool::Recorder recorder(ranks, &container, options, &sink);
+    tool::Recorder recorder(ranks, &container, options);
     minimpi::Simulator sim(bench::sim_config(ranks), &recorder);
     apps::run_mcb(sim, bench::mcb_config(ranks));
     recorder.finalize();
-    service.drain();
     container.seal();
   }
   std::string error;

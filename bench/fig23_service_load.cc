@@ -128,7 +128,6 @@ int main() {
     tenant.max_records = 4096;
     server_config.tenants.push_back(tenant);
   }
-  server_config.sink_mode = net::SinkMode::kService;
   // The backpressure stage: a short queue and a per-batch throttle make
   // the event thread suspend reads instead of buffering.
   server_config.ingest_queue_batches = 2;

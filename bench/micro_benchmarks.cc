@@ -19,7 +19,6 @@
 #include "compress/lz77.h"
 #include "minimpi/event_heap.h"
 #include "record/baseline.h"
-#include "store/compression_service.h"
 #include "store/mpmc_queue.h"
 #include "record/chunk.h"
 #include "record/edit_distance.h"
@@ -421,44 +420,12 @@ void BM_MpmcQueueThroughput(benchmark::State& state) {
   store::BoundedMpmcQueue<int> queue(1 << 10);
   int out = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(queue.push(1));
+    benchmark::DoNotOptimize(queue.try_push(1));
     benchmark::DoNotOptimize(queue.pop(out));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MpmcQueueThroughput);
-
-void BM_CompressionService(benchmark::State& state) {
-  // DEFLATE of sealed gzip-baseline chunks through the worker pool,
-  // in-order commit included; compare workers=1/2/4 against the
-  // single-thread BM_DeflateRecordLike cost above.
-  const auto rows = record::to_rows(mcb_like_events(1 << 14));
-  const auto payload = record::baseline_serialize(rows);
-  constexpr int kJobs = 64;
-  for (auto _ : state) {
-    runtime::CountingStore counting;
-    store::CompressionService::Config config;
-    config.workers = static_cast<std::size_t>(state.range(0));
-    {
-      store::CompressionService service(&counting, config);
-      for (int i = 0; i < kJobs; ++i)
-        service.submit({0, 1}, payload.size(), [&payload] {
-          return compress::deflate_compress(payload);
-        });
-      service.drain();
-    }
-    benchmark::DoNotOptimize(counting.total_bytes());
-  }
-  state.SetBytesProcessed(state.iterations() * kJobs *
-                          static_cast<std::int64_t>(payload.size()));
-  state.counters["workers"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_CompressionService)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- chunk serialization ------------------------------------------------------
 
@@ -603,8 +570,8 @@ BENCHMARK(BM_StreamRecorderHooks)->Arg(4)->Arg(768);
 
 }  // namespace
 
-// Like BENCHMARK_MAIN(), but defaults to a machine-readable JSON dump next
-// to BENCH_store.json when the caller did not pick an output file.
+// Like BENCHMARK_MAIN(), but defaults to a machine-readable JSON dump
+// (BENCH_micro.json) when the caller did not pick an output file.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;

@@ -6,12 +6,15 @@
 //
 // Usage:
 //   cdc_served --root DIR --tenant NAME:TOKEN[:MAX_MB[:MAX_RECORDS]] ...
-//              [--host H] [--port P] [--sink inline|service|retrying]
-//              [--workers N] [--queue-batches N] [--max-level LEVEL]
-//              [--ingest-delay-us N] [--duration-s N]
+//              [--host H] [--port P] [--queue-batches N]
+//              [--max-level LEVEL] [--ingest-delay-us N] [--duration-s N]
 //              [--drain-timeout-ms N]
 //              [--crash-sync-batch N] [--crash-ack-batch N]
 //              [--crash-before-seal] [--crash-after-seal]
+//
+// Numeric flags take a whole unsigned decimal: --port at most 65535,
+// --queue-batches at least 1, the rest at most 2^32 - 1. Anything else
+// (a sign, trailing text, out of range) exits 2 with the usage text.
 //
 // With --port 0 (the default) an ephemeral port is chosen and printed as
 // `LISTENING <port>` on stdout — the handshake the tests and the load
@@ -24,11 +27,11 @@
 // SIGKILLs itself at a precise protocol state so the kill-sweep harness
 // can verify that a restarted daemon + resuming clients reproduce a
 // byte-identical record.
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -45,13 +48,27 @@ void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --root DIR --tenant NAME:TOKEN[:MAX_MB[:MAX_RECORDS]]...\n"
-      "          [--host H] [--port P] [--sink inline|service|retrying]\n"
-      "          [--workers N] [--queue-batches N] [--max-level LEVEL]\n"
-      "          [--ingest-delay-us N] [--duration-s N]\n"
+      "          [--host H] [--port P] [--queue-batches N]\n"
+      "          [--max-level LEVEL] [--ingest-delay-us N] [--duration-s N]\n"
       "          [--drain-timeout-ms N] [--crash-sync-batch N]\n"
       "          [--crash-ack-batch N] [--crash-before-seal]\n"
       "          [--crash-after-seal]\n",
       argv0);
+}
+
+/// Parses all of `text` as an unsigned decimal in [lo, hi]. strtoull
+/// alone would accept a prefix ("12x"), wrap a sign ("-1") and saturate,
+/// so the leading digit, full-string and range checks are all needed.
+bool parse_number(const char* text, unsigned long long lo,
+                  unsigned long long hi, unsigned long long* out) {
+  if (text == nullptr || *text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < lo || value > hi)
+    return false;
+  *out = value;
+  return true;
 }
 
 bool parse_tenant(const std::string& spec, cdc::net::TenantConfig& out) {
@@ -83,6 +100,7 @@ bool parse_tenant(const std::string& spec, cdc::net::TenantConfig& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr unsigned long long kMaxU32 = 0xFFFFFFFFull;
   cdc::net::ServerConfig config;
   long duration_s = -1;
   std::uint32_t drain_timeout_ms = 5000;
@@ -90,6 +108,17 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // Reads this flag's value as a number in [lo, hi]; on failure names
+    // the flag and prints the usage text (the caller exits 2).
+    unsigned long long n = 0;
+    const auto number = [&](unsigned long long lo, unsigned long long hi) {
+      const char* v = next();
+      if (parse_number(v, lo, hi, &n)) return true;
+      std::fprintf(stderr, "cdc_served: bad %s value '%s'\n", arg.c_str(),
+                   v == nullptr ? "" : v);
+      usage(argv[0]);
+      return false;
     };
     if (arg == "--root") {
       const char* v = next();
@@ -108,27 +137,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) { usage(argv[0]); return 2; }
       config.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (arg == "--sink") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      if (std::strcmp(v, "inline") == 0)
-        config.sink_mode = cdc::net::SinkMode::kInline;
-      else if (std::strcmp(v, "service") == 0)
-        config.sink_mode = cdc::net::SinkMode::kService;
-      else if (std::strcmp(v, "retrying") == 0)
-        config.sink_mode = cdc::net::SinkMode::kRetrying;
-      else { std::fprintf(stderr, "bad --sink\n"); return 2; }
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.service_workers = static_cast<std::size_t>(std::atoi(v));
+      if (!number(0, 65535)) return 2;
+      config.port = static_cast<std::uint16_t>(n);
     } else if (arg == "--queue-batches") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.ingest_queue_batches = static_cast<std::size_t>(std::atoi(v));
+      if (!number(1, kMaxU32)) return 2;
+      config.ingest_queue_batches = static_cast<std::size_t>(n);
     } else if (arg == "--max-level") {
       const char* v = next();
       const auto level =
@@ -139,27 +152,20 @@ int main(int argc, char** argv) {
       }
       config.max_level = *level;
     } else if (arg == "--ingest-delay-us") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.ingest_delay_us = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kMaxU32)) return 2;
+      config.ingest_delay_us = static_cast<std::uint32_t>(n);
     } else if (arg == "--duration-s") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      duration_s = std::atol(v);
+      if (!number(0, kMaxU32)) return 2;
+      duration_s = static_cast<long>(n);
     } else if (arg == "--drain-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      drain_timeout_ms = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kMaxU32)) return 2;
+      drain_timeout_ms = static_cast<std::uint32_t>(n);
     } else if (arg == "--crash-sync-batch") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.crash.kill_before_sync_batch =
-          static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kMaxU32)) return 2;
+      config.crash.kill_before_sync_batch = static_cast<std::uint32_t>(n);
     } else if (arg == "--crash-ack-batch") {
-      const char* v = next();
-      if (v == nullptr) { usage(argv[0]); return 2; }
-      config.crash.kill_before_ack_batch =
-          static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kMaxU32)) return 2;
+      config.crash.kill_before_ack_batch = static_cast<std::uint32_t>(n);
     } else if (arg == "--crash-before-seal") {
       config.crash.kill_before_seal = true;
     } else if (arg == "--crash-after-seal") {

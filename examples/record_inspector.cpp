@@ -43,13 +43,11 @@
 #include "obs/trace.h"
 #include "record/chunk.h"
 #include "runtime/storage.h"
-#include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
 #include "support/oracle.h"
 #include "tool/degraded.h"
 #include "tool/frame.h"
-#include "tool/frame_sink.h"
 #include "tool/options.h"
 #include "tool/pipeline_inspect.h"
 #include "tool/recorder.h"
@@ -228,9 +226,9 @@ int stats_container(const std::string& path) {
   return emit_report(report, "cdc_pipeline_report.json");
 }
 
-/// `--stats`: record an instrumented demo MCB run (metrics + trace ring +
-/// parallel compression service into a container), then reconcile the
-/// live stage/byte accounting against the container on disk.
+/// `--stats`: record an instrumented demo MCB run (metrics + trace ring,
+/// into a container), then reconcile the live stage/byte accounting
+/// against the container on disk.
 int stats_demo(compress::DeflateLevel level) {
   std::printf("== instrumented demo MCB run (record + container, "
               "deflate level %.*s) ==\n\n",
@@ -242,15 +240,10 @@ int stats_demo(compress::DeflateLevel level) {
   obs::install_trace(&ring);
   {
     store::ContainerStore container(file);
-    store::CompressionService::Config service_config;
-    service_config.workers = 2;
-    service_config.level = level;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
     tool::ToolOptions options;
     options.chunk_target = 128;
     options.level = level;
-    tool::Recorder recorder(9, &container, options, &sink);
+    tool::Recorder recorder(9, &container, options);
     minimpi::Simulator::Config config;
     config.num_ranks = 9;
     config.noise_seed = 4;
@@ -261,7 +254,6 @@ int stats_demo(compress::DeflateLevel level) {
     mcb.particles_per_rank = 120;
     apps::run_mcb(sim, mcb);
     recorder.finalize();
-    service.drain();
     container.seal();
   }
   // Replay the sealed container so the decode side of the report is live
@@ -335,19 +327,13 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
   options.level = level;
   {
     store::ContainerStore container(file);
-    store::CompressionService::Config service_config;
-    service_config.workers = 2;
-    service_config.level = level;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
-    tool::Recorder recorder(9, &container, options, &sink);
+    tool::Recorder recorder(9, &container, options);
     minimpi::Simulator::Config config;
     config.num_ranks = 9;
     config.noise_seed = 4;
     minimpi::Simulator sim(config, &recorder);
     apps::run_mcb(sim, mcb);
     recorder.finalize();
-    service.drain();
     container.seal();
   }
 
@@ -558,15 +544,10 @@ int demo(compress::DeflateLevel level) {
   const std::string file = "/tmp/cdc_record_demo.cdcc";
   {
     store::ContainerStore container(file);
-    store::CompressionService::Config service_config;
-    service_config.workers = 2;
-    service_config.level = level;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
     tool::ToolOptions options;
     options.chunk_target = 128;
     options.level = level;
-    tool::Recorder recorder(9, &container, options, &sink);
+    tool::Recorder recorder(9, &container, options);
     minimpi::Simulator::Config config;
     config.num_ranks = 9;
     config.noise_seed = 4;
@@ -577,18 +558,13 @@ int demo(compress::DeflateLevel level) {
     mcb.particles_per_rank = 120;
     apps::run_mcb(sim, mcb);
     recorder.finalize();
-    service.drain();
     container.seal();
 
     inspect(container);
-    const auto stats = service.stats();
-    std::printf("\ncompression service: %llu chunks on %zu workers, "
-                "%s raw -> %s stored\n",
-                static_cast<unsigned long long>(stats.jobs), stats.workers,
+    std::printf("\nrecorded %llu chunks, %s stored\n",
+                static_cast<unsigned long long>(recorder.totals().chunks),
                 obs::format_bytes(
-                    static_cast<double>(stats.raw_bytes)).c_str(),
-                obs::format_bytes(
-                    static_cast<double>(stats.encoded_bytes)).c_str());
+                    static_cast<double>(container.total_bytes())).c_str());
   }
   std::printf("\nrecord container left at %s; verifying it:\n", file.c_str());
   return verify_container(file);

@@ -6,7 +6,7 @@
 // Determinism contract: for a given (input, level) the compressed bytes
 // are identical on every thread and every call — the encoder keeps no
 // history across calls (thread-local workspaces only recycle capacity),
-// so the inline and CompressionService paths stay bit-identical.
+// so a frame encodes to the same bytes on whichever thread flushes it.
 #pragma once
 
 #include <cstdint>

@@ -150,8 +150,8 @@ class Corpus {
 };
 
 /// RecordStore adapter for ingest: buffers one member in memory, then
-/// seal_member() commits it to the corpus. Composes under RetryingStore /
-/// CompressionService exactly like the stock stores.
+/// seal_member() commits it to the corpus. Composes under RetryingStore
+/// and the frame sink exactly like the stock stores.
 class CorpusStore final : public runtime::RecordStore {
  public:
   CorpusStore(Corpus* corpus, std::string family, std::string member_name,

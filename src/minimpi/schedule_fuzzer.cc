@@ -20,7 +20,6 @@
 #include "support/oracle.h"
 #include "tool/crash_store.h"
 #include "tool/degraded.h"
-#include "tool/frame_sink.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -474,11 +473,11 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_io_fault_case(
   store::IoFaultStore faulty(&base, fault_plan);
   store::RetryPolicy policy;
   policy.jitter_seed = mix(seed * 4 + 5);
-  tool::RetryingFrameSink sink(&faulty, policy);
+  store::RetryingStore retrying(&faulty, policy);
   std::uint64_t checkpoint_failures = 0;
   {
-    tool::Recorder recorder(workload_.num_ranks, &sink.store(),
-                            tool_options(options_.chunk_target), &sink);
+    tool::Recorder recorder(workload_.num_ranks, &retrying,
+                            tool_options(options_.chunk_target));
     support::OrderProbe probe(&recorder);
     minimpi::Simulator sim(
         sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
@@ -492,9 +491,10 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_io_fault_case(
     report->faults_injected += faulty.stats().transient_throws +
                                faulty.stats().fsync_failures;
 
-  if (sink.stats().quarantined != 0) {
+  if (retrying.stats().quarantined != 0) {
     failure.detail = "transient faults quarantined " +
-                     std::to_string(sink.stats().quarantined) + " frame(s)";
+                     std::to_string(retrying.stats().quarantined) +
+                     " frame(s)";
     return failure;
   }
   if (checkpoint_failures != 0) {
@@ -504,9 +504,10 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_io_fault_case(
   const double backoff_bound =
       policy.max_total_backoff_ms() *
       static_cast<double>(faulty.stats().appends);
-  if (sink.stats().backoff_ms_total > backoff_bound) {
+  if (retrying.stats().backoff_ms_total > backoff_bound) {
     failure.detail = "backoff exceeded its bound: " +
-                     std::to_string(sink.stats().backoff_ms_total) + "ms > " +
+                     std::to_string(retrying.stats().backoff_ms_total) +
+                     "ms > " +
                      std::to_string(backoff_bound) + "ms";
     return failure;
   }

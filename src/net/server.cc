@@ -24,7 +24,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "store/compression_service.h"
 #include "store/container_store.h"
 #include "store/mpmc_queue.h"
 #include "store/quota.h"
@@ -108,9 +107,8 @@ struct Server::Impl {
     std::unique_ptr<store::ContainerStore> container;
     store::QuotaStore quota;
     std::unique_ptr<runtime::RecordStore> wrapped;  ///< store_wrapper seam
-    runtime::RecordStore* target = nullptr;  ///< what the sink stack writes
-    std::unique_ptr<store::CompressionService> service;  ///< kService only
-    std::unique_ptr<tool::FrameSink> sink;
+    runtime::RecordStore* target = nullptr;  ///< what the sink writes
+    std::optional<tool::InlineFrameSink> sink;
     store::BoundedMpmcQueue<WorkItem> queue;
 
     std::mutex done_mutex;
@@ -277,10 +275,9 @@ struct Server::Impl {
           continue;
         }
         // No (valid) journal: an unresumable partial. Discard it with its
-        // sidecars so the name frees up.
+        // journal so the name frees up.
         fs::remove(path, ec);
         fs::remove(journal_path, ec);
-        fs::remove(path + ".cdcq", ec);
         discarded.add(1);
         stat_partials_discarded.fetch_add(1, std::memory_order_relaxed);
       }
@@ -577,7 +574,6 @@ struct Server::Impl {
           std::error_code ec;
           fs::remove(path, ec);
           fs::remove(store::session_journal_path(path), ec);
-          fs::remove(path + ".cdcq", ec);
           stat_partials_discarded.fetch_add(1, std::memory_order_relaxed);
           obs::counter("net.server.resume.discarded").add(1);
           send_error(conn, ErrCode::kInternal,
@@ -756,25 +752,7 @@ struct Server::Impl {
       session.wrapped = config.store_wrapper(&session.quota);
       if (session.wrapped != nullptr) session.target = session.wrapped.get();
     }
-    switch (config.sink_mode) {
-      case SinkMode::kInline:
-        session.sink = std::make_unique<tool::InlineFrameSink>(session.target);
-        break;
-      case SinkMode::kService: {
-        store::CompressionService::Config service_config;
-        service_config.workers = config.service_workers;
-        service_config.level = session.level;
-        session.service = std::make_unique<store::CompressionService>(
-            session.target, service_config);
-        session.sink =
-            std::make_unique<tool::AsyncFrameSink>(session.service.get());
-        break;
-      }
-      case SinkMode::kRetrying:
-        session.sink = std::make_unique<tool::RetryingFrameSink>(
-            session.target, store::RetryPolicy{}, session.path + ".cdcq");
-        break;
-    }
+    session.sink.emplace(session.target);
     session.tenant_frames =
         &obs::counter("net.tenant." + tenant.config.name + ".frames");
     session.tenant_bytes =
@@ -934,8 +912,7 @@ struct Server::Impl {
         return report.to_json();
       }
       case InspectKind::kGaps:
-        return tool::inspect_gaps(session.path, session.path + ".cdcq")
-            .to_json();
+        return tool::inspect_gaps(session.path).to_json();
     }
     return "{}";
   }
@@ -970,7 +947,6 @@ struct Server::Impl {
       if (session.failed.load(std::memory_order_relaxed)) continue;
       if (item.seal) {
         try {
-          if (session.service != nullptr) session.service->drain();
           maybe_crash_if(config.crash.kill_before_seal);
           session.container->seal();
           // The footer is durable: the journal has served its purpose and
@@ -1023,7 +999,7 @@ struct Server::Impl {
         for (const WireFrame& frame : item.batch.frames)
           batch_bytes += frame.payload.size();
         // Tenant quota on raw payload bytes, checked before any submit so
-        // the parallel service never sees a mid-batch quota trip.
+        // a batch never trips the quota halfway through.
         if (session.raw_bytes + batch_bytes > session.raw_budget) {
           fail_session(session, ErrCode::kQuota,
                        "tenant byte quota exhausted");
@@ -1071,13 +1047,12 @@ struct Server::Impl {
           }
         }
         if (session.failed.load(std::memory_order_relaxed)) continue;
-        // Durability before acknowledgement (DESIGN.md §14): drain the
-        // parallel service so every frame of this batch is in the
-        // container, flush the container, fsync the journal entry, and
+        // Durability before acknowledgement (DESIGN.md §14): every frame
+        // of this batch is already in the container (the sink appends
+        // inline), so flush the container, fsync the journal entry, and
         // only then advance committed_seq and emit the PUT_ACK. The crash
         // hooks bracket each ordering edge the kill sweep exercises.
         maybe_crash_at(config.crash.kill_before_sync_batch, crash_sync_count);
-        if (session.service != nullptr) session.service->drain();
         session.target->sync();
         session.frames += item.batch.frames.size();
         session.raw_bytes += batch_bytes;
@@ -1184,12 +1159,6 @@ struct Server::Impl {
       session.queue.close();
       if (session.worker.joinable()) session.worker.join();
       if (!session.sealed) {
-        // Quiesce the sink stack first — the CompressionService
-        // destructor drains its backlog into the store, and those commits
-        // must land before the container is abandoned or parked
-        // (append-after-abandon is a checked abort).
-        session.sink.reset();
-        session.service.reset();
         if (session.sealed_on_disk.load(std::memory_order_acquire)) {
           // The worker sealed but the SEALED reply never drained: the
           // record on disk is whole, so register it — deleting it here
@@ -1220,7 +1189,6 @@ struct Server::Impl {
           session.container->abandon();
           std::error_code ec;
           fs::remove(session.path, ec);
-          fs::remove(session.path + ".cdcq", ec);
           if (conn.tenant != nullptr)
             conn.tenant->active.erase(session.record);
           obs::counter("net.sessions.aborted").add(1);

@@ -5,9 +5,9 @@
 // dispatches messages against a per-connection state machine
 // (HELLO → ingest | replay). Ingest work never runs on the event thread:
 // each ingest session owns a bounded MPMC queue and one worker thread that
-// drains batches into the existing storage stack — QuotaStore →
-// ContainerStore, fronted by the configured FrameSink (inline encode,
-// parallel CompressionService, or RetryingFrameSink with quarantine).
+// encodes each batch's frames inline (tool::InlineFrameSink) into the
+// existing storage stack — QuotaStore → ContainerStore. An I/O error on
+// append or sync fails the batch before its ack.
 //
 // Backpressure is structural, not advisory: when a session's queue is
 // full, the event thread parks the parsed batch, *stops polling the
@@ -60,20 +60,11 @@ struct TenantConfig {
   std::uint32_t max_records = 256;         ///< sealed + in-flight records
 };
 
-/// Which sink stack ingest sessions route through (DESIGN.md §13).
-enum class SinkMode : std::uint8_t {
-  kInline = 0,    ///< encode on the session worker, append directly
-  kService = 1,   ///< parallel CompressionService per session
-  kRetrying = 2,  ///< RetryingFrameSink (bounded backoff + quarantine)
-};
-
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see Server::port()
   std::string root_dir;    ///< record storage root (created if absent)
   std::vector<TenantConfig> tenants;
-  SinkMode sink_mode = SinkMode::kInline;
-  std::size_t service_workers = 2;  ///< kService mode worker count
   /// Ingest-queue bound, in batches, per session — the backpressure knob.
   std::size_t ingest_queue_batches = 8;
   Limits limits;
@@ -84,9 +75,9 @@ struct ServerConfig {
   /// session worker, to force queue buildup and exercise backpressure.
   std::uint32_t ingest_delay_us = 0;
   int listen_backlog = 128;
-  /// Test seam: wraps the store each ingest session's sink stack (and its
+  /// Test seam: wraps the store each ingest session's sink (and its
   /// durability sync()) writes through — e.g. a store::IoFaultStore to
-  /// exercise the fsync-before-ack ordering. The wrapped store must
+  /// exercise the fail-before-ack ordering. The wrapped store must
   /// delegate to the passed inner store; null return means "no wrap".
   std::function<std::unique_ptr<runtime::RecordStore>(runtime::RecordStore*)>
       store_wrapper;

@@ -3,16 +3,16 @@
 //
 // Hot-path contract: one record is a relaxed atomic add into a per-thread
 // shard (thread_index() masked down to kMetricShards cache-line-padded
-// slots), so the CompressionService workers and the simulator's worker
-// threads can all hammer the same metric without a shared cache line.
+// slots), so the simulator's worker threads and cdc_served's session
+// workers can all hammer the same metric without a shared cache line.
 // Values are merged only at snapshot time. When the layer is
 // runtime-disabled every record call is a relaxed load + branch;
 // built with -DCDC_OBS_DISABLED the calls compile away entirely.
 //
 // Handles returned by the registry are valid for the process lifetime —
 // cache them in a function-local static:
-//   static obs::Counter& jobs = obs::counter("store.service.jobs");
-//   jobs.add(1);
+//   static obs::Counter& frames = obs::counter("store.container.frames");
+//   frames.add(1);
 //
 // Naming scheme (DESIGN.md §8): dot-separated `<layer>.<object>.<what>`,
 // with units as a final suffix where they are not obvious (`_ns`, `_us`,

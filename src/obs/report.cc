@@ -107,15 +107,6 @@ PipelineReport PipelineReport::from_snapshot(
   r.epoch_flush_events = dist_or_empty(s, "record.epoch.flush_events");
   r.epoch_flush_ns = dist_or_empty(s, "record.epoch.flush_ns");
 
-  r.service_jobs = s.counter_or("store.service.jobs");
-  r.service_raw_bytes = s.counter_or("store.service.raw_bytes");
-  r.service_encoded_bytes = s.counter_or("store.service.encoded_bytes");
-  r.service_submit_stalls = s.counter_or("store.service.submit_stalls");
-  r.service_queue_depth = dist_or_empty(s, "store.service.queue_depth");
-  r.service_encode_ns = dist_or_empty(s, "store.service.encode_ns");
-  r.service_commit_wait_ns =
-      dist_or_empty(s, "store.service.commit_wait_ns");
-
   r.pool_hits = s.counter_or("store.pool.hits");
   r.pool_misses = s.counter_or("store.pool.misses");
   r.pool_recycled_bytes = s.counter_or("store.pool.recycled_bytes");
@@ -274,17 +265,7 @@ std::string PipelineReport::to_json() const {
   w.field("epoch_deferrals", epoch_deferrals);
   write_dist(w, "epoch_flush_events", epoch_flush_events);
   write_dist(w, "epoch_flush_ns", epoch_flush_ns);
-  w.end_object();
-
-  w.key("compression_service").begin_object();
-  w.field("jobs", service_jobs);
-  w.field("raw_bytes", service_raw_bytes);
-  w.field("encoded_bytes", service_encoded_bytes);
-  w.field("submit_stalls", service_submit_stalls);
   w.field("deflate_mb_per_s", deflate_mb_per_s());
-  write_dist(w, "queue_depth", service_queue_depth);
-  write_dist(w, "encode_ns", service_encode_ns);
-  write_dist(w, "commit_wait_ns", service_commit_wait_ns);
   w.key("buffer_pool").begin_object();
   w.field("hits", pool_hits);
   w.field("misses", pool_misses);
@@ -458,15 +439,6 @@ void PipelineReport::print(std::FILE* out) const {
                  " misses (%.1f%% reuse), %s recycled\n",
                  pool_hits, pool_misses, 100.0 * pool_hit_rate(),
                  bytes(pool_recycled_bytes).c_str());
-  if (service_jobs > 0)
-    std::fprintf(out,
-                 "service   : %" PRIu64 " jobs, %s raw -> %s encoded, "
-                 "%" PRIu64 " submit stalls, queue depth p50 %.0f max "
-                 "%" PRIu64 "\n",
-                 service_jobs, bytes(service_raw_bytes).c_str(),
-                 bytes(service_encoded_bytes).c_str(),
-                 service_submit_stalls, service_queue_depth.p50,
-                 service_queue_depth.max);
   if (stage_inflate.calls > 0)
     std::fprintf(out,
                  "  stage %-24s %8" PRIu64 " calls %10.3f ms  %s -> %s"

@@ -3,7 +3,7 @@
 //
 // Two data sources fill it:
 //   * the live metrics snapshot of an instrumented run (stage timings,
-//     epoch flush distribution, compression-service behaviour) — see
+//     epoch flush distribution, output-buffer reuse) — see
 //     PipelineReport::from_snapshot and the metric names in DESIGN.md §8;
 //   * a record container on disk, decoded frame by frame (byte totals per
 //     stage, frame counts per codec) — filled by tool::inspect_pipeline,
@@ -63,17 +63,8 @@ struct PipelineReport {
   DistReport epoch_flush_events;      ///< matched events per flushed chunk
   DistReport epoch_flush_ns;          ///< wall ns per flush call
 
-  std::uint64_t service_jobs = 0;
-  std::uint64_t service_raw_bytes = 0;
-  std::uint64_t service_encoded_bytes = 0;
-  std::uint64_t service_submit_stalls = 0;
-  DistReport service_queue_depth;
-  DistReport service_encode_ns;
-  DistReport service_commit_wait_ns;
-
-  /// Output-buffer recycling (store.pool.* — the CompressionService's
-  /// BufferPool and the inline/retrying sinks' scratch buffers report
-  /// under the same names, so this is the whole pipeline's reuse rate).
+  /// Output-buffer recycling (store.pool.*: the frame sink's scratch
+  /// buffer, one hit or miss per encoded frame).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   std::uint64_t pool_recycled_bytes = 0;

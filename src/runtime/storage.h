@@ -91,8 +91,8 @@ class RecordStore {
 };
 
 /// Ramdisk-style in-memory store. Thread-safe: one mutex guards every
-/// stream (the compression service's commit thread and readers may touch
-/// it concurrently). keys() is sorted.
+/// stream (a writer and readers may touch it concurrently). keys() is
+/// sorted.
 class MemoryStore final : public RecordStore {
  public:
   void append(const StreamKey& key,

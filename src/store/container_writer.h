@@ -1,9 +1,9 @@
 // Append side of the record container (see container.h for the layout).
 //
 // Thread-safe: concurrent appenders are serialized on one mutex — the file
-// is a single append point anyway, and callers that need parallelism put a
-// CompressionService in front (frames arrive here already encoded). The
-// in-memory index grows as frames land; seal() writes it as the footer.
+// is a single append point anyway, and frames arrive here already encoded
+// by the frame sink. The in-memory index grows as frames land; seal()
+// writes it as the footer.
 #pragma once
 
 #include <cstdint>

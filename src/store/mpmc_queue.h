@@ -1,10 +1,12 @@
 // Bounded multi-producer/multi-consumer job queue.
 //
-// This queue carries coarse compression jobs (whole sealed chunks,
-// thousands of events each) between many submitters and a worker pool, so
-// a mutex + condvar design is the right trade: microseconds of lock cost
-// against milliseconds of DEFLATE per job, with real blocking (no spin) on
-// both full and empty, and close() semantics for orderly worker shutdown.
+// This queue carries coarse jobs (whole ingest batches, each many frames
+// to encode) from cdc_served's event thread to a session worker, so a
+// mutex + condvar design is the right trade: microseconds of lock cost
+// against milliseconds of DEFLATE per job. Producers never block — a full
+// queue rejects try_push and the producer applies back-pressure itself —
+// while consumers block in pop(), and close() gives orderly worker
+// shutdown.
 #pragma once
 
 #include <condition_variable>
@@ -26,20 +28,6 @@ class BoundedMpmcQueue {
 
   BoundedMpmcQueue(const BoundedMpmcQueue&) = delete;
   BoundedMpmcQueue& operator=(const BoundedMpmcQueue&) = delete;
-
-  /// Blocks while the queue is full (bounded back-pressure, like the
-  /// paper's recording ring). Returns false if the queue was closed —
-  /// including when close() lands while the push is blocked waiting for
-  /// space; the value is dropped, never half-enqueued.
-  bool push(T value) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    items_.push_back(std::move(value));
-    not_empty_.notify_one();
-    return true;
-  }
 
   /// Non-blocking push: false when the queue is full *or* closed, without
   /// waiting. The event-loop seam — a poll-driven producer that must never
@@ -66,13 +54,12 @@ class BoundedMpmcQueue {
     if (items_.empty()) return false;
     out = std::move(items_.front());
     items_.pop_front();
-    not_full_.notify_one();
     return true;
   }
 
   /// Closes the queue. The contract consumers and adversarial
   /// disconnect paths rely on (tested in mpmc_queue_test.cc):
-  ///   * every push()/try_push() after close() is rejected (returns
+  ///   * every try_push() after close() is rejected (returns
   ///     false) — nothing enqueues into a closed queue, so a producer
   ///     racing a disconnect cannot resurrect a torn-down session;
   ///   * the backlog stays poppable: pop() keeps returning true until the
@@ -87,7 +74,6 @@ class BoundedMpmcQueue {
     const std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   [[nodiscard]] bool closed() const {
@@ -105,7 +91,6 @@ class BoundedMpmcQueue {
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
   bool closed_ = false;

@@ -2,11 +2,11 @@
 //
 // The service layer (src/net/) sells bounded storage per tenant; the
 // enforcement point is a decorator in front of whatever store a tenant's
-// session writes into, so the quota holds identically for the inline,
-// async-compression, and retrying sink stacks — they all terminate in a
-// RecordStore. A quota trip throws QuotaExceeded (a distinct type, not
-// IoError: retrying a quota breach is never correct) *before* committing
-// the append, leaving the underlying container consistent and sealable.
+// session writes into, so the quota holds for whatever the frame sink
+// appends through it. A quota trip throws QuotaExceeded (a distinct
+// type, not IoError: retrying a quota breach is never correct) *before*
+// committing the append, leaving the underlying container consistent and
+// sealable.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,7 @@ class QuotaExceeded : public std::runtime_error {
 /// RecordStore decorator charging every appended byte against a fixed
 /// budget. Accounting is on the *raw frame bytes appended* (what actually
 /// lands in the container), checked-and-charged atomically so concurrent
-/// appenders (CompressionService workers) cannot jointly overshoot.
+/// appenders cannot jointly overshoot.
 class QuotaStore final : public runtime::RecordStore {
  public:
   QuotaStore(runtime::RecordStore* inner, std::uint64_t max_bytes)

@@ -1,6 +1,6 @@
-// A small freelist of byte buffers so hot paths (compression-service
-// workers, frame sinks) recycle vector capacity instead of reallocating
-// per chunk. Thread-safe; the mutex guards a pointer swap and is never
+// A small freelist of byte buffers so hot paths (corpus ingest and
+// member reads) recycle vector capacity instead of reallocating per
+// chunk. Thread-safe; the mutex guards a pointer swap and is never
 // held across user work. Stats are plain counters the owning layer can
 // mirror into obs metrics (support stays free of the obs dependency).
 #pragma once

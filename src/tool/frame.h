@@ -27,8 +27,8 @@ struct Frame {
   std::vector<std::uint8_t> payload;  ///< decompressed
 };
 
-/// One not-yet-encoded frame: the unit of work the compression service
-/// parallelizes. `compress == false` is the "w/o Compression" baseline,
+/// One not-yet-encoded frame: what a FrameSink receives for each sealed
+/// chunk. `compress == false` is the "w/o Compression" baseline,
 /// which frames its payload verbatim (stored-raw) by construction rather
 /// than by the size fallback.
 struct FrameJob {
@@ -38,14 +38,15 @@ struct FrameJob {
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   std::vector<std::uint8_t> payload;  ///< raw (uncompressed) chunk bytes
   /// Epoch metadata of the chunk, when the flusher knows it. Rides through
-  /// every sink to RecordStore::append_epoch so epoch-aware stores build
+  /// the sink to RecordStore::append_epoch so epoch-aware stores build
   /// the container's random-access epoch index; plain stores ignore it.
   std::optional<runtime::EpochMeta> epoch;
 };
 
 /// Encodes one job into its on-storage frame bytes. Deterministic: the
-/// same job yields the same bytes on any thread, which is what lets the
-/// parallel compression service commit bit-identical streams.
+/// same job yields the same bytes on any thread, so a record encoded by
+/// the simulated recorder, by a cdc_served session worker, or by a local
+/// rebuild is bit-identical.
 std::vector<std::uint8_t> encode_frame(const FrameJob& job);
 
 /// encode_frame with a recycled output buffer: `reuse` donates capacity

@@ -1,16 +1,14 @@
 #include "tool/frame_sink.h"
 
 #include "obs/metrics.h"
-#include "store/compression_service.h"
 #include "support/check.h"
 
 namespace cdc::tool {
 
 namespace {
 
-/// Counts a sink-local scratch reuse under the same obs names the
-/// CompressionService pool uses, so record_inspector --stats sees one
-/// consolidated pool hit-rate regardless of which path encoded.
+/// Counts a scratch-buffer reuse under store.pool.*, the pipeline
+/// report's buffer-recycling counters (record_inspector --stats).
 void count_scratch_reuse(const std::vector<std::uint8_t>& scratch) {
   static obs::Counter& pool_hits = obs::counter("store.pool.hits");
   static obs::Counter& pool_misses = obs::counter("store.pool.misses");
@@ -40,39 +38,6 @@ void InlineFrameSink::submit(const runtime::StreamKey& key, FrameJob job) {
   else
     store_->append(key, encoded);
   scratch_ = std::move(encoded);  // the store copied; keep the capacity
-}
-
-AsyncFrameSink::AsyncFrameSink(store::CompressionService* service)
-    : service_(service) {
-  CDC_CHECK(service != nullptr);
-}
-
-void AsyncFrameSink::submit(const runtime::StreamKey& key, FrameJob job) {
-  const std::size_t raw_size = job.payload.size();
-  const std::optional<runtime::EpochMeta> epoch = job.epoch;
-  service_->submit(
-      key, raw_size,
-      store::CompressionService::EncoderInto(
-          [job = std::move(job)](std::vector<std::uint8_t> reuse) {
-            return encode_frame_into(job, std::move(reuse));
-          }),
-      epoch);
-}
-
-RetryingFrameSink::RetryingFrameSink(runtime::RecordStore* store,
-                                     const store::RetryPolicy& policy,
-                                     std::string quarantine_path)
-    : retrying_(store, policy, std::move(quarantine_path)) {}
-
-void RetryingFrameSink::submit(const runtime::StreamKey& key, FrameJob job) {
-  count_scratch_reuse(scratch_);
-  std::vector<std::uint8_t> encoded =
-      encode_frame_into(job, std::move(scratch_));
-  if (job.epoch.has_value())
-    retrying_.append_epoch(key, encoded, *job.epoch);
-  else
-    retrying_.append(key, encoded);
-  scratch_ = std::move(encoded);  // appended or quarantined by copy
 }
 
 }  // namespace cdc::tool

@@ -1,32 +1,20 @@
 // Where sealed chunks go: the seam between chunk building (StreamRecorder)
 // and frame encoding + storage.
 //
-// The seed compressed every chunk inline on whichever thread flushed it.
-// Routing flushes through a FrameSink instead lets the same recorder code
-// run against either path:
-//   InlineFrameSink — encode (DEFLATE) on the calling thread, append to
-//     the store immediately; the seed's behaviour.
-//   AsyncFrameSink  — hand the raw payload to a store::CompressionService
-//     worker pool; frames are committed to the store in submission order,
-//     so the stored bytes are identical to the inline path.
-//   RetryingFrameSink — encode inline, but append through a
-//     store::RetryingStore: transient I/O errors are retried with bounded
-//     exponential backoff, and a frame that exhausts its retries is
-//     quarantined (in memory + the `.cdcq` sidecar) instead of aborting
-//     the recorder. The survive-and-resume path for flaky node-local
-//     storage.
+// There is one frame path. InlineFrameSink encodes (DEFLATE) on the
+// calling thread and appends to its RecordStore at once — the recorder's
+// flush, a cdc_served session worker and a local rebuild all produce the
+// same bytes. Storage policy lives in the RecordStore stack beneath the
+// sink, not in the sink: retries and quarantine come from a
+// store::RetryingStore passed as the store, quotas from a
+// store::QuotaStore. The FrameSink interface is a seam so callers can
+// wrap the inline sink (capture, tracing) without touching the recorder.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "runtime/storage.h"
-#include "store/resilient.h"
 #include "tool/frame.h"
-
-namespace cdc::store {
-class CompressionService;
-}  // namespace cdc::store
 
 namespace cdc::tool {
 
@@ -34,14 +22,16 @@ class FrameSink {
  public:
   virtual ~FrameSink() = default;
 
-  /// Encodes (now or later) and appends one frame to `key`'s stream.
-  /// Per-key submission order is preserved in the stored stream.
+  /// Encodes and appends one frame to `key`'s stream. Per-key submission
+  /// order is preserved in the stored stream.
   virtual void submit(const runtime::StreamKey& key, FrameJob job) = 0;
 };
 
 /// Encodes on the calling thread, appends immediately. Keeps one output
 /// buffer and recycles its capacity across submits (sinks are used from
 /// a single flushing thread), so steady-state encoding is allocation-free.
+/// An append that throws (runtime::IoError) propagates to the caller with
+/// the frame unwritten.
 class InlineFrameSink final : public FrameSink {
  public:
   explicit InlineFrameSink(runtime::RecordStore* store);
@@ -49,44 +39,6 @@ class InlineFrameSink final : public FrameSink {
 
  private:
   runtime::RecordStore* store_;
-  std::vector<std::uint8_t> scratch_;  ///< recycled frame-output buffer
-};
-
-/// Queues the job on a compression service's worker pool.
-class AsyncFrameSink final : public FrameSink {
- public:
-  explicit AsyncFrameSink(store::CompressionService* service);
-  void submit(const runtime::StreamKey& key, FrameJob job) override;
-
- private:
-  store::CompressionService* service_;
-};
-
-/// Encodes on the calling thread and appends through an internal
-/// store::RetryingStore wrapped around `store`: runtime::IoError appends
-/// are retried under `policy`, and exhausted frames are quarantined to
-/// `quarantine_path` (when non-empty) instead of aborting. submit() never
-/// throws for I/O reasons — recording always completes.
-class RetryingFrameSink final : public FrameSink {
- public:
-  explicit RetryingFrameSink(runtime::RecordStore* store,
-                             const store::RetryPolicy& policy = {},
-                             std::string quarantine_path = {});
-  void submit(const runtime::StreamKey& key, FrameJob job) override;
-
-  /// The retrying decorator itself — hand this to a Recorder as its store
-  /// so checkpoint sync() calls get the same retry treatment.
-  [[nodiscard]] store::RetryingStore& store() noexcept { return retrying_; }
-  [[nodiscard]] const store::RetryStats& stats() const noexcept {
-    return retrying_.stats();
-  }
-  [[nodiscard]] const std::vector<store::QuarantinedFrame>& quarantined()
-      const noexcept {
-    return retrying_.quarantined();
-  }
-
- private:
-  store::RetryingStore retrying_;
   std::vector<std::uint8_t> scratch_;  ///< recycled frame-output buffer
 };
 

@@ -37,21 +37,13 @@ struct ToolOptions {
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   /// Rank whose received-clock series is captured (Figure 1); -1 = none.
   std::int32_t clock_trace_rank = -1;
-  /// Advance the Lamport clock on unmatched Test results as well as on
-  /// sends/receives. Unmatched tests are themselves replayed, so this
-  /// clock is still replayable (the paper's §4.3 invites such refined
-  /// clock definitions); it keeps rank clocks advancing at poll rate,
-  /// which greatly increases observed/reference order similarity for
-  /// polling applications like MCB.
-  bool tick_on_unmatched_test = true;
   /// Epoch-checkpoint interval: after every `checkpoint_interval` chunk
   /// flushes the recorder issues a store durability barrier
   /// (RecordStore::sync), so a killed recorder loses at most the chunks of
   /// one checkpoint window — one epoch, at the default of 1 — instead of
   /// everything since the last OS writeback. 0 disables checkpoints (the
-  /// seed behaviour). With an asynchronous sink the barrier covers every
-  /// frame the compression service has committed so far (best effort);
-  /// the inline path gets the exact ≤ interval guarantee.
+  /// seed behaviour). Frames are encoded and appended inline, so the
+  /// barrier covers every frame flushed before it.
   std::uint32_t checkpoint_interval = 1;
   /// Replay a *partial* record — e.g. one salvaged from a crashed
   /// recorder's container (store/container_reader.h repack). The record is

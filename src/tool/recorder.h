@@ -21,10 +21,10 @@ namespace cdc::tool {
 
 class Recorder : public minimpi::ToolHooks {
  public:
-  /// `sink` routes sealed chunks to their encoder: null means encode
-  /// inline into `store` (the seed path); pass an AsyncFrameSink to run
-  /// the entropy stage on a store::CompressionService worker pool. The
-  /// sink must outlive the recorder and commit into `store`.
+  /// `sink` routes sealed chunks to their encoder: null means an
+  /// InlineFrameSink into `store`; pass a FrameSink that wraps one to
+  /// observe the flushes. The sink must outlive the recorder and commit
+  /// into `store`.
   Recorder(int num_ranks, runtime::RecordStore* store,
            const ToolOptions& options = {}, FrameSink* sink = nullptr);
 
@@ -48,9 +48,7 @@ class Recorder : public minimpi::ToolHooks {
   /// one-task-per-rank-per-window rule keeps owner-serialized, so even
   /// stream creation takes no lock (see tool/stream_table.h). Flushing
   /// here runs single-threaded at worker-count-invariant points, so the
-  /// sealed container is byte-identical for every worker count. Record
-  /// byte-identity relies on the inline sink: do not pair a multi-worker
-  /// record run with AsyncFrameSink when comparing container bytes.
+  /// sealed container is byte-identical for every worker count.
   void on_window(double horizon) override;
 
   /// Flushes every stream; call once after Simulator::run() returns.

@@ -148,8 +148,7 @@ void Replayer::on_unmatched_test(minimpi::Rank rank,
                                  minimpi::CallsiteId callsite) {
   // Unmatched tests are replayed events, so ticking here keeps the clock
   // replayable and identical to record mode.
-  if (options_.tick_on_unmatched_test)
-    clocks_[static_cast<std::size_t>(rank)].tick();
+  clocks_[static_cast<std::size_t>(rank)].tick();
   if (released_) return;
   StreamReplayer& rep = stream(rank, callsite);
   // In passthrough mode (record exhausted) there is nothing to confirm.

@@ -152,8 +152,8 @@ TEST(DeflateEdge, EmptyInput) {
 // The compressor keeps per-thread workspaces (hash chains, token buffers,
 // bit writers). Determinism contract: the output bytes depend only on
 // (input, level) — never on which thread ran, what it compressed before,
-// or how its workspace was warmed. This is what lets the parallel
-// compression service produce bit-identical containers to the inline path.
+// or how its workspace was warmed. This is what lets a cdc_served session
+// worker and a local rebuild produce bit-identical containers.
 TEST(DeflateEdge, EightThreadsProduceIdenticalBytesPerLevel) {
   // Record-like corpus: mostly zeros with small values, moderately long.
   support::Xoshiro256 rng(14);

@@ -1,6 +1,6 @@
 // End-to-end tests of the storage pipeline (src/store/): recording an MCB
-// run through the container store with the parallel compression service
-// must store byte-for-byte what the inline path stores, and a sealed
+// run on the parallel simulator into the container store must store
+// byte-for-byte what a one-worker run stores in memory, and a sealed
 // container must replay the run bitwise.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -10,10 +10,8 @@
 #include "apps/mcb.h"
 #include "minimpi/simulator.h"
 #include "runtime/storage.h"
-#include "store/compression_service.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
-#include "tool/frame_sink.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -40,10 +38,12 @@ class ContainerPipelineTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-minimpi::Simulator::Config sim_config(int ranks, std::uint64_t noise_seed) {
+minimpi::Simulator::Config sim_config(int ranks, std::uint64_t noise_seed,
+                                      int workers = 0) {
   minimpi::Simulator::Config config;
   config.num_ranks = ranks;
   config.noise_seed = noise_seed;
+  config.workers = workers;
   return config;
 }
 
@@ -57,14 +57,15 @@ apps::McbConfig small_mcb() {
   return config;
 }
 
-apps::McbResult record_mcb(std::uint64_t noise_seed, tool::Recorder& rec) {
-  minimpi::Simulator sim(sim_config(9, noise_seed), &rec);
+apps::McbResult record_mcb(std::uint64_t noise_seed, tool::Recorder& rec,
+                           int workers = 0) {
+  minimpi::Simulator sim(sim_config(9, noise_seed, workers), &rec);
   return apps::run_mcb(sim, small_mcb());
 }
 
 tool::ToolOptions chunked_options() {
   tool::ToolOptions options;
-  options.chunk_target = 64;  // force many chunks through the service
+  options.chunk_target = 64;  // force many chunks through the sink
   return options;
 }
 
@@ -72,24 +73,19 @@ TEST_F(ContainerPipelineTest,
        ParallelContainerPipelineStoresBitIdenticalStreams) {
   const tool::ToolOptions options = chunked_options();
 
-  // Inline path: encoding straight into a MemoryStore.
+  // Reference: one simulator worker, encoding into a MemoryStore.
   runtime::MemoryStore inline_store;
   tool::Recorder inline_rec(9, &inline_store, options);
-  const auto inline_run = record_mcb(11, inline_rec);
+  const auto inline_run = record_mcb(11, inline_rec, /*workers=*/1);
   inline_rec.finalize();
   ASSERT_GT(inline_store.total_bytes(), 0u);
 
-  // Service path: 4-worker compression service committing into the
-  // checksummed container store.
+  // Parallel path: four simulator workers, the recorder flushing into
+  // the checksummed container store.
   store::ContainerStore container(path("run.cdcc"));
-  store::CompressionService::Config service_config;
-  service_config.workers = 4;
-  store::CompressionService service(&container, service_config);
-  tool::AsyncFrameSink sink(&service);
-  tool::Recorder parallel_rec(9, &container, options, &sink);
-  const auto parallel_run = record_mcb(11, parallel_rec);
+  tool::Recorder parallel_rec(9, &container, options);
+  const auto parallel_run = record_mcb(11, parallel_rec, /*workers=*/4);
   parallel_rec.finalize();
-  service.drain();
 
   EXPECT_EQ(inline_run.global_tally, parallel_run.global_tally);
   ASSERT_EQ(inline_store.keys().size(), container.keys().size());
@@ -97,7 +93,7 @@ TEST_F(ContainerPipelineTest,
   for (const runtime::StreamKey& key : inline_store.keys())
     EXPECT_EQ(inline_store.read(key), container.read(key))
         << "stream (" << key.rank << "," << key.callsite << ") diverged";
-  EXPECT_GT(service.stats().jobs, 9u);  // the service really did the work
+  EXPECT_GT(parallel_rec.totals().chunks, 9u);  // many chunks, many flushes
 }
 
 TEST_F(ContainerPipelineTest, SealedContainerReplaysTheRunBitwise) {
@@ -107,14 +103,9 @@ TEST_F(ContainerPipelineTest, SealedContainerReplaysTheRunBitwise) {
   apps::McbResult recorded{};
   {
     store::ContainerStore container(file);
-    store::CompressionService::Config service_config;
-    service_config.workers = 4;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
-    tool::Recorder recorder(9, &container, options, &sink);
+    tool::Recorder recorder(9, &container, options);
     recorded = record_mcb(11, recorder);
     recorder.finalize();
-    service.drain();
     container.seal();
   }
 

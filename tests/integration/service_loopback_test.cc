@@ -46,7 +46,6 @@ class ServiceLoopbackTest : public ::testing::Test {
     tenant.name = kTenant;
     tenant.token = kToken;
     config.tenants.push_back(tenant);
-    config.sink_mode = SinkMode::kService;
     server_ = std::make_unique<Server>(std::move(config));
     std::string error;
     ASSERT_TRUE(server_->start(&error)) << error;

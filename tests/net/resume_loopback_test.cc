@@ -1,7 +1,8 @@
 // Crash-safe resume over loopback (DESIGN.md §14): durable resumable
 // sessions, batch-seq dedup, RESUME skip-ahead, restart recovery, the
 // client's transparent reconnect loop, graceful drain-and-park, the
-// fsync-before-ack ordering under injected fsync faults, and v1 interop.
+// fail-before-ack ordering under injected fsync and append faults, and v1
+// interop.
 // Every completed upload is byte-compared against a local rebuild from
 // the same seed — the resume machinery must be invisible in the sealed
 // container.
@@ -363,6 +364,52 @@ TEST_F(ResumeLoopbackTest, FsyncFaultFailsBatchBeforeAck) {
   client->bye();
   EXPECT_GE(server_->stats().batches_deduped, 1u);
   expect_byte_identical("fsynced");
+}
+
+TEST_F(ResumeLoopbackTest, AppendFaultFailsBatchBeforeAck) {
+  // The append side of the same contract: an I/O error on a frame in the
+  // middle of a batch fails that batch with kInternal and NO ack. The
+  // frames of it already appended are past the journaled prefix, so a
+  // resume truncates them and finishes the upload byte-identically.
+  ServerConfig config;
+  int session_index = 0;
+  config.store_wrapper =
+      [&session_index](runtime::RecordStore* inner)
+      -> std::unique_ptr<runtime::RecordStore> {
+    if (session_index++ > 0) return nullptr;
+    store::IoFaultPlan plan;
+    // Frame 3 of batch 2 (batches are kFramesPerBatch = 6 frames).
+    plan.eio_every_n = kFramesPerBatch + 3;
+    return std::make_unique<store::IoFaultStore>(inner, plan);
+  };
+  start_server(std::move(config));
+
+  {
+    auto client = dial("appended", /*resumable=*/true);
+    ASSERT_NE(client, nullptr);
+    bool failed = !put_batches(*client, 0, 5);
+    if (!failed) failed = !client->seal();
+    ASSERT_TRUE(failed);
+    EXPECT_EQ(client->last_code(), ErrCode::kInternal)
+        << client->last_error();
+  }
+  ASSERT_TRUE(wait_for(
+      [](const Server::Stats& s) { return s.sessions_parked >= 1; }));
+  // Only batch 1 was acked and journaled.
+  EXPECT_EQ(server_->stats().frames_ingested, kFramesPerBatch);
+  const auto state = store::read_session_journal(
+      store::session_journal_path(record_path("appended")));
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->last_seq, 1u);
+  EXPECT_EQ(state->frames_total, kFramesPerBatch);
+
+  auto client = dial("appended", /*resumable=*/true);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(put_batches(*client, 0, 5)) << client->last_error();
+  ASSERT_TRUE(client->seal()) << client->last_error();
+  client->bye();
+  EXPECT_GE(server_->stats().batches_deduped, 1u);
+  expect_byte_identical("appended");
 }
 
 TEST_F(ResumeLoopbackTest, V1ClientInteropStillWorks) {

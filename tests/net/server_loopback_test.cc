@@ -131,37 +131,27 @@ class ServerLoopbackTest : public ::testing::Test {
 };
 
 TEST_F(ServerLoopbackTest, IngestSealByteIdenticalAcrossSinkModes) {
-  // The oracle of the whole service: for every sink stack, the container
-  // the server seals equals byte-for-byte the container the same jobs
-  // write through a local InlineFrameSink.
+  // The oracle of the whole service: the container the server seals
+  // equals byte-for-byte the container the same jobs write through a
+  // local InlineFrameSink.
   SynthShape shape;
   shape.batches = 4;
   shape.frames_per_batch = 8;
-  for (const SinkMode mode :
-       {SinkMode::kInline, SinkMode::kService, SinkMode::kRetrying}) {
-    server_.reset();
-    ServerConfig config;
-    config.sink_mode = mode;
-    start_server(std::move(config));
-    const std::string record =
-        "rec-" + std::to_string(static_cast<int>(mode));
-    upload_record(record, 7, shape);
+  start_server();
+  upload_record("rec", 7, shape);
 
-    const auto jobs = synth_jobs(7, shape, compress::DeflateLevel::kFast);
-    const std::string local =
-        (dir_ / ("local-" + record + ".cdcc")).string();
-    std::string error;
-    ASSERT_TRUE(write_synth_container(local, jobs, &error)) << error;
-    const auto served = file_bytes(record_path(record));
-    ASSERT_FALSE(served.empty());
-    EXPECT_EQ(served, file_bytes(local))
-        << "sink mode " << static_cast<int>(mode);
+  const auto jobs = synth_jobs(7, shape, compress::DeflateLevel::kFast);
+  const std::string local = (dir_ / "local-rec.cdcc").string();
+  std::string error;
+  ASSERT_TRUE(write_synth_container(local, jobs, &error)) << error;
+  const auto served = file_bytes(record_path("rec"));
+  ASSERT_FALSE(served.empty());
+  EXPECT_EQ(served, file_bytes(local));
 
-    const auto reader = store::ContainerReader::open(record_path(record));
-    ASSERT_NE(reader, nullptr);
-    EXPECT_TRUE(reader->index_ok());
-    EXPECT_TRUE(reader->verify().ok);
-  }
+  const auto reader = store::ContainerReader::open(record_path("rec"));
+  ASSERT_NE(reader, nullptr);
+  EXPECT_TRUE(reader->index_ok());
+  EXPECT_TRUE(reader->verify().ok);
 }
 
 TEST_F(ServerLoopbackTest, BadTokenRejected) {

@@ -9,9 +9,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "store/compression_service.h"
 #include "store/container_store.h"
-#include "tool/frame_sink.h"
 #include "tool/options.h"
 #include "tool/pipeline_inspect.h"
 #include "tool/recorder.h"
@@ -42,8 +40,6 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   registry.counter("record.epoch.cut_found").add(2);
   registry.counter("record.epoch.cut_deferred").add(1);
   registry.histogram("record.epoch.flush_events").record(33);
-  registry.counter("store.service.jobs").add(3);
-  registry.counter("store.service.submit_stalls").add(1);
   registry.counter("record.stage.deflate.bytes_in").add(4096);
   registry.counter("record.stage.deflate.ns").add(2048);
   registry.counter("store.pool.hits").add(30);
@@ -74,8 +70,6 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   EXPECT_EQ(report.epoch_deferrals, 1u);
   EXPECT_EQ(report.epoch_flush_events.count, 1u);
   EXPECT_EQ(report.epoch_flush_events.max, 33u);
-  EXPECT_EQ(report.service_jobs, 3u);
-  EXPECT_EQ(report.service_submit_stalls, 1u);
   EXPECT_EQ(report.pool_hits, 30u);
   EXPECT_EQ(report.pool_misses, 10u);
   EXPECT_EQ(report.pool_recycled_bytes, 7777u);
@@ -167,9 +161,9 @@ TEST(PipelineReport, ToJsonIsWellFormed) {
   EXPECT_NE(json.find("\"inflate\""), std::string::npos);
 }
 
-/// The --stats invariant end to end: an instrumented record run through
-/// the parallel compression service must produce live byte/chunk totals
-/// that reconcile with what the container on disk actually holds.
+/// The --stats invariant end to end: an instrumented record run must
+/// produce live byte/chunk totals that reconcile with what the container
+/// on disk actually holds.
 TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   SKIP_IF_OBS_COMPILED_OUT();
   // Other suites in this binary record into the shared global registry;
@@ -179,13 +173,9 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   const std::string file = "/tmp/cdc_report_test.cdcc";
   {
     store::ContainerStore container(file);
-    store::CompressionService::Config service_config;
-    service_config.workers = 2;
-    store::CompressionService service(&container, service_config);
-    tool::AsyncFrameSink sink(&service);
     tool::ToolOptions options;
     options.chunk_target = 96;
-    tool::Recorder recorder(4, &container, options, &sink);
+    tool::Recorder recorder(4, &container, options);
     minimpi::Simulator::Config config;
     config.num_ranks = 4;
     config.noise_seed = 21;
@@ -196,7 +186,6 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
     mcb.particles_per_rank = 60;
     apps::run_mcb(sim, mcb);
     recorder.finalize();
-    service.drain();
     container.seal();
   }
 
@@ -212,8 +201,9 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   EXPECT_EQ(report.frame_bytes_out, report.container_stored_bytes);
   EXPECT_EQ(report.writer_payload_bytes, report.container_stored_bytes);
   EXPECT_TRUE(report.container_sealed);
-  // The service saw every chunk the encoder sealed.
-  EXPECT_EQ(report.service_jobs, report.chunks);
+  // The sink encoded every chunk the recorder sealed, one buffer-pool
+  // hit or miss each.
+  EXPECT_EQ(report.pool_hits + report.pool_misses, report.chunks);
   // Stage flow only shrinks: RE output feeds PE, PE feeds LP.
   EXPECT_LE(report.stage_pe.bytes_in, report.stage_re.bytes_out);
   EXPECT_LE(report.stage_lp.bytes_in, report.stage_pe.bytes_out);
