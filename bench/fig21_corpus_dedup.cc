@@ -13,18 +13,19 @@
 //     of the same 64 runs stored as independent gzip records (fig13's
 //     "gzip" row — the production status quo the corpus replaces).
 //   * the rows corpus: the same runs as UNcompressed baseline rows, where
-//     the corpus machinery (reference election, JACM'02 deltas,
-//     content-defined chunk dedup, gzip fallback) is the only compressor
-//     — isolating the cross-member dedup contribution.
+//     the corpus machinery (reference election, JACM'02 correcting
+//     deltas, gzip fallback) is the only compressor — isolating the
+//     cross-member dedup contribution.
 //
-// Every member of both corpora must reconstruct byte-identically,
-// alternating between the fresh-apply and the TKDE'03 in-place path
-// (replay-equivalence of corpus members is fuzzed separately in
-// tests/integration/corpus_fuzz_test.cc). The simulator is deterministic
-// per seed and every encoder is deterministic, so all byte counts in
-// BENCH_corpus.json are machine-independent — which is what lets the CI
-// perf-smoke job diff the ratios against bench/corpus_baseline.json
-// (bench/check_corpus_baseline.py, 2% tolerance).
+// Each corpus's encoding mix (streams stored as delta / gzip / raw) is
+// printed and written to BENCH_corpus.json. Every member of both corpora
+// must reconstruct byte-identically (replay-equivalence of corpus members
+// is fuzzed separately in tests/integration/corpus_fuzz_test.cc). The
+// simulator is deterministic per seed and every encoder is deterministic,
+// so all byte counts in BENCH_corpus.json are machine-independent — which
+// is what lets the CI perf-smoke job diff the ratios against
+// bench/corpus_baseline.json (bench/check_corpus_baseline.py, 2%
+// tolerance).
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -77,28 +78,56 @@ void keep_member(Family& family, const std::string& name,
   (void)name;
 }
 
-/// Byte-verifies every member of a sealed family, alternating fresh and
-/// in-place reconstruction. Returns verified stream count, 0 on failure.
+/// Byte-verifies every member of a sealed family. Returns the verified
+/// stream count, 0 on failure.
 std::uint64_t verify_family(const Family& family,
                             const corpus::CorpusReader& reader) {
   std::uint64_t verified = 0;
-  for (std::size_t i = 0; i < family.originals.size(); ++i) {
-    const auto& [ordinal, streams] = family.originals[i];
-    const bool in_place = (i % 2) == 1;
+  for (const auto& [ordinal, streams] : family.originals) {
     for (const auto& [key, bytes] : streams) {
-      const auto back = reader.read_stream(ordinal, key, in_place);
+      const auto back = reader.read_stream(ordinal, key);
       if (!back.has_value() || *back != bytes) {
         std::fprintf(stderr,
-                     "FAIL: %s member %u stream (%d,%u) did not round-trip "
-                     "(in_place=%d)\n",
-                     family.label, ordinal, key.rank, key.callsite,
-                     in_place ? 1 : 0);
+                     "FAIL: %s member %u stream (%d,%u) did not round-trip\n",
+                     family.label, ordinal, key.rank, key.callsite);
         return 0;
       }
       ++verified;
     }
   }
   return verified;
+}
+
+/// Streams of one corpus stored under `encoding`.
+std::uint64_t streams_as(const corpus::CorpusStats& stats,
+                         corpus::MemberEncoding encoding) {
+  return stats.by_encoding[static_cast<std::size_t>(encoding)];
+}
+
+/// "N streams (D correcting / G gzip / R raw)" for one corpus.
+void print_mix(const char* label, const corpus::CorpusStats& stats) {
+  using corpus::MemberEncoding;
+  std::printf(
+      "%s encoding mix: %llu streams (%llu correcting / %llu gzip / "
+      "%llu raw)\n",
+      label, static_cast<unsigned long long>(stats.streams),
+      static_cast<unsigned long long>(
+          streams_as(stats, MemberEncoding::kDeltaCorrecting)),
+      static_cast<unsigned long long>(
+          streams_as(stats, MemberEncoding::kSelfGzip)),
+      static_cast<unsigned long long>(
+          streams_as(stats, MemberEncoding::kRaw)));
+}
+
+/// The `by_encoding` object of one corpus.
+void write_mix(obs::JsonWriter& w, const corpus::CorpusStats& stats) {
+  using corpus::MemberEncoding;
+  w.key("by_encoding").begin_object();
+  w.field("delta_correcting",
+          streams_as(stats, MemberEncoding::kDeltaCorrecting));
+  w.field("self_gzip", streams_as(stats, MemberEncoding::kSelfGzip));
+  w.field("raw", streams_as(stats, MemberEncoding::kRaw));
+  w.end_object();
 }
 
 }  // namespace
@@ -228,24 +257,9 @@ int main() {
       obs::format_bytes(static_cast<double>(rows_corpus_bytes)).c_str(),
       obs::format_bytes(static_cast<double>(sum_raw)).c_str(),
       rows_dedup, rows_vs_gzip);
-  const corpus::CorpusStats& rs = rows_reader->stats();
-  std::printf(
-      "rows corpus internals: %llu streams (%llu chunked / %llu onepass / "
-      "%llu correcting / %llu gzip / %llu raw), %llu chunk hits\n",
-      static_cast<unsigned long long>(rs.streams),
-      static_cast<unsigned long long>(rs.by_encoding[static_cast<int>(
-          corpus::MemberEncoding::kChunks)]),
-      static_cast<unsigned long long>(rs.by_encoding[static_cast<int>(
-          corpus::MemberEncoding::kDeltaOnepass)]),
-      static_cast<unsigned long long>(rs.by_encoding[static_cast<int>(
-          corpus::MemberEncoding::kDeltaCorrecting)]),
-      static_cast<unsigned long long>(rs.by_encoding[static_cast<int>(
-          corpus::MemberEncoding::kSelfGzip)]),
-      static_cast<unsigned long long>(rs.by_encoding[static_cast<int>(
-          corpus::MemberEncoding::kRaw)]),
-      static_cast<unsigned long long>(rs.chunk_hits));
-  std::printf("verified %llu + %llu member streams byte-identical "
-              "(alternating fresh / in-place reconstruction)\n",
+  print_mix("CDC corpus ", cdc_reader->stats());
+  print_mix("rows corpus", rows_reader->stats());
+  std::printf("verified %llu + %llu member streams byte-identical\n",
               static_cast<unsigned long long>(cdc_verified),
               static_cast<unsigned long long>(rows_verified));
   std::printf("\nacceptance: CDC corpus must be >= 3x smaller than %d "
@@ -274,24 +288,12 @@ int main() {
   w.field("gzip_bytes", sum_gzip);
   w.field("raw_bytes", sum_raw);
   w.field("vs_gzip", vs_gzip);
+  write_mix(w, cdc_reader->stats());
   w.key("rows_corpus").begin_object();
   w.field("corpus_bytes", rows_corpus_bytes);
   w.field("dedup_ratio", rows_dedup);
   w.field("vs_gzip", rows_vs_gzip);
-  w.field("chunk_hits", rs.chunk_hits);
-  w.field("chunk_hit_bytes", rs.chunk_hit_bytes);
-  w.key("by_encoding").begin_object();
-  w.field("chunks", rs.by_encoding[static_cast<int>(
-                        corpus::MemberEncoding::kChunks)]);
-  w.field("delta_onepass", rs.by_encoding[static_cast<int>(
-                               corpus::MemberEncoding::kDeltaOnepass)]);
-  w.field("delta_correcting", rs.by_encoding[static_cast<int>(
-                                  corpus::MemberEncoding::kDeltaCorrecting)]);
-  w.field("self_gzip", rs.by_encoding[static_cast<int>(
-                           corpus::MemberEncoding::kSelfGzip)]);
-  w.field("raw", rs.by_encoding[static_cast<int>(
-                     corpus::MemberEncoding::kRaw)]);
-  w.end_object();
+  write_mix(w, rows_reader->stats());
   w.end_object();
   w.field("verified_streams", cdc_verified + rows_verified);
   w.end_object();

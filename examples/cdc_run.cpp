@@ -12,9 +12,12 @@
 //   $ ./cdc_run --app mcb --ranks 16 --seed 77 --mode replay --file rec.cdcc
 //
 // Modes: plain (default) | record | replay.  Apps: mcb | jacobi | taskfarm.
+// Numeric flags take a whole unsigned decimal: --ranks in [1, INT_MAX],
+// --scale in [0, INT_MAX]. Anything else (a sign, trailing text, out of
+// range) exits 2 with the usage text.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -23,6 +26,7 @@
 #include "apps/taskfarm.h"
 #include "minimpi/simulator.h"
 #include "obs/stats.h"
+#include "parse_number.h"
 #include "store/container_store.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
@@ -56,6 +60,16 @@ bool parse(int argc, char** argv, Options& options) {
     const auto next = [&]() -> const char* {
       return ++i < argc ? argv[i] : nullptr;
     };
+    // Reads this flag's value as a number in [lo, hi]; on failure names
+    // the flag (the caller prints the usage text and exits 2).
+    unsigned long long n = 0;
+    const auto number = [&](unsigned long long lo, unsigned long long hi) {
+      const char* v = next();
+      if (cli::parse_number(v, lo, hi, &n)) return true;
+      std::fprintf(stderr, "cdc_run: bad %s value '%s'\n", arg.c_str(),
+                   v == nullptr ? "" : v);
+      return false;
+    };
     if (arg == "--app") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -69,28 +83,23 @@ bool parse(int argc, char** argv, Options& options) {
       if (v == nullptr) return false;
       options.file = v;
     } else if (arg == "--ranks") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.ranks = std::atoi(v);
+      if (!number(1, INT_MAX)) return false;
+      options.ranks = static_cast<int>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!number(0, ULLONG_MAX)) return false;
+      options.seed = n;
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.scale = std::atoi(v);
+      if (!number(0, INT_MAX)) return false;
+      options.scale = static_cast<int>(n);
     } else if (arg == "--chunk") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.chunk_target = std::strtoull(v, nullptr, 10);
+      if (!number(0, SIZE_MAX)) return false;
+      options.chunk_target = static_cast<std::size_t>(n);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
     }
   }
-  return options.ranks >= 1 &&
-         (options.mode == "plain" || options.mode == "record" ||
+  return (options.mode == "plain" || options.mode == "record" ||
           options.mode == "replay") &&
          (options.app == "mcb" || options.app == "jacobi" ||
           options.app == "taskfarm");

@@ -27,7 +27,6 @@
 // SIGKILLs itself at a precise protocol state so the kill-sweep harness
 // can verify that a restarted daemon + resuming clients reproduce a
 // byte-identical record.
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -38,6 +37,7 @@
 
 #include "compress/deflate.h"
 #include "net/server.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -54,21 +54,6 @@ void usage(const char* argv0) {
       "          [--crash-ack-batch N] [--crash-before-seal]\n"
       "          [--crash-after-seal]\n",
       argv0);
-}
-
-/// Parses all of `text` as an unsigned decimal in [lo, hi]. strtoull
-/// alone would accept a prefix ("12x"), wrap a sign ("-1") and saturate,
-/// so the leading digit, full-string and range checks are all needed.
-bool parse_number(const char* text, unsigned long long lo,
-                  unsigned long long hi, unsigned long long* out) {
-  if (text == nullptr || *text < '0' || *text > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value < lo || value > hi)
-    return false;
-  *out = value;
-  return true;
 }
 
 bool parse_tenant(const std::string& spec, cdc::net::TenantConfig& out) {
@@ -114,7 +99,7 @@ int main(int argc, char** argv) {
     unsigned long long n = 0;
     const auto number = [&](unsigned long long lo, unsigned long long hi) {
       const char* v = next();
-      if (parse_number(v, lo, hi, &n)) return true;
+      if (cdc::cli::parse_number(v, lo, hi, &n)) return true;
       std::fprintf(stderr, "cdc_served: bad %s value '%s'\n", arg.c_str(),
                    v == nullptr ? "" : v);
       usage(argv[0]);

@@ -18,7 +18,7 @@
 //   $ ./record_inspector --stats <file>      # pipeline report of a container
 //   $ ./record_inspector --corpus <file>     # corpus container stats:
 //                                            # families, dedup ratio,
-//                                            # chunk histogram
+//                                            # encoding mix
 //
 // The recording modes (the default demo and bare `--stats`) accept
 //   --level <stored|fast|default|best>
@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -460,7 +459,7 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
 }
 
 /// `--corpus <file>`: corpus container stats — families, members, dedup
-/// ratio, per-encoding stream counts, and a log2 chunk-size histogram.
+/// ratio and per-encoding stream counts.
 /// Exit 0 for a healthy corpus, 1 when salvage left unreadable members,
 /// 2 when the file cannot be opened as a corpus.
 int corpus_stats(const std::string& path) {
@@ -485,7 +484,6 @@ int corpus_stats(const std::string& path) {
               stats.dedup_ratio());
   std::printf("  streams by encoding:");
   const corpus::MemberEncoding encodings[] = {
-      corpus::MemberEncoding::kChunks, corpus::MemberEncoding::kDeltaOnepass,
       corpus::MemberEncoding::kDeltaCorrecting,
       corpus::MemberEncoding::kSelfGzip, corpus::MemberEncoding::kRaw};
   for (const auto encoding : encodings) {
@@ -498,28 +496,6 @@ int corpus_stats(const std::string& path) {
                   static_cast<unsigned long long>(n));
   }
   std::printf("\n");
-
-  const std::vector<std::size_t> sizes = reader->chunk_sizes();
-  if (!sizes.empty()) {
-    std::printf("  chunk table: %llu chunks, %s unique content\n",
-                static_cast<unsigned long long>(stats.chunk_count),
-                obs::format_bytes(
-                    static_cast<double>(stats.chunk_bytes)).c_str());
-    // Log2 size histogram, the usual CDC sanity view: the mass should sit
-    // between min_size and max_size with a mode near avg_size.
-    std::map<int, std::uint64_t> buckets;
-    for (const std::size_t size : sizes) {
-      int bucket = 0;
-      for (std::size_t v = size; v > 1; v >>= 1) ++bucket;
-      ++buckets[bucket];
-    }
-    for (const auto& [bucket, count] : buckets) {
-      const std::size_t lo = bucket == 0 ? 0 : (std::size_t{1} << bucket);
-      std::printf("    [%6zu, %6zu): %6llu chunks\n", lo,
-                  std::size_t{1} << (bucket + 1),
-                  static_cast<unsigned long long>(count));
-    }
-  }
 
   int unreadable = 0;
   for (const corpus::CorpusReader::Member& member : reader->members()) {
@@ -585,7 +561,7 @@ int usage(const char* prog, int code) {
       "                         [LO, HI) via the epoch-index seek and\n"
       "                         oracle-check the slices vs a full replay\n"
       "  --corpus <file>        corpus stats: families, dedup ratio,\n"
-      "                         chunk histogram, member health\n"
+      "                         encoding mix, member health\n"
       "  --help                 this text\n"
       "--level applies to the recording modes (demo and bare --stats).\n",
       prog);

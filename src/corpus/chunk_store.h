@@ -1,18 +1,20 @@
-// Content-addressed chunk table: the dedup substrate of the corpus layer.
+// Content-addressed chunk table.
 //
 // Chunks are keyed by a 122-bit strong hash (two independent Karp-Rabin
 // polynomial hashes over the full chunk); identical content interns to
-// one ordinal no matter which member brought it in, and a hash collision
+// one ordinal no matter which caller brought it in, and a hash collision
 // between distinct contents is caught by a byte compare on the hit path
 // and stored as a separate ordinal — correctness never rests on the hash
-// alone. Ordinals are dense and assigned in intern order, which is what
-// lets member manifests reference chunks by small varints and lets the
-// corpus container rebuild the table by re-interning chunk frames in file
-// order (each frame is CRC-protected by the container format).
+// alone. Ordinals are dense and assigned in intern order, so a manifest
+// can reference chunks by small varints and a table can be rebuilt by
+// re-interning its chunks in the order they were first stored.
 //
-// Refcounts track how many member-manifest references point at each
-// chunk; the corpus is append-only, so they serve integrity checks and
-// dedup statistics rather than reclamation.
+// Refcounts track how many references point at each chunk; they serve
+// integrity checks and dedup statistics rather than reclamation.
+//
+// The corpus (corpus/corpus.h) does not use this table: on records,
+// chunk dedup never beat raw bytes, gzip or a reference delta (DESIGN.md
+// §11), so member streams are not chunked.
 #pragma once
 
 #include <compare>
@@ -51,15 +53,15 @@ class ChunkStore {
   InternResult intern(std::span<const std::uint8_t> bytes);
 
   /// Re-admits a chunk while rebuilding from a container, with refcount 0
-  /// (member manifests re-add their references as they load). Returns the
+  /// (manifests re-add their references as they load). Returns the
   /// ordinal, which for a clean rebuild equals the frame's position.
   std::uint32_t adopt(std::span<const std::uint8_t> bytes);
 
   /// Adds one manifest reference to an existing ordinal.
   void add_reference(std::uint32_t ordinal);
 
-  /// Side-effect-free membership probe (encoding selection costs a
-  /// chunked stream before committing to intern it).
+  /// Side-effect-free membership probe (a caller can price a chunked
+  /// stream before committing to intern it).
   [[nodiscard]] std::optional<std::uint32_t> peek(
       std::span<const std::uint8_t> bytes) const {
     return lookup(bytes, chunk_id(bytes));

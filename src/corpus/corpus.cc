@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "compress/crc32.h"
+#include "compress/deflate.h"
 #include "obs/metrics.h"
 #include "support/binary.h"
 #include "support/check.h"
@@ -14,16 +15,14 @@ namespace cdc::corpus {
 namespace {
 
 constexpr std::uint8_t kMemberMagic = 'M';
-constexpr std::uint8_t kChunkMagic = 'C';
 constexpr std::uint8_t kFamilyMagic = 'F';
 constexpr std::uint8_t kFormatVersion = 1;
 constexpr std::uint8_t kFlagReference = 0x01;
+/// Entropy-coding level for delta payloads and the gzip candidate.
+constexpr compress::DeflateLevel kLevel = compress::DeflateLevel::kDefault;
 
 runtime::StreamKey meta_stream() {
   return runtime::StreamKey{kCorpusMetaRank, 0};
-}
-runtime::StreamKey chunk_stream() {
-  return runtime::StreamKey{kCorpusChunkRank, 0};
 }
 runtime::StreamKey member_stream(std::uint32_t ordinal) {
   return runtime::StreamKey{kCorpusMemberRank, ordinal};
@@ -34,23 +33,13 @@ struct Counters {
   obs::Counter& streams = obs::counter("corpus.streams");
   obs::Counter& raw_bytes = obs::counter("corpus.raw_bytes");
   obs::Counter& stored_bytes = obs::counter("corpus.stored_bytes");
-  obs::Counter& chunk_inserted = obs::counter("corpus.chunks.inserted");
-  obs::Counter& chunk_hits = obs::counter("corpus.chunks.hits");
-  obs::Counter& chunk_hit_bytes = obs::counter("corpus.chunks.hit_bytes");
-  obs::Counter& enc_chunks = obs::counter("corpus.enc.chunks");
-  obs::Counter& enc_onepass = obs::counter("corpus.enc.delta_onepass");
   obs::Counter& enc_correcting = obs::counter("corpus.enc.delta_correcting");
   obs::Counter& enc_gzip = obs::counter("corpus.enc.gzip");
   obs::Counter& enc_raw = obs::counter("corpus.enc.raw");
   obs::Counter& delta_copied = obs::counter("corpus.delta.copied_bytes");
   obs::Counter& delta_literal = obs::counter("corpus.delta.literal_bytes");
   obs::Counter& delta_corrections = obs::counter("corpus.delta.corrections");
-  obs::Counter& delta_cycles = obs::counter("corpus.delta.cycles_broken");
-  obs::Counter& pool_hits = obs::counter("corpus.pool.hits");
-  obs::Counter& pool_misses = obs::counter("corpus.pool.misses");
-  obs::Counter& pool_recycled = obs::counter("corpus.pool.recycled_bytes");
   obs::Counter& read_streams = obs::counter("corpus.read.streams");
-  obs::Counter& read_in_place = obs::counter("corpus.read.in_place");
 };
 
 Counters& counters() {
@@ -58,25 +47,8 @@ Counters& counters() {
   return c;
 }
 
-std::vector<std::uint8_t> pool_acquire(support::BufferPool& pool) {
-  std::vector<std::uint8_t> buffer;
-  if (pool.acquire(buffer)) {
-    counters().pool_hits.add(1);
-    counters().pool_recycled.add(buffer.capacity());
-  } else {
-    counters().pool_misses.add(1);
-  }
-  return buffer;
-}
-
-void pool_release(support::BufferPool& pool, std::vector<std::uint8_t> buf) {
-  pool.release(std::move(buf));
-}
-
 obs::Counter& encoding_counter(MemberEncoding encoding) {
   switch (encoding) {
-    case MemberEncoding::kChunks: return counters().enc_chunks;
-    case MemberEncoding::kDeltaOnepass: return counters().enc_onepass;
     case MemberEncoding::kDeltaCorrecting: return counters().enc_correcting;
     case MemberEncoding::kSelfGzip: return counters().enc_gzip;
     case MemberEncoding::kRaw: return counters().enc_raw;
@@ -88,8 +60,6 @@ obs::Counter& encoding_counter(MemberEncoding encoding) {
 
 std::string_view to_string(MemberEncoding encoding) noexcept {
   switch (encoding) {
-    case MemberEncoding::kChunks: return "chunks";
-    case MemberEncoding::kDeltaOnepass: return "delta-onepass";
     case MemberEncoding::kDeltaCorrecting: return "delta-correcting";
     case MemberEncoding::kSelfGzip: return "gzip";
     case MemberEncoding::kRaw: return "raw";
@@ -97,16 +67,9 @@ std::string_view to_string(MemberEncoding encoding) noexcept {
   return "?";
 }
 
-Corpus::Corpus(std::string path, CorpusConfig config)
-    : config_(config), writer_(std::move(path)) {}
+Corpus::Corpus(std::string path) : writer_(std::move(path)) {}
 
 const std::string& Corpus::path() const noexcept { return writer_.path(); }
-
-std::vector<std::uint8_t> Corpus::pooled() { return pool_acquire(pool_); }
-
-void Corpus::recycle(std::vector<std::uint8_t> buffer) {
-  pool_release(pool_, std::move(buffer));
-}
 
 std::uint32_t Corpus::add_member(const std::string& family,
                                  const std::string& member_name,
@@ -122,7 +85,7 @@ std::uint32_t Corpus::add_member(const std::string& family,
   std::vector<runtime::StreamKey> keys = record.keys();
   std::sort(keys.begin(), keys.end());
 
-  support::ByteWriter manifest(pooled());
+  support::ByteWriter manifest;
   manifest.u8(kMemberMagic);
   manifest.u8(kFormatVersion);
   manifest.sized_bytes(std::span<const std::uint8_t>(
@@ -134,7 +97,6 @@ std::uint32_t Corpus::add_member(const std::string& family,
   manifest.varint(delta_ref);
   manifest.varint(keys.size());
 
-  std::uint64_t chunk_frame_bytes = 0;
   std::map<runtime::StreamKey, std::vector<std::uint8_t>> raw_streams;
   for (const runtime::StreamKey& key : keys) {
     std::vector<std::uint8_t> raw = record.read(key);
@@ -146,31 +108,10 @@ std::uint32_t Corpus::add_member(const std::string& family,
     MemberEncoding best = MemberEncoding::kRaw;
     std::uint64_t best_cost = raw.size() + 2;
 
-    std::vector<std::uint8_t> gz =
-        compress::gzip_compress(raw, config_.level, pooled());
+    const std::vector<std::uint8_t> gz = compress::gzip_compress(raw, kLevel);
     if (gz.size() + 2 < best_cost) {
       best = MemberEncoding::kSelfGzip;
       best_cost = gz.size() + 2;
-    }
-
-    // Chunk candidate: new content pays full freight (chunk bytes + frame
-    // overhead), shared content pays only its manifest ordinal.
-    std::vector<std::span<const std::uint8_t>> spans;
-    if (!raw.empty()) {
-      spans = chunk_spans(raw, config_.chunker);
-      std::uint64_t cost = 0;
-      std::set<ChunkId> this_stream;  // intra-stream repeats are also hits
-      for (const auto& span : spans) {
-        cost += 3;  // manifest ordinal
-        if (chunks_.peek(span).has_value()) continue;
-        const ChunkId id = chunk_id(span);
-        if (!this_stream.insert(id).second) continue;
-        cost += span.size() + 12;  // chunk bytes + frame header/crc
-      }
-      if (cost < best_cost) {
-        best = MemberEncoding::kChunks;
-        best_cost = cost;
-      }
     }
 
     // Delta candidate, when a reference stream with this key exists.
@@ -182,19 +123,13 @@ std::uint32_t Corpus::add_member(const std::string& family,
     std::vector<std::uint8_t> packed_delta;
     if (ref != nullptr) {
       DeltaStats dstats;
-      std::vector<std::uint8_t> delta =
-          encode_delta(*ref, raw, config_.delta_algorithm, config_.delta,
-                       &dstats, pooled());
-      packed_delta = compress::deflate_compress(delta, config_.level, pooled());
-      recycle(std::move(delta));
+      packed_delta = compress::deflate_compress(
+          encode_delta(*ref, raw, &dstats), kLevel);
       counters().delta_copied.add(dstats.copied_bytes);
       counters().delta_literal.add(dstats.literal_bytes);
       counters().delta_corrections.add(dstats.corrections);
-      counters().delta_cycles.add(dstats.cycles_broken);
       if (packed_delta.size() + 4 < best_cost) {
-        best = config_.delta_algorithm == DeltaAlgorithm::kOnepass
-                   ? MemberEncoding::kDeltaOnepass
-                   : MemberEncoding::kDeltaCorrecting;
+        best = MemberEncoding::kDeltaCorrecting;
         best_cost = packed_delta.size() + 4;
       }
     }
@@ -212,47 +147,20 @@ std::uint32_t Corpus::add_member(const std::string& family,
       case MemberEncoding::kSelfGzip:
         manifest.sized_bytes(gz);
         break;
-      case MemberEncoding::kDeltaOnepass:
       case MemberEncoding::kDeltaCorrecting:
         manifest.sized_bytes(packed_delta);
         break;
-      case MemberEncoding::kChunks: {
-        manifest.varint(spans.size());
-        for (const auto& span : spans) {
-          const ChunkStore::InternResult result = chunks_.intern(span);
-          if (result.inserted) {
-            support::ByteWriter frame(pooled());
-            frame.u8(kChunkMagic);
-            frame.varint(result.ordinal);
-            frame.bytes(span);
-            writer_.append_frame(chunk_stream(), frame.view());
-            chunk_frame_bytes += frame.size();
-            counters().chunk_inserted.add(1);
-            recycle(std::move(frame).take());
-          } else {
-            counters().chunk_hits.add(1);
-            counters().chunk_hit_bytes.add(span.size());
-            stats_.chunk_hits += 1;
-            stats_.chunk_hit_bytes += span.size();
-          }
-          manifest.varint(result.ordinal);
-        }
-        break;
-      }
     }
     stats_.by_encoding[static_cast<std::size_t>(best)] += 1;
     encoding_counter(best).add(1);
     ++stats_.streams;
     counters().streams.add(1);
-    recycle(std::move(gz));
-    recycle(std::move(packed_delta));
     if (is_reference) raw_streams.emplace(key, std::move(raw));
   }
 
   writer_.append_frame(member_stream(ordinal), manifest.view());
-  stats_.stored_bytes += manifest.size() + chunk_frame_bytes;
-  counters().stored_bytes.add(manifest.size() + chunk_frame_bytes);
-  recycle(std::move(manifest).take());
+  stats_.stored_bytes += manifest.size();
+  counters().stored_bytes.add(manifest.size());
 
   if (is_reference) {
     fam.reference = ordinal;
@@ -261,14 +169,12 @@ std::uint32_t Corpus::add_member(const std::string& family,
   ++fam.members;
   ++stats_.members;
   stats_.families = families_.size();
-  stats_.chunk_count = chunks_.count();
-  stats_.chunk_bytes = chunks_.stored_bytes();
   counters().members.add(1);
   return ordinal;
 }
 
 void Corpus::write_family_table() {
-  support::ByteWriter table(pooled());
+  support::ByteWriter table;
   table.u8(kFamilyMagic);
   table.u8(kFormatVersion);
   table.varint(families_.size());
@@ -280,7 +186,6 @@ void Corpus::write_family_table() {
   }
   writer_.append_frame(meta_stream(), table.view());
   stats_.stored_bytes += table.size();
-  recycle(std::move(table).take());
 }
 
 void Corpus::flush() { writer_.flush(); }
@@ -369,21 +274,6 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   auto reader = std::unique_ptr<CorpusReader>(new CorpusReader());
   reader->reader_ = std::move(container);
 
-  // Chunk table: re-admit surviving chunk frames. Each frame carries the
-  // ordinal it was interned under, so members keep resolving correctly
-  // even when salvage dropped earlier chunk frames.
-  std::map<std::uint32_t, std::uint32_t> chunk_map;  // stated → store ordinal
-  for (const auto payload : reader->reader_->frame_payloads(chunk_stream())) {
-    support::ByteReader in(payload);
-    std::uint8_t magic = 0;
-    std::uint64_t stated = 0;
-    if (!in.try_u8(magic) || magic != kChunkMagic || !in.try_varint(stated))
-      continue;  // unparseable chunk frame: members needing it degrade
-    std::span<const std::uint8_t> bytes;
-    if (!in.try_bytes(in.remaining(), bytes)) continue;
-    chunk_map[static_cast<std::uint32_t>(stated)] = reader->chunks_.adopt(bytes);
-  }
-
   // Member manifests.
   std::set<std::string> families;
   for (const runtime::StreamKey& key : reader->reader_->keys()) {
@@ -429,40 +319,16 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
         switch (entry.encoding) {
           case MemberEncoding::kRaw:
           case MemberEncoding::kSelfGzip:
-          case MemberEncoding::kDeltaOnepass:
           case MemberEncoding::kDeltaCorrecting: {
             std::span<const std::uint8_t> body;
             ok = in.try_sized_bytes(body);
             if (ok) entry.payload.assign(body.begin(), body.end());
             break;
           }
-          case MemberEncoding::kChunks: {
-            std::uint64_t count = 0;
-            ok = in.try_varint(count);
-            for (std::uint64_t c = 0; ok && c < count; ++c) {
-              std::uint64_t stated = 0;
-              ok = in.try_varint(stated);
-              if (!ok) break;
-              const auto mapped =
-                  chunk_map.find(static_cast<std::uint32_t>(stated));
-              if (mapped == chunk_map.end()) {
-                member.readable = false;
-                member.damage = "chunk " + std::to_string(stated) +
-                                " lost to salvage";
-                entry.chunk_ordinals.clear();
-                // Keep parsing so the remaining streams stay visible.
-                for (++c; c < count; ++c) {
-                  ok = in.try_varint(stated);
-                  if (!ok) break;
-                }
-                break;
-              }
-              entry.chunk_ordinals.push_back(mapped->second);
-            }
-            break;
-          }
-          default:
+          default:  // includes the retired tags 1 (chunks), 2 (onepass)
             ok = false;
+            member.damage =
+                "stream encoding " + std::to_string(encoding) + " unknown";
         }
         if (ok) data.streams.push_back(std::move(entry));
       }
@@ -501,8 +367,6 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
 
   reader->stats_.members = reader->members_.size();
   reader->stats_.families = families.size();
-  reader->stats_.chunk_count = reader->chunks_.count();
-  reader->stats_.chunk_bytes = reader->chunks_.stored_bytes();
   for (const runtime::StreamKey& key : reader->reader_->keys()) {
     if (key.rank > kCorpusMetaRank) continue;  // corpus metadata ranks only
     const store::StreamIndexEntry* entry = reader->reader_->find(key);
@@ -539,10 +403,8 @@ const std::vector<std::uint8_t>* CorpusReader::reference_stream(
     if (entry.key != key) continue;
     // Reference streams are stored self-contained; a delta here would
     // mean a forged or mis-salvaged manifest.
-    if (entry.encoding == MemberEncoding::kDeltaOnepass ||
-        entry.encoding == MemberEncoding::kDeltaCorrecting)
-      return nullptr;
-    auto bytes = read_stream(ref_ordinal, key, false);
+    if (entry.encoding == MemberEncoding::kDeltaCorrecting) return nullptr;
+    auto bytes = read_stream(ref_ordinal, key);
     if (!bytes.has_value()) return nullptr;
     return &cache.emplace(key, std::move(*bytes)).first->second;
   }
@@ -550,8 +412,7 @@ const std::vector<std::uint8_t>* CorpusReader::reference_stream(
 }
 
 std::optional<std::vector<std::uint8_t>> CorpusReader::read_stream(
-    std::uint32_t ordinal, const runtime::StreamKey& key,
-    bool in_place) const {
+    std::uint32_t ordinal, const runtime::StreamKey& key) const {
   const Member* info = member(ordinal);
   const auto data_it = data_.find(ordinal);
   if (info == nullptr || !info->readable || data_it == data_.end())
@@ -573,32 +434,13 @@ std::optional<std::vector<std::uint8_t>> CorpusReader::read_stream(
     case MemberEncoding::kSelfGzip:
       raw = compress::gzip_decompress(entry->payload);
       break;
-    case MemberEncoding::kChunks: {
-      std::vector<std::uint8_t> out = pool_acquire(pool_);
-      out.reserve(static_cast<std::size_t>(entry->raw_len));
-      for (const std::uint32_t chunk : entry->chunk_ordinals) {
-        const auto bytes = chunks_.chunk(chunk);
-        out.insert(out.end(), bytes.begin(), bytes.end());
-      }
-      raw = std::move(out);
-      break;
-    }
-    case MemberEncoding::kDeltaOnepass:
     case MemberEncoding::kDeltaCorrecting: {
       const std::vector<std::uint8_t>* ref =
           reference_stream(info->delta_ref, key);
       if (ref == nullptr) return std::nullopt;
       const auto delta = compress::deflate_decompress(entry->payload);
       if (!delta.has_value()) return std::nullopt;
-      if (in_place) {
-        counters().read_in_place.add(1);
-        std::vector<std::uint8_t> buffer = pool_acquire(pool_);
-        buffer.assign(ref->begin(), ref->end());
-        if (!apply_delta_in_place(buffer, *delta)) return std::nullopt;
-        raw = std::move(buffer);
-      } else {
-        raw = apply_delta(*ref, *delta, pool_acquire(pool_));
-      }
+      raw = apply_delta(*ref, *delta);
       break;
     }
     default:
@@ -611,25 +453,15 @@ std::optional<std::vector<std::uint8_t>> CorpusReader::read_stream(
 }
 
 bool CorpusReader::load_member(std::uint32_t ordinal,
-                               runtime::MemoryStore& out,
-                               bool in_place) const {
+                               runtime::MemoryStore& out) const {
   const auto data_it = data_.find(ordinal);
   if (data_it == data_.end()) return false;
   for (const StreamEntry& entry : data_it->second.streams) {
-    auto raw = read_stream(ordinal, entry.key, in_place);
+    const auto raw = read_stream(ordinal, entry.key);
     if (!raw.has_value()) return false;
     out.append(entry.key, *raw);
-    pool_release(pool_, std::move(*raw));
   }
   return true;
-}
-
-std::vector<std::size_t> CorpusReader::chunk_sizes() const {
-  std::vector<std::size_t> sizes;
-  sizes.reserve(chunks_.count());
-  for (std::uint32_t i = 0; i < chunks_.count(); ++i)
-    sizes.push_back(chunks_.chunk(i).size());
-  return sizes;
 }
 
 std::uint64_t CorpusReader::file_bytes() const noexcept {

@@ -6,24 +6,17 @@
 // predictable reference (the Lamport clock order); the corpus applies the
 // same move across records. Every family (app, config) elects a reference
 // member — first write wins unless a later member is explicitly pinned —
-// and each subsequent member stream is stored as whichever of these is
-// smallest:
+// and each member stream is stored as whichever of these is smallest:
 //
-//   * a differential (onepass or correcting, corpus/delta.h) against the
-//     reference member's same stream, deflate-compressed;
-//   * content-defined chunks (corpus/chunker.h) interned in a
-//     content-addressed chunk table (corpus/chunk_store.h), so bytes
-//     shared with ANY earlier member are stored once;
-//   * self-compressed gzip, the fallback when sharing does not pay;
-//   * raw bytes, for streams too small for any header to pay.
+//   * one correcting delta (corpus/delta.h) against the reference
+//     member's same stream, deflate-compressed;
+//   * self-compressed gzip;
+//   * raw bytes, when neither pays (tiny or already-compressed streams).
 //
 // Everything persists in the existing CDCC container format (one frame
-// per chunk, one frame per member manifest, reserved negative ranks), so
-// flush()/seal()/abandon() durability semantics, verify, and the
-// repack_container salvage path carry over unchanged. Chunk frames are
-// appended before the member frame that references them, so any member
-// frame that survives a crash can resolve its chunks from the same
-// salvaged file.
+// per member manifest, reserved negative ranks), so flush()/seal()/
+// abandon() durability semantics, verify, and the repack_container
+// salvage path carry over unchanged.
 //
 // CorpusStore adapts the ingest side to the runtime::RecordStore
 // interface: a Recorder writes into it like any other store, and
@@ -38,29 +31,25 @@
 #include <string>
 #include <vector>
 
-#include "compress/deflate.h"
-#include "corpus/chunk_store.h"
-#include "corpus/chunker.h"
 #include "corpus/delta.h"
 #include "runtime/storage.h"
 #include "store/container_reader.h"
 #include "store/container_writer.h"
-#include "support/buffer_pool.h"
 
 namespace cdc::corpus {
 
 /// Reserved ranks for corpus metadata streams. Real MPI ranks are
 /// non-negative; these stay clear of them (and of other reserved users of
 /// negative ranks) so corpus containers and record containers share the
-/// frame format without ambiguity.
+/// frame format without ambiguity. -9001 stays unused: older corpora
+/// may carry chunk frames there.
 inline constexpr std::int32_t kCorpusMetaRank = -9000;   ///< family table
-inline constexpr std::int32_t kCorpusChunkRank = -9001;  ///< chunk frames
 inline constexpr std::int32_t kCorpusMemberRank = -9002; ///< member frames
 
-/// How one member stream is stored.
+/// How one member stream is stored: the manifest's per-stream tag. Tags 1
+/// (chunk-table ordinals) and 2 (onepass delta) are retired; a manifest
+/// carrying one opens with its member unreadable.
 enum class MemberEncoding : std::uint8_t {
-  kChunks = 1,           ///< chunk-table ordinals
-  kDeltaOnepass = 2,     ///< deflated onepass delta vs the reference
   kDeltaCorrecting = 3,  ///< deflated correcting delta vs the reference
   kSelfGzip = 4,         ///< independent gzip
   kRaw = 5,              ///< stored bytes
@@ -68,26 +57,12 @@ enum class MemberEncoding : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(MemberEncoding encoding) noexcept;
 
-struct CorpusConfig {
-  ChunkerConfig chunker;
-  DeltaConfig delta;
-  /// Which differential encoder to run (selection still compares its
-  /// output against chunking and gzip per stream).
-  DeltaAlgorithm delta_algorithm = DeltaAlgorithm::kCorrecting;
-  /// Entropy-coding level for delta payloads and the gzip fallback.
-  compress::DeflateLevel level = compress::DeflateLevel::kDefault;
-};
-
 struct CorpusStats {
   std::uint64_t members = 0;
   std::uint64_t families = 0;
   std::uint64_t streams = 0;
   std::uint64_t raw_bytes = 0;      ///< member payloads before encoding
   std::uint64_t stored_bytes = 0;   ///< frame payload bytes written
-  std::uint64_t chunk_count = 0;
-  std::uint64_t chunk_bytes = 0;    ///< unique chunk content bytes
-  std::uint64_t chunk_hits = 0;     ///< intern calls served by dedup
-  std::uint64_t chunk_hit_bytes = 0;
   /// Streams stored per encoding, indexed by MemberEncoding value.
   std::uint64_t by_encoding[6] = {0, 0, 0, 0, 0, 0};
 
@@ -102,7 +77,7 @@ struct CorpusStats {
 class Corpus {
  public:
   /// Creates (truncating) the container at `path`.
-  explicit Corpus(std::string path, CorpusConfig config = {});
+  explicit Corpus(std::string path);
 
   Corpus(const Corpus&) = delete;
   Corpus& operator=(const Corpus&) = delete;
@@ -135,17 +110,12 @@ class Corpus {
     std::map<runtime::StreamKey, std::vector<std::uint8_t>> ref_streams;
   };
 
-  std::vector<std::uint8_t> pooled();
-  void recycle(std::vector<std::uint8_t> buffer);
   void write_family_table();
 
-  CorpusConfig config_;
   store::ContainerWriter writer_;
-  ChunkStore chunks_;
   std::map<std::string, FamilyState> families_;
   std::uint32_t next_member_ = 0;
   CorpusStats stats_;
-  support::BufferPool pool_{32};
   bool sealed_ = false;
 };
 
@@ -191,14 +161,16 @@ class CorpusReader {
     /// Self-contained members have delta_ref == ordinal; delta members
     /// point at the member their streams are encoded against.
     std::uint32_t delta_ref = 0;
-    bool readable = true;   ///< false: salvage lost chunks or the reference
+    bool readable = true;   ///< false: salvage lost the reference, or
+                            ///< the manifest is unparseable
     std::string damage;     ///< why, when !readable
   };
 
   /// Opens `path`. Requires a readable index (a crashed container must go
   /// through repack_container first — the salvage contract of the store
-  /// layer). Members whose chunks or reference member were lost to
-  /// salvage open as readable == false instead of failing the corpus.
+  /// layer). Members whose reference member was lost to salvage, or
+  /// whose manifest cannot be parsed, open as readable == false instead
+  /// of failing the corpus.
   static std::unique_ptr<CorpusReader> open(const std::string& path,
                                             std::string* error = nullptr);
 
@@ -212,22 +184,17 @@ class CorpusReader {
       std::uint32_t ordinal) const;
 
   /// Reconstructed raw bytes of one member stream, CRC-verified against
-  /// the manifest. `in_place` reconstructs delta streams with the TKDE'03
-  /// in-place transform (reference buffer mutated into the version)
-  /// instead of copying out of a pristine reference. nullopt when the
-  /// member is unreadable or reconstruction fails verification.
+  /// the manifest. Delta streams are rebuilt into a fresh buffer from the
+  /// cached reference stream. nullopt when the member is unreadable or
+  /// reconstruction fails verification.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_stream(
-      std::uint32_t ordinal, const runtime::StreamKey& key,
-      bool in_place = false) const;
+      std::uint32_t ordinal, const runtime::StreamKey& key) const;
 
   /// Materializes a whole member into `out` (a fresh store) for replay.
   [[nodiscard]] bool load_member(std::uint32_t ordinal,
-                                 runtime::MemoryStore& out,
-                                 bool in_place = false) const;
+                                 runtime::MemoryStore& out) const;
 
   [[nodiscard]] const CorpusStats& stats() const noexcept { return stats_; }
-  /// Unique chunk sizes (for the inspector's histogram).
-  [[nodiscard]] std::vector<std::size_t> chunk_sizes() const;
   [[nodiscard]] std::uint64_t file_bytes() const noexcept;
 
  private:
@@ -236,8 +203,7 @@ class CorpusReader {
     std::uint64_t raw_len = 0;
     std::uint32_t crc = 0;
     MemberEncoding encoding = MemberEncoding::kRaw;
-    std::vector<std::uint32_t> chunk_ordinals;  ///< kChunks (store ordinals)
-    std::vector<std::uint8_t> payload;          ///< delta/gzip/raw body
+    std::vector<std::uint8_t> payload;  ///< delta/gzip/raw body
   };
   struct MemberData {
     std::vector<StreamEntry> streams;
@@ -248,7 +214,6 @@ class CorpusReader {
       std::uint32_t ref_ordinal, const runtime::StreamKey& key) const;
 
   std::unique_ptr<store::ContainerReader> reader_;
-  ChunkStore chunks_;
   std::vector<Member> members_;
   std::map<std::uint32_t, MemberData> data_;
   CorpusStats stats_;
@@ -257,7 +222,6 @@ class CorpusReader {
   mutable std::map<std::uint32_t,
                    std::map<runtime::StreamKey, std::vector<std::uint8_t>>>
       ref_cache_;
-  mutable support::BufferPool pool_{8};
 };
 
 }  // namespace cdc::corpus

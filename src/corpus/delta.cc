@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <numeric>
-#include <queue>
 #include <utility>
 
+#include "corpus/rolling.h"
 #include "support/binary.h"
-#include "support/check.h"
 
 namespace cdc::corpus {
 
@@ -16,36 +14,46 @@ namespace {
 
 constexpr std::uint8_t kDeltaMagic = 'D';
 constexpr std::uint8_t kDeltaVersion = 1;
+/// Header byte naming the encoder: always 2 (correcting), and the reader
+/// refuses any other value. It stays so stored deltas keep their format.
+constexpr std::uint8_t kDeltaAlgorithm = 2;
 constexpr std::uint8_t kOpEnd = 0x00;
 constexpr std::uint8_t kOpAdd = 0x01;
 constexpr std::uint8_t kOpCopy = 0x02;
 
-/// Power-of-two table size: at least the configured floor, grows with the
-/// input so load factor stays sane, capped so a pathological input cannot
-/// ask for gigabytes of table.
-std::size_t table_slots(std::size_t floor_size, std::size_t input) {
+/// Footprint (seed) width in bytes: the granularity of match detection.
+constexpr std::size_t kFootprint = 16;
+/// Hash-table size floor; the table grows with the input from here.
+constexpr std::size_t kTableFloor = std::size_t{1} << 12;
+/// Matches shorter than this stay literals: a COPY costs ~5-10 bytes of
+/// opcodes, so copying fewer bytes than that loses.
+constexpr std::size_t kMinMatch = 12;
+
+/// Power-of-two table size: at least the floor, grows with the input so
+/// load factor stays sane, capped so a pathological input cannot ask for
+/// gigabytes of table.
+std::size_t table_slots(std::size_t input) {
   const std::size_t want =
       std::bit_ceil(std::max<std::size_t>(input / 4, std::size_t{1}));
-  return std::clamp<std::size_t>(want, std::max<std::size_t>(floor_size, 16),
-                                 std::size_t{1} << 20);
+  return std::clamp<std::size_t>(want, kTableFloor, std::size_t{1} << 20);
 }
 
 /// Rolling footprint hasher: O(1) when queried at consecutive offsets,
-/// recomputes after a jump (match skips move both encoders' pointers).
+/// recomputes after a jump (a match skips the version pointer forward).
 class FootprintScanner {
  public:
-  FootprintScanner(std::span<const std::uint8_t> data, std::size_t width,
-                   std::uint64_t base)
-      : data_(data), width_(width), window_(width, base) {}
+  explicit FootprintScanner(std::span<const std::uint8_t> data)
+      : data_(data), window_(kFootprint) {}
 
-  /// Hash of data[pos, pos + width). Requires pos + width <= data.size().
+  /// Hash of data[pos, pos + kFootprint). Requires it to be in range.
   std::uint64_t at(std::size_t pos) {
     if (valid_ && pos == pos_) return window_.hash();
     if (valid_ && pos == pos_ + 1) {
-      window_.roll(data_[pos - 1], data_[pos + width_ - 1]);
+      window_.roll(data_[pos - 1], data_[pos + kFootprint - 1]);
     } else {
       window_.reset();
-      for (std::size_t i = 0; i < width_; ++i) window_.push(data_[pos + i]);
+      for (std::size_t i = 0; i < kFootprint; ++i)
+        window_.push(data_[pos + i]);
     }
     pos_ = pos;
     valid_ = true;
@@ -54,7 +62,6 @@ class FootprintScanner {
 
  private:
   std::span<const std::uint8_t> data_;
-  std::size_t width_;
   KarpRabinWindow window_;
   std::size_t pos_ = 0;
   bool valid_ = false;
@@ -92,68 +99,20 @@ DeltaCommand make_copy(std::size_t write_off, std::size_t read_off,
   return cmd;
 }
 
-/// JACM'02 §6: reference footprints enter the (first-come) table only as
-/// the reference pointer advances in step with the version pointer;
-/// matches jump the reference pointer forward past the copied region.
-std::vector<DeltaCommand> encode_onepass(std::span<const std::uint8_t> ref,
-                                         std::span<const std::uint8_t> ver,
-                                         const DeltaConfig& config) {
-  std::vector<DeltaCommand> cmds;
-  const std::size_t s = config.footprint;
-  const std::size_t slots =
-      table_slots(config.table_size, std::max(ref.size(), ver.size()));
-  const std::uint64_t mask = slots - 1;
-  std::vector<std::int64_t> table(slots, -1);
-  FootprintScanner ref_scan(ref, s, config.base);
-  FootprintScanner ver_scan(ver, s, config.base);
-
-  std::size_t vp = 0;
-  std::size_t rp = 0;
-  std::size_t literal_start = 0;
-  while (vp + s <= ver.size()) {
-    while (rp + s <= ref.size() && rp <= vp) {
-      const std::size_t slot = ref_scan.at(rp) & mask;
-      if (table[slot] < 0) table[slot] = static_cast<std::int64_t>(rp);
-      ++rp;
-    }
-    const std::size_t slot = ver_scan.at(vp) & mask;
-    const std::int64_t cand = table[slot];
-    if (cand >= 0) {
-      const auto ro = static_cast<std::size_t>(cand);
-      if (std::memcmp(ref.data() + ro, ver.data() + vp, s) == 0) {
-        const std::size_t len = s + match_forward(ref, ver, ro + s, vp + s);
-        if (len >= config.min_match) {
-          flush_literal(cmds, ver, literal_start, vp);
-          cmds.push_back(make_copy(vp, ro, len));
-          vp += len;
-          literal_start = vp;
-          rp = std::max(rp, ro + len);
-          continue;
-        }
-      }
-    }
-    ++vp;
-  }
-  flush_literal(cmds, ver, literal_start, ver.size());
-  return cmds;
-}
-
 /// JACM'02 §8: the whole reference is checkpointed up front (strided so
 /// the table holds it), and every match extends backward as well as
 /// forward, retracting pending literal bytes the greedy forward scan had
-/// already given up on.
+/// already given up on. Emits commands in version order.
 std::vector<DeltaCommand> encode_correcting(std::span<const std::uint8_t> ref,
                                             std::span<const std::uint8_t> ver,
-                                            const DeltaConfig& config,
                                             DeltaStats* stats) {
   std::vector<DeltaCommand> cmds;
-  const std::size_t s = config.footprint;
-  const std::size_t slots =
-      table_slots(config.table_size, std::max(ref.size(), ver.size()));
+  constexpr std::size_t s = kFootprint;
+  const std::size_t slots = table_slots(std::max(ref.size(), ver.size()));
   const std::uint64_t mask = slots - 1;
   std::vector<std::int64_t> table(slots, -1);
-  FootprintScanner ref_scan(ref, s, config.base);
-  FootprintScanner ver_scan(ver, s, config.base);
+  FootprintScanner ref_scan(ref);
+  FootprintScanner ver_scan(ver);
 
   const std::size_t footprints = ref.size() >= s ? ref.size() - s + 1 : 0;
   if (footprints > 0) {
@@ -181,7 +140,7 @@ std::vector<DeltaCommand> encode_correcting(std::span<const std::uint8_t> ref,
                ref[ro - back - 1] == ver[vp - back - 1])
           ++back;
         const std::size_t len = fwd + back;
-        if (len >= config.min_match) {
+        if (len >= kMinMatch) {
           if (stats) stats->corrections += back;
           const std::size_t wstart = vp - back;
           flush_literal(cmds, ver, literal_start, wstart);
@@ -198,126 +157,13 @@ std::vector<DeltaCommand> encode_correcting(std::span<const std::uint8_t> ref,
   return cmds;
 }
 
-/// TKDE'03 in-place ordering: copy u must run before copy v when v writes
-/// into u's read region; Kahn's algorithm over that digraph, breaking
-/// cycles by materializing the cheapest remaining copy as a literal.
-/// Literals write without reading, so they all run last. The result is
-/// simultaneously valid against a pristine reference (every command has
-/// an explicit write offset), which is why one stored form serves both
-/// apply_delta and apply_delta_in_place.
-std::vector<DeltaCommand> reorder_for_in_place(
-    std::vector<DeltaCommand> cmds, std::span<const std::uint8_t> ref,
-    DeltaStats* stats) {
-  std::vector<DeltaCommand> copies;
-  std::vector<DeltaCommand> adds;
-  for (DeltaCommand& cmd : cmds) {
-    (cmd.kind == DeltaCommand::Kind::kCopy ? copies : adds)
-        .push_back(std::move(cmd));
-  }
-
-  const std::size_t n = copies.size();
-  std::vector<std::vector<std::uint32_t>> succ(n);
-  std::vector<std::uint32_t> indeg(n, 0);
-  if (n > 0) {
-    std::vector<std::uint32_t> by_read(n);
-    std::iota(by_read.begin(), by_read.end(), 0u);
-    std::sort(by_read.begin(), by_read.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return copies[a].read_off < copies[b].read_off;
-              });
-    std::uint64_t max_read_len = 0;
-    for (const DeltaCommand& c : copies)
-      max_read_len = std::max(max_read_len, c.length);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint64_t wstart = copies[v].write_off;
-      const std::uint64_t wend = wstart + copies[v].length;
-      // Candidate readers have read_off in (wstart - max_read_len, wend).
-      const std::uint64_t lo =
-          wstart >= max_read_len ? wstart - max_read_len + 1 : 0;
-      auto first = std::lower_bound(
-          by_read.begin(), by_read.end(), lo,
-          [&](std::uint32_t idx, std::uint64_t key) {
-            return copies[idx].read_off < key;
-          });
-      for (auto it = first; it != by_read.end(); ++it) {
-        const std::uint32_t u = *it;
-        if (copies[u].read_off >= wend) break;
-        if (u == v) continue;  // self-overlap: memmove handles it
-        if (copies[u].read_off + copies[u].length > wstart) {
-          succ[u].push_back(v);
-          ++indeg[v];
-        }
-      }
-    }
-  }
-
-  // Min-heap on (write_off, index) so the emitted order is deterministic.
-  using Ready = std::pair<std::uint64_t, std::uint32_t>;
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
-  for (std::uint32_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.emplace(copies[i].write_off, i);
-
-  std::vector<DeltaCommand> ordered;
-  ordered.reserve(cmds.size());
-  std::vector<char> done(n, 0);
-  std::size_t remaining = n;
-  auto retire = [&](std::uint32_t idx) {
-    done[idx] = 1;
-    --remaining;
-    for (const std::uint32_t v : succ[idx])
-      if (!done[v] && --indeg[v] == 0) ready.emplace(copies[v].write_off, v);
-  };
-  while (remaining > 0) {
-    if (ready.empty()) {
-      // Every remaining copy sits on a cycle; convert the cheapest one to
-      // a literal (its bytes are known: they come from the reference).
-      std::uint32_t pick = 0;
-      bool have = false;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (done[i]) continue;
-        if (!have || copies[i].length < copies[pick].length ||
-            (copies[i].length == copies[pick].length &&
-             copies[i].write_off < copies[pick].write_off)) {
-          pick = i;
-          have = true;
-        }
-      }
-      CDC_CHECK_MSG(have, "in-place ordering lost a copy");
-      DeltaCommand& c = copies[pick];
-      DeltaCommand add;
-      add.kind = DeltaCommand::Kind::kAdd;
-      add.write_off = c.write_off;
-      add.length = c.length;
-      const auto ro = static_cast<std::ptrdiff_t>(c.read_off);
-      add.bytes.assign(ref.begin() + ro,
-                       ref.begin() + ro + static_cast<std::ptrdiff_t>(c.length));
-      adds.push_back(std::move(add));
-      if (stats) ++stats->cycles_broken;
-      retire(pick);
-      continue;
-    }
-    const auto [off, idx] = ready.top();
-    ready.pop();
-    if (done[idx]) continue;
-    ordered.push_back(std::move(copies[idx]));
-    retire(idx);
-  }
-
-  std::sort(adds.begin(), adds.end(),
-            [](const DeltaCommand& a, const DeltaCommand& b) {
-              return a.write_off < b.write_off;
-            });
-  for (DeltaCommand& add : adds) ordered.push_back(std::move(add));
-  return ordered;
-}
-
 // Re-points copies onto the diagonal and merges the runs that become
 // contiguous. Record streams are fixed-width rows, so two members of a
 // family agree byte-for-byte at most offsets — but the footprint table
 // keeps the FIRST occurrence of repeated content, so the matcher hands
 // back an early off-diagonal read_off even when the aligned bytes are
-// identical. Diagonal copies serialize as zero deltas (serialize_delta),
-// overlap trivially safely in place, and fuse into longer runs.
+// identical. Diagonal copies serialize as zero deltas (serialize_delta)
+// and fuse into longer runs.
 std::vector<DeltaCommand> diagonalize(std::vector<DeltaCommand> cmds,
                                       std::span<const std::uint8_t> ref,
                                       std::span<const std::uint8_t> ver) {
@@ -329,7 +175,7 @@ std::vector<DeltaCommand> diagonalize(std::vector<DeltaCommand> cmds,
                     static_cast<std::size_t>(cmd.length)) == 0)
       cmd.read_off = cmd.write_off;
   }
-  // Encoders emit copies in version order, so contiguous diagonal (or
+  // The encoder emits copies in version order, so contiguous diagonal (or
   // merely collinear) neighbours are adjacent here.
   std::vector<DeltaCommand> merged;
   merged.reserve(cmds.size());
@@ -346,22 +192,17 @@ std::vector<DeltaCommand> diagonalize(std::vector<DeltaCommand> cmds,
   return merged;
 }
 
-}  // namespace
-
 std::vector<DeltaCommand> delta_commands(std::span<const std::uint8_t> reference,
                                          std::span<const std::uint8_t> version,
-                                         DeltaAlgorithm algorithm,
-                                         const DeltaConfig& config,
                                          DeltaStats* stats) {
-  CDC_CHECK_MSG(config.footprint >= 4, "delta footprint too small");
-  CDC_CHECK_MSG(config.min_match >= config.footprint / 2,
-                "delta min_match too small to pay for a copy opcode");
-  std::vector<DeltaCommand> cmds =
-      algorithm == DeltaAlgorithm::kOnepass
-          ? encode_onepass(reference, version, config)
-          : encode_correcting(reference, version, config, stats);
-  cmds = diagonalize(std::move(cmds), reference, version);
-  cmds = reorder_for_in_place(std::move(cmds), reference, stats);
+  std::vector<DeltaCommand> cmds = diagonalize(
+      encode_correcting(reference, version, stats), reference, version);
+  // Copies first, then literals, each in version order. apply_delta takes
+  // any order; this is the order earlier corpora were written in wherever
+  // no copy wrote over another copy's source, so those bytes stay stable.
+  std::stable_partition(cmds.begin(), cmds.end(), [](const DeltaCommand& c) {
+    return c.kind == DeltaCommand::Kind::kCopy;
+  });
   if (stats) {
     for (const DeltaCommand& cmd : cmds) {
       if (cmd.kind == DeltaCommand::Kind::kCopy) {
@@ -376,15 +217,15 @@ std::vector<DeltaCommand> delta_commands(std::span<const std::uint8_t> reference
   return cmds;
 }
 
+}  // namespace
+
 std::vector<std::uint8_t> serialize_delta(std::span<const DeltaCommand> commands,
                                           std::uint64_t ref_len,
-                                          std::uint64_t ver_len,
-                                          DeltaAlgorithm algorithm,
-                                          std::vector<std::uint8_t> reuse) {
-  support::ByteWriter writer(std::move(reuse));
+                                          std::uint64_t ver_len) {
+  support::ByteWriter writer;
   writer.u8(kDeltaMagic);
   writer.u8(kDeltaVersion);
-  writer.u8(static_cast<std::uint8_t>(algorithm));
+  writer.u8(kDeltaAlgorithm);
   writer.varint(ref_len);
   writer.varint(ver_len);
   // Offsets are relative: write_off as a zigzag delta from the write
@@ -414,14 +255,10 @@ std::vector<std::uint8_t> serialize_delta(std::span<const DeltaCommand> commands
 
 std::vector<std::uint8_t> encode_delta(std::span<const std::uint8_t> reference,
                                        std::span<const std::uint8_t> version,
-                                       DeltaAlgorithm algorithm,
-                                       const DeltaConfig& config,
-                                       DeltaStats* stats,
-                                       std::vector<std::uint8_t> reuse) {
+                                       DeltaStats* stats) {
   const std::vector<DeltaCommand> cmds =
-      delta_commands(reference, version, algorithm, config, stats);
-  return serialize_delta(cmds, reference.size(), version.size(), algorithm,
-                         std::move(reuse));
+      delta_commands(reference, version, stats);
+  return serialize_delta(cmds, reference.size(), version.size());
 }
 
 namespace {
@@ -429,13 +266,64 @@ namespace {
 bool parse_header(support::ByteReader& reader, DeltaHeader& out) {
   std::uint8_t magic = 0;
   std::uint8_t version = 0;
+  std::uint8_t algorithm = 0;
   if (!reader.try_u8(magic) || magic != kDeltaMagic) return false;
   if (!reader.try_u8(version) || version != kDeltaVersion) return false;
-  if (!reader.try_u8(out.algorithm)) return false;
-  if (out.algorithm != static_cast<std::uint8_t>(DeltaAlgorithm::kOnepass) &&
-      out.algorithm != static_cast<std::uint8_t>(DeltaAlgorithm::kCorrecting))
-    return false;
+  if (!reader.try_u8(algorithm) || algorithm != kDeltaAlgorithm) return false;
   return reader.try_varint(out.ref_len) && reader.try_varint(out.ver_len);
+}
+
+/// One bounds-checked command; a literal's bytes alias the delta.
+struct ParsedCommand {
+  std::uint64_t write_off = 0;
+  std::uint64_t read_off = 0;  ///< copies only
+  std::uint64_t length = 0;
+  std::span<const std::uint8_t> literal;  ///< empty for copies
+  bool copy = false;
+};
+
+/// Parses the command list after the header up to the end marker,
+/// checking every read against ref_len and every write against ver_len.
+/// Returns the total bytes the commands write, or nullopt when malformed.
+std::optional<std::uint64_t> parse_commands(
+    support::ByteReader& reader, const DeltaHeader& header,
+    std::vector<ParsedCommand>& out) {
+  std::uint64_t cursor = 0;
+  std::uint64_t written = 0;
+  for (;;) {
+    std::uint8_t op = 0;
+    if (!reader.try_u8(op)) return std::nullopt;
+    if (op == kOpEnd) return written;
+    std::int64_t dwrite = 0;
+    if (!reader.try_svarint(dwrite)) return std::nullopt;
+    ParsedCommand cmd;
+    // Wraparound from a hostile delta lands far past ver_len and fails
+    // the same bounds checks an in-range offset must pass.
+    cmd.write_off = cursor + static_cast<std::uint64_t>(dwrite);
+    if (op == kOpAdd) {
+      if (!reader.try_sized_bytes(cmd.literal)) return std::nullopt;
+      cmd.length = cmd.literal.size();
+    } else if (op == kOpCopy) {
+      std::int64_t dread = 0;
+      if (!reader.try_svarint(dread) || !reader.try_varint(cmd.length))
+        return std::nullopt;
+      cmd.copy = true;
+      cmd.read_off = cmd.write_off + static_cast<std::uint64_t>(dread);
+      if (cmd.read_off > header.ref_len ||
+          cmd.length > header.ref_len - cmd.read_off)
+        return std::nullopt;
+    } else {
+      return std::nullopt;
+    }
+    if (cmd.write_off > header.ver_len ||
+        cmd.length > header.ver_len - cmd.write_off)
+      return std::nullopt;
+    cursor = cmd.write_off + cmd.length;
+    // Copies are bounded by the reference and literals by the delta
+    // itself, so the sum stays far below 2^64.
+    written += cmd.length;
+    out.push_back(cmd);
+  }
 }
 
 }  // namespace
@@ -450,102 +338,29 @@ std::optional<DeltaHeader> read_delta_header(
 
 std::optional<std::vector<std::uint8_t>> apply_delta(
     std::span<const std::uint8_t> reference,
-    std::span<const std::uint8_t> delta, std::vector<std::uint8_t> reuse) {
+    std::span<const std::uint8_t> delta) {
   support::ByteReader reader(delta);
   DeltaHeader header;
   if (!parse_header(reader, header)) return std::nullopt;
   if (header.ref_len != reference.size()) return std::nullopt;
-  reuse.clear();
-  reuse.resize(header.ver_len, 0);
-  std::uint64_t cursor = 0;
-  for (;;) {
-    std::uint8_t op = 0;
-    if (!reader.try_u8(op)) return std::nullopt;
-    if (op == kOpEnd) break;
-    std::int64_t dwrite = 0;
-    if (!reader.try_svarint(dwrite)) return std::nullopt;
-    // Wraparound from a hostile delta lands far past ver_len and fails
-    // the same bounds checks an in-range offset must pass.
-    const std::uint64_t write_off =
-        cursor + static_cast<std::uint64_t>(dwrite);
-    if (op == kOpAdd) {
-      std::span<const std::uint8_t> literal;
-      if (!reader.try_sized_bytes(literal)) return std::nullopt;
-      if (write_off > header.ver_len ||
-          literal.size() > header.ver_len - write_off)
-        return std::nullopt;
-      if (!literal.empty())
-        std::memcpy(reuse.data() + write_off, literal.data(), literal.size());
-      cursor = write_off + literal.size();
-    } else if (op == kOpCopy) {
-      std::int64_t dread = 0;
-      std::uint64_t length = 0;
-      if (!reader.try_svarint(dread) || !reader.try_varint(length))
-        return std::nullopt;
-      const std::uint64_t read_off =
-          write_off + static_cast<std::uint64_t>(dread);
-      if (read_off > header.ref_len || length > header.ref_len - read_off ||
-          write_off > header.ver_len || length > header.ver_len - write_off)
-        return std::nullopt;
-      if (length > 0)
-        std::memcpy(reuse.data() + write_off, reference.data() + read_off,
-                    static_cast<std::size_t>(length));
-      cursor = write_off + length;
-    } else {
-      return std::nullopt;
-    }
+  // Validate everything before allocating ver_len bytes: an encoder's
+  // commands tile the version exactly, so a header claiming more bytes
+  // than the commands write is forged, whatever its CRC.
+  std::vector<ParsedCommand> commands;
+  const std::optional<std::uint64_t> written =
+      parse_commands(reader, header, commands);
+  if (!written.has_value() || *written < header.ver_len ||
+      !reader.exhausted())
+    return std::nullopt;
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(header.ver_len), 0);
+  for (const ParsedCommand& cmd : commands) {
+    if (cmd.length == 0) continue;
+    const std::uint8_t* from =
+        cmd.copy ? reference.data() + cmd.read_off : cmd.literal.data();
+    std::memcpy(out.data() + cmd.write_off, from,
+                static_cast<std::size_t>(cmd.length));
   }
-  if (!reader.exhausted()) return std::nullopt;
-  return reuse;
-}
-
-bool apply_delta_in_place(std::vector<std::uint8_t>& buffer,
-                          std::span<const std::uint8_t> delta) {
-  support::ByteReader reader(delta);
-  DeltaHeader header;
-  if (!parse_header(reader, header)) return false;
-  if (header.ref_len != buffer.size()) return false;
-  const std::uint64_t work = std::max(header.ref_len, header.ver_len);
-  buffer.resize(work, 0);
-  std::uint64_t cursor = 0;
-  for (;;) {
-    std::uint8_t op = 0;
-    if (!reader.try_u8(op)) return false;
-    if (op == kOpEnd) break;
-    std::int64_t dwrite = 0;
-    if (!reader.try_svarint(dwrite)) return false;
-    const std::uint64_t write_off =
-        cursor + static_cast<std::uint64_t>(dwrite);
-    if (op == kOpAdd) {
-      std::span<const std::uint8_t> literal;
-      if (!reader.try_sized_bytes(literal)) return false;
-      if (write_off > header.ver_len ||
-          literal.size() > header.ver_len - write_off)
-        return false;
-      if (!literal.empty())
-        std::memcpy(buffer.data() + write_off, literal.data(), literal.size());
-      cursor = write_off + literal.size();
-    } else if (op == kOpCopy) {
-      std::int64_t dread = 0;
-      std::uint64_t length = 0;
-      if (!reader.try_svarint(dread) || !reader.try_varint(length))
-        return false;
-      const std::uint64_t read_off =
-          write_off + static_cast<std::uint64_t>(dread);
-      if (read_off > header.ref_len || length > header.ref_len - read_off ||
-          write_off > header.ver_len || length > header.ver_len - write_off)
-        return false;
-      if (length > 0)
-        std::memmove(buffer.data() + write_off, buffer.data() + read_off,
-                     static_cast<std::size_t>(length));
-      cursor = write_off + length;
-    } else {
-      return false;
-    }
-  }
-  if (!reader.exhausted()) return false;
-  buffer.resize(header.ver_len);
-  return true;
+  return out;
 }
 
 }  // namespace cdc::corpus

@@ -1,79 +1,29 @@
 // Differential compression of one record against a reference record.
 //
-// Implements the two practical algorithms of Ajtai, Burns, Fagin, Long &
+// Implements the correcting algorithm of Ajtai, Burns, Fagin, Long &
 // Stockmeyer, "Compactly Encoding Unstructured Inputs with Differential
-// Compression" (JACM 49(3), 2002):
+// Compression" (JACM 49(3), 2002): ~linear time, O(q) space. The whole
+// reference is checkpointed into a q-slot footprint table up front
+// (every k-th offset so it fits), and a version match extends BACKWARD
+// as well as forward, retracting already-emitted literal bytes — the
+// corrective step that recovers blocks which moved or were rearranged.
 //
-//   * onepass    — linear time, constant space: reference and version are
-//                  scanned in lockstep, fingerprinting s-byte footprints
-//                  into a fixed-size hash table as the reference pointer
-//                  advances. Good when shared content appears in roughly
-//                  the same order in both strings.
-//   * correcting — ~linear time, O(q) space: the whole reference is
-//                  checkpointed into the table up front (every k-th
-//                  offset so it fits q slots), and a version match
-//                  extends BACKWARD as well as forward, retracting
-//                  already-emitted literal bytes — the corrective step
-//                  that recovers matches onepass commits past. Better
-//                  when blocks moved or were rearranged.
-//
-// Both emit the same command stream — COPY(read_off, len) from the
-// reference plus ADD literals — serialized with explicit write offsets in
-// an order that is safe to apply *in place*: following Burns, Long &
-// Stockmeyer, "In-Place Reconstruction of Version Differences" (TKDE
-// 15(4), 2003), copies are topologically ordered by their
-// read-before-write conflicts (cycles broken by materializing the
-// cheapest copy as a literal) and literals run last, so the version can
-// be rebuilt directly in the buffer holding the reference, with no
-// scratch space. The same command order is equally valid against a
-// pristine reference into a fresh buffer; apply_delta and
-// apply_delta_in_place are byte-for-byte interchangeable.
+// The result is a command stream — COPY(read_off, len) from the
+// reference plus ADD literals — serialized with explicit write offsets,
+// so commands may appear in any order and apply_delta rebuilds the
+// version into a fresh buffer whatever the order.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
-
-#include "corpus/rolling.h"
 
 namespace cdc::corpus {
 
-enum class DeltaAlgorithm : std::uint8_t {
-  kOnepass = 1,
-  kCorrecting = 2,
-};
-
-[[nodiscard]] constexpr std::string_view to_string(
-    DeltaAlgorithm algorithm) noexcept {
-  switch (algorithm) {
-    case DeltaAlgorithm::kOnepass: return "onepass";
-    case DeltaAlgorithm::kCorrecting: return "correcting";
-  }
-  return "?";
-}
-
-struct DeltaConfig {
-  /// Footprint (seed) width in bytes: the granularity of match detection.
-  std::size_t footprint = 16;
-  /// Hash-table size floor; the table auto-sizes up for large inputs
-  /// (next power of two of input/4) with this as the minimum.
-  std::size_t table_size = 1u << 12;
-  /// Checkpointing density cap for the correcting algorithm: reference
-  /// offsets are sampled so at most `table_size` (auto-sized) entries are
-  /// live, as in the paper's §8.
-  /// Matches shorter than this are left as literals (a COPY costs ~5-10
-  /// bytes of opcodes; copying fewer bytes than that loses).
-  std::size_t min_match = 12;
-  /// Karp-Rabin polynomial base for footprints.
-  std::uint64_t base = kKarpRabinBase;
-};
-
 /// One reconstruction command. Copies read from the reference; literals
 /// carry their bytes. `write_off` is the command's position in the
-/// version being rebuilt (explicit because in-place ordering permutes the
-/// commands out of version order).
+/// version being rebuilt.
 struct DeltaCommand {
   enum class Kind : std::uint8_t { kAdd, kCopy };
   Kind kind = Kind::kAdd;
@@ -89,20 +39,11 @@ struct DeltaStats {
   std::uint64_t copied_bytes = 0;
   std::uint64_t literal_bytes = 0;
   std::uint64_t corrections = 0;       ///< literal bytes retracted by
-                                       ///< backward extension (correcting)
-  std::uint64_t cycles_broken = 0;     ///< copies materialized for in-place
+                                       ///< backward extension
 };
 
-/// Computes the command stream rebuilding `version` from `reference`,
-/// already permuted into in-place-safe order. Deterministic in
-/// (reference, version, algorithm, config).
-[[nodiscard]] std::vector<DeltaCommand> delta_commands(
-    std::span<const std::uint8_t> reference,
-    std::span<const std::uint8_t> version, DeltaAlgorithm algorithm,
-    const DeltaConfig& config = {}, DeltaStats* stats = nullptr);
-
 /// Serializes a command stream into the on-storage delta format:
-///   u8 'D' | u8 version(1) | u8 algorithm | varint ref_len |
+///   u8 'D' | u8 version(1) | u8 algorithm(2) | varint ref_len |
 ///   varint ver_len | commands | u8 0x00
 ///   command := u8 0x01 | svarint dwrite | varint len | bytes     (ADD)
 ///            | u8 0x02 | svarint dwrite | svarint dread |
@@ -111,22 +52,20 @@ struct DeltaStats {
 /// command's write extent, 0 initially) and read_off = write_off + dread.
 /// Record streams are fixed-width rows, so cross-member edits keep most
 /// copies on the diagonal: dwrite == dread == 0 and a COPY costs 4 bytes.
-/// `reuse` donates capacity for the output (contents discarded).
+/// The algorithm byte names the correcting encoder; it is the only one.
 [[nodiscard]] std::vector<std::uint8_t> serialize_delta(
     std::span<const DeltaCommand> commands, std::uint64_t ref_len,
-    std::uint64_t ver_len, DeltaAlgorithm algorithm,
-    std::vector<std::uint8_t> reuse = {});
+    std::uint64_t ver_len);
 
-/// encode = delta_commands + serialize_delta in one call.
+/// Encodes `version` against `reference`: every copy, then every
+/// literal, each group in version order, serialized as above.
+/// Deterministic in (reference, version).
 [[nodiscard]] std::vector<std::uint8_t> encode_delta(
     std::span<const std::uint8_t> reference,
-    std::span<const std::uint8_t> version, DeltaAlgorithm algorithm,
-    const DeltaConfig& config = {}, DeltaStats* stats = nullptr,
-    std::vector<std::uint8_t> reuse = {});
+    std::span<const std::uint8_t> version, DeltaStats* stats = nullptr);
 
 /// Sizes recorded in a serialized delta's header.
 struct DeltaHeader {
-  std::uint8_t algorithm = 0;
   std::uint64_t ref_len = 0;
   std::uint64_t ver_len = 0;
 };
@@ -134,17 +73,12 @@ struct DeltaHeader {
     std::span<const std::uint8_t> delta);
 
 /// Rebuilds the version into a fresh buffer, reading from `reference`.
-/// nullopt on malformed delta (never aborts: deltas live on storage).
+/// nullopt on a malformed delta (never aborts: deltas live on storage).
+/// Every command is bounds-checked before the output is allocated, and a
+/// header declaring more version bytes than its commands write is
+/// rejected, so a forged ver_len cannot size the allocation.
 [[nodiscard]] std::optional<std::vector<std::uint8_t>> apply_delta(
     std::span<const std::uint8_t> reference,
-    std::span<const std::uint8_t> delta,
-    std::vector<std::uint8_t> reuse = {});
-
-/// In-place reconstruction: `buffer` holds the reference on entry and the
-/// version on successful return — no scratch allocation beyond resizing
-/// `buffer` to max(ref_len, ver_len). Returns false (buffer contents
-/// unspecified) on malformed delta or when buffer.size() != ref_len.
-[[nodiscard]] bool apply_delta_in_place(
-    std::vector<std::uint8_t>& buffer, std::span<const std::uint8_t> delta);
+    std::span<const std::uint8_t> delta);
 
 }  // namespace cdc::corpus

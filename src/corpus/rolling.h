@@ -1,14 +1,15 @@
 // Karp-Rabin rolling hashes over byte strings.
 //
-// The fingerprinting substrate of the corpus layer: the content-defined
-// chunker (corpus/chunker.h) and both differential-compression encoders
-// (corpus/delta.h) fingerprint fixed-width byte windows with the same
+// The fingerprinting substrate of the corpus layer: the differential
+// encoder (corpus/delta.h) and the content-defined chunker
+// (corpus/chunker.h) fingerprint fixed-width byte windows with a
 // polynomial hash, following Ajtai/Burns/Fagin/Long/Stockmeyer (JACM
 // 49(3), 2002) §4: arithmetic modulo the Mersenne prime 2^61-1 with a
 // small polynomial base for good bit mixing. A window hash can be rolled
 // one byte at a time in O(1), and rolling from offset i to i+1 yields
 // exactly the direct polynomial evaluation at i+1 — the property the
-// chunker's determinism (and its property tests) rest on.
+// encoder's footprint table and the chunker's determinism (and their
+// property tests) rest on.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,7 @@ namespace cdc::corpus {
 /// Mersenne form makes the reduction two adds.
 inline constexpr std::uint64_t kKarpRabinPrime = (std::uint64_t{1} << 61) - 1;
 
-/// Default polynomial base (a primitive-ish small odd base; the chunker
-/// derives per-seed bases from it so differently seeded corpora cut at
-/// different content positions).
+/// Default polynomial base (a primitive-ish small odd base).
 inline constexpr std::uint64_t kKarpRabinBase = 263;
 
 [[nodiscard]] constexpr std::uint64_t kr_mod(std::uint64_t v) noexcept {

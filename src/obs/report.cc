@@ -84,12 +84,6 @@ double PipelineReport::corpus_dedup_ratio() const noexcept {
          static_cast<double>(corpus_stored_bytes);
 }
 
-double PipelineReport::corpus_pool_hit_rate() const noexcept {
-  const std::uint64_t total = corpus_pool_hits + corpus_pool_misses;
-  if (total == 0) return 0.0;
-  return static_cast<double>(corpus_pool_hits) / static_cast<double>(total);
-}
-
 PipelineReport PipelineReport::from_snapshot(
     const MetricsSnapshot& s) {
   PipelineReport r;
@@ -140,12 +134,6 @@ PipelineReport PipelineReport::from_snapshot(
   r.corpus_streams = s.counter_or("corpus.streams");
   r.corpus_raw_bytes = s.counter_or("corpus.raw_bytes");
   r.corpus_stored_bytes = s.counter_or("corpus.stored_bytes");
-  r.corpus_chunks_inserted = s.counter_or("corpus.chunks.inserted");
-  r.corpus_chunk_hits = s.counter_or("corpus.chunks.hits");
-  r.corpus_chunk_hit_bytes = s.counter_or("corpus.chunks.hit_bytes");
-  r.corpus_pool_hits = s.counter_or("corpus.pool.hits");
-  r.corpus_pool_misses = s.counter_or("corpus.pool.misses");
-  r.corpus_pool_recycled_bytes = s.counter_or("corpus.pool.recycled_bytes");
 
   r.net_conns_accepted = s.counter_or("net.conns.accepted");
   r.net_conns_closed = s.counter_or("net.conns.closed");
@@ -303,15 +291,6 @@ std::string PipelineReport::to_json() const {
   w.field("raw_bytes", corpus_raw_bytes);
   w.field("stored_bytes", corpus_stored_bytes);
   w.field("dedup_ratio", corpus_dedup_ratio());
-  w.field("chunks_inserted", corpus_chunks_inserted);
-  w.field("chunk_hits", corpus_chunk_hits);
-  w.field("chunk_hit_bytes", corpus_chunk_hit_bytes);
-  w.key("buffer_pool").begin_object();
-  w.field("hits", corpus_pool_hits);
-  w.field("misses", corpus_pool_misses);
-  w.field("recycled_bytes", corpus_pool_recycled_bytes);
-  w.field("hit_rate", corpus_pool_hit_rate());
-  w.end_object();
   w.end_object();
 
   w.key("net").begin_object();
@@ -460,13 +439,6 @@ void PipelineReport::print(std::FILE* out) const {
                  corpus_members, corpus_streams,
                  bytes(corpus_raw_bytes).c_str(),
                  bytes(corpus_stored_bytes).c_str(), corpus_dedup_ratio());
-    std::fprintf(out,
-                 "  chunks  : %" PRIu64 " inserted, %" PRIu64
-                 " dedup hits (%s saved); pool %.1f%% reuse, %s recycled\n",
-                 corpus_chunks_inserted, corpus_chunk_hits,
-                 bytes(corpus_chunk_hit_bytes).c_str(),
-                 100.0 * corpus_pool_hit_rate(),
-                 bytes(corpus_pool_recycled_bytes).c_str());
   }
   if (net_conns_accepted > 0) {
     std::fprintf(out,

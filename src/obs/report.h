@@ -106,12 +106,6 @@ struct PipelineReport {
   std::uint64_t corpus_streams = 0;
   std::uint64_t corpus_raw_bytes = 0;     ///< member payloads before dedup
   std::uint64_t corpus_stored_bytes = 0;  ///< corpus frame bytes written
-  std::uint64_t corpus_chunks_inserted = 0;
-  std::uint64_t corpus_chunk_hits = 0;
-  std::uint64_t corpus_chunk_hit_bytes = 0;
-  std::uint64_t corpus_pool_hits = 0;
-  std::uint64_t corpus_pool_misses = 0;
-  std::uint64_t corpus_pool_recycled_bytes = 0;
 
   // --- net section (zero when no record service ran) ----------------------
   std::uint64_t net_conns_accepted = 0;
@@ -184,9 +178,6 @@ struct PipelineReport {
   /// Corpus dedup ratio: member raw bytes over corpus stored bytes (the
   /// "dedup" column); 0 when no corpus ingest ran.
   [[nodiscard]] double corpus_dedup_ratio() const noexcept;
-
-  /// Corpus scratch-pool reuse rate in [0, 1].
-  [[nodiscard]] double corpus_pool_hit_rate() const noexcept;
 
   /// Fills the live section from a metrics snapshot.
   static PipelineReport from_snapshot(const MetricsSnapshot& snapshot);

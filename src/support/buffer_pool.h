@@ -1,8 +1,9 @@
-// A small freelist of byte buffers so hot paths (corpus ingest and
-// member reads) recycle vector capacity instead of reallocating per
-// chunk. Thread-safe; the mutex guards a pointer swap and is never
-// held across user work. Stats are plain counters the owning layer can
-// mirror into obs metrics (support stays free of the obs dependency).
+// A small freelist of byte buffers so a hot path can recycle vector
+// capacity instead of reallocating per chunk. Thread-safe; the mutex
+// guards a pointer swap and is never held across user work. Stats are
+// plain counters the owning layer can mirror into obs metrics (support
+// stays free of the obs dependency). No layer calls it at present
+// (DESIGN.md §10).
 #pragma once
 
 #include <atomic>

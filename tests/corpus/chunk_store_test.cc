@@ -72,7 +72,7 @@ TEST(ChunkStore, PeekIsSideEffectFree) {
 
 TEST(ChunkStore, AdoptRebuildsWithZeroRefsAndAddReferenceRestores) {
   // The container-load path: chunk frames are re-admitted refcount-free,
-  // then member manifests re-add their references.
+  // then manifests re-add their references.
   ChunkStore store;
   const auto a = random_bytes(300, 5);
   const std::uint32_t ordinal = store.adopt(a);

@@ -1,7 +1,8 @@
 // Corpus end-to-end: members round-trip bit-identically through every
-// encoding (raw / gzip / chunks / delta, fresh and in-place), reference
-// election and pinning, cross-member dedup, the RecordStore ingest
-// adapter, and the salvage contract (crash -> repack -> degraded open).
+// encoding (raw / gzip / delta), reference election and pinning,
+// cross-member dedup, the RecordStore ingest adapter, and the salvage
+// contract (crash -> repack -> degraded open), including manifests that
+// carry retired encoding tags.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,9 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "compress/crc32.h"
 #include "corpus/corpus.h"
 #include "runtime/storage.h"
 #include "store/container_reader.h"
+#include "store/container_writer.h"
+#include "support/binary.h"
 #include "support/rng.h"
 
 namespace cdc::corpus {
@@ -71,19 +75,16 @@ void make_record_into(runtime::MemoryStore& store, int streams,
 }
 
 // Verifies `member` of the reopened corpus equals `expected`, via
-// read_stream (both apply paths) and load_member.
+// read_stream and load_member.
 void expect_member_equals(const CorpusReader& reader, std::uint32_t member,
                           const StreamMap& expected) {
   std::vector<runtime::StreamKey> keys;
   for (const auto& [key, bytes] : expected) keys.push_back(key);
   EXPECT_EQ(reader.member_keys(member), keys);
   for (const auto& [key, bytes] : expected) {
-    const auto fresh = reader.read_stream(member, key);
-    ASSERT_TRUE(fresh.has_value()) << "member " << member;
-    EXPECT_EQ(*fresh, bytes) << "member " << member;
-    const auto in_place = reader.read_stream(member, key, /*in_place=*/true);
-    ASSERT_TRUE(in_place.has_value()) << "member " << member;
-    EXPECT_EQ(*in_place, *fresh) << "member " << member << " (in place)";
+    const auto back = reader.read_stream(member, key);
+    ASSERT_TRUE(back.has_value()) << "member " << member;
+    EXPECT_EQ(*back, bytes) << "member " << member;
   }
   runtime::MemoryStore loaded;
   ASSERT_TRUE(reader.load_member(member, loaded));
@@ -159,16 +160,8 @@ TEST_F(CorpusTest, EncodingSelectionPicksTheCheapestForm) {
   // Tiny stream: every header loses to the bytes themselves -> raw.
   add("tiny", {1, 2, 3, 4});
 
-  // Low-entropy stream: gzip crushes it, chunking cannot -> gzip.
+  // Low-entropy stream: gzip crushes it -> gzip.
   add("text", std::vector<std::uint8_t>(10 * 1024, 'a'));
-
-  // A 48 KiB block repeated 4 times: repeats sit far beyond DEFLATE's
-  // 32 KiB window, but content-defined chunks dedup them -> chunks.
-  const std::vector<std::uint8_t> block = random_bytes(48 * 1024, 9);
-  std::vector<std::uint8_t> repeated;
-  for (int i = 0; i < 4; ++i)
-    repeated.insert(repeated.end(), block.begin(), block.end());
-  add("far-repeat", repeated);
 
   // Second member of a family, near-identical -> delta vs the reference.
   std::vector<std::uint8_t> base = random_bytes(32 * 1024, 21);
@@ -181,7 +174,6 @@ TEST_F(CorpusTest, EncodingSelectionPicksTheCheapestForm) {
   using E = MemberEncoding;
   EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kRaw)], 1u);
   EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kSelfGzip)], 1u);
-  EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kChunks)], 1u);
   EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kDeltaCorrecting)],
             1u);
 
@@ -191,39 +183,6 @@ TEST_F(CorpusTest, EncodingSelectionPicksTheCheapestForm) {
   ASSERT_NE(reader, nullptr) << error;
   for (std::uint32_t m = 0; m < originals.size(); ++m)
     expect_member_equals(*reader, m, originals[m]);
-}
-
-TEST_F(CorpusTest, ChunksDedupAcrossFamilies) {
-  // Family A's member is chunk-encoded (far repeats); family B's member
-  // carries one copy of the same block, which must intern as pure hits.
-  const std::string file = path("crossfam.cdcc");
-  Corpus corpus(file);
-  const runtime::StreamKey key{0, 1};
-  const std::vector<std::uint8_t> block = random_bytes(48 * 1024, 31);
-  std::vector<std::uint8_t> repeated;
-  for (int i = 0; i < 4; ++i)
-    repeated.insert(repeated.end(), block.begin(), block.end());
-  StreamMap a{{key, repeated}};
-  StreamMap b{{key, block}};
-  runtime::MemoryStore store_a;
-  fill_store(store_a, a);
-  corpus.add_member("fam-a", "m0", store_a);
-  const std::uint64_t stored_before = corpus.stats().stored_bytes;
-
-  runtime::MemoryStore store_b;
-  fill_store(store_b, b);
-  corpus.add_member("fam-b", "m0", store_b);
-
-  EXPECT_GT(corpus.stats().chunk_hits, 0u);
-  // The second member added almost nothing: its chunks already existed.
-  EXPECT_LT(corpus.stats().stored_bytes - stored_before, block.size() / 8);
-
-  corpus.seal();
-  std::string error;
-  const auto reader = CorpusReader::open(file, &error);
-  ASSERT_NE(reader, nullptr) << error;
-  expect_member_equals(*reader, 0, a);
-  expect_member_equals(*reader, 1, b);
 }
 
 TEST_F(CorpusTest, PinningReElectsTheReferenceForLaterMembers) {
@@ -316,44 +275,44 @@ TEST_F(CorpusTest, CrashedCorpusRequiresRepackThenReopens) {
   expect_member_equals(*reader, 0, streams);
 }
 
-TEST_F(CorpusTest, LostChunkDegradesOnlyTheMembersUsingIt) {
+TEST_F(CorpusTest, LostReferenceDegradesOnlyItsFamily) {
   const std::string file = path("degraded.cdcc");
-  // fam-a: chunk-encoded member (the distinctive block content lives only
-  // in its chunk frames). fam-b: small independent member.
+  // fam-a: a reference member (random bytes, so stored raw) and a
+  // near-identical follower stored as a delta against it. fam-b: a small
+  // independent member.
   const runtime::StreamKey key{0, 1};
-  const std::vector<std::uint8_t> block = random_bytes(48 * 1024, 70);
-  std::vector<std::uint8_t> repeated;
-  for (int i = 0; i < 4; ++i)
-    repeated.insert(repeated.end(), block.begin(), block.end());
-  const StreamMap a{{key, repeated}};
-  const StreamMap b{{key, random_bytes(512, 71)}};
+  const StreamMap reference{{key, random_bytes(16 * 1024, 70)}};
+  StreamMap follower = reference;
+  follower[key][100] ^= 0xff;
+  const StreamMap other{{key, random_bytes(512, 71)}};
   {
     Corpus corpus(file);
-    runtime::MemoryStore store_a;
-    fill_store(store_a, a);
-    corpus.add_member("fam-a", "m0", store_a);
-    runtime::MemoryStore store_b;
-    fill_store(store_b, b);
-    corpus.add_member("fam-b", "m0", store_b);
+    auto add = [&](const std::string& family, const StreamMap& streams) {
+      runtime::MemoryStore record;
+      fill_store(record, streams);
+      corpus.add_member(family, "m", record);
+    };
+    add("fam-a", reference);
+    add("fam-a", follower);
+    add("fam-b", other);
     corpus.seal();
-    ASSERT_GT(
-        corpus.stats().by_encoding[static_cast<std::size_t>(
-            MemberEncoding::kChunks)],
-        0u);
+    ASSERT_EQ(corpus.stats().by_encoding[static_cast<std::size_t>(
+                  MemberEncoding::kDeltaCorrecting)],
+              1u);
   }
 
-  // Corrupt the first chunk frame: its payload starts with the block's
-  // first bytes, which appear nowhere else in the file.
+  // Corrupt the reference member's manifest frame: it carries the raw
+  // stream, whose first bytes appear nowhere else in the file.
   std::vector<char> bytes;
   {
     std::ifstream in(file, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
+  const std::vector<std::uint8_t>& raw = reference.at(key);
   const auto hit = std::search(
-      bytes.begin(), bytes.end(),
-      reinterpret_cast<const char*>(block.data()),
-      reinterpret_cast<const char*>(block.data()) + 64);
+      bytes.begin(), bytes.end(), reinterpret_cast<const char*>(raw.data()),
+      reinterpret_cast<const char*>(raw.data()) + 64);
   ASSERT_NE(hit, bytes.end());
   *hit ^= 0x5a;
   {
@@ -361,8 +320,8 @@ TEST_F(CorpusTest, LostChunkDegradesOnlyTheMembersUsingIt) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  // Repack drops the damaged frame; the corpus reopens with fam-a's
-  // member flagged unreadable and fam-b's member intact.
+  // Repack drops the damaged frame; the corpus reopens without member 0,
+  // with its follower flagged unreadable and fam-b's member intact.
   const std::string repacked = path("degraded_repacked.cdcc");
   const store::RepackResult result = store::repack_container(file, repacked);
   ASSERT_TRUE(result.ok) << result.error;
@@ -372,13 +331,84 @@ TEST_F(CorpusTest, LostChunkDegradesOnlyTheMembersUsingIt) {
   const auto reader = CorpusReader::open(repacked, &error);
   ASSERT_NE(reader, nullptr) << error;
   ASSERT_EQ(reader->members().size(), 2u);
-  EXPECT_FALSE(reader->members()[0].readable);
-  EXPECT_FALSE(reader->members()[0].damage.empty());
-  EXPECT_FALSE(reader->read_stream(0, key).has_value());
+  EXPECT_EQ(reader->member(0), nullptr);
+  const CorpusReader::Member* lost = reader->member(1);
+  ASSERT_NE(lost, nullptr);
+  EXPECT_FALSE(lost->readable);
+  EXPECT_EQ(lost->damage, "reference member 0 lost to salvage");
+  EXPECT_FALSE(reader->read_stream(1, key).has_value());
   runtime::MemoryStore sink;
-  EXPECT_FALSE(reader->load_member(0, sink));
-  EXPECT_TRUE(reader->members()[1].readable);
-  expect_member_equals(*reader, 1, b);
+  EXPECT_FALSE(reader->load_member(1, sink));
+  ASSERT_NE(reader->member(2), nullptr);
+  EXPECT_TRUE(reader->member(2)->readable);
+  expect_member_equals(*reader, 2, other);
+}
+
+TEST_F(CorpusTest, RetiredEncodingTagsOpenUnreadable) {
+  // Tags 1 (chunk ordinals) and 2 (onepass delta) are no longer read.
+  // Manifests carrying them are written by hand; those members must open
+  // unreadable while the members around them stay readable.
+  const std::string file = path("retired.cdcc");
+  const runtime::StreamKey key{0, 1};
+  const std::vector<std::uint8_t> raw = random_bytes(256, 90);
+  auto manifest = [&](std::uint32_t ordinal, std::uint8_t tag,
+                      std::span<const std::uint8_t> body) {
+    support::ByteWriter out;
+    out.u8('M');
+    out.u8(1);  // manifest format version
+    const std::string family = "fam";
+    out.sized_bytes(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(family.data()), family.size()));
+    out.sized_bytes(std::span<const std::uint8_t>{});  // unnamed
+    // A tag-2 (delta) member points at member 0; the rest stand alone.
+    out.u8(tag == 2 ? 0 : 0x01);        // reference flag
+    out.varint(tag == 2 ? 0 : ordinal);  // delta_ref
+    out.varint(1);                       // one stream
+    out.svarint(key.rank);
+    out.varint(key.callsite);
+    out.varint(raw.size());
+    out.u32(compress::crc32(raw));
+    out.u8(tag);
+    out.bytes(body);
+    return std::move(out).take();
+  };
+  support::ByteWriter sized_raw;
+  sized_raw.sized_bytes(raw);
+  support::ByteWriter chunk_ordinals;  // one chunk, ordinal 0
+  chunk_ordinals.varint(1);
+  chunk_ordinals.varint(0);
+  support::ByteWriter sized_delta;  // tag 2 body: a length-prefixed blob
+  sized_delta.sized_bytes(random_bytes(40, 91));
+  {
+    store::ContainerWriter writer(file);
+    const std::span<const std::uint8_t> bodies[] = {
+        sized_raw.view(), chunk_ordinals.view(), sized_delta.view(),
+        sized_raw.view()};
+    const std::uint8_t tags[] = {5, 1, 2, 5};
+    for (std::uint32_t m = 0; m < 4; ++m)
+      writer.append_frame({kCorpusMemberRank, m},
+                          manifest(m, tags[m], bodies[m]));
+    writer.seal();
+  }
+
+  std::string error;
+  const auto reader = CorpusReader::open(file, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  ASSERT_EQ(reader->members().size(), 4u);
+  for (const std::uint32_t retired : {1u, 2u}) {
+    const CorpusReader::Member* member = reader->member(retired);
+    ASSERT_NE(member, nullptr);
+    EXPECT_FALSE(member->readable) << "member " << retired;
+    // Member ordinal == its tag here.
+    EXPECT_EQ(member->damage,
+              "stream encoding " + std::to_string(retired) + " unknown");
+    EXPECT_FALSE(reader->read_stream(retired, key).has_value());
+  }
+  for (const std::uint32_t intact : {0u, 3u}) {
+    ASSERT_TRUE(reader->member(intact)->readable)
+        << reader->member(intact)->damage;
+    expect_member_equals(*reader, intact, StreamMap{{key, raw}});
+  }
 }
 
 TEST_F(CorpusTest, ReaderStatsMatchTheWriterView) {

@@ -1,6 +1,5 @@
-// Differential compression round-trips: onepass and correcting encoders
-// (JACM 49(3), 2002) against both apply paths — fresh-buffer and the
-// TKDE'03 in-place reconstruction — plus malformed-delta rejection.
+// Differential compression round-trips of the correcting encoder (JACM
+// 49(3), 2002) through apply_delta, plus malformed-delta rejection.
 //
 // fuzz_delta suites run under the nightly `ctest -R fuzz` matrix.
 #include <gtest/gtest.h>
@@ -27,54 +26,41 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return bytes;
 }
 
-constexpr DeltaAlgorithm kBoth[] = {DeltaAlgorithm::kOnepass,
-                                    DeltaAlgorithm::kCorrecting};
-
-// Encodes version against reference and checks BOTH reconstruction paths
-// produce the version bit-for-bit. Returns the serialized delta size.
+// Encodes version against reference and checks apply_delta rebuilds the
+// version bit-for-bit. Returns the serialized delta size.
 std::size_t expect_roundtrip(const std::vector<std::uint8_t>& reference,
                              const std::vector<std::uint8_t>& version,
-                             DeltaAlgorithm algorithm,
                              DeltaStats* stats = nullptr) {
   const std::vector<std::uint8_t> delta =
-      encode_delta(reference, version, algorithm, {}, stats);
-
-  const auto fresh = apply_delta(reference, delta);
-  EXPECT_TRUE(fresh.has_value()) << to_string(algorithm);
-  if (fresh) {
-    EXPECT_EQ(*fresh, version) << to_string(algorithm);
+      encode_delta(reference, version, stats);
+  const auto rebuilt = apply_delta(reference, delta);
+  EXPECT_TRUE(rebuilt.has_value());
+  if (rebuilt) {
+    EXPECT_EQ(*rebuilt, version);
   }
-
-  std::vector<std::uint8_t> buffer = reference;  // in-place: ref -> version
-  EXPECT_TRUE(apply_delta_in_place(buffer, delta)) << to_string(algorithm);
-  EXPECT_EQ(buffer, version) << to_string(algorithm) << " (in place)";
   return delta.size();
 }
 
 TEST(Delta, IdenticalInputsCollapseToCopies) {
   const std::vector<std::uint8_t> bytes = random_bytes(8 * 1024, 1);
-  for (const DeltaAlgorithm algorithm : kBoth) {
-    DeltaStats stats;
-    const std::size_t size = expect_roundtrip(bytes, bytes, algorithm, &stats);
-    EXPECT_EQ(stats.copied_bytes, bytes.size()) << to_string(algorithm);
-    EXPECT_EQ(stats.literal_bytes, 0u) << to_string(algorithm);
-    EXPECT_LT(size, 64u) << to_string(algorithm);  // header + one copy
-  }
+  DeltaStats stats;
+  const std::size_t size = expect_roundtrip(bytes, bytes, &stats);
+  EXPECT_EQ(stats.copied_bytes, bytes.size());
+  EXPECT_EQ(stats.literal_bytes, 0u);
+  EXPECT_LT(size, 64u);  // header + one copy
 }
 
 TEST(Delta, EdgeShapesRoundTrip) {
   const std::vector<std::uint8_t> some = random_bytes(4096, 2);
   const std::vector<std::uint8_t> empty;
-  for (const DeltaAlgorithm algorithm : kBoth) {
-    expect_roundtrip(empty, some, algorithm);   // all literals
-    expect_roundtrip(some, empty, algorithm);   // version shrinks to nothing
-    expect_roundtrip(empty, empty, algorithm);
-    expect_roundtrip(some, {some.begin(), some.begin() + 100}, algorithm);
-    std::vector<std::uint8_t> grown = some;     // version longer than ref
-    const std::vector<std::uint8_t> tail = random_bytes(2048, 3);
-    grown.insert(grown.end(), tail.begin(), tail.end());
-    expect_roundtrip(some, grown, algorithm);
-  }
+  expect_roundtrip(empty, some);   // all literals
+  expect_roundtrip(some, empty);   // version shrinks to nothing
+  expect_roundtrip(empty, empty);
+  expect_roundtrip(some, {some.begin(), some.begin() + 100});
+  std::vector<std::uint8_t> grown = some;  // version longer than ref
+  const std::vector<std::uint8_t> tail = random_bytes(2048, 3);
+  grown.insert(grown.end(), tail.begin(), tail.end());
+  expect_roundtrip(some, grown);
 }
 
 TEST(Delta, InsertionKeepsMostBytesAsCopies) {
@@ -82,42 +68,37 @@ TEST(Delta, InsertionKeepsMostBytesAsCopies) {
   std::vector<std::uint8_t> version = reference;
   const std::vector<std::uint8_t> insert = random_bytes(200, 5);
   version.insert(version.begin() + 10000, insert.begin(), insert.end());
-  for (const DeltaAlgorithm algorithm : kBoth) {
-    DeltaStats stats;
-    const std::size_t size =
-        expect_roundtrip(reference, version, algorithm, &stats);
-    EXPECT_GT(stats.copied_bytes, reference.size() * 9 / 10)
-        << to_string(algorithm);
-    EXPECT_LT(size, version.size() / 10) << to_string(algorithm);
-  }
+  DeltaStats stats;
+  const std::size_t size = expect_roundtrip(reference, version, &stats);
+  EXPECT_GT(stats.copied_bytes, reference.size() * 9 / 10);
+  EXPECT_LT(size, version.size() / 10);
 }
 
 TEST(Delta, SwappedHalvesForceAnInPlaceCycle) {
   // version = B | A where reference = A | B: each copy reads the region
-  // the other writes, an irreducible 2-cycle the in-place ordering must
-  // break by materializing one copy as a literal (TKDE'03 §4). Onepass
-  // cannot match B at all (its rp <= vp constraint), so only correcting
-  // produces the two-copy cycle.
+  // the other writes, a 2-cycle an in-place decoder would have to break
+  // (TKDE'03 §4). apply_delta reads from the untouched reference, so both
+  // halves stay copies and nothing is spelled out as a literal.
   const std::size_t half = 4096;
   const std::vector<std::uint8_t> reference = random_bytes(2 * half, 6);
   std::vector<std::uint8_t> version;
   version.insert(version.end(), reference.begin() + half, reference.end());
   version.insert(version.end(), reference.begin(), reference.begin() + half);
-  for (const DeltaAlgorithm algorithm : kBoth)
-    expect_roundtrip(reference, version, algorithm);
   DeltaStats stats;
-  expect_roundtrip(reference, version, DeltaAlgorithm::kCorrecting, &stats);
-  EXPECT_GE(stats.cycles_broken, 1u);
+  expect_roundtrip(reference, version, &stats);
+  EXPECT_EQ(stats.copies, 2u);
+  EXPECT_EQ(stats.copied_bytes, version.size());
+  EXPECT_EQ(stats.literal_bytes, 0u);
 }
 
 TEST(Delta, CorrectingRecoversAMatchOnepassCommitsPast) {
   // The corrective step's reason to exist: content that appears EARLIER
-  // in the version than in the reference. Onepass only matches footprints
-  // at reference offsets it has already passed (rp <= vp), so a block
-  // moved toward the front defeats it; correcting checkpoints the whole
-  // reference up front and recovers it. The moved block is the LARGE
-  // piece: the two recovered copies form an in-place cycle, and the break
-  // must sacrifice the cheap one, keeping the big copy correcting found.
+  // in the version than in the reference. A onepass encoder only matches
+  // footprints at reference offsets it has already passed (rp <= vp), so
+  // a block moved toward the front defeats it. Correcting checkpoints the
+  // whole reference up front, so the moved block is found wherever it
+  // sits, and backward extension reclaims the bytes before its first
+  // footprint hit.
   const std::vector<std::uint8_t> head = random_bytes(8 * 1024, 7);
   const std::vector<std::uint8_t> moved = random_bytes(24 * 1024, 8);
   std::vector<std::uint8_t> reference = head;
@@ -125,23 +106,22 @@ TEST(Delta, CorrectingRecoversAMatchOnepassCommitsPast) {
   std::vector<std::uint8_t> version = moved;  // block moved to the front
   version.insert(version.end(), head.begin(), head.end());
 
-  DeltaStats onepass, correcting;
-  expect_roundtrip(reference, version, DeltaAlgorithm::kOnepass, &onepass);
-  expect_roundtrip(reference, version, DeltaAlgorithm::kCorrecting,
-                   &correcting);
-  EXPECT_GT(correcting.copied_bytes, onepass.copied_bytes);
-  EXPECT_GE(correcting.cycles_broken, 1u);
+  DeltaStats stats;
+  expect_roundtrip(reference, version, &stats);
+  EXPECT_EQ(stats.copied_bytes, version.size());
+  EXPECT_EQ(stats.literal_bytes, 0u);
 }
 
 TEST(Delta, HeaderRecordsAlgorithmAndSizes) {
   const std::vector<std::uint8_t> reference = random_bytes(1000, 9);
   const std::vector<std::uint8_t> version = random_bytes(1500, 10);
-  const std::vector<std::uint8_t> delta =
-      encode_delta(reference, version, DeltaAlgorithm::kCorrecting);
+  const std::vector<std::uint8_t> delta = encode_delta(reference, version);
+  ASSERT_GE(delta.size(), 3u);
+  EXPECT_EQ(delta[0], 'D');
+  EXPECT_EQ(delta[1], 1);  // format version
+  EXPECT_EQ(delta[2], 2);  // algorithm byte: correcting
   const auto header = read_delta_header(delta);
   ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header->algorithm,
-            static_cast<std::uint8_t>(DeltaAlgorithm::kCorrecting));
   EXPECT_EQ(header->ref_len, reference.size());
   EXPECT_EQ(header->ver_len, version.size());
 }
@@ -150,14 +130,11 @@ TEST(Delta, MalformedDeltasAreRejectedNotFatal) {
   const std::vector<std::uint8_t> reference = random_bytes(2048, 11);
   std::vector<std::uint8_t> version = reference;
   version[100] ^= 0xff;
-  const std::vector<std::uint8_t> good =
-      encode_delta(reference, version, DeltaAlgorithm::kOnepass);
+  const std::vector<std::uint8_t> good = encode_delta(reference, version);
   ASSERT_TRUE(apply_delta(reference, good).has_value());
 
   auto rejects = [&](std::vector<std::uint8_t> bad, const char* what) {
     EXPECT_FALSE(apply_delta(reference, bad).has_value()) << what;
-    std::vector<std::uint8_t> buffer = reference;
-    EXPECT_FALSE(apply_delta_in_place(buffer, bad)) << what;
   };
 
   rejects({}, "empty");
@@ -171,6 +148,11 @@ TEST(Delta, MalformedDeltasAreRejectedNotFatal) {
     std::vector<std::uint8_t> bad = good;
     bad[1] = 99;  // unknown format version
     rejects(std::move(bad), "unknown version");
+  }
+  {
+    std::vector<std::uint8_t> bad = good;
+    bad[2] = 1;  // the retired onepass algorithm byte
+    rejects(std::move(bad), "algorithm byte other than correcting");
   }
   {
     std::vector<std::uint8_t> bad = good;
@@ -190,8 +172,7 @@ TEST(Delta, MalformedDeltasAreRejectedNotFatal) {
     copy.read_off = reference.size();  // out of bounds
     copy.length = 64;
     const std::vector<DeltaCommand> commands{copy};
-    rejects(serialize_delta(commands, reference.size(), 64,
-                            DeltaAlgorithm::kOnepass),
+    rejects(serialize_delta(commands, reference.size(), 64),
             "copy past reference end");
   }
   {
@@ -202,26 +183,38 @@ TEST(Delta, MalformedDeltasAreRejectedNotFatal) {
     add.length = 8;
     add.bytes = random_bytes(8, 12);
     const std::vector<DeltaCommand> commands{add};
-    rejects(serialize_delta(commands, reference.size(), 10,
-                            DeltaAlgorithm::kOnepass),
+    rejects(serialize_delta(commands, reference.size(), 10),
             "write past version end");
   }
-}
-
-TEST(Delta, InPlaceRequiresTheReferenceSizedBuffer) {
-  const std::vector<std::uint8_t> reference = random_bytes(1024, 13);
-  const std::vector<std::uint8_t> version = random_bytes(900, 14);
-  const std::vector<std::uint8_t> delta =
-      encode_delta(reference, version, DeltaAlgorithm::kCorrecting);
-  std::vector<std::uint8_t> wrong = reference;
-  wrong.pop_back();  // size != ref_len: cannot be the reference
-  EXPECT_FALSE(apply_delta_in_place(wrong, delta));
+  {
+    // A few-byte delta whose header declares a 2^62-byte version: its
+    // commands write nothing, so it must be refused before any output
+    // buffer is sized from the header.
+    rejects(serialize_delta({}, reference.size(), std::uint64_t{1} << 62),
+            "version length beyond what the commands write");
+  }
+  {
+    // Commands that leave a gap in the declared version.
+    DeltaCommand copy;
+    copy.kind = DeltaCommand::Kind::kCopy;
+    copy.length = 64;
+    const std::vector<DeltaCommand> commands{copy};
+    rejects(serialize_delta(commands, reference.size(), 65),
+            "version bytes no command writes");
+  }
+  {
+    // A good delta applied to a reference of the wrong size.
+    std::vector<std::uint8_t> shorter = reference;
+    shorter.pop_back();
+    EXPECT_FALSE(apply_delta(shorter, good).has_value());
+  }
 }
 
 TEST(fuzz_delta, RandomEditScriptsRoundTripBothAlgorithms) {
   // Property sweep: random references mutated by random edit scripts
-  // (overwrites, inserts, deletes, block moves); both algorithms, both
-  // apply paths, every seed.
+  // (overwrites, inserts, deletes, block moves), every seed. The name
+  // dates from when the sweep also ran the onepass encoder; the
+  // correcting encoder is the one that remains.
   const std::uint64_t base_seed = env_u64("CDC_FUZZ_BASE_SEED", 1);
   const std::uint64_t num_seeds = env_u64("CDC_FUZZ_SEEDS", 64);
   for (std::uint64_t s = 0; s < num_seeds; ++s) {
@@ -250,7 +243,7 @@ TEST(fuzz_delta, RandomEditScriptsRoundTripBothAlgorithms) {
                         version.begin() + static_cast<std::ptrdiff_t>(at + n));
           break;
         }
-        default: {  // rotate: moves blocks, exercising correction + cycles
+        default: {  // rotate: moves blocks, exercising correction
           std::rotate(version.begin(),
                       version.begin() + static_cast<std::ptrdiff_t>(at),
                       version.end());
@@ -258,11 +251,8 @@ TEST(fuzz_delta, RandomEditScriptsRoundTripBothAlgorithms) {
         }
       }
     }
-    for (const DeltaAlgorithm algorithm : kBoth) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " algorithm=" << to_string(algorithm));
-      expect_roundtrip(reference, version, algorithm);
-    }
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    expect_roundtrip(reference, version);
   }
 }
 
@@ -271,10 +261,8 @@ TEST(fuzz_delta, DeltaIsDeterministic) {
   const std::vector<std::uint8_t> reference = random_bytes(16 * 1024, seed);
   std::vector<std::uint8_t> version = reference;
   version.erase(version.begin() + 5000, version.begin() + 6000);
-  for (const DeltaAlgorithm algorithm : kBoth)
-    EXPECT_EQ(encode_delta(reference, version, algorithm),
-              encode_delta(reference, version, algorithm))
-        << to_string(algorithm);
+  EXPECT_EQ(encode_delta(reference, version),
+            encode_delta(reference, version));
 }
 
 }  // namespace

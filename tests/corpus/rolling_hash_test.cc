@@ -1,6 +1,6 @@
 // Karp-Rabin property tests: the incremental roller must agree with the
 // direct polynomial evaluation at every window offset — the invariant the
-// content-defined chunker's determinism rests on (DESIGN.md §11).
+// delta encoder's footprint table rests on (DESIGN.md §11).
 //
 // The fuzz_rolling suite carries the `fuzz_` prefix so the nightly
 // `ctest -R fuzz` matrix re-runs it across seeds

@@ -1,10 +1,10 @@
 // Corpus-class fuzzing: N seeded record runs ingested as members of ONE
 // CorpusStore, then every member is materialized back out of the corpus
 // and replayed under a different noise seed — the replay-equivalence
-// oracle plus the bitwise order-sensitive result must hold for each, with
-// both reconstruction paths (fresh apply and TKDE'03 in-place). A second
-// corpus is crashed mid-ingest and salvaged through repack_container; all
-// surviving members must still replay bit-identically.
+// oracle plus the bitwise order-sensitive result must hold for each. A
+// second corpus is crashed mid-ingest and salvaged through
+// repack_container; all surviving members must still replay
+// bit-identically.
 //
 // Suite names carry the `fuzz_` prefix: the nightly CI matrix runs
 // `ctest -R fuzz` across CDC_FUZZ_BASE_SEED / CDC_FUZZ_SEEDS.
@@ -78,16 +78,15 @@ RecordedMember record_member(const fuzz::FuzzWorkload& workload,
   return member;
 }
 
-// Replays `member` out of the reopened corpus (fresh or in-place
-// reconstruction) under a shifted noise seed and checks the oracle.
+// Replays `member` out of the reopened corpus under a shifted noise seed
+// and checks the oracle.
 void expect_member_replays(const fuzz::FuzzWorkload& workload,
                            const corpus::CorpusReader& reader,
-                           const RecordedMember& member, bool in_place) {
+                           const RecordedMember& member) {
   SCOPED_TRACE(testing::Message()
-               << "workload=" << workload.name << " seed=" << member.seed
-               << " in_place=" << in_place);
+               << "workload=" << workload.name << " seed=" << member.seed);
   runtime::MemoryStore loaded;
-  ASSERT_TRUE(reader.load_member(member.ordinal, loaded, in_place));
+  ASSERT_TRUE(reader.load_member(member.ordinal, loaded));
 
   const tool::ToolOptions options = corpus_tool_options();
   tool::Replayer replayer(workload.num_ranks, &loaded, options);
@@ -162,18 +161,14 @@ TEST(fuzz_corpus, SeededRunsIngestDedupAndReplayBitIdentically) {
   for (std::size_t i = 0; i < recorded.size(); ++i) {
     ASSERT_TRUE(reader->members()[recorded[i].ordinal].readable)
         << reader->members()[recorded[i].ordinal].damage;
-    // Alternate reconstruction paths across members; both must be exact.
-    expect_member_replays(workload, *reader, recorded[i],
-                          /*in_place=*/(i % 2) == 1);
+    expect_member_replays(workload, *reader, recorded[i]);
   }
-  // Raw-row members round-trip byte-identically through both paths.
+  // Raw-row members round-trip byte-identically.
   for (const auto& [ordinal, streams] : raw_members) {
     for (const auto& [key, bytes] : streams) {
-      const auto fresh = reader->read_stream(ordinal, key, false);
-      const auto in_place = reader->read_stream(ordinal, key, true);
-      ASSERT_TRUE(fresh.has_value() && in_place.has_value());
-      EXPECT_EQ(*fresh, bytes);
-      EXPECT_EQ(*in_place, bytes);
+      const auto back = reader->read_stream(ordinal, key);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(*back, bytes);
     }
   }
   std::filesystem::remove_all(dir);
@@ -215,8 +210,7 @@ TEST(fuzz_corpus, CrashMidIngestSalvagesToReplayableMembers) {
   for (std::size_t i = 0; i < recorded.size(); ++i) {
     ASSERT_TRUE(reader->members()[recorded[i].ordinal].readable)
         << reader->members()[recorded[i].ordinal].damage;
-    expect_member_replays(workload, *reader, recorded[i],
-                          /*in_place=*/(i % 2) == 0);
+    expect_member_replays(workload, *reader, recorded[i]);
   }
   // Tail members may or may not have survived; any that did must be
   // internally consistent (readable implies CRC-verified streams).
