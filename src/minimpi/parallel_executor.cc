@@ -154,6 +154,10 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     const auto& ctx = sim.ranks_[static_cast<std::size_t>(r)];
     if (!ctx.finished && !ctx.failed) deadlocked = true;
     sim.stats_.end_time = std::max(sim.stats_.end_time, ctx.time);
+    // The slab only grows when every slot is live, so its size is the
+    // rank's high-water mark.
+    sim.stats_.max_live_requests = std::max<std::uint64_t>(
+        sim.stats_.max_live_requests, ctx.recv_slots.size());
   }
   if (deadlocked) {
     sim.describe_stuck_ranks();
@@ -377,7 +381,8 @@ void Simulator::ParallelState::run_rank(Simulator& sim, Worker& me,
         // Transport dedup against the receiver-side per-source sequence:
         // per-channel delivery is non-overtaking, so a non-increasing
         // value is a duplicate copy.
-        auto& delivered = s.channel_delivered_seq[ev.msg->source];
+        std::uint64_t& delivered =
+            channel(s.recv_channels, ev.msg->source).delivered_seq;
         if (ev.msg->transport_seq <= delivered) {
           ++s.fault_stats.duplicates_dropped;
           break;

@@ -17,9 +17,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "minimpi/event_heap.h"
@@ -54,6 +55,33 @@ struct Simulator::ParallelState {
     }
   };
 
+  /// Channel tables hold one entry per peer a rank has talked to: sparse,
+  /// because a dense rank x rank table does not fit at scale.
+  struct SendChannel {
+    Rank peer = -1;
+    std::uint64_t send_seq = 0;
+    /// Latest arrival scheduled on the channel; -inf before the first.
+    double last_arrival = -std::numeric_limits<double>::infinity();
+  };
+  struct RecvChannel {
+    Rank peer = -1;
+    std::uint64_t delivered_seq = 0;
+  };
+
+  /// The entry for `peer`, inserted in peer order on first contact.
+  template <typename Channel>
+  static Channel& channel(std::vector<Channel>& table, Rank peer) {
+    auto it = std::lower_bound(
+        table.begin(), table.end(), peer,
+        [](const Channel& c, Rank p) { return c.peer < p; });
+    if (it == table.end() || it->peer != peer) {
+      Channel fresh;
+      fresh.peer = peer;
+      it = table.insert(it, fresh);
+    }
+    return *it;
+  }
+
   struct Shard {
     EventHeap<PEvent, PEventBefore> heap;
     /// Deterministic per-rank streams: draws depend only on this rank's
@@ -64,12 +92,11 @@ struct Simulator::ParallelState {
     std::uint64_t next_seq = 0;        ///< event + arrival sequence counter
     std::uint64_t next_match_seq = 1;  ///< candidate surfacing order
     double now = 0.0;                  ///< time of the event being applied
-    // Sender-side channel state, keyed by destination rank (all traffic on
-    // a (src, dst) channel originates here).
-    std::unordered_map<Rank, double> channel_last_arrival;
-    std::unordered_map<Rank, std::uint64_t> channel_send_seq;
-    // Receiver-side transport dedup, keyed by source rank.
-    std::unordered_map<Rank, std::uint64_t> channel_delivered_seq;
+    /// Sender-side channel state, one entry per destination (all traffic
+    /// on a (src, dst) channel originates here), sorted by peer.
+    std::vector<SendChannel> send_channels;
+    /// Receiver-side transport dedup, one entry per source, sorted by peer.
+    std::vector<RecvChannel> recv_channels;
     /// Satellite-exact accounting: per-shard tallies merged once at run
     /// end — no atomics anywhere on the hot path.
     Stats stats;
@@ -82,12 +109,26 @@ struct Simulator::ParallelState {
     }
   };
 
+  /// poll_mf's working lists. Each poll clears and refills them; their
+  /// capacity is retained, so a steady-state poll allocates nothing.
+  struct PollScratch {
+    std::vector<Candidate> candidates;
+    std::vector<std::uint64_t> candidate_handle;
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    std::vector<Message> messages;
+    std::vector<std::uint32_t> origin_slot;
+    std::vector<bool> seen;
+    std::vector<bool> index_used;
+  };
+
   /// Per-worker scratch, cache-line padded against false sharing.
   struct alignas(64) Worker {
     /// Cross-rank deliveries produced this window; the coordinator drains
     /// them into destination heaps at the barrier. Capacity is retained
     /// across windows (allocation-free steady state).
     std::vector<PEvent> outbox;
+    /// Used by the poll running on this worker's thread.
+    PollScratch poll;
     std::uint64_t window_events = 0;
     std::uint64_t total_events = 0;
     std::uint64_t steals = 0;

@@ -22,39 +22,50 @@ void MFAwaiter::await_suspend(std::coroutine_handle<> handle) {
   CDC_CHECK_MSG(!ctx.mf_active, "rank issued a second MF call while pending");
   ++sim->par_->shard(rank).stats.mf_calls;
 
-  // Send-only MF calls complete immediately (buffered-send model) and do
-  // not pass through the tool: the paper records receives only.
+  // Resolve every handle to its slab slot once; the poll loops then index
+  // slots directly. A receive whose slot no longer holds it was delivered
+  // (its slot may already hold a later receive) and is inactive, as in
+  // MPI. Send-only MF calls complete immediately (buffered-send model) and
+  // do not pass through the tool: the paper records receives only.
+  auto& slots = ctx.mf_slots;
+  slots.clear();
   bool any_recv = false;
-  for (const std::uint64_t id : request_ids) {
-    auto& req = ctx.requests[id];
-    if (req.kind == Simulator::RequestState::Kind::kRecv) {
-      any_recv = true;
-    } else {
-      CDC_CHECK_MSG(!any_recv || request_ids.size() == 1,
-                    "mixed send/recv MF request sets are unsupported");
-    }
-  }
-  // Inactive (already delivered) receives are ignored, as in MPI. A call
-  // whose requests are all sends or all inactive completes immediately.
+  bool any_send = false;
   std::size_t active = 0;
   for (const std::uint64_t id : request_ids) {
-    const auto& req = ctx.requests[id];
-    if (req.kind == Simulator::RequestState::Kind::kRecv && !req.delivered)
+    const std::uint64_t seq = id >> Simulator::kSlotBits;
+    const std::uint32_t slot = Simulator::slot_of(id);
+    if (seq == 0 || seq > ctx.last_post ||
+        (slot != Simulator::kNoSlot && slot >= ctx.recv_slots.size())) {
+      char msg[80];
+      std::snprintf(msg, sizeof msg,
+                    "rank %d passed an MF call a request it never issued",
+                    rank);
+      CDC_CHECK_MSG(false, msg);
+    }
+    if (slot == Simulator::kNoSlot) {
+      CDC_CHECK_MSG(!any_recv || request_ids.size() == 1,
+                    "mixed send/recv MF request sets are unsupported");
+      any_send = true;
+      slots.push_back(Simulator::kNoSlot);
+    } else if (ctx.recv_slots[slot].id == id) {
+      any_recv = true;
       ++active;
+      slots.push_back(slot);
+    } else {
+      any_recv = true;
+      slots.push_back(Simulator::kNoSlot);
+    }
   }
-  if (!any_recv || active == 0) {
-    for (const std::uint64_t id : request_ids)
-      ctx.requests[id].delivered = true;
+  // A call whose requests are all sends or all inactive completes
+  // immediately.
+  if (active == 0) {
     result.flag = true;
     sim->schedule(ctx.time + sim->config_.mpi_call_cost,
                   Simulator::EventType::kResume, rank, handle);
     return;
   }
-  for (const std::uint64_t id : request_ids) {
-    const auto& req = ctx.requests[id];
-    CDC_CHECK_MSG(req.kind == Simulator::RequestState::Kind::kRecv,
-                  "mixed send/recv MF request sets are unsupported");
-  }
+  CDC_CHECK_MSG(!any_send, "mixed send/recv MF request sets are unsupported");
 
   ctx.mf_active = true;
   ctx.mf = this;
@@ -277,11 +288,12 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
       config_.base_latency + shard.noise.exponential(config_.jitter_mean);
   if (config_.faults.enabled())
     latency = apply_message_faults(latency, src, dst);
-  msg.transport_seq = ++shard.channel_send_seq[dst];
+  ParallelState::SendChannel& channel =
+      ParallelState::channel(shard.send_channels, dst);
+  msg.transport_seq = ++channel.send_seq;
   double arrival = ctx.time + latency;
-  auto [it, inserted] = shard.channel_last_arrival.try_emplace(dst, 0.0);
-  if (!inserted && arrival <= it->second) arrival = it->second + 1e-12;
-  it->second = arrival;
+  if (arrival <= channel.last_arrival) arrival = channel.last_arrival + 1e-12;
+  channel.last_arrival = arrival;
 
   if (config_.faults.duplicate_probability > 0.0 &&
       shard.fault_rng.uniform() < config_.faults.duplicate_probability) {
@@ -290,8 +302,9 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
     Message dup = msg;
     double dup_arrival =
         arrival + shard.fault_rng.exponential(config_.jitter_mean);
-    if (dup_arrival <= it->second) dup_arrival = it->second + 1e-12;
-    it->second = dup_arrival;
+    if (dup_arrival <= channel.last_arrival)
+      dup_arrival = channel.last_arrival + 1e-12;
+    channel.last_arrival = dup_arrival;
     par_->push_delivery(*worker, dup_arrival, shard, src, dst,
                         std::move(dup));
     ++shard.fault_stats.duplicates_injected;
@@ -301,27 +314,31 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
   par_->push_delivery(*worker, arrival, shard, src, dst, std::move(msg));
   ++shard.stats.messages_sent;
 
-  // Buffered-send model: locally complete on creation.
-  RequestState req;
-  req.kind = RequestState::Kind::kSend;
-  req.matched = true;
-  ctx.requests.push_back(std::move(req));
-  return Request{ctx.requests.size() - 1};
+  // Buffered-send model: locally complete on creation, so nothing to keep.
+  return Request{(++ctx.last_post << kSlotBits) | kNoSlot};
 }
 
 Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
   CDC_CHECK(source == kAnySource || (source >= 0 && source < size()));
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
-  RequestState req;
-  req.kind = RequestState::Kind::kRecv;
-  req.source_spec = source;
-  req.tag_spec = tag;
-  ctx.requests.push_back(std::move(req));
-  const std::uint64_t id = ctx.requests.size() - 1;
+  std::uint32_t slot;
+  if (!ctx.free_slots.empty()) {
+    slot = ctx.free_slots.back();
+    ctx.free_slots.pop_back();
+  } else {
+    CDC_CHECK_MSG(ctx.recv_slots.size() < kNoSlot,
+                  "too many receives live on one rank");
+    slot = static_cast<std::uint32_t>(ctx.recv_slots.size());
+    ctx.recv_slots.emplace_back();
+  }
+  const std::uint64_t id = (++ctx.last_post << kSlotBits) | slot;
+  RecvSlot& posted = ctx.recv_slots[slot];
+  posted.id = id;
+  posted.source_spec = source;
+  posted.tag_spec = tag;
 
   // A newly posted receive matches the earliest compatible unexpected
   // message (MPI matching rule).
-  auto& posted = ctx.requests[id];
   for (auto it = ctx.unexpected.begin(); it != ctx.unexpected.end(); ++it) {
     const bool src_ok =
         posted.source_spec == kAnySource || posted.source_spec == it->source;
@@ -368,7 +385,7 @@ void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
     bool matched = false;
     for (auto req_it = ctx.posted_recvs.begin();
          req_it != ctx.posted_recvs.end(); ++req_it) {
-      auto& req = ctx.requests[*req_it];
+      auto& req = ctx.recv_slots[slot_of(*req_it)];
       if (envelope_matches(req.source_spec, req.tag_spec, msg_it->source, msg_it->tag)) {
         req.matched = true;
         req.match_seq = par_->shard(rank).next_match_seq++;
@@ -388,17 +405,17 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
   message.arrival_seq = par_->shard(rank).next_seq++;
   for (auto it = ctx.posted_recvs.begin(); it != ctx.posted_recvs.end();
        ++it) {
-    auto& req = ctx.requests[*it];
+    const std::uint32_t slot = slot_of(*it);
+    auto& req = ctx.recv_slots[slot];
     if (envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
       req.matched = true;
       req.match_seq = par_->shard(rank).next_match_seq++;
-      const std::uint64_t id = *it;
       req.message = std::move(message);
       ctx.posted_recvs.erase(it);
       // Wake a pending MF call that covers this request.
       if (ctx.mf_active && !ctx.mf_poll_scheduled) {
-        const auto& ids = ctx.mf->request_ids;
-        if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+        const auto& slots = ctx.mf_slots;
+        if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
           ctx.mf_poll_scheduled = true;
           schedule(par_->shard(rank).now, EventType::kPoll, rank);
         }
@@ -407,13 +424,13 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
     }
   }
   // Unexpected arrival. It may still be deliverable by a replay tool on an
-  // interchangeable request, so wake a pending MF call whose undelivered
+  // interchangeable request, so wake a pending MF call whose live
   // requests could accept it.
   if (ctx.mf_active && !ctx.mf_poll_scheduled) {
-    for (const std::uint64_t id : ctx.mf->request_ids) {
-      const auto& req = ctx.requests[id];
-      if (!req.delivered &&
-          envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
+    for (const std::uint32_t slot : ctx.mf_slots) {
+      if (slot == kNoSlot) continue;
+      const auto& req = ctx.recv_slots[slot];
+      if (envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
         ctx.mf_poll_scheduled = true;
         schedule(par_->shard(rank).now, EventType::kPoll, rank);
         break;
@@ -429,42 +446,48 @@ void Simulator::poll_mf(Rank rank) {
   if (!ctx.mf_active) return;
   ctx.time = std::max(ctx.time, par_->shard(rank).now);
   MFAwaiter& mf = *ctx.mf;
+  // Position i of the call is live receive `slots[i]`, or kNoSlot.
+  const std::vector<std::uint32_t>& slots = ctx.mf_slots;
+  const std::size_t n = slots.size();
+  ParallelState::Worker* worker = ParallelState::tls_worker;
+  CDC_CHECK_MSG(worker != nullptr, "poll from outside the worker pool");
+  // The worker's lists, reused across polls: a steady-state poll
+  // allocates nothing.
+  ParallelState::PollScratch& scratch = worker->poll;
 
-  // Sized for the usual case, at most one candidate per request, so a poll
-  // allocates each list once: a replay run surfaces more candidates per
-  // poll than a plain run and would otherwise pay for regrowth.
-  std::vector<Candidate> candidates;
-  candidates.reserve(mf.request_ids.size());
-  // For bound candidates: the owning request id; for unbound: the
+  std::vector<Candidate>& candidates = scratch.candidates;
+  candidates.clear();
+  // For bound candidates: the owning receive's slot; for unbound: the
   // message's arrival_seq (to locate it in the unexpected queue).
-  std::vector<std::uint64_t> candidate_handle;
-  candidate_handle.reserve(mf.request_ids.size());
+  std::vector<std::uint64_t>& candidate_handle = scratch.candidate_handle;
+  candidate_handle.clear();
   {
     // Matched-but-undelivered receives, in match order — the order an
     // untooled run would surface them ("first come, first served").
-    std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    order.reserve(mf.request_ids.size());
-    for (std::size_t i = 0; i < mf.request_ids.size(); ++i) {
-      const auto& req = ctx.requests[mf.request_ids[i]];
-      if (req.matched && !req.delivered) order.emplace_back(req.match_seq, i);
+    auto& order = scratch.order;
+    order.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slots[i] == kNoSlot) continue;
+      const auto& req = ctx.recv_slots[slots[i]];
+      if (req.matched) order.emplace_back(req.match_seq, i);
     }
     std::sort(order.begin(), order.end());
     for (const auto& [seq, i] : order) {
-      auto& req = ctx.requests[mf.request_ids[i]];
+      auto& req = ctx.recv_slots[slots[i]];
       candidates.push_back(Candidate{i, req.message.source, req.message.tag,
                                      req.message.piggyback, true,
                                      !req.message.tool_sighted});
       req.message.tool_sighted = true;
-      candidate_handle.push_back(mf.request_ids[i]);
+      candidate_handle.push_back(slots[i]);
     }
-    // Unexpected arrivals compatible with an undelivered request of the
-    // call (in arrival order): deliverable by a replay tool via request
-    // remapping, invisible to untooled MPI semantics.
+    // Unexpected arrivals compatible with a live request of the call (in
+    // arrival order): deliverable by a replay tool via request remapping,
+    // invisible to untooled MPI semantics.
     for (Message& msg : ctx.unexpected) {
-      for (std::size_t i = 0; i < mf.request_ids.size(); ++i) {
-        const auto& req = ctx.requests[mf.request_ids[i]];
-        if (!req.delivered &&
-            envelope_matches(req.source_spec, req.tag_spec, msg.source, msg.tag)) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (slots[i] == kNoSlot) continue;
+        const auto& req = ctx.recv_slots[slots[i]];
+        if (envelope_matches(req.source_spec, req.tag_spec, msg.source, msg.tag)) {
           candidates.push_back(Candidate{i, msg.source, msg.tag,
                                          msg.piggyback, false,
                                          !msg.tool_sighted});
@@ -477,9 +500,9 @@ void Simulator::poll_mf(Rank rank) {
   }
 
   const bool blocking = is_blocking(mf.kind);
-  std::size_t active_requests = 0;
-  for (const std::uint64_t id : mf.request_ids)
-    if (!ctx.requests[id].delivered) ++active_requests;
+  const std::size_t active_requests =
+      n - static_cast<std::size_t>(std::count(slots.begin(), slots.end(),
+                                              kNoSlot));
   SelectResult selection =
       hooks_->select(rank, mf.callsite, mf.kind, candidates,
                      active_requests, blocking);
@@ -505,20 +528,24 @@ void Simulator::poll_mf(Rank rank) {
 
       // Phase A: extract the selected messages, releasing their current
       // bindings.
-      std::vector<Message> messages;
-      std::vector<std::uint64_t> origin_req;  // ~0 for unbound
-      std::vector<bool> seen(candidates.size(), false);
+      std::vector<Message>& messages = scratch.messages;
+      messages.clear();
+      std::vector<std::uint32_t>& origin_slot = scratch.origin_slot;
+      origin_slot.clear();  // kNoSlot for unbound
+      std::vector<bool>& seen = scratch.seen;
+      seen.assign(candidates.size(), false);
       bool disturbed = false;
       for (const std::size_t ci : selection.indices) {
         CDC_CHECK_MSG(ci < candidates.size() && !seen[ci],
                       "selection index out of range or duplicated");
         seen[ci] = true;
         if (candidates[ci].bound) {
-          auto& req = ctx.requests[candidate_handle[ci]];
+          const auto slot = static_cast<std::uint32_t>(candidate_handle[ci]);
+          auto& req = ctx.recv_slots[slot];
           CDC_CHECK(req.matched && !req.delivered);
           req.matched = false;
           messages.push_back(std::move(req.message));
-          origin_req.push_back(candidate_handle[ci]);
+          origin_slot.push_back(slot);
         } else {
           const std::uint64_t seq = candidate_handle[ci];
           auto it = std::find_if(
@@ -527,52 +554,61 @@ void Simulator::poll_mf(Rank rank) {
           CDC_CHECK(it != ctx.unexpected.end());
           messages.push_back(std::move(*it));
           ctx.unexpected.erase(it);
-          origin_req.push_back(~std::uint64_t{0});
+          origin_slot.push_back(kNoSlot);
           disturbed = true;
         }
       }
 
-      // Phase B: assign each message to an undelivered request slot of the
+      // Phase B: assign each message to an undelivered request of the
       // call — its own request when possible (the untooled path), else the
-      // first compatible interchangeable slot (replay-tool remapping).
-      std::vector<bool> slot_used(mf.request_ids.size(), false);
+      // first compatible interchangeable one (replay-tool remapping).
+      std::vector<bool>& index_used = scratch.index_used;
+      index_used.assign(n, false);
       mf.result.flag = true;
       mf.result.completions.reserve(messages.size());
       for (std::size_t k = 0; k < messages.size(); ++k) {
         Message& msg = messages[k];
-        std::size_t slot = mf.request_ids.size();
-        if (origin_req[k] != ~std::uint64_t{0}) {
-          for (std::size_t i = 0; i < mf.request_ids.size(); ++i) {
-            if (mf.request_ids[i] == origin_req[k] && !slot_used[i]) {
-              slot = i;
+        std::size_t index = n;
+        if (origin_slot[k] != kNoSlot) {
+          for (std::size_t i = 0; i < n; ++i) {
+            if (slots[i] == origin_slot[k] && !index_used[i]) {
+              index = i;
               break;
             }
           }
         }
-        if (slot == mf.request_ids.size()) {
-          for (std::size_t i = 0; i < mf.request_ids.size(); ++i) {
-            const auto& req = ctx.requests[mf.request_ids[i]];
-            if (!slot_used[i] && !req.delivered &&
+        if (index == n) {
+          for (std::size_t i = 0; i < n; ++i) {
+            if (index_used[i] || slots[i] == kNoSlot) continue;
+            const auto& req = ctx.recv_slots[slots[i]];
+            if (!req.delivered &&
                 envelope_matches(req.source_spec, req.tag_spec, msg.source, msg.tag)) {
-              slot = i;
+              index = i;
               break;
             }
           }
         }
-        CDC_CHECK_MSG(slot < mf.request_ids.size(),
+        CDC_CHECK_MSG(index < n,
                       "no compatible request slot for a selected message");
-        slot_used[slot] = true;
-        auto& req = ctx.requests[mf.request_ids[slot]];
+        index_used[index] = true;
+        auto& req = ctx.recv_slots[slots[index]];
         if (req.matched) {
           // Displace the message MPI had matched here; it returns to the
           // unexpected queue at its original arrival position.
           req.matched = false;
           insert_unexpected(ctx, std::move(req.message));
           disturbed = true;
+        } else if (slots[index] != origin_slot[k]) {
+          // A remapped message can land on a receive MPI left unmatched
+          // (posted after the one it matched); delivered, that receive
+          // leaves the posted list, or a later arrival would match it.
+          auto it = std::find(ctx.posted_recvs.begin(),
+                              ctx.posted_recvs.end(), req.id);
+          if (it != ctx.posted_recvs.end()) ctx.posted_recvs.erase(it);
         }
         req.delivered = true;
         Completion completion;
-        completion.span_index = slot;
+        completion.span_index = index;
         completion.source = msg.source;
         completion.tag = msg.tag;
         completion.piggyback = msg.piggyback;
@@ -587,14 +623,14 @@ void Simulator::poll_mf(Rank rank) {
       // Phase C: requests that lost their message re-enter the posted
       // list (post order = id order), and arrivals re-match eagerly.
       if (disturbed) {
-        for (const std::uint64_t id : mf.request_ids) {
-          auto& req = ctx.requests[id];
-          if (req.kind == RequestState::Kind::kRecv && !req.delivered &&
-              !req.matched) {
+        for (const std::uint32_t slot : slots) {
+          if (slot == kNoSlot) continue;
+          const auto& req = ctx.recv_slots[slot];
+          if (!req.delivered && !req.matched) {
             auto it = ctx.posted_recvs.begin();
-            while (it != ctx.posted_recvs.end() && *it < id) ++it;
-            if (it == ctx.posted_recvs.end() || *it != id)
-              ctx.posted_recvs.insert(it, id);
+            while (it != ctx.posted_recvs.end() && *it < req.id) ++it;
+            if (it == ctx.posted_recvs.end() || *it != req.id)
+              ctx.posted_recvs.insert(it, req.id);
           }
         }
         rematch_unexpected(rank, ctx);
@@ -603,6 +639,18 @@ void Simulator::poll_mf(Rank rank) {
         ctx.time += config_.tool_event_cost *
                     static_cast<double>(mf.result.completions.size());
       hooks_->on_deliver(rank, mf.callsite, mf.kind, mf.result.completions);
+
+      // The delivered receives are done: their slots go back to the free
+      // list, so a later irecv reuses them and an old handle of theirs
+      // reads as inactive.
+      for (const std::uint32_t slot : slots) {
+        if (slot == kNoSlot) continue;
+        RecvSlot& req = ctx.recv_slots[slot];
+        if (!req.delivered) continue;
+        req.id = 0;
+        req.delivered = false;
+        ctx.free_slots.push_back(slot);
+      }
       break;
     }
   }
@@ -769,11 +817,10 @@ bool Simulator::shrink_failed_waits() {
     if (ctx.finished || ctx.failed || !ctx.mf_active) continue;
     std::vector<Rank> implicated;
     bool wildcard = false;
-    for (const std::uint64_t id : ctx.mf->request_ids) {
-      const auto& req = ctx.requests[id];
-      if (req.kind != RequestState::Kind::kRecv || req.delivered ||
-          req.matched)
-        continue;
+    for (const std::uint32_t slot : ctx.mf_slots) {
+      if (slot == kNoSlot) continue;
+      const auto& req = ctx.recv_slots[slot];
+      if (req.matched) continue;
       if (req.source_spec == kAnySource) {
         wildcard = true;
         continue;
@@ -818,9 +865,9 @@ void Simulator::describe_stuck_ranks() const {
                    "%u (%zu reqs, %zu unexpected)\n",
                    r, mf_kind_name(ctx.mf->kind), ctx.mf->callsite,
                    ctx.mf->request_ids.size(), ctx.unexpected.size());
-      for (const std::uint64_t id : ctx.mf->request_ids) {
-        const auto& req = ctx.requests[id];
-        if (req.kind != RequestState::Kind::kRecv || req.delivered) continue;
+      for (const std::uint32_t slot : ctx.mf_slots) {
+        if (slot == kNoSlot) continue;
+        const auto& req = ctx.recv_slots[slot];
         const char* state = "live";
         if (req.source_spec != kAnySource) {
           const auto& src =
@@ -862,6 +909,7 @@ void Simulator::emit_obs_stats() {
   // Per-run values: one sample per run, so the snapshot's exact max is the
   // largest run's and the count is the number of runs.
   obs::histogram("sim.max_queue_depth").record(stats_.max_queue_depth);
+  obs::histogram("sim.max_live_requests").record(stats_.max_live_requests);
   obs::histogram("sim.virtual_time_us")
       .record(static_cast<std::uint64_t>(stats_.end_time * 1e6));
   obs::publish_virtual_now(stats_.end_time);

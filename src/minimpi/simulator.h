@@ -204,6 +204,10 @@ class Simulator {
     std::uint64_t ranks_failed = 0;  ///< ranks killed by the fault plan
     /// High-water mark of the deepest per-rank event heap.
     std::uint64_t max_queue_depth = 0;
+    /// Most receives live at once on any one rank (posted, not yet
+    /// delivered). Bounded by the program's posting pattern, not by
+    /// traffic.
+    std::uint64_t max_live_requests = 0;
     double end_time = 0.0;  ///< virtual seconds when the last rank finished
   };
 
@@ -268,12 +272,24 @@ class Simulator {
     std::vector<std::uint8_t> payload;
   };
 
-  struct RequestState {
-    enum class Kind : std::uint8_t { kSend, kRecv };
-    Kind kind = Kind::kRecv;
+  /// A Request id packs (post sequence, slot): the rank's post counter in
+  /// the high bits, so ids order by post order, and the receive's slab
+  /// slot in the low kSlotBits. Sends keep no state; their slot field is
+  /// kNoSlot.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint32_t kNoSlot = (1u << kSlotBits) - 1;
+  [[nodiscard]] static std::uint32_t slot_of(std::uint64_t id) noexcept {
+    return static_cast<std::uint32_t>(id) & kNoSlot;
+  }
+
+  /// A posted receive, in its rank's slab slot from irecv until the poll
+  /// that delivers it finishes; the slot then goes back to the free list.
+  struct RecvSlot {
+    std::uint64_t id = 0;  ///< the occupant's Request id; 0 when free
     Rank source_spec = kAnySource;
     int tag_spec = kAnyTag;
     bool matched = false;
+    /// Set by the delivering poll, which frees the slot before it returns.
     bool delivered = false;
     std::uint64_t match_seq = 0;  ///< order of this rank's matches
     Message message;
@@ -301,7 +317,11 @@ class Simulator {
     std::uint64_t mf_epoch = 0;
     std::unique_ptr<Comm> comm;
 
-    std::vector<RequestState> requests;
+    /// Receive slab. A slot holds a live receive or waits on free_slots;
+    /// the slab grows only when every slot is live.
+    std::vector<RecvSlot> recv_slots;
+    std::vector<std::uint32_t> free_slots;
+    std::uint64_t last_post = 0;  ///< post sequence of the latest request
     std::deque<std::uint64_t> posted_recvs;  // unmatched recv ids, post order
     std::deque<Message> unexpected;          // unmatched arrivals, in order
 
@@ -309,6 +329,9 @@ class Simulator {
     // coroutine).
     bool mf_active = false;
     MFAwaiter* mf = nullptr;
+    /// The pending call's requests, resolved once when it was issued: the
+    /// slab slot of each live receive, kNoSlot for a completed one.
+    std::vector<std::uint32_t> mf_slots;
     std::coroutine_handle<> mf_continuation;
     bool mf_poll_scheduled = false;
 

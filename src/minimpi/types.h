@@ -64,7 +64,8 @@ enum class MFKind : std::uint8_t {
 }
 
 /// Request handle returned by isend/irecv. Valid only within the issuing
-/// rank; handles are not reusable after the request completes.
+/// rank. A completed handle stays inactive: an MF call ignores it, as MPI
+/// ignores MPI_REQUEST_NULL.
 struct Request {
   std::uint64_t id = ~std::uint64_t{0};
   [[nodiscard]] bool valid() const noexcept { return id != ~std::uint64_t{0}; }

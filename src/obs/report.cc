@@ -114,6 +114,8 @@ PipelineReport PipelineReport::from_snapshot(
     r.sim_virtual_seconds = static_cast<double>(vt->max) * 1e-6;
   if (const HistogramValue* qd = s.find_histogram("sim.max_queue_depth"))
     r.sim_max_queue_depth = qd->max;
+  if (const HistogramValue* lr = s.find_histogram("sim.max_live_requests"))
+    r.sim_max_live_requests = lr->max;
   if (const HistogramValue* workers = s.find_histogram("sim.exec.workers")) {
     r.exec_runs = workers->count;
     r.exec_workers = workers->max;
@@ -275,6 +277,7 @@ std::string PipelineReport::to_json() const {
   w.field("faults", sim_faults);
   w.field("virtual_seconds", sim_virtual_seconds);
   w.field("max_queue_depth", sim_max_queue_depth);
+  w.field("max_live_requests", sim_max_live_requests);
   w.key("executor").begin_object();
   w.field("runs", exec_runs);
   w.field("workers", exec_workers);
@@ -369,9 +372,11 @@ void PipelineReport::print(std::FILE* out) const {
     std::fprintf(out,
                  "simulator : %" PRIu64 " events, %" PRIu64
                  " messages, %" PRIu64 " MF calls, %" PRIu64
-                 " faults, %.6f virtual s (longest run)\n",
+                 " faults, %.6f virtual s (longest run); per rank max "
+                 "%" PRIu64 " queued events, %" PRIu64 " live receives\n",
                  sim_events, sim_messages, sim_mf_calls, sim_faults,
-                 sim_virtual_seconds);
+                 sim_virtual_seconds, sim_max_queue_depth,
+                 sim_max_live_requests);
   if (exec_runs > 0)
     std::fprintf(out,
                  "executor  : %" PRIu64 " run(s), max %" PRIu64

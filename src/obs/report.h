@@ -80,6 +80,8 @@ struct PipelineReport {
   /// Event-queue high-water mark (sim.max_queue_depth — the deepest
   /// per-rank shard heap of any run).
   std::uint64_t sim_max_queue_depth = 0;
+  /// Most receives live at once on one rank (sim.max_live_requests).
+  std::uint64_t sim_max_live_requests = 0;
 
   // --- executor section (zero when no simulator ran — DESIGN.md §15) ------
   std::uint64_t exec_runs = 0;              ///< simulator runs covered

@@ -79,6 +79,28 @@ TEST(Mcb, WeakScalingIncreasesWork) {
   EXPECT_GT(b.total_tracks, a.total_tracks);
 }
 
+TEST(Mcb, LiveRequestsDoNotGrowWithTraffic) {
+  // Every delivered receive is re-posted into the slot it freed, so the
+  // per-rank receive table stays at the program's posting depth however
+  // many particles flow.
+  std::uint64_t live[2] = {};
+  std::uint64_t messages[2] = {};
+  const int particles[2] = {40, 400};
+  for (int i = 0; i < 2; ++i) {
+    McbConfig config;
+    config.grid_x = 3;
+    config.grid_y = 3;
+    config.particles_per_rank = particles[i];
+    minimpi::Simulator sim(sim_config(9, 7), nullptr);
+    run_mcb(sim, config);
+    live[i] = sim.stats().max_live_requests;
+    messages[i] = sim.stats().messages_sent;
+  }
+  EXPECT_GT(live[0], 0u);
+  EXPECT_EQ(live[0], live[1]);
+  EXPECT_GT(messages[1], 5 * messages[0]);
+}
+
 TEST(Jacobi, ResidualDecreasesWithIterations) {
   JacobiConfig short_run;
   short_run.grid_x = 2;

@@ -138,5 +138,54 @@ TEST(Rebinding, BoundAndUnboundCandidatesAreDistinguished) {
   EXPECT_EQ(hooks.max_unbound, 3u);
 }
 
+TEST(Rebinding, RemappedOntoUnmatchedRequestLeavesPostedList) {
+  // Rank 0 posts R = (any source) before P = (source 1). m1 from rank 1
+  // matches R; u from rank 2 fits only R and waits unexpected. The tool
+  // delivers u first, which takes R, so m1 is remapped onto P — a receive
+  // MPI never matched. P must leave the posted list with that delivery,
+  // or m3 (rank 1's next message) would match the completed P and never
+  // reach the receive posted for it.
+  struct UnboundFirstHooks : ToolHooks {
+    SelectResult select(Rank rank, CallsiteId cs, MFKind kind,
+                        std::span<const Candidate> candidates,
+                        std::size_t total, bool blocking) override {
+      SelectResult result;
+      for (std::size_t i = 0; i < candidates.size(); ++i)
+        if (!candidates[i].bound) result.indices.push_back(i);
+      if (result.indices.empty())
+        return ToolHooks::select(rank, cs, kind, candidates, total, blocking);
+      for (std::size_t i = 0; i < candidates.size(); ++i)
+        if (candidates[i].bound) result.indices.push_back(i);
+      result.action = SelectResult::Action::kDeliver;
+      return result;
+    }
+  };
+  UnboundFirstHooks hooks;
+  Simulator sim(config(3), &hooks);
+  auto sources = std::make_shared<std::vector<Rank>>();
+  sim.set_program(0, [sources](Comm& comm) -> Task {
+    const Request any = comm.irecv(kAnySource, 1);
+    const Request from1 = comm.irecv(1, 1);
+    co_await comm.compute(1e-4);  // m1 and u have arrived
+    const Request both[] = {any, from1};
+    auto first = co_await comm.waitsome(both);
+    for (const Completion& c : first.completions)
+      sources->push_back(c.source);
+    auto third = co_await comm.wait(comm.irecv(1, 1));
+    sources->push_back(third.completions.at(0).source);
+  });
+  sim.set_program(1, [](Comm& comm) -> Task {
+    comm.isend(0, 1, {});  // m1
+    co_await comm.compute(1e-3);
+    comm.isend(0, 1, {});  // m3
+  });
+  sim.set_program(2, [](Comm& comm) -> Task {
+    co_await comm.compute(1e-5);
+    comm.isend(0, 1, {});  // u
+  });
+  sim.run();
+  EXPECT_EQ(*sources, (std::vector<Rank>{2, 1, 1}));
+}
+
 }  // namespace
 }  // namespace cdc::minimpi

@@ -327,6 +327,57 @@ TEST(Simulator, DeadlockAborts) {
       "deadlock");
 }
 
+TEST(Simulator, MFOnUnissuedHandleAbortsNamingTheRank) {
+  EXPECT_DEATH(
+      {
+        Simulator sim(config(2));
+        sim.set_program(0, [](Comm& comm) -> Task {
+          co_await comm.wait(Request{1000});  // never returned by isend/irecv
+        });
+        sim.set_program(1, [](Comm&) -> Task { co_return; });
+        sim.run();
+      },
+      "rank 0 passed an MF call a request it never issued");
+}
+
+TEST(Simulator, CompletedHandleStaysInactiveAfterItsSlotIsReused) {
+  Simulator sim(config(2));
+  sim.set_program(0, [](Comm& comm) -> Task {
+    comm.isend(1, 1, payload(1));  // A
+    co_await comm.compute(1e-3);   // B arrives long after A
+    comm.isend(1, 2, payload(2));  // B
+  });
+  sim.set_program(1, [](Comm& comm) -> Task {
+    const Request a = comm.irecv(0, 1);
+    auto got_a = co_await comm.wait(a);
+    EXPECT_EQ(got_a.completions.size(), 1u);
+    // A's slot is free again, so B's receive takes it.
+    const Request b = comm.irecv(0, 2);
+    const Request both[] = {a, b};
+
+    auto again = co_await comm.wait(a);
+    EXPECT_TRUE(again.flag);
+    EXPECT_TRUE(again.completions.empty());
+    auto pending = co_await comm.test(b);
+    EXPECT_FALSE(pending.flag);
+
+    auto early = co_await comm.testsome(both);
+    for (const Completion& c : early.completions) EXPECT_NE(c.span_index, 0u);
+    auto all = co_await comm.waitall(both);
+    EXPECT_EQ(all.completions.size(), 1u);
+    for (const Completion& c : all.completions) {
+      EXPECT_EQ(c.span_index, 1u);
+      EXPECT_EQ(c.payload.at(0), 2);
+    }
+    auto late = co_await comm.testsome(both);
+    EXPECT_TRUE(late.flag);
+    EXPECT_TRUE(late.completions.empty());
+  });
+  const auto stats = sim.run();
+  EXPECT_EQ(stats.receive_events_delivered, 2u);
+  EXPECT_EQ(stats.max_live_requests, 1u);  // B reused A's slot
+}
+
 TEST(Simulator, ExceptionInRankPropagates) {
   Simulator sim(config(1));
   sim.set_program(0, [](Comm& comm) -> Task {

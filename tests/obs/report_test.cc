@@ -214,6 +214,33 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   Registry::global().reset_values();
 }
 
+/// sim.max_live_requests is one sample per run, like the queue depth: the
+/// report carries the largest run's value.
+TEST(PipelineReport, ReportsTheDeepestLiveReceiveTable) {
+  SKIP_IF_OBS_COMPILED_OUT();
+  Registry::global().reset_values();
+  set_enabled(true);
+  std::uint64_t most = 0;
+  for (const int side : {2, 3}) {
+    apps::McbConfig mcb;
+    mcb.grid_x = side;
+    mcb.grid_y = side;
+    mcb.particles_per_rank = 40;
+    minimpi::Simulator::Config config;
+    config.num_ranks = side * side;
+    minimpi::Simulator sim(config);
+    apps::run_mcb(sim, mcb);
+    most = std::max(most, sim.stats().max_live_requests);
+  }
+  const PipelineReport report =
+      PipelineReport::from_snapshot(Registry::global().snapshot());
+  EXPECT_GT(most, 0u);
+  EXPECT_EQ(report.sim_max_live_requests, most);
+  EXPECT_NE(report.to_json().find("\"max_live_requests\""),
+            std::string::npos);
+  Registry::global().reset_values();
+}
+
 /// Per-run simulator values are maxima over the runs in the snapshot, not
 /// sums: two 1-worker runs (a record plus its replay, as in
 /// `record_inspector --stats`) still report one worker.
