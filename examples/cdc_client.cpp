@@ -9,7 +9,12 @@
 //   load                run the seeded load generator against the server
 //                       (see --clients/--seed/--faults below)
 //
+// Numeric flags take whole unsigned decimals in the ranges the usage text
+// states; anything else (a sign, trailing text, out of range) exits 2
+// with the usage text before any connection or thread is made.
+//
 // Exit codes: 0 success, 1 server/protocol error, 2 usage.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +22,7 @@
 
 #include "net/client.h"
 #include "net/load_gen.h"
+#include "parse_number.h"
 #include "store/container_reader.h"
 #include "tool/frame.h"
 
@@ -35,18 +41,30 @@ void usage(const char* argv0) {
       "       [--payload BYTES] [--faults slow,disc,dup,garbage,oversized]\n"
       "       [--tenant NAME --server-root DIR]\n"
       "                           (with both set, surviving records are\n"
-      "                           byte-verified against a local rebuild)\n",
+      "                           byte-verified against a local rebuild)\n"
+      "Numbers are whole unsigned decimals: --port in [1, 65535],\n"
+      "--clients in [1, 1024], --timeout-ms, --connect-timeout-ms,\n"
+      "--retries and --protocol at most 4294967295, --batches and\n"
+      "--frames in [1, 1000000], --payload in [1, 16777216], each\n"
+      "--faults percentage at most 100, LO < HI.\n",
       argv0);
 }
 
+/// Parses "LO:HI" as two whole unsigned decimals with LO < HI.
 bool parse_window(const std::string& spec, std::uint64_t& lo,
                   std::uint64_t& hi) {
-  char* end = nullptr;
-  lo = std::strtoull(spec.c_str(), &end, 10);
-  if (end == spec.c_str() || *end != ':') return false;
-  const char* hi_at = end + 1;
-  hi = std::strtoull(hi_at, &end, 10);
-  return end != hi_at && *end == '\0' && lo < hi;
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string::npos) return false;
+  const std::string lo_text = spec.substr(0, colon);
+  const std::string hi_text = spec.substr(colon + 1);
+  unsigned long long a = 0;
+  unsigned long long b = 0;
+  if (!cdc::cli::parse_number(lo_text.c_str(), 0, ULLONG_MAX, &a) ||
+      !cdc::cli::parse_number(hi_text.c_str(), 0, ULLONG_MAX, &b) || a >= b)
+    return false;
+  lo = a;
+  hi = b;
+  return true;
 }
 
 int cmd_put(const cdc::net::Client::Options& base, const std::string& record,
@@ -159,26 +177,54 @@ int cmd_inspect(const cdc::net::Client::Options& base,
   return 0;
 }
 
+/// Parses "A,B,C,D,E" as five whole decimals, each at most 100.
+bool parse_faults(const char* text, cdc::net::FaultPlan& faults) {
+  std::uint32_t* const fields[] = {
+      &faults.slow_pct, &faults.disconnect_pct, &faults.duplicate_pct,
+      &faults.garbage_pct, &faults.oversized_pct};
+  std::string rest = text == nullptr ? "" : text;
+  for (std::size_t f = 0; f < 5; ++f) {
+    const std::size_t comma = f < 4 ? rest.find(',') : rest.size();
+    if (comma == std::string::npos) return false;
+    unsigned long long pct = 0;
+    if (!cdc::cli::parse_number(rest.substr(0, comma).c_str(), 0, 100, &pct))
+      return false;
+    *fields[f] = static_cast<std::uint32_t>(pct);
+    rest.erase(0, f < 4 ? comma + 1 : comma);
+  }
+  return true;
+}
+
 // Consumes flags from argv starting at `i`, stopping at the first
 // non-flag argument (the subcommand) or the end. Returns false on a
-// malformed flag. Called twice: once before the subcommand and once
-// after it, so `load --clients 24` and `--clients 24 load` both work.
+// malformed flag, naming it. Called twice: once before the subcommand and
+// once after it, so `load --clients 24` and `--clients 24 load` both work.
 bool parse_flags(int argc, char** argv, int& i,
                  cdc::net::Client::Options& base,
                  cdc::net::LoadConfig& load) {
+  constexpr unsigned long long kU32 = 0xFFFFFFFFull;
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // Reads this flag's value as a number in [lo, hi]; on failure names
+    // the flag (the caller prints the usage text and exits 2).
+    unsigned long long n = 0;
+    const auto number = [&](unsigned long long lo, unsigned long long hi) {
+      const char* v = next();
+      if (cdc::cli::parse_number(v, lo, hi, &n)) return true;
+      std::fprintf(stderr, "cdc_client: bad %s value '%s'\n", arg.c_str(),
+                   v == nullptr ? "" : v);
+      return false;
     };
     if (arg == "--host") {
       const char* v = next();
       if (v == nullptr) return false;
       base.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      base.port = static_cast<std::uint16_t>(std::atoi(v));
+      if (!number(1, 65535)) return false;
+      base.port = static_cast<std::uint16_t>(n);
     } else if (arg == "--token") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -191,43 +237,36 @@ bool parse_flags(int argc, char** argv, int& i,
       if (!level.has_value()) return false;
       base.level = *level;
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      base.timeout_ms = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kU32)) return false;
+      base.timeout_ms = static_cast<std::uint32_t>(n);
     } else if (arg == "--connect-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      base.connect_timeout_ms = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kU32)) return false;
+      base.connect_timeout_ms = static_cast<std::uint32_t>(n);
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      base.max_reconnects = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kU32)) return false;
+      base.max_reconnects = static_cast<std::uint32_t>(n);
     } else if (arg == "--resume") {
       base.resumable = true;
     } else if (arg == "--protocol") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      base.version = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, kU32)) return false;
+      base.version = static_cast<std::uint32_t>(n);
     } else if (arg == "--clients") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      load.clients = static_cast<std::size_t>(std::atoi(v));
+      // One thread per client: the cap keeps a typo from starting
+      // thousands of them.
+      if (!number(1, 1024)) return false;
+      load.clients = static_cast<std::size_t>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      load.seed = std::strtoull(v, nullptr, 10);
+      if (!number(0, ULLONG_MAX)) return false;
+      load.seed = n;
     } else if (arg == "--batches") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      load.shape.batches = static_cast<std::size_t>(std::atoi(v));
+      if (!number(1, 1000000)) return false;
+      load.shape.batches = static_cast<std::size_t>(n);
     } else if (arg == "--frames") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      load.shape.frames_per_batch = static_cast<std::size_t>(std::atoi(v));
+      if (!number(1, 1000000)) return false;
+      load.shape.frames_per_batch = static_cast<std::size_t>(n);
     } else if (arg == "--payload") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      load.shape.payload_bytes = static_cast<std::size_t>(std::atoi(v));
+      if (!number(1, 16u << 20)) return false;
+      load.shape.payload_bytes = static_cast<std::size_t>(n);
     } else if (arg == "--tenant") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -238,11 +277,9 @@ bool parse_flags(int argc, char** argv, int& i,
       load.server_root = v;
     } else if (arg == "--faults") {
       const char* v = next();
-      if (v == nullptr ||
-          std::sscanf(v, "%u,%u,%u,%u,%u", &load.faults.slow_pct,
-                      &load.faults.disconnect_pct, &load.faults.duplicate_pct,
-                      &load.faults.garbage_pct,
-                      &load.faults.oversized_pct) != 5) {
+      if (!parse_faults(v, load.faults)) {
+        std::fprintf(stderr, "cdc_client: bad --faults value '%s'\n",
+                     v == nullptr ? "" : v);
         return false;
       }
     } else {
@@ -266,8 +303,11 @@ int main(int argc, char** argv) {
   const std::string command = argv[i++];
   if (command == "put" && i + 1 < argc)
     return cmd_put(base, argv[i], argv[i + 1]);
-  if (command == "window" && i + 1 < argc)
-    return cmd_window(base, argv[i], argv[i + 1]);
+  if (command == "window" && i + 1 < argc) {
+    const int rc = cmd_window(base, argv[i], argv[i + 1]);
+    if (rc == 2) usage(argv[0]);  // a malformed LO:HI
+    return rc;
+  }
   if (command == "inspect" && i + 1 < argc)
     return cmd_inspect(base, argv[i], argv[i + 1]);
   if (command == "load") {

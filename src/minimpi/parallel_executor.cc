@@ -135,6 +135,9 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     sim.stats_.ranks_failed += s.stats.ranks_failed;
     sim.stats_.max_queue_depth =
         std::max(sim.stats_.max_queue_depth, s.max_heap_depth);
+    sim.stats_.unexpected_scanned += s.stats.unexpected_scanned;
+    sim.stats_.max_unexpected =
+        std::max(sim.stats_.max_unexpected, s.stats.max_unexpected);
     sim.fault_stats_.delay_spikes += s.fault_stats.delay_spikes;
     sim.fault_stats_.reorder_bursts += s.fault_stats.reorder_bursts;
     sim.fault_stats_.burst_messages += s.fault_stats.burst_messages;

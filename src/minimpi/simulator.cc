@@ -366,7 +366,8 @@ bool envelope_matches(Rank source_spec, int tag_spec, Rank source,
 
 }  // namespace
 
-void Simulator::insert_unexpected(RankCtx& ctx, Message&& message) {
+void Simulator::insert_unexpected(Rank rank, RankCtx& ctx,
+                                  Message&& message) {
   // Keep the unexpected queue ordered by arrival (displaced messages are
   // re-inserted at their original position).
   auto it = ctx.unexpected.end();
@@ -374,6 +375,8 @@ void Simulator::insert_unexpected(RankCtx& ctx, Message&& message) {
          std::prev(it)->arrival_seq > message.arrival_seq)
     --it;
   ctx.unexpected.insert(it, std::move(message));
+  std::uint64_t& deepest = par_->shard(rank).stats.max_unexpected;
+  deepest = std::max<std::uint64_t>(deepest, ctx.unexpected.size());
 }
 
 void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
@@ -437,7 +440,7 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
       }
     }
   }
-  insert_unexpected(ctx, std::move(message));
+  insert_unexpected(rank, ctx, std::move(message));
 }
 
 void Simulator::poll_mf(Rank rank) {
@@ -483,6 +486,7 @@ void Simulator::poll_mf(Rank rank) {
     // Unexpected arrivals compatible with a live request of the call (in
     // arrival order): deliverable by a replay tool via request remapping,
     // invisible to untooled MPI semantics.
+    par_->shard(rank).stats.unexpected_scanned += ctx.unexpected.size();
     for (Message& msg : ctx.unexpected) {
       for (std::size_t i = 0; i < n; ++i) {
         if (slots[i] == kNoSlot) continue;
@@ -596,7 +600,7 @@ void Simulator::poll_mf(Rank rank) {
           // Displace the message MPI had matched here; it returns to the
           // unexpected queue at its original arrival position.
           req.matched = false;
-          insert_unexpected(ctx, std::move(req.message));
+          insert_unexpected(rank, ctx, std::move(req.message));
           disturbed = true;
         } else if (slots[index] != origin_slot[k]) {
           // A remapped message can land on a receive MPI left unmatched
@@ -910,6 +914,8 @@ void Simulator::emit_obs_stats() {
   // largest run's and the count is the number of runs.
   obs::histogram("sim.max_queue_depth").record(stats_.max_queue_depth);
   obs::histogram("sim.max_live_requests").record(stats_.max_live_requests);
+  obs::counter("sim.unexpected_scanned").add(stats_.unexpected_scanned);
+  obs::histogram("sim.max_unexpected").record(stats_.max_unexpected);
   obs::histogram("sim.virtual_time_us")
       .record(static_cast<std::uint64_t>(stats_.end_time * 1e6));
   obs::publish_virtual_now(stats_.end_time);

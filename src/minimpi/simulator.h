@@ -208,6 +208,12 @@ class Simulator {
     /// delivered). Bounded by the program's posting pattern, not by
     /// traffic.
     std::uint64_t max_live_requests = 0;
+    /// Unexpected-queue entries visited by MF polls looking for messages a
+    /// replay tool could deliver on a remapped request (every entry of the
+    /// polling rank's queue, once per poll).
+    std::uint64_t unexpected_scanned = 0;
+    /// Deepest unexpected queue (arrived, unmatched messages) on any rank.
+    std::uint64_t max_unexpected = 0;
     double end_time = 0.0;  ///< virtual seconds when the last rank finished
   };
 
@@ -352,7 +358,7 @@ class Simulator {
   /// Applies a rank-stall fault to a pending resume/poll time.
   double maybe_stall(double time, Rank rank);
   void try_match_arrival(Rank rank, Message&& message);
-  void insert_unexpected(RankCtx& ctx, Message&& message);
+  void insert_unexpected(Rank rank, RankCtx& ctx, Message&& message);
   void rematch_unexpected(Rank rank, RankCtx& ctx);
   void poll_mf(Rank rank);
   void resume_rank(Rank rank, std::coroutine_handle<> handle, double time);

@@ -109,6 +109,7 @@ PipelineReport PipelineReport::from_snapshot(
   r.sim_events = s.counter_or("sim.scheduler_events");
   r.sim_mf_calls = s.counter_or("sim.mf_calls");
   r.sim_faults = s.counter_or("sim.faults");
+  r.sim_unexpected_scanned = s.counter_or("sim.unexpected_scanned");
   // One sample per run: the exact max is the largest run's value.
   if (const HistogramValue* vt = s.find_histogram("sim.virtual_time_us"))
     r.sim_virtual_seconds = static_cast<double>(vt->max) * 1e-6;
@@ -116,6 +117,8 @@ PipelineReport PipelineReport::from_snapshot(
     r.sim_max_queue_depth = qd->max;
   if (const HistogramValue* lr = s.find_histogram("sim.max_live_requests"))
     r.sim_max_live_requests = lr->max;
+  if (const HistogramValue* mu = s.find_histogram("sim.max_unexpected"))
+    r.sim_max_unexpected = mu->max;
   if (const HistogramValue* workers = s.find_histogram("sim.exec.workers")) {
     r.exec_runs = workers->count;
     r.exec_workers = workers->max;
@@ -278,6 +281,8 @@ std::string PipelineReport::to_json() const {
   w.field("virtual_seconds", sim_virtual_seconds);
   w.field("max_queue_depth", sim_max_queue_depth);
   w.field("max_live_requests", sim_max_live_requests);
+  w.field("max_unexpected", sim_max_unexpected);
+  w.field("unexpected_scanned", sim_unexpected_scanned);
   w.key("executor").begin_object();
   w.field("runs", exec_runs);
   w.field("workers", exec_workers);
@@ -373,10 +378,13 @@ void PipelineReport::print(std::FILE* out) const {
                  "simulator : %" PRIu64 " events, %" PRIu64
                  " messages, %" PRIu64 " MF calls, %" PRIu64
                  " faults, %.6f virtual s (longest run); per rank max "
-                 "%" PRIu64 " queued events, %" PRIu64 " live receives\n",
+                 "%" PRIu64 " queued events, %" PRIu64
+                 " live receives, %" PRIu64
+                 " unexpected; %" PRIu64 " unexpected entries scanned\n",
                  sim_events, sim_messages, sim_mf_calls, sim_faults,
                  sim_virtual_seconds, sim_max_queue_depth,
-                 sim_max_live_requests);
+                 sim_max_live_requests, sim_max_unexpected,
+                 sim_unexpected_scanned);
   if (exec_runs > 0)
     std::fprintf(out,
                  "executor  : %" PRIu64 " run(s), max %" PRIu64

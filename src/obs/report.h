@@ -73,6 +73,8 @@ struct PipelineReport {
   std::uint64_t sim_events = 0;
   std::uint64_t sim_mf_calls = 0;
   std::uint64_t sim_faults = 0;
+  /// Unexpected-queue entries MF polls visited (sim.unexpected_scanned).
+  std::uint64_t sim_unexpected_scanned = 0;
   /// The per-run values below are maxima over the simulator runs in the
   /// snapshot (a record plus a replay is two runs); the counts above are
   /// sums.
@@ -82,6 +84,8 @@ struct PipelineReport {
   std::uint64_t sim_max_queue_depth = 0;
   /// Most receives live at once on one rank (sim.max_live_requests).
   std::uint64_t sim_max_live_requests = 0;
+  /// Deepest unexpected queue on one rank (sim.max_unexpected).
+  std::uint64_t sim_max_unexpected = 0;
 
   // --- executor section (zero when no simulator ran — DESIGN.md §15) ------
   std::uint64_t exec_runs = 0;              ///< simulator runs covered

@@ -1,6 +1,7 @@
 #include "record/edit_distance.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/check.h"
 
@@ -10,34 +11,43 @@ std::vector<bool> lis_membership(std::span<const std::uint32_t> b) {
   const std::size_t n = b.size();
   std::vector<bool> keep(n, false);
   if (n == 0) return keep;
+  CDC_CHECK(n < std::numeric_limits<std::uint32_t>::max());
 
   // Patience sorting: tails[k] = index of the smallest possible tail of an
-  // increasing subsequence of length k+1; parent links recover one LIS.
-  std::vector<std::size_t> tails;
-  std::vector<std::size_t> parent(n, SIZE_MAX);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Near-sorted streams mostly extend the longest subsequence; skip the
-    // binary search then (lower_bound would return end() anyway).
-    const auto it =
-        !tails.empty() && b[tails.back()] < b[i]
-            ? tails.end()
-            : std::lower_bound(tails.begin(), tails.end(), b[i],
-                               [&](std::size_t idx, std::uint32_t value) {
-                                 return b[idx] < value;
-                               });
-    const std::size_t k = static_cast<std::size_t>(it - tails.begin());
+  // increasing subsequence of length k+1, tail_values[k] its value; parent
+  // links recover one LIS.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> tails;
+  std::vector<std::uint32_t> tail_values;
+  std::vector<std::uint32_t> parent(n, kNone);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t v = b[i];
+    // Near-sorted streams mostly extend the longest subsequence, or land
+    // just below its end: gallop back from the end before the binary
+    // search, so a local swap costs O(1).
+    std::size_t hi = tail_values.size();
+    std::size_t lo = hi;
+    for (std::size_t step = 1; lo > 0 && tail_values[lo - 1] >= v; step *= 2) {
+      hi = lo;
+      lo = lo > step ? lo - step : 0;
+    }
+    // tail_values[lo - 1] < v (or lo == 0) <= tail_values[hi - 1].
+    const std::size_t k = static_cast<std::size_t>(
+        std::lower_bound(tail_values.begin() + static_cast<std::ptrdiff_t>(lo),
+                         tail_values.begin() + static_cast<std::ptrdiff_t>(hi),
+                         v) -
+        tail_values.begin());
     if (k > 0) parent[i] = tails[k - 1];
-    if (it == tails.end()) {
+    if (k == tails.size()) {
       tails.push_back(i);
+      tail_values.push_back(v);
     } else {
-      *it = i;
+      tails[k] = i;
+      tail_values[k] = v;
     }
   }
-  std::size_t cur = tails.back();
-  while (cur != SIZE_MAX) {
+  for (std::uint32_t cur = tails.back(); cur != kNone; cur = parent[cur])
     keep[cur] = true;
-    cur = parent[cur];
-  }
   return keep;
 }
 

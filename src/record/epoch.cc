@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "obs/metrics.h"
+#include "record/sender_slots.h"
 #include "support/check.h"
 
 namespace cdc::record {
@@ -16,62 +16,66 @@ std::size_t find_clean_cut(std::span<const ReceiveEvent> events,
 
   // Matched events only, in observed order.
   std::vector<const ReceiveEvent*> matched;
+  matched.reserve(events.size());
   for (const ReceiveEvent& e : events)
     if (e.flag) matched.push_back(&e);
   const std::size_t n = matched.size();
   const std::size_t cap = std::min(n, max_matched);
 
-  // Per-sender position lists and suffix minima of clocks.
-  struct SenderState {
-    std::vector<std::uint64_t> clocks;     // in observed order
-    std::vector<std::uint64_t> suffix_min; // suffix_min[k] = min clocks[k..]
-    std::size_t next = 0;                  // first position not in prefix
-    std::uint64_t prefix_max = 0;
-    bool in_prefix = false;
-    bool violating = false;
-    std::uint64_t pending = kInf;
-  };
-  std::unordered_map<std::int32_t, SenderState> senders;
-  std::vector<std::int32_t> order;  // sender of each matched position
-  order.reserve(n);
-  for (const ReceiveEvent* e : matched) {
-    senders[e->rank].clocks.push_back(e->clock);
-    order.push_back(e->rank);
-  }
-  for (auto& [sender, state] : senders) {
-    state.suffix_min.resize(state.clocks.size());
-    std::uint64_t running = kInf;
-    for (std::size_t k = state.clocks.size(); k-- > 0;) {
-      running = std::min(running, state.clocks[k]);
-      state.suffix_min[k] = running;
+  // Flat per-sender state: sorted distinct senders, each event's slot, and
+  // one CSR array of per-sender clocks in observed order (sender k owns
+  // [first[k], first[k + 1])) whose suffix minima replace them in place.
+  detail::SenderSlots senders;
+  detail::assign_sender_slots(
+      n, [&](std::size_t i) { return matched[i]->rank; }, senders);
+  const std::size_t num_senders = senders.distinct.size();
+  std::vector<std::uint32_t> first(num_senders + 1, 0);
+  for (const std::uint32_t k : senders.slot) ++first[k + 1];
+  for (std::size_t k = 0; k < num_senders; ++k) first[k + 1] += first[k];
+  // next[k]: sender k's first CSR entry not yet inside the cut.
+  std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+  std::vector<std::uint64_t> suffix_min(n);
+  for (std::size_t i = 0; i < n; ++i)
+    suffix_min[next[senders.slot[i]]++] = matched[i]->clock;
+  for (std::size_t k = 0; k < num_senders; ++k)
+    for (std::uint32_t e = first[k + 1] - 1; e > first[k]; --e)
+      suffix_min[e - 1] = std::min(suffix_min[e - 1], suffix_min[e]);
+  std::copy(first.begin(), first.end() - 1, next.begin());
+
+  // Pending minima of the buffer's senders (a merge of two sorted runs).
+  std::vector<std::uint64_t> pending(num_senders, kInf);
+  {
+    auto it = pending_min.begin();
+    for (std::size_t k = 0; k < num_senders && it != pending_min.end();) {
+      if (it->first < senders.distinct[k]) {
+        ++it;
+      } else {
+        if (it->first == senders.distinct[k]) pending[k] = it->second;
+        ++k;
+      }
     }
-    const auto it = pending_min.find(sender);
-    if (it != pending_min.end()) state.pending = it->second;
   }
 
   // Walk cut positions left to right, maintaining the number of senders
   // whose prefix max is not strictly below everything still outside.
+  std::vector<std::uint64_t> prefix_max(num_senders, 0);
+  std::vector<std::uint8_t> violating(num_senders, 0);
   std::size_t violations = 0;
   std::size_t best = 0;
-  for (std::size_t cut = 0; cut <= cap; ++cut) {
-    if (cut > 0) {
-      SenderState& s = senders.at(order[cut - 1]);
-      const std::uint64_t c = s.clocks[s.next];
-      ++s.next;
-      s.prefix_max = s.in_prefix ? std::max(s.prefix_max, c) : c;
-      s.in_prefix = true;
-      const std::uint64_t outside =
-          std::min(s.next < s.clocks.size() ? s.suffix_min[s.next] : kInf,
-                   s.pending);
-      const bool now_violating = s.prefix_max >= outside;
-      if (now_violating != s.violating) {
-        s.violating = now_violating;
-        violations += now_violating ? 1 : std::size_t(-1);
-      }
+  for (std::size_t cut = 1; cut <= cap; ++cut) {
+    const ReceiveEvent& e = *matched[cut - 1];
+    const std::uint32_t k = senders.slot[cut - 1];
+    prefix_max[k] = std::max(prefix_max[k], e.clock);
+    const std::uint32_t rest = ++next[k];
+    const std::uint64_t outside =
+        std::min(rest < first[k + 1] ? suffix_min[rest] : kInf, pending[k]);
+    const std::uint8_t now_violating = prefix_max[k] >= outside ? 1 : 0;
+    if (now_violating != violating[k]) {
+      violating[k] = now_violating;
+      violations += now_violating ? 1 : std::size_t(-1);
     }
     // A cut between a with_next event and its successor is illegal.
-    const bool splits_group = cut > 0 && matched[cut - 1]->with_next;
-    if (violations == 0 && !splits_group) best = cut;
+    if (violations == 0 && !e.with_next) best = cut;
   }
   static obs::Counter& cut_found = obs::counter("record.epoch.cut_found");
   static obs::Counter& cut_deferred =

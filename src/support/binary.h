@@ -6,6 +6,7 @@
 // two classes so that sizes are accounted identically everywhere.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -26,6 +27,11 @@ constexpr std::uint64_t zigzag_encode(std::int64_t v) noexcept {
 constexpr std::int64_t zigzag_decode(std::uint64_t v) noexcept {
   return static_cast<std::int64_t>(v >> 1) ^
          -static_cast<std::int64_t>(v & 1);
+}
+
+/// Bytes ByteWriter::varint spends on `v`.
+constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  return v == 0 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
 }
 
 /// Growable little-endian byte writer.

@@ -378,6 +378,34 @@ TEST(Simulator, CompletedHandleStaysInactiveAfterItsSlotIsReused) {
   EXPECT_EQ(stats.max_live_requests, 1u);  // B reused A's slot
 }
 
+TEST(Simulator, UnexpectedQueueDepthAndScanAreCounted) {
+  // Rank 0 sends five tag-1 messages that rank 1 has not posted for: they
+  // queue as unexpected. One Test on a tag-2 receive then polls once and
+  // scans all five; the receives posted next match them at post time, so
+  // every later poll finds the queue empty.
+  Simulator sim(config(2));
+  sim.set_program(0, [](Comm& comm) -> Task {
+    for (std::uint8_t i = 0; i < 5; ++i) comm.isend(1, 1, payload(i));
+    co_await comm.compute(1e-3);
+    comm.isend(1, 2, payload(9));
+  });
+  sim.set_program(1, [](Comm& comm) -> Task {
+    co_await comm.compute(1e-4);  // five latencies of ~1.5 us pass
+    const Request late = comm.irecv(0, 2);
+    const auto early = co_await comm.test(late);
+    EXPECT_FALSE(early.flag);
+    std::vector<Request> backlog;
+    for (int i = 0; i < 5; ++i) backlog.push_back(comm.irecv(0, 1));
+    const auto drained = co_await comm.waitall(backlog);
+    EXPECT_EQ(drained.completions.size(), 5u);
+    co_await comm.wait(late);
+  });
+  const auto stats = sim.run();
+  EXPECT_EQ(stats.receive_events_delivered, 6u);
+  EXPECT_EQ(stats.max_unexpected, 5u);
+  EXPECT_EQ(stats.unexpected_scanned, 5u);
+}
+
 TEST(Simulator, ExceptionInRankPropagates) {
   Simulator sim(config(1));
   sim.set_program(0, [](Comm& comm) -> Task {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "figure4.h"
@@ -125,6 +126,100 @@ TEST(CleanCutProperty, CutsAreActuallyClean) {
       }
     }
   }
+}
+
+// Brute-force oracle of the §3.5 definition: cutting after the L-th
+// matched event is clean iff, for every sender, each of its clocks inside
+// the cut is strictly below each of its clocks outside and below its
+// pending minimum, and the L-th matched event does not open a with_next
+// group. find_clean_cut must return the largest clean L <= cap, or 0.
+std::size_t oracle_clean_cut(const std::vector<ReceiveEvent>& events,
+                             const PendingMins& pending, std::size_t cap) {
+  std::vector<ReceiveEvent> m;
+  for (const ReceiveEvent& e : events)
+    if (e.flag) m.push_back(e);
+  std::size_t best = 0;
+  for (std::size_t cut = 1; cut <= std::min(cap, m.size()); ++cut) {
+    bool clean = !m[cut - 1].with_next;
+    for (std::size_t i = 0; clean && i < cut; ++i) {
+      for (std::size_t j = cut; clean && j < m.size(); ++j)
+        if (m[i].rank == m[j].rank && m[i].clock >= m[j].clock) clean = false;
+      const auto it = pending.find(m[i].rank);
+      if (it != pending.end() && m[i].clock >= it->second) clean = false;
+    }
+    if (clean) best = cut;
+  }
+  return best;
+}
+
+struct CutCase {
+  std::vector<ReceiveEvent> events;
+  PendingMins pending;
+};
+
+/// A buffer of `n` receives from `senders` senders: per-sender clocks
+/// increase in send order (with ties across senders), observed order is
+/// the send order with local swaps and a few long displacements, plus
+/// unmatched tests, with_next marks and pending minima.
+CutCase random_cut_case(support::Xoshiro256& rng, std::int32_t senders,
+                        std::size_t n) {
+  CutCase c;
+  std::vector<std::uint64_t> last(static_cast<std::size_t>(senders), 0);
+  std::uint64_t now = 1;
+  std::vector<ReceiveEvent> sent;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<std::int32_t>(
+        rng.bounded(static_cast<std::uint64_t>(senders)));
+    now += rng.bounded(3);
+    std::uint64_t& clk = last[static_cast<std::size_t>(s)];
+    clk = std::max(now, clk + 1);
+    sent.push_back(matched(s, clk, rng.bounded(6) == 0));
+  }
+  for (std::size_t k = 0; k + 1 < sent.size(); ++k)
+    if (rng.bounded(4) == 0) std::swap(sent[k], sent[k + 1]);
+  for (int k = 0; k < 2 && sent.size() > 2; ++k) {
+    const std::size_t from = rng.bounded(sent.size());
+    const std::size_t to = rng.bounded(sent.size());
+    const ReceiveEvent e = sent[from];
+    sent.erase(sent.begin() + static_cast<std::ptrdiff_t>(from));
+    sent.insert(sent.begin() + static_cast<std::ptrdiff_t>(to), e);
+  }
+  for (const ReceiveEvent& e : sent) {
+    while (rng.bounded(5) == 0) c.events.push_back({false, false, -1, 0});
+    c.events.push_back(e);
+  }
+  // Pending minima: some below a sender's largest buffered clock (they
+  // block), some above it, some for senders absent from the buffer.
+  for (std::int32_t s = 0; s < senders + 2; ++s) {
+    if (rng.bounded(3) != 0) continue;
+    const std::uint64_t top =
+        s < senders ? last[static_cast<std::size_t>(s)] : now;
+    c.pending[s] = 1 + rng.bounded(top + 8);
+  }
+  return c;
+}
+
+TEST(CleanCutProperty, MatchesBruteForceOracle) {
+  support::Xoshiro256 rng(2015);
+  int nonzero = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool wide = trial % 10 == 9;
+    const std::int32_t senders =
+        wide ? 768 : 1 + static_cast<std::int32_t>(rng.bounded(6));
+    const std::size_t n = wide ? 200 + rng.bounded(200) : rng.bounded(70);
+    CutCase c = random_cut_case(rng, senders, n);
+    if (rng.bounded(2) == 0) c.pending.clear();
+    for (const std::size_t cap : {n / 2, n, n + 1 + rng.bounded(10),
+                                  std::size_t{1}, rng.bounded(n + 1)}) {
+      const std::size_t expected = oracle_clean_cut(c.events, c.pending, cap);
+      EXPECT_EQ(find_clean_cut(c.events, c.pending, cap), expected)
+          << "trial " << trial << " senders " << senders << " cap " << cap;
+      nonzero += expected > 0;
+    }
+  }
+  // The cases must exercise both outcomes.
+  EXPECT_GT(nonzero, 500);
+  EXPECT_LT(nonzero, 3000);
 }
 
 }  // namespace
