@@ -12,25 +12,38 @@
 // formula; see DESIGN.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace cdc::record {
 
-/// eₙ = xₙ − 2xₙ₋₁ + xₙ₋₂ with out-of-range terms zero.
+/// Hands eₙ = xₙ − 2xₙ₋₁ + xₙ₋₂ (out-of-range terms zero) for the column
+/// xₙ = at(n), n < count, to `emit` in order, without storing it.
 ///
 /// The arithmetic is done in uint64 so adversarial inputs (fuzzed chunk
 /// bytes decode to arbitrary int64 values) wrap mod 2⁶⁴ instead of hitting
 /// signed overflow; encode/decode stay exact inverses under wraparound.
-inline std::vector<std::int64_t> lp_encode(std::span<const std::int64_t> xs) {
-  std::vector<std::int64_t> es(xs.size());
-  for (std::size_t n = 0; n < xs.size(); ++n) {
-    const auto x1 = static_cast<std::uint64_t>(n >= 1 ? xs[n - 1] : 0);
-    const auto x2 = static_cast<std::uint64_t>(n >= 2 ? xs[n - 2] : 0);
-    es[n] = static_cast<std::int64_t>(static_cast<std::uint64_t>(xs[n]) -
-                                      2 * x1 + x2);
+template <typename At, typename Emit>
+void for_each_lp_residual(std::size_t count, At&& at, Emit&& emit) {
+  std::uint64_t x1 = 0;
+  std::uint64_t x2 = 0;
+  for (std::size_t n = 0; n < count; ++n) {
+    const auto x = static_cast<std::uint64_t>(at(n));
+    emit(static_cast<std::int64_t>(x - 2 * x1 + x2));
+    x2 = x1;
+    x1 = x;
   }
+}
+
+/// The residuals of `xs` (for_each_lp_residual) as a vector.
+inline std::vector<std::int64_t> lp_encode(std::span<const std::int64_t> xs) {
+  std::vector<std::int64_t> es;
+  es.reserve(xs.size());
+  for_each_lp_residual(
+      xs.size(), [&](std::size_t n) { return xs[n]; },
+      [&](std::int64_t e) { es.push_back(e); });
   return es;
 }
 
