@@ -13,8 +13,10 @@
 //              [--crash-before-seal] [--crash-after-seal]
 //
 // Numeric flags take a whole unsigned decimal: --port at most 65535,
-// --queue-batches at least 1, the rest at most 2^32 - 1. Anything else
-// (a sign, trailing text, out of range) exits 2 with the usage text.
+// --queue-batches at least 1, the rest at most 2^32 - 1. So do the
+// --tenant fields: MAX_MB at most 2^44 - 1 (its byte count fits in 64
+// bits), MAX_RECORDS at most 2^32 - 1. Anything else (a sign, trailing
+// text, out of range) exits 2 with the usage text.
 //
 // With --port 0 (the default) an ephemeral port is chosen and printed as
 // `LISTENING <port>` on stdout — the handshake the tests and the load
@@ -30,7 +32,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -66,17 +67,17 @@ bool parse_tenant(const std::string& spec, cdc::net::TenantConfig& out) {
                                       : c2 - c1 - 1);
   if (out.token.empty()) return false;
   if (c2 != std::string::npos) {
-    char* end = nullptr;
+    unsigned long long n = 0;
     const std::size_t c3 = spec.find(':', c2 + 1);
     const std::string mb = spec.substr(
         c2 + 1, c3 == std::string::npos ? std::string::npos : c3 - c2 - 1);
-    out.max_bytes = std::strtoull(mb.c_str(), &end, 10) << 20;
-    if (end == mb.c_str() || *end != '\0') return false;
+    if (!cdc::cli::parse_number(mb.c_str(), 0, (1ull << 44) - 1, &n))
+      return false;
+    out.max_bytes = static_cast<std::uint64_t>(n) << 20;
     if (c3 != std::string::npos) {
-      const std::string recs = spec.substr(c3 + 1);
-      out.max_records =
-          static_cast<std::uint32_t>(std::strtoul(recs.c_str(), &end, 10));
-      if (end == recs.c_str() || *end != '\0') return false;
+      if (!cdc::cli::parse_number(spec.c_str() + c3 + 1, 0, 0xFFFFFFFFull, &n))
+        return false;
+      out.max_records = static_cast<std::uint32_t>(n);
     }
   }
   return true;
@@ -113,7 +114,9 @@ int main(int argc, char** argv) {
       const char* v = next();
       cdc::net::TenantConfig tenant;
       if (v == nullptr || !parse_tenant(v, tenant)) {
-        std::fprintf(stderr, "bad --tenant spec\n");
+        std::fprintf(stderr, "cdc_served: bad --tenant value '%s'\n",
+                     v == nullptr ? "" : v);
+        usage(argv[0]);
         return 2;
       }
       config.tenants.push_back(std::move(tenant));

@@ -1,5 +1,5 @@
 // Whole-string numeric flag parsing shared by the command-line tools
-// (cdc_run, cdc_served, cdc_client).
+// (cdc_run, cdc_served, cdc_client, record_inspector).
 #pragma once
 
 #include <cerrno>

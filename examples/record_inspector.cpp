@@ -25,8 +25,8 @@
 // anywhere on the command line to pick the DEFLATE effort level.
 // Unknown flags are rejected with the usage text and exit code 2.
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -40,6 +40,7 @@
 #include "obs/report.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "parse_number.h"
 #include "record/chunk.h"
 #include "runtime/storage.h"
 #include "store/container_reader.h"
@@ -560,6 +561,7 @@ int usage(const char* prog, int code) {
       "  --window <LO:HI>       windowed-replay demo: replay only epochs\n"
       "                         [LO, HI) via the epoch-index seek and\n"
       "                         oracle-check the slices vs a full replay\n"
+      "                         (two whole unsigned decimals, LO < HI)\n"
       "  --corpus <file>        corpus stats: families, dedup ratio,\n"
       "                         encoding mix, member health\n"
       "  --help                 this text\n"
@@ -623,16 +625,17 @@ int main(int argc, char** argv) {
   if (is(1, "--stats") && argc == 3) return stats_container(argv[2]);
   if (is(1, "--corpus") && argc == 3) return corpus_stats(argv[2]);
   if (is(1, "--window") && argc == 3) {
-    char* colon = nullptr;
-    const unsigned long long lo = std::strtoull(argv[2], &colon, 10);
-    if (colon == argv[2] || *colon != ':') {
-      std::printf("--window needs LO:HI (e.g. --window 2:5)\n");
-      return 2;
-    }
-    char* end = nullptr;
-    const unsigned long long hi = std::strtoull(colon + 1, &end, 10);
-    if (end == colon + 1 || *end != '\0') {
-      std::printf("--window needs LO:HI (e.g. --window 2:5)\n");
+    const std::string spec = argv[2];
+    const std::size_t colon = spec.find(':');
+    unsigned long long lo = 0;
+    unsigned long long hi = 0;
+    if (colon == std::string::npos ||
+        !cdc::cli::parse_number(spec.substr(0, colon).c_str(), 0, ULLONG_MAX,
+                                &lo) ||
+        !cdc::cli::parse_number(spec.c_str() + colon + 1, 0, ULLONG_MAX,
+                                &hi)) {
+      std::printf("--window needs LO:HI, two whole unsigned decimals "
+                  "(e.g. --window 2:5)\n");
       return 2;
     }
     // A half-open window needs LO < HI: 60:40 (reversed) and 5:5 (empty)

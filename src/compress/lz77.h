@@ -47,13 +47,6 @@ class Lz77Workspace {
   Lz77Workspace(const Lz77Workspace&) = delete;
   Lz77Workspace& operator=(const Lz77Workspace&) = delete;
 
-  /// Bytes currently retained by the chain arrays (tests/benches).
-  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return head_.capacity() * sizeof(std::int32_t) +
-           head_gen_.capacity() * sizeof(std::uint32_t) +
-           prev_.capacity() * sizeof(std::int32_t);
-  }
-
  private:
   friend void lz77_tokenize_into(Lz77Workspace&,
                                  std::span<const std::uint8_t>,

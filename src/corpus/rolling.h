@@ -1,15 +1,13 @@
 // Karp-Rabin rolling hashes over byte strings.
 //
-// The fingerprinting substrate of the corpus layer: the differential
-// encoder (corpus/delta.h) and the content-defined chunker
-// (corpus/chunker.h) fingerprint fixed-width byte windows with a
+// The fingerprinting substrate of the differential encoder
+// (corpus/delta.h): it fingerprints fixed-width byte windows with a
 // polynomial hash, following Ajtai/Burns/Fagin/Long/Stockmeyer (JACM
 // 49(3), 2002) §4: arithmetic modulo the Mersenne prime 2^61-1 with a
 // small polynomial base for good bit mixing. A window hash can be rolled
 // one byte at a time in O(1), and rolling from offset i to i+1 yields
 // exactly the direct polynomial evaluation at i+1 — the property the
-// encoder's footprint table and the chunker's determinism (and their
-// property tests) rest on.
+// encoder's footprint table (and its property tests) rest on.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +99,6 @@ class KarpRabinWindow {
 
   [[nodiscard]] bool full() const noexcept { return filled_ >= width_; }
   [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
-  [[nodiscard]] std::size_t width() const noexcept { return width_; }
 
   void reset() noexcept {
     hash_ = 0;

@@ -47,17 +47,6 @@ enum class FaultKind : std::uint8_t {
 
 inline constexpr std::size_t kFaultKindCount = 5;
 
-[[nodiscard]] constexpr const char* fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kDelaySpike: return "delay_spike";
-    case FaultKind::kReorderBurst: return "reorder_burst";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kRankStall: return "rank_stall";
-    case FaultKind::kRankKill: return "rank_kill";
-  }
-  return "?";
-}
-
 /// One scheduled process failure: `rank` stops executing at virtual time
 /// `time`. Messages it already has in flight still arrive (the network
 /// outlives the process); everything it would have done after `time` never

@@ -134,8 +134,9 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     sim.stats_.mf_timeouts += s.stats.mf_timeouts;
     sim.stats_.ranks_failed += s.stats.ranks_failed;
     sim.stats_.max_queue_depth =
-        std::max(sim.stats_.max_queue_depth, s.max_heap_depth);
+        std::max(sim.stats_.max_queue_depth, s.stats.max_queue_depth);
     sim.stats_.unexpected_scanned += s.stats.unexpected_scanned;
+    sim.stats_.irecv_scanned += s.stats.irecv_scanned;
     sim.stats_.max_unexpected =
         std::max(sim.stats_.max_unexpected, s.stats.max_unexpected);
     sim.fault_stats_.delay_spikes += s.fault_stats.delay_spikes;
@@ -237,10 +238,6 @@ void Simulator::ParallelState::merge_and_resolve(Simulator& sim) {
   // Publish kill effects so live_count() is exact before collective
   // completion re-runs.
   sim.failed_count_ = failed_count.load(std::memory_order_relaxed);
-  std::uint64_t total_events = 0;
-  for (const auto& w : worker_state) total_events += w->total_events;
-  CDC_CHECK_MSG(total_events <= sim.config_.max_events,
-                "event budget exceeded (runaway program?)");
   if (collective_dirty.exchange(false, std::memory_order_acq_rel)) {
     sim.complete_barrier_if_ready();
     sim.complete_allreduce_if_ready();

@@ -101,11 +101,11 @@ struct Simulator::ParallelState {
     /// end — no atomics anywhere on the hot path.
     Stats stats;
     FaultStats fault_stats;
-    std::uint64_t max_heap_depth = 0;
 
     void push(PEvent&& ev) {
       heap.push(std::move(ev));
-      max_heap_depth = std::max<std::uint64_t>(max_heap_depth, heap.size());
+      stats.max_queue_depth =
+          std::max<std::uint64_t>(stats.max_queue_depth, heap.size());
     }
   };
 

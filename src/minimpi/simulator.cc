@@ -339,24 +339,30 @@ Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
 
   // A newly posted receive matches the earliest compatible unexpected
   // message (MPI matching rule).
+  auto& shard = par_->shard(rank);
   for (auto it = ctx.unexpected.begin(); it != ctx.unexpected.end(); ++it) {
     const bool src_ok =
         posted.source_spec == kAnySource || posted.source_spec == it->source;
     const bool tag_ok =
         posted.tag_spec == kAnyTag || posted.tag_spec == it->tag;
     if (src_ok && tag_ok) {
+      shard.stats.irecv_scanned += (it - ctx.unexpected.begin()) + 1;
       posted.matched = true;
-      posted.match_seq = par_->shard(rank).next_match_seq++;
+      posted.match_seq = shard.next_match_seq++;
       posted.message = std::move(*it);
       ctx.unexpected.erase(it);
       return Request{id};
     }
   }
+  shard.stats.irecv_scanned += ctx.unexpected.size();
   ctx.posted_recvs.push_back(id);
   return Request{id};
 }
 
 namespace {
+
+/// Virtual seconds per tree level of a barrier or allreduce.
+constexpr double kCollectiveHopCost = 1.0e-6;
 
 bool envelope_matches(Rank source_spec, int tag_spec, Rank source,
                       int tag) noexcept {
@@ -696,7 +702,7 @@ void Simulator::complete_barrier_if_ready() {
   double release = 0.0;
   for (const auto& ctx : ranks_)
     if (!ctx.failed) release = std::max(release, ctx.time);
-  release += hops * config_.collective_hop_cost;
+  release += hops * kCollectiveHopCost;
   for (int r = 0; r < size(); ++r) {
     auto& ctx = ranks_[static_cast<std::size_t>(r)];
     if (!ctx.in_barrier) {
@@ -736,7 +742,7 @@ void Simulator::complete_allreduce_if_ready() {
   double release = 0.0;
   for (const auto& ctx : ranks_)
     if (!ctx.failed) release = std::max(release, ctx.time);
-  release += hops * config_.collective_hop_cost;
+  release += hops * kCollectiveHopCost;
   for (int r = 0; r < size(); ++r) {
     auto& ctx = ranks_[static_cast<std::size_t>(r)];
     if (ctx.allreduce == nullptr) {
@@ -915,6 +921,7 @@ void Simulator::emit_obs_stats() {
   obs::histogram("sim.max_queue_depth").record(stats_.max_queue_depth);
   obs::histogram("sim.max_live_requests").record(stats_.max_live_requests);
   obs::counter("sim.unexpected_scanned").add(stats_.unexpected_scanned);
+  obs::counter("sim.irecv_scanned").add(stats_.irecv_scanned);
   obs::histogram("sim.max_unexpected").record(stats_.max_unexpected);
   obs::histogram("sim.virtual_time_us")
       .record(static_cast<std::uint64_t>(stats_.end_time * 1e6));

@@ -164,7 +164,6 @@ class Simulator {
     double base_latency = 1.0e-6;      ///< seconds, per message
     double jitter_mean = 5.0e-7;       ///< mean of exponential noise term
     double mpi_call_cost = 5.0e-8;     ///< virtual cost of one MPI call
-    double collective_hop_cost = 1.0e-6;
     /// Virtual cost charged to the application thread per delivered
     /// receive event when a tool is attached — models the enqueue +
     /// interference cost of recording (Figure 16's overhead). Calibrate
@@ -176,7 +175,6 @@ class Simulator {
     /// Virtual cost charged per send for clock piggybacking (§6.2 measures
     /// 1.18% end-to-end for 8-byte piggyback data).
     double piggyback_send_cost = 0.0;
-    std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max();
     /// Matching-function timeout in virtual seconds (0 = wait forever, the
     /// MPI default). A pending MF call still unsatisfied this long after it
     /// was issued fails with MFResult::timed_out instead of blocking the
@@ -212,6 +210,9 @@ class Simulator {
     /// replay tool could deliver on a remapped request (every entry of the
     /// polling rank's queue, once per poll).
     std::uint64_t unexpected_scanned = 0;
+    /// Unexpected-queue entries post_irecv compared against a new receive,
+    /// the matched one included (so also a bound on the erase position).
+    std::uint64_t irecv_scanned = 0;
     /// Deepest unexpected queue (arrived, unmatched messages) on any rank.
     std::uint64_t max_unexpected = 0;
     double end_time = 0.0;  ///< virtual seconds when the last rank finished

@@ -478,7 +478,6 @@ bool NetFrameSink::flush() {
   std::vector<WireFrame> batch;
   batch.swap(pending_);
   pending_bytes_ = 0;
-  ++batches_sent_;
   ok_ = client_->put(std::move(batch));
   return ok_;
 }

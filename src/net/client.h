@@ -235,9 +235,6 @@ class NetFrameSink final : public tool::FrameSink {
   /// Ships the buffered partial batch, if any.
   [[nodiscard]] bool flush();
   [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] std::uint64_t batches_sent() const noexcept {
-    return batches_sent_;
-  }
 
  private:
   Client* client_;
@@ -245,7 +242,6 @@ class NetFrameSink final : public tool::FrameSink {
   std::size_t max_batch_bytes_;
   std::vector<WireFrame> pending_;
   std::size_t pending_bytes_ = 0;
-  std::uint64_t batches_sent_ = 0;
   bool ok_ = true;
 };
 

@@ -110,6 +110,7 @@ PipelineReport PipelineReport::from_snapshot(
   r.sim_mf_calls = s.counter_or("sim.mf_calls");
   r.sim_faults = s.counter_or("sim.faults");
   r.sim_unexpected_scanned = s.counter_or("sim.unexpected_scanned");
+  r.sim_irecv_scanned = s.counter_or("sim.irecv_scanned");
   // One sample per run: the exact max is the largest run's value.
   if (const HistogramValue* vt = s.find_histogram("sim.virtual_time_us"))
     r.sim_virtual_seconds = static_cast<double>(vt->max) * 1e-6;
@@ -283,6 +284,7 @@ std::string PipelineReport::to_json() const {
   w.field("max_live_requests", sim_max_live_requests);
   w.field("max_unexpected", sim_max_unexpected);
   w.field("unexpected_scanned", sim_unexpected_scanned);
+  w.field("irecv_scanned", sim_irecv_scanned);
   w.key("executor").begin_object();
   w.field("runs", exec_runs);
   w.field("workers", exec_workers);
@@ -380,11 +382,12 @@ void PipelineReport::print(std::FILE* out) const {
                  " faults, %.6f virtual s (longest run); per rank max "
                  "%" PRIu64 " queued events, %" PRIu64
                  " live receives, %" PRIu64
-                 " unexpected; %" PRIu64 " unexpected entries scanned\n",
+                 " unexpected; unexpected entries scanned: %" PRIu64
+                 " by MF polls, %" PRIu64 " by receive posts\n",
                  sim_events, sim_messages, sim_mf_calls, sim_faults,
                  sim_virtual_seconds, sim_max_queue_depth,
                  sim_max_live_requests, sim_max_unexpected,
-                 sim_unexpected_scanned);
+                 sim_unexpected_scanned, sim_irecv_scanned);
   if (exec_runs > 0)
     std::fprintf(out,
                  "executor  : %" PRIu64 " run(s), max %" PRIu64

@@ -75,6 +75,8 @@ struct PipelineReport {
   std::uint64_t sim_faults = 0;
   /// Unexpected-queue entries MF polls visited (sim.unexpected_scanned).
   std::uint64_t sim_unexpected_scanned = 0;
+  /// Unexpected-queue entries post_irecv compared (sim.irecv_scanned).
+  std::uint64_t sim_irecv_scanned = 0;
   /// The per-run values below are maxima over the simulator runs in the
   /// snapshot (a record plus a replay is two runs); the counts above are
   /// sums.

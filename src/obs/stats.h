@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <limits>
@@ -33,9 +32,6 @@ class Summary {
   [[nodiscard]] double mean() const noexcept { return mean_; }
   [[nodiscard]] double variance() const noexcept {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const noexcept {
-    return std::sqrt(variance());
   }
 
  private:

@@ -388,10 +388,7 @@ std::optional<CdcChunk> read_chunk(support::ByteReader& reader) {
     for (auto& s : chunk.ref_senders) {
       std::uint32_t index = 0;
       if (bits > 0 && !packed.try_read(bits, index)) return std::nullopt;
-      if (index >= chunk.epoch.size()) {
-        if (chunk.epoch.empty()) return std::nullopt;
-        return std::nullopt;
-      }
+      if (index >= chunk.epoch.size()) return std::nullopt;
       s = chunk.epoch[index].sender;
     }
   }

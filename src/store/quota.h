@@ -67,9 +67,6 @@ class QuotaStore final : public runtime::RecordStore {
   }
   void sync() override { inner_->sync(); }
 
-  [[nodiscard]] std::uint64_t used_bytes() const noexcept {
-    return used_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
  private:

@@ -63,10 +63,6 @@ class BitWriter {
     }
   }
 
-  [[nodiscard]] std::size_t bit_count() const noexcept {
-    return buf_.size() * 8 + static_cast<std::size_t>(used_);
-  }
-
   /// Flushes any partial byte and returns the buffer.
   std::vector<std::uint8_t> finish() && {
     align_to_byte();

@@ -29,7 +29,6 @@ class CrashingStore final : public runtime::RecordStore {
               std::span<const std::uint8_t> bytes) override {
     if (appends_ >= budget_) {
       crashed_ = true;
-      ++dropped_;
       return;
     }
     ++appends_;
@@ -56,15 +55,11 @@ class CrashingStore final : public runtime::RecordStore {
   [[nodiscard]] std::uint64_t appends_forwarded() const noexcept {
     return appends_;
   }
-  [[nodiscard]] std::uint64_t appends_dropped() const noexcept {
-    return dropped_;
-  }
 
  private:
   runtime::RecordStore* inner_;
   std::uint64_t budget_;
   std::uint64_t appends_ = 0;
-  std::uint64_t dropped_ = 0;
   bool crashed_ = false;
 };
 

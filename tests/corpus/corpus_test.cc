@@ -432,5 +432,59 @@ TEST_F(CorpusTest, ReaderStatsMatchTheWriterView) {
   EXPECT_EQ(reader->stats().families, written.families);
 }
 
+// Golden bytes of one sealed corpus: a reference member and three
+// near-identical followers (point edits and one insertion per stream),
+// drawn only from Xoshiro256::bounded. The FNV-1a of the sealed file is
+// pinned, so a change that must leave corpus output alone can show it did.
+using CorpusGoldenBytes = CorpusTest;
+
+TEST_F(CorpusGoldenBytes, SeededFamily) {
+  support::Xoshiro256 rng(2115);
+  const auto draw = [&](std::size_t n, std::uint64_t alphabet) {
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.bounded(alphabet));
+    return bytes;
+  };
+  StreamMap reference;
+  reference[{0, 1}] = draw(8 * 1024, 4);     // low entropy: gzip pays
+  reference[{1, 8}] = draw(4 * 1024, 256);   // incompressible: raw
+  reference[{2, 15}] = draw(6 * 1024, 16);
+
+  const std::string file = path("golden.cdcc");
+  Corpus corpus(file);
+  for (int m = 0; m < 4; ++m) {
+    StreamMap streams = reference;
+    if (m > 0) {
+      for (auto& [key, bytes] : streams) {
+        for (int e = 0; e < 4; ++e)
+          bytes[rng.bounded(bytes.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.bounded(255));
+        const std::vector<std::uint8_t> inserted = draw(12, 256);
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.bounded(bytes.size())),
+                     inserted.begin(), inserted.end());
+      }
+    }
+    runtime::MemoryStore record;
+    fill_store(record, streams);
+    corpus.add_member("mcb", "seed-" + std::to_string(m), record);
+  }
+  using E = MemberEncoding;
+  const CorpusStats& stats = corpus.stats();
+  EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kDeltaCorrecting)],
+            1u);
+  EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kSelfGzip)], 1u);
+  EXPECT_GE(stats.by_encoding[static_cast<std::size_t>(E::kRaw)], 1u);
+  corpus.seal();
+
+  std::ifstream in(file, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c; in.get(c);) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, 0xa0458ac704ad5430ull);
+}
+
 }  // namespace
 }  // namespace cdc::corpus

@@ -382,7 +382,8 @@ TEST(Simulator, UnexpectedQueueDepthAndScanAreCounted) {
   // Rank 0 sends five tag-1 messages that rank 1 has not posted for: they
   // queue as unexpected. One Test on a tag-2 receive then polls once and
   // scans all five; the receives posted next match them at post time, so
-  // every later poll finds the queue empty.
+  // every later poll finds the queue empty. Posting the tag-2 receive
+  // compares all five queued messages and each tag-1 post compares one.
   Simulator sim(config(2));
   sim.set_program(0, [](Comm& comm) -> Task {
     for (std::uint8_t i = 0; i < 5; ++i) comm.isend(1, 1, payload(i));
@@ -404,6 +405,7 @@ TEST(Simulator, UnexpectedQueueDepthAndScanAreCounted) {
   EXPECT_EQ(stats.receive_events_delivered, 6u);
   EXPECT_EQ(stats.max_unexpected, 5u);
   EXPECT_EQ(stats.unexpected_scanned, 5u);
+  EXPECT_EQ(stats.irecv_scanned, 10u);
 }
 
 TEST(Simulator, ExceptionInRankPropagates) {

@@ -46,6 +46,7 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   registry.counter("store.pool.misses").add(10);
   registry.counter("store.pool.recycled_bytes").add(7777);
   registry.counter("sim.messages_sent").add(55);
+  registry.counter("sim.irecv_scanned").add(12);
   registry.histogram("sim.virtual_time_us").record(2500000);
   registry.counter("store.container.frames").add(3);
   registry.counter("record.stage.inflate.calls").add(3);
@@ -77,6 +78,7 @@ TEST(PipelineReport, FromSnapshotMapsMetricNames) {
   // 4096 bytes in 2048 ns = 2 bytes/ns = 2000 MB/s.
   EXPECT_DOUBLE_EQ(report.deflate_mb_per_s(), 2000.0);
   EXPECT_EQ(report.sim_messages, 55u);
+  EXPECT_EQ(report.sim_irecv_scanned, 12u);
   EXPECT_DOUBLE_EQ(report.sim_virtual_seconds, 2.5);
   EXPECT_EQ(report.writer_frames, 3u);
   EXPECT_EQ(report.stage_inflate.calls, 3u);
