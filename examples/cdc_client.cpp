@@ -1,8 +1,10 @@
 // cdc_client — command-line client for the record/replay service.
 //
 // Subcommands (all need --host/--port/--token):
-//   put REC FILE.cdcc   upload a local sealed container as record REC
-//                       (frames are re-framed at the negotiated level)
+//   put REC FILE.cdcc   upload a local sealed container as record REC:
+//                       each source frame is re-framed at the negotiated
+//                       level, so the copy is byte-identical when that is
+//                       the level the source was recorded at
 //   window REC LO:HI    fetch epochs [LO, HI) of every stream; prints one
 //                       line per stream: key, first_epoch, seeked, bytes
 //   inspect REC KIND    print the verify | pipeline | gaps JSON report
@@ -23,8 +25,6 @@
 #include "net/client.h"
 #include "net/load_gen.h"
 #include "parse_number.h"
-#include "store/container_reader.h"
-#include "tool/frame.h"
 
 namespace {
 
@@ -34,7 +34,9 @@ void usage(const char* argv0) {
       "usage: %s --host H --port P --token T [--level L]\n"
       "          [--timeout-ms N] [--connect-timeout-ms N]\n"
       "          [--retries N] [--resume] [--protocol V] COMMAND...\n"
-      "  put REC FILE.cdcc        upload a sealed container as record REC\n"
+      "  put REC FILE.cdcc        upload a sealed container as record REC;\n"
+      "                           each frame is re-framed at the negotiated\n"
+      "                           level (byte-identical at the recording's)\n"
       "  window REC LO:HI         fetch epoch window [LO, HI)\n"
       "  inspect REC verify|pipeline|gaps\n"
       "  load [--clients N] [--seed S] [--batches N] [--frames N]\n"
@@ -69,39 +71,14 @@ bool parse_window(const std::string& spec, std::uint64_t& lo,
 
 int cmd_put(const cdc::net::Client::Options& base, const std::string& record,
             const std::string& path) {
-  std::string error;
-  auto reader = cdc::store::ContainerReader::open(path, &error);
-  if (reader == nullptr || !reader->index_ok()) {
-    std::fprintf(stderr, "cdc_client: cannot read %s: %s\n", path.c_str(),
-                 reader == nullptr ? error.c_str()
-                                   : reader->index_error().c_str());
-    return 1;
-  }
   cdc::net::Client::Options options = base;
   options.record = record;
-  options.intent = cdc::net::Intent::kIngest;
-  auto client = cdc::net::Client::connect(options, &error);
-  if (client == nullptr) {
+  cdc::net::Sealed sealed;
+  std::string error;
+  if (!cdc::net::put_container(options, path, &sealed, &error)) {
     std::fprintf(stderr, "cdc_client: %s\n", error.c_str());
     return 1;
   }
-  cdc::net::NetFrameSink sink(client.get());
-  for (const cdc::runtime::StreamKey& key : reader->keys()) {
-    // read_stream concatenates decoded payloads; ship each stream as one
-    // job and let the server re-frame it at the negotiated level (a
-    // recompressing mirror).
-    const std::vector<std::uint8_t> raw = reader->read_stream(key);
-    cdc::tool::FrameJob job;
-    job.codec = 0x01;
-    job.payload = raw;
-    sink.submit(key, std::move(job));
-  }
-  cdc::net::Sealed sealed;
-  if (!sink.flush() || !client->seal(&sealed)) {
-    std::fprintf(stderr, "cdc_client: %s\n", client->last_error().c_str());
-    return 1;
-  }
-  client->bye();
   std::printf("sealed %s: %llu streams, %llu frames, %llu bytes\n",
               record.c_str(), static_cast<unsigned long long>(sealed.streams),
               static_cast<unsigned long long>(sealed.frames),

@@ -8,12 +8,16 @@
 // reports 91 MB vs 2 MB at 6,114 processes).
 //
 //   $ ./jacobi_hidden_determinism [grid_x grid_y iterations]
+//
+// Grid sizes are whole decimals in [1, 1024], iterations in [1, INT_MAX];
+// anything else exits 2 with the usage line.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/jacobi.h"
 #include "minimpi/simulator.h"
 #include "obs/stats.h"
+#include "parse_number.h"
 #include "runtime/storage.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
@@ -45,9 +49,20 @@ std::uint64_t record_with(cdc::tool::RecordCodec codec, int gx, int gy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int gx = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int gy = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int iterations = argc > 3 ? std::atoi(argv[3]) : 1000;
+  constexpr const char* kProgram = "jacobi_hidden_determinism";
+  int gx = 8;
+  int gy = 8;
+  int iterations = 1000;
+  if (argc > 4 ||
+      !cdc::cli::parse_positional(argc, argv, 1, kProgram, "grid_x", 1, 1024,
+                                  &gx) ||
+      !cdc::cli::parse_positional(argc, argv, 2, kProgram, "grid_y", 1, 1024,
+                                  &gy) ||
+      !cdc::cli::parse_positional(argc, argv, 3, kProgram, "iterations", 1,
+                                  INT_MAX, &iterations)) {
+    std::fprintf(stderr, "usage: %s [grid_x grid_y iterations]\n", argv[0]);
+    return 2;
+  }
 
   std::printf("== Jacobi halo exchange: hidden determinism ==\n");
   std::printf("%d x %d ranks, %d iterations, ANY_SOURCE halo receives\n\n",

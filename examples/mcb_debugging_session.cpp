@@ -8,12 +8,16 @@
 // tally, making the anomaly deterministic and debuggable.
 //
 //   $ ./mcb_debugging_session [grid_x grid_y particles_per_rank]
+//
+// Grid sizes are whole decimals in [1, 1024], particles per rank in
+// [1, INT_MAX]; anything else exits 2 with the usage line.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/mcb.h"
 #include "minimpi/simulator.h"
 #include "obs/stats.h"
+#include "parse_number.h"
 #include "runtime/storage.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
@@ -38,9 +42,22 @@ cdc::apps::McbResult run(int gx, int gy, int particles,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int gx = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int gy = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int particles = argc > 3 ? std::atoi(argv[3]) : 200;
+  constexpr const char* kProgram = "mcb_debugging_session";
+  int gx = 4;
+  int gy = 4;
+  int particles = 200;
+  if (argc > 4 ||
+      !cdc::cli::parse_positional(argc, argv, 1, kProgram, "grid_x", 1, 1024,
+                                  &gx) ||
+      !cdc::cli::parse_positional(argc, argv, 2, kProgram, "grid_y", 1, 1024,
+                                  &gy) ||
+      !cdc::cli::parse_positional(argc, argv, 3, kProgram,
+                                  "particles_per_rank", 1, INT_MAX,
+                                  &particles)) {
+    std::fprintf(stderr, "usage: %s [grid_x grid_y particles_per_rank]\n",
+                 argv[0]);
+    return 2;
+  }
 
   std::printf("== MCB non-determinism and order-replay ==\n");
   std::printf("%d x %d ranks, %d particles/rank\n\n", gx, gy, particles);

@@ -1,8 +1,9 @@
-// Whole-string numeric flag parsing shared by the command-line tools
-// (cdc_run, cdc_served, cdc_client, record_inspector).
+// Whole-string numeric argument parsing shared by the command-line tools
+// (cdc_run, cdc_served, cdc_client, record_inspector) and the examples.
 #pragma once
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace cdc::cli {
@@ -19,6 +20,24 @@ inline bool parse_number(const char* text, unsigned long long lo,
   if (*end != '\0' || errno == ERANGE || value < lo || value > hi)
     return false;
   *out = value;
+  return true;
+}
+
+/// Parses the optional positional argument argv[index] as parse_number
+/// does into *out, which keeps its default when the argument is absent.
+/// On a bad value prints "<program>: bad <name> value '<text>'".
+inline bool parse_positional(int argc, char** argv, int index,
+                             const char* program, const char* name,
+                             unsigned long long lo, unsigned long long hi,
+                             int* out) {
+  if (index >= argc) return true;
+  unsigned long long value = 0;
+  if (!parse_number(argv[index], lo, hi, &value)) {
+    std::fprintf(stderr, "%s: bad %s value '%s'\n", program, name,
+                 argv[index]);
+    return false;
+  }
+  *out = static_cast<int>(value);
   return true;
 }
 

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "store/container_reader.h"
@@ -31,27 +30,6 @@ double ms_since(Clock::time_point t0) {
 
 std::string record_name(std::size_t client) {
   return "chaos-" + std::to_string(client);
-}
-
-std::uint64_t client_seed(std::uint64_t run_seed, std::size_t client) {
-  return run_seed ^ (0x9e3779b97f4a7c15ull * (client + 1));
-}
-
-std::vector<WireFrame> to_wire(std::vector<SynthJob>::const_iterator begin,
-                               std::vector<SynthJob>::const_iterator end) {
-  std::vector<WireFrame> frames;
-  frames.reserve(static_cast<std::size_t>(end - begin));
-  for (auto it = begin; it != end; ++it) {
-    WireFrame frame;
-    frame.key = it->key;
-    frame.codec = it->job.codec;
-    frame.meta = it->job.meta;
-    frame.compress = it->job.compress;
-    frame.epoch = it->job.epoch;
-    frame.payload = it->job.payload;
-    frames.push_back(std::move(frame));
-  }
-  return frames;
 }
 
 struct ClientResult {
@@ -93,14 +71,14 @@ void chaos_client(const ChaosConfig& config, std::uint16_t port,
     return;
   }
   result.level = client->welcome().level;
-  const std::vector<SynthJob> jobs = synth_jobs(
+  const std::vector<WireFrame> jobs = synth_jobs(
       client_seed(config.seed, index), config.shape, client->welcome().level);
   const std::size_t per_batch = config.shape.frames_per_batch;
   bool sent = true;
   for (std::size_t off = 0; sent && off < jobs.size(); off += per_batch) {
     const std::size_t end = std::min(off + per_batch, jobs.size());
-    sent = client->put(to_wire(jobs.begin() + static_cast<std::ptrdiff_t>(off),
-                               jobs.begin() + static_cast<std::ptrdiff_t>(end)));
+    sent = client->put(
+        std::vector<WireFrame>(jobs.begin() + off, jobs.begin() + end));
   }
   Sealed sealed;
   result.sealed = sent && client->seal(&sealed);
@@ -108,24 +86,6 @@ void chaos_client(const ChaosConfig& config, std::uint16_t port,
   result.batches_resent = client->batches_resent();
   if (!result.sealed) result.error = client->last_error();
   client->bye();
-}
-
-bool same_file_bytes(const std::string& a, const std::string& b,
-                     std::string* why) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) {
-    *why = "cannot open for compare";
-    return false;
-  }
-  const std::vector<char> ba((std::istreambuf_iterator<char>(fa)),
-                             std::istreambuf_iterator<char>());
-  const std::vector<char> bb((std::istreambuf_iterator<char>(fb)),
-                             std::istreambuf_iterator<char>());
-  if (ba == bb) return true;
-  *why = "containers differ (" + std::to_string(ba.size()) + " vs " +
-         std::to_string(bb.size()) + " bytes)";
-  return false;
 }
 
 std::vector<std::string> daemon_args(const ChaosConfig& config,
@@ -374,7 +334,7 @@ ChaosReport run_chaos(const ChaosConfig& config) {
           (tenant_dir / (record_name(i) + ".cdcc")).string();
       const std::string local_path =
           (scratch / (record_name(i) + ".cdcc")).string();
-      const std::vector<SynthJob> jobs = synth_jobs(
+      const std::vector<WireFrame> jobs = synth_jobs(
           client_seed(config.seed, i), config.shape, outcomes[i].level);
       std::string why;
       if (!write_synth_container(local_path, jobs, &why) ||

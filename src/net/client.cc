@@ -16,6 +16,8 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "store/container_reader.h"
+#include "tool/options.h"
 
 namespace cdc::net {
 
@@ -117,7 +119,7 @@ bool Client::handshake() {
   std::string dial_error;
   fd_ = dial(options_, &dial_error);
   if (fd_ < 0) return fail(std::move(dial_error), ErrCode::kInternal, true);
-  parser_ = WireParser(options_.limits);
+  parser_ = WireParser();
 
   Hello hello;
   hello.version = options_.version;
@@ -458,15 +460,8 @@ NetFrameSink::NetFrameSink(Client* client, std::size_t max_batch_frames,
 
 void NetFrameSink::submit(const runtime::StreamKey& key, tool::FrameJob job) {
   if (!ok_) return;
-  WireFrame frame;
-  frame.key = key;
-  frame.codec = job.codec;
-  frame.meta = job.meta;
-  frame.compress = job.compress;
-  frame.epoch = job.epoch;
-  frame.payload = std::move(job.payload);
-  pending_bytes_ += frame.payload.size();
-  pending_.push_back(std::move(frame));
+  pending_bytes_ += job.payload.size();
+  pending_.push_back(WireFrame{key, std::move(job)});
   if (pending_.size() >= max_batch_frames_ ||
       pending_bytes_ >= max_batch_bytes_)
     ok_ = flush();
@@ -480,6 +475,46 @@ bool NetFrameSink::flush() {
   pending_bytes_ = 0;
   ok_ = client_->put(std::move(batch));
   return ok_;
+}
+
+bool put_container(const Client::Options& options, const std::string& path,
+                   Sealed* sealed, std::string* error) {
+  const auto reader = store::ContainerReader::open(path, error);
+  if (reader == nullptr) return false;
+  // scan_good_frames() skips damaged frames silently; a copy must not.
+  if (const store::VerifyReport report = reader->verify(); !report.ok) {
+    *error = path + ": " + report.summary();
+    return false;
+  }
+  const auto client = Client::connect(options, error);
+  if (client == nullptr) return false;
+  NetFrameSink sink(client.get());
+  for (const auto& good : reader->scan_good_frames()) {
+    support::ByteReader in(good.payload);
+    std::optional<tool::Frame> frame = tool::read_frame(in);
+    if (!frame.has_value() || !in.exhausted()) {
+      *error = path + ": undecodable tool frame";
+      return false;
+    }
+    tool::FrameJob job;
+    job.codec = frame->codec;
+    job.meta = frame->meta;
+    // The recorder's rule: only the raw baseline is framed uncompressed.
+    job.compress = frame->codec != static_cast<std::uint8_t>(
+                                       tool::RecordCodec::kBaselineRaw);
+    job.payload = std::move(frame->payload);
+    const store::StreamEpochIndex* epochs = reader->find_epochs(good.key);
+    if (epochs != nullptr && good.seq < epochs->epochs.size())
+      job.epoch = runtime::EpochMeta{epochs->epochs[good.seq].matched,
+                                     epochs->epochs[good.seq].unmatched};
+    sink.submit(good.key, std::move(job));
+  }
+  if (!sink.flush() || !client->seal(sealed)) {
+    *error = client->last_error();
+    return false;
+  }
+  client->bye();
+  return true;
 }
 
 }  // namespace cdc::net

@@ -55,7 +55,6 @@ class Client {
     compress::DeflateLevel level = compress::DeflateLevel::kDefault;
     /// Unacked PUT_FRAMES batches allowed in flight before put() blocks.
     std::size_t max_inflight = 4;
-    Limits limits;
     /// Protocol version offered in HELLO. Lowering it to 1 yields a
     /// pre-resume session (interop testing); the server answers in kind.
     std::uint32_t version = kProtocolVersion;
@@ -244,5 +243,14 @@ class NetFrameSink final : public tool::FrameSink {
   std::size_t pending_bytes_ = 0;
   bool ok_ = true;
 };
+
+/// Uploads the sealed container at `path` as the ingest record `options`
+/// names and seals it, re-framing each source frame at the negotiated
+/// level: the copy is byte-identical when that is the level the source
+/// was recorded at. Refuses a source that fails ContainerReader::verify().
+/// False with *error set on any failure.
+[[nodiscard]] bool put_container(const Client::Options& options,
+                                 const std::string& path, Sealed* sealed,
+                                 std::string* error);
 
 }  // namespace cdc::net

@@ -16,10 +16,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t client_seed(std::uint64_t run_seed, std::size_t client) {
-  return run_seed ^ (0x9e3779b97f4a7c15ull * (client + 1));
-}
-
 std::string record_name(std::size_t client) {
   return "load-" + std::to_string(client);
 }
@@ -63,23 +59,6 @@ struct ClientOutcome {
   std::string error;
 };
 
-std::vector<WireFrame> to_wire(std::vector<SynthJob>::const_iterator begin,
-                               std::vector<SynthJob>::const_iterator end) {
-  std::vector<WireFrame> frames;
-  frames.reserve(static_cast<std::size_t>(end - begin));
-  for (auto it = begin; it != end; ++it) {
-    WireFrame frame;
-    frame.key = it->key;
-    frame.codec = it->job.codec;
-    frame.meta = it->job.meta;
-    frame.compress = it->job.compress;
-    frame.epoch = it->job.epoch;
-    frame.payload = it->job.payload;
-    frames.push_back(std::move(frame));
-  }
-  return frames;
-}
-
 Client::Options ingest_options(const LoadConfig& config, std::size_t client) {
   Client::Options options;
   options.host = config.host;
@@ -106,9 +85,12 @@ void run_client(const LoadConfig& config, std::size_t index,
     return;
   }
   outcome.level = client->welcome().level;
-  const std::vector<SynthJob> jobs = synth_jobs(
+  const std::vector<WireFrame> jobs = synth_jobs(
       client_seed(config.seed, index), config.shape, client->welcome().level);
   const std::size_t per_batch = config.shape.frames_per_batch;
+  const auto slice = [&jobs](std::size_t begin, std::size_t end) {
+    return std::vector<WireFrame>(jobs.begin() + begin, jobs.begin() + end);
+  };
 
   const auto finish = [&](bool expect_met) {
     outcome.latency_ns = client->ack_latency_ns();
@@ -126,7 +108,7 @@ void run_client(const LoadConfig& config, std::size_t index,
       bool sent = true;
       for (std::size_t off = 0; sent && off < jobs.size(); off += per_batch) {
         const std::size_t end = std::min(off + per_batch, jobs.size());
-        sent = client->put(to_wire(jobs.begin() + off, jobs.begin() + end));
+        sent = client->put(slice(off, end));
         if (behavior == Behavior::kSlow)
           std::this_thread::sleep_for(
               std::chrono::microseconds(500 + rng.bounded(4500)));
@@ -161,7 +143,7 @@ void run_client(const LoadConfig& config, std::size_t index,
       bool sent = true;
       for (std::size_t off = 0; sent && off < half; off += per_batch) {
         const std::size_t end = std::min(off + per_batch, half);
-        sent = client->put(to_wire(jobs.begin() + off, jobs.begin() + end));
+        sent = client->put(slice(off, end));
       }
       finish(sent);
       client.reset();  // abrupt close, no BYE, no SEAL
@@ -170,10 +152,7 @@ void run_client(const LoadConfig& config, std::size_t index,
     case Behavior::kGarbage: {
       bool sent = true;
       if (!jobs.empty())
-        sent = client->put(
-            to_wire(jobs.begin(),
-                    jobs.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(per_batch, jobs.size()))));
+        sent = client->put(slice(0, std::min(per_batch, jobs.size())));
       std::vector<std::uint8_t> noise(64);
       for (auto& byte : noise)
         byte = static_cast<std::uint8_t>(rng.bounded(256));
@@ -189,9 +168,9 @@ void run_client(const LoadConfig& config, std::size_t index,
     case Behavior::kOversized: {
       WireFrame frame;
       frame.key = runtime::StreamKey{0, 0};
-      frame.codec = 0x01;
-      frame.compress = false;
-      frame.payload.assign(
+      frame.job.codec = 0x01;
+      frame.job.compress = false;
+      frame.job.payload.assign(
           static_cast<std::size_t>(Limits{}.max_frame_bytes + 1), 0xAB);
       const bool sent = client->put({std::move(frame)});
       const bool rejected = !client->seal(nullptr);
@@ -200,24 +179,6 @@ void run_client(const LoadConfig& config, std::size_t index,
       return;
     }
   }
-}
-
-bool same_file_bytes(const std::string& a, const std::string& b,
-                     std::string* why) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) {
-    *why = "cannot open for compare";
-    return false;
-  }
-  const std::vector<char> ba((std::istreambuf_iterator<char>(fa)),
-                             std::istreambuf_iterator<char>());
-  const std::vector<char> bb((std::istreambuf_iterator<char>(fb)),
-                             std::istreambuf_iterator<char>());
-  if (ba == bb) return true;
-  *why = "containers differ (" + std::to_string(ba.size()) + " vs " +
-         std::to_string(bb.size()) + " bytes)";
-  return false;
 }
 
 void verify_outcomes(const LoadConfig& config,
@@ -249,7 +210,7 @@ void verify_outcomes(const LoadConfig& config,
       }
       continue;
     }
-    const std::vector<SynthJob> jobs = synth_jobs(
+    const std::vector<WireFrame> jobs = synth_jobs(
         client_seed(config.seed, i), config.shape, outcome.level);
     const std::string local_path =
         (scratch / (record_name(i) + ".cdcc")).string();
@@ -274,16 +235,38 @@ double quantile_ms(std::vector<std::uint64_t>& sorted_ns, double p) {
 
 }  // namespace
 
-std::vector<SynthJob> synth_jobs(std::uint64_t seed, const SynthShape& shape,
-                                 compress::DeflateLevel level) {
+std::uint64_t client_seed(std::uint64_t run_seed, std::size_t client) {
+  return run_seed ^ (0x9e3779b97f4a7c15ull * (client + 1));
+}
+
+bool same_file_bytes(const std::string& a, const std::string& b,
+                     std::string* why) {
+  std::ifstream fa(a, std::ios::binary);
+  std::ifstream fb(b, std::ios::binary);
+  if (!fa || !fb) {
+    *why = "cannot open for compare";
+    return false;
+  }
+  const std::vector<char> ba((std::istreambuf_iterator<char>(fa)),
+                             std::istreambuf_iterator<char>());
+  const std::vector<char> bb((std::istreambuf_iterator<char>(fb)),
+                             std::istreambuf_iterator<char>());
+  if (ba == bb) return true;
+  *why = "containers differ (" + std::to_string(ba.size()) + " vs " +
+         std::to_string(bb.size()) + " bytes)";
+  return false;
+}
+
+std::vector<WireFrame> synth_jobs(std::uint64_t seed, const SynthShape& shape,
+                                  compress::DeflateLevel level) {
   support::Xoshiro256 rng(seed);
-  std::vector<SynthJob> jobs;
+  std::vector<WireFrame> jobs;
   jobs.reserve(shape.batches * shape.frames_per_batch);
   const std::size_t streams = std::max<std::size_t>(shape.streams, 1);
   for (std::size_t b = 0; b < shape.batches; ++b) {
     for (std::size_t f = 0; f < shape.frames_per_batch; ++f) {
       const std::size_t stream = (b * shape.frames_per_batch + f) % streams;
-      SynthJob sj;
+      WireFrame sj;
       sj.key.rank = static_cast<minimpi::Rank>(stream);
       sj.key.callsite = 7;
       sj.job.codec = 0x01;
@@ -317,15 +300,12 @@ std::vector<SynthJob> synth_jobs(std::uint64_t seed, const SynthShape& shape,
 }
 
 bool write_synth_container(const std::string& path,
-                           const std::vector<SynthJob>& jobs,
+                           const std::vector<WireFrame>& jobs,
                            std::string* error) {
   try {
     store::ContainerStore store(path);
     tool::InlineFrameSink sink(&store);
-    for (const SynthJob& sj : jobs) {
-      tool::FrameJob job = sj.job;  // copy; submit consumes
-      sink.submit(sj.key, std::move(job));
-    }
+    for (const WireFrame& sj : jobs) sink.submit(sj.key, sj.job);
     store.seal();
     return true;
   } catch (const std::exception& e) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "net/client.h"
-#include "tool/frame.h"
 
 namespace cdc::net {
 
@@ -28,22 +27,27 @@ struct SynthShape {
   bool epochs = true;                ///< attach EpochMeta (epoch index)
 };
 
-struct SynthJob {
-  runtime::StreamKey key;
-  tool::FrameJob job;
-};
-
-/// The deterministic job list client `seed` uploads: generator and
-/// verifier call this with the same arguments and get identical jobs.
-[[nodiscard]] std::vector<SynthJob> synth_jobs(std::uint64_t seed,
-                                               const SynthShape& shape,
-                                               compress::DeflateLevel level);
+/// The deterministic frame list client `seed` uploads: generator and
+/// verifier call this with the same arguments and get identical frames.
+[[nodiscard]] std::vector<WireFrame> synth_jobs(std::uint64_t seed,
+                                                const SynthShape& shape,
+                                                compress::DeflateLevel level);
 
 /// Writes the container `jobs` produce through a local InlineFrameSink —
 /// the oracle side of the byte-identity check.
 [[nodiscard]] bool write_synth_container(const std::string& path,
-                                         const std::vector<SynthJob>& jobs,
+                                         const std::vector<WireFrame>& jobs,
                                          std::string* error = nullptr);
+
+/// The payload seed of client `client` in a run seeded `run_seed` (the
+/// load generator and the chaos sweep share it).
+[[nodiscard]] std::uint64_t client_seed(std::uint64_t run_seed,
+                                        std::size_t client);
+
+/// True when files `a` and `b` hold the same bytes; otherwise *why says
+/// how they differ.
+[[nodiscard]] bool same_file_bytes(const std::string& a, const std::string& b,
+                                   std::string* why);
 
 /// Percentage mix of misbehaving clients (the rest upload normally).
 /// Percentages are of the client population; they must sum to <= 100.

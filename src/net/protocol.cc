@@ -139,19 +139,17 @@ std::vector<std::uint8_t> encode_put_frames(const FrameBatch& batch,
   support::ByteWriter body;
   body.varint(batch.frames.size());
   for (const WireFrame& f : batch.frames) {
+    const tool::FrameJob& job = f.job;
     body.svarint(f.key.rank);
     body.varint(f.key.callsite);
-    body.u8(f.codec);
-    body.varint(f.meta);
-    const std::uint8_t flags =
-        (f.compress ? 1u : 0u) | (f.epoch.has_value() ? 2u : 0u) |
-        (f.pre_encoded ? 4u : 0u);
-    body.u8(flags);
-    if (f.epoch.has_value()) {
-      body.varint(f.epoch->matched);
-      body.varint(f.epoch->unmatched);
+    body.u8(job.codec);
+    body.varint(job.meta);
+    body.u8((job.compress ? 1u : 0u) | (job.epoch.has_value() ? 2u : 0u));
+    if (job.epoch.has_value()) {
+      body.varint(job.epoch->matched);
+      body.varint(job.epoch->unmatched);
     }
-    body.sized_bytes(f.payload);
+    body.sized_bytes(job.payload);
   }
   return encode_message(MsgType::kPutFrames, batch.seq, body.view(), level);
 }
@@ -171,23 +169,23 @@ bool decode_put_frames(const Message& msg, const Limits& limits,
     std::uint64_t callsite = 0;
     std::uint8_t flags = 0;
     if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
-        !in.try_u8(f.codec) || !in.try_varint(f.meta) || !in.try_u8(flags))
+        !in.try_u8(f.job.codec) || !in.try_varint(f.job.meta) ||
+        !in.try_u8(flags) || (flags & ~3u) != 0)
       return false;
     f.key.rank = static_cast<minimpi::Rank>(rank);
     f.key.callsite = static_cast<minimpi::CallsiteId>(callsite);
-    f.compress = (flags & 1u) != 0;
-    f.pre_encoded = (flags & 4u) != 0;
+    f.job.compress = (flags & 1u) != 0;
     if ((flags & 2u) != 0) {
       runtime::EpochMeta epoch;
       if (!in.try_varint(epoch.matched) || !in.try_varint(epoch.unmatched))
         return false;
-      f.epoch = epoch;
+      f.job.epoch = epoch;
     }
     std::span<const std::uint8_t> payload;
     if (!in.try_sized_bytes(payload) ||
         payload.size() > limits.max_frame_bytes)
       return false;
-    f.payload.assign(payload.begin(), payload.end());
+    f.job.payload.assign(payload.begin(), payload.end());
     out.frames.push_back(std::move(f));
   }
   return in.exhausted();

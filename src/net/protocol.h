@@ -45,13 +45,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "compress/deflate.h"
 #include "runtime/storage.h"
+#include "tool/frame.h"
 
 namespace cdc::net {
 
@@ -139,17 +139,12 @@ struct Welcome {
   Limits limits;
 };
 
-/// One record frame inside a PUT_FRAMES batch: the network twin of
-/// tool::FrameJob, plus a pre-encoded escape hatch for re-uploading frames
-/// that are already tool-frame bytes (duplicate-upload and mirror flows).
+/// One record frame inside a PUT_FRAMES batch: the job the recorder hands
+/// its FrameSink, keyed by stream. The wire carries every job field but
+/// `level` — the server encodes each frame at the session's level.
 struct WireFrame {
   runtime::StreamKey key;
-  std::uint8_t codec = 0;
-  std::uint64_t meta = 0;
-  bool compress = true;
-  bool pre_encoded = false;  ///< payload is finished tool-frame bytes
-  std::optional<runtime::EpochMeta> epoch;
-  std::vector<std::uint8_t> payload;
+  tool::FrameJob job;
 };
 
 struct FrameBatch {

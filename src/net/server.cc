@@ -29,7 +29,6 @@
 #include "store/quota.h"
 #include "store/session_journal.h"
 #include "tool/degraded.h"
-#include "tool/frame.h"
 #include "tool/frame_sink.h"
 #include "tool/pipeline_inspect.h"
 
@@ -56,6 +55,8 @@ bool valid_record_name(const std::string& name) {
   }
   return true;
 }
+
+constexpr int kListenBacklog = 128;
 
 /// The container header: magic + version + 3 reserved bytes. A journaled
 /// session with zero durable batches has exactly this prefix on disk.
@@ -212,7 +213,7 @@ struct Server::Impl {
     if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
         0)
       return fail_start(error, "bind");
-    if (::listen(listen_fd, config.listen_backlog) != 0)
+    if (::listen(listen_fd, kListenBacklog) != 0)
       return fail_start(error, "listen");
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
@@ -997,7 +998,7 @@ struct Server::Impl {
         }
         std::uint64_t batch_bytes = 0;
         for (const WireFrame& frame : item.batch.frames)
-          batch_bytes += frame.payload.size();
+          batch_bytes += frame.job.payload.size();
         // Tenant quota on raw payload bytes, checked before any submit so
         // a batch never trips the quota halfway through.
         if (session.raw_bytes + batch_bytes > session.raw_budget) {
@@ -1005,48 +1006,16 @@ struct Server::Impl {
                        "tenant byte quota exhausted");
           continue;
         }
-        // Journal entries describe container frames in file order, so the
-        // epoch flags must be captured per wire frame before the payloads
-        // are moved into the sink.
+        // The journal entry describes the batch's container frames in file
+        // order, so each frame's epoch flag is taken before its job moves.
         std::vector<store::ResumeFrameMeta> metas;
-        if (session.journal != nullptr) {
-          metas.reserve(item.batch.frames.size());
-          for (const WireFrame& frame : item.batch.frames) {
-            store::ResumeFrameMeta meta;
-            meta.has_epoch = frame.epoch.has_value();
-            if (frame.epoch.has_value()) meta.epoch = *frame.epoch;
-            metas.push_back(meta);
-          }
-        }
         for (WireFrame& frame : item.batch.frames) {
-          if (frame.pre_encoded) {
-            // Re-upload path: the payload must already be one valid tool
-            // frame; append it verbatim (no re-encode).
-            support::ByteReader reader(frame.payload);
-            const std::optional<tool::Frame> parsed =
-                tool::read_frame(reader);
-            if (!parsed.has_value() || !reader.exhausted()) {
-              fail_session(session, ErrCode::kBadMessage,
-                           "invalid pre-encoded frame");
-              break;
-            }
-            if (frame.epoch.has_value())
-              session.target->append_epoch(frame.key, frame.payload,
-                                           *frame.epoch);
-            else
-              session.target->append(frame.key, frame.payload);
-          } else {
-            tool::FrameJob job;
-            job.codec = frame.codec;
-            job.meta = frame.meta;
-            job.compress = frame.compress;
-            job.level = session.level;
-            job.epoch = frame.epoch;
-            job.payload = std::move(frame.payload);
-            session.sink->submit(frame.key, std::move(job));
-          }
+          if (session.journal != nullptr)
+            metas.push_back({frame.job.epoch.has_value(),
+                             frame.job.epoch.value_or(runtime::EpochMeta{})});
+          frame.job.level = session.level;
+          session.sink->submit(frame.key, std::move(frame.job));
         }
-        if (session.failed.load(std::memory_order_relaxed)) continue;
         // Durability before acknowledgement (DESIGN.md §14): every frame
         // of this batch is already in the container (the sink appends
         // inline), so flush the container, fsync the journal entry, and

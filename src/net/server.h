@@ -74,7 +74,6 @@ struct ServerConfig {
   /// Test/bench-only throttle: sleep this long per ingested batch on the
   /// session worker, to force queue buildup and exercise backpressure.
   std::uint32_t ingest_delay_us = 0;
-  int listen_backlog = 128;
   /// Test seam: wraps the store each ingest session's sink (and its
   /// durability sync()) writes through — e.g. a store::IoFaultStore to
   /// exercise the fail-before-ack ordering. The wrapped store must

@@ -35,24 +35,6 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-std::vector<WireFrame> wire_frames(const std::vector<SynthJob>& jobs,
-                                   std::size_t begin, std::size_t end) {
-  std::vector<WireFrame> frames;
-  frames.reserve(end - begin);
-  for (std::size_t i = begin; i < end && i < jobs.size(); ++i) {
-    const SynthJob& sj = jobs[i];
-    WireFrame frame;
-    frame.key = sj.key;
-    frame.codec = sj.job.codec;
-    frame.meta = sj.job.meta;
-    frame.compress = sj.job.compress;
-    frame.epoch = sj.job.epoch;
-    frame.payload = sj.job.payload;
-    frames.push_back(std::move(frame));
-  }
-  return frames;
-}
-
 class ResumeLoopbackTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kFramesPerBatch = 6;
@@ -116,8 +98,9 @@ class ResumeLoopbackTest : public ::testing::Test {
   [[nodiscard]] bool put_batches(Client& client, std::size_t from,
                                  std::size_t to) {
     for (std::size_t b = from; b < to; ++b) {
-      if (!client.put(wire_frames(jobs_, b * kFramesPerBatch,
-                                  (b + 1) * kFramesPerBatch)))
+      if (!client.put(std::vector<WireFrame>(
+              jobs_.begin() + b * kFramesPerBatch,
+              jobs_.begin() + (b + 1) * kFramesPerBatch)))
         return false;
     }
     return true;
@@ -155,7 +138,7 @@ class ResumeLoopbackTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
-  std::vector<SynthJob> jobs_;
+  std::vector<WireFrame> jobs_;
   std::unique_ptr<Server> server_;
 };
 

@@ -34,23 +34,6 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// Converts deterministic synth jobs to the wire representation.
-std::vector<WireFrame> wire_frames(const std::vector<SynthJob>& jobs) {
-  std::vector<WireFrame> frames;
-  frames.reserve(jobs.size());
-  for (const SynthJob& sj : jobs) {
-    WireFrame frame;
-    frame.key = sj.key;
-    frame.codec = sj.job.codec;
-    frame.meta = sj.job.meta;
-    frame.compress = sj.job.compress;
-    frame.epoch = sj.job.epoch;
-    frame.payload = sj.job.payload;
-    frames.push_back(std::move(frame));
-  }
-  return frames;
-}
-
 class ServerLoopbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -109,7 +92,7 @@ class ServerLoopbackTest : public ::testing::Test {
     ASSERT_NE(client, nullptr);
     const auto jobs =
         synth_jobs(seed, shape, compress::DeflateLevel::kFast);
-    ASSERT_TRUE(client->put(wire_frames(jobs))) << client->last_error();
+    ASSERT_TRUE(client->put(jobs)) << client->last_error();
     Sealed sealed;
     ASSERT_TRUE(client->seal(&sealed)) << client->last_error();
     EXPECT_GT(sealed.frames, 0u);
@@ -251,7 +234,7 @@ TEST_F(ServerLoopbackTest, ByteQuotaExhaustionAbortsRecord) {
   shape.payload_bytes = 4096;
   const auto jobs = synth_jobs(11, shape, compress::DeflateLevel::kFast);
   // Either the put or the seal must surface the quota error.
-  bool failed = !client->put(wire_frames(jobs));
+  bool failed = !client->put(jobs);
   if (!failed) failed = !client->seal();
   ASSERT_TRUE(failed);
   EXPECT_EQ(client->last_code(), ErrCode::kQuota) << client->last_error();
@@ -286,11 +269,11 @@ TEST_F(ServerLoopbackTest, PutAfterSealRejected) {
   SynthShape shape;
   shape.batches = 1;
   const auto jobs = synth_jobs(9, shape, compress::DeflateLevel::kFast);
-  ASSERT_TRUE(client->put(wire_frames(jobs)));
+  ASSERT_TRUE(client->put(jobs));
   ASSERT_TRUE(client->seal());
   // The offending put may succeed locally (it rides inside the ack
   // window); the server's ERROR surfaces on the next read.
-  if (client->put(wire_frames(jobs))) {
+  if (client->put(jobs)) {
     std::string json;
     EXPECT_FALSE(client->inspect(InspectKind::kVerify, &json));
   }
@@ -322,9 +305,9 @@ TEST_F(ServerLoopbackTest, OversizedFrameRejected) {
   ASSERT_NE(client, nullptr);
   WireFrame frame;
   frame.key = runtime::StreamKey{0, 1};
-  frame.codec = 0x01;
-  frame.compress = false;
-  frame.payload.assign((1 << 10) + 1, 0xAB);
+  frame.job.codec = 0x01;
+  frame.job.compress = false;
+  frame.job.payload.assign((1 << 10) + 1, 0xAB);
   bool failed = !client->put({frame});
   if (!failed) failed = !client->seal();
   EXPECT_TRUE(failed);
@@ -344,7 +327,7 @@ TEST_F(ServerLoopbackTest, DisconnectMidIngestDiscardsPartialRecord) {
     SynthShape shape;
     shape.batches = 2;
     const auto jobs = synth_jobs(13, shape, compress::DeflateLevel::kFast);
-    ASSERT_TRUE(client->put(wire_frames(jobs)));
+    ASSERT_TRUE(client->put(jobs));
     // Drop the connection without sealing.
   }
   EXPECT_TRUE(wait_for(
@@ -372,7 +355,7 @@ TEST_F(ServerLoopbackTest, BackpressureSuspendsSlowConsumerSessions) {
   const auto jobs = synth_jobs(17, shape, compress::DeflateLevel::kFast);
   // Many small batches, pushed faster than the worker drains.
   for (int i = 0; i < 32; ++i)
-    ASSERT_TRUE(client->put(wire_frames(jobs))) << client->last_error();
+    ASSERT_TRUE(client->put(jobs)) << client->last_error();
   ASSERT_TRUE(client->seal()) << client->last_error();
   client->bye();
 
@@ -381,7 +364,7 @@ TEST_F(ServerLoopbackTest, BackpressureSuspendsSlowConsumerSessions) {
   EXPECT_EQ(stats.sessions_sealed, 1u);
 
   // Oracle: the same 32× workload written locally.
-  std::vector<SynthJob> all;
+  std::vector<WireFrame> all;
   for (int i = 0; i < 32; ++i)
     all.insert(all.end(), jobs.begin(), jobs.end());
   const std::string local = (dir_ / "local-pressured.cdcc").string();
