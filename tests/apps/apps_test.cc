@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "apps/jacobi.h"
 #include "apps/mcb.h"
@@ -192,6 +194,43 @@ TEST(TaskFarm, ZeroTasks) {
   const auto result = run_taskfarm(sim, config);
   EXPECT_EQ(result.completed, 0u);
   EXPECT_DOUBLE_EQ(result.accumulated, 0.0);
+}
+
+/// A double's bit pattern: golden values pin every last bit.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(AppsGolden, DefaultParametersPinResults) {
+  // One run per app at noise seed 7, every parameter not set here at its
+  // default. The result bits, the virtual end time and the event count
+  // change whenever a default does: the simulator's latency, jitter and
+  // call cost, and each app's per-item costs, seeds and receive depth.
+  McbConfig mcb;
+  mcb.grid_x = 3;
+  mcb.grid_y = 3;
+  mcb.particles_per_rank = 100;
+  minimpi::Simulator mcb_sim(sim_config(9, 7), nullptr);
+  const McbResult mcb_result = run_mcb(mcb_sim, mcb);
+  EXPECT_EQ(bits(mcb_result.global_tally), 0x40b2da43f9ceacf7ull);
+  EXPECT_EQ(bits(mcb_sim.stats().end_time), 0x3f575ef7065c3a63ull);
+  EXPECT_EQ(mcb_sim.stats().scheduler_events, 9297u);
+
+  TaskFarmConfig farm;
+  farm.tasks = 200;
+  minimpi::Simulator farm_sim(sim_config(6, 7), nullptr);
+  const TaskFarmResult farm_result = run_taskfarm(farm_sim, farm);
+  EXPECT_EQ(bits(farm_result.accumulated), 0x40729ee4ea61f6f5ull);
+  EXPECT_EQ(bits(farm_sim.stats().end_time), 0x3f32964fc7a60690ull);
+  EXPECT_EQ(farm_sim.stats().scheduler_events, 1416u);
+
+  JacobiConfig jacobi;
+  jacobi.grid_x = 2;
+  jacobi.grid_y = 2;
+  jacobi.iterations = 20;
+  minimpi::Simulator jacobi_sim(sim_config(4, 7), nullptr);
+  const JacobiResult jacobi_result = run_jacobi(jacobi_sim, jacobi);
+  EXPECT_EQ(bits(jacobi_result.residual), 0x405827684a7696f2ull);
+  EXPECT_EQ(bits(jacobi_sim.stats().end_time), 0x3f125b892434373dull);
+  EXPECT_EQ(jacobi_sim.stats().scheduler_events, 522u);
 }
 
 }  // namespace

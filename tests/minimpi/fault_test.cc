@@ -3,8 +3,12 @@
 // run bit-identical).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apps/taskfarm.h"
 #include "minimpi/fault.h"
+#include "minimpi/schedule_fuzzer.h"
 #include "minimpi/simulator.h"
 #include "runtime/storage.h"
 #include "support/oracle.h"
@@ -147,6 +151,48 @@ TEST(FaultPlan, ObserverHookSeesEveryMessageFault) {
   EXPECT_EQ(probe.fault_count(minimpi::FaultKind::kDuplicate),
             stats.duplicates_injected);
   EXPECT_EQ(probe.fault_count(minimpi::FaultKind::kRankStall), stats.stalls);
+}
+
+TEST(FaultGolden, TransportClassesPinTallies) {
+  // The fuzzer's plan for each transport class at fault seed 5, on the
+  // 6-rank, 120-task farm. Every tally and the virtual end time depend on
+  // the plan's constants (spike factor, burst length and spread, stall
+  // mean) as well as on its probabilities.
+  struct Golden {
+    fuzz::FaultClass cls;
+    std::uint64_t delay_spikes, reorder_bursts, burst_messages,
+        duplicates_injected, duplicates_dropped, stalls, stall_seconds_bits,
+        rank_kills, end_time_bits;
+  };
+  const Golden cases[] = {
+      {fuzz::FaultClass::kDelaySpike, 9, 0, 0, 0, 0, 0, 0x0ull, 0,
+       0x3f417284f7c28e0full},
+      {fuzz::FaultClass::kReorderBurst, 0, 3, 23, 0, 0, 0, 0x0ull, 0,
+       0x3f32739b6a8c1c3bull},
+      {fuzz::FaultClass::kDuplicate, 0, 0, 0, 9, 9, 0, 0x0ull, 0,
+       0x3f26e7687400fd8bull},
+      {fuzz::FaultClass::kRankStall, 0, 0, 0, 0, 0, 2,
+       0x3f131400054c1842ull, 0, 0x3f2c05dd738c0193ull},
+      {fuzz::FaultClass::kAll, 8, 2, 16, 10, 10, 0, 0x0ull, 0,
+       0x3f402b07205dd61eull},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(fuzz::fault_class_name(g.cls));
+    minimpi::Simulator sim(config_with(fuzz::plan_for(g.cls, 5)));
+    apps::run_taskfarm(sim, farm());
+    const minimpi::FaultStats& got = sim.fault_stats();
+    EXPECT_EQ(got.delay_spikes, g.delay_spikes);
+    EXPECT_EQ(got.reorder_bursts, g.reorder_bursts);
+    EXPECT_EQ(got.burst_messages, g.burst_messages);
+    EXPECT_EQ(got.duplicates_injected, g.duplicates_injected);
+    EXPECT_EQ(got.duplicates_dropped, g.duplicates_dropped);
+    EXPECT_EQ(got.stalls, g.stalls);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stall_seconds),
+              g.stall_seconds_bits);
+    EXPECT_EQ(got.rank_kills, g.rank_kills);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim.stats().end_time),
+              g.end_time_bits);
+  }
 }
 
 }  // namespace
