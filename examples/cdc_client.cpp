@@ -33,7 +33,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s --host H --port P --token T [--level L]\n"
       "          [--timeout-ms N] [--connect-timeout-ms N]\n"
-      "          [--retries N] [--resume] [--protocol V] COMMAND...\n"
+      "          [--retries N] [--resume] COMMAND...\n"
       "  put REC FILE.cdcc        upload a sealed container as record REC;\n"
       "                           each frame is re-framed at the negotiated\n"
       "                           level (byte-identical at the recording's)\n"
@@ -45,10 +45,10 @@ void usage(const char* argv0) {
       "                           (with both set, surviving records are\n"
       "                           byte-verified against a local rebuild)\n"
       "Numbers are whole unsigned decimals: --port in [1, 65535],\n"
-      "--clients in [1, 1024], --timeout-ms, --connect-timeout-ms,\n"
-      "--retries and --protocol at most 4294967295, --batches and\n"
-      "--frames in [1, 1000000], --payload in [1, 16777216], each\n"
-      "--faults percentage at most 100, LO < HI.\n",
+      "--clients in [1, 1024], --timeout-ms, --connect-timeout-ms\n"
+      "and --retries at most 4294967295, --batches and --frames in\n"
+      "[1, 1000000], --payload in [1, 16777216], each --faults\n"
+      "percentage at most 100, LO < HI.\n",
       argv0);
 }
 
@@ -224,9 +224,6 @@ bool parse_flags(int argc, char** argv, int& i,
       base.max_reconnects = static_cast<std::uint32_t>(n);
     } else if (arg == "--resume") {
       base.resumable = true;
-    } else if (arg == "--protocol") {
-      if (!number(0, kU32)) return false;
-      base.version = static_cast<std::uint32_t>(n);
     } else if (arg == "--clients") {
       // One thread per client: the cap keeps a typo from starting
       // thousands of them.

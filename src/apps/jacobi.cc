@@ -20,6 +20,8 @@ using minimpi::Task;
 // hidden-deterministic.
 enum Direction : int { kWest = 0, kEast = 1, kNorth = 2, kSouth = 3 };
 constexpr int kNumDirections = 4;
+/// Virtual seconds per cell update.
+constexpr double kCellCost = 5.0e-9;
 
 std::vector<std::uint8_t> pack_doubles(const std::vector<double>& values) {
   std::vector<std::uint8_t> bytes(values.size() * sizeof(double));
@@ -131,7 +133,7 @@ Task jacobi_rank(Comm& comm, JacobiConfig cfg, SharedResult* shared) {
       }
     }
     std::swap(u, u_next);
-    co_await comm.compute(static_cast<double>(nx) * ny * cfg.cell_cost);
+    co_await comm.compute(static_cast<double>(nx) * ny * kCellCost);
   }
 
   std::vector<double> contributions = {residual};

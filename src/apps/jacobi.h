@@ -22,7 +22,6 @@ struct JacobiConfig {
   int local_nx = 16;  ///< interior cells per rank, x
   int local_ny = 16;  ///< interior cells per rank, y
   int iterations = 1000;  ///< the paper records 1K iterations
-  double cell_cost = 5.0e-9;  ///< virtual seconds per cell update
 };
 
 inline constexpr minimpi::CallsiteId kJacobiHaloCallsite = 1;

@@ -19,6 +19,12 @@ using minimpi::Task;
 constexpr int kParticleTag = 10;
 constexpr int kDoneTag = 11;
 constexpr int kStopTag = 12;
+/// Outstanding particle receives per neighbour.
+constexpr int kRecvsPerNeighbour = 4;
+/// Virtual seconds per track segment.
+constexpr double kTrackCost = 1.0e-6;
+/// Seeds particle initialisation (noise-independent).
+constexpr std::uint64_t kPhysicsSeed = 12345;
 
 /// A particle in flight. Carries its own RNG state so that its trajectory
 /// is a pure function of its state — independent of the order in which
@@ -102,7 +108,7 @@ Task mcb_rank(Comm& comm, McbConfig cfg, SharedResult* shared) {
 
   // Deterministic particle initialisation (independent of the noise seed:
   // the physics is identical across runs, only message timing varies).
-  std::uint64_t init_rng = cfg.physics_seed * 1000003ull +
+  std::uint64_t init_rng = kPhysicsSeed * 1000003ull +
                            static_cast<std::uint64_t>(rank);
   std::deque<Particle> local;
   for (int i = 0; i < cfg.particles_per_rank; ++i) {
@@ -122,10 +128,9 @@ Task mcb_rank(Comm& comm, McbConfig cfg, SharedResult* shared) {
   // outstanding receives per peer so bursts drain in one Testsome.
   std::vector<Request> particle_recvs;
   std::vector<Rank> recv_owner;
-  particle_recvs.reserve(neighbours.size() *
-                         static_cast<std::size_t>(cfg.recvs_per_neighbour));
+  particle_recvs.reserve(neighbours.size() * kRecvsPerNeighbour);
   for (const Rank nb : neighbours) {
-    for (int i = 0; i < cfg.recvs_per_neighbour; ++i) {
+    for (int i = 0; i < kRecvsPerNeighbour; ++i) {
       particle_recvs.push_back(comm.irecv(nb, kParticleTag));
       recv_owner.push_back(nb);
     }
@@ -180,11 +185,12 @@ Task mcb_rank(Comm& comm, McbConfig cfg, SharedResult* shared) {
     // loop that yields while waiting for work or the stop message.
     if (processed > 0) {
       idle_rounds = 0;
-      co_await comm.compute(static_cast<double>(processed) * cfg.track_cost);
+      co_await comm.compute(static_cast<double>(processed) * kTrackCost);
     } else {
       idle_rounds = std::min(idle_rounds + 1, 2);
-      co_await comm.compute(static_cast<double>(cfg.tracks_per_poll << idle_rounds) *
-                            cfg.track_cost);
+      co_await comm.compute(
+          static_cast<double>(cfg.tracks_per_poll << idle_rounds) *
+          kTrackCost);
     }
 
     // Phase 2: stream completion counts to rank 0, batched to keep the

@@ -35,9 +35,6 @@ struct McbConfig {
   int particles_per_rank = 4000;  ///< weak scaling, as in §6.2
   int segments_per_particle = 12; ///< mean track segments until absorption
   int tracks_per_poll = 8;        ///< local work between Testsome polls
-  int recvs_per_neighbour = 4;    ///< outstanding irecvs per neighbour
-  double track_cost = 1.0e-6;     ///< virtual seconds per track segment
-  std::uint64_t physics_seed = 12345;  ///< particle init (noise-independent)
 };
 
 /// MF callsites (the §4.4 identification keys).

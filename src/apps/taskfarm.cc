@@ -15,6 +15,10 @@ using minimpi::Task;
 
 constexpr int kTaskTag = 20;
 constexpr int kResultTag = 21;
+/// Mean virtual seconds per item; each item's cost varies around it.
+constexpr double kTaskCostMean = 4e-6;
+/// Seeds the deterministic per-item cost and value.
+constexpr std::uint64_t kWorkSeed = 99;
 
 struct WorkItem {
   std::int64_t id = 0;
@@ -86,7 +90,7 @@ Task master_rank(Comm& comm, TaskFarmConfig cfg, SharedResult* shared) {
     if (res.failed) {
       // ULFM shrink: write off the task each dead worker held and drop the
       // worker from the wait set; the farm continues on the survivors. A
-      // timeout naming no culprit means nothing can be attributed — stop.
+      // failure naming no active worker leaves nothing to shrink — stop.
       bool shrunk = false;
       for (const Rank dead : res.failed_ranks) {
         const int w = static_cast<int>(dead) - 1;
@@ -119,7 +123,7 @@ Task master_rank(Comm& comm, TaskFarmConfig cfg, SharedResult* shared) {
   }
 }
 
-Task worker_rank(Comm& comm, TaskFarmConfig cfg) {
+Task worker_rank(Comm& comm) {
   for (;;) {
     Request req = comm.irecv(0, kTaskTag);
     auto res = co_await comm.wait(req, kFarmTaskCallsite);
@@ -130,9 +134,9 @@ Task worker_rank(Comm& comm, TaskFarmConfig cfg) {
 
     // Deterministic per-item cost and value: only completion ORDER varies
     // between runs.
-    const std::uint64_t h = hash_id(cfg.work_seed, item.id);
+    const std::uint64_t h = hash_id(kWorkSeed, item.id);
     const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;
-    co_await comm.compute(cfg.task_cost_mean * (0.25 + 1.5 * unit));
+    co_await comm.compute(kTaskCostMean * (0.25 + 1.5 * unit));
     WorkResult result;
     result.id = item.id;
     result.value = 1.0 + unit;
@@ -149,11 +153,8 @@ TaskFarmResult run_taskfarm(minimpi::Simulator& sim,
   sim.set_program(0, [config, shared](Comm& comm) {
     return master_rank(comm, config, shared.get());
   });
-  for (Rank r = 1; r < sim.size(); ++r) {
-    sim.set_program(r, [config](Comm& comm) {
-      return worker_rank(comm, config);
-    });
-  }
+  for (Rank r = 1; r < sim.size(); ++r)
+    sim.set_program(r, [](Comm& comm) { return worker_rank(comm); });
   const minimpi::Simulator::Stats stats = sim.run();
 
   TaskFarmResult result;

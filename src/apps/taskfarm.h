@@ -24,9 +24,7 @@
 namespace cdc::apps {
 
 struct TaskFarmConfig {
-  int tasks = 500;              ///< total work items
-  double task_cost_mean = 4e-6; ///< virtual seconds per item (varies by item)
-  std::uint64_t work_seed = 99; ///< deterministic per-item cost/value
+  int tasks = 500;  ///< total work items
 };
 
 inline constexpr minimpi::CallsiteId kFarmResultCallsite = 1;

@@ -65,26 +65,12 @@ struct FaultPlan {
   /// every fuzzer failure report relies on).
   std::uint64_t seed = 0;
 
-  // --- Delay spikes.
+  // Each class's magnitude is a constant in simulator.cc; the plan sets
+  // only how often it fires.
   double delay_spike_probability = 0.0;
-  /// Extra latency: uniform in [0.5, 1.5] x factor x (base + jitter mean).
-  double delay_spike_factor = 100.0;
-
-  // --- Reordering bursts.
   double reorder_burst_probability = 0.0;  ///< chance a burst starts
-  std::uint32_t reorder_burst_length = 8;  ///< sends affected per burst
-  /// Each burst message gets uniform extra latency in
-  /// [0, spread x (base + jitter mean)] — wide enough to scramble the
-  /// interleaving of every in-burst sender.
-  double reorder_burst_spread = 30.0;
-
-  // --- Duplicate delivery.
   double duplicate_probability = 0.0;
-
-  // --- Rank stalls.
   double stall_probability = 0.0;
-  /// Stall length: uniform in [0.5, 1.5] x mean seconds.
-  double stall_mean = 5.0e-5;
 
   // --- Rank kills (deterministic schedule, not probabilistic: a kill is a
   // scenario under test, not background noise).

@@ -53,13 +53,13 @@ thread_local Simulator::ParallelState::Worker*
 
 Simulator::Stats Simulator::run() {
   CDC_CHECK_MSG(!running_, "run() is not reentrant");
-  CDC_CHECK_MSG(config_.base_latency > 0.0,
+  static_assert(Config::base_latency > 0.0,
                 "the simulator needs base_latency > 0 — it is the "
                 "conservative lookahead");
   ParallelState ps;
   // More workers than ranks would only contend on the ready list.
   ps.workers = std::clamp(config_.workers, 1, size());
-  ps.lookahead = config_.base_latency;
+  ps.lookahead = Config::base_latency;
   return ps.drive(*this);
 }
 
@@ -131,7 +131,6 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     sim.stats_.unmatched_tests += s.stats.unmatched_tests;
     sim.stats_.scheduler_events += s.stats.scheduler_events;
     sim.stats_.mf_failures += s.stats.mf_failures;
-    sim.stats_.mf_timeouts += s.stats.mf_timeouts;
     sim.stats_.ranks_failed += s.stats.ranks_failed;
     sim.stats_.max_queue_depth =
         std::max(sim.stats_.max_queue_depth, s.stats.max_queue_depth);
@@ -402,13 +401,6 @@ void Simulator::ParallelState::run_rank(Simulator& sim, Worker& me,
       case Simulator::EventType::kKill:
         sim.kill_rank(rank);
         break;
-      case Simulator::EventType::kTimeout: {
-        if (ctx.failed || ctx.finished || !ctx.mf_active) break;
-        if (ctx.mf_epoch != ev.payload) break;  // stale timer
-        ++s.stats.mf_timeouts;
-        sim.fail_mf(rank, /*timed_out=*/true, {});
-        break;
-      }
     }
   }
 }

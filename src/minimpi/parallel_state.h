@@ -41,7 +41,6 @@ struct Simulator::ParallelState {
     EventType type = EventType::kResume;
     Rank rank = -1;                  ///< destination rank
     std::coroutine_handle<> handle;  ///< kResume only
-    std::uint64_t payload = 0;       ///< kTimeout: the armed mf_epoch
     std::unique_ptr<Message> msg;    ///< kDeliver only
   };
 

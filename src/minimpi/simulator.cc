@@ -9,6 +9,32 @@
 
 namespace cdc::minimpi {
 
+namespace {
+
+/// Virtual seconds per tree level of a barrier or allreduce.
+constexpr double kCollectiveHopCost = 1.0e-6;
+
+// Fault-plan magnitudes (fault.h); the plan sets only the probabilities.
+/// A delay spike's extra latency: uniform in [0.5, 1.5] x factor x
+/// (base + jitter mean).
+constexpr double kDelaySpikeFactor = 100.0;
+/// Sends affected per reorder burst.
+constexpr std::uint32_t kReorderBurstLength = 8;
+/// Each burst message gets uniform extra latency in
+/// [0, spread x (base + jitter mean)] — wide enough to scramble the
+/// interleaving of every in-burst sender.
+constexpr double kReorderBurstSpread = 30.0;
+/// A rank stall's length: uniform in [0.5, 1.5] x mean seconds.
+constexpr double kStallMean = 5.0e-5;
+
+bool envelope_matches(Rank source_spec, int tag_spec, Rank source,
+                      int tag) noexcept {
+  return (source_spec == kAnySource || source_spec == source) &&
+         (tag_spec == kAnyTag || tag_spec == tag);
+}
+
+}  // namespace
+
 // --- Awaiters -------------------------------------------------------------
 
 void ComputeAwaiter::await_suspend(std::coroutine_handle<> handle) {
@@ -71,15 +97,10 @@ void MFAwaiter::await_suspend(std::coroutine_handle<> handle) {
   ctx.mf = this;
   ctx.mf_continuation = handle;
   ctx.mf_poll_scheduled = true;
-  ++ctx.mf_epoch;
   double call_cost = sim->config_.mpi_call_cost;
   if (sim->hooks_ != &sim->default_hooks_)
     call_cost += sim->config_.tool_call_cost;
   sim->schedule(ctx.time + call_cost, Simulator::EventType::kPoll, rank);
-  if (sim->config_.mf_timeout > 0.0)
-    sim->schedule(ctx.time + call_cost + sim->config_.mf_timeout,
-                  Simulator::EventType::kTimeout, rank, nullptr,
-                  ctx.mf_epoch);
 }
 
 void BarrierAwaiter::await_suspend(std::coroutine_handle<> handle) {
@@ -194,10 +215,9 @@ void Simulator::set_program(Rank rank, const Program& program) {
 }
 
 void Simulator::schedule(double time, EventType type, Rank rank,
-                         std::coroutine_handle<> handle,
-                         std::uint64_t payload) {
+                         std::coroutine_handle<> handle) {
   // Rank stalls pause a rank's resume/poll — never a network delivery,
-  // and never the fault-plan timers (kills, MF timeouts).
+  // and never a fault-plan kill.
   if (type == EventType::kResume || type == EventType::kPoll)
     time = maybe_stall(time, rank);
   // Every event scheduled here targets the rank whose context is
@@ -213,7 +233,6 @@ void Simulator::schedule(double time, EventType type, Rank rank,
   ev.type = type;
   ev.rank = rank;
   ev.handle = handle;
-  ev.payload = payload;
   shard.push(std::move(ev));
 }
 
@@ -223,7 +242,7 @@ double Simulator::maybe_stall(double time, Rank rank) {
   ParallelState::Shard& shard = par_->shard(rank);
   support::Xoshiro256& rng = shard.fault_rng;
   if (rng.uniform() >= plan.stall_probability) return time;
-  const double stall = plan.stall_mean * (0.5 + rng.uniform());
+  const double stall = kStallMean * (0.5 + rng.uniform());
   FaultStats& tallies = shard.fault_stats;
   ++tallies.stalls;
   tallies.stall_seconds += stall;
@@ -241,7 +260,7 @@ double Simulator::apply_message_faults(double latency, Rank src, Rank dst) {
   std::uint32_t& burst_remaining = shard.burst_remaining;
   if (plan.delay_spike_probability > 0.0 &&
       rng.uniform() < plan.delay_spike_probability) {
-    latency += plan.delay_spike_factor * scale * (0.5 + rng.uniform());
+    latency += kDelaySpikeFactor * scale * (0.5 + rng.uniform());
     ++tallies.delay_spikes;
     obs::trace_instant("fault.delay_spike", dst);
     hooks_->on_fault(FaultKind::kDelaySpike, dst);
@@ -249,12 +268,12 @@ double Simulator::apply_message_faults(double latency, Rank src, Rank dst) {
   if (plan.reorder_burst_probability > 0.0) {
     if (burst_remaining == 0 &&
         rng.uniform() < plan.reorder_burst_probability) {
-      burst_remaining = plan.reorder_burst_length;
+      burst_remaining = kReorderBurstLength;
       ++tallies.reorder_bursts;
     }
     if (burst_remaining > 0) {
       --burst_remaining;
-      latency += rng.uniform() * plan.reorder_burst_spread * scale;
+      latency += rng.uniform() * kReorderBurstSpread * scale;
       ++tallies.burst_messages;
       obs::trace_instant("fault.reorder_burst", dst);
       hooks_->on_fault(FaultKind::kReorderBurst, dst);
@@ -358,19 +377,6 @@ Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
   ctx.posted_recvs.push_back(id);
   return Request{id};
 }
-
-namespace {
-
-/// Virtual seconds per tree level of a barrier or allreduce.
-constexpr double kCollectiveHopCost = 1.0e-6;
-
-bool envelope_matches(Rank source_spec, int tag_spec, Rank source,
-                      int tag) noexcept {
-  return (source_spec == kAnySource || source_spec == source) &&
-         (tag_spec == kAnyTag || tag_spec == tag);
-}
-
-}  // namespace
 
 void Simulator::insert_unexpected(Rank rank, RankCtx& ctx,
                                   Message&& message) {
@@ -792,8 +798,7 @@ void Simulator::kill_rank(Rank rank) {
   par_->collective_dirty.store(true, std::memory_order_release);
 }
 
-void Simulator::fail_mf(Rank rank, bool timed_out,
-                        std::vector<Rank> failed_ranks) {
+void Simulator::fail_mf(Rank rank, std::vector<Rank> failed_ranks) {
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
   CDC_CHECK(ctx.mf_active);
   MFAwaiter& mf = *ctx.mf;
@@ -802,10 +807,9 @@ void Simulator::fail_mf(Rank rank, bool timed_out,
                      failed_ranks.end());
   mf.result.flag = false;
   mf.result.failed = true;
-  mf.result.timed_out = timed_out;
   mf.result.failed_ranks = std::move(failed_ranks);
   ++par_->shard(rank).stats.mf_failures;
-  obs::trace_instant(timed_out ? "mf.timeout" : "mf.proc_failed", rank);
+  obs::trace_instant("mf.proc_failed", rank);
 
   ctx.mf_active = false;
   ctx.mf = nullptr;
@@ -818,9 +822,9 @@ void Simulator::fail_mf(Rank rank, bool timed_out,
 bool Simulator::shrink_failed_waits() {
   // Called at the terminal drain: no event is pending and re-polling
   // made no progress, so no in-flight message can satisfy anything. A
-  // pending receive whose sender died (or — opt-in — finished) will never
-  // match; fail the covering MF call so the application can shrink its
-  // wait set and carry on instead of deadlocking.
+  // pending receive whose sender died will never match; fail the covering
+  // MF call so the application can shrink its wait set and carry on
+  // instead of deadlocking.
   bool any_failed = false;
   for (int r = 0; r < size(); ++r) {
     auto& ctx = ranks_[static_cast<std::size_t>(r)];
@@ -835,31 +839,18 @@ bool Simulator::shrink_failed_waits() {
         wildcard = true;
         continue;
       }
-      const auto& src = ranks_[static_cast<std::size_t>(req.source_spec)];
-      if (src.failed ||
-          (config_.fail_unsatisfiable_waits && src.finished))
+      if (ranks_[static_cast<std::size_t>(req.source_spec)].failed)
         implicated.push_back(req.source_spec);
     }
     if (wildcard) {
       // ULFM: an ANY_SOURCE wait is implicated whenever any rank failed
-      // (MPI_ERR_PROC_FAILED_PENDING) — and, with the opt-in, when every
-      // other rank has finished and can never send again.
+      // (MPI_ERR_PROC_FAILED_PENDING).
       for (int s = 0; s < size(); ++s)
         if (ranks_[static_cast<std::size_t>(s)].failed)
           implicated.push_back(s);
-      if (implicated.empty() && config_.fail_unsatisfiable_waits) {
-        bool all_done = true;
-        for (int s = 0; s < size(); ++s) {
-          if (s == r) continue;
-          if (!ranks_[static_cast<std::size_t>(s)].finished) all_done = false;
-        }
-        if (all_done)
-          for (int s = 0; s < size(); ++s)
-            if (s != r) implicated.push_back(s);
-      }
     }
     if (implicated.empty()) continue;
-    fail_mf(r, /*timed_out=*/false, std::move(implicated));
+    fail_mf(r, std::move(implicated));
     any_failed = true;
   }
   return any_failed;
@@ -915,7 +906,6 @@ void Simulator::emit_obs_stats() {
            fault_stats_.rank_kills);
   obs::counter("sim.ranks_failed").add(stats_.ranks_failed);
   obs::counter("sim.mf_failures").add(stats_.mf_failures);
-  obs::counter("sim.mf_timeouts").add(stats_.mf_timeouts);
   // Per-run values: one sample per run, so the snapshot's exact max is the
   // largest run's and the count is the number of runs.
   obs::histogram("sim.max_queue_depth").record(stats_.max_queue_depth);

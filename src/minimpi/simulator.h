@@ -1,16 +1,16 @@
 // The MiniMPI discrete-event simulator.
 //
 // Architecture: one coroutine per rank, and one event heap and virtual
-// clock per rank (a shard). Five event kinds exist — rank resume (compute
+// clock per rank (a shard). Four event kinds exist — rank resume (compute
 // finished), message delivery (a send's latency elapsed at the receiver),
 // MF poll (a matching-function call re-examines its request set), and the
-// fault plan's rank kills and MF timeouts. Message latency = base +
-// Exp(jitter_mean) drawn from the sender's seeded RNG stream; the same
-// seed reproduces a run bit-for-bit, different seeds permute
-// application-level receive orders — the non-determinism the paper's tool
-// records and replays. Per-(source,destination) delivery is forced
-// non-overtaking, matching MPI's ordering guarantee (§3.1 / Figure 3: the
-// MPI level is ordered per channel; the application level is not).
+// fault plan's rank kills. Message latency = base + Exp(jitter_mean)
+// drawn from the sender's seeded RNG stream; the same seed reproduces a
+// run bit-for-bit, different seeds permute application-level receive
+// orders — the non-determinism the paper's tool records and replays.
+// Per-(source,destination) delivery is forced non-overtaking, matching
+// MPI's ordering guarantee (§3.1 / Figure 3: the MPI level is ordered per
+// channel; the application level is not).
 //
 // run() drives the shards in conservative time windows (DESIGN.md §15):
 // every rank applies its events below the horizon, then all meet at a
@@ -161,9 +161,11 @@ class Simulator {
     /// The run is identical for every value: only wall time changes.
     int workers = 0;
     std::uint64_t noise_seed = 1;      ///< permutes message arrival orders
-    double base_latency = 1.0e-6;      ///< seconds, per message
-    double jitter_mean = 5.0e-7;       ///< mean of exponential noise term
-    double mpi_call_cost = 5.0e-8;     ///< virtual cost of one MPI call
+    static constexpr double base_latency = 1.0e-6;  ///< seconds, per message
+    /// Mean of the exponential noise term.
+    static constexpr double jitter_mean = 5.0e-7;
+    /// Virtual cost of one MPI call.
+    static constexpr double mpi_call_cost = 5.0e-8;
     /// Virtual cost charged to the application thread per delivered
     /// receive event when a tool is attached — models the enqueue +
     /// interference cost of recording (Figure 16's overhead). Calibrate
@@ -175,16 +177,6 @@ class Simulator {
     /// Virtual cost charged per send for clock piggybacking (§6.2 measures
     /// 1.18% end-to-end for 8-byte piggyback data).
     double piggyback_send_cost = 0.0;
-    /// Matching-function timeout in virtual seconds (0 = wait forever, the
-    /// MPI default). A pending MF call still unsatisfied this long after it
-    /// was issued fails with MFResult::timed_out instead of blocking the
-    /// simulation — the escape hatch for survivor ranks whose peers died.
-    double mf_timeout = 0.0;
-    /// When true, a wait whose remaining senders have all *finished* (not
-    /// just failed) also fails with MFResult::failed at the terminal drain
-    /// instead of deadlocking; failed_ranks then names those finished
-    /// ranks. Off by default: an untooled MPI run deadlocks there.
-    bool fail_unsatisfiable_waits = false;
     /// Seeded transport-fault schedule (see fault.h). Disabled by default;
     /// a disabled plan draws nothing from the fault RNG, so the run is
     /// bit-identical to one without the field.
@@ -198,7 +190,6 @@ class Simulator {
     std::uint64_t unmatched_tests = 0;
     std::uint64_t scheduler_events = 0;
     std::uint64_t mf_failures = 0;  ///< MF calls failed (ULFM-style)
-    std::uint64_t mf_timeouts = 0;  ///< subset of mf_failures: timer expiry
     std::uint64_t ranks_failed = 0;  ///< ranks killed by the fault plan
     /// High-water mark of the deepest per-rank event heap.
     std::uint64_t max_queue_depth = 0;
@@ -306,8 +297,7 @@ class Simulator {
     kResume,
     kDeliver,
     kPoll,
-    kKill,     ///< fault-plan rank kill fires
-    kTimeout,  ///< a pending MF call's timeout expired
+    kKill,  ///< fault-plan rank kill fires
   };
 
   struct RankCtx {
@@ -319,9 +309,6 @@ class Simulator {
     /// pending events are dropped, and peers waiting on it observe
     /// MFResult::failed at the terminal drain (see shrink_failed_waits).
     bool failed = false;
-    /// Increments each time an MF call becomes pending; lets a kTimeout
-    /// event recognise that the call it was armed for already completed.
-    std::uint64_t mf_epoch = 0;
     std::unique_ptr<Comm> comm;
 
     /// Receive slab. A slot holds a live receive or waits on free_slots;
@@ -351,8 +338,7 @@ class Simulator {
   /// Pushes a rank-local event onto `rank`'s shard heap. Deliveries go
   /// through post_isend and the worker outboxes instead.
   void schedule(double time, EventType type, Rank rank,
-                std::coroutine_handle<> handle = nullptr,
-                std::uint64_t payload = 0);
+                std::coroutine_handle<> handle = nullptr);
   /// Adds fault-plan extra latency (delay spikes, reorder bursts) for one
   /// outgoing message from `src`; returns the adjusted latency.
   double apply_message_faults(double latency, Rank src, Rank dst);
@@ -369,14 +355,14 @@ class Simulator {
   /// Marks `rank` dead: drops it from pending collectives, forgets its
   /// pending MF call, and never resumes its coroutine again.
   void kill_rank(Rank rank);
-  /// Fails the rank's pending MF call (ULFM MPI_ERR_PROC_FAILED analogue /
-  /// timeout) and resumes the application with MFResult::failed set.
-  /// Pending requests stay posted; the app drops dead-rank requests from
-  /// its next wait set.
-  void fail_mf(Rank rank, bool timed_out, std::vector<Rank> failed_ranks);
+  /// Fails the rank's pending MF call (ULFM MPI_ERR_PROC_FAILED analogue)
+  /// and resumes the application with MFResult::failed set. Pending
+  /// requests stay posted; the app drops dead-rank requests from its next
+  /// wait set.
+  void fail_mf(Rank rank, std::vector<Rank> failed_ranks);
   /// Terminal-drain shrink: fails every pending MF call that can no longer
-  /// be satisfied because implicated senders died (or, with
-  /// fail_unsatisfiable_waits, finished). Returns true if any call failed.
+  /// be satisfied because implicated senders died. Returns true if any
+  /// call failed.
   bool shrink_failed_waits();
   /// Prints the per-rank stuck diagnostic ahead of the deadlock abort.
   void describe_stuck_ranks() const;

@@ -103,16 +103,14 @@ struct Completion {
 /// Result of one MF call. `flag` is the MPI_Test-style "anything matched"
 /// indicator; for Wait-family calls it is always true on return — unless
 /// the call failed (ULFM-style): `failed` reports that the call can never
-/// be satisfied, either because a peer process died (`failed_ranks` lists
-/// the implicated dead ranks, MPI_ERR_PROC_FAILED analogue) or because a
-/// configured MF timeout expired (`timed_out`, empty failed_ranks).
+/// be satisfied because a peer process died (`failed_ranks` lists the
+/// implicated dead ranks, MPI_ERR_PROC_FAILED analogue).
 /// A failed call delivers nothing; its pending requests stay posted, and
 /// the application is expected to drop dead-rank requests from its next
 /// wait set (the shrink idiom).
 struct MFResult {
   bool flag = false;
   bool failed = false;
-  bool timed_out = false;
   std::vector<Rank> failed_ranks;  ///< sorted, deduplicated
   std::vector<Completion> completions;
 };

@@ -23,6 +23,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Deadline for a started daemon to print LISTENING.
+constexpr double kStartTimeoutMs = 15000;
+/// Reconnect budget per client — generous, because every client rides
+/// out the same daemon death.
+constexpr std::uint32_t kClientRetries = 12;
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
@@ -55,13 +61,12 @@ void chaos_client(const ChaosConfig& config, std::uint16_t port,
   options.timeout_ms = 10000;
   options.connect_timeout_ms = 5000;
   options.resumable = true;
-  options.max_reconnects = config.client_retries;
+  options.max_reconnects = kClientRetries;
   options.backoff.jitter_seed = client_seed(config.seed, index);
 
   std::unique_ptr<Client> client;
   std::string error;
-  for (std::uint32_t attempt = 0; attempt <= config.client_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kClientRetries; ++attempt) {
     client = Client::connect(options, &error);
     if (client != nullptr) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50 * (attempt + 1)));
@@ -150,7 +155,7 @@ bool DaemonHarness::start(const DaemonOptions& options, std::string* error) {
   // keeps the pipe for later output; only the first line matters here.
   std::string line;
   const Clock::time_point t0 = Clock::now();
-  while (ms_since(t0) < options.start_timeout_ms) {
+  while (ms_since(t0) < kStartTimeoutMs) {
     pollfd pfd{out_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready < 0 && errno != EINTR) break;

@@ -37,7 +37,6 @@ namespace cdc::net {
 struct DaemonOptions {
   std::string binary;              ///< path to the cdc_served executable
   std::vector<std::string> args;   ///< argv[1..] verbatim
-  std::uint32_t start_timeout_ms = 15000;  ///< deadline for LISTENING
 };
 
 /// One out-of-process cdc_served under supervision. Movable-nothing: the
@@ -90,9 +89,6 @@ struct ChaosConfig {
   SynthShape shape;  ///< per-client upload shape (defaults are sensible)
   std::uint64_t seed = 42;
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
-  /// Reconnect budget per client — generous, because every client rides
-  /// out the same daemon death.
-  std::uint32_t client_retries = 12;
   /// Crash trigger for the batch-counted kill points (server-global Nth).
   std::uint32_t crash_batch = 7;
 };

@@ -23,6 +23,12 @@ namespace cdc::net {
 
 namespace {
 
+/// Unacked PUT_FRAMES batches allowed in flight before put() blocks.
+constexpr std::size_t kMaxInflight = 4;
+/// NetFrameSink's batch bounds, before the session's limits clamp them.
+constexpr std::size_t kSinkBatchFrames = 256;
+constexpr std::size_t kSinkBatchPayloadBytes = 1u << 20;
+
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -122,12 +128,11 @@ bool Client::handshake() {
   parser_ = WireParser();
 
   Hello hello;
-  hello.version = options_.version;
   hello.token = options_.token;
   hello.record = options_.record;
   hello.intent = options_.intent;
   hello.level = options_.level;
-  hello.resumable = options_.resumable && options_.version >= 2;
+  hello.resumable = options_.resumable;
   Message msg;
   if (!send_all(encode_hello(hello)) || !read_message(&msg) ||
       is_error(msg))
@@ -240,8 +245,7 @@ bool Client::recover() {
       obs::counter("net.client.retry.resent_batches");
   static obs::Counter& resent_bytes_total =
       obs::counter("net.client.retry.resent_bytes");
-  if (!options_.resumable || options_.version < 2 ||
-      options_.intent != Intent::kIngest)
+  if (!options_.resumable || options_.intent != Intent::kIngest)
     return false;
   if (options_.max_reconnects == 0 || !retryable()) return false;
   const std::string first_error = last_error_;
@@ -338,7 +342,7 @@ bool Client::put(std::vector<WireFrame> frames) {
   // backpressure (suspended reads → full send buffer → blocked acks)
   // becomes client-visible blocking.
   Message msg;
-  while (pending_.size() >= options_.max_inflight) {
+  while (pending_.size() >= kMaxInflight) {
     if (!read_message(&msg)) {
       if (recover()) continue;
       return false;
@@ -452,18 +456,32 @@ void Client::bye() {
 
 // --- NetFrameSink --------------------------------------------------------
 
-NetFrameSink::NetFrameSink(Client* client, std::size_t max_batch_frames,
-                           std::size_t max_batch_bytes)
-    : client_(client),
-      max_batch_frames_(max_batch_frames),
-      max_batch_bytes_(max_batch_bytes) {}
+NetFrameSink::NetFrameSink(Client* client) : client_(client) {
+  const Limits& limits = client->welcome().limits;
+  max_frames_ = static_cast<std::size_t>(
+      std::min<std::uint64_t>(kSinkBatchFrames, limits.max_batch_frames));
+  // The body opens with the frame count; the rest is the budget for
+  // frame entries.
+  const std::uint64_t count_bytes = support::varint_size(max_frames_);
+  max_body_ = static_cast<std::size_t>(
+      limits.max_message_body > count_bytes
+          ? limits.max_message_body - count_bytes
+          : 0);
+}
 
 void NetFrameSink::submit(const runtime::StreamKey& key, tool::FrameJob job) {
   if (!ok_) return;
-  pending_bytes_ += job.payload.size();
-  pending_.push_back(WireFrame{key, std::move(job)});
-  if (pending_.size() >= max_batch_frames_ ||
-      pending_bytes_ >= max_batch_bytes_)
+  WireFrame frame{key, std::move(job)};
+  const std::size_t bytes = put_frames_entry_bytes(frame);
+  // A frame that would take the body past the server's limit opens the
+  // next batch.
+  if (!pending_.empty() && body_bytes_ + bytes > max_body_ && !flush())
+    return;
+  payload_bytes_ += frame.job.payload.size();
+  body_bytes_ += bytes;
+  pending_.push_back(std::move(frame));
+  if (pending_.size() >= max_frames_ ||
+      payload_bytes_ >= kSinkBatchPayloadBytes)
     ok_ = flush();
 }
 
@@ -472,7 +490,8 @@ bool NetFrameSink::flush() {
   if (pending_.empty()) return true;
   std::vector<WireFrame> batch;
   batch.swap(pending_);
-  pending_bytes_ = 0;
+  payload_bytes_ = 0;
+  body_bytes_ = 0;
   ok_ = client_->put(std::move(batch));
   return ok_;
 }

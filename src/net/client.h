@@ -4,10 +4,10 @@
 // A Client owns one TCP connection and one protocol session: connect()
 // dials, speaks HELLO, and returns an authenticated session whose
 // negotiated parameters (compression level, limits) are in welcome().
-// Ingest uses a bounded ack window — put() blocks once `max_inflight`
-// batches are unacknowledged, so a client can never outrun the server's
-// backpressure by more than the window — and records a submit→ack latency
-// sample per batch for the bench's percentile report.
+// Ingest uses a bounded ack window — put() blocks once four batches are
+// unacknowledged, so a client can never outrun the server's backpressure
+// by more than the window — and records a submit→ack latency sample per
+// batch for the bench's percentile report.
 //
 // Deadlines are poll(2)-based, not SO_RCVTIMEO: connect() waits at most
 // `connect_timeout_ms` for the three-way handshake, and every read waits
@@ -27,8 +27,8 @@
 //
 // NetFrameSink adapts the connection to the tool::FrameSink seam: the same
 // recorder/harness code that writes a local container through an
-// InlineFrameSink streams to the service instead, batch boundaries and
-// all.
+// InlineFrameSink streams to the service instead, in batches sized to the
+// limits the server negotiated in WELCOME.
 #pragma once
 
 #include <cstdint>
@@ -53,17 +53,12 @@ class Client {
     std::string record;
     Intent intent = Intent::kIngest;
     compress::DeflateLevel level = compress::DeflateLevel::kDefault;
-    /// Unacked PUT_FRAMES batches allowed in flight before put() blocks.
-    std::size_t max_inflight = 4;
-    /// Protocol version offered in HELLO. Lowering it to 1 yields a
-    /// pre-resume session (interop testing); the server answers in kind.
-    std::uint32_t version = kProtocolVersion;
     /// Per-read deadline (poll before recv); 0 = block forever.
     std::uint32_t timeout_ms = 30000;
     /// Deadline for the TCP connect itself; 0 = block forever.
     std::uint32_t connect_timeout_ms = 10000;
     /// Ask the server to journal this ingest session for crash-safe
-    /// resume, and arm the client-side resend buffer. Needs version >= 2.
+    /// resume, and arm the client-side resend buffer.
     bool resumable = false;
     /// Reconnect+resume attempts after a retryable failure (0 = the
     /// pre-resume behaviour: any failure kills the session).
@@ -104,7 +99,7 @@ class Client {
   /// Drains every outstanding ack, sends SEAL, and waits for SEALED.
   [[nodiscard]] bool seal(Sealed* out = nullptr);
 
-  /// Explicit RESUME → RESUMED exchange (v2 ingest, before any put() on
+  /// Explicit RESUME → RESUMED exchange (ingest, before any put() on
   /// this connection). Fills `out` with the server's durable high-water
   /// mark. With `skip_acked` the next put() continues numbering after the
   /// durable prefix — the "fresh process resumes an old upload" path;
@@ -221,13 +216,15 @@ class Client {
 };
 
 /// tool::FrameSink over a Client ingest session: buffers submitted jobs
-/// and ships them as PUT_FRAMES batches when either bound fills. submit()
-/// cannot report errors (the seam is void); check ok() / call flush()
-/// before sealing.
+/// and ships them as PUT_FRAMES batches of at most 256 frames, or once
+/// their payloads reach 1 MiB. Both bounds are clamped by the session's
+/// negotiated limits: a batch never holds more than max_batch_frames, and
+/// its PUT_FRAMES body never exceeds max_message_body. submit() cannot
+/// report errors (the seam is void); check ok() / call flush() before
+/// sealing.
 class NetFrameSink final : public tool::FrameSink {
  public:
-  explicit NetFrameSink(Client* client, std::size_t max_batch_frames = 256,
-                        std::size_t max_batch_bytes = 1u << 20);
+  explicit NetFrameSink(Client* client);
 
   void submit(const runtime::StreamKey& key, tool::FrameJob job) override;
 
@@ -237,10 +234,11 @@ class NetFrameSink final : public tool::FrameSink {
 
  private:
   Client* client_;
-  std::size_t max_batch_frames_;
-  std::size_t max_batch_bytes_;
+  std::size_t max_frames_;
+  std::size_t max_body_;  ///< frame-entry bytes one PUT_FRAMES body holds
   std::vector<WireFrame> pending_;
-  std::size_t pending_bytes_ = 0;
+  std::size_t payload_bytes_ = 0;  ///< sum of pending payload sizes
+  std::size_t body_bytes_ = 0;     ///< pending frames' encoded body bytes
   bool ok_ = true;
 };
 

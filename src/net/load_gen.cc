@@ -67,7 +67,6 @@ Client::Options ingest_options(const LoadConfig& config, std::size_t client) {
   options.record = record_name(client);
   options.intent = Intent::kIngest;
   options.level = config.level;
-  options.max_inflight = config.max_inflight;
   return options;
 }
 

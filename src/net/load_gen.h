@@ -67,7 +67,6 @@ struct LoadConfig {
   SynthShape shape;
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   std::uint64_t seed = 1;
-  std::size_t max_inflight = 4;
   FaultPlan faults;
   /// When non-empty, verify after the run: expected-sealed records are
   /// rebuilt from the seed and byte-compared against

@@ -81,9 +81,7 @@ std::vector<std::uint8_t> encode_hello(const Hello& hello) {
   write_string(body, hello.record);
   body.u8(static_cast<std::uint8_t>(hello.intent));
   body.u8(level_byte(hello.level));
-  // The flags byte exists only from version 2 on; a v1 body must stay
-  // byte-identical to what v1 servers expect.
-  if (hello.version >= 2) body.u8(hello.resumable ? 1u : 0u);
+  body.u8(hello.resumable ? 1u : 0u);
   // HELLO itself always rides at the fast level: the session level it
   // *requests* is not negotiated yet.
   return encode_message(MsgType::kHello, hello.version, body.view(),
@@ -96,16 +94,12 @@ bool decode_hello(const Message& msg, Hello& out) {
   support::ByteReader in(msg.body);
   std::uint8_t intent = 0;
   std::uint8_t level = 0;
+  std::uint8_t flags = 0;
   if (!read_string(in, out.token) || !read_string(in, out.record) ||
-      !in.try_u8(intent) || !in.try_u8(level))
+      !in.try_u8(intent) || !in.try_u8(level) || !in.try_u8(flags) ||
+      (flags & ~1u) != 0 || !in.exhausted())
     return false;
-  out.resumable = false;
-  if (out.version >= 2) {
-    std::uint8_t flags = 0;
-    if (!in.try_u8(flags) || (flags & ~1u) != 0) return false;
-    out.resumable = (flags & 1u) != 0;
-  }
-  if (!in.exhausted()) return false;
+  out.resumable = (flags & 1u) != 0;
   if (intent > static_cast<std::uint8_t>(Intent::kReplay)) return false;
   out.intent = static_cast<Intent>(intent);
   return level_from_byte(level, out.level);
@@ -154,14 +148,32 @@ std::vector<std::uint8_t> encode_put_frames(const FrameBatch& batch,
   return encode_message(MsgType::kPutFrames, batch.seq, body.view(), level);
 }
 
+std::size_t put_frames_entry_bytes(const WireFrame& frame) {
+  using support::varint_size;
+  const tool::FrameJob& job = frame.job;
+  std::size_t bytes = varint_size(support::zigzag_encode(frame.key.rank)) +
+                      varint_size(frame.key.callsite) + 1 +
+                      varint_size(job.meta) + 1;
+  if (job.epoch.has_value())
+    bytes += varint_size(job.epoch->matched) +
+             varint_size(job.epoch->unmatched);
+  return bytes + varint_size(job.payload.size()) + job.payload.size();
+}
+
 bool decode_put_frames(const Message& msg, const Limits& limits,
-                       FrameBatch& out) {
-  if (msg.type != MsgType::kPutFrames) return false;
+                       FrameBatch& out, ErrCode* refusal) {
+  const auto refuse = [refusal](ErrCode code) {
+    if (refusal != nullptr) *refusal = code;
+    return false;
+  };
+  const auto malformed = [&] { return refuse(ErrCode::kBadMessage); };
+  if (msg.type != MsgType::kPutFrames) return malformed();
   out.seq = msg.meta;
   out.frames.clear();
   support::ByteReader in(msg.body);
   std::uint64_t count = 0;
-  if (!in.try_varint(count) || count > limits.max_batch_frames) return false;
+  if (!in.try_varint(count)) return malformed();
+  if (count > limits.max_batch_frames) return refuse(ErrCode::kOversized);
   out.frames.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     WireFrame f;
@@ -171,24 +183,25 @@ bool decode_put_frames(const Message& msg, const Limits& limits,
     if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
         !in.try_u8(f.job.codec) || !in.try_varint(f.job.meta) ||
         !in.try_u8(flags) || (flags & ~3u) != 0)
-      return false;
+      return malformed();
     f.key.rank = static_cast<minimpi::Rank>(rank);
     f.key.callsite = static_cast<minimpi::CallsiteId>(callsite);
     f.job.compress = (flags & 1u) != 0;
     if ((flags & 2u) != 0) {
       runtime::EpochMeta epoch;
       if (!in.try_varint(epoch.matched) || !in.try_varint(epoch.unmatched))
-        return false;
+        return malformed();
       f.job.epoch = epoch;
     }
     std::span<const std::uint8_t> payload;
-    if (!in.try_sized_bytes(payload) ||
-        payload.size() > limits.max_frame_bytes)
-      return false;
+    if (!in.try_sized_bytes(payload)) return malformed();
+    if (payload.size() > limits.max_frame_bytes)
+      return refuse(ErrCode::kOversized);
     f.job.payload.assign(payload.begin(), payload.end());
     out.frames.push_back(std::move(f));
   }
-  return in.exhausted();
+  if (!in.exhausted()) return malformed();
+  return true;
 }
 
 std::vector<std::uint8_t> encode_put_ack(const PutAck& ack) {

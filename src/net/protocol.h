@@ -15,28 +15,27 @@
 // format inherits the codec stack for free.
 //
 // The protocol is versioned (HELLO carries the client's version, WELCOME
-// the server's; the server rejects versions outside its supported range
-// with kErrBadVersion) and hard-limited: a length prefix above
+// the server's; the server refuses any version but kProtocolVersion with
+// kErrBadVersion) and hard-limited: a length prefix above
 // Limits::max_message_body aborts the parse *before* any buffering, so a
 // hostile 2^60-byte announcement costs the server nothing.
 //
 // Conversation shape (client → server unless noted):
-//   HELLO(token, record, intent, level)  → WELCOME | ERROR
-//   intent = kIngest:  [RESUME → RESUMED(last_durable_seq)]   (v2 only)
+//   HELLO(token, record, intent, level, flags)  → WELCOME | ERROR
+//   intent = kIngest:  [RESUME → RESUMED(last_durable_seq)]
 //                      PUT_FRAMES* → PUT_ACK (per batch, ← server)
 //                      SEAL → SEALED
 //   intent = kReplay:  REPLAY_WINDOW(lo, hi) → WINDOW_STREAM* WINDOW_DONE
 //                      INSPECT(kind) → REPORT
 //   BYE ends any session gracefully.
 //
-// Version 2 adds crash-safe resumable ingest. A v2 HELLO carries a flags
-// byte (bit 0 = resumable); when set, the server journals per-batch
-// durability next to the container and a reconnecting client may reopen
-// the same record, ask RESUME, and learn from RESUMED which batch prefix
-// is already fsync-durable — batches at or below that sequence are
-// deduplicated server-side, so re-sending from last_durable_seq+1 yields
-// a byte-identical sealed container. v1 clients are unchanged: HELLO
-// version 1 has no flags byte and the server never requires RESUME.
+// Ingest can be crash-safe and resumable. HELLO's flags byte (bit 0 =
+// resumable) asks the server to journal per-batch durability next to the
+// container; a reconnecting client may then reopen the same record, ask
+// RESUME, and learn from RESUMED which batch prefix is already
+// fsync-durable — batches at or below that sequence are deduplicated
+// server-side, so re-sending from last_durable_seq+1 yields a
+// byte-identical sealed container.
 //
 // Parsing is incremental and hostile-input-safe: WireParser consumes raw
 // socket bytes and yields complete, CRC-verified messages, `kNeedMore`
@@ -56,8 +55,6 @@
 namespace cdc::net {
 
 inline constexpr std::uint8_t kProtocolVersion = 2;
-/// Oldest client version the server still speaks.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 
 /// Message types (the tool-frame codec byte).
 enum class MsgType : std::uint8_t {
@@ -74,13 +71,13 @@ enum class MsgType : std::uint8_t {
   kReport = 11,
   kError = 12,
   kBye = 13,
-  kResume = 14,   ///< v2: client asks for the durable high-water mark
-  kResumed = 15,  ///< v2: server replies with last_durable_seq + totals
+  kResume = 14,   ///< client asks for the durable high-water mark
+  kResumed = 15,  ///< server replies with last_durable_seq + totals
 };
 
 /// ERROR message codes (the meta varint of a kError message).
 enum class ErrCode : std::uint64_t {
-  kBadVersion = 1,   ///< HELLO version outside [kMinProtocolVersion, ours]
+  kBadVersion = 1,   ///< HELLO version other than kProtocolVersion
   kBadToken = 2,     ///< unknown tenant token
   kBadMessage = 3,   ///< malformed or out-of-sequence message
   kOversized = 4,    ///< frame/batch above the negotiated limits
@@ -126,9 +123,8 @@ struct Hello {
   std::string record;
   Intent intent = Intent::kIngest;
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
-  /// v2 flags bit 0: journal this ingest session so it survives a crash
-  /// or disconnect and can be reopened by a later resumable HELLO. Never
-  /// encoded for version 1 (v1 bodies have no flags byte).
+  /// Flags bit 0: journal this ingest session so it survives a crash or
+  /// disconnect and can be reopened by a later resumable HELLO.
   bool resumable = false;
 };
 
@@ -210,6 +206,9 @@ enum class InspectKind : std::uint8_t {
 [[nodiscard]] std::vector<std::uint8_t> encode_welcome(const Welcome& w);
 [[nodiscard]] std::vector<std::uint8_t> encode_put_frames(
     const FrameBatch& batch, compress::DeflateLevel level);
+/// Bytes `frame` adds to a PUT_FRAMES body (the body before DEFLATE is a
+/// varint frame count followed by one such entry per frame).
+[[nodiscard]] std::size_t put_frames_entry_bytes(const WireFrame& frame);
 [[nodiscard]] std::vector<std::uint8_t> encode_put_ack(const PutAck& ack);
 [[nodiscard]] std::vector<std::uint8_t> encode_resumed(const Resumed& r);
 [[nodiscard]] std::vector<std::uint8_t> encode_sealed(const Sealed& sealed);
@@ -229,8 +228,13 @@ enum class InspectKind : std::uint8_t {
 
 [[nodiscard]] bool decode_hello(const Message& msg, Hello& out);
 [[nodiscard]] bool decode_welcome(const Message& msg, Welcome& out);
+/// On failure sets *refusal, when given, to the ERROR code the batch
+/// earns: kOversized for more frames than max_batch_frames or a payload
+/// above max_frame_bytes, kBadMessage for anything malformed (not
+/// PUT_FRAMES, truncated, trailing bytes, an unknown frame flag).
 [[nodiscard]] bool decode_put_frames(const Message& msg, const Limits& limits,
-                                     FrameBatch& out);
+                                     FrameBatch& out,
+                                     ErrCode* refusal = nullptr);
 [[nodiscard]] bool decode_put_ack(const Message& msg, PutAck& out);
 [[nodiscard]] bool decode_resumed(const Message& msg, Resumed& out);
 [[nodiscard]] bool decode_sealed(const Message& msg, Sealed& out);

@@ -522,11 +522,10 @@ struct Server::Impl {
 
   void handle_hello(Conn& conn, const Message& msg) {
     // The version gate precedes body decode: the version rides in the
-    // frame meta, and a future version's HELLO body may legitimately
-    // have a shape this server cannot parse — "too new" must win over
+    // frame meta, and another version's HELLO body may legitimately have
+    // a shape this server cannot parse — "wrong version" must win over
     // "malformed".
-    if (msg.type == MsgType::kHello &&
-        (msg.meta < kMinProtocolVersion || msg.meta > kProtocolVersion)) {
+    if (msg.type == MsgType::kHello && msg.meta != kProtocolVersion) {
       send_error(conn, ErrCode::kBadVersion,
                  "unsupported protocol version " +
                      std::to_string(msg.meta));
@@ -551,16 +550,12 @@ struct Server::Impl {
     const std::string path = (dir / (hello.record + ".cdcc")).string();
 
     Welcome welcome;
-    // Speak the client's dialect: a v1 client gets a v1 WELCOME and never
-    // sees the resume machinery.
-    welcome.version = std::min(hello.version, kProtocolVersion);
     welcome.level = std::min(hello.level, config.max_level);
     welcome.session_id = ++next_session_id;
     welcome.limits = config.limits;
-    const bool wants_resume = hello.version >= 2 && hello.resumable;
 
     if (hello.intent == Intent::kIngest) {
-      if (wants_resume && tenant.resumable.count(hello.record) != 0) {
+      if (hello.resumable && tenant.resumable.count(hello.record) != 0) {
         // Reopen the journaled partial at its durable prefix. The name
         // moves resumable → active; record/byte quota was already charged
         // against this upload when it first opened.
@@ -616,7 +611,7 @@ struct Server::Impl {
       }
       conn.tenant = &tenant;
       conn.ingest = open_ingest(tenant, hello.record, path, welcome.level,
-                                wants_resume);
+                                hello.resumable);
       if (conn.ingest == nullptr) {
         send_error(conn, ErrCode::kInternal, "cannot open record");
         return;
@@ -785,9 +780,12 @@ struct Server::Impl {
         return;
       }
       WorkItem item;
-      if (!decode_put_frames(msg, config.limits, item.batch)) {
-        send_error(conn, ErrCode::kOversized,
-                   "malformed or over-limit PUT_FRAMES batch");
+      ErrCode refusal = ErrCode::kBadMessage;
+      if (!decode_put_frames(msg, config.limits, item.batch, &refusal)) {
+        send_error(conn, refusal,
+                   refusal == ErrCode::kOversized
+                       ? "over-limit PUT_FRAMES batch"
+                       : "malformed PUT_FRAMES batch");
         return;
       }
       conn.puts_seen = true;
@@ -1008,11 +1006,9 @@ struct Server::Impl {
         }
         // The journal entry describes the batch's container frames in file
         // order, so each frame's epoch flag is taken before its job moves.
-        std::vector<store::ResumeFrameMeta> metas;
+        std::vector<std::optional<runtime::EpochMeta>> metas;
         for (WireFrame& frame : item.batch.frames) {
-          if (session.journal != nullptr)
-            metas.push_back({frame.job.epoch.has_value(),
-                             frame.job.epoch.value_or(runtime::EpochMeta{})});
+          if (session.journal != nullptr) metas.push_back(frame.job.epoch);
           frame.job.level = session.level;
           session.sink->submit(frame.key, std::move(frame.job));
         }

@@ -24,7 +24,7 @@
 // client's retry re-uploads from scratch — so a record name either refers
 // to a sealed, verifiable container or to nothing.
 //
-// Crash safety (DESIGN.md §14): a v2 client may mark its session
+// Crash safety (DESIGN.md §14): a client may mark its session
 // *resumable* in HELLO. The server then journals per-batch durability in a
 // CRC'd sidecar (store/session_journal.h) — container bytes are flushed
 // and the journal entry fsync'd BEFORE the PUT_ACK goes out — and a

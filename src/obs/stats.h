@@ -1,6 +1,6 @@
 // Descriptive statistics shared by the metrics layer, the pipeline
 // report, the figure benches and the examples: one place owns the
-// min/max/mean/variance logic.
+// min/max/mean logic.
 #pragma once
 
 #include <algorithm>
@@ -14,32 +14,26 @@
 
 namespace cdc::obs {
 
-/// Online min/max/mean accumulator (Welford variance).
+/// Online min/max/mean accumulator.
 class Summary {
  public:
   void add(double x) noexcept {
     ++n_;
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(n_);
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
 
  private:
   std::size_t n_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 /// Fixed-width bucket histogram over [lo, hi); values outside clamp to the

@@ -33,7 +33,8 @@ std::unique_ptr<ContainerStore> ContainerStore::open(const std::string& path) {
 
 std::unique_ptr<ContainerStore> ContainerStore::resume(
     const std::string& path, std::uint64_t durable_bytes,
-    std::span<const ResumeFrameMeta> metas, std::string* error) {
+    std::span<const std::optional<runtime::EpochMeta>> metas,
+    std::string* error) {
   auto writer = ContainerWriter::resume(path, durable_bytes, metas, error);
   if (writer == nullptr) return nullptr;
   auto store = std::unique_ptr<ContainerStore>(

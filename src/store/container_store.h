@@ -41,7 +41,8 @@ class ContainerStore final : public runtime::RecordStore {
   /// *error) when the prefix does not validate against `metas`.
   [[nodiscard]] static std::unique_ptr<ContainerStore> resume(
       const std::string& path, std::uint64_t durable_bytes,
-      std::span<const ResumeFrameMeta> metas, std::string* error);
+      std::span<const std::optional<runtime::EpochMeta>> metas,
+      std::string* error);
 
   void append(const runtime::StreamKey& key,
               std::span<const std::uint8_t> bytes) override;

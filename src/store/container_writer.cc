@@ -33,7 +33,8 @@ ContainerWriter::~ContainerWriter() { seal(); }
 
 std::unique_ptr<ContainerWriter> ContainerWriter::resume(
     const std::string& path, std::uint64_t durable_bytes,
-    std::span<const ResumeFrameMeta> metas, std::string* error) {
+    std::span<const std::optional<runtime::EpochMeta>> metas,
+    std::string* error) {
   const auto fail = [&](std::string why) -> std::unique_ptr<ContainerWriter> {
     if (error != nullptr) *error = std::move(why);
     return nullptr;
@@ -62,15 +63,15 @@ std::unique_ptr<ContainerWriter> ContainerWriter::resume(
     IndexEntry& entry = writer->index_[frame.key];
     if (frame.seq != entry.offsets.size())
       return fail("resume: per-stream sequence mismatch");
-    const ResumeFrameMeta& meta = metas[used];
+    const std::optional<runtime::EpochMeta>& meta = metas[used];
     // Mirror append_frame_locked's epoch bookkeeping exactly, so seal()
     // after a resume emits the same epoch index a single-life writer would.
-    if (!meta.has_epoch) {
+    if (!meta.has_value()) {
       entry.epochs_complete = false;
       entry.epochs.clear();
     } else if (entry.epochs_complete) {
-      entry.epochs.push_back(EpochRecord{frame.offset, meta.epoch.matched,
-                                         meta.epoch.unmatched});
+      entry.epochs.push_back(
+          EpochRecord{frame.offset, meta->matched, meta->unmatched});
     }
     support::ByteWriter head;
     head.svarint(frame.key.rank);

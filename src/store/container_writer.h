@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,15 +19,6 @@
 #include "store/container.h"
 
 namespace cdc::store {
-
-/// Per-frame epoch metadata needed to rebuild a writer's in-memory index
-/// when resuming an unsealed container: the frame bytes on disk do not
-/// carry matched/unmatched counts (those live only in the seal-time epoch
-/// index), so a resume journal must persist them per appended frame.
-struct ResumeFrameMeta {
-  bool has_epoch = false;
-  runtime::EpochMeta epoch;
-};
 
 class ContainerWriter {
  public:
@@ -38,16 +30,19 @@ class ContainerWriter {
   /// path. The first `durable_bytes` of the file must be an intact header
   /// plus whole frames (anything beyond is a torn tail and is truncated
   /// away); `metas` supplies the epoch metadata of those frames in append
-  /// order, exactly as a journal recorded them. Returns nullptr (and sets
-  /// *error) when the prefix does not validate — a failed resume leaves the
-  /// file truncated only if validation already passed, so callers can still
-  /// salvage. On success the writer's index, counters, and append offset
+  /// order (nullopt for a frame appended without it), exactly as a journal
+  /// recorded them: the frame bytes on disk do not carry matched/unmatched
+  /// counts, which live only in the seal-time epoch index. Returns nullptr
+  /// (and sets *error) when the prefix does not validate — a failed resume
+  /// leaves the file truncated only if validation already passed, so
+  /// callers can still salvage. On success the writer's index, counters, and append offset
   /// are byte-for-byte what the original writer held after its last
   /// durable frame: continuing the append stream and sealing yields a
   /// container identical to one written in a single life.
   [[nodiscard]] static std::unique_ptr<ContainerWriter> resume(
       const std::string& path, std::uint64_t durable_bytes,
-      std::span<const ResumeFrameMeta> metas, std::string* error);
+      std::span<const std::optional<runtime::EpochMeta>> metas,
+      std::string* error);
 
   /// Seals the container if the caller has not already done so.
   ~ContainerWriter();

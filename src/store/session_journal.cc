@@ -106,21 +106,23 @@ std::optional<JournalState> read_session_journal(const std::string& path) {
         container_bytes < state.container_bytes)
       break;
     if (frames_total - state.frames_total != frames_in_batch) break;
-    std::vector<ResumeFrameMeta> metas;
+    std::vector<std::optional<runtime::EpochMeta>> metas;
     metas.reserve(static_cast<std::size_t>(frames_in_batch));
     bool ok = true;
     for (std::uint64_t i = 0; i < frames_in_batch; ++i) {
-      ResumeFrameMeta meta;
-      std::uint8_t has_epoch = 0;
-      if (!entry.try_u8(has_epoch) || has_epoch > 1) {
+      std::uint8_t flag = 0;
+      if (!entry.try_u8(flag) || flag > 1) {
         ok = false;
         break;
       }
-      meta.has_epoch = has_epoch != 0;
-      if (meta.has_epoch && (!entry.try_varint(meta.epoch.matched) ||
-                             !entry.try_varint(meta.epoch.unmatched))) {
-        ok = false;
-        break;
+      std::optional<runtime::EpochMeta> meta;
+      if (flag == 1) {
+        meta.emplace();
+        if (!entry.try_varint(meta->matched) ||
+            !entry.try_varint(meta->unmatched)) {
+          ok = false;
+          break;
+        }
       }
       metas.push_back(meta);
     }
@@ -171,22 +173,22 @@ SessionJournal::~SessionJournal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool SessionJournal::append_batch(std::uint64_t seq,
-                                  std::span<const ResumeFrameMeta> frames,
-                                  std::uint64_t frames_total,
-                                  std::uint64_t raw_bytes_total,
-                                  std::uint64_t container_bytes) {
+bool SessionJournal::append_batch(
+    std::uint64_t seq,
+    std::span<const std::optional<runtime::EpochMeta>> frames,
+    std::uint64_t frames_total, std::uint64_t raw_bytes_total,
+    std::uint64_t container_bytes) {
   support::ByteWriter entry;
   entry.varint(seq);
   entry.varint(frames_total);
   entry.varint(raw_bytes_total);
   entry.varint(container_bytes);
   entry.varint(frames.size());
-  for (const ResumeFrameMeta& meta : frames) {
-    entry.u8(meta.has_epoch ? 1 : 0);
-    if (meta.has_epoch) {
-      entry.varint(meta.epoch.matched);
-      entry.varint(meta.epoch.unmatched);
+  for (const std::optional<runtime::EpochMeta>& meta : frames) {
+    entry.u8(meta.has_value() ? 1 : 0);
+    if (meta.has_value()) {
+      entry.varint(meta->matched);
+      entry.varint(meta->unmatched);
     }
   }
   const std::vector<std::uint8_t> block = wrap_block(entry);

@@ -5,10 +5,11 @@
 // session: the batch sequence number, the session's frame/raw-byte totals,
 // the container's byte length at that point, and the per-frame epoch
 // metadata that exists only in the writer's memory (frame bytes on disk
-// carry no matched/unmatched counts — see ResumeFrameMeta). The server
-// appends one entry after the container bytes of a batch are flushed and
-// BEFORE the PUT_ACK goes out, so after any crash the journal's last valid
-// entry never promises more than the container actually holds.
+// carry no matched/unmatched counts — see ContainerWriter::resume). The
+// server appends one entry after the container bytes of a batch are
+// flushed and BEFORE the PUT_ACK goes out, so after any crash the
+// journal's last valid entry never promises more than the container
+// actually holds.
 //
 // Layout: 8-byte magic "CDCJRNL1", then length-prefixed CRC'd blocks:
 //
@@ -17,7 +18,7 @@
 // Block 0 is the header (u8 version | sized tenant | sized record |
 // u8 level); every later block is a batch entry (varint seq |
 // varint frames_total | varint raw_bytes_total | varint container_bytes |
-// varint frames_in_batch | per frame: u8 has_epoch [varint matched,
+// varint frames_in_batch | per frame: u8 epoch flag [varint matched,
 // varint unmatched]). The reader takes the longest valid prefix: a torn
 // final block — the normal result of dying mid-append — just drops that
 // batch back below the durability line. Writes go through a POSIX fd so
@@ -47,7 +48,7 @@ struct JournalState {
   std::uint64_t entries = 0;           ///< valid batch entries parsed
   /// Epoch metadata of every durable frame, in container append order —
   /// the `metas` input of ContainerWriter::resume.
-  std::vector<ResumeFrameMeta> metas;
+  std::vector<std::optional<runtime::EpochMeta>> metas;
 };
 
 /// Parses the longest valid prefix of the journal at `path`. Returns
@@ -78,11 +79,11 @@ class SessionJournal {
   SessionJournal& operator=(const SessionJournal&) = delete;
 
   /// Journals one durably-flushed batch; false on write/fsync failure.
-  [[nodiscard]] bool append_batch(std::uint64_t seq,
-                                  std::span<const ResumeFrameMeta> frames,
-                                  std::uint64_t frames_total,
-                                  std::uint64_t raw_bytes_total,
-                                  std::uint64_t container_bytes);
+  [[nodiscard]] bool append_batch(
+      std::uint64_t seq,
+      std::span<const std::optional<runtime::EpochMeta>> frames,
+      std::uint64_t frames_total, std::uint64_t raw_bytes_total,
+      std::uint64_t container_bytes);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

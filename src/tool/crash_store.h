@@ -27,10 +27,7 @@ class CrashingStore final : public runtime::RecordStore {
 
   void append(const runtime::StreamKey& key,
               std::span<const std::uint8_t> bytes) override {
-    if (appends_ >= budget_) {
-      crashed_ = true;
-      return;
-    }
+    if (appends_ >= budget_) return;
     ++appends_;
     inner_->append(key, bytes);
   }
@@ -50,8 +47,6 @@ class CrashingStore final : public runtime::RecordStore {
     return inner_->rank_bytes(rank);
   }
 
-  /// True once at least one append was dropped.
-  [[nodiscard]] bool crashed() const noexcept { return crashed_; }
   [[nodiscard]] std::uint64_t appends_forwarded() const noexcept {
     return appends_;
   }
@@ -60,7 +55,6 @@ class CrashingStore final : public runtime::RecordStore {
   runtime::RecordStore* inner_;
   std::uint64_t budget_;
   std::uint64_t appends_ = 0;
-  bool crashed_ = false;
 };
 
 }  // namespace cdc::tool

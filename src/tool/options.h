@@ -37,14 +37,13 @@ struct ToolOptions {
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   /// Rank whose received-clock series is captured (Figure 1); -1 = none.
   std::int32_t clock_trace_rank = -1;
-  /// Epoch-checkpoint interval: after every `checkpoint_interval` chunk
-  /// flushes the recorder issues a store durability barrier
-  /// (RecordStore::sync), so a killed recorder loses at most the chunks of
-  /// one checkpoint window — one epoch, at the default of 1 — instead of
-  /// everything since the last OS writeback. 0 disables checkpoints (the
-  /// seed behaviour). Frames are encoded and appended inline, so the
-  /// barrier covers every frame flushed before it.
-  std::uint32_t checkpoint_interval = 1;
+  /// Epoch-checkpoint interval: a window barrier that flushed at least one
+  /// chunk ends with a store durability barrier (RecordStore::sync), so a
+  /// killed recorder loses at most the chunks of one checkpoint window —
+  /// one epoch — instead of everything since the last OS writeback. Frames
+  /// are encoded and appended inline, so the barrier covers every frame
+  /// flushed before it.
+  static constexpr std::uint32_t checkpoint_interval = 1;
   /// Replay a *partial* record — e.g. one salvaged from a crashed
   /// recorder's container (store/container_reader.h repack). The record is
   /// a prefix of the original run, not a causally consistent cut, so the

@@ -93,7 +93,7 @@ void Recorder::on_window(double /*horizon*/) {
   // count-invariant, so the chunk sequence — and the sealed container —
   // is too. A stream stays due while no clean cut exists, so its rank
   // stays marked and is retried at the next barrier.
-  std::uint64_t new_chunks = 0;
+  bool flushed = false;
   for (std::size_t r = 0; r < due_ranks_.size(); ++r) {
     if (due_ranks_[r] == 0) continue;
     bool still_due = false;
@@ -102,18 +102,15 @@ void Recorder::on_window(double /*horizon*/) {
         [&](const runtime::StreamKey&, StreamRecorder& rec) {
           const std::uint64_t chunks_before = rec.stats().chunks;
           rec.flush_if_due(*sink_);
-          new_chunks += rec.stats().chunks - chunks_before;
+          flushed = flushed || rec.stats().chunks != chunks_before;
           still_due = still_due || rec.due();
         });
     due_ranks_[r] = still_due ? 1 : 0;
   }
-  if (options_.checkpoint_interval > 0) checkpoint(new_chunks);
+  if (flushed) checkpoint();
 }
 
-void Recorder::checkpoint(std::uint64_t new_chunks) {
-  chunks_since_checkpoint_ += new_chunks;
-  if (chunks_since_checkpoint_ < options_.checkpoint_interval) return;
-  chunks_since_checkpoint_ = 0;
+void Recorder::checkpoint() {
   obs::TraceSpan span("record.checkpoint", -1);
   try {
     store_->sync();

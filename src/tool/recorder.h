@@ -90,8 +90,8 @@ class Recorder : public minimpi::ToolHooks {
 
  private:
   StreamRecorder& stream(minimpi::Rank rank, minimpi::CallsiteId callsite);
-  /// Issues a store durability barrier once enough chunks have flushed.
-  void checkpoint(std::uint64_t new_chunks);
+  /// Issues a store durability barrier (a window flushed a chunk).
+  void checkpoint();
 
   ToolOptions options_;
   runtime::RecordStore* store_;
@@ -106,7 +106,6 @@ class Recorder : public minimpi::ToolHooks {
   std::vector<std::uint8_t> due_ranks_;
   std::vector<std::uint64_t> clock_trace_;
   std::vector<std::uint64_t> digests_;
-  std::uint64_t chunks_since_checkpoint_ = 0;
   std::uint64_t checkpoint_failures_ = 0;
 };
 

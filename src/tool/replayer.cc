@@ -34,7 +34,6 @@ std::uint64_t Replayer::order_digest() const {
 
 StreamReplayer& Replayer::stream(minimpi::Rank rank,
                                  minimpi::CallsiteId callsite) {
-  if (!options_.identify_callsites) callsite = 0;
   return streams_.get(rank, callsite, [&] {
     const runtime::StreamKey key{rank, callsite};
     // Windowed replay reads only epochs [0, hi): an epoch-indexed store

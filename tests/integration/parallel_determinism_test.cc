@@ -201,7 +201,6 @@ void expect_stats_equal(const RunArtifacts& base, const RunArtifacts& other,
   // The satellite claim: exact (not sampled, not racy) under parallel.
   EXPECT_EQ(a.scheduler_events, b.scheduler_events) << what;
   EXPECT_EQ(a.mf_failures, b.mf_failures) << what;
-  EXPECT_EQ(a.mf_timeouts, b.mf_timeouts) << what;
   EXPECT_EQ(a.ranks_failed, b.ranks_failed) << what;
   EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << what;
   EXPECT_EQ(a.end_time, b.end_time) << what;

@@ -56,9 +56,17 @@ class ServiceLoopbackTest : public ::testing::Test {
            ("cdc_service_test." + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-
+    // Sixteen frames per batch: a sink upload spans several batches.
+    Limits limits;
+    limits.max_batch_frames = 16;
+    start_server(limits);
+  }
+  /// (Re)starts the server, negotiating `limits` with every client.
+  void start_server(const Limits& limits) {
+    server_.reset();
     ServerConfig config;
     config.root_dir = (dir_ / "root").string();
+    config.limits = limits;
     TenantConfig tenant;
     tenant.name = kTenant;
     tenant.token = kToken;
@@ -87,7 +95,7 @@ class ServiceLoopbackTest : public ::testing::Test {
     std::string error;
     auto client = Client::connect(options, &error);
     ASSERT_NE(client, nullptr) << error;
-    NetFrameSink sink(client.get(), /*max_batch_frames=*/16);
+    NetFrameSink sink(client.get());
     for (const WireFrame& sj : jobs) sink.submit(sj.key, sj.job);
     ASSERT_TRUE(sink.flush()) << client->last_error();
     ASSERT_TRUE(sink.ok());
@@ -111,6 +119,35 @@ TEST_F(ServiceLoopbackTest, FrameSinkUploadMatchesLocalOracle) {
   std::string error;
   ASSERT_TRUE(write_synth_container(local, jobs, &error)) << error;
   const auto served = file_bytes(record_path("oracle"));
+  ASSERT_FALSE(served.empty());
+  EXPECT_EQ(served, file_bytes(local));
+}
+
+TEST_F(ServiceLoopbackTest, FrameSinkHonoursNegotiatedLimits) {
+  // 32 small frames, then 32 large ones. The server takes at most 16
+  // frames per batch, and its body limit holds only four large frames, so
+  // the sink splits by frame count first and by bytes after.
+  SynthShape small;
+  small.batches = 2;
+  small.frames_per_batch = 16;
+  small.payload_bytes = 256;
+  SynthShape large = small;
+  large.payload_bytes = 2048;
+  auto jobs = synth_jobs(7, small, compress::DeflateLevel::kFast);
+  for (WireFrame& frame : synth_jobs(8, large, compress::DeflateLevel::kFast))
+    jobs.push_back(std::move(frame));
+  ASSERT_EQ(jobs.size(), 64u);
+
+  Limits limits;
+  limits.max_batch_frames = 16;
+  limits.max_message_body = 10240;
+  start_server(limits);
+  upload_via_sink("limited", jobs);
+
+  const std::string local = (dir_ / "local-limited.cdcc").string();
+  std::string error;
+  ASSERT_TRUE(write_synth_container(local, jobs, &error)) << error;
+  const auto served = file_bytes(record_path("limited"));
   ASSERT_FALSE(served.empty());
   EXPECT_EQ(served, file_bytes(local));
 }

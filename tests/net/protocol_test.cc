@@ -141,9 +141,14 @@ TEST(Protocol, DecodeRejectsUnknownFrameFlags) {
   };
   FrameBatch out;
   EXPECT_TRUE(decode_put_frames(body_with_flags(1), Limits{}, out));
-  for (const std::uint8_t flags : {std::uint8_t{4}, std::uint8_t{0x80}})
-    EXPECT_FALSE(decode_put_frames(body_with_flags(flags), Limits{}, out))
+  for (const std::uint8_t flags : {std::uint8_t{4}, std::uint8_t{0x80}}) {
+    ErrCode refusal = ErrCode::kInternal;
+    EXPECT_FALSE(
+        decode_put_frames(body_with_flags(flags), Limits{}, out, &refusal))
         << "flags " << static_cast<int>(flags);
+    EXPECT_EQ(refusal, ErrCode::kBadMessage)
+        << "flags " << static_cast<int>(flags);
+  }
 }
 
 TEST(Protocol, SmallMessagesRoundTrip) {
@@ -315,19 +320,37 @@ TEST(Protocol, DecodeEnforcesBatchLimits) {
   tight.max_batch_frames = 2;
   FrameBatch batch = sample_batch();  // 3 frames
   FrameBatch out;
+  ErrCode refusal = ErrCode::kInternal;
   EXPECT_FALSE(decode_put_frames(
       parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
-      tight, out));
+      tight, out, &refusal));
+  EXPECT_EQ(refusal, ErrCode::kOversized);
 
   Limits tiny;
   tiny.max_frame_bytes = 16;  // every sample frame is larger
+  refusal = ErrCode::kInternal;
   EXPECT_FALSE(decode_put_frames(
       parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
-      tiny, out));
+      tiny, out, &refusal));
+  EXPECT_EQ(refusal, ErrCode::kOversized);
 
   EXPECT_TRUE(decode_put_frames(
       parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
       Limits{}, out));
+
+  // A truncated body or trailing bytes are malformed, not over a limit.
+  const Message whole =
+      parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored));
+  Message truncated = whole;
+  truncated.body.pop_back();
+  refusal = ErrCode::kInternal;
+  EXPECT_FALSE(decode_put_frames(truncated, Limits{}, out, &refusal));
+  EXPECT_EQ(refusal, ErrCode::kBadMessage);
+  Message trailing = whole;
+  trailing.body.push_back(0);
+  refusal = ErrCode::kInternal;
+  EXPECT_FALSE(decode_put_frames(trailing, Limits{}, out, &refusal));
+  EXPECT_EQ(refusal, ErrCode::kBadMessage);
 }
 
 TEST(Protocol, TypeMismatchedDecodeFails) {

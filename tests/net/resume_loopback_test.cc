@@ -1,8 +1,8 @@
 // Crash-safe resume over loopback (DESIGN.md §14): durable resumable
 // sessions, batch-seq dedup, RESUME skip-ahead, restart recovery, the
 // client's transparent reconnect loop, graceful drain-and-park, the
-// fail-before-ack ordering under injected fsync and append faults, and v1
-// interop.
+// fail-before-ack ordering under injected fsync and append faults, and
+// opt-in resume.
 // Every completed upload is byte-compared against a local rebuild from
 // the same seed — the resume machinery must be invisible in the sealed
 // container.
@@ -75,8 +75,7 @@ class ResumeLoopbackTest : public ::testing::Test {
 
   std::unique_ptr<Client> dial(const std::string& record, bool resumable,
                                std::string* error_out = nullptr,
-                               std::uint32_t max_reconnects = 0,
-                               std::uint32_t version = kProtocolVersion) {
+                               std::uint32_t max_reconnects = 0) {
     Client::Options options;
     options.port = server_->port();
     options.token = kToken;
@@ -85,7 +84,6 @@ class ResumeLoopbackTest : public ::testing::Test {
     options.level = compress::DeflateLevel::kFast;
     options.resumable = resumable;
     options.max_reconnects = max_reconnects;
-    options.version = version;
     options.timeout_ms = 10000;
     options.connect_timeout_ms = 5000;
     std::string error;
@@ -395,24 +393,8 @@ TEST_F(ResumeLoopbackTest, AppendFaultFailsBatchBeforeAck) {
   expect_byte_identical("appended");
 }
 
-TEST_F(ResumeLoopbackTest, V1ClientInteropStillWorks) {
-  // A pre-resume client negotiates version 1 and uploads exactly as
-  // before; the server answers in kind and the session is not journaled.
-  start_server();
-  auto client = dial("legacy", /*resumable=*/false, nullptr, 0,
-                     /*version=*/1);
-  ASSERT_NE(client, nullptr);
-  EXPECT_EQ(client->welcome().version, 1u);
-  ASSERT_TRUE(put_batches(*client, 0, 5)) << client->last_error();
-  ASSERT_TRUE(client->seal()) << client->last_error();
-  client->bye();
-  EXPECT_FALSE(std::filesystem::exists(
-      store::session_journal_path(record_path("legacy"))));
-  expect_byte_identical("legacy");
-}
-
 TEST_F(ResumeLoopbackTest, NonResumableDisconnectStillDiscards) {
-  // resumable is opt-in: a v2 session without the flag keeps the original
+  // resumable is opt-in: a session without the flag keeps the original
   // discard-on-disconnect contract.
   start_server();
   {

@@ -149,44 +149,47 @@ TEST_F(ServerLoopbackTest, BadTokenRejected) {
 
 TEST_F(ServerLoopbackTest, BadVersionRejected) {
   start_server();
-  // Handcraft a HELLO announcing protocol version 99 over a raw socket —
-  // the Client always speaks the current version, so go underneath it.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)), 0);
+  // Handcraft HELLOs announcing protocol versions 99 and 1 over a raw
+  // socket — the Client always speaks the current version, so go
+  // underneath it. Version 1's body had no flags byte; neither has this.
+  for (const std::uint64_t version : {std::uint64_t{99}, std::uint64_t{1}}) {
+    SCOPED_TRACE(version);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)), 0);
 
-  support::ByteWriter body;
-  body.sized_bytes({reinterpret_cast<const std::uint8_t*>(kToken),
-                    std::string_view(kToken).size()});
-  const std::string_view record = "rec";
-  body.sized_bytes({reinterpret_cast<const std::uint8_t*>(record.data()),
-                    record.size()});
-  body.u8(static_cast<std::uint8_t>(Intent::kIngest));
-  body.u8(static_cast<std::uint8_t>(compress::DeflateLevel::kFast));
-  const auto wire = encode_message(MsgType::kHello, /*meta=*/99,
-                                   body.view());
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
+    support::ByteWriter body;
+    body.sized_bytes({reinterpret_cast<const std::uint8_t*>(kToken),
+                      std::string_view(kToken).size()});
+    const std::string_view record = "rec";
+    body.sized_bytes({reinterpret_cast<const std::uint8_t*>(record.data()),
+                      record.size()});
+    body.u8(static_cast<std::uint8_t>(Intent::kIngest));
+    body.u8(static_cast<std::uint8_t>(compress::DeflateLevel::kFast));
+    const auto wire = encode_message(MsgType::kHello, version, body.view());
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
 
-  WireParser parser;
-  Message msg;
-  bool got = false;
-  for (int i = 0; i < 100 && !got; ++i) {
-    std::uint8_t buf[512];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    parser.feed({buf, static_cast<std::size_t>(n)});
-    got = parser.next(&msg) == WireParser::Status::kMessage;
+    WireParser parser;
+    Message msg;
+    bool got = false;
+    for (int i = 0; i < 100 && !got; ++i) {
+      std::uint8_t buf[512];
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      parser.feed({buf, static_cast<std::size_t>(n)});
+      got = parser.next(&msg) == WireParser::Status::kMessage;
+    }
+    ::close(fd);
+    ASSERT_TRUE(got);
+    ASSERT_EQ(msg.type, MsgType::kError);
+    EXPECT_EQ(static_cast<ErrCode>(msg.meta), ErrCode::kBadVersion);
   }
-  ::close(fd);
-  ASSERT_TRUE(got);
-  ASSERT_EQ(msg.type, MsgType::kError);
-  EXPECT_EQ(static_cast<ErrCode>(msg.meta), ErrCode::kBadVersion);
 }
 
 TEST_F(ServerLoopbackTest, HostileRecordNamesRejected) {
@@ -317,6 +320,32 @@ TEST_F(ServerLoopbackTest, OversizedFrameRejected) {
   EXPECT_TRUE(wait_for(
       [](const Server::Stats& s) { return s.sessions_aborted >= 1; }));
   EXPECT_FALSE(std::filesystem::exists(record_path("fat")));
+}
+
+TEST_F(ServerLoopbackTest, MalformedBatchGetsBadMessage) {
+  // A batch that breaks the format (frame flag 4 means nothing) is a
+  // protocol violation, not a size breach.
+  start_server();
+  auto client = dial("garbled-batch");
+  ASSERT_NE(client, nullptr);
+  support::ByteWriter body;
+  body.varint(1);  // frame count
+  body.svarint(0);
+  body.varint(1);
+  body.u8(0x01);  // codec
+  body.varint(0);  // meta
+  body.u8(4);      // frame flags
+  const std::uint8_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  body.sized_bytes(payload);
+  ASSERT_TRUE(
+      client->send_raw(encode_message(MsgType::kPutFrames, 1, body.view())));
+  EXPECT_FALSE(client->seal());
+  EXPECT_EQ(client->last_code(), ErrCode::kBadMessage)
+      << client->last_error();
+  client.reset();
+  EXPECT_TRUE(wait_for(
+      [](const Server::Stats& s) { return s.sessions_aborted >= 1; }));
+  EXPECT_FALSE(std::filesystem::exists(record_path("garbled-batch")));
 }
 
 TEST_F(ServerLoopbackTest, DisconnectMidIngestDiscardsPartialRecord) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <vector>
 
 namespace cdc::store {
@@ -36,7 +37,7 @@ void write_bytes(const std::string& path,
 /// same sequence and record the expected state after each prefix.
 struct BatchFixture {
   std::uint64_t seq = 0;
-  std::vector<ResumeFrameMeta> metas;
+  std::vector<std::optional<runtime::EpochMeta>> metas;
   std::uint64_t frames_total = 0;
   std::uint64_t raw_bytes_total = 0;
   std::uint64_t container_bytes = 0;
@@ -51,10 +52,8 @@ std::vector<BatchFixture> fixture_batches() {
     BatchFixture b;
     b.seq = seq;
     for (std::uint64_t f = 0; f < 2 + seq; ++f) {
-      ResumeFrameMeta meta;
-      meta.has_epoch = (f % 2) == 0;
-      meta.epoch.matched = 10 * seq + f;
-      meta.epoch.unmatched = f;
+      std::optional<runtime::EpochMeta> meta;
+      if (f % 2 == 0) meta = runtime::EpochMeta{10 * seq + f, f};
       b.metas.push_back(meta);
     }
     frames += b.metas.size();
@@ -113,19 +112,11 @@ class SessionJournalTest : public ::testing::Test {
     EXPECT_EQ(state.frames_total, last.frames_total);
     EXPECT_EQ(state.raw_bytes_total, last.raw_bytes_total);
     EXPECT_EQ(state.container_bytes, last.container_bytes);
-    std::vector<ResumeFrameMeta> expected;
+    std::vector<std::optional<runtime::EpochMeta>> expected;
     for (std::uint64_t i = 0; i < entries; ++i)
       expected.insert(expected.end(), batches[i].metas.begin(),
                       batches[i].metas.end());
-    ASSERT_EQ(state.metas.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(state.metas[i].has_epoch, expected[i].has_epoch) << i;
-      if (expected[i].has_epoch) {
-        EXPECT_EQ(state.metas[i].epoch.matched, expected[i].epoch.matched);
-        EXPECT_EQ(state.metas[i].epoch.unmatched,
-                  expected[i].epoch.unmatched);
-      }
-    }
+    EXPECT_TRUE(state.metas == expected);
   }
 
   std::filesystem::path dir_;
