@@ -1,7 +1,7 @@
 // The retry path pinned down: transient faults retried to a bit-identical
 // record, exhausted retries quarantining exactly the failed frames (with
-// their stream positions, round-tripped through the `.cdcq` sidecar), and
-// total backoff inside its analytic bound.
+// their stream positions, round-tripped through the `.cdcq` sidecar, whose
+// bytes are pinned), and total backoff inside its analytic bound.
 #include "store/resilient.h"
 
 #include <gtest/gtest.h>
@@ -198,6 +198,35 @@ TEST(RetryingStore, SyncExhaustionIsAbsorbedNotThrown) {
   EXPECT_NO_THROW(retrying.sync());
   EXPECT_EQ(retrying.stats().sync_failures, 1u);
   EXPECT_EQ(retrying.stats().quarantined, 0u);
+}
+
+TEST(RetryingStore, SidecarGoldenBytes) {
+  // Hard faults on every third append over three streams (one with a
+  // negative rank, a callsite and payloads past one varint byte): the
+  // FNV-1a of the `.cdcq` sidecar pins its magic and entry layout.
+  runtime::MemoryStore base;
+  IoFaultPlan plan;
+  plan.hard_every_n = 3;
+  IoFaultStore faulty(&base, plan);
+  RetryPolicy policy;
+  policy.max_retries = 1;
+  const std::string sidecar = scratch_cdcq();
+  RetryingStore retrying(&faulty, policy, sidecar);
+  const runtime::StreamKey keys[] = {key_of(0, 1), key_of(-1, 300),
+                                     key_of(767, 2)};
+  for (std::uint8_t i = 0; i < 12; ++i)
+    retrying.append(keys[i % 3], frame(i, 40 + 37 * i));
+  ASSERT_EQ(retrying.stats().quarantined, 4u);
+
+  std::ifstream in(sidecar, std::ios::binary);
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) hash = (hash ^ b) * 0x100000001b3ull;
+  EXPECT_EQ(bytes.size(), 1173u);
+  EXPECT_EQ(hash, 0x54232e1c9dd8ec0eull);
+  EXPECT_EQ(read_quarantine(sidecar).size(), 4u);
+  std::filesystem::remove(sidecar);
 }
 
 TEST(IoFaultStore, TransientFaultsClearAfterTheConfiguredAttempts) {
