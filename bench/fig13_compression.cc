@@ -96,7 +96,7 @@ int main() {
   // The corpus depends only on the fixed RNG seed and the compressor is
   // deterministic per (input, level), so `compressed_bytes` is
   // machine-independent — which is what lets the CI perf-smoke job diff
-  // it against a committed baseline (bench/check_compress_baseline.py).
+  // it against a committed baseline (bench/check_baseline.py).
   // Seed-era numbers (this repo before the leveled fast path, one level
   // == today's default) are embedded alongside so regressions read
   // against both.

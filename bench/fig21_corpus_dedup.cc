@@ -24,7 +24,7 @@
 // simulator is deterministic per seed and every encoder is deterministic,
 // so all byte counts in BENCH_corpus.json are machine-independent — which
 // is what lets the CI perf-smoke job diff the ratios against
-// bench/corpus_baseline.json (bench/check_corpus_baseline.py, 2%
+// bench/corpus_baseline.json (bench/check_baseline.py, 2%
 // tolerance).
 #include <cstdio>
 #include <filesystem>

@@ -13,7 +13,7 @@
 // Results land in BENCH_decode.json. The CI perf-smoke job gates the
 // default level's *relative* decode throughput (inflate MB/s over deflate
 // MB/s — the ratio cancels most machine variance) against the committed
-// bench/decode_baseline.json via bench/check_decode_baseline.py.
+// bench/decode_baseline.json via bench/check_baseline.py.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>

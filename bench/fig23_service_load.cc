@@ -16,7 +16,7 @@
 // Results land in BENCH_service.json. The CI service job gates the
 // correctness fields strictly (zero unexpected failures, zero verify
 // failures, backpressure engaged) and the throughput only against a
-// generous floor via bench/check_service_baseline.py — absolute MB/s is
+// generous floor via bench/check_baseline.py — absolute MB/s is
 // machine noise; silently dropped frames are not.
 #include <unistd.h>
 

@@ -15,7 +15,7 @@
 //   * wall_ms     — the whole point including both daemon lives.
 //
 // Results land in BENCH_recovery.json. The CI gate
-// (bench/check_recovery_baseline.py) is strict on correctness — every
+// (bench/check_baseline.py) is strict on correctness — every
 // point passed, every record sealed and byte-verified, every kill point
 // actually exercised the reconnect path — and generous on the timing
 // ceilings, which exist to catch pathological recovery stalls, not to

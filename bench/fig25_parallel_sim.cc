@@ -13,7 +13,7 @@
 // the same run, so each plain row carries an order digest (order-sensitive
 // global tally bits + the full counter set) and each replay row the
 // replayer's receive-order digest, which must equal the recording's. The
-// CI gate (bench/check_parallel_baseline.py) fails on any cross-worker-
+// CI gate (bench/check_baseline.py) fails on any cross-worker-
 // count difference and on any replay that diverges from the record —
 // strictly, regardless of host. Speedup expectations are gated only where
 // workers <= host_cores, and only for plain runs: wall-clock scaling on an

@@ -62,7 +62,7 @@ void chaos_client(const ChaosConfig& config, std::uint16_t port,
   options.connect_timeout_ms = 5000;
   options.resumable = true;
   options.max_reconnects = kClientRetries;
-  options.backoff.jitter_seed = client_seed(config.seed, index);
+  options.backoff_seed = client_seed(config.seed, index);
 
   std::unique_ptr<Client> client;
   std::string error;

@@ -227,13 +227,13 @@ bool Client::retryable() const noexcept {
 }
 
 void Client::backoff_sleep(std::uint32_t attempt) {
-  const store::RetryPolicy& policy = options_.backoff;
-  double ms = policy.initial_backoff_ms *
-              std::pow(policy.backoff_multiplier, attempt);
-  ms = std::min(ms, policy.max_backoff_ms);
-  ms *= 1.0 + policy.jitter_fraction * (2.0 * jitter_.uniform() - 1.0);
-  if (policy.really_sleep && ms > 0.0)
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+  constexpr double kInitialBackoffMs = 10.0;
+  constexpr double kMaxBackoffMs = 1000.0;
+  constexpr double kJitterFraction = 0.25;
+  double ms = std::min(kInitialBackoffMs * std::pow(2.0, attempt),
+                       kMaxBackoffMs);
+  ms *= 1.0 + kJitterFraction * (2.0 * jitter_.uniform() - 1.0);
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 bool Client::recover() {

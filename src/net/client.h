@@ -18,7 +18,7 @@
 // every unacked PUT_FRAMES batch, encoded, in a resend buffer. When a call
 // fails retryably — connection refused/reset, EOF, read timeout, or a
 // server ERROR(kBusy) GOAWAY — and `max_reconnects` allows it, the client
-// redials with bounded jittered exponential backoff (options().backoff),
+// redials with bounded jittered exponential backoff (Options::backoff_seed),
 // renegotiates HELLO(resumable), asks RESUME → RESUMED(last_durable_seq),
 // drops buffered batches the server already holds durably, re-sends the
 // rest in order, and picks the original call back up. Because frame
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "net/protocol.h"
-#include "store/resilient.h"
 #include "support/rng.h"
 #include "tool/frame_sink.h"
 
@@ -63,18 +62,9 @@ class Client {
     /// Reconnect+resume attempts after a retryable failure (0 = the
     /// pre-resume behaviour: any failure kills the session).
     std::uint32_t max_reconnects = 0;
-    /// Backoff between reconnect attempts. Only the delay shape is used
-    /// (max_retries is superseded by max_reconnects); really_sleep is on
-    /// by default because this is a wall-clock client.
-    store::RetryPolicy backoff{
-        .max_retries = 0,
-        .initial_backoff_ms = 10.0,
-        .backoff_multiplier = 2.0,
-        .max_backoff_ms = 1000.0,
-        .jitter_fraction = 0.25,
-        .jitter_seed = 1,
-        .really_sleep = true,
-    };
+    /// Seeds the jitter of the sleep between reconnect attempts
+    /// (10 ms × 2^attempt, capped at 1 s, ±25%).
+    std::uint64_t backoff_seed = 1;
   };
 
   /// Dials, sends HELLO, and waits for WELCOME. Returns nullptr with
@@ -160,7 +150,7 @@ class Client {
  private:
   explicit Client(Options options)
       : options_(std::move(options)),
-        jitter_(options_.backoff.jitter_seed ^ 0xc11e47ull) {}
+        jitter_(options_.backoff_seed ^ 0xc11e47ull) {}
 
   /// Dials (with the connect deadline) and runs HELLO → WELCOME. On
   /// success the connection is live and failed_ is clear.

@@ -366,9 +366,10 @@ void WireParser::feed(std::span<const std::uint8_t> bytes) {
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
-WireParser::Status WireParser::fail(std::string why) {
+WireParser::Status WireParser::fail(std::string why, ErrCode code) {
   broken_ = true;
   error_ = std::move(why);
+  error_code_ = code;
   buffer_.clear();
   consumed_ = 0;
   obs::counter("net.wire.parse_errors").add(1);
@@ -404,9 +405,9 @@ WireParser::Status WireParser::next(Message* out) {
   // Oversized length prefixes are rejected *before* waiting for the bytes
   // they announce — the hostile-length guard.
   if (raw_len > limits_.max_message_body)
-    return fail("message raw length exceeds limit");
+    return fail("message raw length exceeds limit", ErrCode::kOversized);
   if (body_len > limits_.max_message_body)
-    return fail("message body length exceeds limit");
+    return fail("message body length exceeds limit", ErrCode::kOversized);
   if (stored_raw == 1 && raw_len != body_len)
     return fail("stored message with mismatched lengths");
 

@@ -271,19 +271,24 @@ class WireParser {
   [[nodiscard]] Status next(Message* out);
 
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
+  /// The ERROR code a kMalformed earns: kOversized for a length prefix
+  /// above max_message_body, kBadMessage for every other framing error.
+  [[nodiscard]] ErrCode error_code() const noexcept { return error_code_; }
   /// Bytes buffered but not yet consumed (bounded by one message).
   [[nodiscard]] std::size_t buffered() const noexcept {
     return buffer_.size() - consumed_;
   }
 
  private:
-  [[nodiscard]] Status fail(std::string why);
+  [[nodiscard]] Status fail(std::string why,
+                            ErrCode code = ErrCode::kBadMessage);
 
   Limits limits_;
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_ = 0;  ///< parsed-off prefix, compacted lazily
   bool broken_ = false;
   std::string error_;
+  ErrCode error_code_ = ErrCode::kBadMessage;
 };
 
 }  // namespace cdc::net

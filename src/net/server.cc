@@ -492,7 +492,7 @@ struct Server::Impl {
       const WireParser::Status status = conn.parser.next(&msg);
       if (status == WireParser::Status::kNeedMore) return;
       if (status == WireParser::Status::kMalformed) {
-        send_error(conn, ErrCode::kBadMessage, conn.parser.error());
+        send_error(conn, conn.parser.error_code(), conn.parser.error());
         return;
       }
       msgs_in.add(1);

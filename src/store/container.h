@@ -15,6 +15,10 @@
 //   u8 0xF7 | svarint rank | varint callsite | varint seq |
 //   varint payload_len | payload | u32 crc32(everything after the magic)
 //
+// encode_frame and parse_frame below are the only code that spells this
+// layout; the `.cdcq` quarantine sidecar (store/resilient.h) reuses it
+// with its own magic byte.
+//
 // The fixed-size footer makes stream lookup O(1 + index) on open: seek to
 // EOF-20, validate the magic, seek back over the index, CRC-check it, and
 // every stream's frame offsets are known without scanning the data region.
@@ -39,10 +43,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "runtime/storage.h"
+#include "support/binary.h"
 
 namespace cdc::store {
 
@@ -59,6 +65,26 @@ inline constexpr std::size_t kContainerFooterSize = 4 + 8 + 8;
 inline constexpr std::uint8_t kEpochFooterMagic[8] = {'C', 'D', 'C', 'E',
                                                       'P', 'O', 'X', '1'};
 inline constexpr std::size_t kEpochFooterSize = 4 + 8 + 8;
+
+/// One frame as parse_frame found it (the payload aliases the input).
+struct ParsedFrame {
+  runtime::StreamKey key;
+  std::uint64_t seq = 0;
+  std::span<const std::uint8_t> payload;
+  std::uint64_t frame_size = 0;  ///< bytes consumed including magic+crc
+  bool crc_ok = false;
+  bool parsed = false;  ///< header fields were decodable
+  std::string parse_error;
+};
+
+/// Appends one frame with the given magic byte to `out`.
+void encode_frame(std::uint8_t magic, const runtime::StreamKey& key,
+                  std::uint64_t seq, std::span<const std::uint8_t> payload,
+                  support::ByteWriter& out);
+
+/// Parses the frame at the start of `region`, never reading past its end.
+[[nodiscard]] ParsedFrame parse_frame(std::uint8_t magic,
+                                      std::span<const std::uint8_t> region);
 
 /// Index entry for one stream: where its frames live in the data region.
 struct StreamIndexEntry {

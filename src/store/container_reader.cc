@@ -110,6 +110,12 @@ void ContainerReader::parse_footer_and_index() {
       index_error_ = "truncated index entry";
       return;
     }
+    // read_stream reserves this many bytes, so a forged size must not
+    // get past the open.
+    if (payload_bytes > data_end_ - kContainerHeaderSize) {
+      index_error_ = "index payload size exceeds data region";
+      return;
+    }
     StreamIndexEntry entry;
     entry.key = runtime::StreamKey{
         static_cast<minimpi::Rank>(rank),
@@ -255,33 +261,24 @@ const StreamEpochIndex* ContainerReader::find_epochs(
   return it != epochs_.end() ? &it->second : nullptr;
 }
 
-ContainerReader::ParsedFrame ContainerReader::parse_frame_at(
-    std::uint64_t offset, std::uint64_t limit) const {
+ParsedFrame parse_frame(std::uint8_t magic,
+                        std::span<const std::uint8_t> region) {
   ParsedFrame frame;
-  if (offset >= limit) {
-    frame.parse_error = "frame offset past data region";
-    return frame;
-  }
-  const std::span<const std::uint8_t> all(bytes_);
-  const auto region = all.subspan(static_cast<std::size_t>(offset),
-                                  static_cast<std::size_t>(limit - offset));
   support::ByteReader in(region);
-  std::uint8_t magic = 0;
-  if (!in.try_u8(magic) || magic != kFrameMagic) {
+  std::uint8_t found = 0;
+  if (!in.try_u8(found) || found != magic) {
     frame.parse_error = "bad frame magic";
     return frame;
   }
   std::int64_t rank = 0;
   std::uint64_t callsite = 0;
-  std::uint64_t seq = 0;
   std::uint64_t payload_len = 0;
   if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
-      !in.try_varint(seq) || !in.try_varint(payload_len)) {
+      !in.try_varint(frame.seq) || !in.try_varint(payload_len)) {
     frame.parse_error = "truncated frame header";
     return frame;
   }
-  std::span<const std::uint8_t> payload;
-  if (!in.try_bytes(static_cast<std::size_t>(payload_len), payload)) {
+  if (!in.try_bytes(static_cast<std::size_t>(payload_len), frame.payload)) {
     frame.parse_error = "frame payload overruns data region";
     return frame;
   }
@@ -294,13 +291,24 @@ ContainerReader::ParsedFrame ContainerReader::parse_frame_at(
   frame.parsed = true;
   frame.key = runtime::StreamKey{static_cast<minimpi::Rank>(rank),
                                  static_cast<minimpi::CallsiteId>(callsite)};
-  frame.seq = seq;
-  frame.payload = payload;
   frame.frame_size = in.position();
   frame.crc_ok = compress::crc32(region.subspan(1, body_end - 1)) ==
                  stored_crc;
   if (!frame.crc_ok) frame.parse_error = "frame crc mismatch";
   return frame;
+}
+
+ParsedFrame ContainerReader::parse_frame_at(std::uint64_t offset,
+                                            std::uint64_t limit) const {
+  if (offset >= limit) {
+    ParsedFrame frame;
+    frame.parse_error = "frame offset past data region";
+    return frame;
+  }
+  return parse_frame(kFrameMagic,
+                     std::span<const std::uint8_t>(bytes_).subspan(
+                         static_cast<std::size_t>(offset),
+                         static_cast<std::size_t>(limit - offset)));
 }
 
 std::vector<std::uint64_t> ContainerReader::sorted_index_offsets() const {
@@ -443,6 +451,7 @@ VerifyReport ContainerReader::verify() const {
     // index must tile the data region exactly, so a flip anywhere in the
     // data region lands inside some checked frame.
     const std::vector<std::uint64_t> offsets = sorted_index_offsets();
+    std::map<runtime::StreamKey, std::uint64_t> payload_sums;
     std::uint64_t expected = kContainerHeaderSize;
     for (const std::uint64_t offset : offsets) {
       if (offset != expected)
@@ -461,6 +470,7 @@ VerifyReport ContainerReader::verify() const {
       } else {
         ++report.frames_checked;
         report.payload_bytes += frame.payload.size();
+        payload_sums[frame.key] += frame.payload.size();
       }
       expected = offset + frame.frame_size;
     }
@@ -468,6 +478,15 @@ VerifyReport ContainerReader::verify() const {
       report.container_errors.push_back(
           "data region does not end where the index begins (" +
           offset_str(expected) + " vs " + offset_str(data_end_) + ")");
+    if (report.bad_frames.empty())
+      for (const auto& [key, entry] : index_)
+        if (payload_sums[key] != entry.payload_bytes)
+          report.container_errors.push_back(
+              "stream rank " + std::to_string(key.rank) + " callsite " +
+              std::to_string(key.callsite) + " holds " +
+              std::to_string(payload_sums[key]) +
+              " payload bytes, index says " +
+              std::to_string(entry.payload_bytes));
   } else {
     // No trustworthy index: sequential scan as far as frames parse.
     const std::uint64_t limit = data_end_ != 0 ? data_end_ : bytes_.size();
@@ -501,7 +520,8 @@ std::vector<ContainerReader::GoodFrame> ContainerReader::scan_good_frames()
     for (const std::uint64_t offset : sorted_index_offsets()) {
       const ParsedFrame frame = parse_frame_at(offset, data_end_);
       if (frame.parsed && frame.crc_ok)
-        out.push_back(GoodFrame{offset, frame.key, frame.seq, frame.payload});
+        out.push_back(GoodFrame{offset, frame.key, frame.seq, frame.payload,
+                                frame.frame_size});
     }
     return out;
   }
@@ -511,7 +531,8 @@ std::vector<ContainerReader::GoodFrame> ContainerReader::scan_good_frames()
     const ParsedFrame frame = parse_frame_at(pos, limit);
     if (!frame.parsed) break;  // cannot resync without an index
     if (frame.crc_ok)
-      out.push_back(GoodFrame{pos, frame.key, frame.seq, frame.payload});
+      out.push_back(GoodFrame{pos, frame.key, frame.seq, frame.payload,
+                              frame.frame_size});
     pos += frame.frame_size;
   }
   return out;

@@ -110,6 +110,7 @@ class ContainerReader {
     runtime::StreamKey key;
     std::uint64_t seq = 0;
     std::span<const std::uint8_t> payload;
+    std::uint64_t frame_size = 0;  ///< bytes including magic and crc
   };
 
   /// Every frame that parses and CRC-checks, in file order — the salvage
@@ -127,16 +128,6 @@ class ContainerReader {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  struct ParsedFrame {
-    runtime::StreamKey key;
-    std::uint64_t seq = 0;
-    std::span<const std::uint8_t> payload;
-    std::uint64_t frame_size = 0;  ///< bytes consumed including magic+crc
-    bool crc_ok = false;
-    bool parsed = false;       ///< header fields were decodable
-    std::string parse_error;
-  };
-
   ContainerReader() = default;
   void parse_footer_and_index();
   /// Parses and validates the optional epoch section ending at `index_at`;

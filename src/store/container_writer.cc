@@ -12,6 +12,19 @@
 
 namespace cdc::store {
 
+void encode_frame(std::uint8_t magic, const runtime::StreamKey& key,
+                  std::uint64_t seq, std::span<const std::uint8_t> payload,
+                  support::ByteWriter& out) {
+  out.u8(magic);
+  const std::size_t body_at = out.size();
+  out.svarint(key.rank);
+  out.varint(key.callsite);
+  out.varint(seq);
+  out.varint(payload.size());
+  out.bytes(payload);
+  out.u32(compress::crc32(out.view().subspan(body_at)));
+}
+
 ContainerWriter::ContainerWriter(std::string path)
     : path_(std::move(path)),
       out_(path_, std::ios::binary | std::ios::trunc) {
@@ -73,15 +86,9 @@ std::unique_ptr<ContainerWriter> ContainerWriter::resume(
       entry.epochs.push_back(
           EpochRecord{frame.offset, meta->matched, meta->unmatched});
     }
-    support::ByteWriter head;
-    head.svarint(frame.key.rank);
-    head.varint(frame.key.callsite);
-    head.varint(frame.seq);
-    head.varint(frame.payload.size());
-    const std::uint64_t frame_size = 1 + head.size() + frame.payload.size() + 4;
     entry.offsets.push_back(frame.offset);
     entry.payload_bytes += frame.payload.size();
-    writer->offset_ += frame_size;
+    writer->offset_ += frame.frame_size;
     ++writer->frames_;
     writer->payload_bytes_ += frame.payload.size();
     ++used;
@@ -130,19 +137,8 @@ void ContainerWriter::append_frame_locked(
                                        meta->unmatched});
   }
 
-  // Frame body: every field after the magic byte, covered by the CRC.
-  support::ByteWriter body;
-  body.svarint(key.rank);
-  body.varint(key.callsite);
-  body.varint(entry.offsets.size());  // per-stream sequence number
-  body.varint(payload.size());
-  body.bytes(payload);
-  const std::uint32_t crc = compress::crc32(body.view());
-
   support::ByteWriter frame;
-  frame.u8(kFrameMagic);
-  frame.bytes(body.view());
-  frame.u32(crc);
+  encode_frame(kFrameMagic, key, /*seq=*/entry.offsets.size(), payload, frame);
   out_.write(reinterpret_cast<const char*>(frame.view().data()),
              static_cast<std::streamsize>(frame.size()));
   CDC_CHECK_MSG(out_.good(), "container frame write failed");

@@ -1,14 +1,14 @@
 #include "store/resilient.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "compress/crc32.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/container.h"
 #include "support/binary.h"
 #include "support/check.h"
 
@@ -17,30 +17,12 @@ namespace cdc::store {
 namespace {
 
 // `.cdcq` sidecar format: 8-byte magic, then one entry per quarantined
-// frame. Mirrors the container frame layout (store/container.h) with its
-// own magic byte so the two can never be confused:
-//   0xF8 | svarint rank | varint callsite | varint seq | varint len
-//        | payload | u32 crc32(everything after the magic byte)
-// `seq` is the stream position the frame was lost at (see
-// QuarantinedFrame::seq) — the hole the container cannot represent.
+// frame, laid out as a container frame (store/container.h) with its own
+// magic byte so the two can never be confused. Its `seq` is the stream
+// position the frame was lost at (see QuarantinedFrame::seq) — the hole
+// the container cannot represent.
 constexpr char kQuarantineMagic[8] = {'C', 'D', 'C', 'Q', 'U', 'A', 'R', '1'};
 constexpr std::uint8_t kQuarantineFrameMagic = 0xF8;
-
-std::vector<std::uint8_t> encode_quarantine_entry(
-    const runtime::StreamKey& key, std::uint64_t seq,
-    std::span<const std::uint8_t> bytes) {
-  support::ByteWriter body;
-  body.svarint(key.rank);
-  body.varint(key.callsite);
-  body.varint(seq);
-  body.varint(bytes.size());
-  body.bytes(bytes);
-  support::ByteWriter entry;
-  entry.u8(kQuarantineFrameMagic);
-  entry.bytes(body.view());
-  entry.u32(compress::crc32(body.view()));
-  return std::move(entry).take();
-}
 
 }  // namespace
 
@@ -183,8 +165,6 @@ void RetryingStore::backoff(std::uint32_t i) {
   stats_.backoff_ms_total += ms;
   static obs::Histogram& obs_backoff = obs::histogram("store.retry.backoff_us");
   obs_backoff.record(static_cast<std::uint64_t>(ms * 1000.0));
-  if (policy_.really_sleep)
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 void RetryingStore::append(const runtime::StreamKey& key,
@@ -250,9 +230,9 @@ void RetryingStore::quarantine(const runtime::StreamKey& key,
     if (out) {
       if (quarantine_.empty())
         out.write(kQuarantineMagic, sizeof kQuarantineMagic);
-      const std::vector<std::uint8_t> entry =
-          encode_quarantine_entry(key, seq, bytes);
-      out.write(reinterpret_cast<const char*>(entry.data()),
+      support::ByteWriter entry;
+      encode_frame(kQuarantineFrameMagic, key, seq, bytes, entry);
+      out.write(reinterpret_cast<const char*>(entry.view().data()),
                 static_cast<std::streamsize>(entry.size()));
       out.flush();
     } else {
@@ -313,32 +293,14 @@ std::vector<QuarantinedFrame> read_quarantine(const std::string& path) {
       std::memcmp(bytes.data(), kQuarantineMagic,
                   sizeof kQuarantineMagic) != 0)
     return frames;
-  support::ByteReader reader(
-      std::span<const std::uint8_t>(bytes).subspan(sizeof kQuarantineMagic));
-  while (!reader.exhausted()) {
-    const std::size_t body_start = reader.position() + 1;
-    std::uint8_t magic = 0;
-    if (!reader.try_u8(magic) || magic != kQuarantineFrameMagic) break;
-    std::int64_t rank = 0;
-    std::uint64_t callsite = 0;
-    std::uint64_t seq = 0;
-    std::span<const std::uint8_t> payload;
-    if (!reader.try_svarint(rank) || !reader.try_varint(callsite) ||
-        !reader.try_varint(seq) || !reader.try_sized_bytes(payload))
-      break;
-    const std::size_t body_end = reader.position();
-    std::uint32_t stored_crc = 0;
-    if (!reader.try_u32(stored_crc)) break;
-    const auto body = std::span<const std::uint8_t>(bytes).subspan(
-        sizeof kQuarantineMagic + body_start,
-        body_end - body_start);
-    if (compress::crc32(body) != stored_crc) break;
-    QuarantinedFrame frame;
-    frame.key.rank = static_cast<minimpi::Rank>(rank);
-    frame.key.callsite = static_cast<minimpi::CallsiteId>(callsite);
-    frame.seq = seq;
-    frame.bytes.assign(payload.begin(), payload.end());
-    frames.push_back(std::move(frame));
+  auto rest =
+      std::span<const std::uint8_t>(bytes).subspan(sizeof kQuarantineMagic);
+  while (!rest.empty()) {
+    const ParsedFrame entry = parse_frame(kQuarantineFrameMagic, rest);
+    if (!entry.parsed || !entry.crc_ok) break;
+    frames.push_back(QuarantinedFrame{
+        entry.key, entry.seq, {entry.payload.begin(), entry.payload.end()}});
+    rest = rest.subspan(static_cast<std::size_t>(entry.frame_size));
   }
   return frames;
 }

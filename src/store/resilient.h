@@ -127,19 +127,18 @@ class IoFaultStore final : public runtime::RecordStore {
 };
 
 /// Retry/backoff policy for RetryingStore. Backoff for retry i (0-based)
-/// is min(max_backoff_ms, initial_backoff_ms * multiplier^i), scaled by a
-/// seeded uniform jitter in [1 - jitter_fraction, 1 + jitter_fraction].
-/// By default backoff is *accounted* (RetryStats::backoff_ms_total) but
-/// not actually slept — virtual-time tests stay instant; set really_sleep
-/// for wall-clock behaviour.
+/// is min(max_backoff_ms, initial_backoff_ms * backoff_multiplier^i),
+/// scaled by a seeded uniform jitter in [1 - jitter_fraction,
+/// 1 + jitter_fraction]. Backoff is *accounted*
+/// (RetryStats::backoff_ms_total), never slept, so virtual-time runs stay
+/// instant.
 struct RetryPolicy {
+  static constexpr double initial_backoff_ms = 0.5;
+  static constexpr double backoff_multiplier = 2.0;
+  static constexpr double max_backoff_ms = 50.0;
+  static constexpr double jitter_fraction = 0.25;
   std::uint32_t max_retries = 5;  ///< attempts = 1 + max_retries
-  double initial_backoff_ms = 0.5;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 50.0;
-  double jitter_fraction = 0.25;
   std::uint64_t jitter_seed = 1;
-  bool really_sleep = false;
 
   /// Upper bound on total backoff charged to one operation — what the
   /// bounded-backoff test asserts against.
@@ -205,7 +204,7 @@ class RetryingStore final : public runtime::RecordStore {
                    const runtime::EpochMeta* meta);
   void quarantine(const runtime::StreamKey& key,
                   std::span<const std::uint8_t> bytes);
-  /// Charges (and optionally sleeps) the backoff for 0-based retry `i`.
+  /// Charges the backoff for 0-based retry `i`.
   void backoff(std::uint32_t i);
 
   runtime::RecordStore* inner_;

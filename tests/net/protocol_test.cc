@@ -273,6 +273,7 @@ TEST(Protocol, OversizedLengthPrefixRejectedWithoutBuffering) {
   Message msg;
   EXPECT_EQ(parser.next(&msg), WireParser::Status::kMalformed);
   EXPECT_NE(parser.error().find("length"), std::string::npos);
+  EXPECT_EQ(parser.error_code(), ErrCode::kOversized);
   // Terminal: even good bytes afterwards stay rejected.
   parser.feed(encode_simple(MsgType::kBye));
   EXPECT_EQ(parser.next(&msg), WireParser::Status::kMalformed);
@@ -287,6 +288,7 @@ TEST(Protocol, GarbageMagicIsMalformed) {
   parser.feed(garbage);
   Message msg;
   EXPECT_EQ(parser.next(&msg), WireParser::Status::kMalformed);
+  EXPECT_EQ(parser.error_code(), ErrCode::kBadMessage);
 }
 
 TEST(Protocol, ByteAtATimeFeedRecoversMessageSequence) {

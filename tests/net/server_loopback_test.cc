@@ -348,6 +348,31 @@ TEST_F(ServerLoopbackTest, MalformedBatchGetsBadMessage) {
   EXPECT_FALSE(std::filesystem::exists(record_path("garbled-batch")));
 }
 
+TEST_F(ServerLoopbackTest, OversizedMessageGetsOversized) {
+  // A length prefix above the lowered max_message_body is a size breach,
+  // answered with the same code as a batch over its frame limits.
+  ServerConfig config;
+  config.limits.max_message_body = 1 << 12;
+  start_server(std::move(config));
+  auto client = dial("fat-message");
+  ASSERT_NE(client, nullptr);
+  support::ByteWriter header;
+  header.u8(tool::kFrameMagic);
+  header.u8(static_cast<std::uint8_t>(MsgType::kPutFrames));
+  header.u8(1);  // stored_raw
+  header.varint(1);
+  header.varint((1 << 12) + 1);  // raw_len
+  header.varint((1 << 12) + 1);  // body_len
+  ASSERT_TRUE(client->send_raw(header.view()));
+  EXPECT_FALSE(client->seal());
+  EXPECT_EQ(client->last_code(), ErrCode::kOversized)
+      << client->last_error();
+  client.reset();
+  EXPECT_TRUE(wait_for(
+      [](const Server::Stats& s) { return s.sessions_aborted >= 1; }));
+  EXPECT_FALSE(std::filesystem::exists(record_path("fat-message")));
+}
+
 TEST_F(ServerLoopbackTest, DisconnectMidIngestDiscardsPartialRecord) {
   start_server();
   {

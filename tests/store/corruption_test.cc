@@ -11,8 +11,11 @@
 #include <fstream>
 #include <vector>
 
+#include "compress/crc32.h"
 #include "store/container_reader.h"
+#include "store/container_store.h"
 #include "store/container_writer.h"
+#include "support/binary.h"
 
 namespace cdc::store {
 namespace {
@@ -235,6 +238,73 @@ TEST_F(CorruptionTest, TruncatedIndexFooterStillSalvagesEveryFrame) {
   EXPECT_TRUE(repacked->header_ok());
   EXPECT_TRUE(repacked->index_ok());
   EXPECT_TRUE(repacked->verify().ok);
+}
+
+// Re-encodes the sealed index with the first entry's payload size set to
+// `payload_bytes` and a recomputed CRC, so only the size is forged.
+std::vector<std::uint8_t> forge_payload_size(
+    const std::vector<std::uint8_t>& clean, std::uint64_t payload_bytes) {
+  const std::span<const std::uint8_t> all(clean);
+  support::ByteReader footer(
+      all.subspan(clean.size() - kContainerFooterSize));
+  (void)footer.u32();
+  const std::uint64_t index_len = footer.u64();
+  const std::size_t index_at =
+      clean.size() - kContainerFooterSize - index_len;
+  support::ByteReader in(all.subspan(index_at, index_len));
+  support::ByteWriter index;
+  const std::uint64_t streams = in.varint();
+  index.varint(streams);
+  for (std::uint64_t s = 0; s < streams; ++s) {
+    index.svarint(in.svarint());
+    index.varint(in.varint());
+    const std::uint64_t frames = in.varint();
+    index.varint(frames);
+    const std::uint64_t indexed = in.varint();
+    index.varint(s == 0 ? payload_bytes : indexed);
+    for (std::uint64_t f = 0; f < frames; ++f) index.varint(in.varint());
+  }
+  support::ByteWriter out;
+  out.bytes(all.subspan(0, index_at));
+  out.bytes(index.view());
+  out.u32(compress::crc32(index.view()));
+  out.u64(index.size());
+  for (const std::uint8_t byte : kFooterMagic) out.u8(byte);
+  return std::move(out).take();
+}
+
+TEST_F(CorruptionTest, ForgedIndexPayloadSizeIsRefused) {
+  const std::string clean_path = path("clean.cdcc");
+  build_sample(clean_path);
+  const std::vector<std::uint8_t> clean = read_file(clean_path);
+  const auto reader = ContainerReader::open(clean_path);
+  ASSERT_NE(reader, nullptr);
+  const std::uint64_t indexed =
+      reader->find(reader->keys().front())->payload_bytes;
+
+  // A size past the data region: the index is refused instead of trusted
+  // (read_stream would reserve 2^62 bytes), and salvage keeps every frame.
+  const std::string huge_path = path("huge.cdcc");
+  write_file(huge_path, forge_payload_size(clean, 1ull << 62));
+  const auto huge = ContainerReader::open(huge_path);
+  ASSERT_NE(huge, nullptr);
+  EXPECT_FALSE(huge->index_ok());
+  EXPECT_FALSE(huge->verify().ok);
+  EXPECT_DEATH((void)ContainerStore::open(huge_path),
+               "container index corrupt");
+  const RepackResult repack =
+      repack_container(huge_path, path("huge_repacked.cdcc"));
+  ASSERT_TRUE(repack.ok) << repack.error;
+  EXPECT_EQ(repack.frames_kept, 5u);
+  EXPECT_EQ(repack.frames_dropped, 0u);
+
+  // A size in range but one byte off: the index opens, verify() objects.
+  const std::string off_path = path("off_by_one.cdcc");
+  write_file(off_path, forge_payload_size(clean, indexed + 1));
+  const auto off = ContainerReader::open(off_path);
+  ASSERT_NE(off, nullptr);
+  EXPECT_TRUE(off->index_ok());
+  EXPECT_FALSE(off->verify().ok);
 }
 
 }  // namespace
