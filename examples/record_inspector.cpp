@@ -28,6 +28,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -281,8 +282,10 @@ int stats_demo(compress::DeflateLevel level) {
   }
   obs::install_trace(nullptr);  // quiesce before export
 
-  obs::PipelineReport report =
-      obs::PipelineReport::from_snapshot(obs::Registry::global().snapshot());
+  // With metrics off (compiled out, or CDC_OBS=0) the run recorded none,
+  // so the report is container-only.
+  obs::PipelineReport report;
+  if (obs::enabled()) report.metrics = obs::Registry::global().snapshot();
   std::string error;
   if (!tool::fill_container_section(file, report, &error)) {
     std::printf("cannot re-open %s: %s\n", file.c_str(), error.c_str());
@@ -416,45 +419,21 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
     return 1;
   }
 
-  // Slice both traces to each stream's verified [begin, end) and compare.
-  support::Trace full_slice;
-  support::Trace window_slice;
-  std::size_t sliced_streams = 0;
-  for (const auto& [key, slice] : window.window_slices()) {
-    if (slice.end == slice.begin) continue;
-    const auto full_it = full_probe.trace().find(key);
-    const auto window_it = window_probe.trace().find(key);
-    if (full_it == full_probe.trace().end() ||
-        window_it == window_probe.trace().end() ||
-        full_it->second.size() < slice.end ||
-        window_it->second.size() < slice.end) {
-      std::printf("FAILED: slice [%llu, %llu) runs past the trace of "
-                  "stream (rank=%d, callsite=%u)\n",
-                  static_cast<unsigned long long>(slice.begin),
-                  static_cast<unsigned long long>(slice.end), key.rank,
-                  key.callsite);
-      return 1;
-    }
-    full_slice[key].assign(
-        full_it->second.begin() + static_cast<std::ptrdiff_t>(slice.begin),
-        full_it->second.begin() + static_cast<std::ptrdiff_t>(slice.end));
-    window_slice[key].assign(
-        window_it->second.begin() + static_cast<std::ptrdiff_t>(slice.begin),
-        window_it->second.begin() + static_cast<std::ptrdiff_t>(slice.end));
-    ++sliced_streams;
-  }
+  // Each stream's verified [begin, end) against the same events of the
+  // full replay.
+  std::map<runtime::StreamKey, support::EventSpan> slices;
+  for (const auto& [key, slice] : window.window_slices())
+    slices[key] = {slice.begin, slice.end};
   const support::OracleReport oracle =
-      support::check_equivalence(full_slice, window_slice);
-  if (!oracle.ok || oracle.events_compared == 0) {
-    std::printf("FAILED: %s\n",
-                oracle.ok ? "window verified zero events"
-                          : oracle.summary().c_str());
+      support::check_slices(full_probe.trace(), window_probe.trace(), slices);
+  if (!oracle.ok) {
+    std::printf("FAILED: %s\n", oracle.summary().c_str());
     return 1;
   }
   std::printf("verified: %llu events across %zu stream slices match the "
               "full replay\n",
               static_cast<unsigned long long>(oracle.events_compared),
-              sliced_streams);
+              oracle.streams_compared);
   std::printf("\nwindow container left at %s\n", file.c_str());
   return 0;
 }

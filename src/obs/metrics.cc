@@ -78,8 +78,7 @@ std::uint64_t MetricsSnapshot::counter_or(std::string_view n,
   return c != nullptr ? c->value : fallback;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  JsonWriter w;
+void MetricsSnapshot::write_json(JsonWriter& w) const {
   w.begin_object();
   w.key("counters").begin_object();
   for (const CounterValue& c : counters) w.field(c.name, c.value);
@@ -103,7 +102,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   w.end_object();
   w.end_object();
-  return std::move(w).take();
 }
 
 // --- Registry -------------------------------------------------------------

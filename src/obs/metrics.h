@@ -31,6 +31,8 @@
 
 namespace cdc::obs {
 
+class JsonWriter;
+
 inline constexpr std::size_t kMetricShards = 16;  // power of two
 
 namespace detail {
@@ -239,8 +241,9 @@ struct MetricsSnapshot {
   [[nodiscard]] std::uint64_t counter_or(std::string_view n,
                                          std::uint64_t fallback = 0) const;
 
-  /// The whole snapshot as a JSON object keyed by metric name.
-  [[nodiscard]] std::string to_json() const;
+  /// Writes the whole snapshot as one JSON object value, each metric keyed
+  /// by its name under "counters", "gauges" or "histograms".
+  void write_json(JsonWriter& w) const;
 };
 
 /// Owns every metric; handles are stable for the registry's lifetime.

@@ -19,6 +19,45 @@ std::string offset_str(std::uint64_t offset) {
   return "offset " + std::to_string(offset);
 }
 
+/// The epoch section in front of the stream index at `index_at`, located
+/// by its own fixed-size footer.
+struct EpochSection {
+  bool present = false;  ///< the epoch footer magic is there
+  std::string error;     ///< length or CRC refused; empty when intact
+  std::size_t footer_at = 0;
+  std::size_t at = 0;                   ///< first byte, when intact
+  std::span<const std::uint8_t> bytes;  ///< the section, when intact
+};
+
+EpochSection locate_epoch_section(std::span<const std::uint8_t> all,
+                                  std::size_t index_at) {
+  EpochSection section;
+  // No magic there = old container; fine.
+  if (index_at < kContainerHeaderSize + kEpochFooterSize) return section;
+  section.footer_at = index_at - kEpochFooterSize;
+  if (std::memcmp(all.data() + section.footer_at + 12, kEpochFooterMagic,
+                  8) != 0)
+    return section;
+  section.present = true;
+  support::ByteReader footer(all.subspan(section.footer_at, kEpochFooterSize));
+  const std::uint32_t epoch_crc = footer.u32();
+  const std::uint64_t epoch_len = footer.u64();
+  if (epoch_len > section.footer_at - kContainerHeaderSize) {
+    section.error = "epoch index length exceeds file";
+    return section;
+  }
+  const std::size_t at =
+      section.footer_at - static_cast<std::size_t>(epoch_len);
+  const auto bytes = all.subspan(at, static_cast<std::size_t>(epoch_len));
+  if (compress::crc32(bytes) != epoch_crc) {
+    section.error = "epoch index crc mismatch";
+    return section;
+  }
+  section.at = at;
+  section.bytes = bytes;
+  return section;
+}
+
 }  // namespace
 
 std::string VerifyReport::summary() const {
@@ -87,17 +126,25 @@ void ContainerReader::parse_footer_and_index() {
   }
   const std::size_t index_at = footer_at - index_len;
   data_end_ = index_at;  // trustworthy once the index CRC matches
+  // A refused index still sits after the frames, and so does an intact
+  // epoch section in front of it: the data region ends before both, so
+  // the sequential fallback does not scan into the section.
+  const auto refuse = [&](const char* why) {
+    index_error_ = why;
+    const EpochSection epochs = locate_epoch_section(all, index_at);
+    if (epochs.present && epochs.error.empty()) data_end_ = epochs.at;
+  };
   const auto index_bytes =
       all.subspan(index_at, static_cast<std::size_t>(index_len));
   if (compress::crc32(index_bytes) != index_crc) {
-    index_error_ = "index crc mismatch";
+    refuse("index crc mismatch");
     return;
   }
 
   support::ByteReader in(index_bytes);
   std::uint64_t stream_count = 0;
   if (!in.try_varint(stream_count)) {
-    index_error_ = "truncated index";
+    refuse("truncated index");
     return;
   }
   for (std::uint64_t s = 0; s < stream_count; ++s) {
@@ -107,13 +154,13 @@ void ContainerReader::parse_footer_and_index() {
     std::uint64_t payload_bytes = 0;
     if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
         !in.try_varint(frame_count) || !in.try_varint(payload_bytes)) {
-      index_error_ = "truncated index entry";
+      refuse("truncated index entry");
       return;
     }
     // read_stream reserves this many bytes, so a forged size must not
     // get past the open.
     if (payload_bytes > data_end_ - kContainerHeaderSize) {
-      index_error_ = "index payload size exceeds data region";
+      refuse("index payload size exceeds data region");
       return;
     }
     StreamIndexEntry entry;
@@ -126,12 +173,12 @@ void ContainerReader::parse_footer_and_index() {
     for (std::uint64_t f = 0; f < frame_count; ++f) {
       std::uint64_t delta = 0;
       if (!in.try_varint(delta)) {
-        index_error_ = "truncated index offsets";
+        refuse("truncated index offsets");
         return;
       }
       offset += delta;
       if (offset < kContainerHeaderSize || offset >= data_end_) {
-        index_error_ = "index offset out of range";
+        refuse("index offset out of range");
         return;
       }
       entry.frame_offsets.push_back(offset);
@@ -139,7 +186,7 @@ void ContainerReader::parse_footer_and_index() {
     index_.emplace(entry.key, std::move(entry));
   }
   if (!in.exhausted()) {
-    index_error_ = "trailing bytes after index";
+    refuse("trailing bytes after index");
     return;
   }
   index_ok_ = true;
@@ -147,12 +194,8 @@ void ContainerReader::parse_footer_and_index() {
 }
 
 void ContainerReader::parse_epoch_section(std::size_t index_at) {
-  // The section sits immediately before the stream index, self-located by
-  // its own fixed-size footer. No magic there = old container; fine.
-  if (index_at < kContainerHeaderSize + kEpochFooterSize) return;
-  const std::size_t footer_at = index_at - kEpochFooterSize;
-  if (std::memcmp(bytes_.data() + footer_at + 12, kEpochFooterMagic, 8) != 0)
-    return;
+  const EpochSection section = locate_epoch_section(bytes_, index_at);
+  if (!section.present) return;
   epoch_present_ = true;
 
   // On any damage below: keep the container usable by re-deriving the end
@@ -160,37 +203,23 @@ void ContainerReader::parse_epoch_section(std::size_t index_at) {
   // self-sizing and CRC-protected, so this is safe), then report the
   // damage instead of trusting a possibly-wrong epoch length.
   const auto recover_data_end = [&] {
-    data_end_ = footer_at;
+    data_end_ = section.footer_at;
     std::uint64_t last = 0;
     for (const auto& [key, entry] : index_)
       if (!entry.frame_offsets.empty())
         last = std::max(last, entry.frame_offsets.back());
     if (last != 0) {
-      const ParsedFrame frame = parse_frame_at(last, footer_at);
+      const ParsedFrame frame = parse_frame_at(last, section.footer_at);
       if (frame.parsed && frame.crc_ok) data_end_ = last + frame.frame_size;
     }
   };
-
-  const std::span<const std::uint8_t> all(bytes_);
-  support::ByteReader footer(all.subspan(footer_at, kEpochFooterSize));
-  const std::uint32_t epoch_crc = footer.u32();
-  const std::uint64_t epoch_len = footer.u64();
-  if (epoch_len > footer_at - kContainerHeaderSize) {
-    epoch_error_ = "epoch index length exceeds file";
-    recover_data_end();
-    return;
-  }
-  const std::size_t epoch_at =
-      footer_at - static_cast<std::size_t>(epoch_len);
-  const auto epoch_bytes =
-      all.subspan(epoch_at, static_cast<std::size_t>(epoch_len));
-  if (compress::crc32(epoch_bytes) != epoch_crc) {
-    epoch_error_ = "epoch index crc mismatch";
+  if (!section.error.empty()) {
+    epoch_error_ = section.error;
     recover_data_end();
     return;
   }
 
-  support::ByteReader in(epoch_bytes);
+  support::ByteReader in(section.bytes);
   std::map<runtime::StreamKey, StreamEpochIndex> parsed;
   std::uint64_t stream_count = 0;
   bool ok = in.try_varint(stream_count);
@@ -251,7 +280,7 @@ void ContainerReader::parse_epoch_section(std::size_t index_at) {
 
   epochs_ = std::move(parsed);
   epoch_ok_ = true;
-  data_end_ = epoch_at;
+  data_end_ = section.at;
 }
 
 const StreamEpochIndex* ContainerReader::find_epochs(
@@ -554,10 +583,27 @@ RepackResult repack_container(const std::string& in_path,
     for (const runtime::StreamKey& key : reader->keys())
       listed += reader->find(key)->frame_offsets.size();
   }
+  // A stream keeps its epoch records only when every one of its frames
+  // survived: a stream that lost one is renumbered, so its frames go
+  // without meta and, by the writer's rule, without an epoch index.
+  std::map<runtime::StreamKey, std::size_t> kept;
+  for (const ContainerReader::GoodFrame& frame : frames) ++kept[frame.key];
+  std::map<runtime::StreamKey, std::size_t> next_epoch;
   {
     ContainerWriter writer(out_path);
-    for (const ContainerReader::GoodFrame& frame : frames)
-      writer.append_frame(frame.key, frame.payload);
+    for (const ContainerReader::GoodFrame& frame : frames) {
+      const StreamEpochIndex* epochs = reader->find_epochs(frame.key);
+      const std::size_t e = next_epoch[frame.key]++;
+      if (epochs != nullptr && epochs->epochs.size() == kept[frame.key] &&
+          epochs->epochs[e].frame_offset == frame.offset) {
+        const EpochRecord& epoch = epochs->epochs[e];
+        writer.append_frame(frame.key, frame.payload,
+                            runtime::EpochMeta{epoch.matched,
+                                               epoch.unmatched});
+      } else {
+        writer.append_frame(frame.key, frame.payload);
+      }
+    }
     writer.seal();
   }
   result.ok = true;

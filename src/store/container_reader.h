@@ -155,7 +155,9 @@ class ContainerReader {
 /// keeping every intact frame (file order preserved, per-stream sequence
 /// numbers renumbered densely) and dropping damaged ones. Rebuilds the
 /// index from scratch, so it also repairs containers with a broken or
-/// missing footer.
+/// missing footer. A stream whose frames all survive keeps its epoch
+/// index when the source's was intact, so a clean container repacks
+/// byte-identical.
 struct RepackResult {
   bool ok = false;  ///< input was readable and output sealed
   std::uint64_t frames_kept = 0;

@@ -36,26 +36,35 @@ void add_mismatch(OracleReport& report, std::string text) {
     report.mismatches.push_back(std::move(text));
 }
 
-/// Compares `limit` leading events of one stream; ~0 means the full stream
-/// (and then lengths must agree too).
+const StreamTrace& stream_of(const Trace& trace,
+                             const runtime::StreamKey& key) {
+  // A missing stream holds no events: the probe only creates a stream
+  // entry once an event lands there.
+  static const StreamTrace kEmpty;
+  const auto it = trace.find(key);
+  return it == trace.end() ? kEmpty : it->second;
+}
+
+/// Compares events [begin, end) of one stream after checking that both
+/// traces hold them; `exact` also requires the replayed stream to end at
+/// `end`.
 void compare_stream(OracleReport& report, const runtime::StreamKey& key,
                     const StreamTrace& recorded, const StreamTrace& replayed,
-                    std::uint64_t limit) {
-  const bool full = limit == ~std::uint64_t{0};
-  const std::uint64_t want = full ? recorded.size() : limit;
-  if (want > recorded.size()) {
-    add_mismatch(report, format_key(key) + ": claimed prefix " +
-                             std::to_string(want) + " exceeds recorded " +
+                    std::uint64_t begin, std::uint64_t end, bool exact) {
+  if (end > recorded.size()) {
+    add_mismatch(report, format_key(key) + ": claimed events [" +
+                             std::to_string(begin) + ", " +
+                             std::to_string(end) + ") exceed recorded " +
                              std::to_string(recorded.size()) + " events");
     return;
   }
-  if (replayed.size() < want || (full && replayed.size() != want)) {
+  if (replayed.size() < end || (exact && replayed.size() != end)) {
     add_mismatch(report, format_key(key) + ": recorded " +
-                             std::to_string(want) + " events, replayed " +
+                             std::to_string(end) + " events, replayed " +
                              std::to_string(replayed.size()));
     return;
   }
-  for (std::uint64_t i = 0; i < want; ++i) {
+  for (std::uint64_t i = begin; i < end; ++i) {
     ++report.events_compared;
     if (recorded[i] == replayed[i]) continue;
     add_mismatch(report, format_key(key) + " event " + std::to_string(i) +
@@ -71,18 +80,13 @@ OracleReport compare_traces(
   OracleReport report;
   for (const auto& [key, rec_stream] : recorded) {
     ++report.streams_compared;
-    std::uint64_t limit = ~std::uint64_t{0};
+    std::uint64_t end = rec_stream.size();
     if (prefix_lengths != nullptr) {
       const auto it = prefix_lengths->find(key);
-      limit = it == prefix_lengths->end() ? 0 : it->second;
+      end = it == prefix_lengths->end() ? 0 : it->second;
     }
-    static const StreamTrace kEmpty;
-    const auto rep_it = replayed.find(key);
-    // A missing replay stream is fine iff nothing is required of it: the
-    // probe only creates a stream entry once an event lands there.
-    const StreamTrace& rep_stream =
-        rep_it == replayed.end() ? kEmpty : rep_it->second;
-    compare_stream(report, key, rec_stream, rep_stream, limit);
+    compare_stream(report, key, rec_stream, stream_of(replayed, key), 0, end,
+                   prefix_lengths == nullptr);
   }
   if (prefix_lengths == nullptr) {
     for (const auto& [key, rep_stream] : replayed) {
@@ -194,6 +198,21 @@ OracleReport check_prefix(
     const Trace& recorded, const Trace& replayed,
     const std::map<runtime::StreamKey, std::uint64_t>& prefix_lengths) {
   return compare_traces(recorded, replayed, &prefix_lengths);
+}
+
+OracleReport check_slices(
+    const Trace& reference, const Trace& replayed,
+    const std::map<runtime::StreamKey, EventSpan>& slices) {
+  OracleReport report;
+  for (const auto& [key, span] : slices) {
+    if (span.end <= span.begin) continue;
+    ++report.streams_compared;
+    compare_stream(report, key, stream_of(reference, key),
+                   stream_of(replayed, key), span.begin, span.end, false);
+  }
+  if (report.ok && report.events_compared == 0)
+    add_mismatch(report, "the slices cover no event");
+  return report;
 }
 
 }  // namespace cdc::support

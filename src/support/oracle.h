@@ -8,7 +8,8 @@
 // receive event (and unmatched test) into per-stream traces; two traces are
 // then compared event-by-event, bit-for-bit — source, tag, piggybacked
 // clock, and a CRC of the payload. A prefix variant supports crash/salvage
-// runs, where only a verified prefix of each stream is expected to match.
+// runs, where only a verified prefix of each stream is expected to match,
+// and a slice variant windowed replays, where only a verified interval is.
 #pragma once
 
 #include <array>
@@ -115,5 +116,22 @@ struct OracleReport {
 [[nodiscard]] OracleReport check_prefix(
     const Trace& recorded, const Trace& replayed,
     const std::map<runtime::StreamKey, std::uint64_t>& prefix_lengths);
+
+/// Events [begin, end) of one stream.
+struct EventSpan {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+
+  friend bool operator==(const EventSpan&, const EventSpan&) = default;
+};
+
+/// Slice equivalence for windowed replay: for each stream of `slices`,
+/// events [begin, end) of `replayed` must exist and match the same events
+/// of `reference` bit-for-bit. An empty slice requires nothing; a slice
+/// past either trace's end fails, and so does a check that compares no
+/// event at all.
+[[nodiscard]] OracleReport check_slices(
+    const Trace& reference, const Trace& replayed,
+    const std::map<runtime::StreamKey, EventSpan>& slices);
 
 }  // namespace cdc::support

@@ -14,30 +14,30 @@ bool fill_container_section(const std::string& path,
   const auto reader = store::ContainerReader::open(path, error);
   if (reader == nullptr) return false;
 
-  report.container_file_bytes = reader->file_bytes();
-  report.container_sealed = reader->index_ok();
+  report.container.file_bytes = reader->file_bytes();
+  report.container.sealed = reader->index_ok();
 
   for (const store::ContainerReader::GoodFrame& good :
        reader->scan_good_frames()) {
     // One container frame carries exactly one tool frame (the FrameSink
     // contract), so the container payload size IS the framed byte count
     // the encoder reported through record.frame.bytes_out.
-    ++report.container_frames;
-    report.container_stored_bytes += good.payload.size();
+    ++report.container.frames;
+    report.container.stored_bytes += good.payload.size();
 
     support::ByteReader frame_reader(good.payload);
     auto frame = read_frame(frame_reader);
     if (!frame) continue;  // foreign or truncated payload: count bytes only
-    report.container_raw_bytes += frame->payload.size();
+    report.container.raw_bytes += frame->payload.size();
 
     const auto codec = static_cast<RecordCodec>(frame->codec);
-    ++report.container_codec_frames[codec_name(codec)];
+    ++report.container.codec_frames[codec_name(codec)];
 
     if (codec == RecordCodec::kCdcFull) {
       support::ByteReader payload(frame->payload);
       if (const auto chunk = record::read_chunk(payload)) {
-        report.container_chunk_events += chunk->num_matched;
-        report.container_chunk_values += chunk->value_count();
+        report.container.chunk_events += chunk->num_matched;
+        report.container.chunk_values += chunk->value_count();
       }
     }
   }

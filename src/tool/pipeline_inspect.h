@@ -1,5 +1,5 @@
 // Container-side half of the pipeline report: decodes a record container
-// frame by frame and fills the `container_*` section of an
+// frame by frame and fills the `container` section of an
 // obs::PipelineReport, so the byte totals the live encoder claimed can be
 // reconciled against what actually landed on disk. Lives in the tool
 // layer because chunk decoding needs the codec headers; the report struct

@@ -307,8 +307,7 @@ TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
   RunArtifacts baseline = record_run(workload, 7, {}, /*workers=*/1);
   const auto store = store::ContainerStore::open(baseline.container_path);
   ASSERT_NE(store, nullptr);
-  using Slices = std::map<runtime::StreamKey,
-                          std::pair<std::uint64_t, std::uint64_t>>;
+  using Slices = std::map<runtime::StreamKey, support::EventSpan>;
   Slices first_slices;
   for (const int workers : kWorkerCounts) {
     const std::string what =
@@ -322,22 +321,10 @@ TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
 
     // Each verified slice must be the same interval of the recording.
     Slices slices;
-    support::Trace recorded_slice;
-    support::Trace replayed_slice;
-    for (const auto& [key, slice] : replayer.window_slices()) {
+    for (const auto& [key, slice] : replayer.window_slices())
       slices[key] = {slice.begin, slice.end};
-      if (slice.end == slice.begin) continue;
-      const auto& recorded = baseline.trace.at(key);
-      const auto& replayed = probe.trace().at(key);
-      ASSERT_LE(slice.end, recorded.size()) << what;
-      ASSERT_LE(slice.end, replayed.size()) << what;
-      const auto b = static_cast<std::ptrdiff_t>(slice.begin);
-      const auto e = static_cast<std::ptrdiff_t>(slice.end);
-      recorded_slice[key].assign(recorded.begin() + b, recorded.begin() + e);
-      replayed_slice[key].assign(replayed.begin() + b, replayed.begin() + e);
-    }
     const support::OracleReport oracle =
-        support::check_equivalence(recorded_slice, replayed_slice);
+        support::check_slices(baseline.trace, probe.trace(), slices);
     EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
     EXPECT_GT(oracle.events_compared, 0u) << what;
     if (workers == kWorkerCounts[0])

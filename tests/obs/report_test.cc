@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "apps/mcb.h"
 #include "minimpi/simulator.h"
@@ -17,88 +18,75 @@
 namespace cdc::obs {
 namespace {
 
-// from_snapshot itself always works; what vanishes when the layer is
+// The report itself always works; what vanishes when the layer is
 // compiled out (-DCDC_OBS=OFF) is the recording feeding it.
 #define SKIP_IF_OBS_COMPILED_OUT()                          \
   if (!compiled_in()) GTEST_SKIP() << "obs compiled out — " \
                                       "recording is a no-op"
 
-TEST(PipelineReport, FromSnapshotMapsMetricNames) {
+std::string printed(const PipelineReport& report) {
+  std::FILE* out = std::tmpfile();
+  report.print(out);
+  std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+  std::rewind(out);
+  text.resize(std::fread(text.data(), 1, text.size(), out));
+  std::fclose(out);
+  return text;
+}
+
+/// Every metric reaches the report under the name its emitter registered,
+/// including one the report's own code never names; the derived rates
+/// read their metrics by name.
+TEST(PipelineReport, CarriesEveryMetricUnderItsRegisteredName) {
   SKIP_IF_OBS_COMPILED_OUT();
   Registry& registry = Registry::global();
   registry.reset_values();
   set_enabled(true);
-  registry.counter("record.stage.re.calls").add(3);
-  registry.counter("record.stage.re.bytes_in").add(4000);
-  registry.counter("record.stage.re.bytes_out").add(1800);
-  registry.counter("record.stage.re.values").add(225);
-  registry.counter("record.stage.deflate.bytes_out").add(600);
-  registry.counter("record.events.matched").add(100);
-  registry.counter("record.events.unmatched").add(7);
-  registry.counter("record.chunks").add(3);
-  registry.counter("record.frame.bytes_out").add(650);
-  registry.counter("record.epoch.cut_found").add(2);
-  registry.counter("record.epoch.cut_deferred").add(1);
+  registry.counter("replay.gated_blocks").add(64);
   registry.histogram("record.epoch.flush_events").record(33);
   registry.counter("record.stage.deflate.bytes_in").add(4096);
   registry.counter("record.stage.deflate.ns").add(2048);
   registry.counter("store.pool.hits").add(30);
   registry.counter("store.pool.misses").add(10);
-  registry.counter("store.pool.recycled_bytes").add(7777);
-  registry.counter("sim.messages_sent").add(55);
-  registry.counter("sim.irecv_scanned").add(12);
-  registry.histogram("sim.virtual_time_us").record(2500000);
-  registry.counter("store.container.frames").add(3);
-  registry.counter("record.stage.inflate.calls").add(3);
-  registry.counter("record.stage.inflate.bytes_in").add(600);
   registry.counter("record.stage.inflate.bytes_out").add(4096);
   registry.counter("record.stage.inflate.ns").add(1024);
-  registry.counter("store.container.epoch_streams").add(4);
-  registry.counter("store.container.epoch_fallbacks").add(1);
 
-  const PipelineReport report =
-      PipelineReport::from_snapshot(registry.snapshot());
-  EXPECT_EQ(report.stage_re.calls, 3u);
-  EXPECT_EQ(report.stage_re.bytes_in, 4000u);
-  EXPECT_EQ(report.stage_re.bytes_out, 1800u);
-  EXPECT_EQ(report.stage_re.values_out, 225u);
-  EXPECT_EQ(report.stage_deflate.bytes_out, 600u);
-  EXPECT_EQ(report.events_matched, 100u);
-  EXPECT_EQ(report.events_unmatched, 7u);
-  EXPECT_EQ(report.chunks, 3u);
-  EXPECT_EQ(report.frame_bytes_out, 650u);
-  EXPECT_EQ(report.epoch_cuts, 2u);
-  EXPECT_EQ(report.epoch_deferrals, 1u);
-  EXPECT_EQ(report.epoch_flush_events.count, 1u);
-  EXPECT_EQ(report.epoch_flush_events.max, 33u);
-  EXPECT_EQ(report.pool_hits, 30u);
-  EXPECT_EQ(report.pool_misses, 10u);
-  EXPECT_EQ(report.pool_recycled_bytes, 7777u);
+  PipelineReport report;
+  report.metrics = registry.snapshot();
+  EXPECT_EQ(report.metrics.counter_or("replay.gated_blocks"), 64u);
   EXPECT_DOUBLE_EQ(report.pool_hit_rate(), 0.75);
   // 4096 bytes in 2048 ns = 2 bytes/ns = 2000 MB/s.
   EXPECT_DOUBLE_EQ(report.deflate_mb_per_s(), 2000.0);
-  EXPECT_EQ(report.sim_messages, 55u);
-  EXPECT_EQ(report.sim_irecv_scanned, 12u);
-  EXPECT_DOUBLE_EQ(report.sim_virtual_seconds, 2.5);
-  EXPECT_EQ(report.writer_frames, 3u);
-  EXPECT_EQ(report.stage_inflate.calls, 3u);
-  EXPECT_EQ(report.stage_inflate.bytes_in, 600u);
-  EXPECT_EQ(report.stage_inflate.bytes_out, 4096u);
   // Measured on the raw side: 4096 bytes out in 1024 ns = 4000 MB/s.
   EXPECT_DOUBLE_EQ(report.inflate_mb_per_s(), 4000.0);
-  EXPECT_EQ(report.epoch_streams, 4u);
-  EXPECT_EQ(report.epoch_fallbacks, 1u);
+
+  const std::string json = report.to_json();
+  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_NE(json.find("\"replay.gated_blocks\": 64"), std::string::npos);
+  EXPECT_NE(json.find("\"record.epoch.flush_events\""), std::string::npos);
+  EXPECT_NE(json.find("\"pool_hit_rate\": 0.75"), std::string::npos);
+  const std::string text = printed(report);
+  EXPECT_NE(text.find("replay.gated_blocks"), std::string::npos) << text;
+  EXPECT_NE(text.find("count 1 min 33 max 33"), std::string::npos) << text;
+  EXPECT_NE(text.find("deflate 2000.0 MB/s, inflate 4000.0 MB/s"),
+            std::string::npos)
+      << text;
+  // Every metric of the snapshot gets its line.
+  for (const CounterValue& c : report.metrics.counters)
+    EXPECT_NE(text.find("  " + c.name + " "), std::string::npos) << c.name;
+  for (const HistogramValue& h : report.metrics.histograms)
+    EXPECT_NE(text.find("  " + h.name + " "), std::string::npos) << h.name;
   registry.reset_values();
 }
 
 TEST(PipelineReport, ReconcileAcceptsMatchingTotals) {
   PipelineReport report;
-  report.chunks = 4;
-  report.frame_bytes_out = 1000;
-  report.stage_deflate.bytes_out = 900;
-  report.container_frames = 4;
-  report.container_stored_bytes = 1000;
-  report.container_file_bytes = 1200;
+  report.metrics.counters = {{"record.chunks", 4},
+                             {"record.frame.bytes_out", 1000},
+                             {"record.stage.deflate.bytes_out", 900}};
+  report.container.frames = 4;
+  report.container.stored_bytes = 1000;
+  report.container.file_bytes = 1200;
   EXPECT_TRUE(report.reconcile());
   EXPECT_EQ(report.reconcile_note,
             "encoder and container byte totals match");
@@ -106,61 +94,61 @@ TEST(PipelineReport, ReconcileAcceptsMatchingTotals) {
 
 TEST(PipelineReport, ReconcileRejectsByteMismatch) {
   PipelineReport report;
-  report.chunks = 4;
-  report.frame_bytes_out = 1000;
-  report.container_frames = 4;
-  report.container_stored_bytes = 999;
+  report.metrics.counters = {{"record.chunks", 4},
+                             {"record.frame.bytes_out", 1000}};
+  report.container.frames = 4;
+  report.container.stored_bytes = 999;
   EXPECT_FALSE(report.reconcile());
   EXPECT_NE(report.reconcile_note.find("framed bytes"), std::string::npos);
 }
 
 TEST(PipelineReport, ReconcileRejectsFrameCountMismatch) {
   PipelineReport report;
-  report.chunks = 5;
-  report.frame_bytes_out = 1000;
-  report.container_frames = 4;
-  report.container_stored_bytes = 1000;
+  report.metrics.counters = {{"record.chunks", 5},
+                             {"record.frame.bytes_out", 1000}};
+  report.container.frames = 4;
+  report.container.stored_bytes = 1000;
   EXPECT_FALSE(report.reconcile());
   EXPECT_NE(report.reconcile_note.find("chunks"), std::string::npos);
 }
 
 TEST(PipelineReport, ReconcileRejectsDeflateExceedingFramedBytes) {
   PipelineReport report;
-  report.frame_bytes_out = 100;
-  report.stage_deflate.bytes_out = 200;
+  report.metrics.counters = {{"record.frame.bytes_out", 100},
+                             {"record.stage.deflate.bytes_out", 200}};
   EXPECT_FALSE(report.reconcile());
 }
 
 TEST(PipelineReport, ReconcileSingleSourceIsInternalOnly) {
   PipelineReport container_only;
-  container_only.container_frames = 9;
-  container_only.container_stored_bytes = 512;
-  container_only.container_file_bytes = 600;
+  container_only.container.frames = 9;
+  container_only.container.stored_bytes = 512;
+  container_only.container.file_bytes = 600;
   EXPECT_TRUE(container_only.reconcile());
   EXPECT_NE(container_only.reconcile_note.find("single-source"),
             std::string::npos);
 
   PipelineReport bad_container;
-  bad_container.container_frames = 9;
-  bad_container.container_stored_bytes = 700;
-  bad_container.container_file_bytes = 600;  // frames can't exceed the file
+  bad_container.container.frames = 9;
+  bad_container.container.stored_bytes = 700;
+  bad_container.container.file_bytes = 600;  // frames can't exceed the file
   EXPECT_FALSE(bad_container.reconcile());
 }
 
 TEST(PipelineReport, ToJsonIsWellFormed) {
   PipelineReport report;
-  report.chunks = 2;
-  report.frame_bytes_out = 128;
-  report.container_frames = 2;
-  report.container_stored_bytes = 128;
-  report.container_codec_frames["cdc"] = 2;
+  report.metrics.counters = {{"record.chunks", 2},
+                             {"record.frame.bytes_out", 128}};
+  report.container.frames = 2;
+  report.container.stored_bytes = 128;
+  report.container.codec_frames["cdc"] = 2;
   report.reconcile();
   const std::string json = report.to_json();
   EXPECT_TRUE(json_well_formed(json)) << json;
   EXPECT_NE(json.find("\"report\": \"cdc_pipeline\""), std::string::npos);
   EXPECT_NE(json.find("\"reconciliation\""), std::string::npos);
-  EXPECT_NE(json.find("\"decode\""), std::string::npos);
-  EXPECT_NE(json.find("\"inflate\""), std::string::npos);
+  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+  EXPECT_NE(json.find("\"inflate_mb_per_s\""), std::string::npos);
 }
 
 /// The --stats invariant end to end: an instrumented record run must
@@ -191,24 +179,31 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
     container.seal();
   }
 
-  PipelineReport report =
-      PipelineReport::from_snapshot(Registry::global().snapshot());
+  PipelineReport report;
+  report.metrics = Registry::global().snapshot();
   std::string error;
   ASSERT_TRUE(tool::fill_container_section(file, report, &error)) << error;
+  const auto counter = [&](std::string_view name) {
+    return report.metrics.counter_or(name);
+  };
 
   EXPECT_TRUE(report.reconcile()) << report.reconcile_note;
-  EXPECT_GT(report.events_matched, 0u);
-  EXPECT_GT(report.chunks, 0u);
-  EXPECT_EQ(report.chunks, report.container_frames);
-  EXPECT_EQ(report.frame_bytes_out, report.container_stored_bytes);
-  EXPECT_EQ(report.writer_payload_bytes, report.container_stored_bytes);
-  EXPECT_TRUE(report.container_sealed);
+  EXPECT_GT(counter("record.events.matched"), 0u);
+  EXPECT_GT(counter("record.chunks"), 0u);
+  EXPECT_EQ(counter("record.chunks"), report.container.frames);
+  EXPECT_EQ(counter("record.frame.bytes_out"), report.container.stored_bytes);
+  EXPECT_EQ(counter("store.container.payload_bytes"),
+            report.container.stored_bytes);
+  EXPECT_TRUE(report.container.sealed);
   // The sink encoded every chunk the recorder sealed, one buffer-pool
   // hit or miss each.
-  EXPECT_EQ(report.pool_hits + report.pool_misses, report.chunks);
+  EXPECT_EQ(counter("store.pool.hits") + counter("store.pool.misses"),
+            counter("record.chunks"));
   // Stage flow only shrinks: RE output feeds PE, PE feeds LP.
-  EXPECT_LE(report.stage_pe.bytes_in, report.stage_re.bytes_out);
-  EXPECT_LE(report.stage_lp.bytes_in, report.stage_pe.bytes_out);
+  EXPECT_LE(counter("record.stage.pe.bytes_in"),
+            counter("record.stage.re.bytes_out"));
+  EXPECT_LE(counter("record.stage.lp.bytes_in"),
+            counter("record.stage.pe.bytes_out"));
 
   const std::string json = report.to_json();
   EXPECT_TRUE(json_well_formed(json));
@@ -216,8 +211,8 @@ TEST(PipelineReport, LiveRunReconcilesAgainstContainer) {
   Registry::global().reset_values();
 }
 
-/// sim.max_live_requests is one sample per run, like the queue depth: the
-/// report carries the largest run's value.
+/// sim.max_live_requests is one sample per run, like the queue depth: its
+/// histogram's max is the largest run's value.
 TEST(PipelineReport, ReportsTheDeepestLiveReceiveTable) {
   SKIP_IF_OBS_COMPILED_OUT();
   Registry::global().reset_values();
@@ -234,11 +229,14 @@ TEST(PipelineReport, ReportsTheDeepestLiveReceiveTable) {
     apps::run_mcb(sim, mcb);
     most = std::max(most, sim.stats().max_live_requests);
   }
-  const PipelineReport report =
-      PipelineReport::from_snapshot(Registry::global().snapshot());
+  PipelineReport report;
+  report.metrics = Registry::global().snapshot();
+  const HistogramValue* live =
+      report.metrics.find_histogram("sim.max_live_requests");
+  ASSERT_NE(live, nullptr);
   EXPECT_GT(most, 0u);
-  EXPECT_EQ(report.sim_max_live_requests, most);
-  EXPECT_NE(report.to_json().find("\"max_live_requests\""),
+  EXPECT_EQ(live->max, most);
+  EXPECT_NE(report.to_json().find("\"sim.max_live_requests\""),
             std::string::npos);
   Registry::global().reset_values();
 }
@@ -268,13 +266,21 @@ TEST(PipelineReport, PerRunSimulatorValuesAreMaximaOverRuns) {
         max_end_us, static_cast<std::uint64_t>(sim.stats().end_time * 1e6));
   }
 
-  const PipelineReport report =
-      PipelineReport::from_snapshot(Registry::global().snapshot());
-  EXPECT_EQ(report.exec_runs, 2u);
-  EXPECT_EQ(report.exec_workers, 1u);
-  EXPECT_EQ(report.sim_max_queue_depth, max_depth);
-  EXPECT_DOUBLE_EQ(report.sim_virtual_seconds,
-                   static_cast<double>(max_end_us) * 1e-6);
+  PipelineReport report;
+  report.metrics = Registry::global().snapshot();
+  const HistogramValue* workers =
+      report.metrics.find_histogram("sim.exec.workers");
+  const HistogramValue* depth =
+      report.metrics.find_histogram("sim.max_queue_depth");
+  const HistogramValue* end_us =
+      report.metrics.find_histogram("sim.virtual_time_us");
+  ASSERT_NE(workers, nullptr);
+  ASSERT_NE(depth, nullptr);
+  ASSERT_NE(end_us, nullptr);
+  EXPECT_EQ(workers->count, 2u);
+  EXPECT_EQ(workers->max, 1u);
+  EXPECT_EQ(depth->max, max_depth);
+  EXPECT_EQ(end_us->max, max_end_us);
   Registry::global().reset_values();
 }
 

@@ -65,6 +65,25 @@ void build_sample(const std::string& file) {
   writer.seal();
 }
 
+// The same five frames, each with its epoch metadata, so the sealed
+// container carries an epoch section between the frames and the index.
+void build_epoch_sample(const std::string& file) {
+  ContainerWriter writer(file);
+  writer.append_frame({0, 1},
+                      std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8},
+                      runtime::EpochMeta{3, 1});
+  writer.append_frame({2, 1}, std::vector<std::uint8_t>{10, 20, 30},
+                      runtime::EpochMeta{5, 0});
+  writer.append_frame({0, 1}, std::vector<std::uint8_t>{9, 9, 9, 9},
+                      runtime::EpochMeta{2, 4});
+  writer.append_frame(
+      {-1, 3}, std::vector<std::uint8_t>{0xAA, 0xBB, 0xCC, 0xDD, 0xEE},
+      runtime::EpochMeta{6, 0});
+  writer.append_frame({2, 1}, std::vector<std::uint8_t>{42},
+                      runtime::EpochMeta{1, 1});
+  writer.seal();
+}
+
 TEST_F(CorruptionTest, EverySingleByteFlipIsDetected) {
   const std::string clean_path = path("clean.cdcc");
   build_sample(clean_path);
@@ -305,6 +324,72 @@ TEST_F(CorruptionTest, ForgedIndexPayloadSizeIsRefused) {
   ASSERT_NE(off, nullptr);
   EXPECT_TRUE(off->index_ok());
   EXPECT_FALSE(off->verify().ok);
+}
+
+TEST_F(CorruptionTest, RepackKeepsTheEpochIndex) {
+  const std::string clean_path = path("clean.cdcc");
+  build_epoch_sample(clean_path);
+  const std::vector<std::uint8_t> clean = read_file(clean_path);
+
+  // Nothing to salvage: the repack is the source, byte for byte.
+  const std::string same_path = path("same.cdcc");
+  const RepackResult same = repack_container(clean_path, same_path);
+  ASSERT_TRUE(same.ok) << same.error;
+  EXPECT_EQ(read_file(same_path), clean);
+
+  // One payload byte of stream (2,1)'s first frame: that stream is
+  // renumbered and loses its epoch index, the others keep theirs.
+  const auto reader = ContainerReader::open(clean_path);
+  ASSERT_NE(reader, nullptr);
+  const auto frames = reader->scan_good_frames();
+  ASSERT_EQ(frames.size(), 5u);
+  ASSERT_EQ(frames[1].key, (runtime::StreamKey{2, 1}));
+  std::vector<std::uint8_t> bytes = clean;
+  bytes[static_cast<std::size_t>(frames[2].offset) - 4 - 1] ^= 0xFF;
+  const std::string hurt_path = path("hurt.cdcc");
+  write_file(hurt_path, bytes);
+
+  const std::string repacked_path = path("repacked.cdcc");
+  const RepackResult result = repack_container(hurt_path, repacked_path);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.frames_dropped, 1u);
+  const auto repacked = ContainerReader::open(repacked_path);
+  ASSERT_NE(repacked, nullptr);
+  EXPECT_TRUE(repacked->verify().ok);
+  ASSERT_TRUE(repacked->epoch_index_ok()) << repacked->epoch_index_error();
+  EXPECT_NE(repacked->find_epochs({0, 1}), nullptr);
+  EXPECT_NE(repacked->find_epochs({-1, 3}), nullptr);
+  EXPECT_EQ(repacked->find_epochs({2, 1}), nullptr);
+  const ContainerReader::WindowRead window =
+      repacked->read_stream_window({0, 1}, 1, 2);
+  EXPECT_TRUE(window.seeked);
+  EXPECT_EQ(window.bytes, (std::vector<std::uint8_t>{9, 9, 9, 9}));
+}
+
+TEST_F(CorruptionTest, RefusedIndexReportsOneError) {
+  const std::string clean_path = path("clean.cdcc");
+  build_epoch_sample(clean_path);
+  std::vector<std::uint8_t> bytes = read_file(clean_path);
+
+  // One bit of the stream index's first byte: the index CRC refuses it.
+  std::uint64_t index_len = 0;
+  for (int b = 7; b >= 0; --b)
+    index_len = (index_len << 8) | bytes[bytes.size() - 16 + b];
+  bytes[bytes.size() - kContainerFooterSize - index_len] ^= 0x01;
+  const std::string hurt_path = path("hurt.cdcc");
+  write_file(hurt_path, bytes);
+
+  const auto damaged = ContainerReader::open(hurt_path);
+  ASSERT_NE(damaged, nullptr);
+  EXPECT_FALSE(damaged->index_ok());
+  // The sequential fallback stops before the intact epoch section, so the
+  // refused index is the only error and every frame is checked.
+  const VerifyReport report = damaged->verify();
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.container_errors,
+            std::vector<std::string>{damaged->index_error()});
+  EXPECT_TRUE(report.bad_frames.empty());
+  EXPECT_EQ(report.frames_checked, 5u);
 }
 
 }  // namespace

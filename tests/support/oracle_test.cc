@@ -2,6 +2,8 @@
 // ability to fail, so most tests here construct deliberate divergences.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/taskfarm.h"
 #include "minimpi/simulator.h"
 #include "runtime/storage.h"
@@ -136,6 +138,44 @@ TEST(Oracle, UnclaimedStreamsRequireNothing) {
   const auto report =
       support::check_prefix(a, b, /*prefix_lengths=*/{});
   EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.events_compared, 0u);
+}
+
+TEST(Oracle, SlicesCheckOnlyTheirSpan) {
+  const Trace a = small_trace();
+  Trace b = a;
+  b[key(0)][0] = matched(1, 99);  // before the slice
+  b[key(0)].push_back(matched(4, 100));  // after it
+  std::map<runtime::StreamKey, support::EventSpan> slices;
+  slices[key(0)] = {1, 3};
+  slices[key(1)] = {0, 0};  // empty: requires nothing
+  const auto report = support::check_slices(a, b, slices);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.streams_compared, 1u);
+  EXPECT_EQ(report.events_compared, 2u);
+
+  b[key(0)][2] = matched(2, 8);  // inside it
+  EXPECT_FALSE(support::check_slices(a, b, slices).ok);
+}
+
+TEST(Oracle, SlicePastEitherTraceFails) {
+  const Trace a = small_trace();
+  Trace longer = a;
+  longer[key(1)].push_back(matched(2, 50));
+  std::map<runtime::StreamKey, support::EventSpan> slices;
+  slices[key(1)] = {1, 2};
+  EXPECT_FALSE(support::check_slices(a, longer, slices).ok);
+  EXPECT_FALSE(support::check_slices(longer, a, slices).ok);
+  EXPECT_TRUE(support::check_slices(longer, longer, slices).ok);
+}
+
+TEST(Oracle, SlicesThatCompareNothingFail) {
+  const Trace a = small_trace();
+  std::map<runtime::StreamKey, support::EventSpan> slices;
+  EXPECT_FALSE(support::check_slices(a, a, slices).ok);
+  slices[key(0)] = {2, 2};
+  const auto report = support::check_slices(a, a, slices);
+  EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.events_compared, 0u);
 }
 
