@@ -133,8 +133,8 @@ int main() {
 
   // --- 3. crash sweep ------------------------------------------------------
   const auto sweep_start = Clock::now();
-  const fuzz::CrashSweepReport sweep =
-      fuzz::crash_boundary_sweep(workload, base_seed);
+  const fuzz::SweepReport sweep =
+      fuzz::salvage_sweep(workload, base_seed, fuzz::SweepDamage::kTruncate);
   const double sweep_seconds =
       seconds_since(sweep_start, "bench.fig18.crash_sweep_ns");
   std::printf("\ncrash sweep : %s (%.2f s)\n", sweep.summary().c_str(),
@@ -180,7 +180,7 @@ int main() {
   w.end_array();
   w.key("crash_sweep").begin_object();
   w.field("frames", sweep.frames_recorded);
-  w.field("boundaries", sweep.boundaries_tested);
+  w.field("boundaries", sweep.cases_tested);
   w.field("prefixes_verified", sweep.prefixes_verified);
   w.field("events_checked", sweep.events_checked);
   w.field("wall_seconds", sweep_seconds);

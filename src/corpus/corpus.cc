@@ -278,12 +278,12 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   std::set<std::string> families;
   for (const runtime::StreamKey& key : reader->reader_->keys()) {
     if (key.rank != kCorpusMemberRank) continue;
-    const auto frames = reader->reader_->frame_payloads(key);
-    if (frames.empty()) continue;
+    const auto manifest = reader->reader_->read_stream(key);
+    if (manifest.empty()) continue;
     Member member;
     member.ordinal = key.callsite;
     MemberData data;
-    support::ByteReader in(frames.front());
+    support::ByteReader in(manifest);
     std::uint8_t magic = 0;
     std::uint8_t version = 0;
     std::uint8_t flags = 0;
@@ -354,9 +354,15 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
               return a.ordinal < b.ordinal;
             });
 
-  // Delta members need their reference member alive and readable.
+  // Members holding a delta stream need their reference member alive and
+  // readable; raw and gzip streams stand alone.
   for (Member& member : reader->members_) {
     if (!member.readable || member.delta_ref == member.ordinal) continue;
+    const auto& streams = reader->data_.at(member.ordinal).streams;
+    if (std::none_of(streams.begin(), streams.end(), [](const auto& entry) {
+          return entry.encoding == MemberEncoding::kDeltaCorrecting;
+        }))
+      continue;
     const Member* ref = reader->member(member.delta_ref);
     if (ref == nullptr || !ref->readable) {
       member.readable = false;

@@ -168,9 +168,9 @@ class CorpusReader {
 
   /// Opens `path`. Requires a readable index (a crashed container must go
   /// through repack_container first — the salvage contract of the store
-  /// layer). Members whose reference member was lost to salvage, or
-  /// whose manifest cannot be parsed, open as readable == false instead
-  /// of failing the corpus.
+  /// layer). Members with a delta stream whose reference member was lost
+  /// to salvage, and members whose manifest cannot be parsed, open as
+  /// readable == false instead of failing the corpus.
   static std::unique_ptr<CorpusReader> open(const std::string& path,
                                             std::string* error = nullptr);
 

@@ -273,25 +273,21 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
   recorder.finalize();
   container.abandon();
 
-  // Salvage: repack the intact frames into a fresh sealed container and
-  // prefix-replay it.
-  store::SalvageResult salvage =
-      store::salvage_container(container_path, repacked_path);
+  // Salvage: repack the replayable frames into a fresh sealed container,
+  // open it and prefix-replay it.
+  const store::RepackResult repack =
+      store::repack_container(container_path, repacked_path);
   std::optional<FuzzFailure> result;
-  if (salvage.store == nullptr) {
-    // Nothing salvageable is legitimate only when (almost) nothing was
-    // persisted: a header-only container is below the reader's minimum
-    // size. Anything else is a salvage bug.
-    if (crashing.appends_forwarded() > 0) {
-      failure.detail = "salvage failed with " +
-                       std::to_string(crashing.appends_forwarded()) +
-                       " frames persisted: " + salvage.repack.error;
-      result = failure;
-    } else if (report != nullptr) {
-      ++report->cases_passed;
-    }
+  if (!repack.ok) {
+    // The store wrote the container's header, so any readable file
+    // repacks, even one holding no frame.
+    failure.detail = "salvage failed with " +
+                     std::to_string(crashing.appends_forwarded()) +
+                     " frames persisted: " + repack.error;
+    result = failure;
   } else {
-    tool::Replayer replayer(workload_.num_ranks, salvage.store.get(),
+    const auto salvaged = store::ContainerStore::open(repacked_path);
+    tool::Replayer replayer(workload_.num_ranks, salvaged.get(),
                             tool_options(options_.chunk_target,
                                          /*partial_record=*/true));
     support::OrderProbe replay_probe(&replayer);
@@ -307,7 +303,7 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
     if (!oracle.ok) {
       failure.detail = oracle.summary();
       result = failure;
-    } else if (salvage.repack.frames_kept > 0 &&
+    } else if (repack.frames_kept > 0 &&
                oracle.events_compared == 0 && !replayer.released()) {
       // An empty verified prefix is legitimate under a tiny crash budget:
       // the first MF call can hit a stream with no salvaged chunks, which
@@ -664,33 +660,31 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
   return std::nullopt;
 }
 
-// --- Crash-at-every-frame-boundary sweep -----------------------------------
+// --- Salvage sweeps: a crash at every frame boundary, damage to every frame
 
-std::string CrashSweepReport::summary() const {
-  std::string out = "crash sweep: " + std::to_string(prefixes_verified) +
-                    "/" + std::to_string(boundaries_tested) +
-                    " boundaries verified (" +
+std::string SweepReport::summary() const {
+  std::string out = std::to_string(prefixes_verified) + "/" +
+                    std::to_string(cases_tested) + " cases verified (" +
                     std::to_string(frames_recorded) + " frames, " +
                     std::to_string(events_checked) + " events checked)";
   for (const std::string& f : failures) out += "\n  FAIL " + f;
   return out;
 }
 
-CrashSweepReport crash_boundary_sweep(const FuzzWorkload& workload,
-                                      std::uint64_t seed,
-                                      const std::string& scratch_dir,
-                                      std::size_t chunk_target) {
-  CrashSweepReport report;
+SweepReport salvage_sweep(const FuzzWorkload& workload, std::uint64_t seed,
+                          SweepDamage damage, const std::string& scratch_dir,
+                          std::size_t chunk_target) {
+  SweepReport report;
   const auto root = scratch_root(scratch_dir);
   const std::string stem = "cdc_sweep_" + workload.name + "_" +
                            std::to_string(seed) + "_" +
                            std::to_string(::getpid());
   const std::string sealed_path = (root / (stem + ".cdc")).string();
-  const std::string trunc_path = (root / (stem + "_trunc.cdc")).string();
+  const std::string hurt_path = (root / (stem + "_hurt.cdc")).string();
   const std::string repacked_path = (root / (stem + "_repacked.cdc")).string();
 
   // One clean recording, sealed — the reference run and the byte source
-  // for every truncation.
+  // for every case.
   support::Trace recorded_trace;
   {
     store::ContainerStore container(sealed_path);
@@ -707,64 +701,100 @@ CrashSweepReport crash_boundary_sweep(const FuzzWorkload& workload,
     recorded_trace = probe.trace();
   }
 
-  std::vector<std::uint64_t> boundaries;
+  // Per case: the bytes of the damaged copy, the byte it flips, and how
+  // many frames its salvage keeps.
+  struct Case {
+    std::uint64_t size = 0;
+    std::optional<std::uint64_t> flip;
+    std::uint64_t kept = 0;
+  };
+  std::vector<Case> cases;
   std::vector<std::uint8_t> bytes;
   {
     const auto reader = store::ContainerReader::open(sealed_path);
     CDC_CHECK_MSG(reader != nullptr && reader->index_ok(),
                   "sweep recording produced an unreadable container");
-    for (const auto& frame : reader->scan_good_frames())
-      boundaries.push_back(frame.offset);  // truncating here drops frame..end
-    boundaries.push_back(reader->data_end());  // all frames, no footer
-    report.frames_recorded = boundaries.size() - 1;
-
+    const auto frames = reader->scan_good_frames();
+    report.frames_recorded = frames.size();
     std::ifstream in(sealed_path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
     CDC_CHECK(bytes.size() == reader->file_bytes());
+
+    if (damage == SweepDamage::kTruncate) {
+      // Truncating at a frame drops it and every later frame; the last
+      // case keeps every frame but no footer.
+      for (std::size_t f = 0; f < frames.size(); ++f)
+        cases.push_back({frames[f].offset, std::nullopt, f});
+      cases.push_back({reader->data_end(), std::nullopt, frames.size()});
+    } else {
+      // The frame's last payload byte (the index stays intact): its
+      // stream loses this frame and every later one.
+      for (const auto& frame : frames) {
+        CDC_CHECK(!frame.payload.empty());
+        const auto lost = std::count_if(
+            frames.begin(), frames.end(), [&](const auto& other) {
+              return other.key == frame.key && other.seq >= frame.seq;
+            });
+        cases.push_back({bytes.size(), frame.offset + frame.frame_size - 5,
+                         frames.size() - static_cast<std::uint64_t>(lost)});
+      }
+    }
   }
 
-  for (std::size_t b = 0; b < boundaries.size(); ++b) {
-    ++report.boundaries_tested;
-    const std::uint64_t boundary = boundaries[b];
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    ++report.cases_tested;
+    const Case& hurt = cases[c];
     const auto fail = [&](const std::string& what) {
-      report.failures.push_back("boundary " + std::to_string(b) + " (offset " +
-                                std::to_string(boundary) + "): " + what);
+      report.failures.push_back(
+          "case " + std::to_string(c) + " (" +
+          (hurt.flip ? "flipped byte " + std::to_string(*hurt.flip)
+                     : "truncated at " + std::to_string(hurt.size)) +
+          "): " + what);
     };
+    if (hurt.flip) bytes[*hurt.flip] ^= 0xFF;
     {
-      std::ofstream out(trunc_path, std::ios::binary | std::ios::trunc);
+      std::ofstream out(hurt_path, std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(boundary));
+                static_cast<std::streamsize>(hurt.size));
       CDC_CHECK(out.good());
     }
+    if (hurt.flip) bytes[*hurt.flip] ^= 0xFF;
 
-    store::SalvageResult salvage =
-        store::salvage_container(trunc_path, repacked_path);
-    if (salvage.store == nullptr) {
-      // Only the empty prefix (header-only file, below the reader's
-      // minimum size) may fail to salvage.
-      if (b == 0)
-        ++report.prefixes_verified;
-      else
-        fail("salvage failed: " + salvage.repack.error);
+    const store::RepackResult repack =
+        store::repack_container(hurt_path, repacked_path);
+    if (!repack.ok) {
+      fail("salvage failed: " + repack.error);
       continue;
     }
-    if (salvage.repack.frames_kept != b) {
-      fail("expected " + std::to_string(b) + " salvaged frames, got " +
-           std::to_string(salvage.repack.frames_kept));
+    if (repack.frames_kept != hurt.kept) {
+      fail("expected " + std::to_string(hurt.kept) + " salvaged frames, got " +
+           std::to_string(repack.frames_kept));
       continue;
     }
 
-    // Every surviving byte re-verifies by CRC after the repack.
+    // Every surviving byte re-verifies by CRC, and each stream holds
+    // exactly the prefix inspect_gaps reports for the damaged copy.
     const auto reader = store::ContainerReader::open(repacked_path);
-    const store::VerifyReport verify =
-        reader != nullptr ? reader->verify() : store::VerifyReport{};
-    if (reader == nullptr || !verify.ok) {
+    if (reader == nullptr || !reader->verify().ok) {
       fail("repacked container failed verification");
       continue;
     }
+    const tool::GapReport gaps = tool::inspect_gaps(hurt_path);
+    bool same_prefixes = gaps.frames_intact_total() == repack.frames_kept;
+    for (const tool::StreamGap& gap : gaps.streams) {
+      const store::StreamIndexEntry* entry = reader->find(gap.key);
+      same_prefixes = same_prefixes &&
+                      (entry != nullptr ? entry->frame_offsets.size() : 0) ==
+                          gap.frames_intact;
+    }
+    if (!same_prefixes) {
+      fail("repacked streams differ from the prefixes inspect_gaps reports");
+      continue;
+    }
 
-    tool::Replayer replayer(workload.num_ranks, salvage.store.get(),
+    const auto salvaged = store::ContainerStore::open(repacked_path);
+    tool::Replayer replayer(workload.num_ranks, salvaged.get(),
                             tool_options(chunk_target,
                                          /*partial_record=*/true));
     support::OrderProbe probe(&replayer);
@@ -785,7 +815,7 @@ CrashSweepReport crash_boundary_sweep(const FuzzWorkload& workload,
   }
 
   remove_quietly(sealed_path);
-  remove_quietly(trunc_path);
+  remove_quietly(hurt_path);
   remove_quietly(repacked_path);
   return report;
 }

@@ -8,9 +8,10 @@
 // one, and the workload's order-sensitive floating-point result must match
 // bitwise. The recorder-crash class records into an on-disk container,
 // abandons it unsealed mid-run (tool/crash_store.h), salvages it with the
-// store repack path, and prefix-replays the survivor; a companion sweep
-// truncates a sealed container at every frame boundary and proves each
-// salvaged prefix CRC-verifies and replays faithfully.
+// store repack path, and prefix-replays the survivor; two companion sweeps
+// truncate a sealed container at every frame boundary and damage each of
+// its frames in turn, and prove each salvaged prefix CRC-verifies and
+// replays faithfully.
 //
 // The simulator's worker count is a seed-cycled fuzz axis: record and
 // replay runs use workers = {1,2,4}[seed % 3], so every class also runs
@@ -190,13 +191,23 @@ class ScheduleFuzzer {
   FuzzOptions options_;
 };
 
-/// Crash-at-every-frame-boundary sweep: records `workload` once into a
-/// sealed container, then for each frame boundary (including "no frames
-/// yet" and "all frames, no footer") truncates a copy there, repacks it,
-/// verifies every surviving byte by CRC, and prefix-replays it against the
+/// What a salvage sweep does to its copy of the sealed record, per case.
+enum class SweepDamage : std::uint8_t {
+  /// Truncate at each frame boundary, including "no frames yet" and "all
+  /// frames, no footer": a recorder crash.
+  kTruncate,
+  /// Flip one payload byte of each frame in turn, index intact: the
+  /// frame's stream must keep exactly its earlier frames.
+  kFlipPayloadByte,
+};
+
+/// Salvage sweep: records `workload` once into a sealed container, then
+/// for each case damages a copy, repacks it, CRC-verifies the result,
+/// checks that each stream holds exactly the prefix tool::inspect_gaps
+/// reports for the damaged copy, and prefix-replays it against the
 /// recorded trace.
-struct CrashSweepReport {
-  std::uint64_t boundaries_tested = 0;
+struct SweepReport {
+  std::uint64_t cases_tested = 0;
   std::uint64_t prefixes_verified = 0;  ///< CRC-clean and oracle-passed
   std::uint64_t frames_recorded = 0;    ///< frames in the sealed container
   std::uint64_t events_checked = 0;
@@ -206,8 +217,10 @@ struct CrashSweepReport {
   [[nodiscard]] std::string summary() const;
 };
 
-[[nodiscard]] CrashSweepReport crash_boundary_sweep(
-    const FuzzWorkload& workload, std::uint64_t seed,
-    const std::string& scratch_dir = {}, std::size_t chunk_target = 64);
+[[nodiscard]] SweepReport salvage_sweep(const FuzzWorkload& workload,
+                                        std::uint64_t seed,
+                                        SweepDamage damage,
+                                        const std::string& scratch_dir = {},
+                                        std::size_t chunk_target = 64);
 
 }  // namespace cdc::fuzz

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "compress/crc32.h"
 #include "obs/metrics.h"
@@ -420,25 +421,6 @@ ContainerReader::WindowRead ContainerReader::read_stream_window(
   return window;
 }
 
-std::vector<std::span<const std::uint8_t>> ContainerReader::frame_payloads(
-    const runtime::StreamKey& key) const {
-  CDC_CHECK_MSG(index_ok_,
-                "container index unreadable — run verify/repack first");
-  const StreamIndexEntry* entry = find(key);
-  if (entry == nullptr) return {};
-  std::vector<std::span<const std::uint8_t>> out;
-  out.reserve(entry->frame_offsets.size());
-  for (const std::uint64_t offset : entry->frame_offsets) {
-    const ParsedFrame frame = parse_frame_at(offset, data_end_);
-    CDC_CHECK_MSG(frame.parsed && frame.crc_ok,
-                  "container frame corrupt — refusing to replay from it");
-    CDC_CHECK_MSG(frame.key == key, "container frame belongs to another "
-                                    "stream — index is inconsistent");
-    out.push_back(frame.payload);
-  }
-  return out;
-}
-
 VerifyReport ContainerReader::verify() const {
   VerifyReport report;
   if (!header_ok_) {
@@ -567,6 +549,29 @@ std::vector<ContainerReader::GoodFrame> ContainerReader::scan_good_frames()
   return out;
 }
 
+std::vector<ContainerReader::GoodFrame> replayable_frames(
+    const std::vector<ContainerReader::GoodFrame>& good,
+    const std::map<runtime::StreamKey, std::uint64_t>& first_quarantined) {
+  std::vector<ContainerReader::GoodFrame> kept;
+  // Per stream: the seq its next frame must carry, and the position it is
+  // cut at — lowered to that seq by the first frame that does not carry it.
+  std::map<runtime::StreamKey, std::uint64_t> next;
+  std::map<runtime::StreamKey, std::uint64_t> cut = first_quarantined;
+  for (const ContainerReader::GoodFrame& frame : good) {
+    std::uint64_t& seq = next[frame.key];
+    std::uint64_t& end =
+        cut.try_emplace(frame.key, std::numeric_limits<std::uint64_t>::max())
+            .first->second;
+    if (frame.seq != seq || seq >= end) {
+      end = std::min(end, seq);
+      continue;
+    }
+    ++seq;
+    kept.push_back(frame);
+  }
+  return kept;
+}
+
 RepackResult repack_container(const std::string& in_path,
                               const std::string& out_path) {
   RepackResult result;
@@ -576,27 +581,22 @@ RepackResult repack_container(const std::string& in_path,
     result.error = error;
     return result;
   }
-  const auto frames = reader->scan_good_frames();
-  std::uint64_t listed = frames.size();
+  const auto good = reader->scan_good_frames();
+  std::uint64_t listed = good.size();
   if (reader->index_ok()) {
     listed = 0;
     for (const runtime::StreamKey& key : reader->keys())
       listed += reader->find(key)->frame_offsets.size();
   }
-  // A stream keeps its epoch records only when every one of its frames
-  // survived: a stream that lost one is renumbered, so its frames go
-  // without meta and, by the writer's rule, without an epoch index.
-  std::map<runtime::StreamKey, std::size_t> kept;
-  for (const ContainerReader::GoodFrame& frame : frames) ++kept[frame.key];
-  std::map<runtime::StreamKey, std::size_t> next_epoch;
+  const auto frames = replayable_frames(good);
   {
+    // A kept frame keeps its seq, so epoch record `seq` is still its own.
     ContainerWriter writer(out_path);
     for (const ContainerReader::GoodFrame& frame : frames) {
       const StreamEpochIndex* epochs = reader->find_epochs(frame.key);
-      const std::size_t e = next_epoch[frame.key]++;
-      if (epochs != nullptr && epochs->epochs.size() == kept[frame.key] &&
-          epochs->epochs[e].frame_offset == frame.offset) {
-        const EpochRecord& epoch = epochs->epochs[e];
+      if (epochs != nullptr && frame.seq < epochs->epochs.size() &&
+          epochs->epochs[frame.seq].frame_offset == frame.offset) {
+        const EpochRecord& epoch = epochs->epochs[frame.seq];
         writer.append_frame(frame.key, frame.payload,
                             runtime::EpochMeta{epoch.matched,
                                                epoch.unmatched});

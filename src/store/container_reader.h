@@ -89,14 +89,6 @@ class ContainerReader {
                                               std::uint64_t epoch_lo,
                                               std::uint64_t epoch_hi) const;
 
-  /// The same frames as read_stream, but one span per frame (aliasing the
-  /// reader's buffer) instead of concatenated — the seam for formats that
-  /// give each frame its own meaning (the corpus layer stores one chunk or
-  /// one member manifest per frame). Same trust contract as read_stream:
-  /// requires index_ok(), aborts on CRC mismatch.
-  [[nodiscard]] std::vector<std::span<const std::uint8_t>> frame_payloads(
-      const runtime::StreamKey& key) const;
-
   /// Full verification sweep: header, every frame (parse + CRC), index
   /// CRC, footer, and index/data cross-checks. Every byte of the file is
   /// covered by at least one check, so any single-byte corruption is
@@ -113,9 +105,10 @@ class ContainerReader {
     std::uint64_t frame_size = 0;  ///< bytes including magic and crc
   };
 
-  /// Every frame that parses and CRC-checks, in file order — the salvage
-  /// input for repack_container(). Uses the index to skip past damaged
-  /// frames; without an index the scan stops at the first damage.
+  /// Every frame that parses and CRC-checks, in file order — the input
+  /// of replayable_frames(). Uses the index to skip past damaged frames;
+  /// without an index the scan skips a frame whose CRC fails and stops
+  /// at the first frame that does not parse.
   [[nodiscard]] std::vector<GoodFrame> scan_good_frames() const;
 
   [[nodiscard]] std::uint64_t file_bytes() const noexcept {
@@ -151,17 +144,29 @@ class ContainerReader {
   std::uint64_t data_end_ = 0;  ///< first byte past the data region
 };
 
-/// Rewrites `in_path` as a fresh, compacted container at `out_path`,
-/// keeping every intact frame (file order preserved, per-stream sequence
-/// numbers renumbered densely) and dropping damaged ones. Rebuilds the
-/// index from scratch, so it also repairs containers with a broken or
-/// missing footer. A stream whose frames all survive keeps its epoch
-/// index when the source's was intact, so a clean container repacks
-/// byte-identical.
+/// The salvage rule: which of `good` (scan_good_frames(), file order) a
+/// replay can still use. Replay consumes a stream one chunk at a time, so
+/// each stream keeps its frames seq 0, 1, ..., k-1 and is cut at its first
+/// missing or damaged frame — and at its first quarantined position when
+/// `first_quarantined` names the stream (the `.cdcq` sidecar's stream
+/// position, store/resilient.h). repack_container writes exactly these
+/// frames; tool::inspect_gaps reports them and tool::load_degraded loads
+/// them.
+[[nodiscard]] std::vector<ContainerReader::GoodFrame> replayable_frames(
+    const std::vector<ContainerReader::GoodFrame>& good,
+    const std::map<runtime::StreamKey, std::uint64_t>& first_quarantined =
+        {});
+
+/// Rewrites `in_path` as a fresh, compacted container at `out_path` that
+/// holds exactly the source's replayable_frames(), in file order. Kept
+/// frames keep their sequence numbers and, when the source's epoch index
+/// is intact, their epoch records, so a clean container repacks
+/// byte-identical. Rebuilds the index from scratch, so it also repairs
+/// containers with a broken or missing footer.
 struct RepackResult {
   bool ok = false;  ///< input was readable and output sealed
   std::uint64_t frames_kept = 0;
-  std::uint64_t frames_dropped = 0;
+  std::uint64_t frames_dropped = 0;  ///< listed frames not kept
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::string error;

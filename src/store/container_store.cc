@@ -107,13 +107,4 @@ void ContainerStore::abandon() {
   writer_->abandon();
 }
 
-SalvageResult salvage_container(const std::string& in_path,
-                                const std::string& repacked_path) {
-  SalvageResult result;
-  result.repack = repack_container(in_path, repacked_path);
-  if (!result.repack.ok) return result;
-  result.store = ContainerStore::open(repacked_path);
-  return result;
-}
-
 }  // namespace cdc::store

@@ -76,7 +76,7 @@ class ContainerStore final : public runtime::RecordStore {
   /// Simulates a recorder crash: closes the container file WITHOUT an
   /// index/footer (ContainerWriter::abandon). The file then refuses
   /// open() — as a real half-written container would — until it has been
-  /// salvaged via salvage_container(). Recording mode only; idempotent.
+  /// salvaged via repack_container(). Recording mode only; idempotent.
   void abandon();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -101,17 +101,5 @@ class ContainerStore final : public runtime::RecordStore {
   std::unique_ptr<ContainerWriter> writer_;  ///< null in replay mode
   std::unique_ptr<ContainerReader> reader_;  ///< null in recording mode
 };
-
-/// The crash-recovery path in one call: repack whatever intact frames the
-/// (unsealed or damaged) container at `in_path` still holds into a fresh
-/// sealed container at `repacked_path`, then open that for replay. `store`
-/// is null when the input was unreadable or yielded no sealable output;
-/// `repack` always carries the salvage statistics either way.
-struct SalvageResult {
-  RepackResult repack;
-  std::unique_ptr<ContainerStore> store;
-};
-[[nodiscard]] SalvageResult salvage_container(
-    const std::string& in_path, const std::string& repacked_path);
 
 }  // namespace cdc::store

@@ -161,8 +161,8 @@ struct RetryStats {
 /// number of appends that had succeeded on this stream when the frame was
 /// lost — i.e. the position the frame should have occupied. The store
 /// packs later frames densely, so this is the only record of where the
-/// hole is; degraded-mode replay truncates the stream's replayable prefix
-/// there (tool::inspect_gaps).
+/// hole is; the stream's replayable prefix ends there
+/// (store::replayable_frames, given the sidecar by tool::inspect_gaps).
 struct QuarantinedFrame {
   runtime::StreamKey key;
   std::uint64_t seq = 0;

@@ -1,9 +1,7 @@
 #include "tool/degraded.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <set>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -36,6 +34,91 @@ std::uint64_t events_in_payload(std::span<const std::uint8_t> bytes) {
       events += run.count;
   }
   return events;
+}
+
+/// One open and one scan of a container: its gap report and the frames
+/// degraded replay loads (file order; they alias the reader's buffer).
+struct Inspection {
+  std::unique_ptr<store::ContainerReader> reader;
+  GapReport report;
+  std::vector<store::ContainerReader::GoodFrame> kept;
+};
+
+Inspection inspect(const std::string& container_path,
+                   const std::string& quarantine_path) {
+  Inspection out;
+  GapReport& report = out.report;
+  report.container_path = container_path;
+  std::string error;
+  out.reader = store::ContainerReader::open(container_path, &error);
+  if (out.reader == nullptr) {
+    report.container_errors.push_back(error);
+    return out;
+  }
+  const store::ContainerReader& reader = *out.reader;
+  if (!reader.header_ok())
+    report.container_errors.push_back(reader.header_error());
+  if (!reader.index_ok())
+    report.container_errors.push_back(reader.index_error());
+  report.container_sealed = reader.header_ok() && reader.index_ok();
+
+  // What the container promises per stream: its index entry when the
+  // index parsed, the frames a sequential scan finds otherwise.
+  const auto good = reader.scan_good_frames();
+  std::map<runtime::StreamKey, StreamGap> streams;  // key order
+  for (const auto& frame : good) ++streams[frame.key].frames_listed;
+  if (reader.index_ok())
+    for (const runtime::StreamKey& key : reader.keys())
+      streams[key].frames_listed = reader.find(key)->frame_offsets.size();
+
+  // Quarantined frames (exhausted retries, store/resilient.h) leave holes
+  // the container cannot see: the store packs later appends densely, so
+  // the `.cdcq` sidecar's stream positions are the only record of where
+  // each hole sits, and a stream's replayable prefix ends at its first.
+  std::map<runtime::StreamKey, std::uint64_t> first_hole;
+  if (!quarantine_path.empty()) {
+    for (const store::QuarantinedFrame& frame :
+         store::read_quarantine(quarantine_path)) {
+      ++report.quarantined_frames;
+      report.quarantined_bytes += frame.bytes.size();
+      ++streams[frame.key].frames_listed;  // the container can't list it
+      const auto [it, inserted] = first_hole.emplace(frame.key, frame.seq);
+      if (!inserted) it->second = std::min(it->second, frame.seq);
+    }
+  }
+
+  out.kept = store::replayable_frames(good, first_hole);
+  for (const auto& frame : out.kept) {
+    StreamGap& gap = streams[frame.key];
+    ++gap.frames_intact;
+    gap.bytes_kept += frame.payload.size();
+    gap.events_kept += events_in_payload(frame.payload);
+  }
+
+  // Defects per (key, seq) — the reason a prefix ends where it does.
+  std::map<std::pair<runtime::StreamKey, std::uint64_t>, std::string> defects;
+  for (const store::FrameDefect& defect : reader.verify().bad_frames)
+    if (defect.key_known)
+      defects.emplace(std::make_pair(defect.key, defect.seq), defect.reason);
+
+  for (auto& [key, gap] : streams) {
+    gap.key = key;
+    gap.truncated = gap.frames_intact < gap.frames_listed;
+    if (gap.truncated) {
+      const auto hole = first_hole.find(key);
+      if (hole != first_hole.end() && hole->second == gap.frames_intact) {
+        gap.gap_reason = "frame quarantined after exhausted retries";
+      } else {
+        const auto defect =
+            defects.find(std::make_pair(key, gap.frames_intact));
+        gap.gap_reason = defect != defects.end()
+                             ? defect->second
+                             : "frame missing (container truncated?)";
+      }
+    }
+    report.streams.push_back(std::move(gap));
+  }
+  return out;
 }
 
 }  // namespace
@@ -137,127 +220,16 @@ void GapReport::print(std::FILE* out) const {
 
 GapReport inspect_gaps(const std::string& container_path,
                        const std::string& quarantine_path) {
-  GapReport report;
-  report.container_path = container_path;
-
-  std::string error;
-  const auto reader = store::ContainerReader::open(container_path, &error);
-  if (reader == nullptr) {
-    report.container_errors.push_back(error);
-    return report;
-  }
-  if (!reader->header_ok())
-    report.container_errors.push_back(reader->header_error());
-  if (!reader->index_ok())
-    report.container_errors.push_back(reader->index_error());
-  report.container_sealed = reader->header_ok() && reader->index_ok();
-
-  // Quarantined frames (exhausted retries, store/resilient.h) leave holes
-  // the container cannot see: the store packs later appends densely, so
-  // the `.cdcq` sidecar's stream positions are the only record of where
-  // each hole sits. A stream's replayable prefix ends at its first hole —
-  // container frames past it really belong after the missing one.
-  std::map<runtime::StreamKey, std::uint64_t> first_hole;
-  std::map<runtime::StreamKey, std::uint64_t> holes;
-  if (!quarantine_path.empty()) {
-    for (const store::QuarantinedFrame& frame :
-         store::read_quarantine(quarantine_path)) {
-      ++report.quarantined_frames;
-      report.quarantined_bytes += frame.bytes.size();
-      ++holes[frame.key];
-      const auto [it, inserted] = first_hole.emplace(frame.key, frame.seq);
-      if (!inserted) it->second = std::min(it->second, frame.seq);
-    }
-  }
-
-  // Good frames, grouped per stream in file order (per-stream file order
-  // is seq order for any container the writer produced).
-  std::map<runtime::StreamKey, std::vector<store::ContainerReader::GoodFrame>>
-      good;
-  for (const auto& frame : reader->scan_good_frames())
-    good[frame.key].push_back(frame);
-
-  // Defects per (key, seq) — the reason a prefix ends where it does.
-  std::map<std::pair<runtime::StreamKey, std::uint64_t>, std::string> defects;
-  const store::VerifyReport verify = reader->verify();
-  for (const store::FrameDefect& defect : verify.bad_frames)
-    if (defect.key_known)
-      defects.emplace(std::make_pair(defect.key, defect.seq), defect.reason);
-
-  // Every stream either the index or the scan knows about.
-  std::set<runtime::StreamKey> all_keys;
-  for (const runtime::StreamKey& key : reader->keys()) all_keys.insert(key);
-  for (const auto& [key, frames] : good) all_keys.insert(key);
-  for (const auto& [key, count] : holes) all_keys.insert(key);
-
-  for (const runtime::StreamKey& key : all_keys) {
-    StreamGap gap;
-    gap.key = key;
-    const auto* entry = reader->index_ok() ? reader->find(key) : nullptr;
-    const auto it = good.find(key);
-    const auto frames = it != good.end()
-                            ? std::span<const store::ContainerReader::
-                                            GoodFrame>(it->second)
-                            : std::span<const store::ContainerReader::
-                                            GoodFrame>();
-    gap.frames_listed =
-        entry != nullptr ? entry->frame_offsets.size() : frames.size();
-    if (const auto lost = holes.find(key); lost != holes.end())
-      gap.frames_listed += lost->second;  // the container can't list them
-    const auto hole = first_hole.find(key);
-    const std::uint64_t cap =
-        hole != first_hole.end() ? hole->second
-                                 : std::numeric_limits<std::uint64_t>::max();
-
-    // Longest consistent prefix: good frames with seq 0, 1, 2, ... up to
-    // the first quarantine hole.
-    std::uint64_t next_seq = 0;
-    for (const auto& frame : frames) {
-      if (frame.seq != next_seq || next_seq >= cap) break;
-      ++next_seq;
-      gap.bytes_kept += frame.payload.size();
-      gap.events_kept += events_in_payload(frame.payload);
-    }
-    gap.frames_intact = next_seq;
-    gap.truncated = gap.frames_intact < gap.frames_listed;
-    if (gap.truncated) {
-      if (next_seq == cap) {
-        gap.gap_reason = "frame quarantined after exhausted retries";
-      } else {
-        const auto defect =
-            defects.find(std::make_pair(key, gap.frames_intact));
-        gap.gap_reason = defect != defects.end()
-                             ? defect->second
-                             : "frame missing (container truncated?)";
-      }
-    }
-    report.streams.push_back(std::move(gap));
-  }
-  return report;
+  return inspect(container_path, quarantine_path).report;
 }
 
 std::unique_ptr<DegradedRecord> load_degraded(
     const std::string& container_path, const std::string& quarantine_path) {
   auto record = std::make_unique<DegradedRecord>();
-  record->report = inspect_gaps(container_path, quarantine_path);
-
-  std::string error;
-  const auto reader = store::ContainerReader::open(container_path, &error);
-  if (reader != nullptr) {
-    // Re-scan and keep exactly the frames inspect_gaps counted intact.
-    std::map<runtime::StreamKey, std::uint64_t> kept;
-    std::map<runtime::StreamKey, std::uint64_t> limit;
-    for (const StreamGap& gap : record->report.streams)
-      limit[gap.key] = gap.frames_intact;
-    for (const auto& frame : reader->scan_good_frames()) {
-      std::uint64_t& next = kept[frame.key];
-      if (frame.seq != next || next >= limit[frame.key]) continue;
-      ++next;
-      record->store.append(frame.key, frame.payload);
-    }
-  }
-  for (const StreamGap& gap : record->report.streams)
-    record->prefix_events[gap.key] = gap.events_kept;
+  Inspection inspection = inspect(container_path, quarantine_path);
+  for (const auto& frame : inspection.kept)
+    record->store.append(frame.key, frame.payload);
+  record->report = std::move(inspection.report);
 
   obs::gauge("replay.coverage_pct")
       .add(static_cast<std::int64_t>(

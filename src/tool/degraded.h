@@ -5,15 +5,15 @@
 // The paper's record is only useful if it is still replayable after the
 // run that produced it went wrong: a rank killed mid-run truncates its
 // streams, a torn write corrupts a frame, a recorder killed before seal()
-// leaves no index. The salvage path (store/container_reader.h repack)
-// keeps *every* intact frame — but replay consumes streams strictly in
-// sequence, so a frame after a mid-stream gap is unreachable: splicing it
-// in would mis-align reference indices. Degraded replay therefore loads,
-// per stream, the longest consistent prefix — frames seq 0..k-1 all
-// intact — and replays that under ToolOptions::partial_record, where the
-// replayer gates the prefix faithfully and releases survivors to
-// passthrough once any stream's record runs out (Replayer::on_stall
-// bridges waits the truncated record can no longer satisfy).
+// leaves no index. Replay consumes streams strictly in sequence, so a frame
+// after a mid-stream gap is unreachable: splicing it in would mis-align
+// reference indices. Degraded replay therefore loads, per stream, the
+// longest consistent prefix that store::replayable_frames decides — frames
+// seq 0..k-1 all intact, the same frames repack keeps — and replays that
+// under ToolOptions::partial_record, where the replayer gates the prefix
+// faithfully and releases survivors to passthrough once any stream's
+// record runs out (Replayer::on_stall bridges waits the truncated record
+// can no longer satisfy).
 //
 // The GapReport is the machine-readable contract (`record_inspector
 // --gaps`): per stream, how many frames the container promises, how many
@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,9 +85,6 @@ struct GapReport {
 struct DegradedRecord {
   runtime::MemoryStore store;
   GapReport report;
-  /// Receive events (matched + unmatched) decodable per salvaged stream —
-  /// replay of the prefix gates at most this many events per stream.
-  std::map<runtime::StreamKey, std::uint64_t> prefix_events;
 };
 
 /// Loads the longest-consistent-prefix record. Never fails on damage; the

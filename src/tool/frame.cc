@@ -6,7 +6,7 @@ namespace cdc::tool {
 
 void write_frame(support::ByteWriter& out, std::uint8_t codec,
                  std::uint64_t meta, std::span<const std::uint8_t> payload,
-                 compress::DeflateLevel level) {
+                 compress::DeflateLevel level, bool deflate) {
   static obs::Counter& deflate_calls =
       obs::counter("record.stage.deflate.calls");
   static obs::Counter& deflate_ns = obs::counter("record.stage.deflate.ns");
@@ -21,9 +21,11 @@ void write_frame(support::ByteWriter& out, std::uint8_t codec,
   // the allocation-free steady state (the first is `out` itself).
   thread_local std::vector<std::uint8_t> body_scratch;
   const obs::Stopwatch sw;
-  std::vector<std::uint8_t> compressed =
-      compress::deflate_compress(payload, level, std::move(body_scratch));
-  const bool stored_raw = compressed.size() >= payload.size();
+  std::vector<std::uint8_t> compressed = std::move(body_scratch);
+  if (deflate)
+    compressed =
+        compress::deflate_compress(payload, level, std::move(compressed));
+  const bool stored_raw = !deflate || compressed.size() >= payload.size();
   deflate_calls.add(1);
   deflate_ns.add(sw.ns());
   deflate_in.add(payload.size());
@@ -49,19 +51,8 @@ std::vector<std::uint8_t> encode_frame_into(
     const FrameJob& job, std::vector<std::uint8_t> reuse) {
   static obs::Counter& frame_bytes = obs::counter("record.frame.bytes_out");
   support::ByteWriter out(std::move(reuse));
-  if (job.compress) {
-    write_frame(out, job.codec, job.meta, job.payload, job.level);
-  } else {
-    // Stored-raw framing: identical to write_frame's incompressible-input
-    // fallback, chosen up front.
-    out.u8(kFrameMagic);
-    out.u8(job.codec);
-    out.u8(1);
-    out.varint(job.meta);
-    out.varint(job.payload.size());
-    out.varint(job.payload.size());
-    out.bytes(job.payload);
-  }
+  write_frame(out, job.codec, job.meta, job.payload, job.level,
+              job.compress);
   std::vector<std::uint8_t> framed = std::move(out).take();
   frame_bytes.add(framed.size());
   return framed;
@@ -82,14 +73,9 @@ std::optional<Frame> read_frame(support::ByteReader& in) {
   std::span<const std::uint8_t> body;
   if (!in.try_bytes(static_cast<std::size_t>(payload_len), body))
     return std::nullopt;
-  if (stored_raw) {
-    if (raw_len != payload_len) return std::nullopt;
-    frame.payload.assign(body.begin(), body.end());
-    return frame;
-  }
-  // Decode-side twin of write_frame's deflate stage counters: same four
-  // fields under record.stage.inflate so record_inspector --stats can show
-  // both directions of the entropy stage.
+  // Decode-side twin of write_frame's deflate stage counters, counting
+  // every frame as write_frame does, stored-raw ones included, so
+  // record_inspector --stats shows both directions over the same frames.
   static obs::Counter& inflate_calls =
       obs::counter("record.stage.inflate.calls");
   static obs::Counter& inflate_ns = obs::counter("record.stage.inflate.ns");
@@ -98,7 +84,11 @@ std::optional<Frame> read_frame(support::ByteReader& in) {
   static obs::Counter& inflate_out =
       obs::counter("record.stage.inflate.bytes_out");
   const obs::Stopwatch sw;
-  auto decoded = compress::deflate_decompress(body);
+  std::optional<std::vector<std::uint8_t>> decoded;
+  if (!stored_raw)
+    decoded = compress::deflate_decompress(body);
+  else if (raw_len == payload_len)
+    decoded.emplace(body.begin(), body.end());
   inflate_calls.add(1);
   inflate_ns.add(sw.ns());
   inflate_in.add(body.size());

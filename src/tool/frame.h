@@ -55,10 +55,13 @@ std::vector<std::uint8_t> encode_frame(const FrameJob& job);
 std::vector<std::uint8_t> encode_frame_into(const FrameJob& job,
                                             std::vector<std::uint8_t> reuse);
 
-/// Appends one frame to `out`, compressing the payload with DEFLATE.
+/// Appends one frame to `out`, compressing the payload with DEFLATE
+/// unless `deflate` is false (FrameJob::compress) or that would grow it.
+/// Every frame counts in the `record.stage.deflate.*` counters, as
+/// read_frame counts every frame in `record.stage.inflate.*`.
 void write_frame(support::ByteWriter& out, std::uint8_t codec,
                  std::uint64_t meta, std::span<const std::uint8_t> payload,
-                 compress::DeflateLevel level);
+                 compress::DeflateLevel level, bool deflate = true);
 
 /// Parses the next frame; std::nullopt at end of stream or on corruption.
 std::optional<Frame> read_frame(support::ByteReader& in);

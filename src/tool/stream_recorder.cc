@@ -140,7 +140,8 @@ void StreamRecorder::flush(FrameSink& sink, std::size_t max_matched,
         support::ByteWriter payload;
         record::write_tables_re(payload, tables);
         job.payload = std::move(payload).take();
-        stage_lp().add(sw_lp.ns(), re_values * 8, job.payload.size());
+        stage_lp().add(sw_lp.ns(), re_values * 8, job.payload.size(),
+                       re_values);
         break;
       }
       case RecordCodec::kCdcFull: {
@@ -159,7 +160,8 @@ void StreamRecorder::flush(FrameSink& sink, std::size_t max_matched,
         support::ByteWriter payload;
         record::write_chunk(payload, chunk);
         job.payload = std::move(payload).take();
-        stage_lp().add(sw_lp.ns(), pe_values * 8, job.payload.size());
+        stage_lp().add(sw_lp.ns(), pe_values * 8, job.payload.size(),
+                       pe_values);
         break;
       }
     }

@@ -279,12 +279,16 @@ TEST_F(CorpusTest, LostReferenceDegradesOnlyItsFamily) {
   const std::string file = path("degraded.cdcc");
   // fam-a: a reference member (random bytes, so stored raw) and a
   // near-identical follower stored as a delta against it. fam-b: a small
-  // independent member.
+  // independent member. fam-c: three members of unrelated random bytes,
+  // so every stream of the family is stored raw.
   const runtime::StreamKey key{0, 1};
   const StreamMap reference{{key, random_bytes(16 * 1024, 70)}};
   StreamMap follower = reference;
   follower[key][100] ^= 0xff;
   const StreamMap other{{key, random_bytes(512, 71)}};
+  const StreamMap raw_family[] = {{{key, random_bytes(4 * 1024, 72)}},
+                                  {{key, random_bytes(4 * 1024, 73)}},
+                                  {{key, random_bytes(4 * 1024, 74)}}};
   {
     Corpus corpus(file);
     auto add = [&](const std::string& family, const StreamMap& streams) {
@@ -295,43 +299,49 @@ TEST_F(CorpusTest, LostReferenceDegradesOnlyItsFamily) {
     add("fam-a", reference);
     add("fam-a", follower);
     add("fam-b", other);
+    for (const StreamMap& member : raw_family) add("fam-c", member);
     corpus.seal();
     ASSERT_EQ(corpus.stats().by_encoding[static_cast<std::size_t>(
                   MemberEncoding::kDeltaCorrecting)],
               1u);
   }
 
-  // Corrupt the reference member's manifest frame: it carries the raw
-  // stream, whose first bytes appear nowhere else in the file.
+  // Corrupt the manifest frames of both families' references (members 0
+  // and 3): each carries its raw stream, whose first bytes appear nowhere
+  // else in the file.
   std::vector<char> bytes;
   {
     std::ifstream in(file, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  const std::vector<std::uint8_t>& raw = reference.at(key);
-  const auto hit = std::search(
-      bytes.begin(), bytes.end(), reinterpret_cast<const char*>(raw.data()),
-      reinterpret_cast<const char*>(raw.data()) + 64);
-  ASSERT_NE(hit, bytes.end());
-  *hit ^= 0x5a;
+  for (const StreamMap* lost : {&reference, &raw_family[0]}) {
+    const std::vector<std::uint8_t>& raw = lost->at(key);
+    const auto hit = std::search(
+        bytes.begin(), bytes.end(), reinterpret_cast<const char*>(raw.data()),
+        reinterpret_cast<const char*>(raw.data()) + 64);
+    ASSERT_NE(hit, bytes.end());
+    *hit ^= 0x5a;
+  }
   {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  // Repack drops the damaged frame; the corpus reopens without member 0,
-  // with its follower flagged unreadable and fam-b's member intact.
+  // Repack drops the damaged frames; the corpus reopens without members 0
+  // and 3. Member 0's delta follower is flagged unreadable; fam-b's member
+  // and fam-c's raw members stand alone and stay readable.
   const std::string repacked = path("degraded_repacked.cdcc");
   const store::RepackResult result = store::repack_container(file, repacked);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_GE(result.frames_dropped, 1u);
+  EXPECT_GE(result.frames_dropped, 2u);
 
   std::string error;
   const auto reader = CorpusReader::open(repacked, &error);
   ASSERT_NE(reader, nullptr) << error;
-  ASSERT_EQ(reader->members().size(), 2u);
+  ASSERT_EQ(reader->members().size(), 4u);
   EXPECT_EQ(reader->member(0), nullptr);
+  EXPECT_EQ(reader->member(3), nullptr);
   const CorpusReader::Member* lost = reader->member(1);
   ASSERT_NE(lost, nullptr);
   EXPECT_FALSE(lost->readable);
@@ -342,6 +352,12 @@ TEST_F(CorpusTest, LostReferenceDegradesOnlyItsFamily) {
   ASSERT_NE(reader->member(2), nullptr);
   EXPECT_TRUE(reader->member(2)->readable);
   expect_member_equals(*reader, 2, other);
+  for (const std::uint32_t ordinal : {4u, 5u}) {
+    const CorpusReader::Member* raw = reader->member(ordinal);
+    ASSERT_NE(raw, nullptr);
+    EXPECT_TRUE(raw->readable) << raw->damage;
+    expect_member_equals(*reader, ordinal, raw_family[ordinal - 3]);
+  }
 }
 
 TEST_F(CorpusTest, RetiredEncodingTagsOpenUnreadable) {

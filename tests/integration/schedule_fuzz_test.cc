@@ -1,6 +1,7 @@
 // Schedule-fuzzing end-to-end: N seeded delivery-order permutations per
 // fault class through record→encode→store→decode→replay, checked by the
-// replay-equivalence oracle; plus the crash-at-every-frame-boundary sweep.
+// replay-equivalence oracle; plus the crash-at-every-frame-boundary and
+// damage-every-frame salvage sweeps.
 //
 // Suite names carry the `fuzz_` prefix on purpose: the nightly CI job runs
 // exactly `ctest -R fuzz` (case-sensitive) across a seed matrix.
@@ -75,12 +76,30 @@ TEST(fuzz_schedule, SameCaseKeyIsBitReproducible) {
 
 TEST(fuzz_crash_sweep, EveryFrameBoundaryReplaysAVerifiedPrefix) {
   const std::uint64_t seed = env_u64("CDC_FUZZ_BASE_SEED", 1);
-  const fuzz::CrashSweepReport report =
-      fuzz::crash_boundary_sweep(fuzz::taskfarm_workload(), seed);
+  const fuzz::SweepReport report =
+      fuzz::salvage_sweep(fuzz::taskfarm_workload(), seed,
+                          fuzz::SweepDamage::kTruncate);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.frames_recorded, 4u);  // the sweep actually swept
-  EXPECT_EQ(report.boundaries_tested, report.frames_recorded + 1);
-  EXPECT_EQ(report.prefixes_verified, report.boundaries_tested);
+  EXPECT_EQ(report.cases_tested, report.frames_recorded + 1);
+  EXPECT_EQ(report.prefixes_verified, report.cases_tested);
+  EXPECT_GT(report.events_checked, 0u);
+}
+
+TEST(fuzz_damage_sweep, EveryDamagedFrameReplaysTheReportedPrefix) {
+  // One flipped payload byte per case, index intact: the damaged frame's
+  // stream keeps exactly its earlier frames (the prefix inspect_gaps
+  // reports), so a stream is never spliced across the hole and the
+  // salvaged record replays a verified prefix. Small chunks give most
+  // streams several frames, so most cases damage a stream mid-way.
+  const std::uint64_t seed = env_u64("CDC_FUZZ_BASE_SEED", 1);
+  const fuzz::SweepReport report = fuzz::salvage_sweep(
+      fuzz::taskfarm_workload(), seed, fuzz::SweepDamage::kFlipPayloadByte,
+      /*scratch_dir=*/{}, /*chunk_target=*/8);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_GT(report.frames_recorded, 4u);
+  EXPECT_EQ(report.cases_tested, report.frames_recorded);
+  EXPECT_EQ(report.prefixes_verified, report.cases_tested);
   EXPECT_GT(report.events_checked, 0u);
 }
 

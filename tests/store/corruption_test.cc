@@ -173,24 +173,37 @@ TEST_F(CorruptionTest, RepackDropsExactlyTheBadFrameAndVerifiesClean) {
   const std::size_t frame_end = static_cast<std::size_t>(frames[2].offset);
   const std::size_t victim_payload_byte = frame_end - 4 - 1;  // last payload
   bytes[victim_payload_byte] ^= 0xFF;
-
   const std::string hurt_path = path("hurt.cdcc");
   write_file(hurt_path, bytes);
+  // The same damage with the footer torn: no index, so the sequential
+  // scan steps over the bad frame and finds the rest.
+  bytes.resize(bytes.size() - 6);
+  const std::string torn_path = path("hurt_torn.cdcc");
+  write_file(torn_path, bytes);
 
-  const std::string repacked_path = path("repacked.cdcc");
-  const RepackResult result = repack_container(hurt_path, repacked_path);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.frames_kept, 4u);
-  EXPECT_EQ(result.frames_dropped, 1u);
+  // Replay cannot reach past a stream's first bad frame, so either way the
+  // repack drops it and the rest of its stream: {2,1} loses both frames.
+  // The index lists both as dropped; the scan never saw the bad one.
+  const struct {
+    std::string path;
+    std::uint64_t dropped;
+  } inputs[] = {{hurt_path, 2}, {torn_path, 1}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.path);
+    const std::string repacked_path = path("repacked.cdcc");
+    const RepackResult result = repack_container(input.path, repacked_path);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.frames_kept, 3u);
+    EXPECT_EQ(result.frames_dropped, input.dropped);
 
-  const auto repacked = ContainerReader::open(repacked_path);
-  ASSERT_NE(repacked, nullptr);
-  EXPECT_TRUE(repacked->verify().ok);
-  // Undamaged streams survive byte-for-byte.
-  EXPECT_EQ(repacked->read_stream({0, 1}), reader->read_stream({0, 1}));
-  EXPECT_EQ(repacked->read_stream({-1, 3}), reader->read_stream({-1, 3}));
-  // The damaged stream keeps only its intact frame ({2,1} seq 1 = {42}).
-  EXPECT_EQ(repacked->read_stream({2, 1}), (std::vector<std::uint8_t>{42}));
+    const auto repacked = ContainerReader::open(repacked_path);
+    ASSERT_NE(repacked, nullptr);
+    EXPECT_TRUE(repacked->verify().ok);
+    // Undamaged streams survive byte-for-byte.
+    EXPECT_EQ(repacked->read_stream({0, 1}), reader->read_stream({0, 1}));
+    EXPECT_EQ(repacked->read_stream({-1, 3}), reader->read_stream({-1, 3}));
+    EXPECT_EQ(repacked->find({2, 1}), nullptr);
+  }
 }
 
 TEST_F(CorruptionTest, ReadStreamAbortsOnCorruptFrame) {
@@ -337,8 +350,8 @@ TEST_F(CorruptionTest, RepackKeepsTheEpochIndex) {
   ASSERT_TRUE(same.ok) << same.error;
   EXPECT_EQ(read_file(same_path), clean);
 
-  // One payload byte of stream (2,1)'s first frame: that stream is
-  // renumbered and loses its epoch index, the others keep theirs.
+  // One payload byte of stream (2,1)'s first frame: that stream loses
+  // both its frames, the others keep their epoch indexes.
   const auto reader = ContainerReader::open(clean_path);
   ASSERT_NE(reader, nullptr);
   const auto frames = reader->scan_good_frames();
@@ -352,7 +365,7 @@ TEST_F(CorruptionTest, RepackKeepsTheEpochIndex) {
   const std::string repacked_path = path("repacked.cdcc");
   const RepackResult result = repack_container(hurt_path, repacked_path);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.frames_dropped, 1u);
+  EXPECT_EQ(result.frames_dropped, 2u);
   const auto repacked = ContainerReader::open(repacked_path);
   ASSERT_NE(repacked, nullptr);
   EXPECT_TRUE(repacked->verify().ok);
@@ -364,6 +377,22 @@ TEST_F(CorruptionTest, RepackKeepsTheEpochIndex) {
       repacked->read_stream_window({0, 1}, 1, 2);
   EXPECT_TRUE(window.seeked);
   EXPECT_EQ(window.bytes, (std::vector<std::uint8_t>{9, 9, 9, 9}));
+
+  // Stream (2,1)'s last frame instead: the stream keeps its first frame,
+  // and that frame keeps its epoch record.
+  bytes = clean;
+  bytes[static_cast<std::size_t>(frames[4].offset + frames[4].frame_size) -
+        4 - 1] ^= 0xFF;
+  write_file(hurt_path, bytes);
+  ASSERT_TRUE(repack_container(hurt_path, repacked_path).ok);
+  const auto cut = ContainerReader::open(repacked_path);
+  ASSERT_NE(cut, nullptr);
+  ASSERT_TRUE(cut->epoch_index_ok()) << cut->epoch_index_error();
+  const StreamEpochIndex* kept = cut->find_epochs({2, 1});
+  ASSERT_NE(kept, nullptr);
+  ASSERT_EQ(kept->epochs.size(), 1u);
+  EXPECT_EQ(kept->epochs[0].matched, 5u);
+  EXPECT_EQ(kept->epochs[0].unmatched, 0u);
 }
 
 TEST_F(CorruptionTest, RefusedIndexReportsOneError) {

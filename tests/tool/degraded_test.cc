@@ -187,7 +187,7 @@ TEST_F(DegradedTest, MissingAndEmptyContainersReportInsteadOfAborting) {
 
   const auto record = load_degraded(empty_path);
   EXPECT_TRUE(record->store.keys().empty());
-  EXPECT_TRUE(record->prefix_events.empty());
+  EXPECT_TRUE(record->report.streams.empty());
 }
 
 }  // namespace

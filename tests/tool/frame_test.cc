@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "support/rng.h"
 
 namespace cdc::tool {
@@ -40,6 +41,45 @@ TEST(Frame, IncompressiblePayloadStoredRaw) {
   const auto frame = read_frame(r);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->payload, payload);
+}
+
+TEST(Frame, DeflateAndInflateCountTheSameFrames) {
+  // A record with both kinds of stored-raw frame (incompressible, and
+  // compress == false) beside a deflated one: reading it back counts every
+  // frame on the inflate side, as encoding did on the deflate side.
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  obs::set_enabled(true);
+  obs::Counter& deflate_calls = obs::counter("record.stage.deflate.calls");
+  obs::Counter& deflate_in = obs::counter("record.stage.deflate.bytes_in");
+  obs::Counter& inflate_calls = obs::counter("record.stage.inflate.calls");
+  obs::Counter& inflate_out = obs::counter("record.stage.inflate.bytes_out");
+  const std::uint64_t deflate_calls_before = deflate_calls.value();
+  const std::uint64_t deflate_in_before = deflate_in.value();
+  const std::uint64_t inflate_calls_before = inflate_calls.value();
+  const std::uint64_t inflate_out_before = inflate_out.value();
+
+  const std::vector<std::vector<std::uint8_t>> payloads = {
+      make_payload(4000, true), make_payload(1000, false),
+      make_payload(300, true)};
+  support::ByteWriter record;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    FrameJob job;
+    job.compress = i != 2;
+    job.payload = payloads[i];
+    record.bytes(encode_frame(job));
+  }
+  support::ByteReader in(record.view());
+  for (const auto& payload : payloads) {
+    const auto frame = read_frame(in);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->payload, payload);
+  }
+
+  EXPECT_EQ(deflate_calls.value() - deflate_calls_before, payloads.size());
+  EXPECT_EQ(inflate_calls.value() - inflate_calls_before, payloads.size());
+  EXPECT_EQ(deflate_in.value() - deflate_in_before, 4000u + 1000u + 300u);
+  EXPECT_EQ(inflate_out.value() - inflate_out_before,
+            deflate_in.value() - deflate_in_before);
 }
 
 TEST(Frame, SequenceOfFrames) {

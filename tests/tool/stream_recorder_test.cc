@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "obs/metrics.h"
 #include "record/epoch.h"
 #include "record/event.h"
 #include "support/rng.h"
@@ -190,6 +191,27 @@ TEST(StreamRecorder, StatsCountEventsAndValues) {
   EXPECT_EQ(rec.stats().unmatched_events, 2u);
   EXPECT_EQ(rec.stats().chunks, 1u);
   EXPECT_GT(rec.stats().stored_values, 0u);
+}
+
+TEST(StreamRecorder, LpStageCountsTheValuesItWrites) {
+  // LP writes what PE stored, so on a CDC record the two stages' value
+  // counters rise together.
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  obs::set_enabled(true);
+  obs::Counter& lp = obs::counter("record.stage.lp.values");
+  obs::Counter& pe = obs::counter("record.stage.pe.values");
+  const std::uint64_t lp_before = lp.value();
+  const std::uint64_t pe_before = pe.value();
+
+  runtime::MemoryStore store;
+  StreamRecorder rec({0, 1}, options_with(RecordCodec::kCdcFull, 8));
+  for (std::uint64_t c = 1; c <= 40; ++c) {
+    if (c % 7 == 0) rec.on_unmatched_test();
+    rec.on_delivered(matched(static_cast<std::int32_t>(c % 3), c * 2));
+  }
+  rec.finalize(store);
+  EXPECT_GT(pe.value() - pe_before, 0u);
+  EXPECT_EQ(lp.value() - lp_before, pe.value() - pe_before);
 }
 
 class CodecFrames : public ::testing::TestWithParam<RecordCodec> {};
