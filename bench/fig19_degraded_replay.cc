@@ -15,24 +15,25 @@
 //      container cannot, and the longest-consistent-prefix replay must
 //      verify against the oracle.
 //
+// Sections 1 and 2 are the schedule fuzzer's kRankKill and kIoFault
+// checks (fuzz::check_rank_kill, fuzz::check_io_faults) at swept kill
+// times and fault rates; every run is a fuzz::run_probed call on
+// fuzz::taskfarm_workload with the fuzzer's seed layout, so a row sees
+// the schedules of the equivalent fuzz case.
+//
 // Machine-readable results land in BENCH_degraded.json (CI uploads it as
 // an artifact). Scale knobs: CDC_FUZZ_SEEDS (seeds per kill fraction),
 // CDC_SEED, CDC_RANKS, CDC_FULL=1 for more seeds and a bigger farm.
 #include <unistd.h>
 
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "apps/taskfarm.h"
 #include "common.h"
-#include "minimpi/fault.h"
-#include "runtime/storage.h"
+#include "minimpi/schedule_fuzzer.h"
 #include "store/container_store.h"
-#include "store/resilient.h"
-#include "support/oracle.h"
-#include "tool/degraded.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -42,37 +43,9 @@ using namespace cdc;
 using bench::Clock;
 using bench::seconds_since;
 
-/// splitmix64 finalizer — the fuzzer's per-purpose seed derivation, so a
-/// fig19 row and the equivalent fuzz case see identical schedules.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Small chunks, many frames: gives kills and hard faults sub-stream
 /// granularity to damage.
-tool::ToolOptions tool_options(bool partial_record = false) {
-  tool::ToolOptions options;
-  options.chunk_target = 8;
-  options.partial_record = partial_record;
-  return options;
-}
-
-std::map<runtime::StreamKey, std::uint64_t> prefix_lengths(
-    const tool::Replayer& replayer) {
-  std::map<runtime::StreamKey, std::uint64_t> lengths;
-  for (const auto& [key, stats] : replayer.stream_totals())
-    lengths[key] = stats.replayed_events + stats.replayed_unmatched;
-  return lengths;
-}
-
-std::uint64_t trace_events(const support::Trace& trace) {
-  std::uint64_t events = 0;
-  for (const auto& [key, stream] : trace) events += stream.size();
-  return events;
-}
+constexpr std::size_t kChunkTarget = 8;
 
 std::string scratch_path(const char* tag, std::uint64_t seed,
                          const char* ext) {
@@ -101,15 +74,14 @@ struct KillRow {
 
 struct TransientRow {
   double eio_probability = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t quarantined = 0;
-  double backoff_ms = 0;
-  double backoff_bound_ms = 0;
-  bool bit_identical = false;
-  bool replay_ok = false;
-  std::uint64_t events_checked = 0;
+  fuzz::IoFaultCheck check;
+
+  [[nodiscard]] std::uint64_t faults() const {
+    return check.faults.transient_throws + check.faults.fsync_failures;
+  }
+  [[nodiscard]] bool replay_ok() const {
+    return check.oracle.ok && check.result_matches;
+  }
 };
 
 struct HardRow {
@@ -131,8 +103,7 @@ int main() {
   const std::uint64_t base_seed = bench::default_seed();
   const std::uint32_t seeds_per_point = static_cast<std::uint32_t>(
       bench::env_int("CDC_FUZZ_SEEDS", bench::full_scale() ? 8 : 4));
-  apps::TaskFarmConfig farm;
-  farm.tasks = tasks;
+  const fuzz::FuzzWorkload farm = fuzz::taskfarm_workload(ranks, tasks);
 
   bench::print_machine_banner(
       "Degraded replay: rank kills, I/O faults, quarantine (survive-and-"
@@ -144,7 +115,8 @@ int main() {
 
   // --- 1. kill-time sweep --------------------------------------------------
   // The later the kill, the more of the victim's streams the record holds;
-  // degraded replay must verify the gated prefix at every kill time.
+  // degraded replay must verify the gated prefix at every kill time (the
+  // fuzzer's kRankKill check at a fixed kill fraction).
   const auto kill_start = Clock::now();
   std::vector<KillRow> kill_sweep;
   for (const double fraction : {0.12, 0.30, 0.50, 0.70, 0.88}) {
@@ -153,84 +125,32 @@ int main() {
     for (std::uint32_t i = 0; i < seeds_per_point; ++i) {
       const std::uint64_t seed = base_seed + i;
       ++row.cases;
-
-      // Probe (same noise seed, no faults): learn the virtual span so the
-      // kill lands at the requested fraction of it.
-      double probe_end = 0.0;
-      {
-        minimpi::Simulator probe(bench::sim_config(ranks, mix(seed * 4 + 1)));
-        apps::run_taskfarm(probe, farm);
-        probe_end = probe.stats().end_time;
-      }
-
-      minimpi::FaultPlan plan;
-      plan.seed = mix(seed * 4 + 2);
-      minimpi::RankKill kill;
-      kill.rank = 1 + static_cast<minimpi::Rank>(
-                          mix(seed * 4 + 2) %
-                          static_cast<std::uint64_t>(ranks - 1));
-      kill.time = probe_end * fraction;
-      plan.kills.push_back(kill);
-
-      const std::string container_path = scratch_path("kill", seed, ".cdc");
-      support::Trace recorded;
-      {
-        store::ContainerStore container(container_path);
-        tool::Recorder recorder(ranks, &container, tool_options());
-        support::OrderProbe probe(&recorder);
-        minimpi::Simulator::Config config =
-            bench::sim_config(ranks, mix(seed * 4 + 1));
-        config.faults = plan;
-        minimpi::Simulator sim(config, &probe);
-        const apps::TaskFarmResult farmed = apps::run_taskfarm(sim, farm);
-        recorder.finalize();
-        container.seal();
-        recorded = probe.trace();
-        row.kills_fired +=
-            static_cast<std::uint32_t>(sim.fault_stats().rank_kills);
-        row.tasks_lost += farmed.tasks_lost;
-      }
-      row.events_recorded += trace_events(recorded);
-
-      const tool::GapReport gaps = tool::inspect_gaps(container_path);
-      if (!gaps.container_sealed || gaps.frame_coverage() < 1.0) {
-        row.failures.push_back("seed " + std::to_string(seed) +
-                               ": post-kill container frame-damaged");
-        remove_quietly(container_path);
-        continue;
-      }
-
-      // Degraded replay: fault-free run gated by the truncated record;
-      // the oracle checks the gated prefix, coverage is what it compared.
-      const auto replay_store = store::ContainerStore::open(container_path);
-      tool::Replayer replayer(ranks, replay_store.get(),
-                              tool_options(/*partial_record=*/true));
-      support::OrderProbe replay_probe(&replayer);
-      minimpi::Simulator replay_sim(
-          bench::sim_config(ranks, mix(seed * 4 + 3)), &replay_probe);
-      apps::run_taskfarm(replay_sim, farm);
-
-      const support::OracleReport oracle = support::check_prefix(
-          recorded, replay_probe.trace(), prefix_lengths(replayer));
-      row.events_verified += oracle.events_compared;
-      const std::uint64_t recorded_events = trace_events(recorded);
-      const double coverage =
-          recorded_events == 0
+      const fuzz::KillCheck check = fuzz::check_rank_kill(
+          farm, seed, fraction, scratch_path("kill", seed, ".cdc"),
+          kChunkTarget);
+      // The master folds one result per completed task, so the tasks the
+      // farm wrote off are those whose result never reached it.
+      const auto results =
+          check.recorded.trace.find({0, apps::kFarmResultCallsite});
+      row.tasks_lost += static_cast<std::uint64_t>(tasks) -
+                        (results != check.recorded.trace.end()
+                             ? results->second.size()
+                             : 0);
+      row.kills_fired +=
+          static_cast<std::uint32_t>(check.recorded.fault_stats.rank_kills);
+      row.events_recorded += check.recorded.events;
+      row.events_verified += check.oracle.events_compared;
+      row.min_coverage = std::min(
+          row.min_coverage,
+          check.recorded.events == 0
               ? 1.0
-              : static_cast<double>(oracle.events_compared) /
-                    static_cast<double>(recorded_events);
-      row.min_coverage = std::min(row.min_coverage, coverage);
-      if (!oracle.ok) {
-        row.failures.push_back("seed " + std::to_string(seed) + ": " +
-                               oracle.summary());
-      } else if (oracle.events_compared == 0 && !replayer.released() &&
-                 recorded_events > 0) {
-        row.failures.push_back("seed " + std::to_string(seed) +
-                               ": replay gated nothing");
-      } else {
+              : static_cast<double>(check.oracle.events_compared) /
+                    static_cast<double>(check.recorded.events));
+      if (check.failure.empty())
         ++row.passed;
-      }
-      remove_quietly(container_path);
+      else
+        row.failures.push_back("seed " + std::to_string(seed) + ": " +
+                               check.failure);
     }
     kill_sweep.push_back(std::move(row));
   }
@@ -252,75 +172,20 @@ int main() {
 
   // --- 2. transient I/O fault-rate sweep -----------------------------------
   // Retried faults must be invisible: same bytes as the fault-free record,
-  // backoff inside its bound, nothing quarantined.
+  // backoff inside its bound, nothing quarantined (the fuzzer's kIoFault
+  // check at each fault rate).
   const auto io_start = Clock::now();
   std::vector<TransientRow> transient_sweep;
   for (const double rate : {0.0, 0.05, 0.15, 0.35}) {
-    TransientRow row;
-    row.eio_probability = rate;
-    const std::uint64_t seed = base_seed;
-
-    runtime::MemoryStore clean;
-    support::Trace recorded;
-    double recorded_value = 0.0;
-    {
-      tool::Recorder recorder(ranks, &clean, tool_options());
-      support::OrderProbe probe(&recorder);
-      minimpi::Simulator sim(bench::sim_config(ranks, mix(seed * 4 + 1)),
-                             &probe);
-      recorded_value = apps::run_taskfarm(sim, farm).accumulated;
-      recorder.finalize();
-      recorded = probe.trace();
-    }
-
-    runtime::MemoryStore faulted;
-    store::IoFaultPlan fault_plan;
-    fault_plan.seed = mix(seed * 4 + 2);
-    fault_plan.eio_probability = rate;
-    fault_plan.eio_every_n = rate > 0.0 ? 5 : 0;
-    fault_plan.failures_per_fault = 2;
-    fault_plan.short_write_probability = 0.4;
-    fault_plan.fsync_failure_every_n = rate > 0.0 ? 3 : 0;
-    store::IoFaultStore faulty(&faulted, fault_plan);
-    store::RetryPolicy policy;
-    policy.jitter_seed = mix(seed * 4 + 5);
-    store::RetryingStore retrying(&faulty, policy);
-    {
-      tool::Recorder recorder(ranks, &retrying, tool_options());
-      support::OrderProbe probe(&recorder);
-      minimpi::Simulator sim(bench::sim_config(ranks, mix(seed * 4 + 1)),
-                             &probe);
-      apps::run_taskfarm(sim, farm);
-      recorder.finalize();
-    }
-    row.faults = faulty.stats().transient_throws +
-                 faulty.stats().fsync_failures;
-    row.retries = retrying.stats().retries;
-    row.recoveries = retrying.stats().recoveries;
-    row.quarantined = retrying.stats().quarantined;
-    row.backoff_ms = retrying.stats().backoff_ms_total;
-    row.backoff_bound_ms = policy.max_total_backoff_ms() *
-                           static_cast<double>(faulty.stats().appends);
-
-    row.bit_identical = clean.keys() == faulted.keys();
-    if (row.bit_identical)
-      for (const runtime::StreamKey& key : clean.keys())
-        if (clean.read(key) != faulted.read(key)) {
-          row.bit_identical = false;
-          break;
-        }
-
-    tool::Replayer replayer(ranks, &faulted, tool_options());
-    support::OrderProbe replay_probe(&replayer);
-    minimpi::Simulator replay_sim(
-        bench::sim_config(ranks, mix(seed * 4 + 3)), &replay_probe);
-    const double replayed_value =
-        apps::run_taskfarm(replay_sim, farm).accumulated;
-    const support::OracleReport oracle =
-        support::check_equivalence(recorded, replay_probe.trace());
-    row.events_checked = oracle.events_compared;
-    row.replay_ok = oracle.ok && recorded_value == replayed_value;
-    transient_sweep.push_back(row);
+    store::IoFaultPlan plan;
+    plan.seed = fuzz::case_seed(base_seed, fuzz::kRecordFaults);
+    plan.eio_probability = rate;
+    plan.eio_every_n = rate > 0.0 ? 5 : 0;
+    plan.failures_per_fault = 2;
+    plan.short_write_probability = 0.4;
+    plan.fsync_failure_every_n = rate > 0.0 ? 3 : 0;
+    transient_sweep.push_back(
+        {rate, fuzz::check_io_faults(farm, base_seed, plan, kChunkTarget)});
   }
   const double io_seconds = seconds_since(io_start, "bench.fig19.io_ns");
 
@@ -330,13 +195,14 @@ int main() {
   for (const TransientRow& row : transient_sweep)
     std::printf("%-10.2f %8llu %8llu %8llu %6llu %10.2f %12.1f %10s %8s\n",
                 row.eio_probability,
-                static_cast<unsigned long long>(row.faults),
-                static_cast<unsigned long long>(row.retries),
-                static_cast<unsigned long long>(row.recoveries),
-                static_cast<unsigned long long>(row.quarantined),
-                row.backoff_ms, row.backoff_bound_ms,
-                row.bit_identical ? "yes" : "NO",
-                row.replay_ok ? "ok" : "FAIL");
+                static_cast<unsigned long long>(row.faults()),
+                static_cast<unsigned long long>(row.check.retries.retries),
+                static_cast<unsigned long long>(row.check.retries.recoveries),
+                static_cast<unsigned long long>(row.check.retries.quarantined),
+                row.check.retries.backoff_ms_total,
+                row.check.backoff_bound_ms,
+                row.check.bit_identical ? "yes" : "NO",
+                row.replay_ok() ? "ok" : "FAIL");
 
   // --- 3. hard-fault quarantine --------------------------------------------
   // Every Nth append fails permanently: the frame lands in the `.cdcq`
@@ -351,27 +217,26 @@ int main() {
     const std::string container_path = scratch_path("hard", seed, ".cdc");
     const std::string quarantine_path = scratch_path("hard", seed, ".cdcq");
 
-    support::Trace recorded;
+    tool::ToolOptions options{.chunk_target = kChunkTarget};
+    fuzz::ProbedRun recorded;
     {
       store::ContainerStore container(container_path);
       store::IoFaultPlan fault_plan;
-      fault_plan.seed = mix(seed * 4 + 2);
+      fault_plan.seed = fuzz::case_seed(seed, fuzz::kRecordFaults);
       fault_plan.hard_every_n = every_n;
       store::IoFaultStore faulty(&container, fault_plan);
       store::RetryPolicy policy;
       policy.max_retries = 2;  // hard faults never clear; fail fast
-      policy.jitter_seed = mix(seed * 4 + 5);
+      policy.jitter_seed = fuzz::case_seed(seed, fuzz::kSchedule);
       store::RetryingStore retrying(&faulty, policy, quarantine_path);
-      tool::Recorder recorder(ranks, &retrying, tool_options());
-      support::OrderProbe probe(&recorder);
-      minimpi::Simulator sim(bench::sim_config(ranks, mix(seed * 4 + 1)),
-                             &probe);
-      apps::run_taskfarm(sim, farm);
+      tool::Recorder recorder(ranks, &retrying, options);
+      recorded = fuzz::run_probed(
+          farm, &recorder,
+          fuzz::sim_config(ranks, fuzz::case_seed(seed, fuzz::kRecordNoise)));
       recorder.finalize();
       container.seal();
-      recorded = probe.trace();
     }
-    row.events_recorded = trace_events(recorded);
+    row.events_recorded = recorded.events;
 
     const auto record =
         tool::load_degraded(container_path, quarantine_path);
@@ -381,14 +246,13 @@ int main() {
     for (const tool::StreamGap& gap : record->report.streams)
       if (gap.truncated) ++row.gap_streams;
 
-    tool::Replayer replayer(ranks, &record->store,
-                            tool_options(/*partial_record=*/true));
-    support::OrderProbe replay_probe(&replayer);
-    minimpi::Simulator replay_sim(
-        bench::sim_config(ranks, mix(seed * 4 + 3)), &replay_probe);
-    apps::run_taskfarm(replay_sim, farm);
+    options.partial_record = true;
+    tool::Replayer replayer(ranks, &record->store, options);
+    const fuzz::ProbedRun replayed = fuzz::run_probed(
+        farm, &replayer,
+        fuzz::sim_config(ranks, fuzz::case_seed(seed, fuzz::kReplayNoise)));
     const support::OracleReport oracle = support::check_prefix(
-        recorded, replay_probe.trace(), prefix_lengths(replayer));
+        recorded.trace, replayed.trace, fuzz::prefix_lengths(replayer));
     row.events_verified = oracle.events_compared;
     row.replay_ok =
         oracle.ok &&
@@ -422,8 +286,7 @@ int main() {
   for (const KillRow& row : kill_sweep)
     all_ok = all_ok && row.passed == row.cases;
   for (const TransientRow& row : transient_sweep)
-    all_ok = all_ok && row.bit_identical && row.replay_ok &&
-             row.quarantined == 0 && row.backoff_ms <= row.backoff_bound_ms;
+    all_ok = all_ok && row.check.failure.empty();
   for (const HardRow& row : hard_rows) all_ok = all_ok && row.replay_ok;
   std::printf("\nverdict     : %s\n",
               all_ok ? "all cases survived and verified"
@@ -457,15 +320,15 @@ int main() {
   for (const TransientRow& row : transient_sweep) {
     w.begin_object();
     w.field("eio_probability", row.eio_probability);
-    w.field("faults", row.faults);
-    w.field("retries", row.retries);
-    w.field("recoveries", row.recoveries);
-    w.field("quarantined", row.quarantined);
-    w.field("backoff_ms", row.backoff_ms);
-    w.field("backoff_bound_ms", row.backoff_bound_ms);
-    w.field("bit_identical", row.bit_identical);
-    w.field("replay_ok", row.replay_ok);
-    w.field("events_checked", row.events_checked);
+    w.field("faults", row.faults());
+    w.field("retries", row.check.retries.retries);
+    w.field("recoveries", row.check.retries.recoveries);
+    w.field("quarantined", row.check.retries.quarantined);
+    w.field("backoff_ms", row.check.retries.backoff_ms_total);
+    w.field("backoff_bound_ms", row.check.backoff_bound_ms);
+    w.field("bit_identical", row.check.bit_identical);
+    w.field("replay_ok", row.replay_ok());
+    w.field("events_checked", row.check.oracle.events_compared);
     w.field("wall_seconds", io_seconds);
     w.end_object();
   }

@@ -58,6 +58,41 @@ namespace {
 
 using namespace cdc;
 
+constexpr int kDemoRanks = 9;
+
+tool::ToolOptions demo_options(compress::DeflateLevel level) {
+  tool::ToolOptions options;
+  options.chunk_target = 128;
+  options.level = level;
+  return options;
+}
+
+/// Runs the demo workload — MCB on a 3×3 rank grid, 120 particles per
+/// rank — under `tool` (a recorder, a replayer or a probe around one).
+void run_demo(minimpi::ToolHooks* tool, std::uint64_t noise_seed) {
+  minimpi::Simulator::Config config;
+  config.num_ranks = kDemoRanks;
+  config.noise_seed = noise_seed;
+  minimpi::Simulator sim(config, tool);
+  apps::McbConfig mcb;
+  mcb.grid_x = 3;
+  mcb.grid_y = 3;
+  mcb.particles_per_rank = 120;
+  apps::run_mcb(sim, mcb);
+}
+
+/// Records the demo run (noise seed 4) into a sealed container at `file`,
+/// the one recording every demo mode starts from; returns its chunk count.
+std::uint64_t record_demo(const std::string& file,
+                          compress::DeflateLevel level) {
+  store::ContainerStore container(file);
+  tool::Recorder recorder(kDemoRanks, &container, demo_options(level));
+  run_demo(&recorder, 4);
+  recorder.finalize();
+  container.seal();
+  return recorder.totals().chunks;
+}
+
 void inspect(const runtime::RecordStore& store) {
   std::uint64_t total_events = 0;
   std::uint64_t total_moves = 0;
@@ -174,6 +209,8 @@ int repack(const std::string& in_path, const std::string& out_path) {
                   static_cast<double>(result.bytes_in)).c_str(),
               obs::format_bytes(
                   static_cast<double>(result.bytes_out)).c_str());
+  if (!result.scan_stop.empty())
+    std::printf("  unscanned tail: %s\n", result.scan_stop.c_str());
   return verify_container(out_path);
 }
 
@@ -239,42 +276,15 @@ int stats_demo(compress::DeflateLevel level) {
   obs::Registry::global().reset_values();
   obs::TraceBuffer ring(1 << 16);
   obs::install_trace(&ring);
-  {
-    store::ContainerStore container(file);
-    tool::ToolOptions options;
-    options.chunk_target = 128;
-    options.level = level;
-    tool::Recorder recorder(9, &container, options);
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 4;
-    minimpi::Simulator sim(config, &recorder);
-    apps::McbConfig mcb;
-    mcb.grid_x = 3;
-    mcb.grid_y = 3;
-    mcb.particles_per_rank = 120;
-    apps::run_mcb(sim, mcb);
-    recorder.finalize();
-    container.seal();
-  }
+  record_demo(file, level);
   // Replay the sealed container so the decode side of the report is live
   // too: read_frame's inflate stage fills record.stage.inflate.* and the
   // report prints decode MB/s next to the encoder's deflate MB/s.
   {
     const auto replay_store = store::ContainerStore::open(file);
-    tool::ToolOptions options;
-    options.chunk_target = 128;
-    options.level = level;
-    tool::Replayer replayer(9, replay_store.get(), options);
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 7;  // replay pins the order under different noise
-    minimpi::Simulator sim(config, &replayer);
-    apps::McbConfig mcb;
-    mcb.grid_x = 3;
-    mcb.grid_y = 3;
-    mcb.particles_per_rank = 120;
-    apps::run_mcb(sim, mcb);
+    tool::Replayer replayer(kDemoRanks, replay_store.get(),
+                            demo_options(level));
+    run_demo(&replayer, 7);  // replay pins the order under different noise
     if (!replayer.fully_replayed()) {
       std::printf("INTERNAL: demo replay left unconsumed record\n");
       return 1;
@@ -321,24 +331,8 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
               static_cast<unsigned long long>(lo),
               static_cast<unsigned long long>(hi));
   const std::string file = "/tmp/cdc_record_window.cdcc";
-  apps::McbConfig mcb;
-  mcb.grid_x = 3;
-  mcb.grid_y = 3;
-  mcb.particles_per_rank = 120;
-  tool::ToolOptions options;
-  options.chunk_target = 128;
-  options.level = level;
-  {
-    store::ContainerStore container(file);
-    tool::Recorder recorder(9, &container, options);
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 4;
-    minimpi::Simulator sim(config, &recorder);
-    apps::run_mcb(sim, mcb);
-    recorder.finalize();
-    container.seal();
-  }
+  const tool::ToolOptions options = demo_options(level);
+  record_demo(file, level);
 
   const auto store = store::ContainerStore::open(file);
   if (store->reader() == nullptr || !store->reader()->epoch_index_ok()) {
@@ -347,15 +341,9 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
   }
 
   // Full replay: the reference trace the window slices are checked against.
-  tool::Replayer full(9, store.get(), options);
+  tool::Replayer full(kDemoRanks, store.get(), options);
   support::OrderProbe full_probe(&full);
-  {
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 7;
-    minimpi::Simulator sim(config, &full_probe);
-    apps::run_mcb(sim, mcb);
-  }
+  run_demo(&full_probe, 7);
   if (!full.fully_replayed()) {
     std::printf("FAILED: full replay left unconsumed record\n");
     return 1;
@@ -404,16 +392,10 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
   // from the epoch-index seek, so the fallback counter must not move.
   obs::Counter& fallbacks = obs::counter("store.container.epoch_fallbacks");
   const std::uint64_t fallbacks_before = fallbacks.value();
-  tool::Replayer window(9, store.get(), options);
+  tool::Replayer window(kDemoRanks, store.get(), options);
   window.replay_window(lo, hi);
   support::OrderProbe window_probe(&window);
-  {
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 11;
-    minimpi::Simulator sim(config, &window_probe);
-    apps::run_mcb(sim, mcb);
-  }
+  run_demo(&window_probe, 11);
   if (fallbacks.value() != fallbacks_before) {
     std::printf("FAILED: windowed replay fell back to a sequential read\n");
     return 1;
@@ -498,30 +480,13 @@ int demo(compress::DeflateLevel level) {
               static_cast<int>(compress::to_string(level).size()),
               compress::to_string(level).data());
   const std::string file = "/tmp/cdc_record_demo.cdcc";
-  {
-    store::ContainerStore container(file);
-    tool::ToolOptions options;
-    options.chunk_target = 128;
-    options.level = level;
-    tool::Recorder recorder(9, &container, options);
-    minimpi::Simulator::Config config;
-    config.num_ranks = 9;
-    config.noise_seed = 4;
-    minimpi::Simulator sim(config, &recorder);
-    apps::McbConfig mcb;
-    mcb.grid_x = 3;
-    mcb.grid_y = 3;
-    mcb.particles_per_rank = 120;
-    apps::run_mcb(sim, mcb);
-    recorder.finalize();
-    container.seal();
-
-    inspect(container);
-    std::printf("\nrecorded %llu chunks, %s stored\n",
-                static_cast<unsigned long long>(recorder.totals().chunks),
-                obs::format_bytes(
-                    static_cast<double>(container.total_bytes())).c_str());
-  }
+  const std::uint64_t chunks = record_demo(file, level);
+  const auto store = store::ContainerStore::open(file);
+  inspect(*store);
+  std::printf("\nrecorded %llu chunks, %s stored\n",
+              static_cast<unsigned long long>(chunks),
+              obs::format_bytes(static_cast<double>(store->total_bytes()))
+                  .c_str());
   std::printf("\nrecord container left at %s; verifying it:\n", file.c_str());
   return verify_container(file);
 }

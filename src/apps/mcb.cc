@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace cdc::apps {
 
@@ -41,11 +42,7 @@ static_assert(std::is_trivially_copyable_v<Particle>);
 
 /// splitmix64 step: the particle-carried RNG.
 std::uint64_t next_u64(std::uint64_t& state) noexcept {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return support::splitmix64(state += support::kGoldenGamma);
 }
 
 double next_unit(std::uint64_t& state) noexcept {

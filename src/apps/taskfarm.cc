@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace cdc::apps {
 
@@ -32,13 +33,6 @@ struct WorkResult {
   std::int64_t id = 0;
 };
 static_assert(std::is_trivially_copyable_v<WorkResult>);
-
-std::uint64_t hash_id(std::uint64_t seed, std::int64_t id) noexcept {
-  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct SharedResult {
   double accumulated = 0.0;
@@ -134,7 +128,9 @@ Task worker_rank(Comm& comm) {
 
     // Deterministic per-item cost and value: only completion ORDER varies
     // between runs.
-    const std::uint64_t h = hash_id(kWorkSeed, item.id);
+    const std::uint64_t h = support::splitmix64(
+        kWorkSeed ^
+        (static_cast<std::uint64_t>(item.id) * support::kGoldenGamma));
     const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;
     co_await comm.compute(kTaskCostMean * (0.25 + 1.5 * unit));
     WorkResult result;

@@ -35,13 +35,10 @@ namespace cdc::minimpi {
 
 namespace {
 
-/// splitmix64 finalizer over (seed, index): statistically independent
-/// per-rank streams from one run seed.
+/// Output `index` of the splitmix64 generator seeded with `seed`:
+/// statistically independent per-rank streams from one run seed.
 std::uint64_t mix64(std::uint64_t seed, std::uint64_t index) noexcept {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return support::splitmix64(seed + support::kGoldenGamma * (index + 1));
 }
 
 }  // namespace

@@ -7,46 +7,23 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 
+#include "apps/jacobi.h"
 #include "apps/mcb.h"
 #include "apps/taskfarm.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "store/container_reader.h"
 #include "store/container_store.h"
-#include "store/resilient.h"
 #include "support/check.h"
-#include "support/oracle.h"
+#include "support/rng.h"
 #include "tool/crash_store.h"
-#include "tool/degraded.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
 namespace cdc::fuzz {
 
 namespace {
-
-/// splitmix64 finalizer: decorrelates the per-purpose seeds derived from
-/// one case seed (noise vs. faults, record vs. replay).
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-minimpi::Simulator::Config sim_config(int num_ranks,
-                                      std::uint64_t noise_seed,
-                                      const minimpi::FaultPlan& faults,
-                                      int workers) {
-  minimpi::Simulator::Config config;
-  config.num_ranks = num_ranks;
-  config.noise_seed = noise_seed;
-  config.faults = faults;
-  config.workers = workers;
-  return config;
-}
 
 /// Seed-cycled worker axis: every record and replay run of a case uses
 /// 1, 2 or 4 workers, so every fuzz class continuously exercises the
@@ -65,14 +42,6 @@ std::uint64_t fired_faults(const minimpi::FaultStats& stats) noexcept {
          stats.duplicates_injected + stats.stalls;
 }
 
-tool::ToolOptions tool_options(std::size_t chunk_target,
-                               bool partial_record = false) {
-  tool::ToolOptions options;
-  options.chunk_target = chunk_target;
-  options.partial_record = partial_record;
-  return options;
-}
-
 std::string format_double_bits(double value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", value);
@@ -89,15 +58,15 @@ void remove_quietly(const std::string& path) {
   std::filesystem::remove(path, ec);
 }
 
-/// Prefix lengths for support::check_prefix, from replay progress: per
-/// stream, the events gated by the (partial) record before the global
-/// release.
-std::map<runtime::StreamKey, std::uint64_t> prefix_lengths(
-    const tool::Replayer& replayer) {
-  std::map<runtime::StreamKey, std::uint64_t> lengths;
-  for (const auto& [key, stats] : replayer.stream_totals())
-    lengths[key] = stats.replayed_events + stats.replayed_unmatched;
-  return lengths;
+/// The prefix check of a partial-record replay: the gated prefix must
+/// match the recording, and frames present but nothing gated and no
+/// release is a dead replay.
+std::string prefix_failure(const support::OracleReport& oracle,
+                           const tool::Replayer& replayer) {
+  if (!oracle.ok) return oracle.summary();
+  if (oracle.events_compared == 0 && !replayer.released())
+    return "the record was replayed but the replay gated nothing";
+  return {};
 }
 
 }  // namespace
@@ -147,6 +116,181 @@ FuzzWorkload mcb_workload(int grid_x, int grid_y, int particles_per_rank) {
   return workload;
 }
 
+FuzzWorkload jacobi_workload(int grid_x, int grid_y, int iterations) {
+  apps::JacobiConfig config;
+  config.grid_x = grid_x;
+  config.grid_y = grid_y;
+  config.local_nx = 6;
+  config.local_ny = 6;
+  config.iterations = iterations;
+  FuzzWorkload workload;
+  workload.name = "jacobi" + std::to_string(grid_x) + "x" +
+                  std::to_string(grid_y);
+  workload.num_ranks = grid_x * grid_y;
+  workload.run = [config](minimpi::Simulator& sim) {
+    return apps::run_jacobi(sim, config).residual;
+  };
+  return workload;
+}
+
+ProbedRun run_probed(const FuzzWorkload& workload, minimpi::ToolHooks* tool,
+                     const minimpi::Simulator::Config& config) {
+  support::OrderProbe probe(tool);
+  minimpi::Simulator sim(config, &probe);
+  ProbedRun run;
+  run.value = workload.run(sim);
+  run.trace = probe.trace();
+  run.events = probe.total_events();
+  run.stats = sim.stats();
+  run.fault_stats = sim.fault_stats();
+  return run;
+}
+
+minimpi::Simulator::Config sim_config(int num_ranks, std::uint64_t noise_seed,
+                                      const minimpi::FaultPlan& faults,
+                                      int workers) {
+  minimpi::Simulator::Config config;
+  config.num_ranks = num_ranks;
+  config.noise_seed = noise_seed;
+  config.faults = faults;
+  config.workers = workers;
+  return config;
+}
+
+std::map<runtime::StreamKey, std::uint64_t> prefix_lengths(
+    const tool::Replayer& replayer) {
+  std::map<runtime::StreamKey, std::uint64_t> lengths;
+  for (const auto& [key, stats] : replayer.stream_totals())
+    lengths[key] = stats.replayed_events + stats.replayed_unmatched;
+  return lengths;
+}
+
+std::uint64_t case_seed(std::uint64_t seed, std::uint64_t slot) noexcept {
+  return support::splitmix64(seed * 4 + slot + support::kGoldenGamma);
+}
+
+KillCheck check_rank_kill(const FuzzWorkload& workload, std::uint64_t seed,
+                          double kill_fraction,
+                          const std::string& container_path,
+                          std::size_t chunk_target, int workers) {
+  CDC_CHECK_MSG(workload.kill_tolerant,
+                "a rank kill requires a kill-tolerant workload");
+  const int n = workload.num_ranks;
+  const std::uint64_t noise = case_seed(seed, kRecordNoise);
+
+  // Aim the kill inside the run: the fault-free run with the same noise
+  // gives its virtual span.
+  const double span =
+      run_probed(workload, nullptr, sim_config(n, noise, {}, workers))
+          .stats.end_time;
+  minimpi::FaultPlan plan;
+  plan.seed = case_seed(seed, kRecordFaults);
+  plan.kills.push_back(minimpi::RankKill{
+      1 + static_cast<minimpi::Rank>(plan.seed %
+                                     static_cast<std::uint64_t>(n - 1)),
+      span * kill_fraction});
+
+  // The recorder survives the process failure and seals: the survivors'
+  // streams are complete, the victim's end at its death.
+  KillCheck check;
+  {
+    store::ContainerStore container(container_path);
+    tool::Recorder recorder(n, &container, {.chunk_target = chunk_target});
+    check.recorded =
+        run_probed(workload, &recorder, sim_config(n, noise, plan, workers));
+    recorder.finalize();
+    container.seal();
+  }
+
+  // The degradation is semantic — the victim's streams just end early — so
+  // the container itself must be frame-complete.
+  check.gaps = tool::inspect_gaps(container_path);
+  if (!check.gaps.container_sealed || check.gaps.frame_coverage() < 1.0) {
+    check.failure = "sealed post-kill container is frame-damaged: " +
+                    (check.gaps.container_errors.empty()
+                         ? std::string("coverage < 1")
+                         : check.gaps.container_errors.front());
+  } else {
+    // Degraded replay: a fault-free run gated by the truncated record;
+    // once the victim's streams run dry the replayer releases survivors
+    // to passthrough, and the oracle checks the gated prefix.
+    const auto store = store::ContainerStore::open(container_path);
+    tool::Replayer replayer(
+        n, store.get(), {.chunk_target = chunk_target, .partial_record = true});
+    const ProbedRun replayed = run_probed(
+        workload, &replayer,
+        sim_config(n, case_seed(seed, kReplayNoise), {}, workers));
+    check.oracle = support::check_prefix(check.recorded.trace,
+                                         replayed.trace,
+                                         prefix_lengths(replayer));
+    check.failure = prefix_failure(check.oracle, replayer);
+  }
+  remove_quietly(container_path);
+  return check;
+}
+
+IoFaultCheck check_io_faults(const FuzzWorkload& workload,
+                             std::uint64_t seed,
+                             const store::IoFaultPlan& plan,
+                             std::size_t chunk_target, int workers) {
+  const int n = workload.num_ranks;
+  const tool::ToolOptions options{.chunk_target = chunk_target};
+  const minimpi::Simulator::Config config =
+      sim_config(n, case_seed(seed, kRecordNoise), {}, workers);
+  IoFaultCheck check;
+
+  // Reference: the same seeded run recorded with no storage faults.
+  runtime::MemoryStore clean;
+  tool::Recorder reference(n, &clean, options);
+  const ProbedRun recorded = run_probed(workload, &reference, config);
+  reference.finalize();
+
+  // The same run again, with the plan's I/O faults injected between the
+  // frame sink and the store — every one must be absorbed by the
+  // bounded-backoff retries, leaving the record bit-identical.
+  runtime::MemoryStore faulted;
+  store::IoFaultStore faulty(&faulted, plan);
+  store::RetryPolicy policy;
+  policy.jitter_seed = case_seed(seed, kSchedule);
+  store::RetryingStore retrying(&faulty, policy);
+  tool::Recorder recorder(n, &retrying, options);
+  (void)run_probed(workload, &recorder, config);
+  recorder.finalize();
+  check.faults = faulty.stats();
+  check.retries = retrying.stats();
+  check.backoff_bound_ms = policy.max_total_backoff_ms() *
+                           static_cast<double>(check.faults.appends);
+  check.bit_identical = clean.keys() == faulted.keys();
+  for (const runtime::StreamKey& key : clean.keys())
+    check.bit_identical =
+        check.bit_identical && clean.read(key) == faulted.read(key);
+
+  // And the faulted record replays with full equivalence.
+  tool::Replayer replayer(n, &faulted, options);
+  const ProbedRun replayed = run_probed(
+      workload, &replayer,
+      sim_config(n, case_seed(seed, kReplayNoise), {}, workers));
+  check.oracle = support::check_equivalence(recorded.trace, replayed.trace);
+  check.result_matches = recorded.value == replayed.value;
+
+  if (check.retries.quarantined != 0)
+    check.failure = "transient faults quarantined " +
+                    std::to_string(check.retries.quarantined) + " frame(s)";
+  else if (recorder.checkpoint_failures() != 0)
+    check.failure = "checkpoint sync failed through the retrying store";
+  else if (check.retries.backoff_ms_total > check.backoff_bound_ms)
+    check.failure = "backoff exceeded its bound: " +
+                    std::to_string(check.retries.backoff_ms_total) +
+                    "ms > " + std::to_string(check.backoff_bound_ms) + "ms";
+  else if (!check.bit_identical)
+    check.failure = "faulted record is not bit-identical to the clean one";
+  else if (!check.oracle.ok)
+    check.failure = check.oracle.summary();
+  else if (!check.result_matches)
+    check.failure = "order-sensitive result diverged after retried faults";
+  return check;
+}
+
 std::string FuzzFailure::repro() const {
   return "workload=" + workload + " class=" + fault_class_name(cls) +
          " seed=" + std::to_string(seed);
@@ -179,67 +323,62 @@ FuzzReport ScheduleFuzzer::run() {
 std::optional<FuzzFailure> ScheduleFuzzer::run_case(FaultClass cls,
                                                     std::uint64_t seed,
                                                     FuzzReport* report) {
+  FuzzReport scratch;
+  FuzzReport& counts = report != nullptr ? *report : scratch;
+  ++counts.cases_run;
+  std::string detail;
   switch (cls) {
-    case FaultClass::kRecorderCrash: return run_crash_case(seed, report);
-    case FaultClass::kRankKill: return run_kill_case(seed, report);
-    case FaultClass::kIoFault: return run_io_fault_case(seed, report);
-    case FaultClass::kWindow: return run_window_case(seed, report);
-    default: return run_transport_case(cls, seed, report);
+    case FaultClass::kRecorderCrash: detail = crash_case(seed, counts); break;
+    case FaultClass::kRankKill: detail = kill_case(seed, counts); break;
+    case FaultClass::kIoFault: detail = io_fault_case(seed, counts); break;
+    case FaultClass::kWindow: detail = window_case(seed, counts); break;
+    default: detail = transport_case(cls, seed, counts); break;
   }
+  if (detail.empty()) {
+    ++counts.cases_passed;
+    return std::nullopt;
+  }
+  return FuzzFailure{workload_.name, cls, seed, std::move(detail)};
 }
 
-std::optional<FuzzFailure> ScheduleFuzzer::run_transport_case(
-    FaultClass cls, std::uint64_t seed, FuzzReport* report) {
-  FuzzFailure failure{workload_.name, cls, seed, {}};
-  if (report != nullptr) ++report->cases_run;
+std::string ScheduleFuzzer::transport_case(FaultClass cls,
+                                           std::uint64_t seed,
+                                           FuzzReport& report) {
+  const int n = workload_.num_ranks;
+  const int workers = workers_for(seed);
+  const tool::ToolOptions options{.chunk_target = options_.chunk_target};
 
   // Record under the case's fault schedule.
   runtime::MemoryStore store;
-  tool::Recorder recorder(workload_.num_ranks, &store,
-                          tool_options(options_.chunk_target));
-  support::OrderProbe record_probe(&recorder);
-  minimpi::Simulator record_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 1),
-                 plan_for(cls, mix(seed * 4 + 2)), workers_for(seed)),
-      &record_probe);
-  const double recorded_value = workload_.run(record_sim);
+  tool::Recorder recorder(n, &store, options);
+  const ProbedRun recorded = run_probed(
+      workload_, &recorder,
+      sim_config(n, case_seed(seed, kRecordNoise),
+                 plan_for(cls, case_seed(seed, kRecordFaults)), workers));
   recorder.finalize();
 
   // Replay under a different noise seed AND a different fault schedule of
   // the same class: replay must pin the receive order regardless of what
   // the replay run's own transport does.
-  tool::Replayer replayer(workload_.num_ranks, &store,
-                          tool_options(options_.chunk_target));
-  support::OrderProbe replay_probe(&replayer);
-  minimpi::Simulator replay_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 3),
-                 plan_for(cls, mix(seed * 4 + 4)), workers_for(seed)),
-      &replay_probe);
-  const double replayed_value = workload_.run(replay_sim);
-
-  if (report != nullptr)
-    report->faults_injected += fired_faults(record_sim.fault_stats()) +
-                               fired_faults(replay_sim.fault_stats());
+  tool::Replayer replayer(n, &store, options);
+  const ProbedRun replayed = run_probed(
+      workload_, &replayer,
+      sim_config(n, case_seed(seed, kReplayNoise),
+                 plan_for(cls, case_seed(seed, kReplayFaults)), workers));
+  report.faults_injected +=
+      fired_faults(recorded.fault_stats) + fired_faults(replayed.fault_stats);
 
   const support::OracleReport oracle =
-      support::check_equivalence(record_probe.trace(), replay_probe.trace());
-  if (report != nullptr) report->events_checked += oracle.events_compared;
-  if (!oracle.ok) {
-    failure.detail = oracle.summary();
-    return failure;
-  }
-  if (recorded_value != replayed_value) {
-    failure.detail = "order-sensitive result diverged: recorded " +
-                     format_double_bits(recorded_value) + " != replayed " +
-                     format_double_bits(replayed_value);
-    return failure;
-  }
-  if (!replayer.fully_replayed()) {
-    failure.detail = "replay finished with unconsumed record";
-    return failure;
-  }
-  if (report != nullptr) ++report->cases_passed;
-  return std::nullopt;
+      support::check_equivalence(recorded.trace, replayed.trace);
+  report.events_checked += oracle.events_compared;
+  if (!oracle.ok) return oracle.summary();
+  if (recorded.value != replayed.value)
+    return "order-sensitive result diverged: recorded " +
+           format_double_bits(recorded.value) + " != replayed " +
+           format_double_bits(replayed.value);
+  if (!replayer.fully_replayed())
+    return "replay finished with unconsumed record";
+  return {};
 }
 
 std::string ScheduleFuzzer::scratch_path(const char* tag,
@@ -250,10 +389,10 @@ std::string ScheduleFuzzer::scratch_path(const char* tag,
   return (scratch_root(options_.scratch_dir) / file).string();
 }
 
-std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
-    std::uint64_t seed, FuzzReport* report) {
-  FuzzFailure failure{workload_.name, FaultClass::kRecorderCrash, seed, {}};
-  if (report != nullptr) ++report->cases_run;
+std::string ScheduleFuzzer::crash_case(std::uint64_t seed,
+                                       FuzzReport& report) {
+  const int n = workload_.num_ranks;
+  const int workers = workers_for(seed);
   const std::string container_path = scratch_path("crash", seed);
   const std::string repacked_path = scratch_path("repacked", seed);
 
@@ -262,14 +401,11 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
   // unsealed — a killed process's on-disk state.
   store::ContainerStore container(container_path);
   tool::CrashingStore crashing(&container, /*appends_before_crash=*/seed % 32);
-  tool::Recorder recorder(workload_.num_ranks, &crashing,
-                          tool_options(options_.chunk_target));
-  support::OrderProbe record_probe(&recorder);
-  minimpi::Simulator record_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
-                 workers_for(seed)),
-      &record_probe);
-  workload_.run(record_sim);
+  tool::Recorder recorder(n, &crashing,
+                          {.chunk_target = options_.chunk_target});
+  const ProbedRun recorded = run_probed(
+      workload_, &recorder,
+      sim_config(n, case_seed(seed, kRecordNoise), {}, workers));
   recorder.finalize();
   container.abandon();
 
@@ -277,106 +413,49 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_crash_case(
   // open it and prefix-replay it.
   const store::RepackResult repack =
       store::repack_container(container_path, repacked_path);
-  std::optional<FuzzFailure> result;
+  std::string failure;
   if (!repack.ok) {
     // The store wrote the container's header, so any readable file
     // repacks, even one holding no frame.
-    failure.detail = "salvage failed with " +
-                     std::to_string(crashing.appends_forwarded()) +
-                     " frames persisted: " + repack.error;
-    result = failure;
+    failure = "salvage failed with " +
+              std::to_string(crashing.appends_forwarded()) +
+              " frames persisted: " + repack.error;
   } else {
     const auto salvaged = store::ContainerStore::open(repacked_path);
-    tool::Replayer replayer(workload_.num_ranks, salvaged.get(),
-                            tool_options(options_.chunk_target,
-                                         /*partial_record=*/true));
-    support::OrderProbe replay_probe(&replayer);
-    minimpi::Simulator replay_sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
-                   workers_for(seed)),
-        &replay_probe);
-    workload_.run(replay_sim);
-
+    tool::Replayer replayer(n, salvaged.get(),
+                            {.chunk_target = options_.chunk_target,
+                             .partial_record = true});
+    const ProbedRun replayed = run_probed(
+        workload_, &replayer,
+        sim_config(n, case_seed(seed, kReplayNoise), {}, workers));
     const support::OracleReport oracle = support::check_prefix(
-        record_probe.trace(), replay_probe.trace(), prefix_lengths(replayer));
-    if (report != nullptr) report->events_checked += oracle.events_compared;
-    if (!oracle.ok) {
-      failure.detail = oracle.summary();
-      result = failure;
-    } else if (repack.frames_kept > 0 &&
-               oracle.events_compared == 0 && !replayer.released()) {
-      // An empty verified prefix is legitimate under a tiny crash budget:
-      // the first MF call can hit a stream with no salvaged chunks, which
-      // releases the whole replay to passthrough before anything is gated.
-      // But frames present + nothing gated + no release = a dead replay.
-      failure.detail = "frames were salvaged but the replay gated nothing";
-      result = failure;
-    } else if (report != nullptr) {
-      ++report->cases_passed;
-    }
+        recorded.trace, replayed.trace, prefix_lengths(replayer));
+    report.events_checked += oracle.events_compared;
+    // An empty verified prefix is legitimate under a tiny crash budget:
+    // the first MF call can hit a stream with no salvaged chunks, which
+    // releases the whole replay to passthrough before anything is gated.
+    if (repack.frames_kept > 0 || !oracle.ok)
+      failure = prefix_failure(oracle, replayer);
   }
   remove_quietly(container_path);
   remove_quietly(repacked_path);
-  return result;
+  return failure;
 }
 
-std::optional<FuzzFailure> ScheduleFuzzer::run_kill_case(std::uint64_t seed,
-                                                         FuzzReport* report) {
-  FuzzFailure failure{workload_.name, FaultClass::kRankKill, seed, {}};
-  if (report != nullptr) ++report->cases_run;
-  CDC_CHECK_MSG(workload_.kill_tolerant,
-                "kRankKill requires a kill-tolerant workload");
+std::string ScheduleFuzzer::kill_case(std::uint64_t seed,
+                                      FuzzReport& report) {
+  // The kill lands between 10% and 90% of the run's span, never before
+  // the first message or after the last.
+  const double fraction =
+      0.10 + 0.80 * static_cast<double>(case_seed(seed, kSchedule) % 1000) /
+                 1000.0;
+  const KillCheck check =
+      check_rank_kill(workload_, seed, fraction, scratch_path("kill", seed),
+                      options_.chunk_target, workers_for(seed));
+  report.faults_injected += check.recorded.fault_stats.rank_kills;
+  report.events_checked += check.oracle.events_compared;
 
-  // Probe run (same noise seed, no faults): learn the run's virtual span
-  // so the seeded kill lands mid-run rather than before the first message
-  // or after the last.
-  double probe_end = 0.0;
-  {
-    minimpi::Simulator probe(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
-                   workers_for(seed)));
-    workload_.run(probe);
-    probe_end = probe.stats().end_time;
-  }
-
-  minimpi::FaultPlan plan;
-  plan.seed = mix(seed * 4 + 2);
-  minimpi::RankKill kill;
-  kill.rank = 1 + static_cast<minimpi::Rank>(
-                      mix(seed * 4 + 2) %
-                      static_cast<std::uint64_t>(workload_.num_ranks - 1));
-  kill.time = probe_end * (0.10 + 0.80 * static_cast<double>(
-                                             mix(seed * 4 + 5) % 1000) /
-                                      1000.0);
-  plan.kills.push_back(kill);
-
-  // Record the killed run into a sealed on-disk container: the recorder
-  // survives the process failure (the survivors' streams are complete;
-  // the victim's end at its death).
-  const std::string container_path = scratch_path("kill", seed);
-  support::Trace recorded_trace;
-  std::uint64_t kills_fired = 0;
-  {
-    store::ContainerStore container(container_path);
-    tool::Recorder recorder(workload_.num_ranks, &container,
-                            tool_options(options_.chunk_target));
-    support::OrderProbe record_probe(&recorder);
-    minimpi::Simulator record_sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 1), plan,
-                   workers_for(seed)),
-        &record_probe);
-    workload_.run(record_sim);
-    recorder.finalize();
-    container.seal();
-    recorded_trace = record_probe.trace();
-    kills_fired = record_sim.fault_stats().rank_kills;
-    if (report != nullptr) report->faults_injected += kills_fired;
-  }
-
-  // The gap report is this case's CI artifact; a recorder that survived
-  // to seal() must leave a frame-complete container (the degradation is
-  // semantic — the victim's streams just end early).
-  const tool::GapReport gaps = tool::inspect_gaps(container_path);
+  // The gap report is this case's CI artifact.
   if (!options_.gap_report_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.gap_report_dir, ec);
@@ -384,173 +463,31 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_kill_case(std::uint64_t seed,
                              std::to_string(seed) + ".json";
     obs::JsonWriter::write_file(
         (std::filesystem::path(options_.gap_report_dir) / name).string(),
-        gaps.to_json());
+        check.gaps.to_json());
   }
-
-  std::optional<FuzzFailure> result;
-  if (!gaps.container_sealed || gaps.frame_coverage() < 1.0) {
-    failure.detail = "sealed post-kill container is frame-damaged: " +
-                     (gaps.container_errors.empty()
-                          ? "coverage < 1"
-                          : gaps.container_errors.front());
-    result = failure;
-  } else if (kills_fired != 1) {
-    // The victim finished before its kill time: deterministic per seed and
-    // legitimate (nothing degraded to check), but only a late kill
-    // fraction should ever get there.
-    if (report != nullptr) ++report->cases_passed;
-  } else {
-    // Degraded replay: a fault-free run gated by the truncated record;
-    // once the victim's streams run dry the replayer releases survivors
-    // to passthrough, and the oracle checks the gated prefix.
-    const auto replay_store = store::ContainerStore::open(container_path);
-    tool::Replayer replayer(workload_.num_ranks, replay_store.get(),
-                            tool_options(options_.chunk_target,
-                                         /*partial_record=*/true));
-    support::OrderProbe replay_probe(&replayer);
-    minimpi::Simulator replay_sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
-                   workers_for(seed)),
-        &replay_probe);
-    workload_.run(replay_sim);
-
-    const support::OracleReport oracle = support::check_prefix(
-        recorded_trace, replay_probe.trace(), prefix_lengths(replayer));
-    if (report != nullptr) report->events_checked += oracle.events_compared;
-    if (!oracle.ok) {
-      failure.detail = oracle.summary();
-      result = failure;
-    } else if (oracle.events_compared == 0 && !replayer.released()) {
-      failure.detail = "a killed run was recorded but the replay gated "
-                       "nothing";
-      result = failure;
-    } else if (report != nullptr) {
-      ++report->cases_passed;
-    }
-  }
-  remove_quietly(container_path);
-  return result;
+  return check.failure;
 }
 
-std::optional<FuzzFailure> ScheduleFuzzer::run_io_fault_case(
-    std::uint64_t seed, FuzzReport* report) {
-  FuzzFailure failure{workload_.name, FaultClass::kIoFault, seed, {}};
-  if (report != nullptr) ++report->cases_run;
-
-  // Reference: the same seeded run recorded with no storage faults.
-  runtime::MemoryStore clean;
-  support::Trace recorded_trace;
-  double recorded_value = 0.0;
-  {
-    tool::Recorder recorder(workload_.num_ranks, &clean,
-                            tool_options(options_.chunk_target));
-    support::OrderProbe probe(&recorder);
-    minimpi::Simulator sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
-                   workers_for(seed)),
-        &probe);
-    recorded_value = workload_.run(sim);
-    recorder.finalize();
-    recorded_trace = probe.trace();
-  }
-
-  // The same run again, with seeded transient I/O faults injected between
-  // the frame sink and the store — every one must be absorbed by the
-  // bounded-backoff retries, leaving the record bit-identical.
-  runtime::MemoryStore base;
-  store::IoFaultPlan fault_plan;
-  fault_plan.seed = mix(seed * 4 + 2);
-  fault_plan.eio_every_n = 7;
-  fault_plan.eio_probability = 0.25;
-  fault_plan.failures_per_fault =
-      1 + static_cast<std::uint32_t>(mix(seed * 4 + 4) % 3);
-  fault_plan.short_write_probability = 0.5;
-  fault_plan.fsync_failure_every_n = 2;
-  store::IoFaultStore faulty(&base, fault_plan);
-  store::RetryPolicy policy;
-  policy.jitter_seed = mix(seed * 4 + 5);
-  store::RetryingStore retrying(&faulty, policy);
-  std::uint64_t checkpoint_failures = 0;
-  {
-    tool::Recorder recorder(workload_.num_ranks, &retrying,
-                            tool_options(options_.chunk_target));
-    support::OrderProbe probe(&recorder);
-    minimpi::Simulator sim(
-        sim_config(workload_.num_ranks, mix(seed * 4 + 1), {},
-                   workers_for(seed)),
-        &probe);
-    workload_.run(sim);
-    recorder.finalize();
-    checkpoint_failures = recorder.checkpoint_failures();
-  }
-  if (report != nullptr)
-    report->faults_injected += faulty.stats().transient_throws +
-                               faulty.stats().fsync_failures;
-
-  if (retrying.stats().quarantined != 0) {
-    failure.detail = "transient faults quarantined " +
-                     std::to_string(retrying.stats().quarantined) +
-                     " frame(s)";
-    return failure;
-  }
-  if (checkpoint_failures != 0) {
-    failure.detail = "checkpoint sync failed through the retrying store";
-    return failure;
-  }
-  const double backoff_bound =
-      policy.max_total_backoff_ms() *
-      static_cast<double>(faulty.stats().appends);
-  if (retrying.stats().backoff_ms_total > backoff_bound) {
-    failure.detail = "backoff exceeded its bound: " +
-                     std::to_string(retrying.stats().backoff_ms_total) +
-                     "ms > " +
-                     std::to_string(backoff_bound) + "ms";
-    return failure;
-  }
-  // Bit-identical to the fault-free record, stream by stream.
-  const auto clean_keys = clean.keys();
-  if (clean_keys != base.keys()) {
-    failure.detail = "faulted record has different streams";
-    return failure;
-  }
-  for (const runtime::StreamKey& key : clean_keys) {
-    if (clean.read(key) != base.read(key)) {
-      failure.detail = "stream (rank=" + std::to_string(key.rank) +
-                       ", callsite=" + std::to_string(key.callsite) +
-                       ") is not bit-identical after retried faults";
-      return failure;
-    }
-  }
-
-  // And the surviving record replays with full equivalence.
-  tool::Replayer replayer(workload_.num_ranks, &base,
-                          tool_options(options_.chunk_target));
-  support::OrderProbe replay_probe(&replayer);
-  minimpi::Simulator replay_sim(
-      sim_config(workload_.num_ranks, mix(seed * 4 + 3), {},
-                 workers_for(seed)),
-      &replay_probe);
-  const double replayed_value = workload_.run(replay_sim);
-
-  const support::OracleReport oracle =
-      support::check_equivalence(recorded_trace, replay_probe.trace());
-  if (report != nullptr) report->events_checked += oracle.events_compared;
-  if (!oracle.ok) {
-    failure.detail = oracle.summary();
-    return failure;
-  }
-  if (recorded_value != replayed_value) {
-    failure.detail = "order-sensitive result diverged after retried faults";
-    return failure;
-  }
-  if (report != nullptr) ++report->cases_passed;
-  return std::nullopt;
+std::string ScheduleFuzzer::io_fault_case(std::uint64_t seed,
+                                          FuzzReport& report) {
+  store::IoFaultPlan plan;
+  plan.seed = case_seed(seed, kRecordFaults);
+  plan.eio_every_n = 7;
+  plan.eio_probability = 0.25;
+  plan.failures_per_fault =
+      1 + static_cast<std::uint32_t>(case_seed(seed, kReplayFaults) % 3);
+  plan.short_write_probability = 0.5;
+  plan.fsync_failure_every_n = 2;
+  const IoFaultCheck check = check_io_faults(
+      workload_, seed, plan, options_.chunk_target, workers_for(seed));
+  report.faults_injected +=
+      check.faults.transient_throws + check.faults.fsync_failures;
+  report.events_checked += check.oracle.events_compared;
+  return check.failure;
 }
 
-std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
-    std::uint64_t seed, FuzzReport* report) {
-  FuzzFailure failure{workload_.name, FaultClass::kWindow, seed, {}};
-  if (report != nullptr) ++report->cases_run;
+std::string ScheduleFuzzer::window_case(std::uint64_t seed,
+                                        FuzzReport& report) {
   // The transport adversary cycles deterministically with the seed, so a
   // 16-seed sweep covers every transport class at least twice.
   static constexpr std::array<FaultClass, 6> kTransport = {
@@ -559,85 +496,71 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
       FaultClass::kRankStall, FaultClass::kAll,
   };
   const FaultClass transport = kTransport[seed % kTransport.size()];
+  const int n = workload_.num_ranks;
+  const int workers = workers_for(seed);
+  const tool::ToolOptions options{.chunk_target = options_.chunk_target};
+  // A window case runs three schedules, so it takes the slots of case
+  // seed 2 * seed: 1–4 for the record and the full replay, 5–6 for the
+  // window, 7 and 9 for the windowed replay.
+  const std::uint64_t slots = 2 * seed;
   const std::string container_path = scratch_path("window", seed);
+  const auto finish = [&](std::string detail) {
+    remove_quietly(container_path);
+    return detail;
+  };
 
   // Record under the case's fault schedule into a sealed, epoch-indexed
   // container on disk.
   {
     store::ContainerStore container(container_path);
-    tool::Recorder recorder(workload_.num_ranks, &container,
-                            tool_options(options_.chunk_target));
-    support::OrderProbe record_probe(&recorder);
-    minimpi::Simulator record_sim(
-        sim_config(workload_.num_ranks, mix(seed * 8 + 1),
-                   plan_for(transport, mix(seed * 8 + 2)),
-                   workers_for(seed)),
-        &record_probe);
-    workload_.run(record_sim);
+    tool::Recorder recorder(n, &container, options);
+    const ProbedRun recorded = run_probed(
+        workload_, &recorder,
+        sim_config(n, case_seed(slots, kRecordNoise),
+                   plan_for(transport, case_seed(slots, kRecordFaults)),
+                   workers));
     recorder.finalize();
     container.seal();
-    if (report != nullptr)
-      report->faults_injected += fired_faults(record_sim.fault_stats());
+    report.faults_injected += fired_faults(recorded.fault_stats);
   }
-  const auto cleanup = [&] { remove_quietly(container_path); };
 
   const auto store = store::ContainerStore::open(container_path);
-  if (store->reader() == nullptr || !store->reader()->epoch_index_ok()) {
-    failure.detail = "sealed container has no usable epoch index";
-    cleanup();
-    return failure;
-  }
+  if (store->reader() == nullptr || !store->reader()->epoch_index_ok())
+    return finish("sealed container has no usable epoch index");
 
   // Full replay under a different schedule: the reference trace every
   // window slice is checked against.
-  tool::Replayer full(workload_.num_ranks, store.get(),
-                      tool_options(options_.chunk_target));
-  support::OrderProbe full_probe(&full);
-  minimpi::Simulator full_sim(
-      sim_config(workload_.num_ranks, mix(seed * 8 + 3),
-                 plan_for(transport, mix(seed * 8 + 4)), workers_for(seed)),
-      &full_probe);
-  workload_.run(full_sim);
-  if (report != nullptr)
-    report->faults_injected += fired_faults(full_sim.fault_stats());
-  if (!full.fully_replayed()) {
-    failure.detail = "full replay finished with unconsumed record";
-    cleanup();
-    return failure;
-  }
+  tool::Replayer full(n, store.get(), options);
+  const ProbedRun full_run = run_probed(
+      workload_, &full,
+      sim_config(n, case_seed(slots, kReplayNoise),
+                 plan_for(transport, case_seed(slots, kReplayFaults)),
+                 workers));
+  report.faults_injected += fired_faults(full_run.fault_stats);
+  if (!full.fully_replayed())
+    return finish("full replay finished with unconsumed record");
 
   // A seed-derived epoch window inside the record's deepest stream.
   std::uint64_t epochs = 0;
   for (const auto& [key, stats] : full.stream_totals())
     epochs = std::max(epochs, stats.chunks);
-  if (epochs == 0) {
-    failure.detail = "record holds no epochs to window";
-    cleanup();
-    return failure;
-  }
-  const std::uint64_t lo = mix(seed * 8 + 5) % epochs;
-  const std::uint64_t hi = lo + 1 + mix(seed * 8 + 6) % (epochs - lo);
+  if (epochs == 0) return finish("record holds no epochs to window");
+  const std::uint64_t lo = case_seed(slots, 5) % epochs;
+  const std::uint64_t hi = lo + 1 + case_seed(slots, 6) % (epochs - lo);
 
   // Windowed replay under a third schedule. The stream bytes must come
   // from the epoch-index seek — a sequential-read fallback is a failure.
   obs::Counter& fallbacks = obs::counter("store.container.epoch_fallbacks");
   const std::uint64_t fallbacks_before = fallbacks.value();
-  tool::Replayer window(workload_.num_ranks, store.get(),
-                        tool_options(options_.chunk_target));
+  tool::Replayer window(n, store.get(), options);
   window.replay_window(lo, hi);
-  support::OrderProbe window_probe(&window);
-  minimpi::Simulator window_sim(
-      sim_config(workload_.num_ranks, mix(seed * 8 + 7),
-                 plan_for(transport, mix(seed * 8 + 9)), workers_for(seed)),
-      &window_probe);
-  workload_.run(window_sim);
-  if (report != nullptr)
-    report->faults_injected += fired_faults(window_sim.fault_stats());
-  if (fallbacks.value() != fallbacks_before) {
-    failure.detail = "windowed replay fell back to a sequential read";
-    cleanup();
-    return failure;
-  }
+  const ProbedRun window_run = run_probed(
+      workload_, &window,
+      sim_config(n, case_seed(slots, 7),
+                 plan_for(transport, case_seed(slots, 9)), workers));
+  report.faults_injected += fired_faults(window_run.fault_stats);
+  if (fallbacks.value() != fallbacks_before)
+    return finish("windowed replay fell back to a sequential read");
 
   // Each stream's verified [begin, end) must match the same events of the
   // full replay. Non-vacuity: the stream that triggered the release covered
@@ -647,17 +570,12 @@ std::optional<FuzzFailure> ScheduleFuzzer::run_window_case(
   for (const auto& [key, slice] : window.window_slices())
     slices[key] = {slice.begin, slice.end};
   const support::OracleReport oracle =
-      support::check_slices(full_probe.trace(), window_probe.trace(), slices);
-  if (report != nullptr) report->events_checked += oracle.events_compared;
-  if (!oracle.ok) {
-    failure.detail = "window [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "): " + oracle.summary();
-    cleanup();
-    return failure;
-  }
-  cleanup();
-  if (report != nullptr) ++report->cases_passed;
-  return std::nullopt;
+      support::check_slices(full_run.trace, window_run.trace, slices);
+  report.events_checked += oracle.events_compared;
+  if (!oracle.ok)
+    return finish("window [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                "): " + oracle.summary());
+  return finish({});
 }
 
 // --- Salvage sweeps: a crash at every frame boundary, damage to every frame
@@ -685,20 +603,16 @@ SweepReport salvage_sweep(const FuzzWorkload& workload, std::uint64_t seed,
 
   // One clean recording, sealed — the reference run and the byte source
   // for every case.
-  support::Trace recorded_trace;
+  const int n = workload.num_ranks;
+  ProbedRun recorded;
   {
     store::ContainerStore container(sealed_path);
-    tool::Recorder recorder(workload.num_ranks, &container,
-                            tool_options(chunk_target));
-    support::OrderProbe probe(&recorder);
-    minimpi::Simulator sim(
-        sim_config(workload.num_ranks, mix(seed * 4 + 1), {},
-                   workers_for(seed)),
-        &probe);
-    workload.run(sim);
+    tool::Recorder recorder(n, &container, {.chunk_target = chunk_target});
+    recorded = run_probed(
+        workload, &recorder,
+        sim_config(n, case_seed(seed, kRecordNoise), {}, workers_for(seed)));
     recorder.finalize();
     container.seal();
-    recorded_trace = probe.trace();
   }
 
   // Per case: the bytes of the damaged copy, the byte it flips, and how
@@ -794,18 +708,14 @@ SweepReport salvage_sweep(const FuzzWorkload& workload, std::uint64_t seed,
     }
 
     const auto salvaged = store::ContainerStore::open(repacked_path);
-    tool::Replayer replayer(workload.num_ranks, salvaged.get(),
-                            tool_options(chunk_target,
-                                         /*partial_record=*/true));
-    support::OrderProbe probe(&replayer);
-    minimpi::Simulator sim(
-        sim_config(workload.num_ranks, mix(seed * 4 + 3), {},
-                   workers_for(seed)),
-        &probe);
-    workload.run(sim);
-
+    tool::Replayer replayer(
+        n, salvaged.get(),
+        {.chunk_target = chunk_target, .partial_record = true});
+    const ProbedRun replayed = run_probed(
+        workload, &replayer,
+        sim_config(n, case_seed(seed, kReplayNoise), {}, workers_for(seed)));
     const support::OracleReport oracle = support::check_prefix(
-        recorded_trace, probe.trace(), prefix_lengths(replayer));
+        recorded.trace, replayed.trace, prefix_lengths(replayer));
     report.events_checked += oracle.events_compared;
     if (!oracle.ok) {
       fail(oracle.summary());

@@ -21,17 +21,29 @@
 // reproduction key: two runs with the same triple are bit-identical
 // (the worker count is derived from the seed, and the run does not
 // depend on it).
+//
+// Every record and replay run here is one run_probed() call; fig19, the
+// parallel-determinism suite and the fuzz tests build their checks from
+// the same helpers, workloads and seed layout.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "minimpi/fault.h"
 #include "minimpi/simulator.h"
+#include "store/resilient.h"
+#include "support/oracle.h"
+#include "tool/degraded.h"
+
+namespace cdc::tool {
+class Replayer;
+}  // namespace cdc::tool
 
 namespace cdc::fuzz {
 
@@ -122,6 +134,90 @@ struct FuzzWorkload {
 /// MCB-style particle transport (Testsome polling idiom), small grid.
 [[nodiscard]] FuzzWorkload mcb_workload(int grid_x = 2, int grid_y = 2,
                                         int particles_per_rank = 30);
+/// Jacobi halo exchange (ANY_SOURCE receives: hidden determinism), 6 × 6
+/// cells per rank.
+[[nodiscard]] FuzzWorkload jacobi_workload(int grid_x = 2, int grid_y = 2,
+                                           int iterations = 40);
+
+/// What one probed run produced.
+struct ProbedRun {
+  support::Trace trace;     ///< what the application saw, per stream
+  std::uint64_t events = 0;  ///< events in `trace`
+  double value = 0.0;        ///< the workload's order-sensitive result
+  minimpi::Simulator::Stats stats;
+  minimpi::FaultStats fault_stats;
+};
+
+/// The one record or replay run every check is made of: runs `workload`
+/// on a Simulator built from `config`, with `tool` (a tool::Recorder, a
+/// tool::Replayer, or nullptr for an untooled run) wrapped in a
+/// support::OrderProbe. The caller keeps the tool: it finalizes a
+/// recorder, sets up a replayer's window, and reads its totals.
+[[nodiscard]] ProbedRun run_probed(const FuzzWorkload& workload,
+                                   minimpi::ToolHooks* tool,
+                                   const minimpi::Simulator::Config& config);
+
+[[nodiscard]] minimpi::Simulator::Config sim_config(
+    int num_ranks, std::uint64_t noise_seed,
+    const minimpi::FaultPlan& faults = {}, int workers = 1);
+
+/// Prefix lengths for support::check_prefix, from replay progress: per
+/// stream, the events gated by the (partial) record before the global
+/// release.
+[[nodiscard]] std::map<runtime::StreamKey, std::uint64_t> prefix_lengths(
+    const tool::Replayer& replayer);
+
+/// The per-purpose seed layout of a case: slot k of case seed s is
+/// splitmix64(s * 4 + k + kGoldenGamma), so what the case's runs draw
+/// (noise, faults, the kill) is decorrelated. fig19's rows use it too, and
+/// see the schedules of the equivalent fuzz cases.
+enum SeedSlot : std::uint64_t {
+  kRecordNoise = 1,
+  kRecordFaults = 2,  ///< also picks a kill's victim and seeds I/O faults
+  kReplayNoise = 3,
+  kReplayFaults = 4,
+  kSchedule = 5,  ///< a kill's time, the retry jitter
+};
+[[nodiscard]] std::uint64_t case_seed(std::uint64_t seed,
+                                      std::uint64_t slot) noexcept;
+
+/// The kRankKill check, with the kill time as a fraction of the
+/// fault-free run's span (fig19 sweeps it): a worker is killed while the
+/// run records into a sealed container at `container_path` (removed
+/// again), which must come out frame-complete, and a fault-free degraded
+/// replay must verify the gated prefix.
+struct KillCheck {
+  ProbedRun recorded;            ///< the killed run
+  tool::GapReport gaps;          ///< of the sealed container
+  support::OracleReport oracle;  ///< the degraded replay's prefix check
+  std::string failure;           ///< empty when the check passed
+};
+[[nodiscard]] KillCheck check_rank_kill(const FuzzWorkload& workload,
+                                        std::uint64_t seed,
+                                        double kill_fraction,
+                                        const std::string& container_path,
+                                        std::size_t chunk_target,
+                                        int workers = 1);
+
+/// The kIoFault check, with the fault plan as an argument (fig19 sweeps
+/// its rate): the run recorded once cleanly and once through `plan`'s
+/// faults and a retrying store must store the same bytes, within the
+/// backoff bound and with nothing quarantined, and the faulted record
+/// must replay with full equivalence and the same result.
+struct IoFaultCheck {
+  store::IoFaultStats faults;
+  store::RetryStats retries;
+  double backoff_bound_ms = 0.0;
+  bool bit_identical = false;
+  support::OracleReport oracle;  ///< replay of the faulted record
+  bool result_matches = false;   ///< replayed value == recorded value
+  std::string failure;           ///< empty when the check passed
+};
+[[nodiscard]] IoFaultCheck check_io_faults(const FuzzWorkload& workload,
+                                           std::uint64_t seed,
+                                           const store::IoFaultPlan& plan,
+                                           std::size_t chunk_target,
+                                           int workers = 1);
 
 struct FuzzOptions {
   std::uint64_t base_seed = 1;   ///< case seeds are base_seed + i
@@ -173,17 +269,14 @@ class ScheduleFuzzer {
                                       FuzzReport* report = nullptr);
 
  private:
-  std::optional<FuzzFailure> run_transport_case(FaultClass cls,
-                                                std::uint64_t seed,
-                                                FuzzReport* report);
-  std::optional<FuzzFailure> run_crash_case(std::uint64_t seed,
-                                            FuzzReport* report);
-  std::optional<FuzzFailure> run_kill_case(std::uint64_t seed,
-                                           FuzzReport* report);
-  std::optional<FuzzFailure> run_io_fault_case(std::uint64_t seed,
-                                               FuzzReport* report);
-  std::optional<FuzzFailure> run_window_case(std::uint64_t seed,
-                                             FuzzReport* report);
+  // One function per class: each returns its failure detail (empty when
+  // the case passed) and adds what it checked and injected to `report`.
+  std::string transport_case(FaultClass cls, std::uint64_t seed,
+                             FuzzReport& report);
+  std::string crash_case(std::uint64_t seed, FuzzReport& report);
+  std::string kill_case(std::uint64_t seed, FuzzReport& report);
+  std::string io_fault_case(std::uint64_t seed, FuzzReport& report);
+  std::string window_case(std::uint64_t seed, FuzzReport& report);
   [[nodiscard]] std::string scratch_path(const char* tag,
                                          std::uint64_t seed) const;
 

@@ -500,23 +500,16 @@ VerifyReport ContainerReader::verify() const {
               std::to_string(entry.payload_bytes));
   } else {
     // No trustworthy index: sequential scan as far as frames parse.
-    const std::uint64_t limit = data_end_ != 0 ? data_end_ : bytes_.size();
-    std::uint64_t pos = kContainerHeaderSize;
-    while (pos < limit) {
-      const ParsedFrame frame = parse_frame_at(pos, limit);
-      if (!frame.parsed) {
-        report.container_errors.push_back(
-            "sequential scan stopped at " + offset_str(pos) + " (" +
-            frame.parse_error + "); remainder unverified");
-        break;
-      }
-      if (!frame.crc_ok) add_defect(pos, frame, frame.parse_error);
-      else {
-        ++report.frames_checked;
-        report.payload_bytes += frame.payload.size();
-      }
-      pos += frame.frame_size;
-    }
+    std::string stop =
+        scan_sequential([&](std::uint64_t pos, const ParsedFrame& frame) {
+          if (!frame.crc_ok) {
+            add_defect(pos, frame, frame.parse_error);
+          } else {
+            ++report.frames_checked;
+            report.payload_bytes += frame.payload.size();
+          }
+        });
+    if (!stop.empty()) report.container_errors.push_back(std::move(stop));
   }
 
   report.ok = header_ok_ && index_ok_ && report.bad_frames.empty() &&
@@ -524,29 +517,40 @@ VerifyReport ContainerReader::verify() const {
   return report;
 }
 
-std::vector<ContainerReader::GoodFrame> ContainerReader::scan_good_frames()
-    const {
-  std::vector<GoodFrame> out;
-  if (index_ok_) {
-    for (const std::uint64_t offset : sorted_index_offsets()) {
-      const ParsedFrame frame = parse_frame_at(offset, data_end_);
-      if (frame.parsed && frame.crc_ok)
-        out.push_back(GoodFrame{offset, frame.key, frame.seq, frame.payload,
-                                frame.frame_size});
-    }
-    return out;
-  }
+template <typename Visit>
+std::string ContainerReader::scan_sequential(Visit visit) const {
   const std::uint64_t limit = data_end_ != 0 ? data_end_ : bytes_.size();
-  std::uint64_t pos = kContainerHeaderSize;
-  while (pos < limit) {
+  for (std::uint64_t pos = kContainerHeaderSize; pos < limit;) {
     const ParsedFrame frame = parse_frame_at(pos, limit);
-    if (!frame.parsed) break;  // cannot resync without an index
-    if (frame.crc_ok)
-      out.push_back(GoodFrame{pos, frame.key, frame.seq, frame.payload,
-                              frame.frame_size});
+    if (!frame.parsed)  // cannot resync without an index
+      return "sequential scan stopped at " + offset_str(pos) + " (" +
+             frame.parse_error + "); remainder unverified";
+    visit(pos, frame);
     pos += frame.frame_size;
   }
-  return out;
+  return {};
+}
+
+ContainerReader::Listing ContainerReader::list_frames() const {
+  Listing listing;
+  const auto keep = [&](std::uint64_t offset, const ParsedFrame& frame) {
+    if (frame.parsed && frame.crc_ok)
+      listing.good.push_back(GoodFrame{offset, frame.key, frame.seq,
+                                       frame.payload, frame.frame_size});
+  };
+  if (index_ok_) {
+    for (const auto& [key, entry] : index_)
+      listing.listed[key] = entry.frame_offsets.size();
+    for (const std::uint64_t offset : sorted_index_offsets())
+      keep(offset, parse_frame_at(offset, data_end_));
+    return listing;
+  }
+  listing.scan_stop =
+      scan_sequential([&](std::uint64_t pos, const ParsedFrame& frame) {
+        ++listing.listed[frame.key];
+        keep(pos, frame);
+      });
+  return listing;
 }
 
 std::vector<ContainerReader::GoodFrame> replayable_frames(
@@ -581,14 +585,8 @@ RepackResult repack_container(const std::string& in_path,
     result.error = error;
     return result;
   }
-  const auto good = reader->scan_good_frames();
-  std::uint64_t listed = good.size();
-  if (reader->index_ok()) {
-    listed = 0;
-    for (const runtime::StreamKey& key : reader->keys())
-      listed += reader->find(key)->frame_offsets.size();
-  }
-  const auto frames = replayable_frames(good);
+  const ContainerReader::Listing listing = reader->list_frames();
+  const auto frames = replayable_frames(listing.good);
   {
     // A kept frame keeps its seq, so epoch record `seq` is still its own.
     ContainerWriter writer(out_path);
@@ -608,7 +606,10 @@ RepackResult repack_container(const std::string& in_path,
   }
   result.ok = true;
   result.frames_kept = frames.size();
-  result.frames_dropped = listed - frames.size();
+  for (const auto& [key, listed] : listing.listed)
+    result.frames_dropped += listed;
+  result.frames_dropped -= frames.size();
+  result.scan_stop = listing.scan_stop;
   result.bytes_in = reader->file_bytes();
   result.bytes_out = std::filesystem::file_size(out_path);
   return result;

@@ -105,11 +105,28 @@ class ContainerReader {
     std::uint64_t frame_size = 0;  ///< bytes including magic and crc
   };
 
-  /// Every frame that parses and CRC-checks, in file order — the input
-  /// of replayable_frames(). Uses the index to skip past damaged frames;
-  /// without an index the scan skips a frame whose CRC fails and stops
-  /// at the first frame that does not parse.
-  [[nodiscard]] std::vector<GoodFrame> scan_good_frames() const;
+  /// What the container lists, decided once for repack_container and
+  /// tool::inspect_gaps.
+  struct Listing {
+    /// Every frame that parses and CRC-checks, in file order — the input
+    /// of replayable_frames().
+    std::vector<GoodFrame> good;
+    /// Frames per stream: the index entry when the index is intact; else
+    /// every frame the sequential scan parsed, a CRC-bad one included
+    /// (its header still names the stream).
+    std::map<runtime::StreamKey, std::uint64_t> listed;
+    /// verify()'s diagnostic when the sequential scan stopped at a frame
+    /// it could not parse, so the bytes past it were never scanned; empty
+    /// when the index is intact or the scan reached the end of the data.
+    std::string scan_stop;
+  };
+  /// Uses the index to skip past damaged frames; without an index the
+  /// scan skips a frame whose CRC fails and stops at the first frame that
+  /// does not parse.
+  [[nodiscard]] Listing list_frames() const;
+  [[nodiscard]] std::vector<GoodFrame> scan_good_frames() const {
+    return list_frames().good;
+  }
 
   [[nodiscard]] std::uint64_t file_bytes() const noexcept {
     return bytes_.size();
@@ -129,6 +146,10 @@ class ContainerReader {
   [[nodiscard]] ParsedFrame parse_frame_at(std::uint64_t offset,
                                            std::uint64_t limit) const;
   [[nodiscard]] std::vector<std::uint64_t> sorted_index_offsets() const;
+  /// The index-less walk from the header: calls visit(offset, frame) for
+  /// every frame that parses and returns the scan_stop diagnostic.
+  template <typename Visit>
+  std::string scan_sequential(Visit visit) const;
 
   std::string path_;
   std::vector<std::uint8_t> bytes_;
@@ -167,6 +188,7 @@ struct RepackResult {
   bool ok = false;  ///< input was readable and output sealed
   std::uint64_t frames_kept = 0;
   std::uint64_t frames_dropped = 0;  ///< listed frames not kept
+  std::string scan_stop;  ///< the source's Listing::scan_stop
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::string error;

@@ -11,6 +11,19 @@
 
 namespace cdc::support {
 
+/// The splitmix64 generator's increment (the golden ratio in 64 bits).
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ull;
+
+/// The splitmix64 finalizer (Steele, Lea & Flood): a splitmix64 generator
+/// adds kGoldenGamma to its state and returns splitmix64(state). The
+/// simulator's per-rank seeds, the apps' counter-based streams and the
+/// fuzzer's seed layout all use it.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** 1.0 — a small, fast, high-quality 64-bit PRNG.
 /// Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {
@@ -19,15 +32,8 @@ class Xoshiro256 {
 
   /// Seeds the four state words from a single 64-bit seed via splitmix64,
   /// as recommended by the xoshiro authors.
-  explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ull) noexcept {
-    std::uint64_t x = seed;
-    for (auto& word : state_) {
-      x += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      word = z ^ (z >> 31);
-    }
+  explicit Xoshiro256(std::uint64_t seed = kGoldenGamma) noexcept {
+    for (auto& word : state_) word = splitmix64(seed += kGoldenGamma);
   }
 
   static constexpr result_type min() noexcept { return 0; }

@@ -62,14 +62,14 @@ Inspection inspect(const std::string& container_path,
     report.container_errors.push_back(reader.index_error());
   report.container_sealed = reader.header_ok() && reader.index_ok();
 
-  // What the container promises per stream: its index entry when the
-  // index parsed, the frames a sequential scan finds otherwise.
-  const auto good = reader.scan_good_frames();
+  // What the container promises per stream, and where an index-less scan
+  // gave up.
+  const store::ContainerReader::Listing listing = reader.list_frames();
+  if (!listing.scan_stop.empty())
+    report.container_errors.push_back(listing.scan_stop);
   std::map<runtime::StreamKey, StreamGap> streams;  // key order
-  for (const auto& frame : good) ++streams[frame.key].frames_listed;
-  if (reader.index_ok())
-    for (const runtime::StreamKey& key : reader.keys())
-      streams[key].frames_listed = reader.find(key)->frame_offsets.size();
+  for (const auto& [key, listed] : listing.listed)
+    streams[key].frames_listed = listed;
 
   // Quarantined frames (exhausted retries, store/resilient.h) leave holes
   // the container cannot see: the store packs later appends densely, so
@@ -87,7 +87,7 @@ Inspection inspect(const std::string& container_path,
     }
   }
 
-  out.kept = store::replayable_frames(good, first_hole);
+  out.kept = store::replayable_frames(listing.good, first_hole);
   for (const auto& frame : out.kept) {
     StreamGap& gap = streams[frame.key];
     ++gap.frames_intact;

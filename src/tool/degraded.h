@@ -35,10 +35,10 @@ namespace cdc::tool {
 /// One stream's salvage outcome.
 struct StreamGap {
   runtime::StreamKey key;
-  /// Frames the stream should have: what the container promises (index
-  /// entry when the index parsed; frames found by sequential scan
-  /// otherwise) plus quarantined frames from the `.cdcq` sidecar — those
-  /// occupy stream positions the container packs over and cannot show.
+  /// Frames the stream should have: what the container lists
+  /// (store::ContainerReader::Listing) plus quarantined frames from the
+  /// `.cdcq` sidecar — those occupy stream positions the container packs
+  /// over and cannot show.
   std::uint64_t frames_listed = 0;
   /// Longest consistent prefix: frames seq 0..k-1 intact and in order,
   /// stopping at the stream's first quarantine hole.
@@ -53,7 +53,8 @@ struct StreamGap {
 struct GapReport {
   std::string container_path;
   bool container_sealed = false;  ///< header + index parsed and CRC-clean
-  std::vector<std::string> container_errors;  ///< header/index diagnostics
+  /// Header/index diagnostics and where an index-less scan stopped.
+  std::vector<std::string> container_errors;
   std::vector<StreamGap> streams;             ///< key order
   std::uint64_t quarantined_frames = 0;  ///< intact `.cdcq` sidecar entries
   std::uint64_t quarantined_bytes = 0;

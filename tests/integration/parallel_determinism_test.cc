@@ -24,119 +24,26 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "apps/jacobi.h"
-#include "apps/mcb.h"
-#include "apps/taskfarm.h"
-#include "minimpi/fault.h"
-#include "minimpi/simulator.h"
+#include "minimpi/schedule_fuzzer.h"
 #include "store/container_store.h"
-#include "support/oracle.h"
-#include "tool/options.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
 namespace cdc {
 namespace {
 
+using fuzz::FuzzWorkload;
+
 constexpr std::array<int, 4> kWorkerCounts = {1, 2, 4, 8};
 
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-struct Workload {
-  std::string name;
-  int ranks = 0;
-  std::function<double(minimpi::Simulator&)> run;
-};
-
-Workload taskfarm_workload() {
-  apps::TaskFarmConfig config;
-  config.tasks = 120;
-  return {"taskfarm", 8, [config](minimpi::Simulator& sim) {
-            return apps::run_taskfarm(sim, config).accumulated;
-          }};
-}
-
-Workload mcb_workload() {
-  apps::McbConfig config;
-  config.grid_x = 2;
-  config.grid_y = 2;
-  config.particles_per_rank = 24;
-  config.segments_per_particle = 6;
-  config.tracks_per_poll = 8;
-  return {"mcb", 4, [config](minimpi::Simulator& sim) {
-            return apps::run_mcb(sim, config).global_tally;
-          }};
-}
-
-/// Many ranks: 1/4/8 workers create the ranks' streams concurrently, so
-/// the recorder's lock-free stream table is exercised under TSan.
-Workload mcb_many_ranks_workload() {
-  apps::McbConfig config;
-  config.grid_x = 8;
-  config.grid_y = 8;
-  config.particles_per_rank = 24;
-  config.segments_per_particle = 6;
-  config.tracks_per_poll = 8;
-  return {"mcb64", 64, [config](minimpi::Simulator& sim) {
-            return apps::run_mcb(sim, config).global_tally;
-          }};
-}
-
-Workload jacobi_workload() {
-  apps::JacobiConfig config;
-  config.grid_x = 2;
-  config.grid_y = 2;
-  config.local_nx = 6;
-  config.local_ny = 6;
-  config.iterations = 40;
-  return {"jacobi", 4, [config](minimpi::Simulator& sim) {
-            return apps::run_jacobi(sim, config).residual;
-          }};
-}
-
-/// The transport adversary for the "faults" mode: every fault class the
-/// plan supports, layered, as in fuzz::FaultClass::kAll.
-minimpi::FaultPlan all_faults(std::uint64_t seed) {
-  minimpi::FaultPlan plan;
-  plan.seed = seed;
-  plan.delay_spike_probability = 0.05;
-  plan.reorder_burst_probability = 0.02;
-  plan.duplicate_probability = 0.05;
-  plan.stall_probability = 0.01;
-  return plan;
-}
-
-minimpi::Simulator::Config sim_config(const Workload& workload,
-                                      std::uint64_t noise_seed,
-                                      const minimpi::FaultPlan& faults,
-                                      int workers) {
-  minimpi::Simulator::Config config;
-  config.num_ranks = workload.ranks;
-  config.noise_seed = noise_seed;
-  config.faults = faults;
-  config.workers = workers;
-  return config;
-}
-
-tool::ToolOptions tool_options(bool partial_record = false) {
-  tool::ToolOptions options;
-  options.chunk_target = 48;  // small: many flushes cross window barriers
-  options.partial_record = partial_record;
-  return options;
-}
+/// Small chunks: many flushes cross window barriers.
+constexpr tool::ToolOptions kToolOptions{.chunk_target = 48};
 
 std::string fresh_container_path(const std::string& tag) {
   static int counter = 0;
@@ -155,10 +62,7 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
 /// Everything one record run produced that must be worker-count-invariant.
 struct RunArtifacts {
   std::vector<std::uint8_t> container_bytes;
-  support::Trace trace;
-  double value = 0.0;
-  minimpi::Simulator::Stats stats;
-  minimpi::FaultStats fault_stats;
+  fuzz::ProbedRun run;
   std::uint64_t order_digest = 0;
   std::string container_path;  ///< kept on disk until remove()
 };
@@ -169,31 +73,29 @@ void remove_container(RunArtifacts& art) {
   art.container_path.clear();
 }
 
-RunArtifacts record_run(const Workload& workload, std::uint64_t seed,
+RunArtifacts record_run(const FuzzWorkload& workload, std::uint64_t seed,
                         const minimpi::FaultPlan& plan, int workers) {
   RunArtifacts art;
   art.container_path =
       fresh_container_path(workload.name + "_w" + std::to_string(workers));
   store::ContainerStore container(art.container_path);
-  tool::Recorder recorder(workload.ranks, &container, tool_options());
-  support::OrderProbe probe(&recorder);
-  minimpi::Simulator sim(sim_config(workload, mix(seed), plan, workers),
-                         &probe);
-  art.value = workload.run(sim);
+  tool::Recorder recorder(workload.num_ranks, &container, kToolOptions);
+  art.run = fuzz::run_probed(
+      workload, &recorder,
+      fuzz::sim_config(workload.num_ranks,
+                       fuzz::case_seed(seed, fuzz::kRecordNoise), plan,
+                       workers));
   recorder.finalize();
   container.seal();
   art.container_bytes = read_bytes(art.container_path);
-  art.trace = probe.trace();
-  art.stats = sim.stats();
-  art.fault_stats = sim.fault_stats();
   art.order_digest = recorder.order_digest();
   return art;
 }
 
 void expect_stats_equal(const RunArtifacts& base, const RunArtifacts& other,
                         const std::string& what) {
-  const auto& a = base.stats;
-  const auto& b = other.stats;
+  const auto& a = base.run.stats;
+  const auto& b = other.run.stats;
   EXPECT_EQ(a.messages_sent, b.messages_sent) << what;
   EXPECT_EQ(a.receive_events_delivered, b.receive_events_delivered) << what;
   EXPECT_EQ(a.mf_calls, b.mf_calls) << what;
@@ -204,8 +106,8 @@ void expect_stats_equal(const RunArtifacts& base, const RunArtifacts& other,
   EXPECT_EQ(a.ranks_failed, b.ranks_failed) << what;
   EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << what;
   EXPECT_EQ(a.end_time, b.end_time) << what;
-  const auto& fa = base.fault_stats;
-  const auto& fb = other.fault_stats;
+  const auto& fa = base.run.fault_stats;
+  const auto& fb = other.run.fault_stats;
   EXPECT_EQ(fa.delay_spikes, fb.delay_spikes) << what;
   EXPECT_EQ(fa.burst_messages, fb.burst_messages) << what;
   EXPECT_EQ(fa.duplicates_injected, fb.duplicates_injected) << what;
@@ -217,7 +119,7 @@ void expect_stats_equal(const RunArtifacts& base, const RunArtifacts& other,
 /// against the first count's baseline; returns the baseline with its
 /// sealed container still on disk (for the replay leg).
 RunArtifacts check_worker_invariance(
-    const Workload& workload, std::uint64_t seed,
+    const FuzzWorkload& workload, std::uint64_t seed,
     const minimpi::FaultPlan& plan,
     std::span<const int> worker_counts = kWorkerCounts) {
   RunArtifacts baseline = record_run(workload, seed, plan, worker_counts[0]);
@@ -231,9 +133,9 @@ RunArtifacts check_worker_invariance(
     EXPECT_EQ(art.container_bytes, baseline.container_bytes)
         << what << ": sealed containers differ";
     EXPECT_EQ(art.order_digest, baseline.order_digest) << what;
-    EXPECT_EQ(art.value, baseline.value) << what;  // bitwise: same order
+    EXPECT_EQ(art.run.value, baseline.run.value) << what;  // bitwise
     const support::OracleReport traces =
-        support::check_equivalence(baseline.trace, art.trace);
+        support::check_equivalence(baseline.run.trace, art.run.trace);
     EXPECT_TRUE(traces.ok) << what << ": " << traces.summary();
     EXPECT_GT(traces.events_compared, 0u) << what;
     expect_stats_equal(baseline, art, what);
@@ -246,7 +148,7 @@ RunArtifacts check_worker_invariance(
 /// seed at every worker count. Each replay must reproduce the recorded
 /// receive order and the order-sensitive result bitwise and consume the
 /// whole record, and every worker count must surface the same trace.
-void check_replays(const Workload& workload, std::uint64_t seed,
+void check_replays(const FuzzWorkload& workload, std::uint64_t seed,
                    RunArtifacts& baseline,
                    std::span<const int> worker_counts = kWorkerCounts) {
   const auto store = store::ContainerStore::open(baseline.container_path);
@@ -255,45 +157,51 @@ void check_replays(const Workload& workload, std::uint64_t seed,
   for (const int workers : worker_counts) {
     const std::string what =
         workload.name + " replay workers=" + std::to_string(workers);
-    tool::Replayer replayer(workload.ranks, store.get(), tool_options());
-    support::OrderProbe probe(&replayer);
-    minimpi::Simulator sim(
-        sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, workers),
-        &probe);
-    const double replayed = workload.run(sim);
+    tool::Replayer replayer(workload.num_ranks, store.get(), kToolOptions);
+    const fuzz::ProbedRun replayed = fuzz::run_probed(
+        workload, &replayer,
+        fuzz::sim_config(workload.num_ranks,
+                         fuzz::case_seed(seed, fuzz::kReplayNoise), {},
+                         workers));
     const support::OracleReport oracle =
-        support::check_equivalence(baseline.trace, probe.trace());
+        support::check_equivalence(baseline.run.trace, replayed.trace);
     EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
-    EXPECT_EQ(replayed, baseline.value) << what;
+    EXPECT_EQ(replayed.value, baseline.run.value) << what;
     EXPECT_TRUE(replayer.fully_replayed()) << what;
     if (workers == worker_counts[0])
-      first_trace = probe.trace();
+      first_trace = replayed.trace;
     else
-      EXPECT_TRUE(probe.trace() == first_trace)
+      EXPECT_TRUE(replayed.trace == first_trace)
           << what << ": trace differs from " << worker_counts[0]
           << " worker(s)";
   }
   remove_container(baseline);
 }
 
-void run_suite(const Workload& workload, std::uint64_t seed,
-               const minimpi::FaultPlan& plan) {
-  RunArtifacts baseline = check_worker_invariance(workload, seed, plan);
+/// Records and replays under the fuzz case's fault plan for `cls`
+/// (kAll layers every transport fault the plan supports).
+void run_suite(const FuzzWorkload& workload, std::uint64_t seed,
+               fuzz::FaultClass cls) {
+  RunArtifacts baseline = check_worker_invariance(
+      workload, seed,
+      fuzz::plan_for(cls, fuzz::case_seed(seed, fuzz::kRecordFaults)));
   check_replays(workload, seed, baseline);
 }
 
 TEST(ParallelDeterminism, TaskfarmByteIdenticalAcrossWorkerCounts) {
-  run_suite(taskfarm_workload(), 1, {});
-  run_suite(taskfarm_workload(), 42, all_faults(mix(42)));
+  run_suite(fuzz::taskfarm_workload(8, 120), 1, fuzz::FaultClass::kNone);
+  run_suite(fuzz::taskfarm_workload(8, 120), 42, fuzz::FaultClass::kAll);
 }
 
 TEST(ParallelDeterminism, McbByteIdenticalAcrossWorkerCounts) {
-  run_suite(mcb_workload(), 1, {});
-  run_suite(mcb_workload(), 42, all_faults(mix(42)));
+  run_suite(fuzz::mcb_workload(2, 2, 24), 1, fuzz::FaultClass::kNone);
+  run_suite(fuzz::mcb_workload(2, 2, 24), 42, fuzz::FaultClass::kAll);
 }
 
+/// Many ranks: 1/4/8 workers create the ranks' streams concurrently, so
+/// the recorder's lock-free stream table is exercised under TSan.
 TEST(ParallelDeterminism, McbManyRanksByteIdentical) {
-  const Workload workload = mcb_many_ranks_workload();
+  const FuzzWorkload workload = fuzz::mcb_workload(8, 8, 24);
   constexpr std::array<int, 3> kWorkers = {1, 4, 8};
   RunArtifacts baseline = check_worker_invariance(workload, 7, {}, kWorkers);
   check_replays(workload, 7, baseline);
@@ -303,7 +211,7 @@ TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
   // Windowed replay releases the whole run to passthrough once the first
   // stream exhausts its window; the release applies at a window barrier,
   // so the verified slices must not depend on the worker count.
-  const Workload workload = mcb_many_ranks_workload();
+  const FuzzWorkload workload = fuzz::mcb_workload(8, 8, 24);
   RunArtifacts baseline = record_run(workload, 7, {}, /*workers=*/1);
   const auto store = store::ContainerStore::open(baseline.container_path);
   ASSERT_NE(store, nullptr);
@@ -312,19 +220,19 @@ TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
   for (const int workers : kWorkerCounts) {
     const std::string what =
         "windowed replay workers=" + std::to_string(workers);
-    tool::Replayer replayer(workload.ranks, store.get(), tool_options());
+    tool::Replayer replayer(workload.num_ranks, store.get(), kToolOptions);
     replayer.replay_window(1, 3);
-    support::OrderProbe probe(&replayer);
-    minimpi::Simulator sim(
-        sim_config(workload, mix(7 ^ 0x5ca1ab1eull), {}, workers), &probe);
-    workload.run(sim);
+    const fuzz::ProbedRun replayed = fuzz::run_probed(
+        workload, &replayer,
+        fuzz::sim_config(workload.num_ranks,
+                         fuzz::case_seed(7, fuzz::kReplayNoise), {}, workers));
 
     // Each verified slice must be the same interval of the recording.
     Slices slices;
     for (const auto& [key, slice] : replayer.window_slices())
       slices[key] = {slice.begin, slice.end};
     const support::OracleReport oracle =
-        support::check_slices(baseline.trace, probe.trace(), slices);
+        support::check_slices(baseline.run.trace, replayed.trace, slices);
     EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
     EXPECT_GT(oracle.events_compared, 0u) << what;
     if (workers == kWorkerCounts[0])
@@ -336,31 +244,30 @@ TEST(ParallelDeterminism, McbWindowedReplayIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ParallelDeterminism, JacobiByteIdenticalAcrossWorkerCounts) {
-  run_suite(jacobi_workload(), 1, {});
-  run_suite(jacobi_workload(), 42, all_faults(mix(42)));
+  run_suite(fuzz::jacobi_workload(), 1, fuzz::FaultClass::kNone);
+  run_suite(fuzz::jacobi_workload(), 42, fuzz::FaultClass::kAll);
 }
 
 TEST(ParallelDeterminism, TaskfarmRankKillMidRun) {
-  const Workload workload = taskfarm_workload();
+  const FuzzWorkload workload = fuzz::taskfarm_workload(8, 120);
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
     // Aim the kill mid-run: probe the span of the fault-free run.
-    double probe_end = 0.0;
-    {
-      minimpi::Simulator probe(
-          sim_config(workload, mix(seed), {}, /*workers=*/1));
-      workload.run(probe);
-      probe_end = probe.stats().end_time;
-    }
-    minimpi::FaultPlan plan = all_faults(mix(seed + 7));
-    minimpi::RankKill kill;
-    kill.rank = 1 + static_cast<minimpi::Rank>(
-                        mix(seed) %
-                        static_cast<std::uint64_t>(workload.ranks - 1));
-    kill.time = probe_end * 0.4;
-    plan.kills.push_back(kill);
+    const double span =
+        fuzz::run_probed(
+            workload, nullptr,
+            fuzz::sim_config(workload.num_ranks,
+                             fuzz::case_seed(seed, fuzz::kRecordNoise)))
+            .stats.end_time;
+    minimpi::FaultPlan plan = fuzz::plan_for(
+        fuzz::FaultClass::kAll, fuzz::case_seed(seed + 7, fuzz::kRecordFaults));
+    plan.kills.push_back(minimpi::RankKill{
+        1 + static_cast<minimpi::Rank>(
+                fuzz::case_seed(seed, fuzz::kRecordFaults) %
+                static_cast<std::uint64_t>(workload.num_ranks - 1)),
+        span * 0.4});
 
     RunArtifacts baseline = check_worker_invariance(workload, seed, plan);
-    EXPECT_EQ(baseline.fault_stats.rank_kills, 1u) << "seed=" << seed;
+    EXPECT_EQ(baseline.run.fault_stats.rank_kills, 1u) << "seed=" << seed;
 
     // Degraded replay of the killed run: a fault-free run gated by the
     // truncated record; the oracle checks the gated prefix, which must be
@@ -371,18 +278,17 @@ TEST(ParallelDeterminism, TaskfarmRankKillMidRun) {
     for (const int workers : {1, 4}) {
       const std::string what = "seed=" + std::to_string(seed) +
                                " workers=" + std::to_string(workers);
-      tool::Replayer replayer(workload.ranks, store.get(),
-                              tool_options(/*partial_record=*/true));
-      support::OrderProbe probe(&replayer);
-      minimpi::Simulator sim(
-          sim_config(workload, mix(seed ^ 0x5ca1ab1eull), {}, workers),
-          &probe);
-      workload.run(sim);
-      std::map<runtime::StreamKey, std::uint64_t> prefixes;
-      for (const auto& [key, stats] : replayer.stream_totals())
-        prefixes[key] = stats.replayed_events + stats.replayed_unmatched;
+      tool::ToolOptions options = kToolOptions;
+      options.partial_record = true;
+      tool::Replayer replayer(workload.num_ranks, store.get(), options);
+      const fuzz::ProbedRun replayed = fuzz::run_probed(
+          workload, &replayer,
+          fuzz::sim_config(workload.num_ranks,
+                           fuzz::case_seed(seed, fuzz::kReplayNoise), {},
+                           workers));
+      const auto prefixes = fuzz::prefix_lengths(replayer);
       const support::OracleReport oracle =
-          support::check_prefix(baseline.trace, probe.trace(), prefixes);
+          support::check_prefix(baseline.run.trace, replayed.trace, prefixes);
       EXPECT_TRUE(oracle.ok) << what << ": " << oracle.summary();
       EXPECT_TRUE(oracle.events_compared > 0 || replayer.released())
           << what << ": killed record gated nothing";
@@ -412,9 +318,10 @@ TEST(ParallelDeterminism, CoordinatorExceptionsPropagateOutOfRun) {
     const std::string what = "workers=" + std::to_string(workers);
     {
       // A tool hook at a window barrier throws.
-      const Workload workload = taskfarm_workload();
+      const FuzzWorkload workload = fuzz::taskfarm_workload(8, 120);
       ThrowingWindowTool tool;
-      minimpi::Simulator sim(sim_config(workload, 1, {}, workers), &tool);
+      minimpi::Simulator sim(
+          fuzz::sim_config(workload.num_ranks, 1, {}, workers), &tool);
       try {
         workload.run(sim);
         ADD_FAILURE() << what << ": run() returned normally";

@@ -59,6 +59,18 @@ TEST(fuzz_schedule, McbPollingIdiomUnderEveryFaultClass) {
   EXPECT_GT(report.events_checked, 0u);
 }
 
+TEST(fuzz_schedule, JacobiHiddenDeterminismUnderEveryFaultClass) {
+  // MCB's twin on the ANY_SOURCE halo exchange: the receive order is
+  // deterministic but hidden, and the replay must pin it under every
+  // transport and storage adversary.
+  const fuzz::FuzzOptions options = options_from_env(6);
+  fuzz::ScheduleFuzzer fuzzer(fuzz::jacobi_workload(), options);
+  const fuzz::FuzzReport report = fuzzer.run();
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.cases_passed, report.cases_run);
+  EXPECT_GT(report.events_checked, 0u);
+}
+
 TEST(fuzz_schedule, SameCaseKeyIsBitReproducible) {
   // The reproduction contract behind every failure report: rerunning a
   // (workload, class, seed) triple injects identical faults and reaches an
@@ -108,18 +120,13 @@ TEST(fuzz_oracle, CatchesARealDivergence) {
   // different noise seeds are NOT replay-equivalent, and the oracle must
   // say so. (If this fails, every green fuzz case above is meaningless.)
   const fuzz::FuzzWorkload workload = fuzz::taskfarm_workload();
-  support::Trace traces[2];
-  for (int i = 0; i < 2; ++i) {
-    support::OrderProbe probe;
-    minimpi::Simulator::Config config;
-    config.num_ranks = workload.num_ranks;
-    config.noise_seed = 100 + static_cast<std::uint64_t>(i);
-    minimpi::Simulator sim(config, &probe);
-    workload.run(sim);
-    traces[i] = probe.trace();
-  }
+  const auto untooled = [&](std::uint64_t noise_seed) {
+    return fuzz::run_probed(workload, nullptr,
+                            fuzz::sim_config(workload.num_ranks, noise_seed))
+        .trace;
+  };
   const support::OracleReport report =
-      support::check_equivalence(traces[0], traces[1]);
+      support::check_equivalence(untooled(100), untooled(101));
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.mismatches.empty());
 }

@@ -35,7 +35,7 @@ fuzz::FuzzOptions window_options(std::uint32_t default_seeds) {
 
 TEST(fuzz_window, TaskfarmWindowSlicesMatchFullReplay) {
   // 16 seeds cycle the transport adversary through every class at least
-  // twice (the class is seed % 6 inside run_window_case).
+  // twice (the class is seed % 6 inside ScheduleFuzzer::window_case).
   const fuzz::FuzzOptions options = window_options(16);
   fuzz::ScheduleFuzzer fuzzer(fuzz::taskfarm_workload(), options);
   const fuzz::FuzzReport report = fuzzer.run();

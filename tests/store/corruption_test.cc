@@ -176,25 +176,36 @@ TEST_F(CorruptionTest, RepackDropsExactlyTheBadFrameAndVerifiesClean) {
   const std::string hurt_path = path("hurt.cdcc");
   write_file(hurt_path, bytes);
   // The same damage with the footer torn: no index, so the sequential
-  // scan steps over the bad frame and finds the rest.
-  bytes.resize(bytes.size() - 6);
+  // scan steps over the bad frame, finds the rest and stops in the index.
+  std::vector<std::uint8_t> torn = bytes;
+  torn.resize(torn.size() - 6);
   const std::string torn_path = path("hurt_torn.cdcc");
-  write_file(torn_path, bytes);
+  write_file(torn_path, torn);
+  // No footer at all, and the last frame's ({2,1} seq 1) payload length
+  // grown by 8: the frame still parses, fails its CRC, and the scan stops
+  // where the frame's wrong length puts it.
+  std::vector<std::uint8_t> indexless = bytes;
+  indexless.resize(indexless.size() - kContainerFooterSize);
+  indexless[static_cast<std::size_t>(frames[4].offset) + 4] ^= 0x08;
+  const std::string indexless_path = path("hurt_indexless.cdcc");
+  write_file(indexless_path, indexless);
 
-  // Replay cannot reach past a stream's first bad frame, so either way the
+  // Replay cannot reach past a stream's first bad frame, so every time the
   // repack drops it and the rest of its stream: {2,1} loses both frames.
-  // The index lists both as dropped; the scan never saw the bad one.
+  // Without an index a CRC-bad frame whose header parsed is still listed,
+  // and a scan that stopped reports what it left unscanned.
   const struct {
     std::string path;
-    std::uint64_t dropped;
-  } inputs[] = {{hurt_path, 2}, {torn_path, 1}};
+    bool scan_stops;
+  } inputs[] = {{hurt_path, false}, {torn_path, true}, {indexless_path, true}};
   for (const auto& input : inputs) {
     SCOPED_TRACE(input.path);
     const std::string repacked_path = path("repacked.cdcc");
     const RepackResult result = repack_container(input.path, repacked_path);
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.frames_kept, 3u);
-    EXPECT_EQ(result.frames_dropped, input.dropped);
+    EXPECT_EQ(result.frames_dropped, 2u);
+    EXPECT_EQ(!result.scan_stop.empty(), input.scan_stops) << result.scan_stop;
 
     const auto repacked = ContainerReader::open(repacked_path);
     ASSERT_NE(repacked, nullptr);

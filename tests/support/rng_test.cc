@@ -8,6 +8,29 @@
 namespace cdc::support {
 namespace {
 
+TEST(Splitmix64, PinsTheFinalizerAndXoshiroSeeding) {
+  // The reference splitmix64 generator seeded with 0 returns these first,
+  // and every seed derivation and golden digest in the repository rests
+  // on them and on Xoshiro256's seeding through splitmix64.
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state += kGoldenGamma), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(splitmix64(state += kGoldenGamma), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(splitmix64(state += kGoldenGamma), 0x06c45d188009454full);
+  EXPECT_EQ(splitmix64(42 + kGoldenGamma), 0xbdd732262feb6e95ull);
+
+  Xoshiro256 zero(0);
+  EXPECT_EQ(zero(), 0x99ec5f36cb75f2b4ull);
+  EXPECT_EQ(zero(), 0xbf6e1f784956452aull);
+  EXPECT_EQ(zero(), 0x1a5f849d4933e6e0ull);
+  Xoshiro256 fortytwo(42);
+  EXPECT_EQ(fortytwo(), 0x15780b2e0c2ec716ull);
+  EXPECT_EQ(fortytwo(), 0x6104d9866d113a7eull);
+  EXPECT_EQ(fortytwo(), 0xae17533239e499a1ull);
+  Xoshiro256 defaulted;
+  EXPECT_EQ(defaulted(), 0x422ea740d0977210ull);
+  EXPECT_EQ(defaulted(), 0xe062b061b42e2928ull);
+}
+
 TEST(Xoshiro, SameSeedSameStream) {
   Xoshiro256 a(123);
   Xoshiro256 b(123);
