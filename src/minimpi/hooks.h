@@ -8,6 +8,7 @@
 // semantics (first-matched, first-delivered).
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -15,6 +16,40 @@
 #include "minimpi/types.h"
 
 namespace cdc::minimpi {
+
+/// Candidate indices chosen by a selection hook. The first kInline live
+/// inside the object — an MCB testsome covers 16 receives — so a
+/// steady-state poll allocates nothing; a longer list moves to one heap
+/// block.
+class IndexList {
+ public:
+  static constexpr std::size_t kInline = 16;
+
+  void push_back(std::size_t index) {
+    if (spill_.empty() && size_ < kInline) {
+      inline_[size_++] = index;
+      return;
+    }
+    if (spill_.empty()) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(index);
+    ++size_;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const std::size_t* data() const noexcept {
+    return spill_.empty() ? inline_.data() : spill_.data();
+  }
+  [[nodiscard]] const std::size_t* begin() const noexcept { return data(); }
+  [[nodiscard]] const std::size_t* end() const noexcept {
+    return data() + size_;
+  }
+
+ private:
+  std::array<std::size_t, kInline> inline_{};
+  std::size_t size_ = 0;
+  std::vector<std::size_t> spill_;  ///< every index, once past kInline
+};
 
 /// Outcome of a selection hook for one MF poll.
 struct SelectResult {
@@ -26,7 +61,7 @@ struct SelectResult {
                ///< recorded message is available (§3.6 wait condition)
   };
   Action action = Action::kNoMatch;
-  std::vector<std::size_t> indices;
+  IndexList indices;
 };
 
 class ToolHooks {
@@ -49,18 +84,17 @@ class ToolHooks {
     // Untooled MPI semantics: deliver exactly the MPI-matched (bound)
     // candidates, in match order; unbound candidates are invisible.
     SelectResult result;
-    std::vector<std::size_t> bound;
     for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].bound) bound.push_back(i);
+      if (candidates[i].bound) result.indices.push_back(i);
     const bool all_variant =
         kind == MFKind::kWaitall || kind == MFKind::kTestall;
-    if (bound.empty() || (all_variant && bound.size() < total_requests)) {
+    if (result.indices.empty() ||
+        (all_variant && result.indices.size() < total_requests)) {
       result.action = blocking ? SelectResult::Action::kBlock
                                : SelectResult::Action::kNoMatch;
       return result;
     }
     result.action = SelectResult::Action::kDeliver;
-    result.indices = std::move(bound);
     return result;
   }
 

@@ -159,6 +159,12 @@ Simulator::Stats Simulator::ParallelState::drive(Simulator& sim) {
     sim.stats_.max_live_requests = std::max<std::uint64_t>(
         sim.stats_.max_live_requests, ctx.recv_slots.size());
   }
+  // Likewise the message slab; a slot not on a free list still holds a
+  // message nobody received.
+  sim.stats_.max_live_messages = messages.size();
+  std::uint64_t unreceived = messages.size() - free_messages.size();
+  for (const auto& w : worker_state) unreceived -= w->freed_messages.size();
+  sim.stats_.unreceived_messages = unreceived;
   if (deadlocked) {
     sim.describe_stuck_ranks();
     sim.hooks_->on_deadlock();
@@ -223,12 +229,23 @@ void Simulator::ParallelState::worker_loop(Simulator& sim, int wid) {
 }
 
 void Simulator::ParallelState::merge_and_resolve(Simulator& sim) {
-  // Drain outboxes in worker order. Arrival order into a heap is
+  // Slots freed in the window just ended become reusable, then the staged
+  // messages are parked in the slab and their deliveries drained into the
+  // destination heaps, in worker order. Arrival order into a heap is
   // irrelevant — the (time, oseq, orank) keys alone decide pop order — so
   // this loop need not be deterministic, but it is anyway.
   for (auto& wptr : worker_state) {
     Worker& w = *wptr;
-    for (PEvent& ev : w.outbox) shard(ev.rank).push(std::move(ev));
+    free_messages.insert(free_messages.end(), w.freed_messages.begin(),
+                         w.freed_messages.end());
+    w.freed_messages.clear();
+  }
+  for (auto& wptr : worker_state) {
+    Worker& w = *wptr;
+    for (Outgoing& out : w.outbox) {
+      out.event.msg = park(std::move(out.message));
+      shard(out.event.rank).push(out.event);
+    }
     w.outbox.clear();
   }
   // Publish kill effects so live_count() is exact before collective
@@ -377,17 +394,22 @@ void Simulator::ParallelState::run_rank(Simulator& sim, Worker& me,
         // Transport dedup against the receiver-side per-source sequence:
         // per-channel delivery is non-overtaking, so a non-increasing
         // value is a duplicate copy.
+        const Message& msg = messages[ev.msg];
         std::uint64_t& delivered =
-            channel(s.recv_channels, ev.msg->source).delivered_seq;
-        if (ev.msg->transport_seq <= delivered) {
+            channel(s.recv_channels, msg.source).delivered_seq;
+        if (msg.transport_seq <= delivered) {
           ++s.fault_stats.duplicates_dropped;
+          me.freed_messages.push_back(ev.msg);
           break;
         }
-        delivered = ev.msg->transport_seq;
+        delivered = msg.transport_seq;
         // A dead destination consumes the arrival (keeping the duplicate
         // accounting exact) but is no longer there to match it.
-        if (ctx.failed) break;
-        sim.try_match_arrival(rank, std::move(*ev.msg));
+        if (ctx.failed) {
+          me.freed_messages.push_back(ev.msg);
+          break;
+        }
+        sim.try_match_arrival(rank, ev.msg);
         break;
       }
       case Simulator::EventType::kPoll:

@@ -40,8 +40,15 @@ struct Simulator::ParallelState {
     Rank orank = -1;
     EventType type = EventType::kResume;
     Rank rank = -1;                  ///< destination rank
+    MessageSlot msg = kNoMessage;    ///< kDeliver only
     std::coroutine_handle<> handle;  ///< kResume only
-    std::unique_ptr<Message> msg;    ///< kDeliver only
+  };
+
+  /// A delivery staged in its sender's worker outbox during a window; the
+  /// merge parks the message in the slab and sets `event.msg`.
+  struct Outgoing {
+    PEvent event;
+    Message message;
   };
 
   /// Strict total order over unique keys: the tie-break total order of the
@@ -101,8 +108,8 @@ struct Simulator::ParallelState {
     Stats stats;
     FaultStats fault_stats;
 
-    void push(PEvent&& ev) {
-      heap.push(std::move(ev));
+    void push(const PEvent& ev) {
+      heap.push(ev);
       stats.max_queue_depth =
           std::max<std::uint64_t>(stats.max_queue_depth, heap.size());
     }
@@ -114,7 +121,7 @@ struct Simulator::ParallelState {
     std::vector<Candidate> candidates;
     std::vector<std::uint64_t> candidate_handle;
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    std::vector<Message> messages;
+    std::vector<MessageSlot> messages;
     std::vector<std::uint32_t> origin_slot;
     std::vector<bool> seen;
     std::vector<bool> index_used;
@@ -125,7 +132,10 @@ struct Simulator::ParallelState {
     /// Cross-rank deliveries produced this window; the coordinator drains
     /// them into destination heaps at the barrier. Capacity is retained
     /// across windows (allocation-free steady state).
-    std::vector<PEvent> outbox;
+    std::vector<Outgoing> outbox;
+    /// Slab slots whose message a rank run by this worker delivered or
+    /// dropped this window; the next merge returns them to the free list.
+    std::vector<MessageSlot> freed_messages;
     /// Used by the poll running on this worker's thread.
     PollScratch poll;
     std::uint64_t window_events = 0;
@@ -151,6 +161,15 @@ struct Simulator::ParallelState {
   /// Ranks with at least one event below the horizon, rebuilt per window.
   std::vector<Rank> ready;
 
+  /// The run's message slab. Only the coordinator parks messages, at the
+  /// merge with every worker quiesced, so the vector never moves while a
+  /// window runs; during a window a slot is touched only by the worker
+  /// running its destination rank. A slot freed in a window waits on its
+  /// worker's `freed_messages` until the next merge, so no thread writes
+  /// another's list and no slot is reused in the window that freed it.
+  std::vector<Message> messages;
+  std::vector<MessageSlot> free_messages;
+
   // Cross-rank effects are staged through these and resolved only at the
   // window barrier, where the coordinator re-runs collective completion
   // deterministically (rank-order iteration, quiesced workers).
@@ -163,16 +182,28 @@ struct Simulator::ParallelState {
     return shards[static_cast<std::size_t>(rank)];
   }
 
-  void push_delivery(Worker& producer, double arrival, Shard& origin,
-                     Rank origin_rank, Rank dst, Message&& msg) {
-    PEvent ev;
+  /// Keys a staged delivery from `origin`'s counter.
+  static void stage_delivery(PEvent& ev, double arrival, Shard& origin,
+                             Rank origin_rank, Rank dst) noexcept {
     ev.time = arrival;
     ev.oseq = origin.next_seq++;
     ev.orank = origin_rank;
     ev.type = EventType::kDeliver;
     ev.rank = dst;
-    ev.msg = std::make_unique<Message>(std::move(msg));
-    producer.outbox.push_back(std::move(ev));
+  }
+
+  /// Moves `msg` into a slab slot: a freed one if any, else a new one.
+  /// Coordinator only, at the merge.
+  MessageSlot park(Message&& msg) {
+    if (free_messages.empty()) {
+      CDC_CHECK_MSG(messages.size() < kNoMessage, "message slab is full");
+      messages.push_back(std::move(msg));
+      return static_cast<MessageSlot>(messages.size() - 1);
+    }
+    const MessageSlot slot = free_messages.back();
+    free_messages.pop_back();
+    messages[slot] = std::move(msg);
+    return slot;
   }
 
   // --- Engine driver (parallel_executor.cc) -------------------------------

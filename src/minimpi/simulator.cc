@@ -53,6 +53,7 @@ void MFAwaiter::await_suspend(std::coroutine_handle<> handle) {
   // (its slot may already hold a later receive) and is inactive, as in
   // MPI. Send-only MF calls complete immediately (buffered-send model) and
   // do not pass through the tool: the paper records receives only.
+  const std::vector<std::uint64_t>& request_ids = ctx.mf_request_ids;
   auto& slots = ctx.mf_slots;
   slots.clear();
   bool any_recv = false;
@@ -142,14 +143,15 @@ Request Comm::irecv(Rank source, int tag) {
 
 MFAwaiter Comm::make_mf(MFKind kind, std::span<const Request> requests,
                         CallsiteId callsite) {
-  MFAwaiter awaiter{sim_, rank_, kind, callsite, {}, {}};
-  awaiter.request_ids.reserve(requests.size());
+  std::vector<std::uint64_t>& ids =
+      sim_->ranks_[static_cast<std::size_t>(rank_)].mf_request_ids;
+  ids.clear();
   for (const Request& r : requests) {
     CDC_CHECK_MSG(r.valid(), "invalid request passed to an MF call");
-    awaiter.request_ids.push_back(r.id);
+    ids.push_back(r.id);
   }
-  CDC_CHECK_MSG(!awaiter.request_ids.empty(), "empty MF request set");
-  return awaiter;
+  CDC_CHECK_MSG(!ids.empty(), "empty MF request set");
+  return MFAwaiter{sim_, rank_, kind, callsite, {}};
 }
 
 MFAwaiter Comm::wait(Request request, CallsiteId callsite) {
@@ -233,7 +235,7 @@ void Simulator::schedule(double time, EventType type, Rank rank,
   ev.type = type;
   ev.rank = rank;
   ev.handle = handle;
-  shard.push(std::move(ev));
+  shard.push(ev);
 }
 
 double Simulator::maybe_stall(double time, Rank rank) {
@@ -291,12 +293,16 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
   ParallelState::Worker* worker = ParallelState::tls_worker;
   CDC_CHECK_MSG(worker != nullptr, "send from outside the worker pool");
 
-  Message msg;
+  const std::uint64_t piggyback = hooks_->on_send(src);
+  // The message is written once, in place in the outbox; the merge moves
+  // it into the slab.
+  std::vector<ParallelState::Outgoing>& outbox = worker->outbox;
+  const std::size_t staged = outbox.size();
+  Message& msg = outbox.emplace_back().message;
   msg.source = src;
-  msg.dest = dst;
   msg.tag = tag;
-  msg.piggyback = hooks_->on_send(src);
-  msg.payload.assign(data.begin(), data.end());
+  msg.piggyback = piggyback;
+  msg.payload.assign(data);
   if (hooks_ != &default_hooks_) ctx.time += config_.piggyback_send_cost;
 
   // Latency noise permutes cross-sender arrival interleavings; per-channel
@@ -317,20 +323,22 @@ Request Simulator::post_isend(Rank src, Rank dst, int tag,
   if (config_.faults.duplicate_probability > 0.0 &&
       shard.fault_rng.uniform() < config_.faults.duplicate_probability) {
     // The copy carries the original's transport sequence number — the
-    // dedup key — and trails it on the (non-overtaking) channel.
-    Message dup = msg;
+    // dedup key — and trails it on the (non-overtaking) channel. It takes
+    // its key before the original does.
     double dup_arrival =
         arrival + shard.fault_rng.exponential(config_.jitter_mean);
     if (dup_arrival <= channel.last_arrival)
       dup_arrival = channel.last_arrival + 1e-12;
     channel.last_arrival = dup_arrival;
-    par_->push_delivery(*worker, dup_arrival, shard, src, dst,
-                        std::move(dup));
+    outbox.push_back(outbox[staged]);
+    ParallelState::stage_delivery(outbox.back().event, dup_arrival, shard,
+                                  src, dst);
     ++shard.fault_stats.duplicates_injected;
     obs::trace_instant("fault.duplicate", dst);
     hooks_->on_fault(FaultKind::kDuplicate, dst);
   }
-  par_->push_delivery(*worker, arrival, shard, src, dst, std::move(msg));
+  ParallelState::stage_delivery(outbox[staged].event, arrival, shard, src,
+                                dst);
   ++shard.stats.messages_sent;
 
   // Buffered-send model: locally complete on creation, so nothing to keep.
@@ -360,15 +368,11 @@ Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
   // message (MPI matching rule).
   auto& shard = par_->shard(rank);
   for (auto it = ctx.unexpected.begin(); it != ctx.unexpected.end(); ++it) {
-    const bool src_ok =
-        posted.source_spec == kAnySource || posted.source_spec == it->source;
-    const bool tag_ok =
-        posted.tag_spec == kAnyTag || posted.tag_spec == it->tag;
-    if (src_ok && tag_ok) {
+    const Message& msg = message(*it);
+    if (envelope_matches(source, tag, msg.source, msg.tag)) {
       shard.stats.irecv_scanned += (it - ctx.unexpected.begin()) + 1;
-      posted.matched = true;
       posted.match_seq = shard.next_match_seq++;
-      posted.message = std::move(*it);
+      posted.message = *it;
       ctx.unexpected.erase(it);
       return Request{id};
     }
@@ -378,15 +382,19 @@ Request Simulator::post_irecv(Rank rank, Rank source, int tag) {
   return Request{id};
 }
 
-void Simulator::insert_unexpected(Rank rank, RankCtx& ctx,
-                                  Message&& message) {
+Simulator::Message& Simulator::message(MessageSlot slot) noexcept {
+  return par_->messages[slot];
+}
+
+void Simulator::insert_unexpected(Rank rank, RankCtx& ctx, MessageSlot slot) {
   // Keep the unexpected queue ordered by arrival (displaced messages are
   // re-inserted at their original position).
+  const std::uint64_t arrival_seq = message(slot).arrival_seq;
   auto it = ctx.unexpected.end();
   while (it != ctx.unexpected.begin() &&
-         std::prev(it)->arrival_seq > message.arrival_seq)
+         message(*std::prev(it)).arrival_seq > arrival_seq)
     --it;
-  ctx.unexpected.insert(it, std::move(message));
+  ctx.unexpected.insert(it, slot);
   std::uint64_t& deepest = par_->shard(rank).stats.max_unexpected;
   deepest = std::max<std::uint64_t>(deepest, ctx.unexpected.size());
 }
@@ -397,14 +405,15 @@ void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
   // receives in post order — the same rule the original arrivals followed.
   for (auto msg_it = ctx.unexpected.begin();
        msg_it != ctx.unexpected.end();) {
+    const Message& msg = message(*msg_it);
     bool matched = false;
     for (auto req_it = ctx.posted_recvs.begin();
          req_it != ctx.posted_recvs.end(); ++req_it) {
       auto& req = ctx.recv_slots[slot_of(*req_it)];
-      if (envelope_matches(req.source_spec, req.tag_spec, msg_it->source, msg_it->tag)) {
-        req.matched = true;
+      if (envelope_matches(req.source_spec, req.tag_spec, msg.source,
+                           msg.tag)) {
         req.match_seq = par_->shard(rank).next_match_seq++;
-        req.message = std::move(*msg_it);
+        req.message = *msg_it;
         ctx.posted_recvs.erase(req_it);
         msg_it = ctx.unexpected.erase(msg_it);
         matched = true;
@@ -415,17 +424,18 @@ void Simulator::rematch_unexpected(Rank rank, RankCtx& ctx) {
   }
 }
 
-void Simulator::try_match_arrival(Rank rank, Message&& message) {
+void Simulator::try_match_arrival(Rank rank, MessageSlot mslot) {
   auto& ctx = ranks_[static_cast<std::size_t>(rank)];
-  message.arrival_seq = par_->shard(rank).next_seq++;
+  Message& arrived = message(mslot);
+  arrived.arrival_seq = par_->shard(rank).next_seq++;
   for (auto it = ctx.posted_recvs.begin(); it != ctx.posted_recvs.end();
        ++it) {
     const std::uint32_t slot = slot_of(*it);
     auto& req = ctx.recv_slots[slot];
-    if (envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
-      req.matched = true;
+    if (envelope_matches(req.source_spec, req.tag_spec, arrived.source,
+                         arrived.tag)) {
       req.match_seq = par_->shard(rank).next_match_seq++;
-      req.message = std::move(message);
+      req.message = mslot;
       ctx.posted_recvs.erase(it);
       // Wake a pending MF call that covers this request.
       if (ctx.mf_active && !ctx.mf_poll_scheduled) {
@@ -445,14 +455,15 @@ void Simulator::try_match_arrival(Rank rank, Message&& message) {
     for (const std::uint32_t slot : ctx.mf_slots) {
       if (slot == kNoSlot) continue;
       const auto& req = ctx.recv_slots[slot];
-      if (envelope_matches(req.source_spec, req.tag_spec, message.source, message.tag)) {
+      if (envelope_matches(req.source_spec, req.tag_spec, arrived.source,
+                           arrived.tag)) {
         ctx.mf_poll_scheduled = true;
         schedule(par_->shard(rank).now, EventType::kPoll, rank);
         break;
       }
     }
   }
-  insert_unexpected(rank, ctx, std::move(message));
+  insert_unexpected(rank, ctx, mslot);
 }
 
 void Simulator::poll_mf(Rank rank) {
@@ -473,7 +484,7 @@ void Simulator::poll_mf(Rank rank) {
   std::vector<Candidate>& candidates = scratch.candidates;
   candidates.clear();
   // For bound candidates: the owning receive's slot; for unbound: the
-  // message's arrival_seq (to locate it in the unexpected queue).
+  // message's slab slot (to locate it in the unexpected queue).
   std::vector<std::uint64_t>& candidate_handle = scratch.candidate_handle;
   candidate_handle.clear();
   {
@@ -484,22 +495,22 @@ void Simulator::poll_mf(Rank rank) {
     for (std::size_t i = 0; i < n; ++i) {
       if (slots[i] == kNoSlot) continue;
       const auto& req = ctx.recv_slots[slots[i]];
-      if (req.matched) order.emplace_back(req.match_seq, i);
+      if (req.matched()) order.emplace_back(req.match_seq, i);
     }
     std::sort(order.begin(), order.end());
     for (const auto& [seq, i] : order) {
-      auto& req = ctx.recv_slots[slots[i]];
-      candidates.push_back(Candidate{i, req.message.source, req.message.tag,
-                                     req.message.piggyback, true,
-                                     !req.message.tool_sighted});
-      req.message.tool_sighted = true;
+      Message& msg = message(ctx.recv_slots[slots[i]].message);
+      candidates.push_back(Candidate{i, msg.source, msg.tag, msg.piggyback,
+                                     true, !msg.tool_sighted});
+      msg.tool_sighted = true;
       candidate_handle.push_back(slots[i]);
     }
     // Unexpected arrivals compatible with a live request of the call (in
     // arrival order): deliverable by a replay tool via request remapping,
     // invisible to untooled MPI semantics.
     par_->shard(rank).stats.unexpected_scanned += ctx.unexpected.size();
-    for (Message& msg : ctx.unexpected) {
+    for (const MessageSlot mslot : ctx.unexpected) {
+      Message& msg = message(mslot);
       for (std::size_t i = 0; i < n; ++i) {
         if (slots[i] == kNoSlot) continue;
         const auto& req = ctx.recv_slots[slots[i]];
@@ -508,7 +519,7 @@ void Simulator::poll_mf(Rank rank) {
                                          msg.piggyback, false,
                                          !msg.tool_sighted});
           msg.tool_sighted = true;
-          candidate_handle.push_back(msg.arrival_seq);
+          candidate_handle.push_back(mslot);
           break;
         }
       }
@@ -538,37 +549,37 @@ void Simulator::poll_mf(Rank rank) {
     case SelectResult::Action::kDeliver: {
       CDC_CHECK_MSG(!selection.indices.empty(),
                     "kDeliver with an empty index list");
-      if (!is_multi_delivery(mf.kind))
-        selection.indices.erase(selection.indices.begin() + 1,
-                                selection.indices.end());
+      // A single-delivery call takes the first selected index only.
+      const std::span<const std::size_t> chosen(
+          selection.indices.data(),
+          is_multi_delivery(mf.kind) ? selection.indices.size() : 1);
 
       // Phase A: extract the selected messages, releasing their current
       // bindings.
-      std::vector<Message>& messages = scratch.messages;
+      std::vector<MessageSlot>& messages = scratch.messages;
       messages.clear();
       std::vector<std::uint32_t>& origin_slot = scratch.origin_slot;
       origin_slot.clear();  // kNoSlot for unbound
       std::vector<bool>& seen = scratch.seen;
       seen.assign(candidates.size(), false);
       bool disturbed = false;
-      for (const std::size_t ci : selection.indices) {
+      for (const std::size_t ci : chosen) {
         CDC_CHECK_MSG(ci < candidates.size() && !seen[ci],
                       "selection index out of range or duplicated");
         seen[ci] = true;
         if (candidates[ci].bound) {
           const auto slot = static_cast<std::uint32_t>(candidate_handle[ci]);
           auto& req = ctx.recv_slots[slot];
-          CDC_CHECK(req.matched && !req.delivered);
-          req.matched = false;
-          messages.push_back(std::move(req.message));
+          CDC_CHECK(req.matched() && !req.delivered);
+          messages.push_back(req.message);
+          req.message = kNoMessage;
           origin_slot.push_back(slot);
         } else {
-          const std::uint64_t seq = candidate_handle[ci];
-          auto it = std::find_if(
-              ctx.unexpected.begin(), ctx.unexpected.end(),
-              [seq](const Message& m) { return m.arrival_seq == seq; });
+          const auto mslot = static_cast<MessageSlot>(candidate_handle[ci]);
+          auto it =
+              std::find(ctx.unexpected.begin(), ctx.unexpected.end(), mslot);
           CDC_CHECK(it != ctx.unexpected.end());
-          messages.push_back(std::move(*it));
+          messages.push_back(mslot);
           ctx.unexpected.erase(it);
           origin_slot.push_back(kNoSlot);
           disturbed = true;
@@ -583,7 +594,7 @@ void Simulator::poll_mf(Rank rank) {
       mf.result.flag = true;
       mf.result.completions.reserve(messages.size());
       for (std::size_t k = 0; k < messages.size(); ++k) {
-        Message& msg = messages[k];
+        Message& msg = message(messages[k]);
         std::size_t index = n;
         if (origin_slot[k] != kNoSlot) {
           for (std::size_t i = 0; i < n; ++i) {
@@ -608,11 +619,12 @@ void Simulator::poll_mf(Rank rank) {
                       "no compatible request slot for a selected message");
         index_used[index] = true;
         auto& req = ctx.recv_slots[slots[index]];
-        if (req.matched) {
+        if (req.matched()) {
           // Displace the message MPI had matched here; it returns to the
           // unexpected queue at its original arrival position.
-          req.matched = false;
-          insert_unexpected(rank, ctx, std::move(req.message));
+          const MessageSlot displaced = req.message;
+          req.message = kNoMessage;
+          insert_unexpected(rank, ctx, displaced);
           disturbed = true;
         } else if (slots[index] != origin_slot[k]) {
           // A remapped message can land on a receive MPI left unmatched
@@ -634,6 +646,8 @@ void Simulator::poll_mf(Rank rank) {
         obs::trace_instant("recv.deliver", rank, "source",
                            static_cast<std::uint64_t>(
                                static_cast<std::uint32_t>(msg.source)));
+        // Delivered: the slot returns to the free list at the next merge.
+        worker->freed_messages.push_back(messages[k]);
       }
 
       // Phase C: requests that lost their message re-enter the posted
@@ -642,7 +656,7 @@ void Simulator::poll_mf(Rank rank) {
         for (const std::uint32_t slot : slots) {
           if (slot == kNoSlot) continue;
           const auto& req = ctx.recv_slots[slot];
-          if (!req.delivered && !req.matched) {
+          if (!req.delivered && !req.matched()) {
             auto it = ctx.posted_recvs.begin();
             while (it != ctx.posted_recvs.end() && *it < req.id) ++it;
             if (it == ctx.posted_recvs.end() || *it != req.id)
@@ -834,7 +848,7 @@ bool Simulator::shrink_failed_waits() {
     for (const std::uint32_t slot : ctx.mf_slots) {
       if (slot == kNoSlot) continue;
       const auto& req = ctx.recv_slots[slot];
-      if (req.matched) continue;
+      if (req.matched()) continue;
       if (req.source_spec == kAnySource) {
         wildcard = true;
         continue;
@@ -865,7 +879,7 @@ void Simulator::describe_stuck_ranks() const {
                    "minimpi: deadlock — rank %d blocked in %s at callsite "
                    "%u (%zu reqs, %zu unexpected)\n",
                    r, mf_kind_name(ctx.mf->kind), ctx.mf->callsite,
-                   ctx.mf->request_ids.size(), ctx.unexpected.size());
+                   ctx.mf_slots.size(), ctx.unexpected.size());
       for (const std::uint32_t slot : ctx.mf_slots) {
         if (slot == kNoSlot) continue;
         const auto& req = ctx.recv_slots[slot];
@@ -913,6 +927,7 @@ void Simulator::emit_obs_stats() {
   obs::counter("sim.unexpected_scanned").add(stats_.unexpected_scanned);
   obs::counter("sim.irecv_scanned").add(stats_.irecv_scanned);
   obs::histogram("sim.max_unexpected").record(stats_.max_unexpected);
+  obs::histogram("sim.max_live_messages").record(stats_.max_live_messages);
   obs::histogram("sim.virtual_time_us")
       .record(static_cast<std::uint64_t>(stats_.end_time * 1e6));
   obs::publish_virtual_now(stats_.end_time);

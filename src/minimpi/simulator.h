@@ -24,7 +24,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -56,13 +55,15 @@ struct ComputeAwaiter {
   void await_resume() const noexcept {}
 };
 
-/// Awaits one matching-function call (any of the Wait/Test families).
+/// Awaits one matching-function call (any of the Wait/Test families). The
+/// call's request ids wait in the rank's reused list (Comm::make_mf) until
+/// await_suspend resolves them, so each MF call is awaited before the
+/// rank makes the next one — as `co_await comm.wait(...)` does.
 struct MFAwaiter {
   Simulator* sim;
   Rank rank;
   MFKind kind;
   CallsiteId callsite;
-  std::vector<std::uint64_t> request_ids;
   MFResult result;
 
   bool await_ready() const noexcept { return false; }
@@ -206,6 +207,13 @@ class Simulator {
     std::uint64_t irecv_scanned = 0;
     /// Deepest unexpected queue (arrived, unmatched messages) on any rank.
     std::uint64_t max_unexpected = 0;
+    /// Most messages parked at once: sent and not yet delivered or
+    /// dropped (the message slab's high-water mark).
+    std::uint64_t max_live_messages = 0;
+    /// Messages still parked when the run ended — arrivals no receive
+    /// took (a dead rank's, or ones the program never received). Zero for
+    /// a program that receives everything it is sent.
+    std::uint64_t unreceived_messages = 0;
     double end_time = 0.0;  ///< virtual seconds when the last rank finished
   };
 
@@ -256,19 +264,26 @@ class Simulator {
   /// one for the duration of the run; par_ points at it meanwhile.
   struct ParallelState;
 
+  /// A message in flight or parked at its destination. It is written once
+  /// into the sending worker's outbox and moved once into the run's
+  /// message slab (ParallelState::messages) at the window merge; from
+  /// there the event heap, a matched receive and the unexpected queue refer
+  /// to it by its MessageSlot until the delivering poll moves the payload
+  /// into the application's Completion (DESIGN.md §15).
   struct Message {
-    Rank source = -1;
-    Rank dest = -1;
-    int tag = -1;
     std::uint64_t piggyback = 0;
     std::uint64_t arrival_seq = 0;  ///< stamped at delivery; orders queues
     /// Per-channel send sequence number. Channels deliver non-overtaking,
     /// so arrivals carry strictly increasing values — a repeated value is a
     /// transport duplicate and is dropped before the matching layer.
     std::uint64_t transport_seq = 0;
-    bool tool_sighted = false;      ///< already listed to the tool hooks
-    std::vector<std::uint8_t> payload;
+    Rank source = -1;
+    int tag = -1;
+    Payload payload;
+    bool tool_sighted = false;  ///< already listed to the tool hooks
   };
+  using MessageSlot = std::uint32_t;
+  static constexpr MessageSlot kNoMessage = ~MessageSlot{0};
 
   /// A Request id packs (post sequence, slot): the rank's post counter in
   /// the high bits, so ids order by post order, and the receive's slab
@@ -286,11 +301,13 @@ class Simulator {
     std::uint64_t id = 0;  ///< the occupant's Request id; 0 when free
     Rank source_spec = kAnySource;
     int tag_spec = kAnyTag;
-    bool matched = false;
     /// Set by the delivering poll, which frees the slot before it returns.
     bool delivered = false;
     std::uint64_t match_seq = 0;  ///< order of this rank's matches
-    Message message;
+    MessageSlot message = kNoMessage;  ///< the matched message, if any
+    [[nodiscard]] bool matched() const noexcept {
+      return message != kNoMessage;
+    }
   };
 
   enum class EventType : std::uint8_t {
@@ -316,13 +333,15 @@ class Simulator {
     std::vector<RecvSlot> recv_slots;
     std::vector<std::uint32_t> free_slots;
     std::uint64_t last_post = 0;  ///< post sequence of the latest request
-    std::deque<std::uint64_t> posted_recvs;  // unmatched recv ids, post order
-    std::deque<Message> unexpected;          // unmatched arrivals, in order
+    std::vector<std::uint64_t> posted_recvs;  // unmatched recv ids, post order
+    std::vector<MessageSlot> unexpected;  // unmatched arrivals, arrival order
 
     // At most one MF call can be pending per rank (the rank is a single
     // coroutine).
     bool mf_active = false;
     MFAwaiter* mf = nullptr;
+    /// The request ids of the MF call being made (Comm::make_mf), reused.
+    std::vector<std::uint64_t> mf_request_ids;
     /// The pending call's requests, resolved once when it was issued: the
     /// slab slot of each live receive, kNoSlot for a completed one.
     std::vector<std::uint32_t> mf_slots;
@@ -344,8 +363,10 @@ class Simulator {
   double apply_message_faults(double latency, Rank src, Rank dst);
   /// Applies a rank-stall fault to a pending resume/poll time.
   double maybe_stall(double time, Rank rank);
-  void try_match_arrival(Rank rank, Message&& message);
-  void insert_unexpected(Rank rank, RankCtx& ctx, Message&& message);
+  /// The parked message in `slot` of the run's slab.
+  [[nodiscard]] Message& message(MessageSlot slot) noexcept;
+  void try_match_arrival(Rank rank, MessageSlot slot);
+  void insert_unexpected(Rank rank, RankCtx& ctx, MessageSlot slot);
   void rematch_unexpected(Rank rank, RankCtx& ctx);
   void poll_mf(Rank rank);
   void resume_rank(Rank rank, std::coroutine_handle<> handle, double time);
@@ -395,10 +416,9 @@ class Simulator {
 /// Serializes a trivially copyable value into a payload buffer.
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-std::vector<std::uint8_t> to_payload(const T& value) {
-  std::vector<std::uint8_t> out(sizeof(T));
-  std::memcpy(out.data(), &value, sizeof(T));
-  return out;
+Payload to_payload(const T& value) {
+  return Payload(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(&value), sizeof(T)));
 }
 
 /// Deserializes a trivially copyable value from a payload buffer.

@@ -10,7 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace cdc::minimpi {
@@ -90,6 +93,87 @@ struct Candidate {
   bool fresh = true;
 };
 
+/// A message's bytes. Up to kInlineBytes live inside the object — room
+/// for MCB's particle, the largest fixed-size message the apps send — so
+/// such a message is sent, matched and delivered without a heap block; a
+/// larger payload (Jacobi's halo strips) keeps exactly one. Reads like a
+/// byte vector: size(), [i], at(i), and conversion to a span.
+class Payload {
+ public:
+  static constexpr std::size_t kInlineBytes = 40;
+
+  Payload() noexcept = default;
+  explicit Payload(std::span<const std::uint8_t> bytes) { assign(bytes); }
+  Payload(const Payload& other) { assign(other); }
+  Payload(Payload&& other) noexcept { take(other); }
+  Payload& operator=(const Payload& other) {
+    if (this != &other) assign(other);
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~Payload() { release(); }
+
+  /// Replaces the contents with a copy of `bytes` (which may alias them).
+  void assign(std::span<const std::uint8_t> bytes) {
+    std::uint8_t* const old = on_heap() ? block() : nullptr;
+    std::uint8_t* dst = bytes_;
+    if (bytes.size() > kInlineBytes)
+      dst = static_cast<std::uint8_t*>(::operator new(bytes.size()));
+    if (!bytes.empty()) std::memmove(dst, bytes.data(), bytes.size());
+    if (dst != bytes_) std::memcpy(bytes_, &dst, sizeof dst);
+    size_ = static_cast<std::uint32_t>(bytes.size());
+    ::operator delete(old);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return on_heap() ? block() : bytes_;
+  }
+  [[nodiscard]] const std::uint8_t* begin() const noexcept { return data(); }
+  [[nodiscard]] const std::uint8_t* end() const noexcept {
+    return data() + size_;
+  }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const noexcept {
+    return data()[i];
+  }
+  [[nodiscard]] std::uint8_t at(std::size_t i) const {
+    if (i >= size_) throw std::out_of_range("Payload::at");
+    return data()[i];
+  }
+  operator std::span<const std::uint8_t>() const noexcept {
+    return {data(), size_};
+  }
+
+ private:
+  [[nodiscard]] bool on_heap() const noexcept { return size_ > kInlineBytes; }
+  /// The heap block's address, kept in the inline bytes while on the heap.
+  [[nodiscard]] std::uint8_t* block() const noexcept {
+    std::uint8_t* p = nullptr;
+    std::memcpy(&p, bytes_, sizeof p);
+    return p;
+  }
+  void release() noexcept {
+    if (on_heap()) ::operator delete(block());
+    size_ = 0;
+  }
+  /// Moves `other`'s bytes (or its block) here and leaves it empty.
+  void take(Payload& other) noexcept {
+    std::memcpy(bytes_, other.bytes_,
+                other.on_heap() ? sizeof(std::uint8_t*) : other.size_);
+    size_ = other.size_;
+    other.size_ = 0;
+  }
+
+  std::uint8_t bytes_[kInlineBytes] = {};
+  std::uint32_t size_ = 0;
+};
+
 /// A delivered receive, as surfaced to the application (and to the tool's
 /// on_deliver hook, which records it).
 struct Completion {
@@ -97,7 +181,7 @@ struct Completion {
   Rank source = -1;
   int tag = -1;
   std::uint64_t piggyback = 0;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
 };
 
 /// Result of one MF call. `flag` is the MPI_Test-style "anything matched"

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "compress/crc32.h"
@@ -57,6 +58,46 @@ EpochSection locate_epoch_section(std::span<const std::uint8_t> all,
   section.at = at;
   section.bytes = bytes;
   return section;
+}
+
+/// Reads the stream index entries from `in` into `index`, refusing any
+/// that points outside [header, data_end); returns the refusal, or nullptr.
+const char* read_stream_index(
+    support::ByteReader& in, std::uint64_t data_end,
+    std::map<runtime::StreamKey, StreamIndexEntry>& index) {
+  std::uint64_t stream_count = 0;
+  if (!in.try_varint(stream_count)) return "truncated index";
+  for (std::uint64_t s = 0; s < stream_count; ++s) {
+    std::int64_t rank = 0;
+    std::uint64_t callsite = 0;
+    std::uint64_t frame_count = 0;
+    std::uint64_t payload_bytes = 0;
+    if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
+        !in.try_varint(frame_count) || !in.try_varint(payload_bytes))
+      return "truncated index entry";
+    // read_stream reserves this many bytes, so a forged size must not
+    // get past the open.
+    if (payload_bytes > data_end - kContainerHeaderSize)
+      return "index payload size exceeds data region";
+    StreamIndexEntry entry;
+    entry.key = runtime::StreamKey{
+        static_cast<minimpi::Rank>(rank),
+        static_cast<minimpi::CallsiteId>(callsite)};
+    entry.payload_bytes = payload_bytes;
+    entry.frame_offsets.reserve(
+        std::min<std::uint64_t>(frame_count, in.remaining()));
+    std::uint64_t offset = 0;
+    for (std::uint64_t f = 0; f < frame_count; ++f) {
+      std::uint64_t delta = 0;
+      if (!in.try_varint(delta)) return "truncated index offsets";
+      offset += delta;
+      if (offset < kContainerHeaderSize || offset >= data_end)
+        return "index offset out of range";
+      entry.frame_offsets.push_back(offset);
+    }
+    index.emplace(entry.key, std::move(entry));
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -119,10 +160,12 @@ void ContainerReader::parse_footer_and_index() {
   const std::uint64_t index_len = footer.u64();
   if (std::memcmp(bytes_.data() + footer_at + 12, kFooterMagic, 8) != 0) {
     index_error_ = "bad footer magic";
+    end_data_before_trailing_sections();
     return;
   }
   if (index_len > footer_at - kContainerHeaderSize) {
     index_error_ = "footer index length exceeds file";
+    end_data_before_trailing_sections();
     return;
   }
   const std::size_t index_at = footer_at - index_len;
@@ -143,48 +186,9 @@ void ContainerReader::parse_footer_and_index() {
   }
 
   support::ByteReader in(index_bytes);
-  std::uint64_t stream_count = 0;
-  if (!in.try_varint(stream_count)) {
-    refuse("truncated index");
+  if (const char* why = read_stream_index(in, data_end_, index_)) {
+    refuse(why);
     return;
-  }
-  for (std::uint64_t s = 0; s < stream_count; ++s) {
-    std::int64_t rank = 0;
-    std::uint64_t callsite = 0;
-    std::uint64_t frame_count = 0;
-    std::uint64_t payload_bytes = 0;
-    if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
-        !in.try_varint(frame_count) || !in.try_varint(payload_bytes)) {
-      refuse("truncated index entry");
-      return;
-    }
-    // read_stream reserves this many bytes, so a forged size must not
-    // get past the open.
-    if (payload_bytes > data_end_ - kContainerHeaderSize) {
-      refuse("index payload size exceeds data region");
-      return;
-    }
-    StreamIndexEntry entry;
-    entry.key = runtime::StreamKey{
-        static_cast<minimpi::Rank>(rank),
-        static_cast<minimpi::CallsiteId>(callsite)};
-    entry.payload_bytes = payload_bytes;
-    entry.frame_offsets.reserve(frame_count);
-    std::uint64_t offset = 0;
-    for (std::uint64_t f = 0; f < frame_count; ++f) {
-      std::uint64_t delta = 0;
-      if (!in.try_varint(delta)) {
-        refuse("truncated index offsets");
-        return;
-      }
-      offset += delta;
-      if (offset < kContainerHeaderSize || offset >= data_end_) {
-        refuse("index offset out of range");
-        return;
-      }
-      entry.frame_offsets.push_back(offset);
-    }
-    index_.emplace(entry.key, std::move(entry));
   }
   if (!in.exhausted()) {
     refuse("trailing bytes after index");
@@ -192,6 +196,51 @@ void ContainerReader::parse_footer_and_index() {
   }
   index_ok_ = true;
   parse_epoch_section(index_at);
+}
+
+void ContainerReader::end_data_before_trailing_sections() {
+  // Scan the frames from the header to the first that does not parse.
+  std::vector<std::pair<std::uint64_t, runtime::StreamKey>> scanned;
+  std::uint64_t pos = kContainerHeaderSize;
+  const std::string stop =
+      scan_sequential([&](std::uint64_t at, const ParsedFrame& frame) {
+        scanned.emplace_back(at, frame.key);
+        pos = at + frame.frame_size;
+      });
+  if (stop.empty()) return;  // the frames run to the end of the file
+  const std::span<const std::uint8_t> all(bytes_);
+
+  // An epoch section starting there, found by its own footer's magic,
+  // whose length and CRC check out.
+  std::uint64_t index_at = pos;
+  bool trailing = false;
+  const auto magic = std::search(all.begin() + static_cast<long>(pos),
+                                 all.end(), std::begin(kEpochFooterMagic),
+                                 std::end(kEpochFooterMagic));
+  if (magic != all.end()) {
+    const std::size_t footer_end =
+        static_cast<std::size_t>(magic - all.begin()) + 8;
+    const EpochSection epochs = locate_epoch_section(all, footer_end);
+    if (epochs.present && epochs.error.empty() && epochs.at == pos) {
+      trailing = true;
+      index_at = footer_end;
+    }
+  }
+
+  // A stream index (after the epoch section, if any) that lists exactly
+  // the scanned frames and ends inside the torn footer.
+  support::ByteReader in(all.subspan(static_cast<std::size_t>(index_at)));
+  std::map<runtime::StreamKey, StreamIndexEntry> index;
+  if (read_stream_index(in, pos, index) == nullptr &&
+      in.remaining() <= kContainerFooterSize) {
+    std::vector<std::pair<std::uint64_t, runtime::StreamKey>> listed;
+    for (const auto& [key, entry] : index)
+      for (const std::uint64_t offset : entry.frame_offsets)
+        listed.emplace_back(offset, key);
+    std::sort(listed.begin(), listed.end());
+    trailing |= listed == scanned;
+  }
+  if (trailing) data_end_ = pos;
 }
 
 void ContainerReader::parse_epoch_section(std::size_t index_at) {

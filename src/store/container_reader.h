@@ -140,6 +140,9 @@ class ContainerReader {
  private:
   ContainerReader() = default;
   void parse_footer_and_index();
+  /// With the footer torn: when the frames scanned from the header stop
+  /// at the container's own trailing sections, ends the data region there.
+  void end_data_before_trailing_sections();
   /// Parses and validates the optional epoch section ending at `index_at`;
   /// adjusts data_end_ either way (best effort on damage).
   void parse_epoch_section(std::size_t index_at);
@@ -162,7 +165,9 @@ class ContainerReader {
   bool epoch_ok_ = false;
   std::string epoch_error_;
   std::map<runtime::StreamKey, StreamEpochIndex> epochs_;
-  std::uint64_t data_end_ = 0;  ///< first byte past the data region
+  /// First byte past the data region; 0 when unknown (the scan then runs
+  /// to the end of the file).
+  std::uint64_t data_end_ = 0;
 };
 
 /// The salvage rule: which of `good` (scan_good_frames(), file order) a

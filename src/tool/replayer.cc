@@ -123,7 +123,6 @@ minimpi::SelectResult Replayer::select(
           obs::counter("replay.ordered_deliveries");
       obs_delivers.add(decision.messages.size());
       result.action = minimpi::SelectResult::Action::kDeliver;
-      result.indices.reserve(decision.messages.size());
       for (const clock::MessageId& id : decision.messages) {
         std::size_t index = candidates.size();
         for (std::size_t i = 0; i < candidates.size(); ++i) {

@@ -103,6 +103,35 @@ TEST(Mcb, LiveRequestsDoNotGrowWithTraffic) {
   EXPECT_GT(messages[1], 5 * messages[0]);
 }
 
+TEST(Mcb, EveryParkedMessageIsFreedByRunEnd) {
+  // MCB receives every message it sends, so every message-slab slot
+  // parked during the run is back on a free list when the run ends — a
+  // leaked slot shows as an unreceived message. The slab's high-water
+  // mark is a function of the schedule, so the worker count leaves it be.
+  const int particles[2] = {40, 400};
+  for (const int p : particles) {
+    std::uint64_t live[2] = {};
+    const int workers[2] = {1, 4};
+    for (int w = 0; w < 2; ++w) {
+      SCOPED_TRACE(testing::Message()
+                   << "particles=" << p << " workers=" << workers[w]);
+      McbConfig config;
+      config.grid_x = 3;
+      config.grid_y = 3;
+      config.particles_per_rank = p;
+      minimpi::Simulator::Config sim_cfg = sim_config(9, 7);
+      sim_cfg.workers = workers[w];
+      minimpi::Simulator sim(sim_cfg, nullptr);
+      run_mcb(sim, config);
+      EXPECT_EQ(sim.stats().unreceived_messages, 0u);
+      EXPECT_GT(sim.stats().max_live_messages, 0u);
+      EXPECT_LE(sim.stats().max_live_messages, sim.stats().messages_sent);
+      live[w] = sim.stats().max_live_messages;
+    }
+    EXPECT_EQ(live[0], live[1]);
+  }
+}
+
 TEST(Jacobi, ResidualDecreasesWithIterations) {
   JacobiConfig short_run;
   short_run.grid_x = 2;

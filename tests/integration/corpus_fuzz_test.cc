@@ -21,7 +21,6 @@
 
 #include "corpus/corpus.h"
 #include "minimpi/schedule_fuzzer.h"
-#include "minimpi/simulator.h"
 #include "runtime/storage.h"
 #include "store/container_reader.h"
 #include "support/oracle.h"
@@ -64,17 +63,14 @@ RecordedMember record_member(const fuzz::FuzzWorkload& workload,
                             "seed-" + std::to_string(seed));
   const tool::ToolOptions options = corpus_tool_options();
   tool::Recorder recorder(workload.num_ranks, &store, options);
-  support::OrderProbe probe(&recorder);
-  minimpi::Simulator::Config config;
-  config.num_ranks = workload.num_ranks;
-  config.noise_seed = seed;
-  minimpi::Simulator sim(config, &probe);
+  fuzz::ProbedRun run = fuzz::run_probed(
+      workload, &recorder, fuzz::sim_config(workload.num_ranks, seed));
   RecordedMember member;
   member.seed = seed;
-  member.result = workload.run(sim);
+  member.result = run.value;
   recorder.finalize();
   member.ordinal = store.seal_member();
-  member.trace = probe.trace();
+  member.trace = std::move(run.trace);
   return member;
 }
 
@@ -90,17 +86,15 @@ void expect_member_replays(const fuzz::FuzzWorkload& workload,
 
   const tool::ToolOptions options = corpus_tool_options();
   tool::Replayer replayer(workload.num_ranks, &loaded, options);
-  support::OrderProbe probe(&replayer);
-  minimpi::Simulator::Config config;
-  config.num_ranks = workload.num_ranks;
-  config.noise_seed = member.seed + 7777;  // different network timing
-  minimpi::Simulator sim(config, &probe);
-  const double replayed = workload.run(sim);
+  // A different noise seed: different network timing.
+  const fuzz::ProbedRun replayed = fuzz::run_probed(
+      workload, &replayer,
+      fuzz::sim_config(workload.num_ranks, member.seed + 7777));
 
-  EXPECT_EQ(replayed, member.result);  // bitwise: order reproduced
+  EXPECT_EQ(replayed.value, member.result);  // bitwise: order reproduced
   EXPECT_TRUE(replayer.fully_replayed());
   const support::OracleReport report =
-      support::check_equivalence(member.trace, probe.trace());
+      support::check_equivalence(member.trace, replayed.trace);
   EXPECT_TRUE(report.ok) << (report.mismatches.empty()
                                  ? "no detail"
                                  : report.mismatches.front());
@@ -131,11 +125,8 @@ TEST(fuzz_corpus, SeededRunsIngestDedupAndReplayBitIdentically) {
       raw_options.codec = tool::RecordCodec::kBaselineRaw;
       runtime::MemoryStore rows;
       tool::Recorder recorder(workload.num_ranks, &rows, raw_options);
-      minimpi::Simulator::Config config;
-      config.num_ranks = workload.num_ranks;
-      config.noise_seed = seed;
-      minimpi::Simulator sim(config, &recorder);
-      workload.run(sim);
+      (void)fuzz::run_probed(workload, &recorder,
+                             fuzz::sim_config(workload.num_ranks, seed));
       recorder.finalize();
       const std::uint32_t ordinal = corpus.add_member(
           workload.name + "-raw", "seed-" + std::to_string(seed), rows);

@@ -1,9 +1,14 @@
-// A steady-state matching-function poll allocates nothing (DESIGN.md §15):
-// the request slab, the channel tables and the per-worker poll scratch all
-// keep their capacity. This binary replaces the global operator new with a
-// counting one, so it stays out of the other suites' binaries.
+// The simulator's allocation budget (DESIGN.md §15): a steady-state
+// matching-function poll allocates nothing — the request slab, the rank's
+// request-id list, the channel tables and the per-worker poll scratch all
+// keep their capacity — and a message of up to 40 bytes is sent, parked,
+// matched and delivered without a heap block; only the application's
+// completions vector is new per delivering call. This binary replaces the
+// global operator new with a counting one, so it stays out of the other
+// suites' binaries.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -49,7 +54,7 @@ struct AllocationCount {
   }
 };
 
-TEST(PollAllocations, NonMatchingTestAndTestsomeAllocateOnlyTheirRequestList) {
+TEST(PollAllocations, NonMatchingTestAndTestsomeAllocateNothing) {
   constexpr int kWarmup = 100;
   constexpr int kCalls = 1000;
   Simulator::Config config;
@@ -82,10 +87,64 @@ TEST(PollAllocations, NonMatchingTestAndTestsomeAllocateOnlyTheirRequestList) {
 
   EXPECT_EQ(*matched, 0);
   EXPECT_EQ(stats.unmatched_tests, 2u * (kWarmup + kCalls));
-  // The one allocation per call is the awaiter's own copy of the request
-  // list (Comm::make_mf); the poll itself allocates nothing.
-  EXPECT_LE(*test_allocs, static_cast<std::uint64_t>(kCalls));
-  EXPECT_LE(*testsome_allocs, static_cast<std::uint64_t>(kCalls));
+  // The request ids go into a list the rank reuses (Comm::make_mf), and
+  // the 16 selected indices fit SelectResult's inline room.
+  EXPECT_EQ(*test_allocs, 0u);
+  EXPECT_EQ(*testsome_allocs, 0u);
+}
+
+TEST(PollAllocations, FortyByteMessagesAllocateOnlyTheirCompletions) {
+  // Rank 0 sends a burst of kMessages 40-byte messages; rank 1 receives
+  // them one wait at a time. The first round grows every table to the
+  // burst (1,000 entries stay inside the power-of-two capacities that
+  // round leaves, whatever the noise); the second is counted: the sends
+  // allocate nothing, and the parking, arrivals, matches and deliveries
+  // allocate at most one block per delivering call — its completions
+  // vector, which the application owns.
+  constexpr int kMessages = 1000;
+  using Bytes40 = std::array<std::uint8_t, 40>;
+  Simulator::Config config;
+  config.num_ranks = 2;
+  Simulator sim(config);
+  auto send_allocs = std::make_shared<std::uint64_t>(0);
+  auto receive_allocs = std::make_shared<std::uint64_t>(0);
+  auto received = std::make_shared<int>(0);
+  sim.set_program(0, [=](Comm& comm) -> Task {
+    for (int round = 0; round < 2; ++round) {
+      co_await comm.barrier();
+      AllocationCount count;
+      if (round == 1) count.begin();
+      for (int i = 0; i < kMessages; ++i) {
+        Bytes40 bytes{};
+        bytes[0] = static_cast<std::uint8_t>(i);
+        comm.isend(1, 5, to_payload(bytes));
+      }
+      if (round == 1) *send_allocs = count.end();
+    }
+  });
+  sim.set_program(1, [=](Comm& comm) -> Task {
+    for (int round = 0; round < 2; ++round) {
+      co_await comm.barrier();
+      // Start counting after rank 0's burst, before its first arrival.
+      co_await comm.compute(Simulator::Config::base_latency / 2);
+      AllocationCount count;
+      if (round == 1) count.begin();
+      for (int i = 0; i < kMessages; ++i) {
+        const MFResult result = co_await comm.wait(comm.irecv(0, 5));
+        if (result.completions.size() == 1 &&
+            from_payload<Bytes40>(result.completions[0].payload)[0] ==
+                static_cast<std::uint8_t>(i))
+          ++*received;
+      }
+      if (round == 1) *receive_allocs = count.end();
+    }
+  });
+  const auto stats = sim.run();
+
+  EXPECT_EQ(*received, 2 * kMessages);
+  EXPECT_EQ(stats.messages_sent, 2u * kMessages);
+  EXPECT_EQ(*send_allocs, 0u);
+  EXPECT_LE(*receive_allocs, static_cast<std::uint64_t>(kMessages));
 }
 
 }  // namespace

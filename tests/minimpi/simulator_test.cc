@@ -129,6 +129,36 @@ TEST(Simulator, TestsomeDeliversSubsets) {
   sim.run();
 }
 
+TEST(Simulator, WaitallDeliversMoreReceivesThanTheInlineIndexRoom) {
+  // 20 receives complete in one call: the selection's index list outgrows
+  // its 16 inline entries. Odd messages are 100 bytes (past the inline
+  // payload), even ones 1 byte; each arrives intact on its own request.
+  constexpr int kMessages = 20;
+  Simulator sim(config(2));
+  auto delivered = std::make_shared<std::size_t>(0);
+  sim.set_program(0, [delivered](Comm& comm) -> Task {
+    std::vector<Request> reqs;
+    for (int i = 0; i < kMessages; ++i) reqs.push_back(comm.irecv(1, 3));
+    const auto res = co_await comm.waitall(reqs);
+    *delivered = res.completions.size();
+    for (const Completion& c : res.completions) {
+      const std::size_t i = c.span_index;
+      EXPECT_EQ(c.payload.size(), i % 2 == 1 ? 100u : 1u);
+      for (const std::uint8_t byte : c.payload)
+        EXPECT_EQ(byte, static_cast<std::uint8_t>(i));
+    }
+  });
+  sim.set_program(1, [](Comm& comm) -> Task {
+    for (int i = 0; i < kMessages; ++i)
+      comm.isend(0, 3,
+                 std::vector<std::uint8_t>(i % 2 == 1 ? 100 : 1,
+                                           static_cast<std::uint8_t>(i)));
+    co_return;
+  });
+  sim.run();
+  EXPECT_EQ(*delivered, static_cast<std::size_t>(kMessages));
+}
+
 TEST(Simulator, WaitanyDeliversExactlyOne) {
   Simulator sim(config(3));
   sim.set_program(0, [](Comm& comm) -> Task {

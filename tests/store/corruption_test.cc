@@ -176,7 +176,8 @@ TEST_F(CorruptionTest, RepackDropsExactlyTheBadFrameAndVerifiesClean) {
   const std::string hurt_path = path("hurt.cdcc");
   write_file(hurt_path, bytes);
   // The same damage with the footer torn: no index, so the sequential
-  // scan steps over the bad frame, finds the rest and stops in the index.
+  // scan steps over the bad frame and finds the rest; the index behind
+  // them still lists exactly those frames, so the scan ends there.
   std::vector<std::uint8_t> torn = bytes;
   torn.resize(torn.size() - 6);
   const std::string torn_path = path("hurt_torn.cdcc");
@@ -193,11 +194,12 @@ TEST_F(CorruptionTest, RepackDropsExactlyTheBadFrameAndVerifiesClean) {
   // Replay cannot reach past a stream's first bad frame, so every time the
   // repack drops it and the rest of its stream: {2,1} loses both frames.
   // Without an index a CRC-bad frame whose header parsed is still listed,
-  // and a scan that stopped reports what it left unscanned.
+  // and a scan that stopped short of the trailing sections reports what it
+  // left unscanned.
   const struct {
     std::string path;
     bool scan_stops;
-  } inputs[] = {{hurt_path, false}, {torn_path, true}, {indexless_path, true}};
+  } inputs[] = {{hurt_path, false}, {torn_path, false}, {indexless_path, true}};
   for (const auto& input : inputs) {
     SCOPED_TRACE(input.path);
     const std::string repacked_path = path("repacked.cdcc");
@@ -256,31 +258,42 @@ TEST_F(CorruptionTest, TruncatedIndexFooterStillSalvagesEveryFrame) {
   // Regression: a crash while the seal's index footer was being written
   // loses the index but not one byte of frame data — the sequential scan
   // must recover all five frames and repack them into a sealed container.
-  const std::string clean_path = path("clean.cdcc");
-  build_sample(clean_path);
-  std::vector<std::uint8_t> bytes = read_file(clean_path);
-  ASSERT_GT(bytes.size(), 6u);
-  bytes.resize(bytes.size() - 6);  // rip through the fixed-size footer
-  const std::string torn_path = path("torn.cdcc");
-  write_file(torn_path, bytes);
+  // The scan stops at the trailing sections (the stream index, or the
+  // epoch section in front of it), which is where the data ends, not
+  // damage: no scan stop is reported.
+  const struct {
+    const char* name;
+    void (*build)(const std::string&);
+  } inputs[] = {{"plain", build_sample}, {"epochs", build_epoch_sample}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string clean_path = path("clean.cdcc");
+    input.build(clean_path);
+    std::vector<std::uint8_t> bytes = read_file(clean_path);
+    ASSERT_GT(bytes.size(), 6u);
+    bytes.resize(bytes.size() - 6);  // rip through the fixed-size footer
+    const std::string torn_path = path("torn.cdcc");
+    write_file(torn_path, bytes);
 
-  const auto reader = ContainerReader::open(torn_path);
-  ASSERT_NE(reader, nullptr);
-  EXPECT_TRUE(reader->header_ok());
-  EXPECT_FALSE(reader->index_ok());
-  EXPECT_FALSE(reader->index_error().empty());
-  EXPECT_EQ(reader->scan_good_frames().size(), 5u);
+    const auto reader = ContainerReader::open(torn_path);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_TRUE(reader->header_ok());
+    EXPECT_FALSE(reader->index_ok());
+    EXPECT_FALSE(reader->index_error().empty());
+    EXPECT_EQ(reader->scan_good_frames().size(), 5u);
 
-  const std::string repacked_path = path("torn_repacked.cdcc");
-  const RepackResult repack = repack_container(torn_path, repacked_path);
-  EXPECT_TRUE(repack.ok) << repack.error;
-  EXPECT_EQ(repack.frames_kept, 5u);
-  EXPECT_EQ(repack.frames_dropped, 0u);
-  const auto repacked = ContainerReader::open(repacked_path);
-  ASSERT_NE(repacked, nullptr);
-  EXPECT_TRUE(repacked->header_ok());
-  EXPECT_TRUE(repacked->index_ok());
-  EXPECT_TRUE(repacked->verify().ok);
+    const std::string repacked_path = path("torn_repacked.cdcc");
+    const RepackResult repack = repack_container(torn_path, repacked_path);
+    EXPECT_TRUE(repack.ok) << repack.error;
+    EXPECT_EQ(repack.frames_kept, 5u);
+    EXPECT_EQ(repack.frames_dropped, 0u);
+    EXPECT_EQ(repack.scan_stop, "");
+    const auto repacked = ContainerReader::open(repacked_path);
+    ASSERT_NE(repacked, nullptr);
+    EXPECT_TRUE(repacked->header_ok());
+    EXPECT_TRUE(repacked->index_ok());
+    EXPECT_TRUE(repacked->verify().ok);
+  }
 }
 
 // Re-encodes the sealed index with the first entry's payload size set to

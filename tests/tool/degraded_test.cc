@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/taskfarm.h"
-#include "minimpi/simulator.h"
+#include "minimpi/schedule_fuzzer.h"
 #include "obs/json.h"
 #include "store/container_store.h"
 #include "store/resilient.h"
@@ -40,13 +39,6 @@ class DegradedTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-minimpi::Simulator::Config sim_config(int ranks, std::uint64_t seed) {
-  minimpi::Simulator::Config config;
-  config.num_ranks = ranks;
-  config.noise_seed = seed;
-  return config;
-}
-
 std::vector<std::uint8_t> payload(std::uint8_t tag) {
   return {tag, 1, 2, 3, 4, 5, 6, 7};
 }
@@ -56,31 +48,26 @@ TEST_F(DegradedTest, KilledRunYieldsACompleteContainerAndAVerifiedPrefix) {
   // sealed container is still frame-complete, the degradation shows up as
   // a shorter gated prefix at replay, verified by the oracle.
   constexpr int kRanks = 4;
-  apps::TaskFarmConfig farm;
-  farm.tasks = 60;
+  const fuzz::FuzzWorkload farm = fuzz::taskfarm_workload(kRanks, 60);
   const std::string container_path = path("killed.cdcc");
 
   // Probe the healthy span so the kill lands mid-run.
-  double span = 0.0;
-  {
-    minimpi::Simulator probe(sim_config(kRanks, 11));
-    apps::run_taskfarm(probe, farm);
-    span = probe.stats().end_time;
-  }
+  const double span =
+      fuzz::run_probed(farm, nullptr, fuzz::sim_config(kRanks, 11))
+          .stats.end_time;
 
   support::Trace recorded;
   {
     store::ContainerStore container(container_path);
     Recorder recorder(kRanks, &container);
-    support::OrderProbe probe(&recorder);
-    minimpi::Simulator::Config config = sim_config(kRanks, 11);
-    config.faults.kills.push_back(minimpi::RankKill{2, span * 0.4});
-    minimpi::Simulator sim(config, &probe);
-    apps::run_taskfarm(sim, farm);
+    minimpi::FaultPlan kill;
+    kill.kills.push_back(minimpi::RankKill{2, span * 0.4});
+    const fuzz::ProbedRun run =
+        fuzz::run_probed(farm, &recorder, fuzz::sim_config(kRanks, 11, kill));
     recorder.finalize();
     container.seal();
-    ASSERT_EQ(sim.fault_stats().rank_kills, 1u);
-    recorded = probe.trace();
+    ASSERT_EQ(run.fault_stats.rank_kills, 1u);
+    recorded = run.trace;
   }
 
   const GapReport report = inspect_gaps(container_path);
@@ -99,15 +86,11 @@ TEST_F(DegradedTest, KilledRunYieldsACompleteContainerAndAVerifiedPrefix) {
   ToolOptions options;
   options.partial_record = true;
   Replayer replayer(kRanks, &record->store, options);
-  support::OrderProbe replay_probe(&replayer);
-  minimpi::Simulator replay_sim(sim_config(kRanks, 77), &replay_probe);
-  apps::run_taskfarm(replay_sim, farm);
+  const fuzz::ProbedRun replayed =
+      fuzz::run_probed(farm, &replayer, fuzz::sim_config(kRanks, 77));
 
-  std::map<runtime::StreamKey, std::uint64_t> prefixes;
-  for (const auto& [key, stats] : replayer.stream_totals())
-    prefixes[key] = stats.replayed_events + stats.replayed_unmatched;
-  const support::OracleReport oracle =
-      support::check_prefix(recorded, replay_probe.trace(), prefixes);
+  const support::OracleReport oracle = support::check_prefix(
+      recorded, replayed.trace, fuzz::prefix_lengths(replayer));
   EXPECT_TRUE(oracle.ok) << oracle.summary();
   EXPECT_TRUE(oracle.events_compared > 0 || replayer.released());
 }
