@@ -62,7 +62,7 @@ struct Family {
 /// Runs the seeded MCB workload once with `options`, recording into
 /// `store`.
 void record_run(int ranks, std::uint64_t seed, const tool::ToolOptions& options,
-                runtime::RecordStore* store) {
+                runtime::RecordSink* store) {
   tool::Recorder recorder(ranks, store, options);
   minimpi::Simulator sim(bench::sim_config(ranks, seed), &recorder);
   apps::run_mcb(sim, bench::mcb_config(ranks));

@@ -16,6 +16,7 @@
 #include "store/container_reader.h"
 #include "store/container_store.h"
 #include "support/check.h"
+#include "support/file.h"
 #include "support/rng.h"
 #include "tool/crash_store.h"
 #include "tool/recorder.h"
@@ -630,9 +631,7 @@ SweepReport salvage_sweep(const FuzzWorkload& workload, std::uint64_t seed,
                   "sweep recording produced an unreadable container");
     const auto frames = reader->scan_good_frames();
     report.frames_recorded = frames.size();
-    std::ifstream in(sealed_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    bytes = support::read_file(sealed_path).value_or(bytes);
     CDC_CHECK(bytes.size() == reader->file_bytes());
 
     if (damage == SweepDamage::kTruncate) {

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "store/container_store.h"
+#include "support/file.h"
 #include "support/rng.h"
 #include "tool/frame_sink.h"
 
@@ -240,19 +240,15 @@ std::uint64_t client_seed(std::uint64_t run_seed, std::size_t client) {
 
 bool same_file_bytes(const std::string& a, const std::string& b,
                      std::string* why) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) {
+  const auto ba = support::read_file(a);
+  const auto bb = support::read_file(b);
+  if (!ba.has_value() || !bb.has_value()) {
     *why = "cannot open for compare";
     return false;
   }
-  const std::vector<char> ba((std::istreambuf_iterator<char>(fa)),
-                             std::istreambuf_iterator<char>());
-  const std::vector<char> bb((std::istreambuf_iterator<char>(fb)),
-                             std::istreambuf_iterator<char>());
-  if (ba == bb) return true;
-  *why = "containers differ (" + std::to_string(ba.size()) + " vs " +
-         std::to_string(bb.size()) + " bytes)";
+  if (*ba == *bb) return true;
+  *why = "containers differ (" + std::to_string(ba->size()) + " vs " +
+         std::to_string(bb->size()) + " bytes)";
   return false;
 }
 

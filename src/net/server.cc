@@ -58,11 +58,6 @@ bool valid_record_name(const std::string& name) {
 
 constexpr int kListenBacklog = 128;
 
-/// The container header: magic + version + 3 reserved bytes. A journaled
-/// session with zero durable batches has exactly this prefix on disk.
-constexpr std::uint64_t kContainerHeaderBytes =
-    sizeof(store::kContainerMagic) + 4;
-
 /// Cheap sealed-ness probe for the startup scan: a sealed container ends
 /// in the 8-byte stream-index footer magic. No full open/parse needed.
 bool container_sealed_on_disk(const std::filesystem::path& path) {
@@ -107,8 +102,8 @@ struct Server::Impl {
 
     std::unique_ptr<store::ContainerStore> container;
     store::QuotaStore quota;
-    std::unique_ptr<runtime::RecordStore> wrapped;  ///< store_wrapper seam
-    runtime::RecordStore* target = nullptr;  ///< what the sink writes
+    std::unique_ptr<runtime::RecordSink> wrapped;  ///< store_wrapper seam
+    runtime::RecordSink* target = nullptr;  ///< what the sink writes
     std::optional<tool::InlineFrameSink> sink;
     store::BoundedMpmcQueue<WorkItem> queue;
 
@@ -707,7 +702,7 @@ struct Server::Impl {
     // An empty journal proves only the 8-byte container header; a populated
     // one proves exactly container_bytes.
     const std::uint64_t durable =
-        js->entries == 0 ? kContainerHeaderBytes : js->container_bytes;
+        js->entries == 0 ? store::kContainerHeaderSize : js->container_bytes;
     std::string error;
     auto container =
         store::ContainerStore::resume(path, durable, js->metas, &error);

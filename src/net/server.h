@@ -74,11 +74,11 @@ struct ServerConfig {
   /// Test/bench-only throttle: sleep this long per ingested batch on the
   /// session worker, to force queue buildup and exercise backpressure.
   std::uint32_t ingest_delay_us = 0;
-  /// Test seam: wraps the store each ingest session's sink (and its
+  /// Test seam: wraps the sink each ingest session's frame sink (and its
   /// durability sync()) writes through — e.g. a store::IoFaultStore to
-  /// exercise the fail-before-ack ordering. The wrapped store must
-  /// delegate to the passed inner store; null return means "no wrap".
-  std::function<std::unique_ptr<runtime::RecordStore>(runtime::RecordStore*)>
+  /// exercise the fail-before-ack ordering. The wrapper must delegate to
+  /// the passed inner sink; null return means "no wrap".
+  std::function<std::unique_ptr<runtime::RecordSink>(runtime::RecordSink*)>
       store_wrapper;
   /// Chaos knobs (cdc_served --crash-*): raise SIGKILL at a precise
   /// protocol state, for the kill-sweep harness. Batch counters are

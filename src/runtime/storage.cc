@@ -1,7 +1,5 @@
 #include "runtime/storage.h"
 
-#include "support/check.h"
-
 namespace cdc::runtime {
 
 // --- MemoryStore ------------------------------------------------------------
@@ -48,11 +46,6 @@ void CountingStore::append(const StreamKey& key,
                            std::span<const std::uint8_t> bytes) {
   const std::lock_guard<std::mutex> lock(mutex_);
   sizes_[key] += bytes.size();
-}
-
-std::vector<std::uint8_t> CountingStore::read(const StreamKey&) const {
-  CDC_CHECK_MSG(false, "CountingStore discards data; replay is impossible");
-  return {};
 }
 
 std::vector<StreamKey> CountingStore::keys() const {

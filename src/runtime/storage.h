@@ -1,11 +1,11 @@
 // Record storage backends.
 //
 // The paper writes per-process record data to node-local storage (SSD or
-// ramdisk). Here a RecordStore maps a stream key — (MPI rank, MF callsite)
-// — to an append-only byte stream. MemoryStore models ramdisk recording
-// and is the in-memory copy the record container (store/container_store.h)
-// serves reads from; CountingStore only counts. Size accounting is
-// identical across backends, which is what the evaluation measures.
+// ramdisk). Here a record maps a stream key — (MPI rank, MF callsite) — to
+// an append-only byte stream. A RecordSink takes appends: storage policies
+// wrap one, CountingStore only counts. A RecordStore also serves the record
+// back: MemoryStore models ramdisk recording. Size accounting is identical
+// across backends, which is what the evaluation measures.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +51,31 @@ class IoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class RecordStore {
+class RecordSink {
  public:
-  virtual ~RecordStore() = default;
+  virtual ~RecordSink() = default;
 
   virtual void append(const StreamKey& key,
                       std::span<const std::uint8_t> bytes) = 0;
+
+  /// append() plus the epoch metadata of the chunk the bytes carry. The
+  /// default forwards to append() — only epoch-aware stores (and the
+  /// policies in front of them) override. Same contract as append(),
+  /// including the IoError nothing-committed guarantee.
+  virtual void append_epoch(const StreamKey& key,
+                            std::span<const std::uint8_t> bytes,
+                            const EpochMeta& /*meta*/) {
+    append(key, bytes);
+  }
+
+  /// Durability barrier (fsync analogue): on return, every byte appended so
+  /// far survives a crash of the writer. May throw IoError on injected
+  /// fsync failure. No-op for stores that are already durable per append.
+  virtual void sync() {}
+};
+
+class RecordStore : public RecordSink {
+ public:
   [[nodiscard]] virtual std::vector<std::uint8_t> read(
       const StreamKey& key) const = 0;
   [[nodiscard]] virtual std::vector<StreamKey> keys() const = 0;
@@ -64,16 +83,6 @@ class RecordStore {
 
   /// Bytes attributable to one rank (per-process record size).
   [[nodiscard]] virtual std::uint64_t rank_bytes(minimpi::Rank rank) const = 0;
-
-  /// append() plus the epoch metadata of the chunk the bytes carry. The
-  /// default forwards to append() — only epoch-aware stores (and the
-  /// decorators in front of them) override. Same contract as append(),
-  /// including the IoError nothing-committed guarantee.
-  virtual void append_epoch(const StreamKey& key,
-                            std::span<const std::uint8_t> bytes,
-                            const EpochMeta& /*meta*/) {
-    append(key, bytes);
-  }
 
   /// The frames of epochs [0, epoch_hi) of one stream — a seekable backend
   /// (the epoch-indexed container) serves exactly those bytes without
@@ -83,11 +92,6 @@ class RecordStore {
       const StreamKey& key, std::uint64_t /*epoch_hi*/) const {
     return read(key);
   }
-
-  /// Durability barrier (fsync analogue): on return, every byte appended so
-  /// far survives a crash of the writer. May throw IoError on injected
-  /// fsync failure. No-op for stores that are already durable per append.
-  virtual void sync() {}
 };
 
 /// Ramdisk-style in-memory store. Thread-safe: one mutex guards every
@@ -108,17 +112,15 @@ class MemoryStore final : public RecordStore {
   std::map<StreamKey, std::vector<std::uint8_t>> streams_;
 };
 
-/// Size-accounting-only store for compression benchmarks at scale: bytes
+/// Size-accounting-only sink for compression benchmarks at scale: bytes
 /// are counted and discarded.
-class CountingStore final : public RecordStore {
+class CountingStore final : public RecordSink {
  public:
   void append(const StreamKey& key,
               std::span<const std::uint8_t> bytes) override;
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const StreamKey& key) const override;
-  [[nodiscard]] std::vector<StreamKey> keys() const override;
-  [[nodiscard]] std::uint64_t total_bytes() const override;
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override;
+  [[nodiscard]] std::vector<StreamKey> keys() const;
+  [[nodiscard]] std::uint64_t total_bytes() const;
+  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const;
 
  private:
   mutable std::mutex mutex_;

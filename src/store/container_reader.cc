@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <limits>
 
 #include "compress/crc32.h"
@@ -12,6 +10,7 @@
 #include "store/container_writer.h"
 #include "support/binary.h"
 #include "support/check.h"
+#include "support/file.h"
 
 namespace cdc::store {
 
@@ -100,6 +99,65 @@ const char* read_stream_index(
   return nullptr;
 }
 
+/// Reads an intact epoch section into `epochs` and checks that epoch e of
+/// each stream lives in its frame e, as `frames_of(key)` lists the frame
+/// offsets (nullptr: no such stream). Returns the refusal, or nullptr.
+template <typename FramesOf>
+const char* read_epoch_index(
+    std::span<const std::uint8_t> bytes, FramesOf frames_of,
+    std::map<runtime::StreamKey, StreamEpochIndex>& epochs) {
+  support::ByteReader in(bytes);
+  std::uint64_t stream_count = 0;
+  if (!in.try_varint(stream_count)) return "truncated epoch index";
+  for (std::uint64_t s = 0; s < stream_count; ++s) {
+    std::int64_t rank = 0;
+    std::uint64_t callsite = 0;
+    std::uint64_t epoch_count = 0;
+    if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
+        !in.try_varint(epoch_count))
+      return "truncated epoch index";
+    StreamEpochIndex entry;
+    entry.key =
+        runtime::StreamKey{static_cast<minimpi::Rank>(rank),
+                           static_cast<minimpi::CallsiteId>(callsite)};
+    entry.epochs.reserve(
+        std::min<std::uint64_t>(epoch_count, in.remaining()));
+    std::uint64_t offset = 0;
+    for (std::uint64_t e = 0; e < epoch_count; ++e) {
+      EpochRecord record;
+      std::uint64_t delta = 0;
+      if (!in.try_varint(delta) || !in.try_varint(record.matched) ||
+          !in.try_varint(record.unmatched))
+        return "truncated epoch index";
+      offset += delta;
+      record.frame_offset = offset;
+      entry.epochs.push_back(record);
+    }
+    epochs.emplace(entry.key, std::move(entry));
+  }
+  if (!in.exhausted()) return "truncated epoch index";
+
+  // A mismatch means the epoch index or the frame listing is lying; the
+  // frame CRCs will arbitrate at read time, but the epoch map cannot be
+  // used for seeking.
+  for (const auto& [key, entry] : epochs) {
+    const std::vector<std::uint64_t>* frames = frames_of(key);
+    if (frames == nullptr || frames->size() != entry.epochs.size())
+      return "epoch index disagrees with stream index";
+    for (std::size_t e = 0; e < entry.epochs.size(); ++e)
+      if (entry.epochs[e].frame_offset != (*frames)[e])
+        return "epoch index frame offset mismatch";
+  }
+  return nullptr;
+}
+
+/// A payload visitor that concatenates onto `out`.
+auto append_to(std::vector<std::uint8_t>& out) {
+  return [&out](std::span<const std::uint8_t> payload) {
+    out.insert(out.end(), payload.begin(), payload.end());
+  };
+}
+
 }  // namespace
 
 std::string VerifyReport::summary() const {
@@ -116,21 +174,18 @@ std::string VerifyReport::summary() const {
 
 std::unique_ptr<ContainerReader> ContainerReader::open(
     const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  std::optional<std::vector<std::uint8_t>> bytes = support::read_file(path);
+  if (!bytes.has_value()) {
     if (error != nullptr) *error = "cannot open '" + path + "'";
     return nullptr;
   }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
   // Any readable file opens — even one truncated below the header+footer
   // minimum (an empty container, a crash during the very first write).
   // Damage is reported through header/index diagnostics so the salvage
   // path can still return the (possibly empty) record instead of failing
   // closed.
   auto reader = std::unique_ptr<ContainerReader>(new ContainerReader());
-  reader->path_ = path;
-  reader->bytes_ = std::move(bytes);
+  reader->bytes_ = std::move(*bytes);
   reader->parse_footer_and_index();
   return reader;
 }
@@ -199,19 +254,21 @@ void ContainerReader::parse_footer_and_index() {
 }
 
 void ContainerReader::end_data_before_trailing_sections() {
-  // Scan the frames from the header to the first that does not parse.
-  std::vector<std::pair<std::uint64_t, runtime::StreamKey>> scanned;
+  // Scan the frames from the header to the first that does not parse,
+  // listing each stream's frame offsets in file order.
+  std::map<runtime::StreamKey, std::vector<std::uint64_t>> scanned;
   std::uint64_t pos = kContainerHeaderSize;
   const std::string stop =
       scan_sequential([&](std::uint64_t at, const ParsedFrame& frame) {
-        scanned.emplace_back(at, frame.key);
+        scanned[frame.key].push_back(at);
         pos = at + frame.frame_size;
       });
   if (stop.empty()) return;  // the frames run to the end of the file
   const std::span<const std::uint8_t> all(bytes_);
 
   // An epoch section starting there, found by its own footer's magic,
-  // whose length and CRC check out.
+  // whose length and CRC check out. It survives the torn footer: check it
+  // against the scanned frames.
   std::uint64_t index_at = pos;
   bool trailing = false;
   const auto magic = std::search(all.begin() + static_cast<long>(pos),
@@ -224,6 +281,10 @@ void ContainerReader::end_data_before_trailing_sections() {
     if (epochs.present && epochs.error.empty() && epochs.at == pos) {
       trailing = true;
       index_at = footer_end;
+      adopt_epoch_index(epochs.bytes, [&](const runtime::StreamKey& key) {
+        const auto it = scanned.find(key);
+        return it != scanned.end() ? &it->second : nullptr;
+      });
     }
   }
 
@@ -233,11 +294,9 @@ void ContainerReader::end_data_before_trailing_sections() {
   std::map<runtime::StreamKey, StreamIndexEntry> index;
   if (read_stream_index(in, pos, index) == nullptr &&
       in.remaining() <= kContainerFooterSize) {
-    std::vector<std::pair<std::uint64_t, runtime::StreamKey>> listed;
+    std::map<runtime::StreamKey, std::vector<std::uint64_t>> listed;
     for (const auto& [key, entry] : index)
-      for (const std::uint64_t offset : entry.frame_offsets)
-        listed.emplace_back(offset, key);
-    std::sort(listed.begin(), listed.end());
+      listed.emplace(key, entry.frame_offsets);
     trailing |= listed == scanned;
   }
   if (trailing) data_end_ = pos;
@@ -247,90 +306,40 @@ void ContainerReader::parse_epoch_section(std::size_t index_at) {
   const EpochSection section = locate_epoch_section(bytes_, index_at);
   if (!section.present) return;
   epoch_present_ = true;
-
-  // On any damage below: keep the container usable by re-deriving the end
-  // of the frame region from the last indexed frame (frames are
-  // self-sizing and CRC-protected, so this is safe), then report the
-  // damage instead of trusting a possibly-wrong epoch length.
-  const auto recover_data_end = [&] {
-    data_end_ = section.footer_at;
-    std::uint64_t last = 0;
-    for (const auto& [key, entry] : index_)
-      if (!entry.frame_offsets.empty())
-        last = std::max(last, entry.frame_offsets.back());
-    if (last != 0) {
-      const ParsedFrame frame = parse_frame_at(last, section.footer_at);
-      if (frame.parsed && frame.crc_ok) data_end_ = last + frame.frame_size;
-    }
-  };
-  if (!section.error.empty()) {
-    epoch_error_ = section.error;
-    recover_data_end();
+  epoch_error_ = section.error;
+  if (epoch_error_.empty())
+    adopt_epoch_index(section.bytes, [&](const runtime::StreamKey& key) {
+      const StreamIndexEntry* stream = find(key);
+      return stream != nullptr ? &stream->frame_offsets : nullptr;
+    });
+  if (epoch_ok_) {
+    data_end_ = section.at;
     return;
   }
 
-  support::ByteReader in(section.bytes);
-  std::map<runtime::StreamKey, StreamEpochIndex> parsed;
-  std::uint64_t stream_count = 0;
-  bool ok = in.try_varint(stream_count);
-  for (std::uint64_t s = 0; ok && s < stream_count; ++s) {
-    std::int64_t rank = 0;
-    std::uint64_t callsite = 0;
-    std::uint64_t epoch_count = 0;
-    if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
-        !in.try_varint(epoch_count)) {
-      ok = false;
-      break;
-    }
-    StreamEpochIndex entry;
-    entry.key =
-        runtime::StreamKey{static_cast<minimpi::Rank>(rank),
-                           static_cast<minimpi::CallsiteId>(callsite)};
-    entry.epochs.reserve(static_cast<std::size_t>(epoch_count));
-    std::uint64_t offset = 0;
-    for (std::uint64_t e = 0; e < epoch_count; ++e) {
-      EpochRecord record;
-      std::uint64_t delta = 0;
-      if (!in.try_varint(delta) || !in.try_varint(record.matched) ||
-          !in.try_varint(record.unmatched)) {
-        ok = false;
-        break;
-      }
-      offset += delta;
-      record.frame_offset = offset;
-      entry.epochs.push_back(record);
-    }
-    if (ok) parsed.emplace(entry.key, std::move(entry));
+  // On damage: keep the container usable by re-deriving the end of the
+  // frame region from the last indexed frame (frames are self-sizing and
+  // CRC-protected, so this is safe) instead of trusting a possibly-wrong
+  // epoch length.
+  data_end_ = section.footer_at;
+  std::uint64_t last = 0;
+  for (const auto& [key, entry] : index_)
+    if (!entry.frame_offsets.empty())
+      last = std::max(last, entry.frame_offsets.back());
+  if (last != 0) {
+    const ParsedFrame frame = parse_frame_at(last, section.footer_at);
+    if (frame.parsed && frame.crc_ok) data_end_ = last + frame.frame_size;
   }
-  if (!ok || !in.exhausted()) {
-    epoch_error_ = "truncated epoch index";
-    recover_data_end();
-    return;
-  }
+}
 
-  // Cross-check against the stream index: epoch e must live in frame e.
-  // A mismatch means one of the two indexes is lying; the frame CRCs will
-  // arbitrate at read time, but the epoch map cannot be used for seeking.
-  for (const auto& [key, entry] : parsed) {
-    const StreamIndexEntry* stream = find(key);
-    if (stream == nullptr ||
-        stream->frame_offsets.size() != entry.epochs.size()) {
-      epoch_error_ = "epoch index disagrees with stream index";
-      recover_data_end();
-      return;
-    }
-    for (std::size_t e = 0; e < entry.epochs.size(); ++e) {
-      if (entry.epochs[e].frame_offset != stream->frame_offsets[e]) {
-        epoch_error_ = "epoch index frame offset mismatch";
-        recover_data_end();
-        return;
-      }
-    }
-  }
-
-  epochs_ = std::move(parsed);
-  epoch_ok_ = true;
-  data_end_ = section.at;
+template <typename FramesOf>
+void ContainerReader::adopt_epoch_index(std::span<const std::uint8_t> bytes,
+                                        FramesOf frames_of) {
+  epoch_present_ = true;
+  // find_epochs() reads epochs_ only once epoch_ok_ is set.
+  const char* why = read_epoch_index(bytes, frames_of, epochs_);
+  epoch_ok_ = why == nullptr;
+  if (!epoch_ok_) epoch_error_ = why;
 }
 
 const StreamEpochIndex* ContainerReader::find_epochs(
@@ -419,6 +428,20 @@ const StreamIndexEntry* ContainerReader::find(
   return it != index_.end() ? &it->second : nullptr;
 }
 
+template <typename Visit>
+void ContainerReader::visit_payloads(const StreamIndexEntry& entry,
+                                     std::uint64_t lo, std::uint64_t hi,
+                                     Visit visit) const {
+  for (std::uint64_t f = lo; f < hi; ++f) {
+    const ParsedFrame frame = parse_frame_at(entry.frame_offsets[f], data_end_);
+    CDC_CHECK_MSG(frame.parsed && frame.crc_ok,
+                  "container frame corrupt — refusing to replay from it");
+    CDC_CHECK_MSG(frame.key == entry.key, "container frame belongs to another "
+                                          "stream — index is inconsistent");
+    visit(frame.payload);
+  }
+}
+
 std::vector<std::uint8_t> ContainerReader::read_stream(
     const runtime::StreamKey& key) const {
   CDC_CHECK_MSG(index_ok_,
@@ -427,15 +450,23 @@ std::vector<std::uint8_t> ContainerReader::read_stream(
   if (entry == nullptr) return {};
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(entry->payload_bytes));
-  for (const std::uint64_t offset : entry->frame_offsets) {
-    const ParsedFrame frame = parse_frame_at(offset, data_end_);
-    CDC_CHECK_MSG(frame.parsed && frame.crc_ok,
-                  "container frame corrupt — refusing to replay from it");
-    CDC_CHECK_MSG(frame.key == key, "container frame belongs to another "
-                                    "stream — index is inconsistent");
-    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  }
+  visit_payloads(*entry, 0, entry->frame_offsets.size(), append_to(out));
   return out;
+}
+
+std::map<runtime::StreamKey, std::uint64_t>
+ContainerReader::stream_payload_bytes() const {
+  CDC_CHECK_MSG(index_ok_,
+                "container index unreadable — run verify/repack first");
+  std::map<runtime::StreamKey, std::uint64_t> sizes;
+  for (const auto& [key, entry] : index_) {
+    std::uint64_t& total = sizes[key];
+    visit_payloads(entry, 0, entry.frame_offsets.size(),
+                   [&](std::span<const std::uint8_t> payload) {
+                     total += payload.size();
+                   });
+  }
+  return sizes;
 }
 
 ContainerReader::WindowRead ContainerReader::read_stream_window(
@@ -452,21 +483,13 @@ ContainerReader::WindowRead ContainerReader::read_stream_window(
     window.bytes = read_stream(key);
     return window;
   }
+  // The epoch index was checked against the stream index: epoch e lives
+  // in the stream's frame e.
   const std::uint64_t n = epochs->epochs.size();
-  const std::uint64_t lo = std::min(epoch_lo, n);
-  const std::uint64_t hi = std::min(epoch_hi, n);
   window.seeked = true;
-  window.first_epoch = lo;
-  for (std::uint64_t e = lo; e < hi; ++e) {
-    const ParsedFrame frame =
-        parse_frame_at(epochs->epochs[e].frame_offset, data_end_);
-    CDC_CHECK_MSG(frame.parsed && frame.crc_ok,
-                  "container frame corrupt — refusing to replay from it");
-    CDC_CHECK_MSG(frame.key == key, "container frame belongs to another "
-                                    "stream — index is inconsistent");
-    window.bytes.insert(window.bytes.end(), frame.payload.begin(),
-                        frame.payload.end());
-  }
+  window.first_epoch = std::min(epoch_lo, n);
+  visit_payloads(*find(key), window.first_epoch, std::min(epoch_hi, n),
+                 append_to(window.bytes));
   return window;
 }
 

@@ -51,6 +51,10 @@ class ContainerReader {
   /// never consume silently corrupt data. Requires index_ok().
   [[nodiscard]] std::vector<std::uint8_t> read_stream(
       const runtime::StreamKey& key) const;
+  /// What read_stream() would return the size of for every indexed
+  /// stream, under the same checks, copying nothing.
+  [[nodiscard]] std::map<runtime::StreamKey, std::uint64_t>
+  stream_payload_bytes() const;
 
   /// True when the container carries an epoch-index section (new-format
   /// containers whose appenders supplied EpochMeta). Old containers simply
@@ -135,7 +139,6 @@ class ContainerReader {
   /// footer parsed). The crash-sweep truncates here to model a recorder
   /// that died after its last frame but before seal().
   [[nodiscard]] std::uint64_t data_end() const noexcept { return data_end_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
   ContainerReader() = default;
@@ -146,6 +149,16 @@ class ContainerReader {
   /// Parses and validates the optional epoch section ending at `index_at`;
   /// adjusts data_end_ either way (best effort on damage).
   void parse_epoch_section(std::size_t index_at);
+  /// Takes an intact epoch section as the epoch index when it agrees with
+  /// `frames_of(key)`, each stream's frame offsets; else sets epoch_error_.
+  template <typename FramesOf>
+  void adopt_epoch_index(std::span<const std::uint8_t> bytes,
+                         FramesOf frames_of);
+  /// The trusted frame loop: hands visit() the payloads of frames [lo, hi)
+  /// of `entry`'s stream; aborts on a damaged or foreign frame.
+  template <typename Visit>
+  void visit_payloads(const StreamIndexEntry& entry, std::uint64_t lo,
+                      std::uint64_t hi, Visit visit) const;
   [[nodiscard]] ParsedFrame parse_frame_at(std::uint64_t offset,
                                            std::uint64_t limit) const;
   [[nodiscard]] std::vector<std::uint64_t> sorted_index_offsets() const;
@@ -154,7 +167,6 @@ class ContainerReader {
   template <typename Visit>
   std::string scan_sequential(Visit visit) const;
 
-  std::string path_;
   std::vector<std::uint8_t> bytes_;
   bool header_ok_ = false;
   std::string header_error_;

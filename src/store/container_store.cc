@@ -8,11 +8,7 @@
 namespace cdc::store {
 
 ContainerStore::ContainerStore(std::string path)
-    : path_(std::move(path)),
-      writer_(std::make_unique<ContainerWriter>(path_)) {}
-
-ContainerStore::ContainerStore(std::string path, bool /*read_only*/)
-    : path_(std::move(path)) {}
+    : writer_(std::make_unique<ContainerWriter>(std::move(path))) {}
 
 std::unique_ptr<ContainerStore> ContainerStore::open(const std::string& path) {
   std::string error;
@@ -22,11 +18,10 @@ std::unique_ptr<ContainerStore> ContainerStore::open(const std::string& path) {
   CDC_CHECK_MSG(reader != nullptr, "cannot open record container");
   CDC_CHECK_MSG(reader->index_ok(),
                 "container index corrupt — run verify/repack first");
-  auto store = std::unique_ptr<ContainerStore>(
-      new ContainerStore(path, /*read_only=*/true));
-  for (const runtime::StreamKey& key : reader->keys())
-    store->memory_.append(key, reader->read_stream(key));
-  // Keep the reader: windowed replay seeks through its epoch index.
+  auto store = std::unique_ptr<ContainerStore>(new ContainerStore());
+  // Checks every frame; the sizes are what read() returns, whatever the
+  // index claims.
+  store->opened_bytes_ = reader->stream_payload_bytes();
   store->reader_ = std::move(reader);
   return store;
 }
@@ -35,25 +30,15 @@ std::unique_ptr<ContainerStore> ContainerStore::resume(
     const std::string& path, std::uint64_t durable_bytes,
     std::span<const std::optional<runtime::EpochMeta>> metas,
     std::string* error) {
-  auto writer = ContainerWriter::resume(path, durable_bytes, metas, error);
-  if (writer == nullptr) return nullptr;
-  auto store = std::unique_ptr<ContainerStore>(
-      new ContainerStore(path, /*read_only=*/true));
-  store->writer_ = std::move(writer);
-  // The file now holds exactly the durable prefix; a fresh scan yields the
-  // surviving frames in file order, which is per-stream sequence order.
-  auto reader = ContainerReader::open(path, error);
-  if (reader == nullptr) return nullptr;
-  for (const ContainerReader::GoodFrame& frame : reader->scan_good_frames())
-    store->memory_.append(frame.key, frame.payload);
-  return store;
+  auto store = std::unique_ptr<ContainerStore>(new ContainerStore());
+  store->writer_ = ContainerWriter::resume(path, durable_bytes, metas, error);
+  return store->writer_ != nullptr ? std::move(store) : nullptr;
 }
 
 void ContainerStore::append(const runtime::StreamKey& key,
                             std::span<const std::uint8_t> bytes) {
   CDC_CHECK_MSG(writer_ != nullptr,
                 "append to a container store opened read-only");
-  memory_.append(key, bytes);
   writer_->append_frame(key, bytes);
 }
 
@@ -62,31 +47,48 @@ void ContainerStore::append_epoch(const runtime::StreamKey& key,
                                   const runtime::EpochMeta& meta) {
   CDC_CHECK_MSG(writer_ != nullptr,
                 "append to a container store opened read-only");
-  memory_.append(key, bytes);
   writer_->append_frame(key, bytes, meta);
+}
+
+const ContainerReader& ContainerStore::replay_reader() const {
+  CDC_CHECK_MSG(reader_ != nullptr,
+                "read from a recording container store — seal the "
+                "container and open it to read");
+  return *reader_;
 }
 
 std::vector<std::uint8_t> ContainerStore::read(
     const runtime::StreamKey& key) const {
-  return memory_.read(key);
+  return replay_reader().read_stream(key);
 }
 
 std::vector<std::uint8_t> ContainerStore::read_prefix(
     const runtime::StreamKey& key, std::uint64_t epoch_hi) const {
-  if (reader_ == nullptr) return read(key);
-  return reader_->read_stream_window(key, 0, epoch_hi).bytes;
+  return replay_reader().read_stream_window(key, 0, epoch_hi).bytes;
+}
+
+std::map<runtime::StreamKey, std::uint64_t> ContainerStore::stream_bytes()
+    const {
+  return writer_ != nullptr ? writer_->stream_bytes() : opened_bytes_;
 }
 
 std::vector<runtime::StreamKey> ContainerStore::keys() const {
-  return memory_.keys();
+  std::vector<runtime::StreamKey> out;
+  for (const auto& [key, bytes] : stream_bytes()) out.push_back(key);
+  return out;
 }
 
 std::uint64_t ContainerStore::total_bytes() const {
-  return memory_.total_bytes();
+  std::uint64_t total = 0;
+  for (const auto& [key, bytes] : stream_bytes()) total += bytes;
+  return total;
 }
 
 std::uint64_t ContainerStore::rank_bytes(minimpi::Rank rank) const {
-  return memory_.rank_bytes(rank);
+  std::uint64_t total = 0;
+  for (const auto& [key, bytes] : stream_bytes())
+    if (key.rank == rank) total += bytes;
+  return total;
 }
 
 std::uint64_t ContainerStore::writer_file_bytes() const {

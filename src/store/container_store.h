@@ -1,17 +1,17 @@
-// RecordStore backed by an in-memory copy plus a record container on disk.
+// RecordStore over a record container on disk.
 //
-// Recording mode (constructor): every append lands in the in-memory
-// runtime::MemoryStore (serving read()/replay immediately) and is
-// simultaneously persisted as one CRC-protected container frame.
-// seal() finishes the container; after that the file is a self-contained,
-// verifiable record of the run.
+// Recording mode (constructor): every append is persisted as one
+// CRC-protected container frame, and the writer's index answers keys()
+// and the sizes. seal() finishes the container; after that the file is a
+// self-contained, verifiable record of the run.
 //
-// Replay mode (open()): loads a sealed container back into memory —
-// CRC-checking every frame on the way in — and serves reads from memory.
-// A store opened this way is read-only; appends are a caller bug.
+// Replay mode (open()): serves reads from the sealed file's bytes, which
+// its ContainerReader holds. A store opened this way is read-only; appends
+// are a caller bug, as are reads from a recording store.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,17 +28,17 @@ class ContainerStore final : public runtime::RecordStore {
   /// Recording mode: creates (truncating) the container at `path`.
   explicit ContainerStore(std::string path);
 
-  /// Replay mode: loads a sealed container, verifying frame CRCs. Aborts
-  /// with a CDC_CHECK error on unreadable or corrupt input (use the
+  /// Replay mode: loads a sealed container, verifying every frame's CRC.
+  /// Aborts with a CDC_CHECK error on unreadable or corrupt input (use the
   /// verify/repack tooling for forensics on damaged containers).
   static std::unique_ptr<ContainerStore> open(const std::string& path);
 
   /// Recording mode over an unsealed container left behind by a crash:
   /// validates + reopens the durable prefix via ContainerWriter::resume
-  /// (truncating any torn tail) and reloads the surviving payloads into
-  /// memory, so reads, appends, and a later seal() behave as if
-  /// the store had lived through a single life. Returns nullptr (and sets
-  /// *error) when the prefix does not validate against `metas`.
+  /// (truncating any torn tail), so appends, the sizes and a later seal()
+  /// behave as if the store had lived through a single life. Returns
+  /// nullptr (and sets *error) when the prefix does not validate against
+  /// `metas`.
   [[nodiscard]] static std::unique_ptr<ContainerStore> resume(
       const std::string& path, std::uint64_t durable_bytes,
       std::span<const std::optional<runtime::EpochMeta>> metas,
@@ -51,12 +51,13 @@ class ContainerStore final : public runtime::RecordStore {
   void append_epoch(const runtime::StreamKey& key,
                     std::span<const std::uint8_t> bytes,
                     const runtime::EpochMeta& meta) override;
+  /// Replay mode only; safe from several threads at once.
   [[nodiscard]] std::vector<std::uint8_t> read(
       const runtime::StreamKey& key) const override;
-  /// In replay mode with a healthy epoch index, serves epochs [0, epoch_hi)
-  /// by seeking the container — O(window) bytes read and decoded instead of
-  /// O(stream). Falls back to read() otherwise (recording mode, no index,
-  /// or a damaged index — the `store.container.epoch_fallbacks` counter).
+  /// With a healthy epoch index, serves epochs [0, epoch_hi) by seeking
+  /// the container — O(window) bytes read and decoded instead of
+  /// O(stream). Falls back to read() otherwise (no index, or a damaged
+  /// one — the `store.container.epoch_fallbacks` counter).
   [[nodiscard]] std::vector<std::uint8_t> read_prefix(
       const runtime::StreamKey& key, std::uint64_t epoch_hi) const override;
   [[nodiscard]] std::vector<runtime::StreamKey> keys() const override;
@@ -79,8 +80,6 @@ class ContainerStore final : public runtime::RecordStore {
   /// salvaged via repack_container(). Recording mode only; idempotent.
   void abandon();
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
   /// Bytes written to the container file so far (header + whole frames;
   /// recording mode only — 0 in replay mode). After sync() this is the
   /// durable prefix length a resume journal records.
@@ -94,12 +93,17 @@ class ContainerStore final : public runtime::RecordStore {
   }
 
  private:
-  ContainerStore(std::string path, bool read_only);
+  ContainerStore() = default;
 
-  std::string path_;
-  runtime::MemoryStore memory_;
+  /// Payload bytes per stream: the writer's index while recording.
+  [[nodiscard]] std::map<runtime::StreamKey, std::uint64_t> stream_bytes()
+      const;
+  const ContainerReader& replay_reader() const;
+
   std::unique_ptr<ContainerWriter> writer_;  ///< null in replay mode
   std::unique_ptr<ContainerReader> reader_;  ///< null in recording mode
+  /// Replay mode: payload bytes per stream, added up by open().
+  std::map<runtime::StreamKey, std::uint64_t> opened_bytes_;
 };
 
 }  // namespace cdc::store

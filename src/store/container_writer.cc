@@ -56,13 +56,13 @@ std::unique_ptr<ContainerWriter> ContainerWriter::resume(
   if (reader == nullptr) return nullptr;
   if (!reader->header_ok())
     return fail("resume: " + reader->header_error());
-  constexpr std::uint64_t kHeaderBytes = sizeof(kContainerMagic) + 4;
-  if (durable_bytes < kHeaderBytes || reader->file_bytes() < durable_bytes)
+  if (durable_bytes < kContainerHeaderSize ||
+      reader->file_bytes() < durable_bytes)
     return fail("resume: durable size beyond the file");
 
   auto writer = std::unique_ptr<ContainerWriter>(
       new ContainerWriter(ResumeTag{}, path));
-  writer->offset_ = kHeaderBytes;
+  writer->offset_ = kContainerHeaderSize;
   std::size_t used = 0;
   for (const ContainerReader::GoodFrame& frame : reader->scan_good_frames()) {
     if (frame.offset >= durable_bytes) break;
@@ -73,24 +73,11 @@ std::unique_ptr<ContainerWriter> ContainerWriter::resume(
       return fail("resume: damaged frame inside the durable prefix");
     if (used >= metas.size())
       return fail("resume: more durable frames than journal entries");
-    IndexEntry& entry = writer->index_[frame.key];
-    if (frame.seq != entry.offsets.size())
+    if (frame.seq != writer->index_[frame.key].offsets.size())
       return fail("resume: per-stream sequence mismatch");
     const std::optional<runtime::EpochMeta>& meta = metas[used];
-    // Mirror append_frame_locked's epoch bookkeeping exactly, so seal()
-    // after a resume emits the same epoch index a single-life writer would.
-    if (!meta.has_value()) {
-      entry.epochs_complete = false;
-      entry.epochs.clear();
-    } else if (entry.epochs_complete) {
-      entry.epochs.push_back(
-          EpochRecord{frame.offset, meta->matched, meta->unmatched});
-    }
-    entry.offsets.push_back(frame.offset);
-    entry.payload_bytes += frame.payload.size();
-    writer->offset_ += frame.frame_size;
-    ++writer->frames_;
-    writer->payload_bytes_ += frame.payload.size();
+    writer->index_frame(frame.key, frame.payload.size(), frame.frame_size,
+                        meta.has_value() ? &*meta : nullptr);
     ++used;
   }
   if (writer->offset_ != durable_bytes)
@@ -128,6 +115,25 @@ void ContainerWriter::append_frame_locked(
     const runtime::StreamKey& key, std::span<const std::uint8_t> payload,
     const runtime::EpochMeta* meta) {
   CDC_CHECK_MSG(!sealed_, "append_frame on a sealed container");
+  support::ByteWriter frame;
+  encode_frame(kFrameMagic, key, /*seq=*/index_[key].offsets.size(), payload,
+               frame);
+  out_.write(reinterpret_cast<const char*>(frame.view().data()),
+             static_cast<std::streamsize>(frame.size()));
+  CDC_CHECK_MSG(out_.good(), "container frame write failed");
+  index_frame(key, payload.size(), frame.size(), meta);
+
+  static obs::Counter& obs_frames = obs::counter("store.container.frames");
+  static obs::Counter& obs_payload =
+      obs::counter("store.container.payload_bytes");
+  obs_frames.add(1);
+  obs_payload.add(payload.size());
+}
+
+void ContainerWriter::index_frame(const runtime::StreamKey& key,
+                                  std::uint64_t payload_size,
+                                  std::uint64_t frame_size,
+                                  const runtime::EpochMeta* meta) {
   IndexEntry& entry = index_[key];
   if (meta == nullptr) {
     entry.epochs_complete = false;
@@ -136,24 +142,11 @@ void ContainerWriter::append_frame_locked(
     entry.epochs.push_back(EpochRecord{offset_, meta->matched,
                                        meta->unmatched});
   }
-
-  support::ByteWriter frame;
-  encode_frame(kFrameMagic, key, /*seq=*/entry.offsets.size(), payload, frame);
-  out_.write(reinterpret_cast<const char*>(frame.view().data()),
-             static_cast<std::streamsize>(frame.size()));
-  CDC_CHECK_MSG(out_.good(), "container frame write failed");
-
   entry.offsets.push_back(offset_);
-  entry.payload_bytes += payload.size();
-  offset_ += frame.size();
+  entry.payload_bytes += payload_size;
+  offset_ += frame_size;
   ++frames_;
-  payload_bytes_ += payload.size();
-
-  static obs::Counter& obs_frames = obs::counter("store.container.frames");
-  static obs::Counter& obs_payload =
-      obs::counter("store.container.payload_bytes");
-  obs_frames.add(1);
-  obs_payload.add(payload.size());
+  payload_bytes_ += payload_size;
 }
 
 void ContainerWriter::flush() {
@@ -243,6 +236,15 @@ void ContainerWriter::abandon() {
 ContainerWriter::Stats ContainerWriter::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return Stats{frames_, payload_bytes_, offset_};
+}
+
+std::map<runtime::StreamKey, std::uint64_t> ContainerWriter::stream_bytes()
+    const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::map<runtime::StreamKey, std::uint64_t> out;
+  for (const auto& [key, entry] : index_)
+    out.emplace_hint(out.end(), key, entry.payload_bytes);
+  return out;
 }
 
 }  // namespace cdc::store

@@ -85,6 +85,11 @@ class ContainerWriter {
   };
   [[nodiscard]] Stats stats() const;
 
+  /// Payload bytes appended so far per stream, in key order: the sizes
+  /// seal() writes to the index. Still answered after seal().
+  [[nodiscard]] std::map<runtime::StreamKey, std::uint64_t> stream_bytes()
+      const;
+
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
@@ -102,6 +107,11 @@ class ContainerWriter {
   void append_frame_locked(const runtime::StreamKey& key,
                            std::span<const std::uint8_t> payload,
                            const runtime::EpochMeta* meta);
+  /// Indexes the frame at offset_ and moves past it: the bookkeeping
+  /// append_frame and resume share, so a resumed writer seals the index a
+  /// single-life writer would.
+  void index_frame(const runtime::StreamKey& key, std::uint64_t payload_size,
+                   std::uint64_t frame_size, const runtime::EpochMeta* meta);
 
   std::string path_;
   mutable std::mutex mutex_;

@@ -1,7 +1,7 @@
-// Byte-quota enforcement at the RecordStore seam.
+// Byte-quota enforcement at the record sink seam.
 //
 // The service layer (src/net/) sells bounded storage per tenant; the
-// enforcement point is a decorator in front of whatever store a tenant's
+// enforcement point is a sink in front of whatever store a tenant's
 // session writes into, so the quota holds for whatever the frame sink
 // appends through it. A quota trip throws QuotaExceeded (a distinct
 // type, not IoError: retrying a quota breach is never correct) *before*
@@ -26,13 +26,13 @@ class QuotaExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// RecordStore decorator charging every appended byte against a fixed
-/// budget. Accounting is on the *raw frame bytes appended* (what actually
-/// lands in the container), checked-and-charged atomically so concurrent
-/// appenders cannot jointly overshoot.
-class QuotaStore final : public runtime::RecordStore {
+/// Sink charging every appended byte against a fixed budget. Accounting
+/// is on the *raw frame bytes appended* (what actually lands in the
+/// container), checked-and-charged atomically so concurrent appenders
+/// cannot jointly overshoot.
+class QuotaStore final : public runtime::RecordSink {
  public:
-  QuotaStore(runtime::RecordStore* inner, std::uint64_t max_bytes)
+  QuotaStore(runtime::RecordSink* inner, std::uint64_t max_bytes)
       : inner_(inner), max_bytes_(max_bytes) {}
 
   void append(const runtime::StreamKey& key,
@@ -48,26 +48,7 @@ class QuotaStore final : public runtime::RecordStore {
     inner_->append_epoch(key, bytes, meta);
   }
 
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const runtime::StreamKey& key) const override {
-    return inner_->read(key);
-  }
-  [[nodiscard]] std::vector<runtime::StreamKey> keys() const override {
-    return inner_->keys();
-  }
-  [[nodiscard]] std::uint64_t total_bytes() const override {
-    return inner_->total_bytes();
-  }
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override {
-    return inner_->rank_bytes(rank);
-  }
-  [[nodiscard]] std::vector<std::uint8_t> read_prefix(
-      const runtime::StreamKey& key, std::uint64_t epoch_hi) const override {
-    return inner_->read_prefix(key, epoch_hi);
-  }
   void sync() override { inner_->sync(); }
-
-  [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
  private:
   void charge(std::uint64_t n) {
@@ -82,7 +63,7 @@ class QuotaStore final : public runtime::RecordStore {
     }
   }
 
-  runtime::RecordStore* inner_;
+  runtime::RecordSink* inner_;
   const std::uint64_t max_bytes_;
   std::atomic<std::uint64_t> used_{0};
 };

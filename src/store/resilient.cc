@@ -11,6 +11,7 @@
 #include "store/container.h"
 #include "support/binary.h"
 #include "support/check.h"
+#include "support/file.h"
 
 namespace cdc::store {
 
@@ -28,23 +29,12 @@ constexpr std::uint8_t kQuarantineFrameMagic = 0xF8;
 
 // --- IoFaultStore ----------------------------------------------------------
 
-IoFaultStore::IoFaultStore(runtime::RecordStore* inner,
+IoFaultStore::IoFaultStore(runtime::RecordSink* inner,
                            const IoFaultPlan& plan)
     : inner_(inner),
       plan_(plan),
       rng_(plan.seed ^ 0x10fa17u) {
   CDC_CHECK(inner_ != nullptr);
-}
-
-void IoFaultStore::append(const runtime::StreamKey& key,
-                          std::span<const std::uint8_t> bytes) {
-  append_impl(key, bytes, nullptr);
-}
-
-void IoFaultStore::append_epoch(const runtime::StreamKey& key,
-                                std::span<const std::uint8_t> bytes,
-                                const runtime::EpochMeta& meta) {
-  append_impl(key, bytes, &meta);
 }
 
 void IoFaultStore::append_impl(const runtime::StreamKey& key,
@@ -110,23 +100,6 @@ void IoFaultStore::append_impl(const runtime::StreamKey& key,
                               : "injected transient EIO");
 }
 
-std::vector<std::uint8_t> IoFaultStore::read(
-    const runtime::StreamKey& key) const {
-  return inner_->read(key);
-}
-
-std::vector<runtime::StreamKey> IoFaultStore::keys() const {
-  return inner_->keys();
-}
-
-std::uint64_t IoFaultStore::total_bytes() const {
-  return inner_->total_bytes();
-}
-
-std::uint64_t IoFaultStore::rank_bytes(minimpi::Rank rank) const {
-  return inner_->rank_bytes(rank);
-}
-
 void IoFaultStore::sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (sync_faulted_) {
@@ -145,7 +118,7 @@ void IoFaultStore::sync() {
 
 // --- RetryingStore ---------------------------------------------------------
 
-RetryingStore::RetryingStore(runtime::RecordStore* inner,
+RetryingStore::RetryingStore(runtime::RecordSink* inner,
                              const RetryPolicy& policy,
                              std::string quarantine_path)
     : inner_(inner),
@@ -165,17 +138,6 @@ void RetryingStore::backoff(std::uint32_t i) {
   stats_.backoff_ms_total += ms;
   static obs::Histogram& obs_backoff = obs::histogram("store.retry.backoff_us");
   obs_backoff.record(static_cast<std::uint64_t>(ms * 1000.0));
-}
-
-void RetryingStore::append(const runtime::StreamKey& key,
-                           std::span<const std::uint8_t> bytes) {
-  append_impl(key, bytes, nullptr);
-}
-
-void RetryingStore::append_epoch(const runtime::StreamKey& key,
-                                 std::span<const std::uint8_t> bytes,
-                                 const runtime::EpochMeta& meta) {
-  append_impl(key, bytes, &meta);
 }
 
 void RetryingStore::append_impl(const runtime::StreamKey& key,
@@ -246,23 +208,6 @@ void RetryingStore::quarantine(const runtime::StreamKey& key,
       QuarantinedFrame{key, seq, {bytes.begin(), bytes.end()}});
 }
 
-std::vector<std::uint8_t> RetryingStore::read(
-    const runtime::StreamKey& key) const {
-  return inner_->read(key);
-}
-
-std::vector<runtime::StreamKey> RetryingStore::keys() const {
-  return inner_->keys();
-}
-
-std::uint64_t RetryingStore::total_bytes() const {
-  return inner_->total_bytes();
-}
-
-std::uint64_t RetryingStore::rank_bytes(minimpi::Rank rank) const {
-  return inner_->rank_bytes(rank);
-}
-
 void RetryingStore::sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (std::uint32_t attempt = 0; attempt <= policy_.max_retries; ++attempt) {
@@ -285,16 +230,14 @@ void RetryingStore::sync() {
 
 std::vector<QuarantinedFrame> read_quarantine(const std::string& path) {
   std::vector<QuarantinedFrame> frames;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return frames;
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  if (bytes.size() < sizeof kQuarantineMagic ||
-      std::memcmp(bytes.data(), kQuarantineMagic,
+  const std::optional<std::vector<std::uint8_t>> bytes =
+      support::read_file(path);
+  if (!bytes.has_value() || bytes->size() < sizeof kQuarantineMagic ||
+      std::memcmp(bytes->data(), kQuarantineMagic,
                   sizeof kQuarantineMagic) != 0)
     return frames;
   auto rest =
-      std::span<const std::uint8_t>(bytes).subspan(sizeof kQuarantineMagic);
+      std::span<const std::uint8_t>(*bytes).subspan(sizeof kQuarantineMagic);
   while (!rest.empty()) {
     const ParsedFrame entry = parse_frame(kQuarantineFrameMagic, rest);
     if (!entry.parsed || !entry.crc_ok) break;

@@ -7,7 +7,7 @@
 // failed closed there: any store error aborted the recorder and the whole
 // record was lost. This layer makes recording survive:
 //
-//   IoFaultStore   — seeded fault-injecting RecordStore decorator (the
+//   IoFaultStore   — seeded fault-injecting record sink (the
 //                    storage analogue of minimpi's FaultPlan): EIO every
 //                    Nth append / with probability p, short writes, fsync
 //                    failures. Transient faults fail a configurable number
@@ -15,7 +15,7 @@
 //                    then succeed; hard faults never succeed. Faults are
 //                    thrown as runtime::IoError with nothing committed, so
 //                    a retry of the identical call is always safe.
-//   RetryingStore  — decorator that catches runtime::IoError and retries
+//   RetryingStore  — sink that catches runtime::IoError and retries
 //                    with bounded exponential backoff + seeded jitter.
 //                    An append that exhausts its retries is *quarantined*
 //                    (kept in memory and, when a path is configured,
@@ -78,24 +78,23 @@ struct IoFaultStats {
   std::uint64_t fsync_failures = 0;
 };
 
-/// Fault-injecting RecordStore decorator. Thread-safe. Recognises retries
-/// of a faulted operation by fingerprint (key, length, CRC-32), so the
-/// "fail k consecutive attempts then succeed" contract holds even though
-/// the store is stateless from the caller's point of view.
-class IoFaultStore final : public runtime::RecordStore {
+/// Fault-injecting record sink. Thread-safe. Recognises retries of a
+/// faulted operation by fingerprint (key, length, CRC-32), so the "fail k
+/// consecutive attempts then succeed" contract holds even though the store
+/// is stateless from the caller's point of view.
+class IoFaultStore final : public runtime::RecordSink {
  public:
-  IoFaultStore(runtime::RecordStore* inner, const IoFaultPlan& plan);
+  IoFaultStore(runtime::RecordSink* inner, const IoFaultPlan& plan);
 
   void append(const runtime::StreamKey& key,
-              std::span<const std::uint8_t> bytes) override;
+              std::span<const std::uint8_t> bytes) override {
+    append_impl(key, bytes, nullptr);
+  }
   void append_epoch(const runtime::StreamKey& key,
                     std::span<const std::uint8_t> bytes,
-                    const runtime::EpochMeta& meta) override;
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const runtime::StreamKey& key) const override;
-  [[nodiscard]] std::vector<runtime::StreamKey> keys() const override;
-  [[nodiscard]] std::uint64_t total_bytes() const override;
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override;
+                    const runtime::EpochMeta& meta) override {
+    append_impl(key, bytes, &meta);
+  }
   void sync() override;
 
   [[nodiscard]] const IoFaultStats& stats() const noexcept { return stats_; }
@@ -116,7 +115,7 @@ class IoFaultStore final : public runtime::RecordStore {
     bool hard = false;
   };
 
-  runtime::RecordStore* inner_;
+  runtime::RecordSink* inner_;
   IoFaultPlan plan_;
   support::Xoshiro256 rng_;
   IoFaultStats stats_;
@@ -169,27 +168,26 @@ struct QuarantinedFrame {
   std::vector<std::uint8_t> bytes;
 };
 
-/// Never-aborting RecordStore decorator: retries runtime::IoError with
-/// bounded exponential backoff; exhausted appends are quarantined instead
-/// of thrown. The wrapped record therefore always completes — possibly
+/// Never-aborting record sink: retries runtime::IoError with bounded
+/// exponential backoff; exhausted appends are quarantined instead of
+/// thrown. The wrapped record therefore always completes — possibly
 /// with gaps, which degraded-mode replay reconciles.
-class RetryingStore final : public runtime::RecordStore {
+class RetryingStore final : public runtime::RecordSink {
  public:
   /// `quarantine_path`: when non-empty, quarantined frames are also
   /// appended (and flushed) to this `.cdcq` sidecar as they happen.
-  RetryingStore(runtime::RecordStore* inner, const RetryPolicy& policy = {},
+  RetryingStore(runtime::RecordSink* inner, const RetryPolicy& policy = {},
                 std::string quarantine_path = {});
 
   void append(const runtime::StreamKey& key,
-              std::span<const std::uint8_t> bytes) override;
+              std::span<const std::uint8_t> bytes) override {
+    append_impl(key, bytes, nullptr);
+  }
   void append_epoch(const runtime::StreamKey& key,
                     std::span<const std::uint8_t> bytes,
-                    const runtime::EpochMeta& meta) override;
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const runtime::StreamKey& key) const override;
-  [[nodiscard]] std::vector<runtime::StreamKey> keys() const override;
-  [[nodiscard]] std::uint64_t total_bytes() const override;
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override;
+                    const runtime::EpochMeta& meta) override {
+    append_impl(key, bytes, &meta);
+  }
   void sync() override;
 
   [[nodiscard]] const RetryStats& stats() const noexcept { return stats_; }
@@ -207,7 +205,7 @@ class RetryingStore final : public runtime::RecordStore {
   /// Charges the backoff for 0-based retry `i`.
   void backoff(std::uint32_t i);
 
-  runtime::RecordStore* inner_;
+  runtime::RecordSink* inner_;
   RetryPolicy policy_;
   std::string quarantine_path_;
   support::Xoshiro256 jitter_;

@@ -5,11 +5,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
 
 #include "compress/crc32.h"
 #include "obs/metrics.h"
 #include "support/binary.h"
+#include "support/file.h"
 
 namespace cdc::store {
 
@@ -55,11 +55,11 @@ bool write_all(int fd, std::span<const std::uint8_t> bytes) {
 }  // namespace
 
 std::optional<JournalState> read_session_journal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (bytes.size() < sizeof(kJournalMagic)) return std::nullopt;
+  const std::optional<std::vector<std::uint8_t>> file =
+      support::read_file(path);
+  if (!file.has_value() || file->size() < sizeof(kJournalMagic))
+    return std::nullopt;
+  const std::vector<std::uint8_t>& bytes = *file;
   for (std::size_t i = 0; i < sizeof(kJournalMagic); ++i)
     if (bytes[i] != kJournalMagic[i]) return std::nullopt;
 

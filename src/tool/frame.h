@@ -38,7 +38,7 @@ struct FrameJob {
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   std::vector<std::uint8_t> payload;  ///< raw (uncompressed) chunk bytes
   /// Epoch metadata of the chunk, when the flusher knows it. Rides through
-  /// the sink to RecordStore::append_epoch so epoch-aware stores build
+  /// the sink to RecordSink::append_epoch so epoch-aware stores build
   /// the container's random-access epoch index; plain stores ignore it.
   std::optional<runtime::EpochMeta> epoch;
 };

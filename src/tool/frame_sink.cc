@@ -24,7 +24,7 @@ void count_scratch_reuse(const std::vector<std::uint8_t>& scratch) {
 
 }  // namespace
 
-InlineFrameSink::InlineFrameSink(runtime::RecordStore* store)
+InlineFrameSink::InlineFrameSink(runtime::RecordSink* store)
     : store_(store) {
   CDC_CHECK(store != nullptr);
 }

@@ -2,10 +2,10 @@
 // and frame encoding + storage.
 //
 // There is one frame path. InlineFrameSink encodes (DEFLATE) on the
-// calling thread and appends to its RecordStore at once — the recorder's
-// flush, a cdc_served session worker and a local rebuild all produce the
-// same bytes. Storage policy lives in the RecordStore stack beneath the
-// sink, not in the sink: retries and quarantine come from a
+// calling thread and appends to its runtime::RecordSink at once — the
+// recorder's flush, a cdc_served session worker and a local rebuild all
+// produce the same bytes. Storage policy lives in the record sink stack
+// beneath the frame sink, not in it: retries and quarantine come from a
 // store::RetryingStore passed as the store, quotas from a
 // store::QuotaStore. The FrameSink interface is a seam so callers can
 // wrap the inline sink (capture, tracing) without touching the recorder.
@@ -34,11 +34,11 @@ class FrameSink {
 /// the frame unwritten.
 class InlineFrameSink final : public FrameSink {
  public:
-  explicit InlineFrameSink(runtime::RecordStore* store);
+  explicit InlineFrameSink(runtime::RecordSink* store);
   void submit(const runtime::StreamKey& key, FrameJob job) override;
 
  private:
-  runtime::RecordStore* store_;
+  runtime::RecordSink* store_;
   std::vector<std::uint8_t> scratch_;  ///< recycled frame-output buffer
 };
 

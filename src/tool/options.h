@@ -38,7 +38,7 @@ struct ToolOptions {
   /// Rank whose received-clock series is captured (Figure 1); -1 = none.
   std::int32_t clock_trace_rank = -1;
   /// Epoch-checkpoint interval: a window barrier that flushed at least one
-  /// chunk ends with a store durability barrier (RecordStore::sync), so a
+  /// chunk ends with a store durability barrier (RecordSink::sync), so a
   /// killed recorder loses at most the chunks of one checkpoint window —
   /// one epoch — instead of everything since the last OS writeback. Frames
   /// are encoded and appended inline, so the barrier covers every frame

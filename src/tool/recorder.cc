@@ -10,7 +10,7 @@
 
 namespace cdc::tool {
 
-Recorder::Recorder(int num_ranks, runtime::RecordStore* store,
+Recorder::Recorder(int num_ranks, runtime::RecordSink* store,
                    const ToolOptions& options, FrameSink* sink)
     : options_(options),
       store_(store),

@@ -25,7 +25,7 @@ class Recorder : public minimpi::ToolHooks {
   /// InlineFrameSink into `store`; pass a FrameSink that wraps one to
   /// observe the flushes. The sink must outlive the recorder and commit
   /// into `store`.
-  Recorder(int num_ranks, runtime::RecordStore* store,
+  Recorder(int num_ranks, runtime::RecordSink* store,
            const ToolOptions& options = {}, FrameSink* sink = nullptr);
 
   // --- ToolHooks
@@ -94,7 +94,7 @@ class Recorder : public minimpi::ToolHooks {
   void checkpoint();
 
   ToolOptions options_;
-  runtime::RecordStore* store_;
+  runtime::RecordSink* store_;
   InlineFrameSink inline_sink_;
   FrameSink* sink_;  ///< &inline_sink_ unless the caller provided one
   std::vector<clock::LamportClock> clocks_;

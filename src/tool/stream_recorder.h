@@ -81,7 +81,7 @@ class StreamRecorder {
   }
 
   /// Convenience overload: encode inline into `store` (the seed path).
-  void flush_if_due(runtime::RecordStore& store) {
+  void flush_if_due(runtime::RecordSink& store) {
     InlineFrameSink sink(&store);
     flush_if_due(sink);
   }
@@ -93,7 +93,7 @@ class StreamRecorder {
     flush(sink, buffer_.size(), /*force_all=*/true);
   }
 
-  void finalize(runtime::RecordStore& store) {
+  void finalize(runtime::RecordSink& store) {
     InlineFrameSink sink(&store);
     finalize(sink);
   }

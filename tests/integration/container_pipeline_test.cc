@@ -86,12 +86,14 @@ TEST_F(ContainerPipelineTest,
   tool::Recorder parallel_rec(9, &container, options);
   const auto parallel_run = record_mcb(11, parallel_rec, /*workers=*/4);
   parallel_rec.finalize();
+  container.seal();
+  const auto sealed = store::ContainerStore::open(path("run.cdcc"));
 
   EXPECT_EQ(inline_run.global_tally, parallel_run.global_tally);
-  ASSERT_EQ(inline_store.keys().size(), container.keys().size());
+  ASSERT_EQ(inline_store.keys().size(), sealed->keys().size());
   // The acceptance bar: every stream byte-for-byte identical.
   for (const runtime::StreamKey& key : inline_store.keys())
-    EXPECT_EQ(inline_store.read(key), container.read(key))
+    EXPECT_EQ(inline_store.read(key), sealed->read(key))
         << "stream (" << key.rank << "," << key.callsite << ") diverged";
   EXPECT_GT(parallel_rec.totals().chunks, 9u);  // many chunks, many flushes
 }

@@ -308,8 +308,8 @@ TEST_F(ResumeLoopbackTest, FsyncFaultFailsBatchBeforeAck) {
   ServerConfig config;
   int session_index = 0;
   config.store_wrapper =
-      [&session_index](runtime::RecordStore* inner)
-      -> std::unique_ptr<runtime::RecordStore> {
+      [&session_index](runtime::RecordSink* inner)
+      -> std::unique_ptr<runtime::RecordSink> {
     // Fault only the first session; the resuming session gets a clean
     // store so recovery can finish.
     if (session_index++ > 0) return nullptr;
@@ -355,8 +355,8 @@ TEST_F(ResumeLoopbackTest, AppendFaultFailsBatchBeforeAck) {
   ServerConfig config;
   int session_index = 0;
   config.store_wrapper =
-      [&session_index](runtime::RecordStore* inner)
-      -> std::unique_ptr<runtime::RecordStore> {
+      [&session_index](runtime::RecordSink* inner)
+      -> std::unique_ptr<runtime::RecordSink> {
     if (session_index++ > 0) return nullptr;
     store::IoFaultPlan plan;
     // Frame 3 of batch 2 (batches are kFramesPerBatch = 6 frames).

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "store/container_reader.h"
 #include "store/container_store.h"
 #include "store/container_writer.h"
+#include "support/file.h"
 
 namespace cdc::store {
 namespace {
@@ -142,7 +148,7 @@ TEST_F(ContainerTest, ContainerStoreRecordReopenReadsBack) {
     store.append(a, payload_for(1, 64));
     store.append(b, payload_for(2, 16));
     store.append(a, payload_for(3, 8));
-    // Memory side serves reads immediately, before sealing.
+    // The writer's index answers the sizes before sealing.
     EXPECT_EQ(store.total_bytes(), 88u);
     EXPECT_EQ(store.rank_bytes(0), 72u);
     store.seal();
@@ -196,6 +202,118 @@ TEST_F(ContainerTest, ContainerStoreOpenOfTruncatedFileDies) {
   std::filesystem::copy_file(file, cut);
   std::filesystem::resize_file(cut, 1000);  // keep the first 1,000 bytes
   EXPECT_DEATH((void)ContainerStore::open(cut), "container index corrupt");
+}
+
+// An intact index over a frame whose payload is damaged: open() checks
+// every indexed frame, so the store refuses the file before any read.
+TEST_F(ContainerTest, ContainerStoreOpenOfCorruptFrameDies) {
+  const std::string file = path("flip.cdcc");
+  {
+    ContainerStore store(file);
+    for (int i = 0; i < 6; ++i)
+      store.append({i % 2, 0}, payload_for(i, 32));
+    store.seal();
+  }
+  std::vector<std::uint8_t> bytes = support::read_file(file).value();
+  {
+    const auto reader = ContainerReader::open(file);
+    ASSERT_NE(reader, nullptr);
+    const auto frames = reader->scan_good_frames();
+    ASSERT_EQ(frames.size(), 6u);
+    // The last payload byte of the fourth frame, just before its CRC.
+    bytes[frames[3].offset + frames[3].frame_size - 4 - 1] ^= 0x5A;
+  }
+  const std::string hurt = path("hurt.cdcc");
+  std::ofstream(hurt, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(ContainerReader::open(hurt)->index_ok());
+  EXPECT_DEATH((void)ContainerStore::open(hurt), "container frame corrupt");
+}
+
+TEST_F(ContainerTest, RecordingContainerStoreRefusesReads) {
+  ContainerStore store(path("recording.cdcc"));
+  store.append({0, 0}, payload_for(1, 4));
+  EXPECT_DEATH((void)store.read({0, 0}),
+               "seal the container and open it to read");
+  EXPECT_DEATH((void)store.read_prefix({0, 0}, 1),
+               "seal the container and open it to read");
+}
+
+// The same appends into a ContainerStore and a MemoryStore: the recording
+// store's keys and sizes come from the writer's index, the opened store's
+// reads from the container file, and both must agree with the in-memory
+// record. Streams whose every frame carried epoch metadata also serve
+// epoch prefixes by seeking. Every stream is read back from several
+// threads at once, as replay's simulator workers do.
+TEST_F(ContainerTest, ContainerStoreMatchesMemoryStore) {
+  const std::string file = path("differential.cdcc");
+  const runtime::StreamKey epoch_keys[] = {{0, 1}, {-1, 0}};
+  const runtime::StreamKey plain_key{3, 2};
+  const runtime::StreamKey mixed_key{7, 4};  // epochs, then one without
+  runtime::MemoryStore memory;
+  std::map<runtime::StreamKey, std::vector<std::vector<std::uint8_t>>>
+      appended;
+  {
+    ContainerStore container(file);
+    const auto both = [&](const runtime::StreamKey& key,
+                          const std::vector<std::uint8_t>& bytes,
+                          bool with_epoch) {
+      memory.append(key, bytes);
+      if (with_epoch)
+        container.append_epoch(key, bytes,
+                               runtime::EpochMeta{bytes.size(), 1});
+      else
+        container.append(key, bytes);
+      appended[key].push_back(bytes);
+    };
+    for (int i = 0; i < 60; ++i) {
+      const std::size_t size = static_cast<std::size_t>((i * 37) % 97);
+      both(epoch_keys[i % 2], payload_for(i, size), true);
+      if (i % 3 == 0) both(plain_key, payload_for(i + 1, size / 2), false);
+      if (i % 5 == 0) both(mixed_key, payload_for(i + 2, 9), i < 50);
+    }
+    EXPECT_EQ(container.keys(), memory.keys());
+    EXPECT_EQ(container.total_bytes(), memory.total_bytes());
+    for (const minimpi::Rank rank : {-1, 0, 3, 5, 7})
+      EXPECT_EQ(container.rank_bytes(rank), memory.rank_bytes(rank)) << rank;
+    container.seal();
+  }
+
+  const auto opened = ContainerStore::open(file);
+  EXPECT_EQ(opened->keys(), memory.keys());
+  EXPECT_EQ(opened->total_bytes(), memory.total_bytes());
+  for (const minimpi::Rank rank : {-1, 0, 3, 5, 7})
+    EXPECT_EQ(opened->rank_bytes(rank), memory.rank_bytes(rank)) << rank;
+  std::map<runtime::StreamKey, std::vector<std::uint8_t>> first_three;
+  for (const runtime::StreamKey& key : memory.keys()) {
+    const std::vector<std::uint8_t> whole = memory.read(key);
+    EXPECT_EQ(opened->read(key), whole);
+    const auto& frames = appended.at(key);
+    const bool seekable = key != plain_key && key != mixed_key;
+    std::vector<std::uint8_t> prefix;
+    for (std::uint64_t hi = 0; hi <= frames.size() + 1; ++hi) {
+      // Without an epoch index the prefix read falls back to the stream.
+      const std::vector<std::uint8_t>& expected = seekable ? prefix : whole;
+      EXPECT_EQ(opened->read_prefix(key, hi), expected)
+          << "stream (" << key.rank << "," << key.callsite << ") hi " << hi;
+      if (hi == 3) first_three[key] = expected;
+      if (hi < frames.size())
+        prefix.insert(prefix.end(), frames[hi].begin(), frames[hi].end());
+    }
+  }
+
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t)
+    readers.emplace_back([&] {
+      for (const runtime::StreamKey& key : memory.keys())
+        if (opened->read(key) != memory.read(key) ||
+            opened->read_prefix(key, 3) != first_three.at(key))
+          mismatches.fetch_add(1);
+    });
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

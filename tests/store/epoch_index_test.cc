@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "store/container_reader.h"
 #include "store/container_writer.h"
+#include "support/binary.h"
 
 namespace cdc::store {
 namespace {
@@ -299,6 +300,39 @@ TEST_F(EpochIndexTest, FrameOffsetMismatchIsRejected) {
   ASSERT_NE(damaged, nullptr);
   EXPECT_EQ(damaged->epoch_index_error(),
             "epoch index frame offset mismatch");
+  expect_loud_fallback(hurt_path, clean_path);
+}
+
+TEST_F(EpochIndexTest, ForgedEpochCountDegradesToSequentialRead) {
+  // A CRC-valid epoch section whose first stream claims 2^62 epochs: the
+  // reader must not size anything by that claim, only find the section
+  // truncated.
+  const std::string clean_path = path("clean.cdcc");
+  build_epoch_sample(clean_path);
+  const std::vector<std::uint8_t> clean = read_file(clean_path);
+  const EpochRegion region = locate_epoch_section(clean);
+  const auto section = std::span<const std::uint8_t>(clean).subspan(
+      region.payload_at, region.payload_len);
+  // stream_count, rank, callsite, then the first stream's epoch count.
+  ASSERT_LT(section[3], 0x80u) << "expected a single-byte varint";
+  support::ByteWriter forged;
+  forged.bytes(section.subspan(0, 3));
+  forged.varint(std::uint64_t{1} << 62);
+  forged.bytes(section.subspan(4));
+  support::ByteWriter out;
+  out.bytes(std::span<const std::uint8_t>(clean).subspan(0, region.payload_at));
+  out.bytes(forged.view());
+  out.u32(compress::crc32(forged.view()));
+  out.u64(forged.size());
+  for (const std::uint8_t byte : kEpochFooterMagic) out.u8(byte);
+  out.bytes(std::span<const std::uint8_t>(clean).subspan(
+      region.footer_at + kEpochFooterSize));
+  const std::string hurt_path = path("forged_count.cdcc");
+  write_file(hurt_path, std::move(out).take());
+
+  const auto damaged = ContainerReader::open(hurt_path);
+  ASSERT_NE(damaged, nullptr);
+  EXPECT_EQ(damaged->epoch_index_error(), "truncated epoch index");
   expect_loud_fallback(hurt_path, clean_path);
 }
 

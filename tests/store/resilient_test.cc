@@ -39,27 +39,14 @@ std::string scratch_cdcq() {
       .string();
 }
 
-/// Delegates to a MemoryStore but throws on every sync() — the one
-/// scenario IoFaultStore cannot produce (its sync faults always clear on
-/// the immediate retry).
-class BrokenSyncStore final : public runtime::RecordStore {
+/// Delegates appends to a MemoryStore but throws on every sync() — the
+/// one scenario IoFaultStore cannot produce (its sync faults always clear
+/// on the immediate retry).
+class BrokenSyncStore final : public runtime::RecordSink {
  public:
   void append(const runtime::StreamKey& key,
               std::span<const std::uint8_t> bytes) override {
     inner_.append(key, bytes);
-  }
-  [[nodiscard]] std::vector<std::uint8_t> read(
-      const runtime::StreamKey& key) const override {
-    return inner_.read(key);
-  }
-  [[nodiscard]] std::vector<runtime::StreamKey> keys() const override {
-    return inner_.keys();
-  }
-  [[nodiscard]] std::uint64_t total_bytes() const override {
-    return inner_.total_bytes();
-  }
-  [[nodiscard]] std::uint64_t rank_bytes(minimpi::Rank rank) const override {
-    return inner_.rank_bytes(rank);
   }
   void sync() override { throw runtime::IoError("sync always fails"); }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "store/container_store.h"
+#include "tool/crash_store.h"
 
 namespace cdc::tool {
 namespace {
@@ -116,6 +117,48 @@ TEST(Recorder, FirstTouchOrderDoesNotChangeTheSealedContainer) {
   EXPECT_EQ(file_bytes(down_path), up_bytes);
   std::filesystem::remove(up_path);
   std::filesystem::remove(down_path);
+}
+
+/// Counts what reaches the storage below a CrashingStore.
+class CountingSink final : public runtime::RecordSink {
+ public:
+  void append(const runtime::StreamKey&,
+              std::span<const std::uint8_t>) override {
+    ++appends;
+  }
+  void append_epoch(const runtime::StreamKey&, std::span<const std::uint8_t>,
+                    const runtime::EpochMeta&) override {
+    ++epoch_appends;
+  }
+  void sync() override { ++syncs; }
+
+  int appends = 0;
+  int epoch_appends = 0;
+  int syncs = 0;
+};
+
+TEST(CrashingStore, ForwardsEpochsAndSyncsUntilItsCrash) {
+  CountingSink below;
+  CrashingStore crashing(&below, /*appends_before_crash=*/3);
+  const std::vector<std::uint8_t> frame{1, 2, 3};
+  const runtime::EpochMeta meta{4, 1};
+  // Before the crash: appends keep their epoch metadata, syncs pass.
+  crashing.append_epoch({0, 0}, frame, meta);
+  crashing.sync();
+  crashing.append({1, 0}, frame);
+  crashing.append_epoch({0, 0}, frame, meta);
+  EXPECT_EQ(below.epoch_appends, 2);
+  EXPECT_EQ(below.appends, 1);
+  EXPECT_EQ(below.syncs, 1);
+  // The third append spent the budget: nothing after it gets through.
+  crashing.sync();
+  crashing.append_epoch({0, 0}, frame, meta);
+  crashing.append({1, 0}, frame);
+  crashing.sync();
+  EXPECT_EQ(below.epoch_appends, 2);
+  EXPECT_EQ(below.appends, 1);
+  EXPECT_EQ(below.syncs, 1);
+  EXPECT_EQ(crashing.appends_forwarded(), 3u);
 }
 
 }  // namespace
